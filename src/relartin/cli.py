@@ -45,7 +45,6 @@ class RunConfig:
     radius_case3: int | None
     cap: int
     fmt: str
-    tolerance: float
 
 
 def _emit(doc, fmt: str) -> None:
@@ -131,7 +130,6 @@ def cmd_build(cfg: RunConfig) -> int:
     s_f = build_S_f(graph)
     s_bar = build_S_bar(graph, family)
     cx_ell = derived_complex(s_ell)
-    cx_bar = derived_complex(s_bar)
     dim = check_two_dimensional(cx_ell)
     gluing = check_gluing(assign_metric(cx_ell, graph, family))
     if cfg.fmt == "dot":
@@ -142,7 +140,7 @@ def cmd_build(cfg: RunConfig) -> int:
         "S_f_size": len(s_f.elements),
         "S_bar_size": len(s_bar.elements),
         "complex_S_ell": cx_ell.to_json_dict(),
-        "complex_S_bar_chain_count": len(cx_bar.chains),
+        "complex_S_bar_chain_count": s_bar.chain_count(),
         "two_dimensional": {"ok": dim.ok, "max_chain_length": dim.max_chain_length},
         "gluing": {"ok": gluing.ok, "conflicts": gluing.conflicts},
     }
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="development radius for inter-edge links (default 8m per edge)",
     )
     common.add_argument("--cap", type=int, default=4000)
-    common.add_argument("--tolerance", type=float, default=1e-9)
 
     parser = argparse.ArgumentParser(
         prog="relartin",
@@ -259,16 +256,12 @@ def main(argv=None) -> int:
         radius_case3=args.radius_case3,
         cap=args.cap,
         fmt=args.fmt,
-        tolerance=args.tolerance,
     )
     if cfg.radius_case1 < 1 or (cfg.radius_case3 is not None and cfg.radius_case3 < 1):
         sys.stderr.write("error: radii must be >= 1\n")
         return 1
     if cfg.cap < 1:
         sys.stderr.write("error: cap must be >= 1\n")
-        return 1
-    if cfg.tolerance <= 0:
-        sys.stderr.write("error: tolerance must be > 0\n")
         return 1
     if cfg.fmt == "dot" and cfg.subcommand not in _DOT_CAPABLE:
         sys.stderr.write("error: dot output is only available for build and develop\n")

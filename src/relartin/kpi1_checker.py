@@ -260,7 +260,7 @@ def kpi1_verdict(
         }
     )
 
-    retraction = retraction_map(derived_complex(s_bar), s_ell_cx, graph, family)
+    retraction = retraction_map(s_bar, s_ell_cx, graph, family)
     evidence.append(
         {
             "check": "retraction onto the small fundamental domain is well defined",

@@ -8,8 +8,13 @@ Three posets under inclusion:
   S^f   every subset whose Coxeter quotient is finite;
   S_bar the union of S^l with every subset of every part.
 
-The derived complex of a poset has one simplex per chain.  Over S^l the
-complex is 2-dimensional and every 2-chain has the shape
+The derived complex of a poset has one simplex per chain.  Only the S^l
+complex is ever listed chain by chain.  The S_bar complex grows with the
+factorial of the part sizes, so it is never materialised: its chains are
+counted by dynamic programming (``SubsetPoset.chain_count``) and its
+maximal chains are walked along the covering relation (``maximal_chains``).
+
+Over S^l the complex is 2-dimensional and every 2-chain has the shape
 [empty < {s} < T]; such a triangle receives Euclidean angles in integer
 units of pi/8:
 
@@ -41,7 +46,10 @@ def subset_label(t: frozenset) -> str:
 
 @dataclass
 class SubsetPoset:
-    """Finite family of vertex subsets ordered by inclusion, with tags."""
+    """Finite family of vertex subsets ordered by inclusion, with tags.
+
+    ``elements`` is sorted by ``subset_sort_key``, so by size first.
+    """
 
     elements: tuple[frozenset, ...]
     tags: dict[frozenset, frozenset]
@@ -58,15 +66,34 @@ class SubsetPoset:
         return subset in self.tags
 
     def covers(self) -> list[tuple[frozenset, frozenset]]:
-        """Covering relations of the inclusion order (Hasse diagram edges)."""
+        """Covering relations of the inclusion order (Hasse diagram edges).
+
+        Listed by the index of ``small``, then of ``big``.  The elements
+        above ``small`` come in order of size, so a candidate ``big`` covers
+        ``small`` exactly when no cover of ``small`` kept so far lies below
+        it: a strictly intermediate element would contain a cover that is
+        smaller than ``big`` and hence already kept.
+        """
         out = []
-        for small in self.elements:
-            for big in self.elements:
-                if small < big and not any(
-                    small < mid < big for mid in self.elements
-                ):
-                    out.append((small, big))
+        for i, small in enumerate(self.elements):
+            above: list[frozenset] = []
+            for big in self.elements[i + 1 :]:
+                if small < big and not any(c < big for c in above):
+                    above.append(big)
+            out.extend((small, big) for big in above)
         return out
+
+    def chain_count(self) -> int:
+        """Number of nonempty chains, i.e. of simplices of the derived
+        complex, without listing them.
+
+        With f(t) the number of chains whose least element is t,
+        f(t) = 1 + sum of f(u) over u > t, and the total is the sum of f.
+        """
+        f: dict[frozenset, int] = {}
+        for t in reversed(self.elements):
+            f[t] = 1 + sum(n for u, n in f.items() if t < u)
+        return sum(f.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,13 +176,22 @@ class DerivedComplex:
         }
 
 
+def _chain_sort_key(poset: SubsetPoset):
+    """Sort key for chains: by length, then element by element in
+    ``subset_sort_key`` order (the index in ``poset.elements``)."""
+    rank = {t: i for i, t in enumerate(poset.elements)}
+    return lambda c: (len(c), tuple(rank[t] for t in c))
+
+
 def derived_complex(poset: SubsetPoset) -> DerivedComplex:
     """Every nonempty chain, face-closed by construction.
 
-    Chain counts grow exponentially with part size; intended for the small
-    fundamental-domain posets, not for arbitrary lattices.
+    Chain counts grow with the factorial of the largest part size, so this
+    is for the small fundamental domain S^l only.  The S_bar complex is
+    never listed: ``SubsetPoset.chain_count`` counts it and
+    ``maximal_chains`` walks its facets along the covering relation.
     """
-    elements = sorted(poset.elements, key=subset_sort_key)
+    elements = poset.elements
     above: dict[frozenset, list[frozenset]] = {
         t: [u for u in elements if t < u] for t in elements
     }
@@ -168,7 +204,7 @@ def derived_complex(poset: SubsetPoset) -> DerivedComplex:
 
     for t in elements:
         grow((t,))
-    chains.sort(key=lambda c: (len(c), tuple(subset_sort_key(t) for t in c)))
+    chains.sort(key=_chain_sort_key(poset))
     return DerivedComplex(poset=poset, chains=tuple(chains))
 
 
@@ -250,12 +286,12 @@ def disjoint_inter_edges(graph: DefiningGraph, family: SubgraphFamily) -> dict[f
     """For each inter-edge pair, whether it shares no vertex with any other
     inter-edge."""
     ies = inter_edges(graph, family)
-    out = {}
+    # the graph has no parallel edges, so each pair is counted once
+    degree: dict[str, int] = {}
     for e in ies:
-        out[e.pair] = not any(
-            f.pair != e.pair and (f.pair & e.pair) for f in ies
-        )
-    return out
+        for v in e.pair:
+            degree[v] = degree.get(v, 0) + 1
+    return {e.pair: degree[e.u] == degree[e.v] == 1 for e in ies}
 
 
 def assign_metric(
@@ -327,7 +363,6 @@ class RetractionReport:
     idempotent: bool
     face_compatible: bool
     vertex_map: dict[frozenset, frozenset]
-    chain_images: dict[tuple[frozenset, ...], tuple[frozenset, ...]]
     failures: list[str]
 
     @property
@@ -340,21 +375,36 @@ class RetractionReport:
         )
 
 
-def maximal_chains(cx: DerivedComplex) -> list[tuple[frozenset, ...]]:
-    elements = cx.poset.elements
-    out = []
-    for chain in cx.chains:
-        cset = set(chain)
-        extendable = any(
-            x not in cset and all(x < t or t < x for t in chain) for x in elements
-        )
-        if not extendable:
+def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
+    """Every maximal chain, in the order of ``derived_complex`` chains.
+
+    A maximal chain is saturated and runs from a minimal element to a
+    maximal one, so the chains are the upward walks along the covering
+    relation from each minimal element.  Inside a part of size k they are
+    the k! orders in which its vertices can be added.
+    """
+    up: dict[frozenset, list[frozenset]] = {t: [] for t in poset.elements}
+    for small, big in poset.covers():
+        up[small].append(big)
+    minimal = set(poset.elements).difference(*up.values())
+    out: list[tuple[frozenset, ...]] = []
+
+    def walk(chain: tuple[frozenset, ...]) -> None:
+        above = up[chain[-1]]
+        if not above:
             out.append(chain)
+        for u in above:
+            walk(chain + (u,))
+
+    for t in poset.elements:
+        if t in minimal:
+            walk((t,))
+    out.sort(key=_chain_sort_key(poset))
     return out
 
 
 def retraction_map(
-    s_bar_cx: DerivedComplex,
+    s_bar: SubsetPoset,
     s_ell_cx: DerivedComplex,
     graph: DefiningGraph,
     family: SubgraphFamily,
@@ -370,13 +420,13 @@ def retraction_map(
     part_of: dict[frozenset, frozenset] = {}
     for part in family.parts:
         pset = frozenset(part)
-        for t in s_bar_cx.poset.elements:
+        for t in s_bar.elements:
             if t and t <= pset:
                 part_of.setdefault(t, pset)
 
     failures: list[str] = []
     vertex_map: dict[frozenset, frozenset] = {}
-    for t in s_bar_cx.poset.elements:
+    for t in s_bar.elements:
         if t in s_ell:
             vertex_map[t] = t
         elif t in part_of:
@@ -393,7 +443,7 @@ def retraction_map(
     # compatibility on shared faces; additionally the image of each maximal
     # chain must match the stated formula
     monotone = True
-    elems = [t for t in s_bar_cx.poset.elements if t in vertex_map]
+    elems = [t for t in s_bar.elements if t in vertex_map]
     for a in elems:
         for b in elems:
             if a < b and not vertex_map[a] <= vertex_map[b]:
@@ -403,19 +453,20 @@ def retraction_map(
     iev = {
         t for t in s_ell.elements if "inter-edge-vertex" in s_ell.tags[t]
     }
-    chain_images: dict[tuple[frozenset, ...], tuple[frozenset, ...]] = {}
+    s_ell_chains = set(s_ell_cx.chains)
+    total = 0
     formula_ok = True
-    for chain in maximal_chains(s_bar_cx):
+    for chain in maximal_chains(s_bar):
         if any(t not in vertex_map for t in chain):
             continue
+        total += 1
         image: list[frozenset] = []
         for t in chain:
             img = vertex_map[t]
             if not image or image[-1] != img:
                 image.append(img)
-        chain_images[chain] = tuple(image)
         top = chain[-1]
-        if "inter-edge" in s_bar_cx.poset.tags.get(top, frozenset()):
+        if "inter-edge" in s_bar.tags.get(top, frozenset()):
             expected = chain
         else:
             bottom = chain[1] if len(chain) > 1 else None
@@ -430,17 +481,16 @@ def retraction_map(
                 f"chain {[sorted(t) for t in chain]} mapped to "
                 f"{[sorted(t) for t in image]}, expected {[sorted(t) for t in expected]}"
             )
-        if tuple(image) not in set(s_ell_cx.chains):
+        if tuple(image) not in s_ell_chains:
             lands = False
             failures.append(f"image of {[sorted(t) for t in chain]} is not an S^l chain")
 
     return RetractionReport(
-        total_maximal_chains=len(chain_images),
+        total_maximal_chains=total,
         lands_in_s_ell=lands,
         identity_on_s_ell=identity,
         idempotent=idempotent,
         face_compatible=monotone and formula_ok,
         vertex_map=vertex_map,
-        chain_images=chain_images,
         failures=failures,
     )

@@ -23,8 +23,15 @@ is cross-checked against the quotient oracle.
 
 Girth: exhaustive depth-first enumeration of simple cycles anchored at
 their minimal vertex, with weight pruning.
+
+Posets: the covering relation by testing every intermediate element, the
+maximal chains by scanning every chain of the derived complex for an
+element that would extend it, and the chain count as the length of that
+complex.
 """
 import heapq
+
+from relartin.poset_complex import derived_complex, subset_sort_key
 
 
 # ---------------------------------------------------------------- words
@@ -208,3 +215,34 @@ def dijkstra(adjacency: dict, source) -> dict:
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return dist
+
+
+# ----------------------------------------------------------- posets
+
+def brute_covers(poset) -> list:
+    """Pairs small < big with no element strictly between, in element order."""
+    out = []
+    for small in poset.elements:
+        for big in poset.elements:
+            if small < big and not any(small < mid < big for mid in poset.elements):
+                out.append((small, big))
+    return out
+
+
+def brute_maximal_chains(poset) -> list:
+    """Chains of the derived complex that no element can extend, by length
+    and then element by element in ``subset_sort_key`` order."""
+    out = []
+    for chain in derived_complex(poset).chains:
+        cset = set(chain)
+        extendable = any(
+            x not in cset and all(x < t or t < x for t in chain)
+            for x in poset.elements
+        )
+        if not extendable:
+            out.append(chain)
+    return sorted(out, key=lambda c: (len(c), tuple(subset_sort_key(t) for t in c)))
+
+
+def brute_chain_count(poset) -> int:
+    return len(derived_complex(poset).chains)

@@ -257,7 +257,7 @@ def test_criterion_08_dihedral_oracle_equivalence():
 def test_criterion_09_retraction():
     g, fam = affine_parts_join()
     s_ell_cx = derived_complex(build_S_ell(g, fam))
-    report = retraction_map(derived_complex(build_S_bar(g, fam)), s_ell_cx, g, fam)
+    report = retraction_map(build_S_bar(g, fam), s_ell_cx, g, fam)
     assert report.total_maximal_chains == 80
     assert report.failures == []
     assert report.lands_in_s_ell

@@ -175,7 +175,6 @@ def test_flag_validation(capsys):
     assert run(capsys, "links", "--input", JOIN, "--cap", "0")[0] == 1
     assert run(capsys, "links", "--input", JOIN, "--radius-case1", "0")[0] == 1
     assert run(capsys, "links", "--input", JOIN, "--radius-case3", "-1")[0] == 1
-    assert run(capsys, "links", "--input", JOIN, "--tolerance", "0")[0] == 1
     code, _, err = run(capsys, "kpi1", "--input", JOIN, "--format", "dot")
     assert code == 1 and "dot output" in err
     assert cli.main(["nonsense"]) == 1

@@ -1,5 +1,7 @@
 """Subset posets, order complexes, the integer-unit metric, and the
 retraction onto the small fundamental domain."""
+import random
+
 import pytest
 
 from relartin.defining_graph import DefiningGraph, GraphError, SubgraphFamily
@@ -20,7 +22,8 @@ from relartin.poset_complex import (
     subset_label,
 )
 
-from instances import affine_parts_join, single_interedge
+from instances import affine_parts_join, single_interedge, touching_triple_control
+from oracles import brute_chain_count, brute_covers, brute_maximal_chains
 
 
 def test_s_ell_join_counts_and_tags():
@@ -54,9 +57,9 @@ def test_derived_complex_chain_counts():
         2: 66,
         3: 40,
     }
-    cx_bar = derived_complex(build_S_bar(g, fam))
-    assert len(cx_bar.chains) == 693
-    assert len(maximal_chains(cx_bar)) == 80
+    s_bar = build_S_bar(g, fam)
+    assert s_bar.chain_count() == 693
+    assert len(maximal_chains(s_bar)) == 80
     doc = cx.to_json_dict()
     assert doc["chain_counts"] == {"1": 27, "2": 66, "3": 40}
 
@@ -190,9 +193,8 @@ def test_gluing_detects_conflicts():
 
 def test_retraction_join():
     g, fam = affine_parts_join()
-    s_bar_cx = derived_complex(build_S_bar(g, fam))
     s_ell_cx = derived_complex(build_S_ell(g, fam))
-    report = retraction_map(s_bar_cx, s_ell_cx, g, fam)
+    report = retraction_map(build_S_bar(g, fam), s_ell_cx, g, fam)
     assert report.ok
     assert report.total_maximal_chains == 80
     assert report.lands_in_s_ell
@@ -206,22 +208,62 @@ def test_retraction_join():
     assert report.vertex_map[frozenset(("a1",))] == frozenset(("a1",))
 
 
+def _with_strays(g, fam) -> list[SubsetPoset]:
+    """S^l plus {a1,b1,c1}, which lies inside part 0, then plus {a1,a2,b1},
+    which crosses parts and so has no image under the retraction."""
+    s_ell = build_S_ell(g, fam)
+    tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
+    out = []
+    for stray in (("a1", "b1", "c1"), ("a1", "a2", "b1")):
+        tagged.append((frozenset(stray), "stray"))
+        out.append(SubsetPoset.from_tagged(tagged))
+    return out
+
+
 def test_retraction_breaks_without_part_subsets():
     # removing a part subset from the domain makes the map partial, which
     # the report records as a failure
     g, fam = affine_parts_join()
-    s_ell = build_S_ell(g, fam)
-    s_ell_cx = derived_complex(s_ell)
-    tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
-    tagged.append((frozenset(("a1", "b1", "c1")), "stray"))
-    poset = SubsetPoset.from_tagged(tagged)
-    report = retraction_map(derived_complex(poset), s_ell_cx, g, fam)
+    s_ell_cx = derived_complex(build_S_ell(g, fam))
+    inside, crossing = _with_strays(g, fam)
+    report = retraction_map(inside, s_ell_cx, g, fam)
     assert report.ok  # the triple still lies inside part 0, so it retracts
-    tagged.append((frozenset(("a1", "a2", "b1")), "stray"))
-    poset = SubsetPoset.from_tagged(tagged)
-    report = retraction_map(derived_complex(poset), s_ell_cx, g, fam)
+    report = retraction_map(crossing, s_ell_cx, g, fam)
     assert not report.ok or report.failures
     assert any("no image" in f for f in report.failures)
+
+
+def _assert_matches_oracles(poset: SubsetPoset) -> None:
+    # equal lists, order included: build and kpi1 print in this order
+    assert poset.covers() == brute_covers(poset)
+    assert maximal_chains(poset) == brute_maximal_chains(poset)
+    assert poset.chain_count() == brute_chain_count(poset)
+
+
+def test_poset_walks_match_oracles_on_instances():
+    for make in (affine_parts_join, touching_triple_control):
+        g, fam = make()
+        for poset in (build_S_ell(g, fam), build_S_bar(g, fam), build_S_f(g)):
+            _assert_matches_oracles(poset)
+    for poset in _with_strays(*affine_parts_join()):
+        _assert_matches_oracles(poset)
+
+
+def test_poset_walks_match_oracles_on_random_families():
+    rng = random.Random(20261017)
+    closed = 0
+    for _ in range(240):
+        letters = "abcde"[: rng.randint(1, 5)]
+        subsets = [
+            frozenset(x for i, x in enumerate(letters) if mask >> i & 1)
+            for mask in range(1 << len(letters))
+        ]
+        family = set(rng.sample(subsets, rng.randint(0, min(len(subsets), 12))))
+        if rng.random() < 0.3:
+            family = {t for t in subsets if any(t <= u for u in family)}
+            closed += 1
+        _assert_matches_oracles(SubsetPoset.from_tagged((t, "x") for t in family))
+    assert 50 < closed < 190  # both closed and unclosed families were drawn
 
 
 def test_subset_label():
