@@ -12,16 +12,23 @@ against the classical finite and affine catalogues:
           ~D_n (n>=4), ~E6 ~E7 ~E8, ~F4, ~G2
 
 Anything else is indefinite.  A subset is *spherical* exactly when every
-component is finite.  A numerical cross-check of the same decision computes
-the smallest eigenvalue of the cosine matrix B_ij = -cos(pi / m_ij).
+component is finite.
+
+Every spherical subset is a clique of the defining graph: a missing defining
+edge is an infinity diagram label, and a component carrying one is ~A1 or
+indefinite.  Sphericity is also hereditary.  So the spherical subsets are
+found by growing cliques: a spherical set is extended only by a vertex above
+its largest member that is adjacent to every member, which proposes each
+clique exactly once.  The same pass decides FC type (every clique
+spherical): if some clique is not spherical, a minimal one minus its largest
+vertex is a spherical clique, and putting that vertex back is a candidate
+the pass tries and rejects.  So the graph is FC exactly when no candidate is
+rejected.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .defining_graph import DefiningGraph, GraphError
 
@@ -36,13 +43,6 @@ class CoxeterType:
 
     kind: str
     components: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class OracleVerdict:
-    classification: str
-    min_eigenvalue: float
-    low_confidence: bool
 
 
 def diagram_edges(
@@ -248,71 +248,38 @@ def is_spherical(graph: DefiningGraph, subset: Iterable[str]) -> bool:
     return classify_type(graph, subset).kind == "finite"
 
 
-def cosine_matrix(graph: DefiningGraph, subset: Iterable[str]) -> np.ndarray:
-    """B_ij = -cos(pi / m_ij) over the sorted subset; missing edge gives -1."""
-    verts = sorted(set(subset))
-    unknown = set(verts) - set(graph.vertices)
-    if unknown:
-        raise GraphError(f"unknown vertices {sorted(unknown)}")
-    n = len(verts)
-    mat = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = graph.label(verts[i], verts[j])
-            c = -1.0 if m is None else -math.cos(math.pi / m)
-            mat[i, j] = mat[j, i] = c
-    return mat
+class SphericalSubsets(list[frozenset[str]]):
+    """The spherical subsets of a graph, smallest first and each size in
+    lexicographic order.  ``fc`` is True when every clique of the graph is
+    among them."""
+
+    fc: bool = True
 
 
-def definiteness_oracle(
-    graph: DefiningGraph, subset: Iterable[str], tolerance: float = 1e-9
-) -> OracleVerdict:
-    """Numerical counterpart of :func:`classify_type`.
-
-    Positive definite cosine matrix (min eigenvalue > tolerance) means finite,
-    a kernel within tolerance means affine, a negative eigenvalue means
-    indefinite.  ``low_confidence`` flags minima within 10x of the tolerance,
-    where the table decision should be trusted over floating point.
-    """
-    verts = sorted(set(subset))
-    if not verts:
-        return OracleVerdict(classification="finite", min_eigenvalue=math.inf, low_confidence=False)
-    eigs = np.linalg.eigvalsh(cosine_matrix(graph, verts))
-    lam = float(eigs[0])
-    if lam > tolerance:
-        cls = "finite"
-    elif lam >= -tolerance:
-        cls = "affine"
-    else:
-        cls = "indefinite"
-    return OracleVerdict(
-        classification=cls,
-        min_eigenvalue=lam,
-        low_confidence=abs(lam) <= 10 * tolerance,
-    )
-
-
-def enumerate_spherical_subsets(graph: DefiningGraph) -> list[frozenset[str]]:
+def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
     """Every vertex subset with finite Coxeter quotient, smallest first.
 
-    Sphericity is hereditary, so candidates grow one vertex at a time from
-    spherical seeds only.
+    Each spherical set grows only by its common neighbours above its largest
+    vertex, so every clique is proposed once and non-cliques never are;
+    both are exact, since spherical sets are cliques and sphericity is
+    hereditary.  A rejected candidate is a non-spherical clique, and one
+    exists whenever any clique is not spherical (a minimal one minus its
+    largest vertex is spherical), so ``fc`` is "no candidate rejected".
     """
-    verts = graph.vertices
-    out: set[frozenset[str]] = {frozenset()}
-    level: list[frozenset[str]] = [frozenset((v,)) for v in verts]
-    out.update(level)
+    adjacent = {v: set(graph.neighbors(v)) for v in graph.vertices}
+    out = SphericalSubsets([frozenset()])
+    # (spherical set as a sorted tuple, its common neighbours above its max)
+    level: list[tuple[tuple[str, ...], tuple[str, ...]]] = [((), graph.vertices)]
     while level:
-        nxt: set[frozenset[str]] = set()
-        for base in level:
-            for v in verts:
-                if v in base:
+        nxt = []
+        for base, above in level:
+            for i, v in enumerate(above):
+                cand = base + (v,)
+                # cliques of one or two vertices are A1, A1xA1, A2, B2 or I2(m)
+                if len(cand) > 2 and classify_type(graph, cand).kind != "finite":
+                    out.fc = False
                     continue
-                cand = base | {v}
-                if cand in out or cand in nxt:
-                    continue
-                if classify_type(graph, cand).kind == "finite":
-                    nxt.add(cand)
-        out.update(nxt)
-        level = sorted(nxt, key=sorted)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+                out.append(frozenset(cand))
+                nxt.append((cand, tuple(w for w in above[i + 1 :] if w in adjacent[v])))
+        level = nxt
+    return out

@@ -306,24 +306,6 @@ def _complement_connected(graph: DefiningGraph) -> bool:
     return len(seen) == len(vs)
 
 
-def _cliques(graph: DefiningGraph) -> list[frozenset[str]]:
-    """All complete full subgraphs, grown one vertex at a time."""
-    vs = graph.vertices
-    levels: list[frozenset[str]] = [frozenset()]
-    frontier = [frozenset((v,)) for v in vs]
-    out = list(frontier)
-    while frontier:
-        nxt: set[frozenset[str]] = set()
-        for c in frontier:
-            top = max(c)
-            for v in vs:
-                if v > top and all(graph.has_edge(v, u) for u in c):
-                    nxt.add(c | {v})
-        frontier = sorted(nxt, key=sorted)
-        out.extend(frontier)
-    return [frozenset()] + out
-
-
 def classify_known(graph: DefiningGraph) -> ClassifierReport:
     """Flags for the presentation classes with a known K(pi,1) or known
     acylindrical hyperbolicity status.
@@ -346,9 +328,7 @@ def classify_known(graph: DefiningGraph) -> ClassifierReport:
 
     spherical_sets = coxeter.enumerate_spherical_subsets(graph)
     two_dim = all(len(t) <= 2 for t in spherical_sets)
-    fc = all(
-        coxeter.is_spherical(graph, clique) for clique in _cliques(graph) if clique
-    )
+    fc = spherical_sets.fc
     join = not _complement_connected(graph) if len(graph.vertices) >= 2 else False
 
     notes = (f"coxeter type: {ctype.kind} ({', '.join(ctype.components) or 'empty'})",)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .defining_graph import DefiningGraph, SubgraphFamily, inter_edges
+from .defining_graph import DefiningGraph, GraphError, SubgraphFamily, inter_edges
 from .dihedral_garside import DihedralEngine, FreeEngine, engine_for_part
 from .link_builder import (
     TWO_PI_UNITS,
@@ -39,6 +39,9 @@ from .link_builder import (
     develop_link_part,
 )
 from .poset_complex import disjoint_inter_edges, subset_label
+
+# largest link, in edges, that the per-edge Dijkstra search accepts
+_WEIGHTED_EDGE_LIMIT = 20000
 
 
 @dataclass
@@ -140,7 +143,8 @@ def _girth_uniform(link: LinkGraph) -> tuple[int, list[int]] | None:
 
 def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
     """Contract degree-2 element vertices into edges between their two coset
-    vertices, find the multigraph girth there, expand the witness."""
+    vertices, find the multigraph girth there, expand the witness.  The
+    caller has checked that every element vertex has exactly two edges."""
     incident: dict[int, list[int]] = {}
     for i, j, _ in link.edges:
         e, c = (i, j) if link.sides[i] == 0 else (j, i)
@@ -148,8 +152,6 @@ def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
     pair_seen: dict[tuple[int, int], int] = {}
     m_adj: dict[int, list[tuple[int, int]]] = {}
     for e, cosets in incident.items():
-        if len(cosets) != 2:
-            raise ValueError("development element vertex without exactly two cosets")
         c1, c2 = sorted(cosets)
         if (c1, c2) in pair_seen:
             other = pair_seen[(c1, c2)]
@@ -181,8 +183,11 @@ def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
 def _girth_weighted(link: LinkGraph) -> tuple[int, int, list[int]] | None:
     """Per-edge removal + Dijkstra; exact for positive weights.  Intended for
     the small finite links only."""
-    if len(link.edges) > 20000:
-        raise ValueError("weighted girth reserved for small graphs")
+    if len(link.edges) > _WEIGHTED_EDGE_LIMIT:
+        raise GraphError(
+            f"the {link.case} link has {len(link.edges)} edges; the weighted "
+            f"girth search takes at most {_WEIGHTED_EDGE_LIMIT}"
+        )
     adj = link.adjacency()
     best: tuple[int, int, list[int]] | None = None
     for i, j, w in sorted(link.edges):

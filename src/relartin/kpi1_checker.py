@@ -84,9 +84,11 @@ def audit_family(
     s_bar: SubsetPoset,
     graph: DefiningGraph,
     family: SubgraphFamily,
+    spherical: list[frozenset[str]],
     assertions=None,
 ) -> FamilyAudit:
-    """Check subset closure and spherical coverage of S_bar, and tag parts."""
+    """Check subset closure of S_bar and that it covers ``spherical``, the
+    graph's spherical subsets, and tag parts."""
     cond1_witness = None
     for t in s_bar.elements:
         members = sorted(t)
@@ -99,7 +101,7 @@ def audit_family(
             break
 
     cond3_witness = None
-    for t in coxeter.enumerate_spherical_subsets(graph):
+    for t in spherical:
         if t not in s_bar:
             cond3_witness = t
             break
@@ -124,17 +126,17 @@ class CrossingVerdict:
 
 
 def verify_no_large_crossing_spherical(
-    graph: DefiningGraph, family: SubgraphFamily
+    graph: DefiningGraph, family: SubgraphFamily, spherical: list[frozenset[str]]
 ) -> CrossingVerdict:
-    """Every subset with finite Coxeter quotient that is not inside a single
-    part must be a subset of a defining edge.
+    """Every subset with finite Coxeter quotient (``spherical``, the graph's
+    spherical subsets) that is not inside a single part must be a subset of
+    a defining edge.
 
     Holds for every valid instance of the inter-edge label conditions; a
     violating instance is reported with the crossing subsets as witnesses.
     """
     part_sets = family.part_sets()
     witnesses = []
-    spherical = coxeter.enumerate_spherical_subsets(graph)
     for t in spherical:
         if any(t <= p for p in part_sets):
             continue
@@ -230,7 +232,8 @@ def kpi1_verdict(
         }
     )
 
-    crossing = verify_no_large_crossing_spherical(graph, family)
+    spherical = coxeter.enumerate_spherical_subsets(graph)
+    crossing = verify_no_large_crossing_spherical(graph, family, spherical)
     evidence.append(
         {
             "check": "no crossing subset with finite quotient beyond inter-edges",
@@ -241,7 +244,7 @@ def kpi1_verdict(
     )
 
     s_bar = build_S_bar(graph, family)
-    audit = audit_family(s_bar, graph, family, assertions)
+    audit = audit_family(s_bar, graph, family, spherical, assertions)
     evidence.append(
         {
             "check": "family completeness (subset closure, spherical coverage)",

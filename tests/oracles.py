@@ -28,9 +28,23 @@ Posets: the covering relation by testing every intermediate element, the
 maximal chains by scanning every chain of the derived complex for an
 element that would extend it, and the chain count as the length of that
 complex.
+
+Coxeter types: the smallest eigenvalue of the cosine matrix
+B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
+finite quotient, zero for an affine one and negative otherwise.  The
+spherical subsets are every vertex subset that ``classify_type`` calls
+finite, and FC type is every clique being spherical, with cliques grown one
+vertex at a time.
 """
 import heapq
+import itertools
+import math
+from dataclasses import dataclass
 
+import numpy as np
+
+from relartin import coxeter
+from relartin.defining_graph import GraphError
 from relartin.poset_complex import derived_complex, subset_sort_key
 
 
@@ -246,3 +260,83 @@ def brute_maximal_chains(poset) -> list:
 
 def brute_chain_count(poset) -> int:
     return len(derived_complex(poset).chains)
+
+
+# ---------------------------------------------------------- coxeter
+
+@dataclass(frozen=True)
+class OracleVerdict:
+    classification: str
+    min_eigenvalue: float
+    low_confidence: bool
+
+
+def cosine_matrix(graph, subset) -> np.ndarray:
+    """B_ij = -cos(pi / m_ij) over the sorted subset; missing edge gives -1."""
+    verts = sorted(set(subset))
+    unknown = set(verts) - set(graph.vertices)
+    if unknown:
+        raise GraphError(f"unknown vertices {sorted(unknown)}")
+    n = len(verts)
+    mat = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = graph.label(verts[i], verts[j])
+            c = -1.0 if m is None else -math.cos(math.pi / m)
+            mat[i, j] = mat[j, i] = c
+    return mat
+
+
+def definiteness_oracle(graph, subset, tolerance: float = 1e-9) -> OracleVerdict:
+    """Numerical counterpart of ``coxeter.classify_type``.
+
+    Positive definite cosine matrix (min eigenvalue > tolerance) means finite,
+    a kernel within tolerance means affine, a negative eigenvalue means
+    indefinite.  ``low_confidence`` flags minima within 10x of the tolerance,
+    where the table decision should be trusted over floating point.
+    """
+    verts = sorted(set(subset))
+    if not verts:
+        return OracleVerdict(classification="finite", min_eigenvalue=math.inf, low_confidence=False)
+    lam = float(np.linalg.eigvalsh(cosine_matrix(graph, verts))[0])
+    if lam > tolerance:
+        cls = "finite"
+    elif lam >= -tolerance:
+        cls = "affine"
+    else:
+        cls = "indefinite"
+    return OracleVerdict(
+        classification=cls,
+        min_eigenvalue=lam,
+        low_confidence=abs(lam) <= 10 * tolerance,
+    )
+
+
+def brute_spherical_subsets(graph) -> list:
+    """Every vertex subset with a finite quotient, by size and then
+    lexicographically."""
+    return [
+        frozenset(subset)
+        for k in range(len(graph.vertices) + 1)
+        for subset in itertools.combinations(sorted(graph.vertices), k)
+        if coxeter.classify_type(graph, subset).kind == "finite"
+    ]
+
+
+def brute_fc(graph) -> bool:
+    """True when every clique is spherical; cliques are grown one vertex at
+    a time from the singletons, each extended by the larger vertices
+    adjacent to all of its members."""
+    vs = graph.vertices
+    frontier = [frozenset((v,)) for v in vs]
+    cliques = list(frontier)
+    while frontier:
+        nxt: set = set()
+        for c in frontier:
+            top = max(c)
+            for v in vs:
+                if v > top and all(graph.has_edge(v, u) for u in c):
+                    nxt.add(c | {v})
+        frontier = sorted(nxt, key=sorted)
+        cliques.extend(frontier)
+    return all(coxeter.is_spherical(graph, c) for c in cliques)

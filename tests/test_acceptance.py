@@ -7,11 +7,8 @@ of the cosine-matrix oracle in criterion 6.
 """
 import itertools
 import json
-import math
 import random
 import time
-
-import numpy as np
 
 from relartin import cli, coxeter
 from relartin.defining_graph import (
@@ -44,7 +41,7 @@ from instances import (
     single_interedge,
     touching_triple_control,
 )
-from oracles import rewriting_classes, string_to_word
+from oracles import definiteness_oracle, rewriting_classes, string_to_word
 
 _RNG = random.Random(20260819)
 RANDOM_INSTANCES = [random_rel_prime_instance(_RNG) for _ in range(6)]
@@ -165,20 +162,6 @@ def _connected_edge_sets(n):
             yield chosen
 
 
-def _eigen_kind(vertices, edges, tol=1e-9):
-    index = {v: i for i, v in enumerate(vertices)}
-    mat = -np.ones((len(vertices), len(vertices)))
-    np.fill_diagonal(mat, 1.0)
-    for u, v, m in edges:
-        mat[index[u], index[v]] = mat[index[v], index[u]] = -math.cos(math.pi / m)
-    smallest = float(np.linalg.eigvalsh(mat)[0])
-    if smallest > tol:
-        return "finite"
-    if smallest >= -tol:
-        return "affine"
-    return "indefinite"
-
-
 def test_criterion_06_coxeter_cross_validation():
     t0 = time.monotonic()
     labels = (2, 3, 4, 5, 6)
@@ -192,7 +175,7 @@ def test_criterion_06_coxeter_cross_validation():
                 ]
                 g = DefiningGraph.build(verts, edges)
                 table = coxeter.classify_type(g, verts).kind
-                oracle = _eigen_kind(verts, edges)
+                oracle = definiteness_oracle(g, verts).classification
                 assert table == oracle, (edges, table, oracle)
                 checked += 1
     elapsed = time.monotonic() - t0
@@ -205,10 +188,14 @@ def test_criterion_06_coxeter_cross_validation():
 
 def test_criterion_07_no_crossing_spherical():
     for g, fam in [affine_parts_join()] + RANDOM_INSTANCES:
-        verdict = verify_no_large_crossing_spherical(g, fam)
+        verdict = verify_no_large_crossing_spherical(
+            g, fam, coxeter.enumerate_spherical_subsets(g)
+        )
         assert verdict.ok and verdict.witnesses == []
     g, fam = touching_triple_control()
-    bad = verify_no_large_crossing_spherical(g, fam)
+    bad = verify_no_large_crossing_spherical(
+        g, fam, coxeter.enumerate_spherical_subsets(g)
+    )
     assert not bad.ok
     assert any(len(w) == 3 for w in bad.witnesses)
     print(

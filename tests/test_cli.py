@@ -4,10 +4,14 @@ Exit convention: 0 when the checked property holds, 2 when the check ran
 and the property fails, 1 for unusable input.
 """
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import relartin
 from relartin import cli
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -171,6 +175,28 @@ def test_input_errors(capsys, tmp_path):
     assert code == 1 and "unknown keys" in err
 
 
+def test_oversized_link_exits_1(capsys, tmp_path):
+    # 80 two-vertex parts, every cross pair an inter-edge of label 4: the
+    # finite empty link gets 2 * 12640 + 160 = 25440 edges of 2 and 3 units
+    parts = [[f"p{i}a", f"p{i}b"] for i in range(80)]
+    vertices = [v for part in parts for v in part]
+    edges = [{"u": a, "v": b, "m": 2} for a, b in parts]
+    edges += [
+        {"u": u, "v": v, "m": 4}
+        for i, u in enumerate(vertices)
+        for j, v in enumerate(vertices[i + 1 :], i + 1)
+        if i // 2 != j // 2
+    ]
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
+    code, out, err = run(capsys, "links", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err == (
+        "error: the empty link has 25440 edges; "
+        "the weighted girth search takes at most 20000\n"
+    )
+
+
 def test_flag_validation(capsys):
     assert run(capsys, "links", "--input", JOIN, "--cap", "0")[0] == 1
     assert run(capsys, "links", "--input", JOIN, "--radius-case1", "0")[0] == 1
@@ -187,3 +213,14 @@ def test_text_format_is_default(capsys):
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
     assert "rel_prime" in out
+
+
+def test_cli_import_is_numpy_free():
+    # the child imports relartin from where this process found it
+    src = str(pathlib.Path(relartin.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, relartin.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

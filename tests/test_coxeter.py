@@ -1,4 +1,5 @@
-"""Classification table vs the cosine-matrix definiteness oracle.
+"""Classification table vs the cosine-matrix definiteness oracle, and the
+spherical-subset enumeration vs brute force.
 
 Defining graphs follow the group presentation convention: an absent edge
 means no relation (an infinity-labeled diagram edge), and a label-2 edge
@@ -6,15 +7,19 @@ means the generators commute (no diagram edge).  Diagram shapes therefore
 have to be built as complete graphs with label-2 filler.
 """
 import itertools
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
 from relartin import coxeter
-from relartin.defining_graph import DefiningGraph, GraphError
+from relartin.defining_graph import DefiningGraph, GraphError, classify_known, parse_graph
 
 from instances import affine_parts_join
+from oracles import brute_fc, brute_spherical_subsets, cosine_matrix, definiteness_oracle
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def coxpath(labels):
@@ -129,7 +134,7 @@ def test_unknown_vertex_rejected():
 
 def test_cosine_matrix_values():
     g = DefiningGraph.build(["a", "b", "c"], [("a", "b", 4), ("a", "c", 2)])
-    mat = coxeter.cosine_matrix(g, ["a", "b", "c"])
+    mat = cosine_matrix(g, ["a", "b", "c"])
     # order a, b, c; missing edge {b,c} contributes -cos(pi/inf) = -1
     assert mat.shape == (3, 3)
     assert np.allclose(np.diag(mat), 1.0)
@@ -140,12 +145,12 @@ def test_cosine_matrix_values():
 
 def test_oracle_frozen_eigenvalue_all3_triangle():
     tri = coxgraph(3, [(0, 1, 3), (1, 2, 3), (0, 2, 3)])
-    verdict = coxeter.definiteness_oracle(tri, tri.vertices)
+    verdict = definiteness_oracle(tri, tri.vertices)
     assert verdict.classification == "affine"
     assert verdict.low_confidence
     # spectrum of the cosine matrix is {0, 3/2, 3/2}
     assert abs(verdict.min_eigenvalue) < 1e-12
-    mat = coxeter.cosine_matrix(tri, tri.vertices)
+    mat = cosine_matrix(tri, tri.vertices)
     eigs = sorted(np.linalg.eigvalsh(mat))
     assert abs(eigs[1] - 1.5) < 1e-12 and abs(eigs[2] - 1.5) < 1e-12
 
@@ -162,7 +167,7 @@ def test_oracle_agrees_with_table_on_random_graphs():
                     edges.append((vs[i], vs[j], rng.randint(2, 7)))
         g = DefiningGraph.build(vs, edges)
         table = coxeter.classify_type(g, vs).kind
-        oracle = coxeter.definiteness_oracle(g, vs).classification
+        oracle = definiteness_oracle(g, vs).classification
         assert table == oracle, (g.edges, table, oracle)
 
 
@@ -198,5 +203,42 @@ def test_exhaustive_small_paths_match_oracle():
         g = coxpath(list(labels))
         assert (
             coxeter.classify_type(g, g.vertices).kind
-            == coxeter.definiteness_oracle(g, g.vertices).classification
+            == definiteness_oracle(g, g.vertices).classification
         )
+
+
+def _random_graph(rng):
+    """Up to 8 vertices, labels 2..6, some edges missing."""
+    n = rng.randint(1, 8)
+    vs = [f"v{i}" for i in range(n)]
+    density = rng.choice((0.5, 0.8, 1.0))
+    edges = [
+        (vs[i], vs[j], rng.randint(2, 6))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return DefiningGraph.build(vs, edges)
+
+
+def test_spherical_enumeration_and_fc_match_brute_force():
+    graphs = []
+    for name in ("affine_parts_join.json", "touching_triple_control.json"):
+        g, fam = parse_graph((FIXTURES / name).read_text())
+        graphs += [g] + [g.induced(part) for part in fam.parts]
+    rng = random.Random(2024)
+    graphs += [_random_graph(rng) for _ in range(300)]
+    seen = set()
+    for g in graphs:
+        expected = brute_spherical_subsets(g)
+        fc = brute_fc(g)
+        found = coxeter.enumerate_spherical_subsets(g)
+        assert list(found) == expected, g.edges
+        assert found.fc == fc, g.edges
+        report = classify_known(g)
+        assert report.spherical_type == (frozenset(g.vertices) in expected)
+        assert report.two_dimensional == all(len(t) <= 2 for t in expected)
+        assert report.fc_type == fc, g.edges
+        seen.add((fc, report.two_dimensional))
+    # every combination of the two flags is exercised
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -1,4 +1,5 @@
 """Family audit, crossing check, and the assembled asphericity verdict."""
+from relartin.coxeter import enumerate_spherical_subsets
 from relartin.defining_graph import DefiningGraph, SubgraphFamily
 from relartin.girth_checker import CertificationReport, LinkCertificate
 from relartin.kpi1_checker import (
@@ -34,7 +35,7 @@ def unknown_part_instance():
 
 def test_audit_family_passes_on_the_join():
     g, fam = affine_parts_join()
-    audit = audit_family(build_S_bar(g, fam), g, fam)
+    audit = audit_family(build_S_bar(g, fam), g, fam, enumerate_spherical_subsets(g))
     assert audit.condition1_ok and audit.condition1_witness is None
     assert audit.condition3_ok and audit.condition3_witness is None
     assert audit.overall == "pass"
@@ -48,7 +49,7 @@ def test_audit_family_reports_witnesses():
     poset = SubsetPoset.from_tagged(
         [(frozenset(), "empty"), (frozenset("ab"), "inter-edge")]
     )
-    audit = audit_family(poset, g, fam)
+    audit = audit_family(poset, g, fam, enumerate_spherical_subsets(g))
     assert not audit.condition1_ok
     assert audit.condition1_witness == (frozenset("a"), frozenset("ab"))
     assert not audit.condition3_ok
@@ -58,13 +59,17 @@ def test_audit_family_reports_witnesses():
 
 def test_assertions_upgrade_parts():
     g, fam = unknown_part_instance()
-    audit = audit_family(build_S_bar(g, fam), g, fam)
+    audit = audit_family(build_S_bar(g, fam), g, fam, enumerate_spherical_subsets(g))
     assert audit.parts[0].provenance == "unknown"
     assert audit.overall == "conditional"
-    by_index = audit_family(build_S_bar(g, fam), g, fam, assertions={0})
+    by_index = audit_family(
+        build_S_bar(g, fam), g, fam, enumerate_spherical_subsets(g), assertions={0}
+    )
     assert by_index.parts[0].provenance == "user-asserted"
     key = frozenset(("p", "q", "r", "s"))
-    by_set = audit_family(build_S_bar(g, fam), g, fam, assertions={key})
+    by_set = audit_family(
+        build_S_bar(g, fam), g, fam, enumerate_spherical_subsets(g), assertions={key}
+    )
     assert by_set.parts[0].provenance == "user-asserted"
     assert by_set.overall == "pass"
     # a known class is never downgraded to an assertion
@@ -73,11 +78,13 @@ def test_assertions_upgrade_parts():
 
 def test_crossing_check():
     g, fam = affine_parts_join()
-    verdict = verify_no_large_crossing_spherical(g, fam)
+    verdict = verify_no_large_crossing_spherical(g, fam, enumerate_spherical_subsets(g))
     assert verdict.ok and verdict.checked == 45 and verdict.witnesses == []
 
     g2, fam2 = touching_triple_control()
-    bad = verify_no_large_crossing_spherical(g2, fam2)
+    bad = verify_no_large_crossing_spherical(
+        g2, fam2, enumerate_spherical_subsets(g2)
+    )
     assert not bad.ok
     assert bad.witnesses == [frozenset(("a", "b", "c"))]
     assert bad.checked == 8
