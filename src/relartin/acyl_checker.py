@@ -129,26 +129,34 @@ def empirical_orbit_growth(
     """Maximum observed syllable length per radius in the dihedral group
     with label m.
 
-    For each radius the word-metric ball is enumerated and each element is
-    charged the fewest generator blocks needed to spell it by a word whose
-    prefixes stay in that ball.
+    The word-metric ball of the largest radius is enumerated once; for each
+    radius, each element of its first levels is charged the fewest
+    generator blocks needed to spell it by a word whose prefixes stay in
+    that smaller ball.  When the cap cuts the ball short, the smallest
+    radius it did not reach is reported.
     """
     if m < 2:
         raise ValueError("dihedral label must be >= 2")
     if not radii or any(r < 0 for r in radii):
         raise ValueError("radii must be non-negative")
     ctx = DihedralGroupCtx("a", "b", m)
+    radii = sorted(radii)
+    levels, truncated = ball_levels(ctx, radii[-1], cap)
+    completed = len(levels) - 1
+    if truncated:
+        raise CapExceeded(
+            requested_radius=next(r for r in radii if r > completed),
+            completed_radius=completed,
+            count=sum(len(l) for l in levels),
+            cap=cap,
+        )
+    members: set = set()
+    grown = 0  # levels already in members
     rows = []
-    for r in sorted(radii):
-        levels, truncated = ball_levels(ctx, r, cap)
-        if truncated:
-            raise CapExceeded(
-                requested_radius=r,
-                completed_radius=len(levels) - 1,
-                count=sum(len(l) for l in levels),
-                cap=cap,
-            )
-        members = {el for level in levels for el in level}
+    for r in radii:
+        for level in levels[grown : r + 1]:
+            members.update(level)
+        grown = r + 1
         rows.append((r, _confined_syllable_max(ctx, members)))
     return rows
 

@@ -12,7 +12,10 @@ left-weighted: the last letter of x_i equals the first letter of x_{i+1}.
 Pairwise left-weightedness characterises the normal form, so multiplying by
 one letter needs only a local repair at the right end, with Delta powers
 migrating left through tau (the atom swap when m is odd, identity when m is
-even).
+even).  A whole power t^n is multiplied in one pass: t^n is itself a
+left-weighted chain after its Delta power (n atoms t, or for n < 0 the
+tau-twisted copies of Delta t^-1), so the only repair is the Delta-fill
+cascade where the tail meets the chain, O(|tail| + |n|) steps.
 
 Equality of words is equality of normal forms.  The exponent-sum
 homomorphism eps (every generator to 1) reads off normal forms as
@@ -119,53 +122,92 @@ class DihedralGroupCtx:
         self.b = b
         self.m = m
         self.identity = DihedralElement(k=0, tail=())
+        self._other = {a: b, b: a}
 
     def other(self, t: str) -> str:
-        if t == self.a:
-            return self.b
-        if t == self.b:
-            return self.a
-        raise ValueError(f"unknown generator {t!r}")
+        if t not in self._other:
+            raise ValueError(f"unknown generator {t!r}")
+        return self._other[t]
 
-    def _last_letter(self, simple: tuple[str, int]) -> str:
-        first, length = simple
-        return first if length % 2 == 1 else self.other(first)
+    def mult_power(self, el: DihedralElement, t: str, n: int) -> DihedralElement:
+        """Right-multiply by t^n in one pass over the tail.
 
-    def _tau_tail(self, tail: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-        if self.m % 2 == 0:
-            return tail
-        return tuple((self.other(f), l) for f, l in tail)
+        t^n for n > 0 is the left-weighted chain of n atoms t.  For n < 0,
+        with y = Delta t^-1 the proper simple of length m-1,
 
-    def _mult_pos_atom(self, el: DihedralElement, t: str) -> DihedralElement:
-        k, tail = el.k, el.tail
-        if tail and self._last_letter(tail[-1]) != t:
-            first, length = tail[-1]
-            if length + 1 == self.m:
-                # the last simple fills up to Delta; migrate it left
-                return DihedralElement(k=k + 1, tail=self._tau_tail(tail[:-1]))
-            return DihedralElement(k=k, tail=tail[:-1] + ((first, length + 1),))
-        return DihedralElement(k=k, tail=tail + ((t, 1),))
+            t^n = Delta^n . tau^(-n-1)(y) ... tau(y) . y,
 
-    def _mult_neg_atom(self, el: DihedralElement, t: str) -> DihedralElement:
-        # t^-1 = Delta^-1 . (Delta t^-1), the latter a proper simple of
-        # length m-1 starting with t when m is odd, with the other letter
-        # when m is even
-        out = DihedralElement(k=el.k - 1, tail=self._tau_tail(el.tail))
-        first = t if self.m % 2 == 1 else self.other(t)
-        letter = first
-        for _ in range(self.m - 1):
-            out = self._mult_pos_atom(out, letter)
-            letter = self.other(letter)
-        return out
+        again left-weighted (tau(y) ends with the letter y starts with), and
+        Delta^n migrates left through the tail as tau^n.  Either way the
+        product is a normal tail followed by a normal chain, so the only
+        repair is at the junction.  While the last simple x of the tail and
+        the head c of the chain are not left-weighted, x c is one
+        alternating word: shorter than m it becomes one simple; longer, it
+        fills a Delta that migrates left, and the rest of c is
+        left-weighted after the new last simple; of length exactly m, the
+        Delta leaves the next chain factor to meet the new last simple,
+        and the cascade goes on.  Each step consumes a tail factor, so the
+        cost is O(|tail| + |n|).
+        """
+        other = self._other
+        if t not in other:
+            raise ValueError(f"unknown generator {t!r}")
+        if n == 0:
+            return el
+        m, odd = self.m, self.m % 2 == 1
+        k = el.k
+        # the standing tail prefix is read through tau when swap is set
+        if n > 0:
+            swap = False
+            chain = [(t, 1)] * n
+        else:
+            n = -n
+            k -= n
+            swap = odd and n % 2 == 1
+            y = (t if odd else other[t], m - 1)
+            if odd:
+                chain = ([(other[y[0]], m - 1), y] * ((n + 1) // 2))[-n:]
+            else:
+                chain = [y] * n
+        tail = el.tail
+        j = len(tail)  # length of the standing tail prefix
+        i = 0  # index in the chain of the current head
+        head: tuple[str, int] | None = chain[0]
+        while j:
+            first, length = tail[j - 1]
+            if swap:
+                first = other[first]
+            hf, hl = head
+            if (first if length % 2 else other[first]) == hf:
+                break
+            j -= 1
+            total = length + hl
+            if total < m:
+                head = (first, total)
+                break
+            # x c fills a Delta, which migrates left through the tail prefix
+            k += 1
+            swap ^= odd
+            if total > m:
+                # the rest of c starts with tau(first letter of x), the
+                # letter the new last simple ends with
+                head = (other[first] if odd else first, total - m)
+                break
+            i += 1
+            if i == len(chain):
+                head = None
+                break
+            head = chain[i]
+        prefix = tail[:j]
+        if swap:
+            prefix = tuple((other[f], l) for f, l in prefix)
+        rest = chain[i + 1 :] if head is None else [head] + chain[i + 1 :]
+        return DihedralElement(k=k, tail=prefix + tuple(rest))
 
     def mult_gen(self, el: DihedralElement, letter: str, sign: int) -> DihedralElement:
-        if letter not in (self.a, self.b):
-            raise ValueError(f"unknown generator {letter!r}")
-        if sign == 1:
-            return self._mult_pos_atom(el, letter)
-        if sign == -1:
-            return self._mult_neg_atom(el, letter)
-        raise ValueError(f"sign must be +-1, got {sign}")
+        if sign != 1 and sign != -1:
+            raise ValueError(f"sign must be +-1, got {sign}")
+        return self.mult_power(el, letter, sign)
 
     def mult_word(self, el: DihedralElement, word: Iterable[tuple[str, int]]) -> DihedralElement:
         for letter, sign in word:
@@ -251,9 +293,7 @@ def coset_rep(ctx: DihedralGroupCtx, g: DihedralElement, generator: str) -> Dihe
     Radius independent, so two elements agree here exactly when their cosets
     coincide.
     """
-    e = ctx.epsilon(g)
-    sign = -1 if e > 0 else 1
-    return ctx.mult_word(g, ((generator, sign),) * abs(e))
+    return ctx.mult_power(g, generator, -ctx.epsilon(g))
 
 
 class FreeGroupCtx:
@@ -321,7 +361,8 @@ class DihedralEngine:
         if el.k != 0:
             parts.append(f"D^{el.k}")
         for first, length in el.tail:
-            parts.append("".join(first if i % 2 == 0 else self.ctx.other(first) for i in range(length)))
+            pair = first + self.ctx.other(first)
+            parts.append(pair * (length // 2) + first * (length % 2))
         return ".".join(parts)
 
 

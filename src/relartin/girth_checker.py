@@ -8,9 +8,13 @@ Three engines, picked per graph:
 
   * forests are recognised upfront (union-find);
   * uniform-weight graphs get breadth-first girth search rooted on one side
-    of the bipartition, with depth pruned by the best cycle so far; the
-    witness is spliced at the lowest common ancestor, so it is always a
-    simple cycle no longer than the detected closed walk;
+    of the bipartition.  Every graph searched is bipartite (checked once
+    by 2-colouring), so each BFS edge joins consecutive depths and the
+    first new closing edge met while expanding depth d closes a walk of
+    exactly 2d + 2 edges: a root's search stops at that edge, or before
+    depth d once 2d + 2 reaches the best length so far, and the roots stop
+    at 4 edges.  The witness is spliced at the lowest common ancestor, so
+    it is always a simple cycle no longer than the detected closed walk;
   * developments, where every element vertex has exactly two incident
     edges, are first contracted to a multigraph on the coset vertices
     (element = edge), halving the search; a parallel pair there is a
@@ -71,48 +75,77 @@ def _is_forest(n: int, edges: list[tuple[int, int, int]]) -> bool:
     return True
 
 
+def _check_bipartite(adj: list[list[int]]) -> None:
+    """Raise unless a 2-colouring of the graph exists."""
+    colour = [-1] * len(adj)
+    for s in range(len(adj)):
+        if colour[s] >= 0:
+            continue
+        colour[s] = 0
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            c = 1 - colour[x]
+            for y in adj[x]:
+                if colour[y] < 0:
+                    colour[y] = c
+                    stack.append(y)
+                elif colour[y] != c:
+                    raise GraphError(f"odd cycle through vertex {y}: graph is not bipartite")
+
+
 def _bfs_girth(
     adj: list[list[int]], roots: list[int]
 ) -> tuple[int, list[int]] | None:
-    """Exact girth (edge count) of a simple unweighted graph, with a simple
-    witness cycle.
+    """Exact girth (edge count) of a simple bipartite graph, with a simple
+    witness cycle; raises :class:`GraphError` on a graph that is not
+    bipartite.
 
-    Every cycle candidate detected from a root is spliced at the lowest
-    common ancestor of the two endpoints, which yields a genuine simple
-    cycle of no greater length, so the running best never underestimates
-    and reaches the girth at roots lying on a minimal cycle.
+    In a bipartite BFS every edge joins consecutive depths.  So a non-tree
+    edge met while expanding depth d either ends at a vertex of depth d + 1
+    found earlier, closing a walk of exactly 2d + 2 edges, or goes back to
+    depth d - 1, closing a walk of 2d edges that was already met while
+    expanding depth d - 1.  The first new candidate is spliced at the lowest
+    common ancestor of its endpoints into a simple cycle of at most 2d + 2
+    edges, so nothing later from the same root can be shorter: a root's
+    search ends there, or before depth d once 2d + 2 reaches the best length
+    so far, and the root loop ends at 4 edges, the bipartite minimum.  The
+    running best never underestimates and reaches the girth at roots lying
+    on a minimal cycle.
     """
+    _check_bipartite(adj)
+    n = len(adj)
+    # dist and parent are valid where mark holds the current root
+    mark, dist, parent = [-1] * n, [0] * n, [-1] * n
     best: tuple[int, list[int]] | None = None
     for r in roots:
-        if best is not None and best[0] <= 3:
+        if best is not None and best[0] == 4:
             break
-        dist = {r: 0}
-        parent: dict[int, int] = {r: -1}
+        mark[r], dist[r], parent[r] = r, 0, -1
         frontier = [r]
         depth = 0
-        while frontier:
-            if best is not None and depth > best[0] // 2:
-                break
+        closing: tuple[int, int] | None = None
+        while frontier and closing is None and (best is None or 2 * depth + 2 < best[0]):
+            depth += 1
             nxt: list[int] = []
             for x in frontier:
                 for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = depth + 1
-                        parent[y] = x
+                    if mark[y] != r:
+                        mark[y], dist[y], parent[y] = r, depth, x
                         nxt.append(y)
-                    elif parent[x] != y and parent[y] != x:
-                        cand = dist[x] + dist[y] + 1
-                        if best is None or cand < best[0]:
-                            cycle = _splice(x, y, parent, dist)
-                            length = len(cycle)
-                            if best is None or length < best[0]:
-                                best = (length, cycle)
+                    elif dist[y] == depth:
+                        closing = (x, y)
+                        break
+                if closing is not None:
+                    break
             frontier = nxt
-            depth += 1
+        if closing is not None:
+            cycle = _splice(*closing, parent, dist)
+            best = (len(cycle), cycle)
     return best
 
 
-def _splice(x: int, y: int, parent: dict[int, int], dist: dict[int, int]) -> list[int]:
+def _splice(x: int, y: int, parent: list[int], dist: list[int]) -> list[int]:
     px, py = [x], [y]
     a, b = x, y
     while dist[a] > dist[b]:
@@ -203,7 +236,7 @@ def _girth_weighted(link: LinkGraph) -> tuple[int, int, list[int]] | None:
             if x == j:
                 break
             for y, wy in adj[x]:
-                if (x, y) in ((i, j), (j, i)):
+                if x == i and y == j or x == j and y == i:
                     continue
                 nd = d + wy
                 if best is not None and nd + w >= best[0]:

@@ -149,19 +149,19 @@ def build_link_empty(graph: DefiningGraph, family: SubgraphFamily) -> LinkGraph:
         kinds.append(kind)
         labels.append(subset_label(t))
         sides.append(0 if kind == "singleton" else 1)
+    # a singleton's only S^l elements above it are its part and its
+    # inter-edges (an inter-edge meets two parts, so it is no part)
     edges: list[tuple[int, int, int]] = []
     for t in uppers:
         if kinds[index[t]] != "singleton":
             continue
         (s,) = t
-        for u in uppers:
-            if t < u:
-                tags = s_ell.tags[u]
-                if "inter-edge" in tags:
-                    units = 2 if disjoint[u] else 3
-                else:
-                    units = 2
-                edges.append((index[t], index[u], units))
+        part = frozenset(family.parts[family.part_index(s)])
+        if part != t:
+            edges.append((index[t], index[part], 2))
+    for pair, disj in disjoint.items():
+        for s in pair:
+            edges.append((index[frozenset((s,))], index[pair], 2 if disj else 3))
     link = LinkGraph(
         case="empty",
         descriptor="link of the trivial coset",
@@ -251,7 +251,7 @@ def _develop(engine, units: int, radius: int, cap: int, case: str, descriptor: s
                 if ("coset", key) not in index:
                     index[("coset", key)] = len(labels)
                     kinds.append("coset")
-                    labels.append(f"{engine.describe(el)}.<{g}>")
+                    labels.append(f"{labels[i]}.<{g}>")
                     sides.append(1)
                 j = index[("coset", key)]
                 edges.append((i, j, units))

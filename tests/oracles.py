@@ -21,8 +21,17 @@ universe: free cancellations plus flips of the defining relation and its
 inverse.  It can only under-merge (never equates distinct elements), so it
 is cross-checked against the quotient oracle.
 
+Syllable growth: one word-metric ball enumerated per radius.
+
+Dihedral multiplication letter by letter: a positive atom extends or
+appends the last simple (a Delta it fills migrates left), and t^-1 is
+Delta^-1 followed by m - 1 positive atoms; coset representatives multiply
+by |eps| such letters.
+
 Girth: exhaustive depth-first enumeration of simple cycles anchored at
-their minimal vertex, with weight pruning.
+their minimal vertex, with weight pruning; and breadth-first girth search
+from every root that expands every depth up to half the best length so far
+and tests every non-tree edge it meets.
 
 Posets: the covering relation by testing every intermediate element, the
 maximal chains by scanning every chain of the derived complex for an
@@ -45,6 +54,8 @@ import numpy as np
 
 from relartin import coxeter
 from relartin.defining_graph import GraphError
+from relartin.acyl_checker import _confined_syllable_max
+from relartin.dihedral_garside import CapExceeded, DihedralElement, DihedralGroupCtx, ball_levels
 from relartin.poset_complex import derived_complex, subset_sort_key
 
 
@@ -115,6 +126,74 @@ def quotient_equal(m: int, w1, w2) -> bool:
     if sum(s for _, s in w1) != sum(s for _, s in w2):
         return False
     return quotient_image(m, w1) == quotient_image(m, w2)
+
+
+# ------------------------------------------ letter-by-letter products
+
+def _tau_tail(ctx, tail):
+    if ctx.m % 2 == 0:
+        return tail
+    return tuple((ctx.other(f), l) for f, l in tail)
+
+
+def atom_mult_pos(ctx, el, t: str):
+    k, tail = el.k, el.tail
+    if tail:
+        first, length = tail[-1]
+        last = first if length % 2 == 1 else ctx.other(first)
+        if last != t:
+            if length + 1 == ctx.m:
+                return DihedralElement(k=k + 1, tail=_tau_tail(ctx, tail[:-1]))
+            return DihedralElement(k=k, tail=tail[:-1] + ((first, length + 1),))
+    return DihedralElement(k=k, tail=tail + ((t, 1),))
+
+
+def atom_mult_neg(ctx, el, t: str):
+    """el . t^-1 as Delta^-1 and then the m - 1 letters of Delta t^-1."""
+    out = DihedralElement(k=el.k - 1, tail=_tau_tail(ctx, el.tail))
+    letter = t if ctx.m % 2 == 1 else ctx.other(t)
+    for _ in range(ctx.m - 1):
+        out = atom_mult_pos(ctx, out, letter)
+        letter = ctx.other(letter)
+    return out
+
+
+def atom_mult_power(ctx, el, t: str, n: int):
+    step = atom_mult_pos if n > 0 else atom_mult_neg
+    for _ in range(abs(n)):
+        el = step(ctx, el, t)
+    return el
+
+
+def atom_normal_form(ctx, word):
+    el = ctx.identity
+    for letter, sign in word:
+        el = atom_mult_power(ctx, el, letter, sign)
+    return el
+
+
+def atom_coset_rep(ctx, g, generator: str):
+    """The exponent-sum-zero element of g<generator>, one letter at a time."""
+    e = g.k * ctx.m + sum(l for _, l in g.tail)
+    return atom_mult_power(ctx, g, generator, -e)
+
+
+def per_radius_orbit_growth(m: int, radii, cap: int):
+    """Syllable growth table with one ball enumerated per radius."""
+    ctx = DihedralGroupCtx("a", "b", m)
+    rows = []
+    for r in sorted(radii):
+        levels, truncated = ball_levels(ctx, r, cap)
+        if truncated:
+            raise CapExceeded(
+                requested_radius=r,
+                completed_radius=len(levels) - 1,
+                count=sum(len(l) for l in levels),
+                cap=cap,
+            )
+        members = {el for level in levels for el in level}
+        rows.append((r, _confined_syllable_max(ctx, members)))
+    return rows
 
 
 # ------------------------------------------------- rewriting closure
@@ -214,6 +293,56 @@ def brute_min_cycle(edges) -> tuple[float, list]:
     for anchor in sorted(adjacency, key=order.get):
         dfs(anchor, anchor, 0, [anchor], {anchor})
     return best, best_cycle
+
+
+def full_depth_bfs_girth(adj, roots):
+    """Girth (edge count) and witness of a simple graph: a BFS from every
+    root expands each depth up to half the best length so far and splices
+    every shorter non-tree edge it meets at the lowest common ancestor."""
+    best = None
+    for r in roots:
+        if best is not None and best[0] <= 3:
+            break
+        dist = {r: 0}
+        parent = {r: -1}
+        frontier = [r]
+        depth = 0
+        while frontier:
+            if best is not None and depth > best[0] // 2:
+                break
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = depth + 1
+                        parent[y] = x
+                        nxt.append(y)
+                    elif parent[x] != y and parent[y] != x:
+                        cand = dist[x] + dist[y] + 1
+                        if best is None or cand < best[0]:
+                            cycle = _lca_splice(x, y, parent, dist)
+                            if best is None or len(cycle) < best[0]:
+                                best = (len(cycle), cycle)
+            frontier = nxt
+            depth += 1
+    return best
+
+
+def _lca_splice(x, y, parent, dist):
+    px, py = [x], [y]
+    a, b = x, y
+    while dist[a] > dist[b]:
+        a = parent[a]
+        px.append(a)
+    while dist[b] > dist[a]:
+        b = parent[b]
+        py.append(b)
+    while a != b:
+        a = parent[a]
+        b = parent[b]
+        px.append(a)
+        py.append(b)
+    return px + py[-2::-1]
 
 
 def dijkstra(adjacency: dict, source) -> dict:

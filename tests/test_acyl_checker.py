@@ -15,6 +15,7 @@ from relartin.defining_graph import DefiningGraph, SubgraphFamily
 from relartin.dihedral_garside import CapExceeded
 
 from instances import affine_parts_join, single_interedge
+from oracles import per_radius_orbit_growth
 
 
 def tripartite(edges):
@@ -58,6 +59,25 @@ def test_orbit_growth_validation():
     with pytest.raises(CapExceeded) as info:
         empirical_orbit_growth(4, radii=(8,), cap=50)
     assert info.value.cap == 50
+
+
+def test_orbit_growth_matches_one_ball_per_radius():
+    # the single largest ball, sliced, gives the same table and the same
+    # cap error as enumerating each radius on its own
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except CapExceeded as exc:
+            return (exc.requested_radius, exc.completed_radius, exc.count, exc.cap, str(exc))
+
+    raised = 0
+    for m in (2, 3, 4, 5):
+        for radii in ((0, 2, 4, 6), (3, 3, 1), (5,), (6, 2, 4, 0)):
+            for cap in (10**6, 1000, 200, 40, 1):
+                got = outcome(empirical_orbit_growth, m, radii, cap)
+                assert got == outcome(per_radius_orbit_growth, m, radii, cap), (m, radii, cap)
+                raised += isinstance(got, tuple)
+    assert raised > 20
 
 
 def test_strictly_increasing_helper():

@@ -23,7 +23,14 @@ from relartin.dihedral_garside import (
     word_to_str,
 )
 
-from oracles import quotient_equal, quotient_image, string_to_word
+from oracles import (
+    atom_coset_rep,
+    atom_mult_power,
+    atom_normal_form,
+    quotient_equal,
+    quotient_image,
+    string_to_word,
+)
 
 
 def prod_pair(m):
@@ -179,6 +186,27 @@ def test_coset_rep_is_canonical():
                 k = rng.randint(-3, 3)
                 shifted = ctx.mult_word(g, ((gen, 1 if k >= 0 else -1),) * abs(k))
                 assert coset_rep(ctx, shifted, gen) == rep
+
+
+def test_mult_power_matches_letter_by_letter_oracle():
+    # one-pass powers, single inverse letters and coset representatives
+    # against the per-atom products they replace, m = 2..8
+    rng = random.Random(20261018)
+    for m in range(2, 9):
+        ctx = DihedralGroupCtx("a", "b", m)
+        for trial in range(300):
+            word = random_word(rng, 24)
+            g = atom_normal_form(ctx, word)
+            assert normal_form(ctx, word) == g, (m, word)
+            for t in ("a", "b"):
+                assert ctx.mult_gen(g, t, -1) == atom_mult_power(ctx, g, t, -1)
+                assert coset_rep(ctx, g, t) == atom_coset_rep(ctx, g, t)
+            t = rng.choice("ab")
+            powers = range(-12, 13) if trial < 40 else (rng.randint(-12, 12),)
+            for n in powers:
+                assert ctx.mult_power(g, t, n) == atom_mult_power(ctx, g, t, n), (
+                    m, word, t, n
+                )
 
 
 def test_engine_coset_keys():

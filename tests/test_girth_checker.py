@@ -5,9 +5,12 @@ cycle is at least that long.
 """
 import random
 
+import networkx as nx
 import pytest
 
-from relartin.defining_graph import DefiningGraph, SubgraphFamily, inter_edges
+from relartin import girth_checker
+from relartin.defining_graph import DefiningGraph, GraphError, SubgraphFamily, inter_edges
+from relartin.dihedral_garside import engine_for_part
 from relartin.girth_checker import (
     TWO_PI_UNITS,
     CertifyConfig,
@@ -20,10 +23,12 @@ from relartin.link_builder import (
     build_link_empty,
     build_link_single,
     develop_link_interedge,
+    develop_link_part,
 )
+from relartin.poset_complex import disjoint_inter_edges
 
 from instances import affine_parts_join, single_interedge, touching_triple_control
-from oracles import brute_min_cycle
+from oracles import brute_min_cycle, full_depth_bfs_girth
 
 
 def m_interedge(m: int):
@@ -136,6 +141,74 @@ def test_development_girth_radius_monotone():
     finite = [u for u in seen if u is not None]
     assert finite == sorted(finite, reverse=True)
     assert seen[-1] == 16
+
+
+def _nx_girth(n, edge_pairs):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edge_pairs)
+    return nx.girth(g)
+
+
+def test_bfs_girth_matches_full_depth_search_on_random_bipartite_graphs():
+    rng = random.Random(20261018)
+    cyclic = 0
+    for _ in range(400):
+        n0, n1 = rng.randint(1, 9), rng.randint(1, 9)
+        p = rng.uniform(0.1, 0.7)
+        pairs = [
+            (i, n0 + j) for i in range(n0) for j in range(n1) if rng.random() < p
+        ]
+        rng.shuffle(pairs)
+        adj = [[] for _ in range(n0 + n1)]
+        for i, j in pairs:
+            adj[i].append(j)
+            adj[j].append(i)
+        for roots in (list(range(n0 + n1)), list(range(n0))):
+            found = girth_checker._bfs_girth(adj, roots)
+            assert found == full_depth_bfs_girth(adj, roots)
+            expected = _nx_girth(n0 + n1, pairs)
+            assert (found[0] if found else float("inf")) == expected
+        cyclic += found is not None
+    assert cyclic > 100
+
+
+def test_bfs_girth_rejects_odd_cycles():
+    triangle = [[1, 2], [0, 2], [0, 1]]
+    with pytest.raises(GraphError, match="not bipartite"):
+        girth_checker._bfs_girth(triangle, [0])
+
+
+def _fixture_developments():
+    """One development per link class of both fixtures, at default settings."""
+    cfg = CertifyConfig()
+    for graph, family in (affine_parts_join(), touching_triple_control()):
+        for i, part in enumerate(family.parts):
+            if engine_for_part(graph, part) is not None:
+                yield develop_link_part(graph, family, i, radius=cfg.radius_case1, cap=cfg.cap)
+        disjoint = disjoint_inter_edges(graph, family)
+        classes = {(e.label, disjoint[e.pair]): e for e in inter_edges(graph, family)}
+        for e in classes.values():
+            yield develop_link_interedge(graph, family, e, radius=8 * e.label, cap=cfg.cap)
+
+
+def test_development_girth_matches_full_depth_search_on_fixtures(monkeypatch):
+    links = list(_fixture_developments())
+    assert len(links) >= 3
+    certs = [shortest_embedded_cycle(link) for link in links]
+    for link, cert in zip(links, certs):
+        if link.vertex_count < 10000:
+            pairs = [(i, j) for i, j, _ in link.edges]
+            expected = _nx_girth(link.vertex_count, pairs)
+            assert (cert.edge_count or float("inf")) == expected
+    monkeypatch.setattr(girth_checker, "_bfs_girth", full_depth_bfs_girth)
+    for link, cert in zip(links, certs):
+        old = shortest_embedded_cycle(link)
+        assert (old.length_units, old.edge_count, old.cycle) == (
+            cert.length_units,
+            cert.edge_count,
+            cert.cycle,
+        )
 
 
 def test_random_weighted_girth_against_oracle():
