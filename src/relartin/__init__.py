@@ -10,6 +10,7 @@ from .defining_graph import (
     ClassifierReport,
     DefiningGraph,
     GraphError,
+    Instance,
     InterEdge,
     RelVerdict,
     SubgraphFamily,
@@ -24,6 +25,7 @@ __all__ = [
     "ClassifierReport",
     "DefiningGraph",
     "GraphError",
+    "Instance",
     "InterEdge",
     "RelVerdict",
     "SubgraphFamily",

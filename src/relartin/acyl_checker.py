@@ -23,8 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import coxeter
-from .defining_graph import DefiningGraph, InterEdge, SubgraphFamily, inter_edges
-from .dihedral_garside import CapExceeded, DihedralGroupCtx, ball_levels
+from .defining_graph import DefiningGraph, Instance, InterEdge
+from .dihedral_garside import CapExceeded, DihedralEngine
 
 
 @dataclass
@@ -67,12 +67,13 @@ def check_delta(graph: DefiningGraph, delta: tuple[str, str, str]) -> DeltaCheck
 
 
 def find_witness(
-    graph: DefiningGraph, family: SubgraphFamily
+    inst: Instance,
 ) -> tuple[InterEdge, str, tuple[str, str, str]] | None:
     """Deterministic witness search: inter-edges by label descending then
     lexicographic, third vertex lexicographic among neighbours of the
     endpoints."""
-    ies = [e for e in inter_edges(graph, family) if e.label >= 3]
+    graph = inst.graph
+    ies = [e for e in inst.inter_edges if e.label >= 3]
     ies.sort(key=lambda e: (-e.label, e.u, e.v))
     for e in ies:
         candidates = sorted(
@@ -86,7 +87,7 @@ def find_witness(
     return None
 
 
-def _confined_syllable_max(ctx: DihedralGroupCtx, members: set) -> int:
+def _confined_syllable_max(ctx: DihedralEngine, members: set) -> int:
     """Least block count per element among words whose prefixes all stay in
     ``members``, maximised over the set.
 
@@ -102,7 +103,7 @@ def _confined_syllable_max(ctx: DihedralGroupCtx, members: set) -> int:
     while dq:
         el, last = dq.popleft()
         c = cost[(el, last)]
-        for g in (ctx.a, ctx.b):
+        for g in ctx.generators:
             step = 0 if g == last else 1
             for sign in (1, -1):
                 nxt = ctx.mult_gen(el, g, sign)
@@ -139,9 +140,9 @@ def empirical_orbit_growth(
         raise ValueError("dihedral label must be >= 2")
     if not radii or any(r < 0 for r in radii):
         raise ValueError("radii must be non-negative")
-    ctx = DihedralGroupCtx("a", "b", m)
+    ctx = DihedralEngine("a", "b", m)
     radii = sorted(radii)
-    levels, truncated = ball_levels(ctx, radii[-1], cap)
+    levels, truncated = ctx.ball_levels(radii[-1], cap)
     completed = len(levels) - 1
     if truncated:
         raise CapExceeded(
@@ -234,16 +235,16 @@ def _free_product(reason: str) -> AcylVerdict:
     )
 
 
-def check_hypotheses(graph: DefiningGraph, family: SubgraphFamily) -> AcylVerdict:
+def check_hypotheses(inst: Instance) -> AcylVerdict:
     """Decide which route applies before spending any enumeration work."""
-    if len(family.parts) < 2:
+    if len(inst.family.parts) < 2:
         return _inapplicable("the family must contain at least two parts")
-    ies = inter_edges(graph, family)
+    ies = inst.inter_edges
     if not ies:
         return _free_product(
             "no inter-edges: the group is the free product of the part groups"
         )
-    if len(graph.vertices) < 3:
+    if len(inst.graph.vertices) < 3:
         return _inapplicable("the witness route needs at least three generators")
     if all(e.label == 2 for e in ies):
         return _inapplicable("every inter-edge has label 2, no witness edge exists")
@@ -254,16 +255,15 @@ def check_hypotheses(graph: DefiningGraph, family: SubgraphFamily) -> AcylVerdic
 
 
 def check_acylindricity(
-    graph: DefiningGraph,
-    family: SubgraphFamily,
+    inst: Instance,
     radii: tuple[int, ...] = (2, 4, 6, 8),
     cap: int = 10**6,
 ) -> AcylVerdict:
     """Full pipeline: hypotheses, witness triple, rank 3 checks, growth table."""
-    gate = check_hypotheses(graph, family)
+    gate = check_hypotheses(inst)
     if gate.status != "hypotheses-pass":
         return gate
-    found = find_witness(graph, family)
+    found = find_witness(inst)
     if found is None:
         # every label >= 3 inter-edge spans its own connected component, so
         # the group splits over the remaining generators
@@ -272,7 +272,7 @@ def check_acylindricity(
             "graph is disconnected and the group splits as a free product"
         )
     edge, s, delta = found
-    checks = check_delta(graph, delta)
+    checks = check_delta(inst.graph, delta)
     growth = empirical_orbit_growth(edge.label, radii, cap)
     reasons = []
     if not checks.all_ok:

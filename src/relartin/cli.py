@@ -10,17 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import coxeter
 from .acyl_checker import check_acylindricity
 from .defining_graph import (
     GraphError,
+    Instance,
     check_rel,
     check_rel_prime,
     classifier_to_dict,
     classify_known,
-    inter_edges,
     parse_graph,
 )
 from .girth_checker import CertifyConfig, certify_link_condition
@@ -29,22 +28,11 @@ from .link_builder import develop_link_interedge, develop_link_part
 from .poset_complex import (
     assign_metric,
     build_S_bar,
-    build_S_ell,
     build_S_f,
     check_gluing,
     check_two_dimensional,
     derived_complex,
 )
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    subcommand: str
-    radius_case1: int
-    radius_case3: int | None
-    cap: int
-    fmt: str
 
 
 def _emit(doc, fmt: str) -> None:
@@ -85,8 +73,8 @@ def _scalar(val) -> str:
     return str(val)
 
 
-def _load(cfg: RunConfig):
-    with open(cfg.input_path, encoding="utf-8") as fh:
+def _load(path: str) -> Instance:
+    with open(path, encoding="utf-8") as fh:
         return parse_graph(fh.read())
 
 
@@ -99,16 +87,15 @@ def _rel_doc(verdict) -> dict:
     }
 
 
-def cmd_check_rel(cfg: RunConfig) -> int:
-    graph, family = _load(cfg)
-    rel = check_rel(graph, family)
-    relp = check_rel_prime(graph, family)
-    _emit({"rel": _rel_doc(rel), "rel_prime": _rel_doc(relp)}, cfg.fmt)
+def cmd_check_rel(inst: Instance, args: argparse.Namespace) -> int:
+    rel = check_rel(inst)
+    relp = check_rel_prime(inst)
+    _emit({"rel": _rel_doc(rel), "rel_prime": _rel_doc(relp)}, args.fmt)
     return 0 if relp.ok else 2
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    graph, family = _load(cfg)
+def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
+    graph = inst.graph
     doc = {
         "graph": classifier_to_dict(classify_known(graph)),
         "parts": [
@@ -117,22 +104,21 @@ def cmd_classify(cfg: RunConfig) -> int:
                 "report": classifier_to_dict(classify_known(graph.induced(part))),
                 "coxeter_kind": coxeter.classify_type(graph, part).kind,
             }
-            for part in family.parts
+            for part in inst.family.parts
         ],
     }
-    _emit(doc, cfg.fmt)
+    _emit(doc, args.fmt)
     return 0
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    graph, family = _load(cfg)
-    s_ell = build_S_ell(graph, family)
-    s_f = build_S_f(graph)
-    s_bar = build_S_bar(graph, family)
+def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
+    s_ell = inst.s_ell
+    s_f = build_S_f(inst.graph)
+    s_bar = build_S_bar(inst)
     cx_ell = derived_complex(s_ell)
     dim = check_two_dimensional(cx_ell)
-    gluing = check_gluing(assign_metric(cx_ell, graph, family))
-    if cfg.fmt == "dot":
+    gluing = check_gluing(assign_metric(cx_ell, inst))
+    if args.fmt == "dot":
         sys.stdout.write(s_ell.to_dot())
         return 0 if dim.ok and gluing.ok else 2
     doc = {
@@ -144,65 +130,66 @@ def cmd_build(cfg: RunConfig) -> int:
         "two_dimensional": {"ok": dim.ok, "max_chain_length": dim.max_chain_length},
         "gluing": {"ok": gluing.ok, "conflicts": gluing.conflicts},
     }
-    _emit(doc, cfg.fmt)
+    _emit(doc, args.fmt)
     return 0 if dim.ok and gluing.ok else 2
 
 
-def _certify_config(cfg: RunConfig) -> CertifyConfig:
-    return CertifyConfig(
-        radius_case1=cfg.radius_case1, radius_case3=cfg.radius_case3, cap=cfg.cap
-    )
-
-
-def cmd_links(cfg: RunConfig) -> int:
-    graph, family = _load(cfg)
-    report = certify_link_condition(graph, family, _certify_config(cfg))
-    _emit(report.to_json_dict(), cfg.fmt)
+def cmd_links(inst: Instance, args: argparse.Namespace) -> int:
+    config = CertifyConfig(args.radius_case1, args.radius_case3, args.cap)
+    report = certify_link_condition(inst, config)
+    _emit(report.to_json_dict(), args.fmt)
     return 0 if report.ok else 2
 
 
-def cmd_kpi1(cfg: RunConfig) -> int:
-    graph, family = _load(cfg)
-    verdict = kpi1_verdict(graph, family, certify_config=_certify_config(cfg))
-    _emit(verdict.to_json_dict(), cfg.fmt)
+def cmd_kpi1(inst: Instance, args: argparse.Namespace) -> int:
+    config = CertifyConfig(args.radius_case1, args.radius_case3, args.cap)
+    verdict = kpi1_verdict(inst, certify_config=config)
+    _emit(verdict.to_json_dict(), args.fmt)
     return 0 if verdict.holds else 2
 
 
-def cmd_acyl(cfg: RunConfig) -> int:
-    # the growth radii are small and fixed, so the development cap flag is
-    # not threaded through here
-    graph, family = _load(cfg)
-    verdict = check_acylindricity(graph, family)
-    _emit(verdict.to_json_dict(), cfg.fmt)
+def cmd_acyl(inst: Instance, args: argparse.Namespace) -> int:
+    verdict = check_acylindricity(inst)
+    _emit(verdict.to_json_dict(), args.fmt)
     return 0 if verdict.ok else 2
 
 
-def cmd_develop(cfg: RunConfig, part: int | None, edge: tuple[str, str] | None) -> int:
-    graph, family = _load(cfg)
-    if (part is None) == (edge is None):
+def cmd_develop(inst: Instance, args: argparse.Namespace) -> int:
+    if (args.part is None) == (args.edge is None):
         raise GraphError("develop needs exactly one of --part or --edge")
-    if part is not None:
-        if not 0 <= part < len(family.parts):
-            raise GraphError(f"part index {part} out of range")
+    if args.part is not None:
+        if not 0 <= args.part < len(inst.family.parts):
+            raise GraphError(f"part index {args.part} out of range")
         link = develop_link_part(
-            graph, family, part, radius=cfg.radius_case1, cap=cfg.cap
+            inst, args.part, radius=args.radius_case1, cap=args.cap
         )
     else:
-        u, v = edge
+        u, v = args.edge
         ie = next(
-            (e for e in inter_edges(graph, family) if e.pair == frozenset((u, v))),
+            (e for e in inst.inter_edges if e.pair == frozenset((u, v))),
             None,
         )
         if ie is None:
             raise GraphError(f"{u!r},{v!r} is not an inter-edge of the family")
         link = develop_link_interedge(
-            graph, family, ie, radius=cfg.radius_case3, cap=cfg.cap
+            inst, ie, radius=args.radius_case3, cap=args.cap
         )
-    if cfg.fmt == "dot":
+    if args.fmt == "dot":
         sys.stdout.write(link.to_dot())
     else:
-        _emit(link.to_json_dict(), cfg.fmt)
+        _emit(link.to_json_dict(), args.fmt)
     return 0
+
+
+_COMMANDS = {
+    "check-rel": cmd_check_rel,
+    "classify": cmd_classify,
+    "build": cmd_build,
+    "links": cmd_links,
+    "kpi1": cmd_kpi1,
+    "acyl": cmd_acyl,
+    "develop": cmd_develop,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,14 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "text", "dot"), default="text", dest="fmt"
     )
-    common.add_argument("--radius-case1", type=int, default=16)
-    common.add_argument(
+    # development radii and element cap, for the subcommands that develop links
+    developing = argparse.ArgumentParser(add_help=False)
+    developing.add_argument("--radius-case1", type=int, default=16)
+    developing.add_argument(
         "--radius-case3",
         type=int,
         default=None,
         help="development radius for inter-edge links (default 8m per edge)",
     )
-    common.add_argument("--cap", type=int, default=4000)
+    developing.add_argument("--cap", type=int, default=4000)
 
     parser = argparse.ArgumentParser(
         prog="relartin",
@@ -229,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("check-rel", parents=[common])
     sub.add_parser("classify", parents=[common])
     sub.add_parser("build", parents=[common])
-    sub.add_parser("links", parents=[common])
-    sub.add_parser("kpi1", parents=[common])
+    sub.add_parser("links", parents=[common, developing])
+    sub.add_parser("kpi1", parents=[common, developing])
     sub.add_parser("acyl", parents=[common])
-    dev = sub.add_parser("develop", parents=[common])
+    dev = sub.add_parser("develop", parents=[common, developing])
     dev.add_argument("--part", type=int, default=None, help="part index to develop")
     dev.add_argument(
         "--edge", nargs=2, metavar=("U", "V"), default=None, help="inter-edge to develop"
@@ -249,41 +238,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    cfg = RunConfig(
-        input_path=args.input,
-        subcommand=args.subcommand,
-        radius_case1=args.radius_case1,
-        radius_case3=args.radius_case3,
-        cap=args.cap,
-        fmt=args.fmt,
-    )
-    if cfg.radius_case1 < 1 or (cfg.radius_case3 is not None and cfg.radius_case3 < 1):
-        sys.stderr.write("error: radii must be >= 1\n")
-        return 1
-    if cfg.cap < 1:
-        sys.stderr.write("error: cap must be >= 1\n")
-        return 1
-    if cfg.fmt == "dot" and cfg.subcommand not in _DOT_CAPABLE:
+    # only the developing subcommands have these flags
+    if "cap" in args:
+        if args.radius_case1 < 1 or (args.radius_case3 is not None and args.radius_case3 < 1):
+            sys.stderr.write("error: radii must be >= 1\n")
+            return 1
+        if args.cap < 1:
+            sys.stderr.write("error: cap must be >= 1\n")
+            return 1
+    if args.fmt == "dot" and args.subcommand not in _DOT_CAPABLE:
         sys.stderr.write("error: dot output is only available for build and develop\n")
         return 1
     try:
-        if cfg.subcommand == "check-rel":
-            return cmd_check_rel(cfg)
-        if cfg.subcommand == "classify":
-            return cmd_classify(cfg)
-        if cfg.subcommand == "build":
-            return cmd_build(cfg)
-        if cfg.subcommand == "links":
-            return cmd_links(cfg)
-        if cfg.subcommand == "kpi1":
-            return cmd_kpi1(cfg)
-        if cfg.subcommand == "acyl":
-            return cmd_acyl(cfg)
-        if cfg.subcommand == "develop":
-            edge = tuple(args.edge) if args.edge else None
-            return cmd_develop(cfg, args.part, edge)
+        return _COMMANDS[args.subcommand](_load(args.input), args)
     except FileNotFoundError:
-        sys.stderr.write(f"error: cannot read {cfg.input_path!r}\n")
+        sys.stderr.write(f"error: cannot read {args.input!r}\n")
         return 1
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -295,7 +264,6 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             pass
         return 0
-    raise AssertionError("unreachable subcommand")
 
 
 if __name__ == "__main__":

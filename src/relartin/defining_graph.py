@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -171,11 +171,58 @@ class InterEdge:
         return frozenset((self.u, self.v))
 
 
+@dataclass(frozen=True)
+class Instance:
+    """A defining graph with its family of parts, and the facts every check
+    derives from the pair, each computed on first use and then kept."""
+
+    graph: DefiningGraph
+    family: SubgraphFamily
+
+    @cached_property
+    def inter_edges(self) -> tuple[InterEdge, ...]:
+        # the module-level function of the same name, not this property
+        return inter_edges(self)
+
+    @cached_property
+    def inter_edges_at(self) -> dict[str, tuple[InterEdge, ...]]:
+        """The inter edges at each inter-edge vertex, sorted by vertex pair."""
+        at: dict[str, list[InterEdge]] = {}
+        for e in self.inter_edges:
+            at.setdefault(e.u, []).append(e)
+            at.setdefault(e.v, []).append(e)
+        return {v: tuple(es) for v, es in at.items()}
+
+    @cached_property
+    def disjoint(self) -> dict[frozenset, bool]:
+        """For each inter-edge pair, whether it shares no vertex with any
+        other inter edge."""
+        from . import poset_complex
+
+        return poset_complex.disjoint_inter_edges(self)
+
+    @cached_property
+    def s_ell(self):
+        """The S^l poset (see :mod:`relartin.poset_complex`)."""
+        from . import poset_complex
+
+        return poset_complex.build_S_ell(self)
+
+    @cached_property
+    def engines(self) -> tuple:
+        """Each part's exact word-problem engine, None where it has none."""
+        from . import dihedral_garside
+
+        return tuple(
+            dihedral_garside.engine_for_part(self.graph, part) for part in self.family.parts
+        )
+
+
 _TOP_KEYS = {"vertices", "edges", "family"}
 _EDGE_KEYS = {"u", "v", "m"}
 
 
-def parse_graph(text: str) -> tuple[DefiningGraph, SubgraphFamily]:
+def parse_graph(text: str) -> Instance:
     """Parse the JSON input document.
 
     Expected shape::
@@ -221,19 +268,20 @@ def parse_graph(text: str) -> tuple[DefiningGraph, SubgraphFamily]:
         if not isinstance(part, list):
             raise GraphError(f"family part {i} must be a list")
     family = SubgraphFamily.build(graph, doc["family"])
-    return graph, family
+    return Instance(graph, family)
 
 
-def instance_to_json(graph: DefiningGraph, family: SubgraphFamily) -> str:
-    doc = graph.to_json_dict()
-    doc["family"] = [list(p) for p in family.parts]
+def instance_to_json(inst: Instance) -> str:
+    doc = inst.graph.to_json_dict()
+    doc["family"] = [list(p) for p in inst.family.parts]
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def inter_edges(graph: DefiningGraph, family: SubgraphFamily) -> tuple[InterEdge, ...]:
+def inter_edges(inst: Instance) -> tuple[InterEdge, ...]:
     """All edges joining two distinct parts, sorted by vertex pair."""
+    family = inst.family
     out: list[InterEdge] = []
-    for u, v, m in graph.edges:
+    for u, v, m in inst.graph.edges:
         pu, pv = family.part_index(u), family.part_index(v)
         if pu != pv:
             out.append(InterEdge(u=u, v=v, label=m, part_u=pu, part_v=pv))
@@ -246,26 +294,22 @@ class RelVerdict:
     violations: tuple[InterEdge, ...]
 
 
-def check_rel(graph: DefiningGraph, family: SubgraphFamily) -> RelVerdict:
+def check_rel(inst: Instance) -> RelVerdict:
     """REL: every inter edge has label >= 4."""
-    bad = tuple(e for e in inter_edges(graph, family) if e.label < 4)
+    bad = tuple(e for e in inst.inter_edges if e.label < 4)
     return RelVerdict(ok=not bad, violations=bad)
 
 
-def check_rel_prime(graph: DefiningGraph, family: SubgraphFamily) -> RelVerdict:
+def check_rel_prime(inst: Instance) -> RelVerdict:
     """REL': every non-isolated inter edge has label >= 4.
 
     An inter edge is non-isolated when it shares a vertex with a distinct
     inter edge, regardless of which parts that second edge joins.
     """
-    ies = inter_edges(graph, family)
-    count_at: dict[str, int] = {}
-    for e in ies:
-        count_at[e.u] = count_at.get(e.u, 0) + 1
-        count_at[e.v] = count_at.get(e.v, 0) + 1
+    at = inst.inter_edges_at
     bad = tuple(
-        e for e in ies
-        if e.label < 4 and (count_at[e.u] > 1 or count_at[e.v] > 1)
+        e for e in inst.inter_edges
+        if e.label < 4 and (len(at[e.u]) > 1 or len(at[e.v]) > 1)
     )
     return RelVerdict(ok=not bad, violations=bad)
 

@@ -22,10 +22,10 @@ homomorphism eps (every generator to 1) reads off normal forms as
 eps = k*m + sum of tail lengths; each coset g<s> contains exactly one
 element with eps = 0, which serves as its canonical representative.
 
-Three word-problem engines share one small interface used by link
-development: the exact dihedral engine above, an exact free-group engine
-(reduced words) for edgeless subgraphs, and a finite dihedral quotient
-engine, sound for inequality only.
+Two word-problem engines share one small interface used by link
+development (identity, generators, mult_gen, mult_word, sort_key,
+ball_levels, coset_key, describe): the exact dihedral engine above, and an
+exact free-group engine (reduced words) for edgeless subgraphs.
 """
 from __future__ import annotations
 
@@ -47,11 +47,6 @@ class CapExceeded(RuntimeError):
         self.completed_radius = completed_radius
         self.count = count
         self.cap = cap
-
-
-def prod_word(x: str, y: str, m: int) -> Word:
-    """Alternating positive word x y x y ... of length m."""
-    return tuple((x if i % 2 == 0 else y, 1) for i in range(m))
 
 
 def parse_word(text: str, letters: Sequence[str]) -> Word:
@@ -110,16 +105,55 @@ class DihedralElement:
     tail: tuple[tuple[str, int], ...]
 
 
-class DihedralGroupCtx:
-    """Two generators with one finite label m >= 2."""
+def _ball_levels(engine, radius: int, cap: int = 10**6) -> tuple[list[list], bool]:
+    """BFS levels of the word metric ball, through the engine's identity,
+    generators and mult_gen.
+
+    Only complete levels are kept: when adding the next level would pass the
+    cap, enumeration stops and the truncated flag is set.  levels[d] holds
+    exactly the elements at distance d, each level sorted by the engine's
+    sort key.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    seen = {engine.identity}
+    levels: list[list] = [[engine.identity]]
+    frontier = [engine.identity]
+    for _ in range(radius):
+        nxt = set()
+        for el in frontier:
+            for g in engine.generators:
+                for sign in (1, -1):
+                    w = engine.mult_gen(el, g, sign)
+                    if w not in seen and w not in nxt:
+                        nxt.add(w)
+        if not nxt:
+            return levels, False
+        if len(seen) + len(nxt) > cap:
+            return levels, True
+        frontier = sorted(nxt, key=engine.sort_key)
+        levels.append(frontier)
+        seen.update(nxt)
+    return levels, False
+
+
+def _mult_word(engine, el, word: Iterable[tuple[str, int]]):
+    """el times the word, one letter at a time; from the identity this is
+    the word's normal form."""
+    for letter, sign in word:
+        el = engine.mult_gen(el, letter, sign)
+    return el
+
+
+class DihedralEngine:
+    """Exact engine for two generators with one finite label m >= 2."""
 
     def __init__(self, a: str, b: str, m: int):
         if a == b:
             raise ValueError("generators must be distinct")
         if m < 2:
             raise ValueError("label must be >= 2")
-        self.a = a
-        self.b = b
+        self.generators = (a, b)
         self.m = m
         self.identity = DihedralElement(k=0, tail=())
         self._other = {a: b, b: a}
@@ -209,10 +243,10 @@ class DihedralGroupCtx:
             raise ValueError(f"sign must be +-1, got {sign}")
         return self.mult_power(el, letter, sign)
 
-    def mult_word(self, el: DihedralElement, word: Iterable[tuple[str, int]]) -> DihedralElement:
-        for letter, sign in word:
-            el = self.mult_gen(el, letter, sign)
-        return el
+    # shared with FreeEngine, and assigned rather than inherited so that each
+    # class holds its own entry for the benchmark's layer tracer to patch
+    mult_word = _mult_word
+    ball_levels = _ball_levels
 
     def epsilon(self, el: DihedralElement) -> int:
         """Exponent-sum homomorphism (both generators to 1)."""
@@ -221,83 +255,37 @@ class DihedralGroupCtx:
     def sort_key(self, el: DihedralElement):
         return (el.k, len(el.tail), el.tail)
 
+    def coset_key(self, el: DihedralElement, generator: str) -> tuple:
+        """The generator, then the k and tail of the unique element of
+        el<generator> whose exponent sum is zero.
 
-def normal_form(ctx: DihedralGroupCtx, word: Iterable[tuple[str, int]]) -> DihedralElement:
-    return ctx.mult_word(ctx.identity, word)
+        Radius independent, so two elements get one key exactly when their
+        cosets coincide.  The key is a plain tuple because development
+        hashes it on every lookup, and a tuple hashes faster than the
+        element dataclass.
+        """
+        rep = self.mult_power(el, generator, -self.epsilon(el))
+        return (generator, rep.k, rep.tail)
 
-
-def equals(ctx: DihedralGroupCtx, w1: Iterable[tuple[str, int]], w2: Iterable[tuple[str, int]]) -> bool:
-    return normal_form(ctx, w1) == normal_form(ctx, w2)
-
-
-def ball_levels(
-    ctx: "DihedralGroupCtx | FreeGroupCtx", radius: int, cap: int = 10**6
-) -> tuple[list[list], bool]:
-    """BFS levels of the word metric ball, generically over any context with
-    identity, generator list and mult_gen.
-
-    Only complete levels are kept: when adding the next level would pass the
-    cap, enumeration stops and the truncated flag is set.  levels[d] holds
-    exactly the elements at distance d, each level sorted by the context's
-    sort key.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    gens = context_generators(ctx)
-    seen = {ctx.identity}
-    levels: list[list] = [[ctx.identity]]
-    frontier = [ctx.identity]
-    for _ in range(radius):
-        nxt = set()
-        for el in frontier:
-            for g in gens:
-                for sign in (1, -1):
-                    w = ctx.mult_gen(el, g, sign)
-                    if w not in seen and w not in nxt:
-                        nxt.add(w)
-        if not nxt:
-            return levels, False
-        if len(seen) + len(nxt) > cap:
-            return levels, True
-        frontier = sorted(nxt, key=ctx.sort_key)
-        levels.append(frontier)
-        seen.update(nxt)
-    return levels, False
+    def describe(self, el: DihedralElement) -> str:
+        if el.k == 0 and not el.tail:
+            return "1"
+        parts = []
+        if el.k != 0:
+            parts.append(f"D^{el.k}")
+        for first, length in el.tail:
+            pair = first + self.other(first)
+            parts.append(pair * (length // 2) + first * (length % 2))
+        return ".".join(parts)
 
 
-def ball(ctx: "DihedralGroupCtx | FreeGroupCtx", radius: int, cap: int = 10**6) -> list:
-    """All elements of word length <= radius, sorted level by level.
-
-    Raises :class:`CapExceeded` when the cap cuts enumeration short.
-    """
-    levels, truncated = ball_levels(ctx, radius, cap)
-    if truncated:
-        raise CapExceeded(
-            requested_radius=radius,
-            completed_radius=len(levels) - 1,
-            count=sum(len(l) for l in levels),
-            cap=cap,
-        )
-    return [el for level in levels for el in level]
+# the benchmark's layer tracer patches mult_gen under this name
+DihedralGroupCtx = DihedralEngine
 
 
-def context_generators(ctx) -> tuple[str, ...]:
-    if isinstance(ctx, DihedralGroupCtx):
-        return (ctx.a, ctx.b)
-    return tuple(ctx.generators)
-
-
-def coset_rep(ctx: DihedralGroupCtx, g: DihedralElement, generator: str) -> DihedralElement:
-    """The unique element of g<generator> with exponent sum zero.
-
-    Radius independent, so two elements agree here exactly when their cosets
-    coincide.
-    """
-    return ctx.mult_power(g, generator, -ctx.epsilon(g))
-
-
-class FreeGroupCtx:
-    """Free group on any number of generators; elements are reduced words."""
+class FreeEngine:
+    """Exact engine for an edgeless part: the free group on its generators
+    (rank 1 is the integers), elements as reduced words."""
 
     def __init__(self, generators: Sequence[str]):
         if len(set(generators)) != len(generators) or not generators:
@@ -312,139 +300,22 @@ class FreeGroupCtx:
             return el[:-1]
         return el + ((letter, sign),)
 
-    def mult_word(self, el: Word, word: Iterable[tuple[str, int]]) -> Word:
-        for letter, sign in word:
-            el = self.mult_gen(el, letter, sign)
-        return el
+    mult_word = _mult_word
+    ball_levels = _ball_levels
 
     def sort_key(self, el: Word):
         return (len(el), el)
-
-
-# ---------------------------------------------------------------------------
-# engines: the oracle contract used by link development
-
-
-class DihedralEngine:
-    """Exact engine for a two-generator part with a finite label."""
-
-    exact = True
-
-    def __init__(self, a: str, b: str, m: int):
-        self.ctx = DihedralGroupCtx(a, b, m)
-        self.generators = (a, b)
-
-    @property
-    def identity(self) -> DihedralElement:
-        return self.ctx.identity
-
-    def mult_gen(self, el, letter, sign):
-        return self.ctx.mult_gen(el, letter, sign)
-
-    def equals(self, w1: Word, w2: Word) -> bool:
-        return equals(self.ctx, w1, w2)
-
-    def ball_levels(self, radius: int, cap: int = 10**6):
-        return ball_levels(self.ctx, radius, cap)
-
-    def coset_key(self, el: DihedralElement, generator: str) -> tuple:
-        rep = coset_rep(self.ctx, el, generator)
-        return (generator, rep.k, rep.tail)
-
-    def sort_key(self, el):
-        return self.ctx.sort_key(el)
-
-    def describe(self, el: DihedralElement) -> str:
-        if el.k == 0 and not el.tail:
-            return "1"
-        parts = []
-        if el.k != 0:
-            parts.append(f"D^{el.k}")
-        for first, length in el.tail:
-            pair = first + self.ctx.other(first)
-            parts.append(pair * (length // 2) + first * (length % 2))
-        return ".".join(parts)
-
-
-class FreeEngine:
-    """Exact engine for an edgeless part (free group; rank 1 is the integers)."""
-
-    exact = True
-
-    def __init__(self, generators: Sequence[str]):
-        self.ctx = FreeGroupCtx(generators)
-        self.generators = self.ctx.generators
-
-    @property
-    def identity(self) -> Word:
-        return self.ctx.identity
-
-    def mult_gen(self, el, letter, sign):
-        return self.ctx.mult_gen(el, letter, sign)
-
-    def equals(self, w1: Word, w2: Word) -> bool:
-        return self.ctx.mult_word(self.ctx.identity, w1) == self.ctx.mult_word(
-            self.ctx.identity, w2
-        )
-
-    def ball_levels(self, radius: int, cap: int = 10**6):
-        return ball_levels(self.ctx, radius, cap)
 
     def coset_key(self, el: Word, generator: str) -> tuple:
         while el and el[-1][0] == generator:
             el = el[:-1]
         return (generator, el)
 
-    def sort_key(self, el):
-        return self.ctx.sort_key(el)
-
     def describe(self, el: Word) -> str:
         return word_to_str(el) if el else "1"
 
 
-class CoxeterQuotientEngine:
-    """Images in the finite dihedral group of order 2m.
-
-    Elements are pairs (rotation index mod m, reflection bit).  Distinct
-    images prove distinct group elements; equal images prove nothing, so
-    ``equals`` answers False or None and ``exact`` is False.
-    """
-
-    exact = False
-
-    def __init__(self, a: str, b: str, m: int):
-        if m < 2:
-            raise ValueError("label must be >= 2")
-        self.a, self.b, self.m = a, b, m
-        self.generators = (a, b)
-        self.identity = (0, 0)
-
-    def mult_gen(self, el: tuple[int, int], letter: str, sign: int) -> tuple[int, int]:
-        if letter == self.a:
-            g = (0, 1)
-        elif letter == self.b:
-            g = (1, 1)
-        else:
-            raise ValueError(f"unknown generator {letter!r}")
-        # reflections are involutions, sign does not matter
-        j, d = el
-        jp, dp = g
-        return ((j + (jp if d == 0 else -jp)) % self.m, d ^ dp)
-
-    def image(self, word: Word) -> tuple[int, int]:
-        el = self.identity
-        for letter, sign in word:
-            el = self.mult_gen(el, letter, sign)
-        return el
-
-    def equals(self, w1: Word, w2: Word) -> bool | None:
-        return False if self.image(w1) != self.image(w2) else None
-
-    def sort_key(self, el):
-        return el
-
-
-def engine_for_part(graph, part: Sequence[str]):
+def engine_for_part(graph, part: Sequence[str]) -> DihedralEngine | FreeEngine | None:
     """Exact engine for a family part when one exists, else None.
 
     Supported: any edgeless part (free group, rank 1 included) and any

@@ -30,10 +30,10 @@ class covers its whole orbit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .defining_graph import DefiningGraph, GraphError, SubgraphFamily, inter_edges
-from .dihedral_garside import DihedralEngine, FreeEngine, engine_for_part
+from .defining_graph import GraphError, Instance
+from .dihedral_garside import FreeEngine
 from .link_builder import (
     TWO_PI_UNITS,
     LinkGraph,
@@ -42,7 +42,7 @@ from .link_builder import (
     develop_link_interedge,
     develop_link_part,
 )
-from .poset_complex import disjoint_inter_edges, subset_label
+from .poset_complex import subset_label
 
 # largest link, in edges, that the per-edge Dijkstra search accepts
 _WEIGHTED_EDGE_LIMIT = 20000
@@ -328,7 +328,6 @@ class CertifyConfig:
     radius_case1: int = 16
     radius_case3: int | None = None  # None: 8 * label per inter-edge
     cap: int = 4000
-    case2_powers: int = 3
     dedup: bool = True
 
 
@@ -393,7 +392,7 @@ def _stats(link: LinkGraph) -> dict:
 
 
 def certify_link_condition(
-    graph: DefiningGraph, family: SubgraphFamily, config: CertifyConfig | None = None
+    inst: Instance, config: CertifyConfig | None = None
 ) -> CertificationReport:
     """Run every link of the instance through the cycle search.
 
@@ -408,7 +407,7 @@ def certify_link_condition(
     cfg = config or CertifyConfig()
     entries: list[LinkCertificate] = []
 
-    empty_link = build_link_empty(graph, family)
+    empty_link = build_link_empty(inst)
     cert = shortest_embedded_cycle(empty_link)
     entries.append(
         LinkCertificate(
@@ -421,10 +420,8 @@ def certify_link_condition(
         )
     )
 
-    ies = inter_edges(graph, family)
-    iev = sorted({v for e in ies for v in e.pair})
-    for s in iev:
-        link = build_link_single(graph, family, s, truncation_n=cfg.case2_powers)
+    for s in sorted(inst.inter_edges_at):
+        link = build_link_single(inst, s)
         cert = shortest_embedded_cycle(link)
         entries.append(
             LinkCertificate(
@@ -438,21 +435,20 @@ def certify_link_condition(
         )
 
     part_classes: dict[tuple, list[int]] = {}
-    for i, part in enumerate(family.parts):
-        engine = engine_for_part(graph, part)
+    for i, engine in enumerate(inst.engines):
         if engine is None:
             key = ("unsupported", i)
         elif isinstance(engine, FreeEngine):
             key = ("free", len(engine.generators))
         else:
-            key = ("dihedral", engine.ctx.m)
+            key = ("dihedral", engine.m)
         if cfg.dedup:
             part_classes.setdefault(key, []).append(i)
         else:
             part_classes[key + ("#", i)] = [i]
     for key in sorted(part_classes, key=str):
         indices = part_classes[key]
-        members = [subset_label(frozenset(family.parts[i])) for i in indices]
+        members = [subset_label(frozenset(inst.family.parts[i])) for i in indices]
         i0 = indices[0]
         if key[0] == "unsupported":
             entries.append(
@@ -473,7 +469,7 @@ def certify_link_condition(
             )
             continue
         link = develop_link_part(
-            graph, family, i0, radius=cfg.radius_case1, cap=cfg.cap
+            inst, i0, radius=cfg.radius_case1, cap=cfg.cap
         )
         cert = shortest_embedded_cycle(link)
         entries.append(
@@ -487,10 +483,9 @@ def certify_link_condition(
             )
         )
 
-    disjoint = disjoint_inter_edges(graph, family)
     ie_classes: dict[tuple, list] = {}
-    for e in ies:
-        key = (e.label, disjoint[e.pair])
+    for e in inst.inter_edges:
+        key = (e.label, inst.disjoint[e.pair])
         if cfg.dedup:
             ie_classes.setdefault(key, []).append(e)
         else:
@@ -499,7 +494,7 @@ def certify_link_condition(
         group = ie_classes[key]
         e0 = group[0]
         radius = cfg.radius_case3 if cfg.radius_case3 is not None else 8 * e0.label
-        link = develop_link_interedge(graph, family, e0, radius=radius, cap=cfg.cap)
+        link = develop_link_interedge(inst, e0, radius=radius, cap=cfg.cap)
         cert = shortest_embedded_cycle(link)
         entries.append(
             LinkCertificate(

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from . import coxeter
 from .defining_graph import (
-    DefiningGraph,
-    SubgraphFamily,
+    Instance,
     check_rel_prime,
     classify_known,
 )
@@ -28,7 +27,6 @@ from .girth_checker import CertificationReport, CertifyConfig, certify_link_cond
 from .poset_complex import (
     SubsetPoset,
     build_S_bar,
-    build_S_ell,
     check_two_dimensional,
     derived_complex,
     retraction_map,
@@ -61,12 +59,12 @@ class FamilyAudit:
         return "conditional"
 
 
-def _part_status(graph: DefiningGraph, family: SubgraphFamily, i: int, assertions) -> PartStatus:
-    part = family.parts[i]
+def _part_status(inst: Instance, i: int, assertions) -> PartStatus:
+    part = inst.family.parts[i]
     asserted = assertions is not None and (
         i in assertions or frozenset(part) in assertions
     )
-    report = classify_known(graph.induced(part))
+    report = classify_known(inst.graph.induced(part))
     for which, flag in (
         ("spherical", report.spherical_type),
         ("affine", report.affine_type),
@@ -82,8 +80,7 @@ def _part_status(graph: DefiningGraph, family: SubgraphFamily, i: int, assertion
 
 def audit_family(
     s_bar: SubsetPoset,
-    graph: DefiningGraph,
-    family: SubgraphFamily,
+    inst: Instance,
     spherical: list[frozenset[str]],
     assertions=None,
 ) -> FamilyAudit:
@@ -107,7 +104,7 @@ def audit_family(
             break
 
     parts = [
-        _part_status(graph, family, i, assertions) for i in range(len(family.parts))
+        _part_status(inst, i, assertions) for i in range(len(inst.family.parts))
     ]
     return FamilyAudit(
         condition1_ok=cond1_witness is None,
@@ -126,7 +123,7 @@ class CrossingVerdict:
 
 
 def verify_no_large_crossing_spherical(
-    graph: DefiningGraph, family: SubgraphFamily, spherical: list[frozenset[str]]
+    inst: Instance, spherical: list[frozenset[str]]
 ) -> CrossingVerdict:
     """Every subset with finite Coxeter quotient (``spherical``, the graph's
     spherical subsets) that is not inside a single part must be a subset of
@@ -135,7 +132,7 @@ def verify_no_large_crossing_spherical(
     Holds for every valid instance of the inter-edge label conditions; a
     violating instance is reported with the crossing subsets as witnesses.
     """
-    part_sets = family.part_sets()
+    part_sets = inst.family.part_sets()
     witnesses = []
     for t in spherical:
         if any(t <= p for p in part_sets):
@@ -144,7 +141,7 @@ def verify_no_large_crossing_spherical(
             witnesses.append(t)
         elif len(t) == 2:
             u, v = sorted(t)
-            if not graph.has_edge(u, v):
+            if not inst.graph.has_edge(u, v):
                 witnesses.append(t)
     return CrossingVerdict(ok=not witnesses, witnesses=witnesses, checked=len(spherical))
 
@@ -171,8 +168,7 @@ class Kpi1Verdict:
 
 
 def kpi1_verdict(
-    graph: DefiningGraph,
-    family: SubgraphFamily,
+    inst: Instance,
     assertions=None,
     certify_config: CertifyConfig | None = None,
 ) -> Kpi1Verdict:
@@ -187,7 +183,7 @@ def kpi1_verdict(
     assumed.
     """
     evidence: list[dict] = []
-    rel = check_rel_prime(graph, family)
+    rel = check_rel_prime(inst)
     evidence.append(
         {
             "check": "inter-edge label condition (non-isolated >= 4)",
@@ -206,7 +202,7 @@ def kpi1_verdict(
             audit=None,
         )
 
-    s_ell_cx = derived_complex(build_S_ell(graph, family))
+    s_ell_cx = derived_complex(inst.s_ell)
     dim = check_two_dimensional(s_ell_cx)
     evidence.append(
         {
@@ -217,7 +213,7 @@ def kpi1_verdict(
         }
     )
 
-    cert = certify_link_condition(graph, family, certify_config)
+    cert = certify_link_condition(inst, certify_config)
     trusted = [e for e in cert.entries if e.status == "TRUSTED-CITATION"]
     evidence.append(
         {
@@ -232,8 +228,8 @@ def kpi1_verdict(
         }
     )
 
-    spherical = coxeter.enumerate_spherical_subsets(graph)
-    crossing = verify_no_large_crossing_spherical(graph, family, spherical)
+    spherical = coxeter.enumerate_spherical_subsets(inst.graph)
+    crossing = verify_no_large_crossing_spherical(inst, spherical)
     evidence.append(
         {
             "check": "no crossing subset with finite quotient beyond inter-edges",
@@ -243,8 +239,8 @@ def kpi1_verdict(
         }
     )
 
-    s_bar = build_S_bar(graph, family)
-    audit = audit_family(s_bar, graph, family, spherical, assertions)
+    s_bar = build_S_bar(inst)
+    audit = audit_family(s_bar, inst, spherical, assertions)
     evidence.append(
         {
             "check": "family completeness (subset closure, spherical coverage)",
@@ -263,7 +259,7 @@ def kpi1_verdict(
         }
     )
 
-    retraction = retraction_map(s_bar, s_ell_cx, graph, family)
+    retraction = retraction_map(s_bar, s_ell_cx, inst.family)
     evidence.append(
         {
             "check": "retraction onto the small fundamental domain is well defined",

@@ -30,11 +30,10 @@ boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .defining_graph import DefiningGraph, GraphError, SubgraphFamily, InterEdge, inter_edges
-from .dihedral_garside import DihedralEngine, engine_for_part
-from .poset_complex import build_S_ell, disjoint_inter_edges, subset_label
+from .defining_graph import GraphError, Instance, InterEdge
+from .dihedral_garside import DihedralEngine
+from .poset_complex import subset_label
 
 TWO_PI_UNITS = 16
 
@@ -129,10 +128,10 @@ class LinkGraph:
         return "\n".join(lines)
 
 
-def build_link_empty(graph: DefiningGraph, family: SubgraphFamily) -> LinkGraph:
+def build_link_empty(inst: Instance) -> LinkGraph:
     """Finite link of the trivial coset."""
-    s_ell = build_S_ell(graph, family)
-    disjoint = disjoint_inter_edges(graph, family)
+    s_ell = inst.s_ell
+    family = inst.family
     uppers = [t for t in s_ell.elements if t]
     index = {t: i for i, t in enumerate(uppers)}
     kinds, labels, sides = [], [], []
@@ -159,7 +158,7 @@ def build_link_empty(graph: DefiningGraph, family: SubgraphFamily) -> LinkGraph:
         part = frozenset(family.parts[family.part_index(s)])
         if part != t:
             edges.append((index[t], index[part], 2))
-    for pair, disj in disjoint.items():
+    for pair, disj in inst.disjoint.items():
         for s in pair:
             edges.append((index[frozenset((s,))], index[pair], 2 if disj else 3))
     link = LinkGraph(
@@ -176,7 +175,7 @@ def build_link_empty(graph: DefiningGraph, family: SubgraphFamily) -> LinkGraph:
 
 
 def build_link_single(
-    graph: DefiningGraph, family: SubgraphFamily, s: str, truncation_n: int = 3
+    inst: Instance, s: str, truncation_n: int = 3
 ) -> LinkGraph:
     """Link of the cyclic subgroup coset at inter-edge vertex s: complete
     bipartite, all edges 4 units.
@@ -188,10 +187,10 @@ def build_link_single(
     """
     if truncation_n < 1:
         raise GraphError("truncation_n must be >= 1")
-    ies = [e for e in inter_edges(graph, family) if s in e.pair]
+    ies = inst.inter_edges_at.get(s)
     if not ies:
         raise GraphError(f"{s!r} is not an inter-edge vertex")
-    part = frozenset(family.parts[family.part_index(s)])
+    part = frozenset(inst.family.parts[inst.family.part_index(s)])
     uppers: list[tuple[str, frozenset]] = []
     if part != frozenset((s,)):
         uppers.append(("part", part))
@@ -278,10 +277,8 @@ def _develop(engine, units: int, radius: int, cap: int, case: str, descriptor: s
 
 
 def develop_link_part(
-    graph: DefiningGraph,
-    family: SubgraphFamily,
+    inst: Instance,
     i: int,
-    oracle=None,
     radius: int = 16,
     cap: int = 10**6,
 ) -> LinkGraph:
@@ -291,9 +288,9 @@ def develop_link_part(
     neither edgeless nor a single labeled edge have none and raise
     :class:`UnsupportedPartError`.
     """
-    part = family.parts[i]
-    engine = oracle if oracle is not None else engine_for_part(graph, part)
-    if engine is None or not engine.exact:
+    part = inst.family.parts[i]
+    engine = inst.engines[i]
+    if engine is None:
         raise UnsupportedPartError(
             f"no exact word-problem engine for part {list(part)}"
         )
@@ -308,8 +305,7 @@ def develop_link_part(
 
 
 def develop_link_interedge(
-    graph: DefiningGraph,
-    family: SubgraphFamily,
+    inst: Instance,
     edge: InterEdge,
     radius: int | None = None,
     cap: int = 10**6,
@@ -319,7 +315,7 @@ def develop_link_interedge(
     Edge lengths are 2 units when the inter-edge shares no vertex with any
     other inter-edge, 1 unit otherwise.  The default radius is 8m.
     """
-    disjoint = disjoint_inter_edges(graph, family)[edge.pair]
+    disjoint = inst.disjoint[edge.pair]
     units = 2 if disjoint else 1
     if radius is None:
         radius = 8 * edge.label

@@ -27,11 +27,11 @@ exactly as ratios sin(p pi/8) / sin(q pi/8) with p, q in {1..4}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi, sin
 from typing import Iterable
 
-from .defining_graph import DefiningGraph, GraphError, SubgraphFamily, inter_edges
+from .defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
 
 Subset = frozenset
 
@@ -118,13 +118,13 @@ class SubsetPoset:
         return "\n".join(lines)
 
 
-def build_S_ell(graph: DefiningGraph, family: SubgraphFamily) -> SubsetPoset:
+def build_S_ell(inst: Instance) -> SubsetPoset:
     """The empty set, the parts, the inter-edges, and the singletons of
     inter-edge vertices, each stored once with all applicable tags."""
     tagged: list[tuple[frozenset, str]] = [(frozenset(), "empty")]
-    for part in family.parts:
+    for part in inst.family.parts:
         tagged.append((frozenset(part), "part"))
-    for e in inter_edges(graph, family):
+    for e in inst.inter_edges:
         tagged.append((e.pair, "inter-edge"))
         tagged.append((frozenset((e.u,)), "inter-edge-vertex"))
         tagged.append((frozenset((e.v,)), "inter-edge-vertex"))
@@ -139,11 +139,11 @@ def build_S_f(graph: DefiningGraph) -> SubsetPoset:
     )
 
 
-def build_S_bar(graph: DefiningGraph, family: SubgraphFamily) -> SubsetPoset:
+def build_S_bar(inst: Instance) -> SubsetPoset:
     """S^l together with every subset of every part."""
-    s_ell = build_S_ell(graph, family)
+    s_ell = inst.s_ell
     tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
-    for part in family.parts:
+    for part in inst.family.parts:
         members = sorted(part)
         for mask in range(1 << len(members)):
             subset = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
@@ -192,8 +192,19 @@ def derived_complex(poset: SubsetPoset) -> DerivedComplex:
     ``maximal_chains`` walks its facets along the covering relation.
     """
     elements = poset.elements
+    # an element above a nonempty t contains every vertex of t, so it is
+    # found among the elements containing t's rarest vertex
+    containing: dict[str, list[frozenset]] = {}
+    for u in elements:
+        for v in u:
+            containing.setdefault(v, []).append(u)
     above: dict[frozenset, list[frozenset]] = {
-        t: [u for u in elements if t < u] for t in elements
+        t: (
+            [u for u in min((containing[v] for v in t), key=len) if t < u]
+            if t
+            else [u for u in elements if u]
+        )
+        for t in elements
     }
     chains: list[tuple[frozenset, ...]] = []
 
@@ -282,23 +293,18 @@ def _sides_from_units(units: tuple[int, int, int]) -> tuple:
     )
 
 
-def disjoint_inter_edges(graph: DefiningGraph, family: SubgraphFamily) -> dict[frozenset, bool]:
+def disjoint_inter_edges(inst: Instance) -> dict[frozenset, bool]:
     """For each inter-edge pair, whether it shares no vertex with any other
     inter-edge."""
-    ies = inter_edges(graph, family)
-    # the graph has no parallel edges, so each pair is counted once
-    degree: dict[str, int] = {}
-    for e in ies:
-        for v in e.pair:
-            degree[v] = degree.get(v, 0) + 1
-    return {e.pair: degree[e.u] == degree[e.v] == 1 for e in ies}
+    at = inst.inter_edges_at
+    return {e.pair: len(at[e.u]) == len(at[e.v]) == 1 for e in inst.inter_edges}
 
 
 def assign_metric(
-    cx: DerivedComplex, graph: DefiningGraph, family: SubgraphFamily
+    cx: DerivedComplex, inst: Instance
 ) -> list[MetricSimplex]:
     """Angles and side lengths for every 2-chain of the S^l complex."""
-    disjoint = disjoint_inter_edges(graph, family)
+    disjoint = inst.disjoint
     tags = cx.poset.tags
     out: list[MetricSimplex] = []
     for chain in cx.chains_of_length(3):
@@ -406,7 +412,6 @@ def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
 def retraction_map(
     s_bar: SubsetPoset,
     s_ell_cx: DerivedComplex,
-    graph: DefiningGraph,
     family: SubgraphFamily,
 ) -> RetractionReport:
     """The simplicial retraction: subsets already in S^l stay fixed, proper

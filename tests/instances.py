@@ -8,7 +8,7 @@ exact way the curvature certificate is supposed to detect.
 """
 import random
 
-from relartin.defining_graph import DefiningGraph, SubgraphFamily, check_rel_prime
+from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily, check_rel_prime
 
 CTILDE3_EDGES = [
     ("a", "b", 3),
@@ -20,7 +20,7 @@ CTILDE3_EDGES = [
 ]
 
 
-def affine_parts_join() -> tuple[DefiningGraph, SubgraphFamily]:
+def affine_parts_join() -> Instance:
     vertices: list[str] = []
     edges: list[tuple[str, str, int]] = []
     for suffix in ("1", "2"):
@@ -33,26 +33,26 @@ def affine_parts_join() -> tuple[DefiningGraph, SubgraphFamily]:
     family = SubgraphFamily.build(
         graph, [[x + "1" for x in "abcd"], [x + "2" for x in "abcd"]]
     )
-    return graph, family
+    return Instance(graph, family)
 
 
-def touching_triple_control() -> tuple[DefiningGraph, SubgraphFamily]:
+def touching_triple_control() -> Instance:
     graph = DefiningGraph.build(
         ["a", "b", "c"], [("a", "b", 3), ("b", "c", 3), ("c", "a", 2)]
     )
     family = SubgraphFamily.build(graph, [["b"], ["a", "c"]])
-    return graph, family
+    return Instance(graph, family)
 
 
-def single_interedge(m: int = 4) -> tuple[DefiningGraph, SubgraphFamily]:
+def single_interedge(m: int = 4) -> Instance:
     graph = DefiningGraph.build(["a", "b"], [("a", "b", m)])
     family = SubgraphFamily.build(graph, [["a"], ["b"]])
-    return graph, family
+    return Instance(graph, family)
 
 
 def random_rel_prime_instance(
     rng: random.Random, max_vertices: int = 10, max_label: int = 6
-) -> tuple[DefiningGraph, SubgraphFamily]:
+) -> Instance:
     """A random valid instance of the non-isolated label condition.
 
     Inter-edges get labels >= 4 except for an optional isolated one, which
@@ -95,6 +95,6 @@ def random_rel_prime_instance(
                 edges.append((u, v, rng.randint(2, 3)))
                 break
     graph = DefiningGraph.build(vertices, edges)
-    family = SubgraphFamily.build(graph, parts)
-    assert check_rel_prime(graph, family).ok
-    return graph, family
+    inst = Instance(graph, SubgraphFamily.build(graph, parts))
+    assert check_rel_prime(inst).ok
+    return inst

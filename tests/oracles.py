@@ -34,9 +34,10 @@ from every root that expands every depth up to half the best length so far
 and tests every non-tree edge it meets.
 
 Posets: the covering relation by testing every intermediate element, the
-maximal chains by scanning every chain of the derived complex for an
-element that would extend it, and the chain count as the length of that
-complex.
+chains of the derived complex by extending each chain by every larger
+element found in a scan of all pairs, the maximal chains by scanning every
+such chain for an element that would extend it, and the chain count as the
+number of such chains.
 
 Coxeter types: the smallest eigenvalue of the cosine matrix
 B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
@@ -55,8 +56,8 @@ import numpy as np
 from relartin import coxeter
 from relartin.defining_graph import GraphError
 from relartin.acyl_checker import _confined_syllable_max
-from relartin.dihedral_garside import CapExceeded, DihedralElement, DihedralGroupCtx, ball_levels
-from relartin.poset_complex import derived_complex, subset_sort_key
+from relartin.dihedral_garside import CapExceeded, DihedralElement, DihedralEngine
+from relartin.poset_complex import subset_sort_key
 
 
 # ---------------------------------------------------------------- words
@@ -180,10 +181,10 @@ def atom_coset_rep(ctx, g, generator: str):
 
 def per_radius_orbit_growth(m: int, radii, cap: int):
     """Syllable growth table with one ball enumerated per radius."""
-    ctx = DihedralGroupCtx("a", "b", m)
+    ctx = DihedralEngine("a", "b", m)
     rows = []
     for r in sorted(radii):
-        levels, truncated = ball_levels(ctx, r, cap)
+        levels, truncated = ctx.ball_levels(r, cap)
         if truncated:
             raise CapExceeded(
                 requested_radius=r,
@@ -372,11 +373,32 @@ def brute_covers(poset) -> list:
     return out
 
 
+def _chain_order(chain) -> tuple:
+    return (len(chain), tuple(subset_sort_key(t) for t in chain))
+
+
+def brute_chains(poset) -> list:
+    """Every nonempty chain, with the elements above each one found by
+    comparing all pairs, by length and then element by element in
+    ``subset_sort_key`` order."""
+    elements = poset.elements
+    above = {t: [u for u in elements if t < u] for t in elements}
+    chains = []
+
+    def grow(chain):
+        chains.append(chain)
+        for u in above[chain[-1]]:
+            grow(chain + (u,))
+
+    for t in elements:
+        grow((t,))
+    return sorted(chains, key=_chain_order)
+
+
 def brute_maximal_chains(poset) -> list:
-    """Chains of the derived complex that no element can extend, by length
-    and then element by element in ``subset_sort_key`` order."""
+    """Chains that no element can extend, in the order of ``brute_chains``."""
     out = []
-    for chain in derived_complex(poset).chains:
+    for chain in brute_chains(poset):
         cset = set(chain)
         extendable = any(
             x not in cset and all(x < t or t < x for t in chain)
@@ -384,11 +406,11 @@ def brute_maximal_chains(poset) -> list:
         )
         if not extendable:
             out.append(chain)
-    return sorted(out, key=lambda c: (len(c), tuple(subset_sort_key(t) for t in c)))
+    return out
 
 
 def brute_chain_count(poset) -> int:
-    return len(derived_complex(poset).chains)
+    return len(brute_chains(poset))
 
 
 # ---------------------------------------------------------- coxeter

@@ -13,13 +13,13 @@ import time
 from relartin import cli, coxeter
 from relartin.defining_graph import (
     DefiningGraph,
+    Instance,
     SubgraphFamily,
     check_rel,
     check_rel_prime,
     classify_known,
-    inter_edges,
 )
-from relartin.dihedral_garside import DihedralGroupCtx, normal_form
+from relartin.dihedral_garside import DihedralEngine
 from relartin.girth_checker import (
     CertifyConfig,
     certify_link_condition,
@@ -28,12 +28,7 @@ from relartin.girth_checker import (
 from relartin.kpi1_checker import verify_no_large_crossing_spherical
 from relartin.link_builder import develop_link_interedge, develop_link_part
 from relartin.acyl_checker import empirical_orbit_growth, strictly_increasing
-from relartin.poset_complex import (
-    build_S_bar,
-    build_S_ell,
-    derived_complex,
-    retraction_map,
-)
+from relartin.poset_complex import build_S_bar, derived_complex, retraction_map
 
 from instances import (
     affine_parts_join,
@@ -49,9 +44,9 @@ RANDOM_INSTANCES = [random_rel_prime_instance(_RNG) for _ in range(6)]
 
 def test_criterion_01_join_end_to_end(capsys):
     t0 = time.monotonic()
-    g, fam = affine_parts_join()
-    assert check_rel(g, fam).ok and check_rel_prime(g, fam).ok
-    report = classify_known(g)
+    inst = affine_parts_join()
+    assert check_rel(inst).ok and check_rel_prime(inst).ok
+    report = classify_known(inst.graph)
     assert not report.spherical_type
     assert not report.affine_type
     assert not report.two_dimensional
@@ -72,8 +67,8 @@ def test_criterion_01_join_end_to_end(capsys):
 def test_criterion_02_link_certification():
     cases = [affine_parts_join()] + RANDOM_INSTANCES
     assert len(RANDOM_INSTANCES) >= 5
-    for g, fam in cases:
-        report = certify_link_condition(g, fam)
+    for inst in cases:
+        report = certify_link_condition(inst)
         assert report.failures() == []
         for entry in report.entries:
             assert entry.status in (
@@ -93,9 +88,9 @@ def test_criterion_02_link_certification():
 def test_criterion_03_dihedral_cycle_bound():
     for m in (2, 3, 4, 5):
         t0 = time.monotonic()
-        g, fam = single_interedge(m)
-        (e,) = inter_edges(g, fam)
-        link = develop_link_interedge(g, fam, e, radius=8 * m, cap=4000)
+        inst = single_interedge(m)
+        (e,) = inst.inter_edges
+        link = develop_link_interedge(inst, e, radius=8 * m, cap=4000)
         cert = shortest_embedded_cycle(link)
         assert cert.edge_count is not None and cert.edge_count >= 4 * m
         if m == 2:
@@ -103,9 +98,9 @@ def test_criterion_03_dihedral_cycle_bound():
             assert cert.edge_count == 4 * m and cert.length_units == 16
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0
-    g, fam = affine_parts_join()
-    e = next(x for x in inter_edges(g, fam) if x.pair == frozenset(("a1", "a2")))
-    link = develop_link_interedge(g, fam, e, radius=32, cap=4000)
+    join = affine_parts_join()
+    e = next(x for x in join.inter_edges if x.pair == frozenset(("a1", "a2")))
+    link = develop_link_interedge(join, e, radius=32, cap=4000)
     cert = shortest_embedded_cycle(link)
     # Case 3b: touching inter-edge with m=4, 1 unit per edge
     assert cert.edge_count == 16 and cert.length_units == 16
@@ -117,8 +112,8 @@ def test_criterion_04_part_development_bound():
     g = DefiningGraph.build(
         ["x", "y", "z"], [("x", "y", 3), ("x", "z", 4), ("y", "z", 4)]
     )
-    fam = SubgraphFamily.build(g, [["x", "y"], ["z"]])
-    link = develop_link_part(g, fam, 0, radius=16, cap=4000)
+    inst = Instance(g, SubgraphFamily.build(g, [["x", "y"], ["z"]]))
+    link = develop_link_part(inst, 0, radius=16, cap=4000)
     cert = shortest_embedded_cycle(link)
     assert cert.edge_count is not None and cert.edge_count >= 8
     assert cert.passes
@@ -131,8 +126,7 @@ def test_criterion_04_part_development_bound():
 
 
 def test_criterion_05_negative_control():
-    g, fam = touching_triple_control()
-    report = certify_link_condition(g, fam)
+    report = certify_link_condition(touching_triple_control())
     assert not report.ok
     bad = report.failures()
     assert len(bad) == 1 and bad[0].case == "inter-edge"
@@ -187,14 +181,14 @@ def test_criterion_06_coxeter_cross_validation():
 
 
 def test_criterion_07_no_crossing_spherical():
-    for g, fam in [affine_parts_join()] + RANDOM_INSTANCES:
+    for inst in [affine_parts_join()] + RANDOM_INSTANCES:
         verdict = verify_no_large_crossing_spherical(
-            g, fam, coxeter.enumerate_spherical_subsets(g)
+            inst, coxeter.enumerate_spherical_subsets(inst.graph)
         )
         assert verdict.ok and verdict.witnesses == []
-    g, fam = touching_triple_control()
+    control = touching_triple_control()
     bad = verify_no_large_crossing_spherical(
-        g, fam, coxeter.enumerate_spherical_subsets(g)
+        control, coxeter.enumerate_spherical_subsets(control.graph)
     )
     assert not bad.ok
     assert any(len(w) == 3 for w in bad.witnesses)
@@ -216,7 +210,7 @@ def _all_letter_words(max_len):
 def test_criterion_08_dihedral_oracle_equivalence():
     words = _all_letter_words(6)
     for m in (2, 3, 4, 5):
-        ctx = DihedralGroupCtx("a", "b", m)
+        ctx = DihedralEngine("a", "b", m)
         # the closure never merges distinct elements, so agreement at a
         # finite pad settles agreement with the unbounded closure; pad 10
         # is the smallest that converges on length <= 6 words for m = 4, 5
@@ -224,17 +218,17 @@ def test_criterion_08_dihedral_oracle_equivalence():
         by_nf: dict = {}
         by_rewrite: dict = {}
         for w in words:
-            by_nf.setdefault(normal_form(ctx, string_to_word(w)), set()).add(w)
+            by_nf.setdefault(ctx.mult_word(ctx.identity, string_to_word(w)), set()).add(w)
             by_rewrite.setdefault(classes[w], set()).add(w)
         partition_nf = {frozenset(c) for c in by_nf.values()}
         partition_rw = {frozenset(c) for c in by_rewrite.values()}
         assert partition_nf == partition_rw
 
         # the generator a is not any product of b letters, up to length 8
-        nf_a = normal_form(ctx, string_to_word("a"))
+        nf_a = ctx.mult_word(ctx.identity, string_to_word("a"))
         for k in range(-8, 9):
             b_word = [("b", 1 if k > 0 else -1)] * abs(k)
-            assert normal_form(ctx, b_word) != nf_a
+            assert ctx.mult_word(ctx.identity, b_word) != nf_a
     print(
         "criterion 08: PASS - normal form matches rewriting closure on all "
         "words of length <= 6 for m in 2..5"
@@ -242,9 +236,9 @@ def test_criterion_08_dihedral_oracle_equivalence():
 
 
 def test_criterion_09_retraction():
-    g, fam = affine_parts_join()
-    s_ell_cx = derived_complex(build_S_ell(g, fam))
-    report = retraction_map(build_S_bar(g, fam), s_ell_cx, g, fam)
+    inst = affine_parts_join()
+    s_ell_cx = derived_complex(inst.s_ell)
+    report = retraction_map(build_S_bar(inst), s_ell_cx, inst.family)
     assert report.total_maximal_chains == 80
     assert report.failures == []
     assert report.lands_in_s_ell

@@ -11,7 +11,7 @@ from relartin.acyl_checker import (
     find_witness,
     strictly_increasing,
 )
-from relartin.defining_graph import DefiningGraph, SubgraphFamily
+from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily
 from relartin.dihedral_garside import CapExceeded
 
 from instances import affine_parts_join, single_interedge
@@ -21,7 +21,7 @@ from oracles import per_radius_orbit_growth
 def tripartite(edges):
     verts = sorted({v for e in edges for v in e[:2]})
     g = DefiningGraph.build(verts, edges)
-    return g, SubgraphFamily.build(g, [[v] for v in verts])
+    return Instance(g, SubgraphFamily.build(g, [[v] for v in verts]))
 
 
 def test_orbit_growth_frozen_tables():
@@ -87,8 +87,7 @@ def test_strictly_increasing_helper():
 
 
 def test_check_delta_on_the_join():
-    g, _ = affine_parts_join()
-    checks = check_delta(g, ("a1", "a2", "b1"))
+    checks = check_delta(affine_parts_join().graph, ("a1", "a2", "b1"))
     assert checks.connected
     assert checks.two_dimensional
     assert checks.not_right_angled
@@ -120,22 +119,19 @@ def test_check_delta_rejections():
 
 
 def test_find_witness_ordering():
-    g, fam = affine_parts_join()
-    edge, s, delta = find_witness(g, fam)
+    edge, s, delta = find_witness(affine_parts_join())
     assert (edge.u, edge.v, edge.label) == ("a1", "a2", 4)
     assert s == "b1"
     assert delta == ("a1", "a2", "b1")
 
     # the largest label wins over lexicographic position
-    g2, fam2 = tripartite([("a", "b", 3), ("b", "c", 5)])
-    edge2, s2, _ = find_witness(g2, fam2)
+    edge2, s2, _ = find_witness(tripartite([("a", "b", 3), ("b", "c", 5)]))
     assert (edge2.u, edge2.v, edge2.label) == ("b", "c", 5)
     assert s2 == "a"
 
 
 def test_full_pipeline_on_the_join():
-    g, fam = affine_parts_join()
-    verdict = check_acylindricity(g, fam)
+    verdict = check_acylindricity(affine_parts_join())
     assert verdict.status == "acyl-hyperbolic-via-witness"
     assert verdict.ok
     assert verdict.witness_edge == ("a1", "a2", 4)
@@ -152,8 +148,7 @@ def test_full_pipeline_on_the_join():
 
 def test_free_product_routes():
     g = DefiningGraph.build(["a", "b"], [])
-    fam = SubgraphFamily.build(g, [["a"], ["b"]])
-    verdict = check_acylindricity(g, fam)
+    verdict = check_acylindricity(Instance(g, SubgraphFamily.build(g, [["a"], ["b"]])))
     assert verdict.status == "acyl-hyperbolic-via-free-product"
     assert verdict.ok
     assert "Minasyan-Osin" in verdict.citations[0]
@@ -161,33 +156,30 @@ def test_free_product_routes():
     # a witness edge in its own component: no third neighbour exists
     g2 = DefiningGraph.build(["a", "b", "c"], [("a", "b", 3)])
     fam2 = SubgraphFamily.build(g2, [["a"], ["b"], ["c"]])
-    verdict2 = check_acylindricity(g2, fam2)
+    verdict2 = check_acylindricity(Instance(g2, fam2))
     assert verdict2.status == "acyl-hyperbolic-via-free-product"
     assert "disconnected" in verdict2.reasons[0]
 
 
 def test_inapplicable_routes():
-    g, fam = affine_parts_join()
+    g = affine_parts_join().graph
     whole = SubgraphFamily.build(g, [sorted(g.vertices)])
-    assert check_acylindricity(g, whole).status == "inapplicable"
+    assert check_acylindricity(Instance(g, whole)).status == "inapplicable"
 
-    g2, fam2 = single_interedge()
-    two = check_acylindricity(g2, fam2)
+    two = check_acylindricity(single_interedge())
     assert two.status == "inapplicable"
     assert "three generators" in two.reasons[0]
 
-    g3, fam3 = tripartite([("a", "b", 2), ("a", "c", 2), ("b", "c", 2)])
-    flat = check_acylindricity(g3, fam3)
+    flat = check_acylindricity(tripartite([("a", "b", 2), ("a", "c", 2), ("b", "c", 2)]))
     assert flat.status == "inapplicable"
     assert "label 2" in flat.reasons[0]
 
-    gate = check_hypotheses(*affine_parts_join())
+    gate = check_hypotheses(affine_parts_join())
     assert gate.status == "hypotheses-pass" and gate.ok
 
 
 def test_witness_checks_failed_on_a_spherical_triple():
-    g, fam = tripartite([("a", "b", 5), ("a", "c", 2), ("b", "c", 3)])
-    verdict = check_acylindricity(g, fam)
+    verdict = check_acylindricity(tripartite([("a", "b", 5), ("a", "c", 2), ("b", "c", 3)]))
     assert verdict.status == "witness-checks-failed"
     assert not verdict.ok
     assert verdict.witness_edge == ("a", "b", 5)

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import relartin
-from relartin import cli
+from relartin import cli, defining_graph, poset_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 JOIN = str(FIXTURES / "affine_parts_join.json")
@@ -189,12 +189,13 @@ def test_oversized_link_exits_1(capsys, tmp_path):
     ]
     path = tmp_path / "oversized.json"
     path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
-    code, out, err = run(capsys, "links", "--input", str(path))
-    assert code == 1 and out == ""
-    assert err == (
-        "error: the empty link has 25440 edges; "
-        "the weighted girth search takes at most 20000\n"
-    )
+    for sub in ("links", "kpi1"):
+        code, out, err = run(capsys, sub, "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == (
+            "error: the empty link has 25440 edges; "
+            "the weighted girth search takes at most 20000\n"
+        )
 
 
 def test_flag_validation(capsys):
@@ -205,6 +206,39 @@ def test_flag_validation(capsys):
     assert code == 1 and "dot output" in err
     assert cli.main(["nonsense"]) == 1
     assert cli.main([]) == 1
+
+
+def test_development_flags_belong_to_developing_subcommands(capsys):
+    for sub in ("links", "kpi1", "develop"):
+        code, _, err = run(capsys, sub, "--input", JOIN, "--cap", "0")
+        assert code == 1 and err == "error: cap must be >= 1\n"
+    for sub in ("check-rel", "classify", "build", "acyl"):
+        for flag in ("--radius-case1", "--radius-case3", "--cap"):
+            code, out, err = run(capsys, sub, "--input", JOIN, flag, "5")
+            assert code == 1 and out == ""
+            assert f"unrecognized arguments: {flag} 5" in err
+
+
+def test_per_instance_facts_are_derived_once(capsys, monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(defining_graph, "inter_edges")
+    counted(poset_complex, "disjoint_inter_edges")
+    counted(poset_complex, "build_S_ell")
+    for fixture in (JOIN, CONTROL):
+        for sub in ("check-rel", "build", "links", "kpi1"):
+            calls.clear()
+            run(capsys, sub, "--input", fixture)
+            assert calls and max(calls.values()) == 1, (fixture, sub, calls)
 
 
 def test_text_format_is_default(capsys):

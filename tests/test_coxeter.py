@@ -119,8 +119,9 @@ def test_indefinite_and_aggregation():
 
 
 def test_join_part_is_affine_c3():
-    g, fam = affine_parts_join()
-    t = coxeter.classify_type(g, fam.parts[0])
+    inst = affine_parts_join()
+    g = inst.graph
+    t = coxeter.classify_type(g, inst.family.parts[0])
     assert (t.kind, t.components) == ("affine", ("~C3",))
     whole = coxeter.classify_type(g, g.vertices)
     assert whole.kind == "indefinite"
@@ -172,7 +173,7 @@ def test_oracle_agrees_with_table_on_random_graphs():
 
 
 def test_enumerate_spherical_subsets_join():
-    g, _fam = affine_parts_join()
+    g = affine_parts_join().graph
     subsets = coxeter.enumerate_spherical_subsets(g)
     by_size = {}
     for t in subsets:
@@ -184,7 +185,7 @@ def test_enumerate_spherical_subsets_join():
 
 
 def test_enumerate_spherical_is_downward_closed():
-    g, _fam = affine_parts_join()
+    g = affine_parts_join().graph
     subsets = set(coxeter.enumerate_spherical_subsets(g))
     for t in subsets:
         for v in t:
@@ -224,8 +225,8 @@ def _random_graph(rng):
 def test_spherical_enumeration_and_fc_match_brute_force():
     graphs = []
     for name in ("affine_parts_join.json", "touching_triple_control.json"):
-        g, fam = parse_graph((FIXTURES / name).read_text())
-        graphs += [g] + [g.induced(part) for part in fam.parts]
+        inst = parse_graph((FIXTURES / name).read_text())
+        graphs += [inst.graph] + [inst.graph.induced(part) for part in inst.family.parts]
     rng = random.Random(2024)
     graphs += [_random_graph(rng) for _ in range(300)]
     seen = set()

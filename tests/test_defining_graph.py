@@ -6,6 +6,7 @@ import pytest
 from relartin.defining_graph import (
     DefiningGraph,
     GraphError,
+    Instance,
     SubgraphFamily,
     check_rel,
     check_rel_prime,
@@ -35,8 +36,9 @@ def test_singleton_instance_is_valid():
     g = DefiningGraph.build(["a"], [])
     fam = SubgraphFamily.build(g, [["a"]])
     assert fam.parts == (("a",),)
-    assert inter_edges(g, fam) == ()
-    assert check_rel(g, fam).ok and check_rel_prime(g, fam).ok
+    inst = Instance(g, fam)
+    assert inter_edges(inst) == ()
+    assert check_rel(inst).ok and check_rel_prime(inst).ok
 
 
 def test_build_rejections():
@@ -75,8 +77,9 @@ def test_family_rejections():
 
 
 def test_inter_edges_join():
-    g, fam = affine_parts_join()
-    ies = inter_edges(g, fam)
+    inst = affine_parts_join()
+    ies = inter_edges(inst)
+    assert ies == inst.inter_edges
     assert len(ies) == 16
     assert all(e.label == 4 for e in ies)
     assert all({e.part_u, e.part_v} == {0, 1} for e in ies)
@@ -86,13 +89,13 @@ def test_inter_edges_join():
 
 
 def test_rel_conditions_on_fixture_and_control():
-    g, fam = affine_parts_join()
-    assert check_rel(g, fam).ok
-    assert check_rel_prime(g, fam).ok
+    inst = affine_parts_join()
+    assert check_rel(inst).ok
+    assert check_rel_prime(inst).ok
 
-    gc, fc = touching_triple_control()
-    rel = check_rel(gc, fc)
-    relp = check_rel_prime(gc, fc)
+    control = touching_triple_control()
+    rel = check_rel(control)
+    relp = check_rel_prime(control)
     assert not rel.ok and not relp.ok
     assert {e.pair for e in relp.violations} == {
         frozenset(("a", "b")),
@@ -103,9 +106,9 @@ def test_rel_conditions_on_fixture_and_control():
 def test_isolated_interedge_passes_rel_prime_only():
     # single inter-edge labeled 3 between the parts: REL fails, REL' holds
     g = DefiningGraph.build(["a", "b", "c"], [("a", "b", 3), ("b", "c", 2)])
-    fam = SubgraphFamily.build(g, [["a"], ["b", "c"]])
-    assert not check_rel(g, fam).ok
-    assert check_rel_prime(g, fam).ok
+    inst = Instance(g, SubgraphFamily.build(g, [["a"], ["b", "c"]]))
+    assert not check_rel(inst).ok
+    assert check_rel_prime(inst).ok
 
 
 def test_non_isolated_detection_spans_part_pairs():
@@ -114,8 +117,8 @@ def test_non_isolated_detection_spans_part_pairs():
     g = DefiningGraph.build(
         ["a", "b", "c", "d"], [("a", "b", 3), ("b", "c", 3), ("c", "d", 2)]
     )
-    fam = SubgraphFamily.build(g, [["a"], ["b"], ["c", "d"]])
-    relp = check_rel_prime(g, fam)
+    inst = Instance(g, SubgraphFamily.build(g, [["a"], ["b"], ["c", "d"]]))
+    relp = check_rel_prime(inst)
     assert not relp.ok
     assert len(relp.violations) == 2
 
@@ -139,25 +142,22 @@ def test_rel_implies_rel_prime_randomized():
         for c in cuts + [n]:
             parts.append(order[prev:c])
             prev = c
-        fam = SubgraphFamily.build(g, parts)
-        if check_rel(g, fam).ok:
-            assert check_rel_prime(g, fam).ok
+        inst = Instance(g, SubgraphFamily.build(g, parts))
+        if check_rel(inst).ok:
+            assert check_rel_prime(inst).ok
 
 
 def test_random_generator_emits_valid_instances():
     rng = random.Random(7)
     for _ in range(25):
-        g, fam = random_rel_prime_instance(rng)
-        assert check_rel_prime(g, fam).ok
-        assert sum(len(p) for p in fam.parts) == len(g.vertices)
+        inst = random_rel_prime_instance(rng)
+        assert check_rel_prime(inst).ok
+        assert sum(len(p) for p in inst.family.parts) == len(inst.graph.vertices)
 
 
 def test_parse_graph_round_trip():
-    g, fam = affine_parts_join()
-    text = instance_to_json(g, fam)
-    g2, fam2 = parse_graph(text)
-    assert g2 == g
-    assert fam2 == fam
+    inst = affine_parts_join()
+    assert parse_graph(instance_to_json(inst)) == inst
 
 
 def test_parse_graph_rejections():
@@ -184,8 +184,7 @@ def test_parse_graph_rejections():
 
 
 def test_classifier_flags():
-    g, _fam = affine_parts_join()
-    report = classify_known(g)
+    report = classify_known(affine_parts_join().graph)
     assert not report.spherical_type
     assert not report.affine_type
     assert not report.two_dimensional

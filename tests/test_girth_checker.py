@@ -9,8 +9,7 @@ import networkx as nx
 import pytest
 
 from relartin import girth_checker
-from relartin.defining_graph import DefiningGraph, GraphError, SubgraphFamily, inter_edges
-from relartin.dihedral_garside import engine_for_part
+from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
 from relartin.girth_checker import (
     TWO_PI_UNITS,
     CertifyConfig,
@@ -25,7 +24,6 @@ from relartin.link_builder import (
     develop_link_interedge,
     develop_link_part,
 )
-from relartin.poset_complex import disjoint_inter_edges
 
 from instances import affine_parts_join, single_interedge, touching_triple_control
 from oracles import brute_min_cycle, full_depth_bfs_girth
@@ -33,7 +31,7 @@ from oracles import brute_min_cycle, full_depth_bfs_girth
 
 def m_interedge(m: int):
     g = DefiningGraph.build(["a", "b"], [("a", "b", m)])
-    return g, SubgraphFamily.build(g, [["a"], ["b"]])
+    return Instance(g, SubgraphFamily.build(g, [["a"], ["b"]]))
 
 
 def finite_link(sides, edges) -> LinkGraph:
@@ -67,8 +65,7 @@ def test_forest_is_acyclic():
 
 
 def test_empty_link_girth_join():
-    g, fam = affine_parts_join()
-    link = build_link_empty(g, fam)
+    link = build_link_empty(affine_parts_join())
     cert = shortest_embedded_cycle(link)
     assert cert.passes
     assert cert.length_units == 16
@@ -78,64 +75,62 @@ def test_empty_link_girth_join():
 
 
 def test_single_link_girth():
-    g, fam = affine_parts_join()
-    cert = shortest_embedded_cycle(build_link_single(g, fam, "a1"))
+    cert = shortest_embedded_cycle(build_link_single(affine_parts_join(), "a1"))
     assert cert.passes and cert.length_units == 16 and cert.edge_count == 4
-    g2, fam2 = single_interedge()
-    cert2 = shortest_embedded_cycle(build_link_single(g2, fam2, "a"))
+    cert2 = shortest_embedded_cycle(build_link_single(single_interedge(), "a"))
     assert cert2.note == "acyclic"
 
 
 def test_development_girth_known_values():
     # disjoint m=2: 8-edge relation cycle at 2 units each
-    g, fam = m_interedge(2)
-    (e,) = inter_edges(g, fam)
-    link = develop_link_interedge(g, fam, e, radius=5, cap=10**5)
+    inst = m_interedge(2)
+    (e,) = inst.inter_edges
+    link = develop_link_interedge(inst, e, radius=5, cap=10**5)
     cert = shortest_embedded_cycle(link)
     assert (cert.length_units, cert.edge_count, cert.passes) == (16, 8, True)
 
     # disjoint m=3: 12 edges at 2 units
-    g, fam = m_interedge(3)
-    (e,) = inter_edges(g, fam)
+    inst = m_interedge(3)
+    (e,) = inst.inter_edges
     cert = shortest_embedded_cycle(
-        develop_link_interedge(g, fam, e, radius=7, cap=10**5)
+        develop_link_interedge(inst, e, radius=7, cap=10**5)
     )
     assert (cert.length_units, cert.edge_count, cert.passes) == (24, 12, True)
 
     # non-disjoint m=4 from the join: 16 edges at 1 unit, exactly 2 pi
-    g, fam = affine_parts_join()
-    e = next(x for x in inter_edges(g, fam) if x.pair == frozenset(("a1", "a2")))
+    inst = affine_parts_join()
+    e = next(x for x in inst.inter_edges if x.pair == frozenset(("a1", "a2")))
     cert = shortest_embedded_cycle(
-        develop_link_interedge(g, fam, e, radius=9, cap=10**5)
+        develop_link_interedge(inst, e, radius=9, cap=10**5)
     )
     assert (cert.length_units, cert.edge_count, cert.passes) == (16, 16, True)
 
     # non-disjoint m=3 from the control: 12 units, under the threshold
-    g, fam = touching_triple_control()
-    e = next(x for x in inter_edges(g, fam) if x.pair == frozenset(("a", "b")))
+    inst = touching_triple_control()
+    e = next(x for x in inst.inter_edges if x.pair == frozenset(("a", "b")))
     cert = shortest_embedded_cycle(
-        develop_link_interedge(g, fam, e, radius=24, cap=4000)
+        develop_link_interedge(inst, e, radius=24, cap=4000)
     )
     assert (cert.length_units, cert.edge_count, cert.passes) == (12, 12, False)
 
 
 def test_development_girth_against_oracle():
     for m in (2, 3, 4):
-        g, fam = m_interedge(m)
-        (e,) = inter_edges(g, fam)
-        link = develop_link_interedge(g, fam, e, radius=m + 1, cap=10**5)
+        inst = m_interedge(m)
+        (e,) = inst.inter_edges
+        link = develop_link_interedge(inst, e, radius=m + 1, cap=10**5)
         cert = shortest_embedded_cycle(link)
         oracle_len, _ = brute_min_cycle(link.edges)
         assert cert.length_units == oracle_len == 8 * m
 
 
 def test_development_girth_radius_monotone():
-    g, fam = affine_parts_join()
-    e = next(x for x in inter_edges(g, fam) if x.pair == frozenset(("b1", "c2")))
+    inst = affine_parts_join()
+    e = next(x for x in inst.inter_edges if x.pair == frozenset(("b1", "c2")))
     seen = []
     for radius in (2, 4, 6, 9):
         cert = shortest_embedded_cycle(
-            develop_link_interedge(g, fam, e, radius=radius, cap=10**5)
+            develop_link_interedge(inst, e, radius=radius, cap=10**5)
         )
         seen.append(cert.length_units)
     finite = [u for u in seen if u is not None]
@@ -182,14 +177,13 @@ def test_bfs_girth_rejects_odd_cycles():
 def _fixture_developments():
     """One development per link class of both fixtures, at default settings."""
     cfg = CertifyConfig()
-    for graph, family in (affine_parts_join(), touching_triple_control()):
-        for i, part in enumerate(family.parts):
-            if engine_for_part(graph, part) is not None:
-                yield develop_link_part(graph, family, i, radius=cfg.radius_case1, cap=cfg.cap)
-        disjoint = disjoint_inter_edges(graph, family)
-        classes = {(e.label, disjoint[e.pair]): e for e in inter_edges(graph, family)}
+    for inst in (affine_parts_join(), touching_triple_control()):
+        for i, engine in enumerate(inst.engines):
+            if engine is not None:
+                yield develop_link_part(inst, i, radius=cfg.radius_case1, cap=cfg.cap)
+        classes = {(e.label, inst.disjoint[e.pair]): e for e in inst.inter_edges}
         for e in classes.values():
-            yield develop_link_interedge(graph, family, e, radius=8 * e.label, cap=cfg.cap)
+            yield develop_link_interedge(inst, e, radius=8 * e.label, cap=cfg.cap)
 
 
 def test_development_girth_matches_full_depth_search_on_fixtures(monkeypatch):
@@ -234,8 +228,7 @@ def test_random_weighted_girth_against_oracle():
 
 
 def test_certify_join():
-    g, fam = affine_parts_join()
-    report = certify_link_condition(g, fam)
+    report = certify_link_condition(affine_parts_join())
     assert report.ok
     assert report.failures() == []
     statuses = sorted(e.status for e in report.entries)
@@ -254,8 +247,7 @@ def test_certify_join():
 
 
 def test_certify_control_fails_on_the_interedge():
-    g, fam = touching_triple_control()
-    report = certify_link_condition(g, fam)
+    report = certify_link_condition(touching_triple_control())
     assert not report.ok
     bad = report.failures()
     assert [e.case for e in bad] == ["inter-edge"]
@@ -266,9 +258,9 @@ def test_certify_control_fails_on_the_interedge():
 
 
 def test_certify_dedup_flag():
-    g, fam = affine_parts_join()
-    merged = certify_link_condition(g, fam)
-    split = certify_link_condition(g, fam, CertifyConfig(dedup=False))
+    inst = affine_parts_join()
+    merged = certify_link_condition(inst)
+    split = certify_link_condition(inst, CertifyConfig(dedup=False))
     count = lambda rep: sum(e.case == "inter-edge" for e in rep.entries)
     assert count(merged) == 1
     assert count(split) == 16
@@ -278,8 +270,9 @@ def test_certify_dedup_flag():
 
 
 def test_certify_radius_override():
-    g, fam = affine_parts_join()
-    report = certify_link_condition(g, fam, CertifyConfig(radius_case3=9, cap=10**5))
+    report = certify_link_condition(
+        affine_parts_join(), CertifyConfig(radius_case3=9, cap=10**5)
+    )
     ie_entry = next(e for e in report.entries if e.case == "inter-edge")
     assert ie_entry.stats["requested_radius"] == 9
     assert ie_entry.status in ("PASS-complete", "PASS-within-radius")

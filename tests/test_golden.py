@@ -1,0 +1,159 @@
+"""Golden outputs: the exit code and the sha256 of stdout and stderr of
+every subcommand on both fixtures.
+
+Each subcommand runs in json and text format, ``build`` and ``develop``
+also in dot.  ``develop`` runs with ``--part`` on every part and with
+``--edge`` on the lowest- and the highest-label inter-edge (ties broken by
+vertex names).  The invocations are read off the fixture files, not from
+the package, so a change of the package's API leaves them alone.
+
+Output must not depend on Python's string hashing, so the table is
+computed in child interpreters under three ``PYTHONHASHSEED`` values and
+each must equal ``GOLDEN``.
+
+When a change alters an output on purpose, print the new table with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+paste it over ``GOLDEN`` below, and say in the change's notes which
+invocations changed and why; the diff of this file shows them.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ("affine_parts_join.json", "touching_triple_control.json")
+SUBCOMMANDS = ("check-rel", "classify", "build", "links", "kpi1", "acyl")
+HASH_SEEDS = ("0", "1", "20261018")
+
+
+def invocations() -> list[tuple[str, ...]]:
+    """Argument lists after ``--input <fixture>``, keyed by fixture name."""
+    out = []
+    for name in FIXTURES:
+        doc = json.loads((ROOT / "fixtures" / name).read_text())
+        for sub in SUBCOMMANDS:
+            for fmt in ("json", "text") + (("dot",) if sub == "build" else ()):
+                out.append((name, sub, "--format", fmt))
+        part_of = {v: i for i, part in enumerate(doc["family"]) for v in part}
+        inter = sorted(
+            (e["m"], *sorted((e["u"], e["v"])))
+            for e in doc["edges"]
+            if part_of[e["u"]] != part_of[e["v"]]
+        )
+        selectors = [("--part", str(i)) for i in range(len(doc["family"]))]
+        selectors += [("--edge", u, v) for _, u, v in (inter[0], inter[-1])]
+        for sel in selectors:
+            for fmt in ("json", "text", "dot"):
+                out.append((name, "develop", *sel, "--format", fmt))
+    return out
+
+
+def run_all() -> dict[str, list]:
+    from relartin import cli
+
+    table = {}
+    for name, sub, *rest in invocations():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([sub, "--input", str(ROOT / "fixtures" / name), *rest])
+        table[" ".join((name, sub, *rest))] = [
+            code,
+            hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest(),
+        ]
+    return table
+
+
+GOLDEN = {
+    'affine_parts_join.json check-rel --format json': [0, '217f77cd0ce625d9f64b4e228f9524a475c4214e3e646e40523515db49052982', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json check-rel --format text': [0, 'ceb9be4f2d1caa7668580de367cfe9eb732b2fd114aaa5e539e26f4afa4f0a16', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json classify --format json': [0, '969bc0ff3850eabdf3aaa47c446660cad784d493de2e6f57a14aae2bf23d366d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json classify --format text': [0, 'a7539870dde8ead53f57f8a886228f287de7d925f6b19f005a770138116da2b8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json build --format json': [0, '529cddde1870f0b0d7ae618dc353e90b0366de6cb980f4a6938e32d62d302b00', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json build --format text': [0, 'f97250b77ead403dcc696fa692cc89d589ba1973792744e73cf11df8d52f8125', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json build --format dot': [0, 'fdd3651783073379a88a14736fbee2249f7dd57bc2d6ad32f7fe3b14d834267f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json links --format json': [0, 'c687a608b7e7acd831f1659d48f6f74d45c7caedbc19372b26f5af3236324805', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json links --format text': [0, '46c13221ea08861b7ff4babc52696c1220c48fd3e72031b41e8773421887c544', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json kpi1 --format json': [0, 'bec869bdd9be096a4fd14fb49ef7fd285fb8641d1df8b96e84d2cecc0b5e1d5b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json kpi1 --format text': [0, 'd24ed19f240f7258eee252ee2060b7c2c3799d588d7f07cfe09ef2dcc6ac6583', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json acyl --format json': [0, '7aad25968f8a1cb16438959042ebeec706b533dcc2070212ebfacb42d5d61e9c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json acyl --format text': [0, 'b3bae5557452abf980b2c35b0a10c4b572f2c00d1eec06aabfbd002c9fa0e8f5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json develop --part 0 --format json': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],
+    'affine_parts_join.json develop --part 0 --format text': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],
+    'affine_parts_join.json develop --part 0 --format dot': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],
+    'affine_parts_join.json develop --part 1 --format json': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0c86eb686e0adafb3e362789aca0843ff1862705490e03f5fa1c99492a9987d4'],
+    'affine_parts_join.json develop --part 1 --format text': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0c86eb686e0adafb3e362789aca0843ff1862705490e03f5fa1c99492a9987d4'],
+    'affine_parts_join.json develop --part 1 --format dot': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '0c86eb686e0adafb3e362789aca0843ff1862705490e03f5fa1c99492a9987d4'],
+    'affine_parts_join.json develop --edge a1 a2 --format json': [0, '0357e242ad394ed7d784ed760312e793ef381ff14baf920e481ce622012c02aa', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json develop --edge a1 a2 --format text': [0, '4171c5643f7420d671064a9fd09415db919bae0a9acb9418f986fb9a89e0c97b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json develop --edge a1 a2 --format dot': [0, '4cc930bb99cbf37292084f991d5e4964ab4f00ed25d5181fe943840db570f4f9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json develop --edge d1 d2 --format json': [0, 'f1d01ee737c892fa336b7951163eceb87567f9562adbcfeaad2346c5bc807420', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json develop --edge d1 d2 --format text': [0, 'e50937e5a65b056ef0f05de0190a77cf23984ac98a47575ddc98de20492803dd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json develop --edge d1 d2 --format dot': [0, 'c0a3bf9df7ae5e3f206cfad811a010836b7b5924737b9c7b31a533592c9b7474', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json check-rel --format json': [2, '2a1898873595b4ca7912e3ecedae94f94b669e0454f5a3a1f3954b2f72321653', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json check-rel --format text': [2, 'f40bf23ea96d712b95c4b2ef1fbcf2e4b1386afdedcb120e7e58c1f8e124143a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json classify --format json': [0, 'bd108e7995b018c316dcb8c78d55f9241dca7683e664b421eeb2946865399a00', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json classify --format text': [0, 'a9918c7eebd85e50fa02db3832aa2891743b2faf3b49871218727810d9a32626', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json build --format json': [0, 'd5e7aa323a56ebe015a1b342caf12d982463180cee9e37d8a22290919f035078', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json build --format text': [0, '241cba64c3655f8e2349cd8544abbef3097afa8698f471d189f11d2998514ef6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json build --format dot': [0, '1fc054e1385b97db667376ca87fe2f6438ae6d6eddde17d52b15f17257e4f04a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json links --format json': [2, 'ed65a94a903e75b8ed2a1650fb0136dd3380f319bd4d7a2130fbc958dee3a7ae', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json links --format text': [2, '753a4213019c483458e7f82740efd8be6e387a75c5d69afe55389c0ef2335c77', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json kpi1 --format json': [2, '9e25cc032b27e29db532aac8d4fa8f1f10e52dfc00a1a09008d59d8d1638c15d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json kpi1 --format text': [2, '8382be5c19c4f441f755fb128a1163e3d71d0d6c19e9be3e9d130514fe5e9e3d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json acyl --format json': [2, 'fdf89393e2239618ac716ec34fb273fd2eba8d81431922c87ba1ec933f4882a2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json acyl --format text': [2, 'afab4bda615a754f98c123c77ace1aa531d74e10d46778799714a7f54e515323', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --part 0 --format json': [0, '09db0d42df174ef0f4f5122b656cc5e64e6d2d47b734c0bc328e685126a39aa0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --part 0 --format text': [0, '70af8585d667baa89b24d95461392c7babb9a68ea51c415352579265af3d443e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --part 0 --format dot': [0, '8f72054c41cfd7189282781d67b1dc387c38e173b55cdd607c0066631fd13e30', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --part 1 --format json': [0, 'c5b9528f2421c9fc32b9ec675abef23bb64b80b3d829654b2653c5589056a53a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --part 1 --format text': [0, '872f0a82f1c8aaa61391b16587b502e3bc6ad24af81c6edcbe459fa4737a6ea6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --part 1 --format dot': [0, '88785fc77bc1f6229669d6e464ec34dbdc93ef431b9d3bf9d9e303c181221bc8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --edge a b --format json': [0, 'd942c4e468288e35b28bb1bfa7395c57bb395b3f3515869f22dc75321d6e1596', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --edge a b --format text': [0, '05ca55f3fe1bd66e6e67ecbd9212e188d99ac6041b3be3aee5071f2436b15ff9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --edge a b --format dot': [0, '7cd1cacf8398a9762342a660cb1a78b9244c9fd180079a3ced65df2869d6fd9b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --edge b c --format json': [0, '986d3f3ce0d787d4ba25bf58fe9ff9e446ea5d2e3e803e4f9aefc77198f3514b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --edge b c --format text': [0, 'd8802129ef2b1cf69fd5b3be3ee7f55f6b7e923d79340bfe89d6df68a540f2fd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json develop --edge b c --format dot': [0, 'de3e1c60849783b5b7993f9737d377b0082e993030e5d3b02d4cfad52d4a51ed', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+}
+
+
+def test_golden_outputs_under_three_hash_seeds():
+    import relartin
+
+    src = str(pathlib.Path(relartin.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    children = [
+        subprocess.Popen(
+            [sys.executable, __file__, "--json"],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in HASH_SEEDS
+    ]
+    for seed, child in zip(HASH_SEEDS, children):
+        out, err = child.communicate(timeout=600)
+        assert child.returncode == 0, err
+        table = json.loads(out)
+        changed = sorted(k for k in GOLDEN.keys() | table.keys() if table.get(k) != GOLDEN.get(k))
+        assert changed == [], f"PYTHONHASHSEED={seed}: outputs differ for {changed}"
+
+
+if __name__ == "__main__":
+    table = run_all()
+    if sys.argv[1:] == ["--json"]:
+        print(json.dumps(table))
+    else:
+        print("GOLDEN = {")
+        for key, row in table.items():
+            print(f"    {key!r}: {row!r},")
+        print("}")

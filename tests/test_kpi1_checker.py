@@ -1,6 +1,6 @@
 """Family audit, crossing check, and the assembled asphericity verdict."""
 from relartin.coxeter import enumerate_spherical_subsets
-from relartin.defining_graph import DefiningGraph, SubgraphFamily
+from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily
 from relartin.girth_checker import CertificationReport, LinkCertificate
 from relartin.kpi1_checker import (
     audit_family,
@@ -30,12 +30,12 @@ def unknown_part_instance():
             ("t", "s", 4),
         ],
     )
-    return g, SubgraphFamily.build(g, [["p", "q", "r", "s"], ["t"]])
+    return Instance(g, SubgraphFamily.build(g, [["p", "q", "r", "s"], ["t"]]))
 
 
 def test_audit_family_passes_on_the_join():
-    g, fam = affine_parts_join()
-    audit = audit_family(build_S_bar(g, fam), g, fam, enumerate_spherical_subsets(g))
+    inst = affine_parts_join()
+    audit = audit_family(build_S_bar(inst), inst, enumerate_spherical_subsets(inst.graph))
     assert audit.condition1_ok and audit.condition1_witness is None
     assert audit.condition3_ok and audit.condition3_witness is None
     assert audit.overall == "pass"
@@ -45,11 +45,11 @@ def test_audit_family_passes_on_the_join():
 
 
 def test_audit_family_reports_witnesses():
-    g, fam = single_interedge()
+    inst = single_interedge()
     poset = SubsetPoset.from_tagged(
         [(frozenset(), "empty"), (frozenset("ab"), "inter-edge")]
     )
-    audit = audit_family(poset, g, fam, enumerate_spherical_subsets(g))
+    audit = audit_family(poset, inst, enumerate_spherical_subsets(inst.graph))
     assert not audit.condition1_ok
     assert audit.condition1_witness == (frozenset("a"), frozenset("ab"))
     assert not audit.condition3_ok
@@ -58,18 +58,15 @@ def test_audit_family_reports_witnesses():
 
 
 def test_assertions_upgrade_parts():
-    g, fam = unknown_part_instance()
-    audit = audit_family(build_S_bar(g, fam), g, fam, enumerate_spherical_subsets(g))
+    inst = unknown_part_instance()
+    spherical = enumerate_spherical_subsets(inst.graph)
+    audit = audit_family(build_S_bar(inst), inst, spherical)
     assert audit.parts[0].provenance == "unknown"
     assert audit.overall == "conditional"
-    by_index = audit_family(
-        build_S_bar(g, fam), g, fam, enumerate_spherical_subsets(g), assertions={0}
-    )
+    by_index = audit_family(build_S_bar(inst), inst, spherical, assertions={0})
     assert by_index.parts[0].provenance == "user-asserted"
     key = frozenset(("p", "q", "r", "s"))
-    by_set = audit_family(
-        build_S_bar(g, fam), g, fam, enumerate_spherical_subsets(g), assertions={key}
-    )
+    by_set = audit_family(build_S_bar(inst), inst, spherical, assertions={key})
     assert by_set.parts[0].provenance == "user-asserted"
     assert by_set.overall == "pass"
     # a known class is never downgraded to an assertion
@@ -77,13 +74,13 @@ def test_assertions_upgrade_parts():
 
 
 def test_crossing_check():
-    g, fam = affine_parts_join()
-    verdict = verify_no_large_crossing_spherical(g, fam, enumerate_spherical_subsets(g))
+    inst = affine_parts_join()
+    verdict = verify_no_large_crossing_spherical(inst, enumerate_spherical_subsets(inst.graph))
     assert verdict.ok and verdict.checked == 45 and verdict.witnesses == []
 
-    g2, fam2 = touching_triple_control()
+    control = touching_triple_control()
     bad = verify_no_large_crossing_spherical(
-        g2, fam2, enumerate_spherical_subsets(g2)
+        control, enumerate_spherical_subsets(control.graph)
     )
     assert not bad.ok
     assert bad.witnesses == [frozenset(("a", "b", "c"))]
@@ -91,8 +88,7 @@ def test_crossing_check():
 
 
 def test_kpi1_holds_on_the_join():
-    g, fam = affine_parts_join()
-    verdict = kpi1_verdict(g, fam)
+    verdict = kpi1_verdict(affine_parts_join())
     assert verdict.applicable and verdict.holds
     assert verdict.status_line == "holds, parts affine"
     machine = [e for e in verdict.evidence if e["kind"] == "machine"]
@@ -108,8 +104,7 @@ def test_kpi1_holds_on_the_join():
 
 
 def test_kpi1_inapplicable_on_the_control():
-    g, fam = touching_triple_control()
-    verdict = kpi1_verdict(g, fam)
+    verdict = kpi1_verdict(touching_triple_control())
     assert not verdict.applicable and not verdict.holds
     assert verdict.status_line == "inapplicable: inter-edge label condition fails"
     assert len(verdict.evidence) == 1
@@ -118,11 +113,11 @@ def test_kpi1_inapplicable_on_the_control():
 
 
 def test_kpi1_pending_and_asserted_parts():
-    g, fam = unknown_part_instance()
-    verdict = kpi1_verdict(g, fam)
+    inst = unknown_part_instance()
+    verdict = kpi1_verdict(inst)
     assert verdict.holds
     assert verdict.status_line == "reduction established, per-part status pending"
-    asserted = kpi1_verdict(g, fam, assertions={0})
+    asserted = kpi1_verdict(inst, assertions={0})
     assert asserted.status_line == "holds, parts asserted, spherical"
 
 
@@ -138,8 +133,7 @@ def test_kpi1_spherical_parts():
             ("b", "d", 4),
         ],
     )
-    fam = SubgraphFamily.build(g, [["a", "b"], ["c", "d"]])
-    verdict = kpi1_verdict(g, fam)
+    verdict = kpi1_verdict(Instance(g, SubgraphFamily.build(g, [["a", "b"], ["c", "d"]])))
     assert verdict.holds and verdict.status_line == "holds, parts spherical"
 
 
@@ -162,8 +156,7 @@ def test_kpi1_reports_machine_failure(monkeypatch):
     monkeypatch.setattr(
         "relartin.kpi1_checker.certify_link_condition", lambda *a, **k: stub
     )
-    g, fam = affine_parts_join()
-    verdict = kpi1_verdict(g, fam)
+    verdict = kpi1_verdict(affine_parts_join())
     assert verdict.applicable and not verdict.holds
     assert verdict.status_line == "failed: a machine check did not pass"
     link_evidence = next(

@@ -2,7 +2,7 @@
 domain and the ball developments of the infinite ones."""
 import pytest
 
-from relartin.defining_graph import DefiningGraph, GraphError, SubgraphFamily, inter_edges
+from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
 from relartin.link_builder import (
     UnsupportedPartError,
     build_link_empty,
@@ -16,12 +16,11 @@ from instances import affine_parts_join, single_interedge, touching_triple_contr
 
 def m2_interedge():
     g = DefiningGraph.build(["a", "b"], [("a", "b", 2)])
-    return g, SubgraphFamily.build(g, [["a"], ["b"]])
+    return Instance(g, SubgraphFamily.build(g, [["a"], ["b"]]))
 
 
 def test_link_empty_join():
-    g, fam = affine_parts_join()
-    link = build_link_empty(g, fam)
+    link = build_link_empty(affine_parts_join())
     assert link.vertex_count == 26
     assert len(link.edges) == 40
     kinds = {k: link.vertex_kinds.count(k) for k in set(link.vertex_kinds)}
@@ -38,8 +37,7 @@ def test_link_empty_join():
 
 
 def test_link_empty_disjoint_and_coincident_parts():
-    g, fam = single_interedge()
-    link = build_link_empty(g, fam)
+    link = build_link_empty(single_interedge())
     # singleton parts that carry the inter-edge sit on the singleton side
     assert sorted(link.vertex_kinds) == ["inter-edge", "singleton", "singleton"]
     assert [w for _, _, w in link.edges] == [2, 2]
@@ -47,8 +45,8 @@ def test_link_empty_disjoint_and_coincident_parts():
 
 
 def test_link_single_complete_bipartite():
-    g, fam = affine_parts_join()
-    link = build_link_single(g, fam, "a1")
+    inst = affine_parts_join()
+    link = build_link_single(inst, "a1")
     # default truncation keeps powers -3..3, and a1 meets 4 inter-edges
     assert link.vertex_count == 7 + 5
     assert len(link.edges) == 7 * 5
@@ -56,13 +54,12 @@ def test_link_single_complete_bipartite():
     assert "a1^0" in link.vertex_labels and "a1^-3" in link.vertex_labels
     uppers = [k for k in link.vertex_kinds if k != "power"]
     assert sorted(uppers) == ["inter-edge"] * 4 + ["part"]
-    small = build_link_single(g, fam, "a1", truncation_n=1)
+    small = build_link_single(inst, "a1", truncation_n=1)
     assert link.truncation.complete and small.vertex_count == 3 + 5
 
 
 def test_link_single_coincident_part_drops_the_part_vertex():
-    g, fam = single_interedge()
-    link = build_link_single(g, fam, "a")
+    link = build_link_single(single_interedge(), "a")
     assert link.vertex_kinds.count("inter-edge") == 1
     assert link.vertex_kinds.count("part") == 0
     assert len(link.edges) == 7
@@ -70,22 +67,20 @@ def test_link_single_coincident_part_drops_the_part_vertex():
 
 def test_link_single_rejections():
     g = DefiningGraph.build(["a", "b", "c"], [("a", "b", 4), ("a", "c", 2)])
-    fam = SubgraphFamily.build(g, [["a", "c"], ["b"]])
+    inst = Instance(g, SubgraphFamily.build(g, [["a", "c"], ["b"]]))
     with pytest.raises(GraphError):
-        build_link_single(g, fam, "c")
+        build_link_single(inst, "c")
     with pytest.raises(GraphError):
-        build_link_single(g, fam, "a", truncation_n=0)
+        build_link_single(inst, "a", truncation_n=0)
 
 
 def test_develop_part_needs_an_exact_engine():
-    g, fam = affine_parts_join()
     with pytest.raises(UnsupportedPartError):
-        develop_link_part(g, fam, 0)
+        develop_link_part(affine_parts_join(), 0)
 
 
 def test_develop_part_dihedral():
-    g, fam = touching_triple_control()
-    link = develop_link_part(g, fam, 1, radius=2, cap=10**5)
+    link = develop_link_part(touching_triple_control(), 1, radius=2, cap=10**5)
     elements = [k for k in link.vertex_kinds if k == "element"]
     cosets = [k for k in link.vertex_kinds if k == "coset"]
     # the part is the m=2 plane: ball(2) has 13 points and each coordinate
@@ -100,19 +95,19 @@ def test_develop_part_dihedral():
 
 
 def test_develop_interedge_units_and_default_radius():
-    g, fam = single_interedge()
-    (e,) = inter_edges(g, fam)
-    link = develop_link_interedge(g, fam, e, radius=2, cap=10**5)
+    inst = single_interedge()
+    (e,) = inst.inter_edges
+    link = develop_link_interedge(inst, e, radius=2, cap=10**5)
     assert all(w == 2 for _, _, w in link.edges)
 
-    g1, fam1 = affine_parts_join()
-    e1 = next(x for x in inter_edges(g1, fam1) if x.pair == frozenset(("a1", "a2")))
-    near = develop_link_interedge(g1, fam1, e1, radius=2, cap=10**5)
+    join = affine_parts_join()
+    e1 = next(x for x in join.inter_edges if x.pair == frozenset(("a1", "a2")))
+    near = develop_link_interedge(join, e1, radius=2, cap=10**5)
     assert all(w == 1 for _, _, w in near.edges)
 
-    g2, fam2 = m2_interedge()
-    (e2,) = inter_edges(g2, fam2)
-    full = develop_link_interedge(g2, fam2, e2, cap=10**6)
+    m2 = m2_interedge()
+    (e2,) = m2.inter_edges
+    full = develop_link_interedge(m2, e2, cap=10**6)
     assert full.truncation.requested_radius == 16
     assert full.truncation.achieved_radius == 16
     assert not full.truncation.truncated
@@ -121,9 +116,9 @@ def test_develop_interedge_units_and_default_radius():
 
 
 def test_develop_truncation_is_reported():
-    g, fam = single_interedge()
-    (e,) = inter_edges(g, fam)
-    link = develop_link_interedge(g, fam, e, radius=9, cap=50)
+    inst = single_interedge()
+    (e,) = inst.inter_edges
+    link = develop_link_interedge(inst, e, radius=9, cap=50)
     assert link.truncation.truncated
     assert not link.truncation.complete
     assert link.truncation.achieved_radius < 9
@@ -131,11 +126,9 @@ def test_develop_truncation_is_reported():
     assert link.boundary
     assert link.to_json_dict()["truncation"]["truncated"] is True
     with pytest.raises(GraphError):
-        develop_link_interedge(g, fam, e, radius=0)
+        develop_link_interedge(inst, e, radius=0)
 
 
 def test_dot_rendering_smoke():
-    g, fam = single_interedge()
-    link = build_link_empty(g, fam)
-    dot = link.to_dot()
+    dot = build_link_empty(single_interedge()).to_dot()
     assert dot.startswith('graph "') and " -- " in dot

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from relartin.defining_graph import DefiningGraph, GraphError, SubgraphFamily
+from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
 from relartin.poset_complex import (
     MetricSimplex,
     SubsetPoset,
@@ -23,12 +23,13 @@ from relartin.poset_complex import (
 )
 
 from instances import affine_parts_join, single_interedge, touching_triple_control
-from oracles import brute_chain_count, brute_covers, brute_maximal_chains
+from oracles import brute_chain_count, brute_chains, brute_covers, brute_maximal_chains
 
 
 def test_s_ell_join_counts_and_tags():
-    g, fam = affine_parts_join()
-    poset = build_S_ell(g, fam)
+    inst = affine_parts_join()
+    poset = build_S_ell(inst)
+    assert poset.elements == inst.s_ell.elements
     assert len(poset.elements) == 27
     tags = poset.tags
     assert sum("part" in tags[t] for t in poset.elements) == 2
@@ -38,26 +39,25 @@ def test_s_ell_join_counts_and_tags():
 
 
 def test_s_bar_and_s_f_join():
-    g, fam = affine_parts_join()
-    s_bar = build_S_bar(g, fam)
+    inst = affine_parts_join()
+    s_bar = build_S_bar(inst)
     assert len(s_bar.elements) == 47
-    s_ell = build_S_ell(g, fam)
-    assert set(s_ell.elements) <= set(s_bar.elements)
-    s_f = build_S_f(g)
+    assert set(inst.s_ell.elements) <= set(s_bar.elements)
+    s_f = build_S_f(inst.graph)
     assert set(s_f.elements) <= set(s_bar.elements)
     assert len(s_f.elements) == 45
 
 
 def test_derived_complex_chain_counts():
-    g, fam = affine_parts_join()
-    cx = derived_complex(build_S_ell(g, fam))
+    inst = affine_parts_join()
+    cx = derived_complex(inst.s_ell)
     assert cx.dimension == 2
     assert {n: len(cx.chains_of_length(n)) for n in (1, 2, 3)} == {
         1: 27,
         2: 66,
         3: 40,
     }
-    s_bar = build_S_bar(g, fam)
+    s_bar = build_S_bar(inst)
     assert s_bar.chain_count() == 693
     assert len(maximal_chains(s_bar)) == 80
     doc = cx.to_json_dict()
@@ -65,8 +65,7 @@ def test_derived_complex_chain_counts():
 
 
 def test_single_interedge_two_simplices():
-    g, fam = single_interedge()
-    cx = derived_complex(build_S_ell(g, fam))
+    cx = derived_complex(single_interedge().s_ell)
     two = cx.chains_of_length(3)
     assert [[sorted(t) for t in c] for c in two] == [
         [[], ["a"], ["a", "b"]],
@@ -75,8 +74,7 @@ def test_single_interedge_two_simplices():
 
 
 def test_two_dimensional_check_and_negative_control():
-    g, fam = affine_parts_join()
-    cx = derived_complex(build_S_ell(g, fam))
+    cx = derived_complex(affine_parts_join().s_ell)
     verdict = check_two_dimensional(cx)
     assert verdict.ok and verdict.max_chain_length == 3 and verdict.witness is None
 
@@ -95,8 +93,7 @@ def test_two_dimensional_check_and_negative_control():
 
 
 def test_covers_relation():
-    g, fam = single_interedge()
-    poset = build_S_ell(g, fam)
+    poset = single_interedge().s_ell
     covers = set(poset.covers())
     e, a, b, ab = frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")
     assert covers == {(e, a), (e, b), (a, ab), (b, ab)}
@@ -118,9 +115,8 @@ def test_canonical_sine_ratios():
 
 
 def test_assign_metric_join():
-    g, fam = affine_parts_join()
-    cx = derived_complex(build_S_ell(g, fam))
-    simplices = assign_metric(cx, g, fam)
+    inst = affine_parts_join()
+    simplices = assign_metric(derived_complex(inst.s_ell), inst)
     assert len(simplices) == 40
     by_case = {}
     for sx in simplices:
@@ -137,9 +133,8 @@ def test_assign_metric_join():
 
 
 def test_assign_metric_disjoint_case():
-    g, fam = single_interedge()
-    cx = derived_complex(build_S_ell(g, fam))
-    simplices = assign_metric(cx, g, fam)
+    inst = single_interedge()
+    simplices = assign_metric(derived_complex(inst.s_ell), inst)
     assert [sx.case for sx in simplices] == ["inter-edge-disjoint"] * 2
     assert all(sx.units == (2, 4, 2) for sx in simplices)
     # side [empty, T] is sin(4u)/sin(2u) = sqrt(2), the long diagonal
@@ -158,13 +153,12 @@ def test_assign_metric_rejects_unknown_shapes():
     g = DefiningGraph.build(["a", "b", "c"], [("a", "b", 4)])
     fam = SubgraphFamily.build(g, [["a", "b", "c"]])
     with pytest.raises(GraphError):
-        assign_metric(cx, g, fam)
+        assign_metric(cx, Instance(g, fam))
 
 
 def test_gluing_consistent_on_join():
-    g, fam = affine_parts_join()
-    cx = derived_complex(build_S_ell(g, fam))
-    report = check_gluing(assign_metric(cx, g, fam))
+    inst = affine_parts_join()
+    report = check_gluing(assign_metric(derived_complex(inst.s_ell), inst))
     assert report.ok
     assert report.conflicts == []
     assert len(report.shared_edges) == 66
@@ -192,9 +186,9 @@ def test_gluing_detects_conflicts():
 
 
 def test_retraction_join():
-    g, fam = affine_parts_join()
-    s_ell_cx = derived_complex(build_S_ell(g, fam))
-    report = retraction_map(build_S_bar(g, fam), s_ell_cx, g, fam)
+    inst = affine_parts_join()
+    s_ell_cx = derived_complex(inst.s_ell)
+    report = retraction_map(build_S_bar(inst), s_ell_cx, inst.family)
     assert report.ok
     assert report.total_maximal_chains == 80
     assert report.lands_in_s_ell
@@ -203,15 +197,15 @@ def test_retraction_join():
     assert report.face_compatible
     assert report.failures == []
     # proper part-subsets collapse to their part
-    part0 = frozenset(fam.parts[0])
+    part0 = frozenset(inst.family.parts[0])
     assert report.vertex_map[frozenset(("a1", "b1"))] == part0
     assert report.vertex_map[frozenset(("a1",))] == frozenset(("a1",))
 
 
-def _with_strays(g, fam) -> list[SubsetPoset]:
+def _with_strays(inst) -> list[SubsetPoset]:
     """S^l plus {a1,b1,c1}, which lies inside part 0, then plus {a1,a2,b1},
     which crosses parts and so has no image under the retraction."""
-    s_ell = build_S_ell(g, fam)
+    s_ell = inst.s_ell
     tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
     out = []
     for stray in (("a1", "b1", "c1"), ("a1", "a2", "b1")):
@@ -223,12 +217,12 @@ def _with_strays(g, fam) -> list[SubsetPoset]:
 def test_retraction_breaks_without_part_subsets():
     # removing a part subset from the domain makes the map partial, which
     # the report records as a failure
-    g, fam = affine_parts_join()
-    s_ell_cx = derived_complex(build_S_ell(g, fam))
-    inside, crossing = _with_strays(g, fam)
-    report = retraction_map(inside, s_ell_cx, g, fam)
+    inst = affine_parts_join()
+    s_ell_cx = derived_complex(inst.s_ell)
+    inside, crossing = _with_strays(inst)
+    report = retraction_map(inside, s_ell_cx, inst.family)
     assert report.ok  # the triple still lies inside part 0, so it retracts
-    report = retraction_map(crossing, s_ell_cx, g, fam)
+    report = retraction_map(crossing, s_ell_cx, inst.family)
     assert not report.ok or report.failures
     assert any("no image" in f for f in report.failures)
 
@@ -236,16 +230,17 @@ def test_retraction_breaks_without_part_subsets():
 def _assert_matches_oracles(poset: SubsetPoset) -> None:
     # equal lists, order included: build and kpi1 print in this order
     assert poset.covers() == brute_covers(poset)
+    assert derived_complex(poset).chains == tuple(brute_chains(poset))
     assert maximal_chains(poset) == brute_maximal_chains(poset)
     assert poset.chain_count() == brute_chain_count(poset)
 
 
 def test_poset_walks_match_oracles_on_instances():
     for make in (affine_parts_join, touching_triple_control):
-        g, fam = make()
-        for poset in (build_S_ell(g, fam), build_S_bar(g, fam), build_S_f(g)):
+        inst = make()
+        for poset in (build_S_ell(inst), build_S_bar(inst), build_S_f(inst.graph)):
             _assert_matches_oracles(poset)
-    for poset in _with_strays(*affine_parts_join()):
+    for poset in _with_strays(affine_parts_join()):
         _assert_matches_oracles(poset)
 
 
