@@ -22,15 +22,18 @@ homomorphism eps (every generator to 1) reads off normal forms as
 eps = k*m + sum of tail lengths; each coset g<s> contains exactly one
 element with eps = 0, which serves as its canonical representative.
 
+Elements are ``DihedralElement`` named tuples, not dataclasses: development
+puts every element into sets and dicts, and a tuple hashes and compares in
+C where a dataclass goes through its Python ``__hash__`` and ``__eq__``.
+
 Two word-problem engines share one small interface used by link
 development (identity, generators, mult_gen, mult_word, sort_key,
-ball_levels, coset_key, describe): the exact dihedral engine above, and an
-exact free-group engine (reduced words) for edgeless subgraphs.
+ball_levels, coset_key, rename, describe): the exact dihedral engine above,
+and an exact free-group engine (reduced words) for edgeless subgraphs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[tuple[str, int], ...]
 
@@ -97,8 +100,7 @@ def syllable_length(word: Iterable[tuple[str, int]]) -> int:
     return len(stack)
 
 
-@dataclass(frozen=True)
-class DihedralElement:
+class DihedralElement(NamedTuple):
     """Normal form Delta^k times a left-weighted tail of proper simples."""
 
     k: int
@@ -155,7 +157,7 @@ class DihedralEngine:
             raise ValueError("label must be >= 2")
         self.generators = (a, b)
         self.m = m
-        self.identity = DihedralElement(k=0, tail=())
+        self.identity = DihedralElement(0, ())
         self._other = {a: b, b: a}
 
     def other(self, t: str) -> str:
@@ -236,7 +238,7 @@ class DihedralEngine:
         if swap:
             prefix = tuple((other[f], l) for f, l in prefix)
         rest = chain[i + 1 :] if head is None else [head] + chain[i + 1 :]
-        return DihedralElement(k=k, tail=prefix + tuple(rest))
+        return DihedralElement(k, prefix + tuple(rest))
 
     def mult_gen(self, el: DihedralElement, letter: str, sign: int) -> DihedralElement:
         if sign != 1 and sign != -1:
@@ -260,12 +262,14 @@ class DihedralEngine:
         el<generator> whose exponent sum is zero.
 
         Radius independent, so two elements get one key exactly when their
-        cosets coincide.  The key is a plain tuple because development
-        hashes it on every lookup, and a tuple hashes faster than the
-        element dataclass.
+        cosets coincide.
         """
         rep = self.mult_power(el, generator, -self.epsilon(el))
         return (generator, rep.k, rep.tail)
+
+    def rename(self, el: DihedralElement, names: dict[str, str]) -> DihedralElement:
+        """el with every generator letter replaced through names."""
+        return DihedralElement(el.k, tuple((names[f], l) for f, l in el.tail))
 
     def describe(self, el: DihedralElement) -> str:
         if el.k == 0 and not el.tail:
@@ -310,6 +314,10 @@ class FreeEngine:
         while el and el[-1][0] == generator:
             el = el[:-1]
         return (generator, el)
+
+    def rename(self, el: Word, names: dict[str, str]) -> Word:
+        """el with every generator letter replaced through names."""
+        return tuple((names[l], sign) for l, sign in el)
 
     def describe(self, el: Word) -> str:
         return word_to_str(el) if el else "1"

@@ -22,25 +22,37 @@ Three engines, picked per graph:
   * small graphs with mixed weights use per-edge removal plus Dijkstra,
     exact for positive weights.
 
-Certification runs every link of an instance, deduplicating developments by
-isomorphism class: inter-edge links depend only on (label, disjointness)
-and part links only on the part's engine shape, so one development per
-class covers its whole orbit.
+Certification runs every link of an instance.  Inter-edges are grouped by
+(label, disjointness) and parts by engine, one report entry per class.
+Each class's link is developed with a two-generator (or free) engine, and
+the ball depends only on the engine's shape: dihedral of label m or free of
+rank r, with the generator names in a given order, which fixes the level
+sort and so the vertex numbering.  So a part of label m and the disjoint
+and non-disjoint inter-edges of label m share one development and one
+search per call, whenever the radii agree or the element cap stopped the
+earlier ball below the new radius.  Each entry keeps its own radius, its
+own edge units (length = edge count x units) and its witness renamed to
+its own generators.  Without ``dedup`` every link is developed on its own,
+as an independent cross-check.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .defining_graph import GraphError, Instance
 from .dihedral_garside import FreeEngine
 from .link_builder import (
     TWO_PI_UNITS,
+    Development,
     LinkGraph,
     build_link_empty,
     build_link_single,
     develop_link_interedge,
     develop_link_part,
+    interedge_development,
+    part_development,
+    vertex_label,
 )
 from .poset_complex import subset_label
 
@@ -56,6 +68,8 @@ class CycleCertificate:
     cycle: list[str]
     complete: bool
     note: str = ""
+    # the witness as vertex indices of the link searched
+    vertices: list[int] = field(default_factory=list)
 
 
 def _is_forest(n: int, edges: list[tuple[int, int, int]]) -> bool:
@@ -291,28 +305,40 @@ def shortest_embedded_cycle(link: LinkGraph) -> CycleCertificate:
         assert found is not None
         length, edge_count, cycle = found
     _verify_cycle(link, cycle, length)
-    labels = [link.vertex_labels[v] for v in cycle]
     return CycleCertificate(
         passes=length >= TWO_PI_UNITS,
         length_units=length,
         edge_count=edge_count,
-        cycle=labels,
+        cycle=[link.vertex_labels[v] for v in cycle],
         complete=complete,
+        vertices=cycle,
     )
 
 
 def _verify_cycle(link: LinkGraph, cycle: list[int], claimed_length: int) -> None:
+    """Check the witness against the link: a simple cycle of even length
+    whose consecutive pairs are edges with the claimed total length.  The
+    step weights are read in one scan of the edges."""
     if len(set(cycle)) != len(cycle):
         raise AssertionError("witness cycle repeats a vertex")
-    lengths = {}
+    n = len(cycle)
+    position = {v: t for t, v in enumerate(cycle)}
+    steps: list[int | None] = [None] * n  # weight of the edge cycle[t] -- cycle[t + 1]
     for i, j, w in link.edges:
-        lengths[(i, j)] = lengths[(j, i)] = w
-    total = 0
-    for t, v in enumerate(cycle):
-        u = cycle[(t + 1) % len(cycle)]
-        if (v, u) not in lengths:
-            raise AssertionError(f"witness uses a non-edge ({v}, {u})")
-        total += lengths[(v, u)]
+        t = position.get(i)
+        if t is None:
+            continue
+        u = position.get(j)
+        if u is None:
+            continue
+        if u == (t + 1) % n:
+            steps[t] = w
+        elif t == (u + 1) % n:
+            steps[u] = w
+    for t, w in enumerate(steps):
+        if w is None:
+            raise AssertionError(f"witness uses a non-edge ({cycle[t]}, {cycle[(t + 1) % n]})")
+    total = sum(steps)
     if total != claimed_length:
         raise AssertionError(f"witness length {total} != claimed {claimed_length}")
     if len(cycle) % 2 != 0:
@@ -373,12 +399,10 @@ class CertificationReport:
         return [e for e in self.entries if e.status == "FAIL"]
 
 
-def _dev_status(link: LinkGraph, cert: CycleCertificate) -> str:
+def _status(cert: CycleCertificate) -> str:
     if not cert.passes:
         return "FAIL"
-    if link.truncation.complete and not link.truncation.truncated:
-        return "PASS-complete"
-    return "PASS-within-radius"
+    return "PASS-complete" if cert.complete else "PASS-within-radius"
 
 
 def _stats(link: LinkGraph) -> dict:
@@ -389,6 +413,66 @@ def _stats(link: LinkGraph) -> dict:
         "achieved_radius": link.truncation.achieved_radius,
         "truncated": link.truncation.truncated,
     }
+
+
+def _shape(engine) -> tuple:
+    """Engines of one shape develop the same ball up to renaming the
+    generators position by position, vertex numbering included: the same
+    group (free of one rank, or dihedral of one label) and the same order
+    among the generator names, which the level sort and so the coset order
+    depend on."""
+    gens = engine.generators
+    order = tuple(sorted(range(len(gens)), key=gens.__getitem__))
+    size = len(gens) if isinstance(engine, FreeEngine) else engine.m
+    return (type(engine).__name__, size, order)
+
+
+@dataclass
+class _Shared:
+    """What one development leaves for later class entries of the same
+    engine shape: its certificate, its stats and its witness as normal
+    forms of the engine that developed it, never the graph itself."""
+
+    engine: object
+    cert: CycleCertificate
+    stats: dict
+    witness: list[tuple]  # (element, generator or None) per witness vertex
+
+    def covers(self, radius: int) -> bool:
+        """Whether developing to radius gives this same ball: the radius is
+        the one developed, or the cap stopped the ball below it, where the
+        ball enumeration stops at the same level whatever the radius."""
+        stats = self.stats
+        return radius == stats["requested_radius"] or (
+            stats["truncated"] and stats["achieved_radius"] < radius
+        )
+
+    def entry(self, dev: Development, radius: int, members: list[str]) -> LinkCertificate:
+        """The class entry of dev at radius: the same search result in dev's
+        edge units, its witness renamed to dev's generators."""
+        cert = self.cert
+        if cert.length_units is not None:
+            names = dict(zip(self.engine.generators, dev.engine.generators))
+            length = cert.edge_count * dev.units
+            cert = CycleCertificate(
+                passes=length >= TWO_PI_UNITS,
+                length_units=length,
+                edge_count=cert.edge_count,
+                cycle=[
+                    vertex_label(dev.engine, dev.engine.rename(el, names), names.get(g))
+                    for el, g in self.witness
+                ],
+                complete=cert.complete,
+                vertices=cert.vertices,
+            )
+        return LinkCertificate(
+            case=dev.case,
+            descriptor=dev.descriptor,
+            status=_status(cert),
+            certificate=cert,
+            members=members,
+            stats=dict(self.stats, requested_radius=radius),
+        )
 
 
 def certify_link_condition(
@@ -403,36 +487,37 @@ def certify_link_condition(
     exact engine are reported as TRUSTED-CITATION: their link bound is the
     two-generator syllable argument of Appel and Schupp, applied through the
     standard-parabolic embedding (van der Lek), not a machine check.
+
+    With ``dedup`` each distinct development is built and searched once per
+    call and shared by every class entry whose engine has its shape (see
+    :func:`_shape`) and whose radius it covers; without it every entry is
+    developed on its own.
     """
     cfg = config or CertifyConfig()
     entries: list[LinkCertificate] = []
+    shared: dict[tuple, list[_Shared]] = {}
 
-    empty_link = build_link_empty(inst)
-    cert = shortest_embedded_cycle(empty_link)
-    entries.append(
-        LinkCertificate(
-            case="empty",
-            descriptor=empty_link.descriptor,
-            status="FAIL" if not cert.passes else "PASS-complete",
-            certificate=cert,
-            members=["[1]"],
-            stats=_stats(empty_link),
-        )
-    )
-
-    for s in sorted(inst.inter_edges_at):
-        link = build_link_single(inst, s)
+    def searched(link: LinkGraph, members: list[str]) -> LinkCertificate:
         cert = shortest_embedded_cycle(link)
-        entries.append(
-            LinkCertificate(
-                case="single",
-                descriptor=link.descriptor,
-                status="FAIL" if not cert.passes else "PASS-complete",
-                certificate=cert,
-                members=[s],
-                stats=_stats(link),
-            )
-        )
+        return LinkCertificate(link.case, link.descriptor, _status(cert), cert, members, _stats(link))
+
+    def developed(dev: Development, radius: int, members: list[str], develop) -> LinkCertificate:
+        key = _shape(dev.engine)
+        if cfg.dedup:
+            for done in shared.get(key, ()):
+                if done.covers(radius):
+                    return done.entry(dev, radius, members)
+        link = develop()
+        entry = searched(link, members)
+        if cfg.dedup:
+            cert = entry.certificate
+            witness = [link.vertex_labels.normal_form(v) for v in cert.vertices]
+            shared.setdefault(key, []).append(_Shared(dev.engine, cert, entry.stats, witness))
+        return entry
+
+    entries.append(searched(build_link_empty(inst), ["[1]"]))
+    for s in sorted(inst.inter_edges_at):
+        entries.append(searched(build_link_single(inst, s), [s]))
 
     part_classes: dict[tuple, list[int]] = {}
     for i, engine in enumerate(inst.engines):
@@ -468,18 +553,12 @@ def certify_link_condition(
                 )
             )
             continue
-        link = develop_link_part(
-            inst, i0, radius=cfg.radius_case1, cap=cfg.cap
-        )
-        cert = shortest_embedded_cycle(link)
         entries.append(
-            LinkCertificate(
-                case="part",
-                descriptor=link.descriptor,
-                status=_dev_status(link, cert),
-                certificate=cert,
-                members=members,
-                stats=_stats(link),
+            developed(
+                part_development(inst, i0),
+                cfg.radius_case1,
+                members,
+                lambda: develop_link_part(inst, i0, radius=cfg.radius_case1, cap=cfg.cap),
             )
         )
 
@@ -494,16 +573,12 @@ def certify_link_condition(
         group = ie_classes[key]
         e0 = group[0]
         radius = cfg.radius_case3 if cfg.radius_case3 is not None else 8 * e0.label
-        link = develop_link_interedge(inst, e0, radius=radius, cap=cfg.cap)
-        cert = shortest_embedded_cycle(link)
         entries.append(
-            LinkCertificate(
-                case="inter-edge",
-                descriptor=link.descriptor,
-                status=_dev_status(link, cert),
-                certificate=cert,
-                members=[subset_label(e.pair) for e in group],
-                stats=_stats(link),
+            developed(
+                interedge_development(inst, e0),
+                radius,
+                [subset_label(e.pair) for e in group],
+                lambda: develop_link_interedge(inst, e0, radius=radius, cap=cfg.cap),
             )
         )
 

@@ -25,11 +25,14 @@ integer units of pi/8; the 2pi threshold is the integer 16.
 Developments are balls of infinite graphs.  Enumeration keeps only complete
 word-length levels under the element cap, records the achieved radius, and
 marks outer-level element vertices and every coset vertex touching them as
-boundary.
+boundary.  A development keeps each element vertex's normal form and each
+coset vertex's (element, generator) pair, and builds a vertex's label only
+when it is read: for a witness cycle or for printed ``develop`` output.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .defining_graph import GraphError, Instance, InterEdge
 from .dihedral_garside import DihedralEngine
@@ -58,7 +61,7 @@ class LinkGraph:
     case: str
     descriptor: str
     vertex_kinds: list[str]
-    vertex_labels: list[str]
+    vertex_labels: Sequence[str]
     sides: list[int]
     edges: list[tuple[int, int, int]]
     truncation: TruncationInfo
@@ -223,51 +226,126 @@ def build_link_single(
     return link
 
 
-def _develop(engine, units: int, radius: int, cap: int, case: str, descriptor: str) -> LinkGraph:
+class DevelopmentLabels(Sequence[str]):
+    """Vertex labels of a development, each built only when it is read.
+
+    Element vertices come first and keep their normal forms.  A coset
+    vertex keeps the index of the element vertex that first met it and the
+    generator, and reads as that element's label followed by ``.<g>``.
+    Only a witness cycle or a printed development reads labels, so most are
+    never built.
+    """
+
+    def __init__(self, engine, refs: list, elements: int):
+        self.engine = engine
+        self._refs = refs
+        self._elements = elements
+
+    def __len__(self) -> int:
+        return len(self._refs)
+
+    def __getitem__(self, i: int) -> str:
+        return vertex_label(self.engine, *self.normal_form(i))
+
+    def normal_form(self, i: int) -> tuple:
+        """(element, None) for an element vertex, (element, generator) for
+        the coset vertex element<generator>."""
+        i = range(len(self._refs))[i]
+        if i < self._elements:
+            return self._refs[i], None
+        e, g = self._refs[i]
+        return self._refs[e], g
+
+
+def vertex_label(engine, el, generator: str | None = None) -> str:
+    """Label of the element vertex el, or of the coset vertex el<generator>."""
+    text = engine.describe(el)
+    return text if generator is None else f"{text}.<{generator}>"
+
+
+@dataclass(frozen=True)
+class Development:
+    """What a ball development needs besides its radius and cap."""
+
+    engine: object
+    units: int
+    case: str
+    descriptor: str
+
+
+def part_development(inst: Instance, i: int) -> Development:
+    """The development of the link of the part subgroup coset S_i.
+
+    All edges are 2 units.  An exact engine is required; parts that are
+    neither edgeless nor a single labeled edge have none and raise
+    :class:`UnsupportedPartError`.
+    """
+    part = inst.family.parts[i]
+    engine = inst.engines[i]
+    if engine is None:
+        raise UnsupportedPartError(
+            f"no exact word-problem engine for part {list(part)}"
+        )
+    return Development(
+        engine, 2, "part", f"link of the part coset {subset_label(frozenset(part))}"
+    )
+
+
+def interedge_development(inst: Instance, edge: InterEdge) -> Development:
+    """The development of the link of an inter-edge subgroup coset.
+
+    Edge lengths are 2 units when the inter-edge shares no vertex with any
+    other inter-edge, 1 unit otherwise.
+    """
+    disjoint = inst.disjoint[edge.pair]
+    flavor = "disjoint" if disjoint else "non-disjoint"
+    return Development(
+        DihedralEngine(*sorted(edge.pair), m=edge.label),
+        2 if disjoint else 1,
+        "inter-edge",
+        f"link of the inter-edge coset {subset_label(edge.pair)} "
+        f"(m={edge.label}, {flavor})",
+    )
+
+
+def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     """Shared ball development: element vertices on side 0, one coset vertex
     per generator-cyclic coset on side 1, every incidence one edge."""
     if radius < 1:
         raise GraphError("radius must be >= 1")
+    engine = dev.engine
     levels, truncated = engine.ball_levels(radius, cap)
-    achieved = len(levels) - 1
-    kinds, labels, sides = [], [], []
-    index: dict[object, int] = {}
-    boundary: set[int] = set()
-    for depth, level in enumerate(levels):
-        for el in level:
-            index[("element", el)] = len(labels)
-            kinds.append("element")
-            labels.append(engine.describe(el))
-            sides.append(0)
-            if depth == achieved:
-                boundary.add(index[("element", el)])
+    refs: list = [el for level in levels for el in level]
+    elements = len(refs)
+    outer = elements - len(levels[-1])
+    coset_index: dict[tuple, int] = {}
     edges: list[tuple[int, int, int]] = []
-    for level in levels:
-        for el in level:
-            i = index[("element", el)]
-            for g in engine.generators:
-                key = engine.coset_key(el, g)
-                if ("coset", key) not in index:
-                    index[("coset", key)] = len(labels)
-                    kinds.append("coset")
-                    labels.append(f"{labels[i]}.<{g}>")
-                    sides.append(1)
-                j = index[("coset", key)]
-                edges.append((i, j, units))
-                if i in boundary:
-                    boundary.add(j)
+    coset_key, generators, units = engine.coset_key, engine.generators, dev.units
+    for i in range(elements):
+        el = refs[i]
+        for g in generators:
+            key = coset_key(el, g)
+            j = coset_index.get(key)
+            if j is None:
+                j = coset_index[key] = len(refs)
+                refs.append((i, g))
+            edges.append((i, j, units))
+    # the outer level's element vertices and every coset vertex they touch
+    boundary = set(range(outer, elements))
+    boundary.update(j for _, j, _ in edges[outer * len(generators) :])
+    cosets = len(refs) - elements
     link = LinkGraph(
-        case=case,
-        descriptor=descriptor,
-        vertex_kinds=kinds,
-        vertex_labels=labels,
-        sides=sides,
+        case=dev.case,
+        descriptor=dev.descriptor,
+        vertex_kinds=["element"] * elements + ["coset"] * cosets,
+        vertex_labels=DevelopmentLabels(engine, refs, elements),
+        sides=[0] * elements + [1] * cosets,
         edges=edges,
         truncation=TruncationInfo(
             complete=False,
             truncated=truncated,
             requested_radius=radius,
-            achieved_radius=achieved,
+            achieved_radius=len(levels) - 1,
             cap=cap,
         ),
         boundary=boundary,
@@ -282,26 +360,9 @@ def develop_link_part(
     radius: int = 16,
     cap: int = 10**6,
 ) -> LinkGraph:
-    """Ball development of the link of the part subgroup coset S_i.
-
-    All edges are 2 units.  An exact engine is required; parts that are
-    neither edgeless nor a single labeled edge have none and raise
-    :class:`UnsupportedPartError`.
-    """
-    part = inst.family.parts[i]
-    engine = inst.engines[i]
-    if engine is None:
-        raise UnsupportedPartError(
-            f"no exact word-problem engine for part {list(part)}"
-        )
-    return _develop(
-        engine,
-        units=2,
-        radius=radius,
-        cap=cap,
-        case="part",
-        descriptor=f"link of the part coset {subset_label(frozenset(part))}",
-    )
+    """Ball development of the link of the part subgroup coset S_i (see
+    :func:`part_development`)."""
+    return _develop(part_development(inst, i), radius, cap)
 
 
 def develop_link_interedge(
@@ -310,25 +371,8 @@ def develop_link_interedge(
     radius: int | None = None,
     cap: int = 10**6,
 ) -> LinkGraph:
-    """Ball development of the link of an inter-edge subgroup coset.
-
-    Edge lengths are 2 units when the inter-edge shares no vertex with any
-    other inter-edge, 1 unit otherwise.  The default radius is 8m.
-    """
-    disjoint = inst.disjoint[edge.pair]
-    units = 2 if disjoint else 1
+    """Ball development of the link of an inter-edge subgroup coset (see
+    :func:`interedge_development`).  The default radius is 8m."""
     if radius is None:
         radius = 8 * edge.label
-    engine = DihedralEngine(*sorted(edge.pair), m=edge.label)
-    flavor = "disjoint" if disjoint else "non-disjoint"
-    return _develop(
-        engine,
-        units=units,
-        radius=radius,
-        cap=cap,
-        case="inter-edge",
-        descriptor=(
-            f"link of the inter-edge coset {subset_label(edge.pair)} "
-            f"(m={edge.label}, {flavor})"
-        ),
-    )
+    return _develop(interedge_development(inst, edge), radius, cap)

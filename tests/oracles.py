@@ -215,49 +215,101 @@ def _relator_strings(m: int) -> list[tuple[str, str]]:
     return [(r1, r2), (inv1, inv2)]
 
 
-def rewriting_classes(m: int, pad: int) -> dict[str, str]:
-    """Union-find closure over all words of length <= pad.
+# Words over aAbB are integer-encoded: the letters are the digits a=0, A=1,
+# b=2, B=3 (a letter's inverse is its digit xor 1), and a word of length L
+# is its base-4 number plus (4^L - 1) / 3, the count of shorter words.
+_DIGITS = "aAbB"
+
+
+def _code(text: str) -> int:
+    code = 0
+    for c in text:
+        code = 4 * code + _DIGITS.index(c)
+    return code
+
+
+def _word_index(text: str) -> int:
+    return (4 ** len(text) - 1) // 3 + _code(text)
+
+
+def _move_edges(pad: int, width: int, match, target) -> tuple[np.ndarray, np.ndarray]:
+    """One edge (word, moved word) for every word of length <= pad and every
+    position whose window of ``width`` letters satisfies ``match``;
+    ``target(code, length, shift)`` encodes the moved word, where ``shift``
+    is twice the number of letters right of the window."""
+    sources, targets = [], []
+    for length in range(width, pad + 1):
+        codes = np.arange(4**length, dtype=np.int32)
+        base = (4**length - 1) // 3
+        for shift in range(0, 2 * (length - width) + 1, 2):
+            hit = codes[match((codes >> shift) & (4**width - 1))]
+            sources.append(base + hit)
+            targets.append(target(hit, length, shift))
+    return np.concatenate(sources), np.concatenate(targets)
+
+
+def _merge(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Merge the classes joined by the edges (u, v); ``root`` is updated in
+    place and returned.
+
+    ``root`` maps every word to its class's root, a word of the class with
+    an index no larger.  Each round hooks the larger root of every edge
+    joining two classes under the smaller, then jumps pointers until every
+    word points at a root again.
+    """
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root[:] = jumped
+
+
+def rewriting_classes(ms, pad: int, words) -> dict[int, dict[str, int]]:
+    """Union-find closure over all words of length <= pad, for each label
+    in ``ms``; the class id of each of ``words`` under each closure.
 
     Moves: delete an adjacent inverse pair; swap an occurrence of one side
     of the defining relation (or of its inverse) for the other side.
     Deleting from the longer word also connects the inverse insertion, so
-    the closure is symmetric.  Returns a representative per word.
+    the closure is symmetric.  The deletions do not depend on the label, so
+    their classes are built once and each label's swaps merge into a copy.
     """
-    universe: list[str] = [""]
-    frontier = [""]
-    for _ in range(pad):
-        frontier = [w + c for w in frontier for c in "aAbB"]
-        universe += frontier
-    parent: dict[str, str] = {w: w for w in universe}
 
-    def find(w: str) -> str:
-        root = w
-        while parent[root] != root:
-            root = parent[root]
-        while parent[w] != root:
-            parent[w], w = root, parent[w]
-        return root
+    def inverse_pair(window):
+        return (window >> 2) ^ 1 == window & 3
 
-    def union(w1: str, w2: str) -> None:
-        r1, r2 = find(w1), find(w2)
-        if r1 != r2:
-            parent[r2] = r1
+    def delete(code, length, shift):
+        kept = ((code >> (shift + 4)) << shift) + (code & ((1 << shift) - 1))
+        return (4 ** (length - 2) - 1) // 3 + kept
 
-    pairs = _relator_strings(m)
-    for w in universe:
-        for i in range(len(w) - 1):
-            if _INVERSE[w[i]] == w[i + 1]:
-                union(w, w[:i] + w[i + 2 :])
-        for left, right in pairs:
-            start = w.find(left)
-            while start != -1:
-                union(w, w[:start] + right + w[start + len(left) :])
-                start = w.find(left, start + 1)
-            start = w.find(right)
-            while start != -1:
-                union(w, w[:start] + left + w[start + len(right) :])
-                start = w.find(right, start + 1)
-    return {w: find(w) for w in universe}
+    def swap(left: str, right: str):
+        old, step = _code(left), _code(right) - _code(left)
+        return (
+            lambda window: window == old,
+            lambda code, length, shift: (4**length - 1) // 3 + code + (step << shift),
+        )
+
+    free = _merge(
+        np.arange((4 ** (pad + 1) - 1) // 3, dtype=np.int32),
+        *_move_edges(pad, 2, inverse_pair, delete),
+    )
+    out = {}
+    for m in ms:
+        sources, targets = [], []
+        for pair in _relator_strings(m):
+            for left, right in (pair, pair[::-1]):
+                u, v = _move_edges(pad, m, *swap(left, right))
+                sources.append(u)
+                targets.append(v)
+        root = _merge(free.copy(), np.concatenate(sources), np.concatenate(targets))
+        out[m] = {w: int(root[_word_index(w)]) for w in words}
+    return out
 
 
 # ----------------------------------------------------------- girth

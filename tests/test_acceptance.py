@@ -209,12 +209,13 @@ def _all_letter_words(max_len):
 
 def test_criterion_08_dihedral_oracle_equivalence():
     words = _all_letter_words(6)
+    # the closure never merges distinct elements, so agreement at a finite
+    # pad settles agreement with the unbounded closure; pad 10 is the
+    # smallest that converges on length <= 6 words for m = 4, 5
+    closures = rewriting_classes((2, 3, 4, 5), pad=10, words=words)
     for m in (2, 3, 4, 5):
         ctx = DihedralEngine("a", "b", m)
-        # the closure never merges distinct elements, so agreement at a
-        # finite pad settles agreement with the unbounded closure; pad 10
-        # is the smallest that converges on length <= 6 words for m = 4, 5
-        classes = rewriting_classes(m, pad=10)
+        classes = closures[m]
         by_nf: dict = {}
         by_rewrite: dict = {}
         for w in words:

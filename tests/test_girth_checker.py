@@ -4,12 +4,14 @@ The 2 pi threshold is 16 units; a link passes when its shortest embedded
 cycle is at least that long.
 """
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
 
 from relartin import girth_checker
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
+from relartin.dihedral_garside import DihedralEngine
 from relartin.girth_checker import (
     TWO_PI_UNITS,
     CertifyConfig,
@@ -25,7 +27,12 @@ from relartin.link_builder import (
     develop_link_part,
 )
 
-from instances import affine_parts_join, single_interedge, touching_triple_control
+from instances import (
+    affine_parts_join,
+    random_rel_prime_instance,
+    single_interedge,
+    touching_triple_control,
+)
 from oracles import brute_min_cycle, full_depth_bfs_girth
 
 
@@ -277,3 +284,72 @@ def test_certify_radius_override():
     assert ie_entry.stats["requested_radius"] == 9
     assert ie_entry.status in ("PASS-complete", "PASS-within-radius")
     assert ie_entry.certificate.length_units == 16
+
+
+def _assert_shared_entries_match_independent(
+    inst: Instance, config: CertifyConfig = CertifyConfig()
+) -> None:
+    """Every class entry of the shared report equals the independent entry
+    of its first member: status, certificate and stats.  The witness's
+    vertex indices must agree too, so the shared ball numbers its vertices
+    as the member's own development would."""
+    shared = certify_link_condition(inst, config)
+    alone = {
+        (e.case, e.members[0]): e
+        for e in certify_link_condition(inst, replace(config, dedup=False)).entries
+    }
+    for entry in shared.entries:
+        own = alone[(entry.case, entry.members[0])]
+        assert entry.status == own.status, entry.descriptor
+        assert entry.descriptor == own.descriptor
+        assert entry.stats == own.stats, entry.descriptor
+        if own.certificate is None:
+            assert entry.certificate is None
+            continue
+        got, want = entry.certificate, own.certificate
+        assert (got.length_units, got.edge_count, got.cycle, got.vertices, got.note) == (
+            want.length_units,
+            want.edge_count,
+            want.cycle,
+            want.vertices,
+            want.note,
+        ), entry.descriptor
+
+
+def test_shared_developments_match_independent_ones(monkeypatch):
+    # seed 45 has a label-4 part next to a disjoint and a non-disjoint
+    # label-4 inter-edge, so all three share one engine shape
+    mixed = random_rel_prime_instance(random.Random(45))
+    part_labels = {e.m for e in mixed.engines if isinstance(e, DihedralEngine)}
+    classes = {(e.label, mixed.disjoint[e.pair]) for e in mixed.inter_edges}
+    assert 4 in part_labels and {(4, True), (4, False)} <= classes
+    for inst in (affine_parts_join(), touching_triple_control(), mixed):
+        _assert_shared_entries_match_independent(inst)
+        # balls below the cap: a part at radius 3 cannot serve radius 5
+        _assert_shared_entries_match_independent(
+            inst, CertifyConfig(radius_case1=3, radius_case3=5)
+        )
+
+    built = []
+    for name in ("develop_link_part", "develop_link_interedge"):
+        original = getattr(girth_checker, name)
+        monkeypatch.setattr(
+            girth_checker, name, lambda *a, f=original, **k: built.append(1) or f(*a, **k)
+        )
+    report = certify_link_condition(mixed)
+    developed = [e for e in report.entries if e.case in ("part", "inter-edge")]
+    assert len(built) < len(developed)
+
+
+def test_shared_developments_respect_generator_order():
+    """A part engine with descending generators develops its own ball: the
+    level sort, and so the coset order and the witness, follow the order of
+    the generator names."""
+    graph = DefiningGraph.build(["a", "b", "c"], [("a", "b", 4), ("a", "c", 4)])
+    inst = Instance(graph, SubgraphFamily.build(graph, [["a", "b"], ["c"]]))
+    # the edge listed as (b, a): the parser would store it as (a, b)
+    inst.__dict__["engines"] = (DihedralEngine("b", "a", 4),) + inst.engines[1:]
+    assert inst.engines[0].generators == ("b", "a")
+    assert [(e.label, inst.disjoint[e.pair]) for e in inst.inter_edges] == [(4, True)]
+    _assert_shared_entries_match_independent(inst)
+    _assert_shared_entries_match_independent(inst, CertifyConfig(radius_case1=4, radius_case3=4))
