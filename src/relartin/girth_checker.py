@@ -4,23 +4,22 @@ An embedded loop in a 1-dimensional spherical link is a simple graph cycle;
 the link condition asks every one to have length at least 2pi = 16 units.
 All lengths are integers, so every comparison here is exact.
 
-Three engines, picked per graph:
+Forests are recognised upfront (union-find).  Every other link is reduced
+to a simple bipartite graph with unit edges, where one breadth-first girth
+search, :func:`_bfs_girth`, finds the shortest cycle and a simple witness:
 
-  * forests are recognised upfront (union-find);
-  * uniform-weight graphs get breadth-first girth search rooted on one side
-    of the bipartition.  Every graph searched is bipartite (checked once
-    by 2-colouring), so each BFS edge joins consecutive depths and the
-    first new closing edge met while expanding depth d closes a walk of
-    exactly 2d + 2 edges: a root's search stops at that edge, or before
-    depth d once 2d + 2 reaches the best length so far, and the roots stop
-    at 4 edges.  The witness is spliced at the lowest common ancestor, so
-    it is always a simple cycle no longer than the detected closed walk;
   * developments, where every element vertex has exactly two incident
-    edges, are first contracted to a multigraph on the coset vertices
-    (element = edge), halving the search; a parallel pair there is a
-    4-edge cycle of the link;
-  * small graphs with mixed weights use per-edge removal plus Dijkstra,
-    exact for positive weights.
+    edges of one weight, are contracted to a multigraph on the coset
+    vertices (element = edge), halving the search; a parallel pair there
+    is a 4-edge cycle of the link;
+  * every other link, the finite ones among them, is subdivided: an edge
+    of w units becomes a path of k * w / g unit edges, g the gcd of the
+    link's weights.  A link is bipartite, so each of its cycles has an
+    even number of edges; with k = 1 when every w / g is odd, the sum of
+    an even number of odd path lengths is even, and otherwise k = 2 makes
+    every path even.  So the subdivided graph is bipartite too, a uniform
+    link is searched as it is, and a cycle of s unit steps is s * g / k
+    units long.
 
 Certification runs every link of an instance.  Inter-edges are grouped by
 (label, disjointness) and parts by engine, one report entry per class.
@@ -37,7 +36,7 @@ as an independent cross-check.
 """
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass, field
 
 from .defining_graph import GraphError, Instance
@@ -56,7 +55,7 @@ from .link_builder import (
 )
 from .poset_complex import subset_label
 
-# largest link, in edges, that the per-edge Dijkstra search accepts
+# largest mixed-weight link, in edges, that the girth search accepts
 _WEIGHTED_EDGE_LIMIT = 20000
 
 
@@ -177,17 +176,6 @@ def _splice(x: int, y: int, parent: list[int], dist: list[int]) -> list[int]:
     return px + py[-2::-1]
 
 
-def _girth_uniform(link: LinkGraph) -> tuple[int, list[int]] | None:
-    adj: list[list[int]] = [[] for _ in range(link.vertex_count)]
-    for i, j, _ in link.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    side0 = [i for i in range(link.vertex_count) if link.sides[i] == 0]
-    side1 = [i for i in range(link.vertex_count) if link.sides[i] == 1]
-    roots = side0 if len(side0) <= len(side1) else side1
-    return _bfs_girth(adj, roots)
-
-
 def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
     """Contract degree-2 element vertices into edges between their two coset
     vertices, find the multigraph girth there, expand the witness.  The
@@ -227,46 +215,37 @@ def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
     return 2 * k, cycle
 
 
-def _girth_weighted(link: LinkGraph) -> tuple[int, int, list[int]] | None:
-    """Per-edge removal + Dijkstra; exact for positive weights.  Intended for
-    the small finite links only."""
-    if len(link.edges) > _WEIGHTED_EDGE_LIMIT:
+def _girth_subdivided(link: LinkGraph, weights: set[int]) -> tuple[int, list[int]]:
+    """Search a link that is not a forest, its edge weights ``weights``,
+    with each edge of w units subdivided into k * w / g unit edges (see the
+    module docstring); return the length in units and the witness on the
+    link's own vertices.  Subdivision vertices are numbered after those and
+    have degree 2, so a simple cycle runs through whole paths and is a
+    simple cycle of the link.  The roots are the smaller side of the link's
+    own vertices, which every cycle meets."""
+    if len(weights) > 1 and len(link.edges) > _WEIGHTED_EDGE_LIMIT:
         raise GraphError(
             f"the {link.case} link has {len(link.edges)} edges; the weighted "
             f"girth search takes at most {_WEIGHTED_EDGE_LIMIT}"
         )
-    adj = link.adjacency()
-    best: tuple[int, int, list[int]] | None = None
-    for i, j, w in sorted(link.edges):
-        if best is not None and w >= best[0]:
-            continue
-        dist = {i: 0}
-        parent = {i: -1}
-        heap = [(0, i)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > dist.get(x, d + 1):
-                continue
-            if x == j:
-                break
-            for y, wy in adj[x]:
-                if x == i and y == j or x == j and y == i:
-                    continue
-                nd = d + wy
-                if best is not None and nd + w >= best[0]:
-                    continue
-                if nd < dist.get(y, nd + 1):
-                    dist[y] = nd
-                    parent[y] = x
-                    heapq.heappush(heap, (nd, y))
-        if j in dist:
-            total = dist[j] + w
-            if best is None or total < best[0]:
-                path = [j]
-                while path[-1] != i:
-                    path.append(parent[path[-1]])
-                best = (total, len(path), path)
-    return best
+    g = math.gcd(*weights)
+    k = 1 if all(w // g % 2 for w in weights) else 2
+    n = link.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j, w in link.edges:
+        x = i
+        for _ in range(k * w // g - 1):
+            adj.append([x])
+            adj[x].append(len(adj) - 1)
+            x = len(adj) - 1
+        adj[x].append(j)
+        adj[j].append(x)
+    side0 = [i for i in range(n) if link.sides[i] == 0]
+    side1 = [i for i in range(n) if link.sides[i] == 1]
+    found = _bfs_girth(adj, side0 if len(side0) <= len(side1) else side1)
+    assert found is not None, "a link that is not a forest has a cycle"
+    steps, cycle = found
+    return steps * g // k, [v for v in cycle if v < n]
 
 
 def shortest_embedded_cycle(link: LinkGraph) -> CycleCertificate:
@@ -282,7 +261,6 @@ def shortest_embedded_cycle(link: LinkGraph) -> CycleCertificate:
             note="acyclic",
         )
     weights = {w for _, _, w in link.edges}
-    uniform = len(weights) == 1
     degree0 = {}
     for i, j, _ in link.edges:
         e = i if link.sides[i] == 0 else j
@@ -290,20 +268,14 @@ def shortest_embedded_cycle(link: LinkGraph) -> CycleCertificate:
     dev_shape = link.case in ("part", "inter-edge") and all(
         d == 2 for d in degree0.values()
     )
-    if uniform and dev_shape:
+    if len(weights) == 1 and dev_shape:
         found = _girth_development(link)
         assert found is not None
         edge_count, cycle = found
         length = edge_count * next(iter(weights))
-    elif uniform:
-        found = _girth_uniform(link)
-        assert found is not None
-        edge_count, cycle = found
-        length = edge_count * next(iter(weights))
     else:
-        found = _girth_weighted(link)
-        assert found is not None
-        length, edge_count, cycle = found
+        length, cycle = _girth_subdivided(link, weights)
+        edge_count = len(cycle)
     _verify_cycle(link, cycle, length)
     return CycleCertificate(
         passes=length >= TWO_PI_UNITS,

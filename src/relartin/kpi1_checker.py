@@ -202,6 +202,9 @@ def kpi1_verdict(
             audit=None,
         )
 
+    # certification first: it rejects an oversized link before the chains
+    # of S^l are listed
+    cert = certify_link_condition(inst, certify_config)
     s_ell_cx = derived_complex(inst.s_ell)
     dim = check_two_dimensional(s_ell_cx)
     evidence.append(
@@ -213,7 +216,6 @@ def kpi1_verdict(
         }
     )
 
-    cert = certify_link_condition(inst, certify_config)
     trusted = [e for e in cert.entries if e.status == "TRUSTED-CITATION"]
     evidence.append(
         {

@@ -71,13 +71,6 @@ class LinkGraph:
     def vertex_count(self) -> int:
         return len(self.vertex_labels)
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return adj
-
     def check_simple_bipartite(self) -> None:
         seen = set()
         for i, j, w in self.edges:

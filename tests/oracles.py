@@ -29,9 +29,10 @@ Delta^-1 followed by m - 1 positive atoms; coset representatives multiply
 by |eps| such letters.
 
 Girth: exhaustive depth-first enumeration of simple cycles anchored at
-their minimal vertex, with weight pruning; and breadth-first girth search
-from every root that expands every depth up to half the best length so far
-and tests every non-tree edge it meets.
+their minimal vertex, with weight pruning; the shortest cycle through each
+edge by one Dijkstra per edge, with that edge removed; and breadth-first
+girth search from every root that expands every depth up to half the best
+length so far and tests every non-tree edge it meets.
 
 Posets: the covering relation by testing every intermediate element, the
 chains of the derived complex by extending each chain by every larger
@@ -346,6 +347,48 @@ def brute_min_cycle(edges) -> tuple[float, list]:
     for anchor in sorted(adjacency, key=order.get):
         dfs(anchor, anchor, 0, [anchor], {anchor})
     return best, best_cycle
+
+
+def per_edge_dijkstra_girth(n: int, edges) -> tuple[int, int, list] | None:
+    """Minimum-weight cycle of a graph on vertices 0..n-1 as (length, edge
+    count, vertices), or None for a forest: for each edge (i, j, w), one
+    Dijkstra from i with that edge removed finds the shortest cycle through
+    it.  Exact for positive weights."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, w in edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    best: tuple[int, int, list] | None = None
+    for i, j, w in sorted(edges):
+        if best is not None and w >= best[0]:
+            continue
+        dist = {i: 0}
+        parent = {i: -1}
+        heap = [(0, i)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if d > dist.get(x, d + 1):
+                continue
+            if x == j:
+                break
+            for y, wy in adj[x]:
+                if x == i and y == j or x == j and y == i:
+                    continue
+                nd = d + wy
+                if best is not None and nd + w >= best[0]:
+                    continue
+                if nd < dist.get(y, nd + 1):
+                    dist[y] = nd
+                    parent[y] = x
+                    heapq.heappush(heap, (nd, y))
+        if j in dist:
+            total = dist[j] + w
+            if best is None or total < best[0]:
+                path = [j]
+                while path[-1] != i:
+                    path.append(parent[path[-1]])
+                best = (total, len(path), path)
+    return best
 
 
 def full_depth_bfs_girth(adj, roots):

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import relartin
-from relartin import cli, defining_graph, poset_complex
+from relartin import cli, defining_graph, kpi1_checker, poset_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 JOIN = str(FIXTURES / "affine_parts_join.json")
@@ -175,7 +175,7 @@ def test_input_errors(capsys, tmp_path):
     assert code == 1 and "unknown keys" in err
 
 
-def test_oversized_link_exits_1(capsys, tmp_path):
+def test_oversized_link_exits_1(capsys, tmp_path, monkeypatch):
     # 80 two-vertex parts, every cross pair an inter-edge of label 4: the
     # finite empty link gets 2 * 12640 + 160 = 25440 edges of 2 and 3 units
     parts = [[f"p{i}a", f"p{i}b"] for i in range(80)]
@@ -189,6 +189,12 @@ def test_oversized_link_exits_1(capsys, tmp_path):
     ]
     path = tmp_path / "oversized.json"
     path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
+
+    def unlisted(poset):
+        raise AssertionError("kpi1 listed the chains of S^l before the link check")
+
+    # kpi1 rejects the link before it lists the chains of S^l
+    monkeypatch.setattr(kpi1_checker, "derived_complex", unlisted)
     for sub in ("links", "kpi1"):
         code, out, err = run(capsys, sub, "--input", str(path))
         assert code == 1 and out == ""

@@ -33,7 +33,7 @@ from instances import (
     single_interedge,
     touching_triple_control,
 )
-from oracles import brute_min_cycle, full_depth_bfs_girth
+from oracles import brute_min_cycle, full_depth_bfs_girth, per_edge_dijkstra_girth
 
 
 def m_interedge(m: int):
@@ -232,6 +232,66 @@ def test_random_weighted_girth_against_oracle():
             assert cert.length_units is None
         else:
             assert cert.length_units == oracle_len
+
+
+def _random_bipartite_link(rng: random.Random) -> LinkGraph:
+    """A random bipartite link, its vertices shuffled so neither side is a
+    block of indices: a dense graph or a forest, whose vertices may stay
+    isolated, or two such pieces side by side.  The weights come from one pattern: all of
+    1..4, the empty link's 2 and 3, only odd or only even units, or one
+    value."""
+    weights = rng.choice(((1, 2, 3, 4), (2, 3), (1, 3), (2, 4), (rng.randint(1, 4),)))
+    sides: list[int] = []
+    edges = []
+    for _ in range(rng.choice((1, 1, 2))):
+        n0, n1 = rng.randint(1, 6), rng.randint(2, 6)
+        base = len(sides)
+        sides += [0] * n0 + [1] * n1
+        left = range(base, base + n0)
+        right = range(base + n0, base + n0 + n1)
+        if rng.random() < 0.2:
+            # a forest: each vertex after the first joins at most once to
+            # an earlier vertex of the other side
+            order = list(left) + list(right)
+            rng.shuffle(order)
+            for t, v in enumerate(order[1:], 1):
+                earlier = [u for u in order[:t] if sides[u] != sides[v]]
+                if earlier and rng.random() < 0.8:
+                    edges.append((rng.choice(earlier), v))
+        else:
+            p = rng.uniform(0.3, 0.9)
+            edges += [(i, j) for i in left for j in right if rng.random() < p]
+    perm = list(range(len(sides)))
+    rng.shuffle(perm)
+    shuffled_sides = [0] * len(sides)
+    for v, side in enumerate(sides):
+        shuffled_sides[perm[v]] = side
+    return finite_link(
+        shuffled_sides,
+        [(perm[i], perm[j], rng.choice(weights)) for i, j in edges],
+    )
+
+
+def test_girth_matches_per_edge_dijkstra_on_random_links():
+    rng = random.Random(20261018)
+    seen = {"acyclic": 0, "cyclic": 0, "brute": 0}
+    for _ in range(400):
+        link = _random_bipartite_link(rng)
+        cert = shortest_embedded_cycle(link)
+        found = per_edge_dijkstra_girth(link.vertex_count, link.edges)
+        if found is None:
+            assert cert.note == "acyclic" and cert.length_units is None
+            seen["acyclic"] += 1
+        else:
+            assert cert.note == "" and cert.length_units == found[0]
+            assert cert.edge_count == len(cert.cycle) == len(cert.vertices)
+            assert cert.passes == (found[0] >= TWO_PI_UNITS)
+            seen["cyclic"] += 1
+        if len(link.edges) <= 16:
+            oracle_len, _ = brute_min_cycle(link.edges)
+            assert (cert.length_units or float("inf")) == oracle_len
+            seen["brute"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_certify_join():
