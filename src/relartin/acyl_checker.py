@@ -15,7 +15,10 @@ group of the witness edge: the maximum, over the word-metric ball of a
 given radius, of the least number of generator blocks needed to spell an
 element by paths inside the enumerated ball.  Strict growth of that
 statistic across radii is the signature of an unbounded orbit for the
-syllable quasi-action.
+syllable quasi-action.  The largest ball is enumerated once together with
+its Cayley edges as element numbers; each radius is a prefix of that
+numbering, and its entry is a 0/1 breadth-first search over those integer
+edges, with no further normal-form multiplication.
 """
 from __future__ import annotations
 
@@ -87,41 +90,49 @@ def find_witness(
     return None
 
 
-def _confined_syllable_max(ctx: DihedralEngine, members: set) -> int:
-    """Least block count per element among words whose prefixes all stay in
-    ``members``, maximised over the set.
+def _confined_syllable_max(neighbours: list[list[int]], n: int) -> int:
+    """Least block count per element among words whose prefixes all stay
+    among the first n elements of the ball, maximised over them.
 
-    0/1 breadth-first search over (element, last letter) states: a
-    same-letter step extends the current block for free, a letter change
-    opens a new block at cost 1.  Confinement makes the value an upper
-    bound for the true syllable length, exact whenever some
-    minimal-syllable word stays inside the set.
+    ``neighbours`` are the ball's Cayley edges from ``ball_levels``.  The
+    levels are numbered in order, so the ball of any radius is a prefix
+    of the numbering and confinement is one comparison.  0/1 breadth-first
+    search over (element, last generator) states, packed as
+    element * generators + generator: a same-generator step extends the
+    current block for free, a generator change opens a new block at cost 1.
+    Confinement makes the value an upper bound for the true syllable
+    length, exact whenever some minimal-syllable word stays inside the set.
     """
-    start = (ctx.identity, None)
-    cost = {start: 0}
-    dq = deque([start])
+    gens = len(neighbours[0]) // 2
+    unreached = n * gens + 1  # more blocks than any confined word needs
+    cost = [unreached] * (n * gens)
+    dq: deque[int] = deque()
+    # from the identity every first letter opens a block
+    for slot, j in enumerate(neighbours[0]):
+        state = j * gens + (slot >> 1)
+        if 0 <= j < n and cost[state] > 1:
+            cost[state] = 1
+            dq.append(state)
     while dq:
-        el, last = dq.popleft()
-        c = cost[(el, last)]
-        for g in ctx.generators:
-            step = 0 if g == last else 1
-            for sign in (1, -1):
-                nxt = ctx.mult_gen(el, g, sign)
-                if nxt not in members:
-                    continue
-                state = (nxt, g)
-                if cost.get(state, c + step + 1) <= c + step:
-                    continue
-                cost[state] = c + step
-                if step == 0:
-                    dq.appendleft(state)
-                else:
-                    dq.append(state)
-    syll: dict = {}
-    for (el, _last), c in cost.items():
-        if el not in syll or c < syll[el]:
-            syll[el] = c
-    return max(syll.values())
+        state = dq.popleft()
+        i, last = divmod(state, gens)
+        c = cost[state]
+        for slot, j in enumerate(neighbours[i]):
+            if not 0 <= j < n:
+                continue
+            g = slot >> 1
+            nxt = j * gens + g
+            if g == last:
+                if cost[nxt] > c:
+                    cost[nxt] = c
+                    dq.appendleft(nxt)
+            elif cost[nxt] > c + 1:
+                cost[nxt] = c + 1
+                dq.append(nxt)
+    # the identity needs no block at all
+    return max(
+        (min(cost[i * gens : (i + 1) * gens]) for i in range(1, n)), default=0
+    )
 
 
 def empirical_orbit_growth(
@@ -130,19 +141,21 @@ def empirical_orbit_growth(
     """Maximum observed syllable length per radius in the dihedral group
     with label m.
 
-    The word-metric ball of the largest radius is enumerated once; for each
-    radius, each element of its first levels is charged the fewest
-    generator blocks needed to spell it by a word whose prefixes stay in
-    that smaller ball.  When the cap cuts the ball short, the smallest
+    The word-metric ball of the largest radius is enumerated once, with its
+    Cayley edges; for each radius, each element of its first levels is
+    charged the fewest generator blocks needed to spell it by a word whose
+    prefixes stay in that smaller ball, read off those edges without
+    multiplying again.  When the cap cuts the ball short, the smallest
     radius it did not reach is reported.
     """
     if m < 2:
         raise ValueError("dihedral label must be >= 2")
     if not radii or any(r < 0 for r in radii):
         raise ValueError("radii must be non-negative")
-    ctx = DihedralEngine("a", "b", m)
     radii = sorted(radii)
-    levels, truncated = ctx.ball_levels(radii[-1], cap)
+    levels, truncated, neighbours = DihedralEngine("a", "b", m).ball_levels(
+        radii[-1], cap
+    )
     completed = len(levels) - 1
     if truncated:
         raise CapExceeded(
@@ -151,14 +164,10 @@ def empirical_orbit_growth(
             count=sum(len(l) for l in levels),
             cap=cap,
         )
-    members: set = set()
-    grown = 0  # levels already in members
     rows = []
     for r in radii:
-        for level in levels[grown : r + 1]:
-            members.update(level)
-        grown = r + 1
-        rows.append((r, _confined_syllable_max(ctx, members)))
+        n = sum(len(level) for level in levels[: r + 1])
+        rows.append((r, _confined_syllable_max(neighbours, n)))
     return rows
 
 

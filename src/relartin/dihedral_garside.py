@@ -30,6 +30,15 @@ Two word-problem engines share one small interface used by link
 development (identity, generators, mult_gen, mult_word, sort_key,
 ball_levels, coset_key, rename, describe): the exact dihedral engine above,
 and an exact free-group engine (reduced words) for edgeless subgraphs.
+
+``ball_levels`` returns the word-metric ball level by level together with
+its Cayley edges as flat element numbers, filled from the products the
+enumeration computes anyway.  Every Artin relator has even length, so all
+words for one element have lengths of one parity and a generator step
+flips it: no edge stays inside a level, and each level's edges down to the
+one before are the reverses of edges found while expanding that level.
+Developments and the syllable growth table read these edges instead of
+multiplying again.
 """
 from __future__ import annotations
 
@@ -107,36 +116,65 @@ class DihedralElement(NamedTuple):
     tail: tuple[tuple[str, int], ...]
 
 
-def _ball_levels(engine, radius: int, cap: int = 10**6) -> tuple[list[list], bool]:
+def _ball_levels(
+    engine, radius: int, cap: int = 10**6
+) -> tuple[list[list], bool, list[list[int]]]:
     """BFS levels of the word metric ball, through the engine's identity,
-    generators and mult_gen.
+    generators and mult_gen, with the ball's Cayley edges.
 
     Only complete levels are kept: when adding the next level would pass the
     cap, enumeration stops and the truncated flag is set.  levels[d] holds
     exactly the elements at distance d, each level sorted by the engine's
     sort key.
+
+    Elements are numbered by position in the concatenated levels, and
+    neighbours[i] lists the number of el_i g^+1 in slot 2 gi and of
+    el_i g^-1 in slot 2 gi + 1, for the generator g at position gi; a slot
+    holds -1 when that product lies outside the kept ball.
+
+    Every Artin relator has even length, so all words for one element have
+    lengths of one parity, and a generator step flips it: the products of
+    a level land one level down or one level up, never inside it.  When
+    x g^s = w is found, w is new and both slots x -> w and w -> x (sign -s)
+    are filled.  So every edge down to the previous level is known before a
+    level is expanded and needs no multiplication, every other product is
+    an element of the next level, and the last kept level, never expanded,
+    already holds all its in-ball edges.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    seen = {engine.identity}
+    mult_gen = engine.mult_gen
+    steps = [(g, sign) for g in engine.generators for sign in (1, -1)]
+    slots = len(steps)
     levels: list[list] = [[engine.identity]]
-    frontier = [engine.identity]
+    neighbours: list[list[int]] = [[-1] * slots]
     for _ in range(radius):
-        nxt = set()
-        for el in frontier:
-            for g in engine.generators:
-                for sign in (1, -1):
-                    w = engine.mult_gen(el, g, sign)
-                    if w not in seen and w not in nxt:
-                        nxt.add(w)
-        if not nxt:
-            return levels, False
-        if len(seen) + len(nxt) > cap:
-            return levels, True
-        frontier = sorted(nxt, key=engine.sort_key)
-        levels.append(frontier)
-        seen.update(nxt)
-    return levels, False
+        # the number of the last level's first element, and the product for
+        # each of its slots, None where the slot is already filled
+        base = len(neighbours) - len(levels[-1])
+        products = [
+            mult_gen(x, g, sign) if row[slot] < 0 else None
+            for x, row in zip(levels[-1], neighbours[base:])
+            for slot, (g, sign) in enumerate(steps)
+        ]
+        found = set(products)
+        found.discard(None)
+        if not found:
+            return levels, False, neighbours
+        if len(neighbours) + len(found) > cap:
+            return levels, True, neighbours
+        level = sorted(found, key=engine.sort_key)
+        number = {w: wi for wi, w in enumerate(level, len(neighbours))}
+        neighbours.extend([-1] * slots for _ in level)
+        for k, w in enumerate(products):
+            if w is not None:
+                xi, slot = divmod(k, slots)
+                xi += base
+                wi = number[w]
+                neighbours[xi][slot] = wi
+                neighbours[wi][slot ^ 1] = xi
+        levels.append(level)
+    return levels, False, neighbours
 
 
 def _mult_word(engine, el, word: Iterable[tuple[str, int]]):

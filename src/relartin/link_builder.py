@@ -28,6 +28,9 @@ marks outer-level element vertices and every coset vertex touching them as
 boundary.  A development keeps each element vertex's normal form and each
 coset vertex's (element, generator) pair, and builds a vertex's label only
 when it is read: for a witness cycle or for printed ``develop`` output.
+Coset vertices follow the ball's Cayley edges from ``ball_levels``: an
+element with a lower-numbered neighbour along g joins that neighbour's
+coset vertex of g, and only the others compute a coset key.
 """
 from __future__ import annotations
 
@@ -303,25 +306,41 @@ def interedge_development(inst: Instance, edge: InterEdge) -> Development:
 
 def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     """Shared ball development: element vertices on side 0, one coset vertex
-    per generator-cyclic coset on side 1, every incidence one edge."""
+    per generator-cyclic coset on side 1, every incidence one edge.
+
+    An element whose g or g^-1 neighbour in the ball has a smaller number
+    shares that neighbour's coset vertex of g, whose edge is already built;
+    only the other elements pay for ``coset_key``, which stays the exact
+    test because a coset can meet the ball in pieces that no g-step joins.
+    A shared coset vertex was created at or before that neighbour, so the
+    numbering is the one the keys alone would give."""
     if radius < 1:
         raise GraphError("radius must be >= 1")
     engine = dev.engine
-    levels, truncated = engine.ball_levels(radius, cap)
+    levels, truncated, neighbours = engine.ball_levels(radius, cap)
     refs: list = [el for level in levels for el in level]
     elements = len(refs)
     outer = elements - len(levels[-1])
     coset_index: dict[tuple, int] = {}
     edges: list[tuple[int, int, int]] = []
     coset_key, generators, units = engine.coset_key, engine.generators, dev.units
+    gens = len(generators)
     for i in range(elements):
         el = refs[i]
-        for g in generators:
-            key = coset_key(el, g)
-            j = coset_index.get(key)
-            if j is None:
-                j = coset_index[key] = len(refs)
-                refs.append((i, g))
+        row = neighbours[i]
+        for gi, g in enumerate(generators):
+            # a neighbour p's own edge of g is edges[p * gens + gi]
+            up, down = row[2 * gi], row[2 * gi + 1]
+            if 0 <= up < i:
+                j = edges[up * gens + gi][1]
+            elif 0 <= down < i:
+                j = edges[down * gens + gi][1]
+            else:
+                key = coset_key(el, g)
+                j = coset_index.get(key)
+                if j is None:
+                    j = coset_index[key] = len(refs)
+                    refs.append((i, g))
             edges.append((i, j, units))
     # the outer level's element vertices and every coset vertex they touch
     boundary = set(range(outer, elements))

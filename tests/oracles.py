@@ -21,7 +21,12 @@ universe: free cancellations plus flips of the defining relation and its
 inverse.  It can only under-merge (never equates distinct elements), so it
 is cross-checked against the quotient oracle.
 
-Syllable growth: one word-metric ball enumerated per radius.
+Syllable growth: one word-metric ball enumerated per radius, and a 0/1
+breadth-first search over (normal form, last letter) states that multiplies
+each step out and tests membership in the ball, never reading its edges.
+
+Developments: ``coset_key`` for every (element, generator) pair, with no
+coset vertex shared along the ball's edges.
 
 Dihedral multiplication letter by letter: a positive atom extends or
 appends the last simple (a Delta it fills migrates left), and t^-1 is
@@ -50,13 +55,13 @@ vertex at a time.
 import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from relartin import coxeter
 from relartin.defining_graph import GraphError
-from relartin.acyl_checker import _confined_syllable_max
 from relartin.dihedral_garside import CapExceeded, DihedralElement, DihedralEngine
 from relartin.poset_complex import subset_sort_key
 
@@ -180,12 +185,45 @@ def atom_coset_rep(ctx, g, generator: str):
     return atom_mult_power(ctx, g, generator, -e)
 
 
+def confined_syllable_max(ctx, members: set) -> int:
+    """Least block count per element among words whose prefixes all stay in
+    ``members``, maximised over the set: a 0/1 breadth-first search over
+    (normal form, last letter) states that multiplies every step out with
+    ``mult_gen`` and tests membership in the set."""
+    start = (ctx.identity, None)
+    cost = {start: 0}
+    dq = deque([start])
+    while dq:
+        el, last = dq.popleft()
+        c = cost[(el, last)]
+        for g in ctx.generators:
+            step = 0 if g == last else 1
+            for sign in (1, -1):
+                nxt = ctx.mult_gen(el, g, sign)
+                if nxt not in members:
+                    continue
+                state = (nxt, g)
+                if cost.get(state, c + step + 1) <= c + step:
+                    continue
+                cost[state] = c + step
+                if step == 0:
+                    dq.appendleft(state)
+                else:
+                    dq.append(state)
+    syll: dict = {}
+    for (el, _last), c in cost.items():
+        if el not in syll or c < syll[el]:
+            syll[el] = c
+    return max(syll.values())
+
+
 def per_radius_orbit_growth(m: int, radii, cap: int):
-    """Syllable growth table with one ball enumerated per radius."""
+    """Syllable growth table with one ball enumerated per radius and the
+    normal-form search of ``confined_syllable_max`` over its members."""
     ctx = DihedralEngine("a", "b", m)
     rows = []
     for r in sorted(radii):
-        levels, truncated = ctx.ball_levels(r, cap)
+        levels, truncated, _ = ctx.ball_levels(r, cap)
         if truncated:
             raise CapExceeded(
                 requested_radius=r,
@@ -194,8 +232,32 @@ def per_radius_orbit_growth(m: int, radii, cap: int):
                 cap=cap,
             )
         members = {el for level in levels for el in level}
-        rows.append((r, _confined_syllable_max(ctx, members)))
+        rows.append((r, confined_syllable_max(ctx, members)))
     return rows
+
+
+# ------------------------------------------------------ developments
+
+def per_pair_development(engine, radius: int, cap: int, units: int):
+    """A ball development with ``coset_key`` called for every (element,
+    generator) pair: (edges, normal form of every vertex, boundary,
+    truncated, achieved radius), vertices numbered as in ``_develop``."""
+    levels, truncated, _ = engine.ball_levels(radius, cap)
+    forms = [(el, None) for level in levels for el in level]
+    elements = len(forms)
+    coset_index: dict = {}
+    edges = []
+    for i in range(elements):
+        for g in engine.generators:
+            key = engine.coset_key(forms[i][0], g)
+            if key not in coset_index:
+                coset_index[key] = len(forms)
+                forms.append((forms[i][0], g))
+            edges.append((i, coset_index[key], units))
+    outer = elements - len(levels[-1])
+    boundary = set(range(outer, elements))
+    boundary.update(j for i, j, _ in edges if i >= outer)
+    return edges, forms, boundary, truncated, len(levels) - 1
 
 
 # ------------------------------------------------- rewriting closure

@@ -41,7 +41,7 @@ def equals(ctx, w1, w2):
 
 
 def ball_size(ctx, radius):
-    levels, truncated = ctx.ball_levels(radius)
+    levels, truncated, _ = ctx.ball_levels(radius)
     assert not truncated
     return sum(len(level) for level in levels)
 
@@ -143,7 +143,7 @@ def test_ball_sizes_frozen():
     assert ball_size(ctx2, 16) == 545
     ctx3 = DihedralEngine("a", "b", 3)
     assert ball_size(ctx3, 2) == 17
-    levels, truncated = DihedralEngine("a", "b", 4).ball_levels(6)
+    levels, truncated, _ = DihedralEngine("a", "b", 4).ball_levels(6)
     assert not truncated
     assert [len(l) for l in levels] == [1, 4, 12, 36, 100, 268, 708]
 
@@ -173,10 +173,36 @@ def test_ball_sizes_against_word_enumeration():
 
 def test_ball_cap():
     ctx = DihedralEngine("a", "b", 3)
-    levels, truncated = ctx.ball_levels(10, cap=30)
+    levels, truncated, _ = ctx.ball_levels(10, cap=30)
     assert truncated
     assert len(levels) - 1 < 10
     assert sum(len(l) for l in levels) <= 30
+
+
+def test_ball_edges_are_the_products_inside_the_ball():
+    # every slot holds the number of el g^+-1 when the kept ball has it,
+    # and -1 exactly when it does not, for complete and capped balls
+    engines = [
+        DihedralEngine(*gens, m)
+        for m in range(2, 7)
+        for gens in (("a", "b"), ("b", "a"))
+    ] + [FreeEngine(gens) for gens in (["x"], ["x", "y"], ["x", "y", "z"])]
+    truncated_balls = 0
+    for eng in engines:
+        for radius, cap in ((6, 10**6), (10, 150), (4, 5), (0, 10**6)):
+            levels, truncated, neighbours = eng.ball_levels(radius, cap)
+            truncated_balls += truncated
+            flat = [el for level in levels for el in level]
+            number = {el: i for i, el in enumerate(flat)}
+            assert len(neighbours) == len(flat)
+            for i, el in enumerate(flat):
+                expected = [
+                    number.get(eng.mult_gen(el, g, sign), -1)
+                    for g in eng.generators
+                    for sign in (1, -1)
+                ]
+                assert neighbours[i] == expected, (eng.generators, radius, cap, i)
+    assert truncated_balls >= 2 * len(engines) - 1
 
 
 def test_coset_rep_is_canonical():
@@ -229,12 +255,12 @@ def test_engine_coset_keys():
 def test_free_engine():
     eng = FreeEngine(["x"])
     assert equals(eng, string_to_word(""), (("x", 1), ("x", -1)))
-    levels, truncated = eng.ball_levels(5)
+    levels, truncated, _ = eng.ball_levels(5)
     assert not truncated
     # rank one free group is the integers
     assert [len(l) for l in levels] == [1, 2, 2, 2, 2, 2]
     eng2 = FreeEngine(["x", "y"])
-    levels2, _ = eng2.ball_levels(3)
+    levels2, _, _ = eng2.ball_levels(3)
     assert [len(l) for l in levels2] == [1, 4, 12, 36]
     w = normal_form(eng2, (("x", 1), ("y", 1), ("y", 1)))
     assert eng2.coset_key(w, "y") == ("y", (("x", 1),))

@@ -401,6 +401,22 @@ def test_shared_developments_match_independent_ones(monkeypatch):
     assert len(built) < len(developed)
 
 
+def test_shared_entries_match_independent_ones_on_random_instances():
+    # seeds 0..9 of random_rel_prime_instance, about 9 s: enough to meet
+    # inter-edge classes with several members and parts whose dihedral
+    # label equals an inter-edge's, so a part and an inter-edge class share
+    # one development
+    merged = shared_shapes = 0
+    for seed in range(10):
+        inst = random_rel_prime_instance(random.Random(seed))
+        classes = {(e.label, inst.disjoint[e.pair]) for e in inst.inter_edges}
+        part_labels = {e.m for e in inst.engines if isinstance(e, DihedralEngine)}
+        merged += len(classes) < len(inst.inter_edges)
+        shared_shapes += any(label in part_labels for label, _ in classes)
+        _assert_shared_entries_match_independent(inst)
+    assert merged >= 3 and shared_shapes >= 3
+
+
 def test_shared_developments_respect_generator_order():
     """A part engine with descending generators develops its own ball: the
     level sort, and so the coset order and the witness, follow the order of

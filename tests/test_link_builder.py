@@ -3,8 +3,11 @@ domain and the ball developments of the infinite ones."""
 import pytest
 
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
+from relartin.dihedral_garside import DihedralEngine, FreeEngine
 from relartin.link_builder import (
+    Development,
     UnsupportedPartError,
+    _develop,
     build_link_empty,
     build_link_single,
     develop_link_interedge,
@@ -12,6 +15,7 @@ from relartin.link_builder import (
 )
 
 from instances import affine_parts_join, single_interedge, touching_triple_control
+from oracles import per_pair_development
 
 
 def m2_interedge():
@@ -127,6 +131,48 @@ def test_develop_truncation_is_reported():
     assert link.to_json_dict()["truncation"]["truncated"] is True
     with pytest.raises(GraphError):
         develop_link_interedge(inst, e, radius=0)
+
+
+def test_develop_matches_a_coset_key_per_pair():
+    # sharing coset vertices along the ball's edges gives the development
+    # that one coset_key per (element, generator) gives: the same edges,
+    # vertex normal forms, boundary and truncation, complete or capped
+    engines = [DihedralEngine("a", "b", m) for m in range(2, 7)] + [
+        DihedralEngine("b", "a", 3),
+        FreeEngine(["x"]),
+        FreeEngine(["x", "y"]),
+        FreeEngine(["x", "y", "z"]),
+    ]
+    capped = 0
+    for eng in engines:
+        for units in (1, 2):
+            for radius, cap in ((5, 10**6), (12, 400), (3, 10)):
+                link = _develop(Development(eng, units, "part", "test"), radius, cap)
+                edges, forms, boundary, truncated, achieved = per_pair_development(
+                    eng, radius, cap, units
+                )
+                assert link.edges == edges, (eng.generators, units, radius, cap)
+                labels = link.vertex_labels
+                assert [labels.normal_form(i) for i in range(len(labels))] == forms
+                assert link.boundary == boundary
+                assert link.truncation.truncated == truncated
+                assert link.truncation.achieved_radius == achieved
+                capped += truncated
+    assert capped >= len(engines)
+
+
+def test_develop_reuses_cosets_along_ball_edges(monkeypatch):
+    join = affine_parts_join()
+    edge = next(e for e in join.inter_edges if e.label == 4)
+    calls = []
+    key = DihedralEngine.coset_key
+    monkeypatch.setattr(
+        DihedralEngine, "coset_key", lambda *a: calls.append(1) or key(*a)
+    )
+    link = develop_link_interedge(join, edge, cap=4000)
+    elements = link.vertex_kinds.count("element")
+    assert link.truncation.truncated and elements > 1000
+    assert 0 < len(calls) < elements * 2
 
 
 def test_dot_rendering_smoke():
