@@ -74,8 +74,12 @@ def _scalar(val) -> str:
 
 
 def _load(path: str) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read {path!r}") from exc
+    return parse_graph(text)
 
 
 def _rel_doc(verdict) -> dict:
@@ -251,9 +255,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.subcommand](_load(args.input), args)
-    except FileNotFoundError:
-        sys.stderr.write(f"error: cannot read {args.input!r}\n")
-        return 1
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

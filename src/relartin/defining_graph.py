@@ -58,6 +58,8 @@ class DefiningGraph:
         canon: list[tuple[str, str, int]] = []
         pairs: set[frozenset[str]] = set()
         for u, v, m in edges:
+            if not isinstance(u, str) or not isinstance(v, str):
+                raise GraphError(f"edge endpoints must be vertex names, got ({u!r}, {v!r})")
             if u not in seen or v not in seen:
                 raise GraphError(f"edge ({u!r}, {v!r}) mentions an unknown vertex")
             if u == v:
@@ -128,7 +130,11 @@ class SubgraphFamily:
         norm: list[tuple[str, ...]] = []
         seen: set[str] = set()
         for i, part in enumerate(parts):
-            p = sorted(part)
+            p = list(part)
+            for v in p:
+                if not isinstance(v, str):
+                    raise GraphError(f"family part {i} holds {v!r}, not a vertex name")
+            p.sort()
             if not p:
                 raise GraphError(f"family part {i} is empty")
             for v in p:

@@ -42,6 +42,7 @@ multiplying again.
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[tuple[str, int], ...]
@@ -123,9 +124,11 @@ def _ball_levels(
     generators and mult_gen, with the ball's Cayley edges.
 
     Only complete levels are kept: when adding the next level would pass the
-    cap, enumeration stops and the truncated flag is set.  levels[d] holds
-    exactly the elements at distance d, each level sorted by the engine's
-    sort key.
+    cap, enumeration stops and the truncated flag is set.  The test runs
+    while the level is found, so expansion stops with the first element
+    whose products pass the cap, and the rest of a level that would be
+    dropped is never multiplied out.  levels[d] holds exactly the elements
+    at distance d, each level sorted by the engine's sort key.
 
     Elements are numbered by position in the concatenated levels, and
     neighbours[i] lists the number of el_i g^+1 in slot 2 gi and of
@@ -149,20 +152,32 @@ def _ball_levels(
     levels: list[list] = [[engine.identity]]
     neighbours: list[list[int]] = [[-1] * slots]
     for _ in range(radius):
-        # the number of the last level's first element, and the product for
-        # each of its slots, None where the slot is already filled
+        # the number of the last level's first element; the product for each
+        # of its slots, None where the slot is already filled; and the
+        # elements of the next level found so far
         base = len(neighbours) - len(levels[-1])
-        products = [
-            mult_gen(x, g, sign) if row[slot] < 0 else None
-            for x, row in zip(levels[-1], neighbours[base:])
-            for slot, (g, sign) in enumerate(steps)
-        ]
-        found = set(products)
-        found.discard(None)
+        room = cap - len(neighbours)  # new elements the cap still admits
+        rows = zip(levels[-1], neighbours[base:])
+        left = len(levels[-1])
+        products: list = []
+        found: set = set()
+        while left:
+            # an element adds at most `slots` new ones, so a chunk of this
+            # many cannot pass the cap; near it the chunks are single elements
+            chunk = min(left, max(1, (room - len(found)) // slots))
+            left -= chunk
+            new = [
+                mult_gen(x, g, sign) if row[slot] < 0 else None
+                for x, row in islice(rows, chunk)
+                for slot, (g, sign) in enumerate(steps)
+            ]
+            products += new
+            found.update(new)
+            found.discard(None)
+            if len(found) > room:
+                return levels, True, neighbours
         if not found:
             return levels, False, neighbours
-        if len(neighbours) + len(found) > cap:
-            return levels, True, neighbours
         level = sorted(found, key=engine.sort_key)
         number = {w: wi for wi, w in enumerate(level, len(neighbours))}
         neighbours.extend([-1] * slots for _ in level)

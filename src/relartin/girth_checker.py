@@ -11,7 +11,10 @@ search, :func:`_bfs_girth`, finds the shortest cycle and a simple witness:
   * developments, where every element vertex has exactly two incident
     edges of one weight, are contracted to a multigraph on the coset
     vertices (element = edge), halving the search; a parallel pair there
-    is a 4-edge cycle of the link;
+    is a 4-edge cycle of the link.  That multigraph is bipartite, the
+    cosets of one generator against those of the other, and every cycle
+    meets both classes, so it is searched from the class holding the
+    lowest-numbered coset vertex only;
   * every other link, the finite ones among them, is subdivided: an edge
     of w units becomes a path of k * w / g unit edges, g the gcd of the
     link's weights.  A link is bipartite, so each of its cycles has an
@@ -88,8 +91,9 @@ def _is_forest(n: int, edges: list[tuple[int, int, int]]) -> bool:
     return True
 
 
-def _check_bipartite(adj: list[list[int]]) -> None:
-    """Raise unless a 2-colouring of the graph exists."""
+def _check_bipartite(adj: list[list[int]]) -> list[int]:
+    """A 2-colouring of the graph, the lowest vertex of each component
+    coloured 0; raise unless one exists."""
     colour = [-1] * len(adj)
     for s in range(len(adj)):
         if colour[s] >= 0:
@@ -105,6 +109,7 @@ def _check_bipartite(adj: list[list[int]]) -> None:
                     stack.append(y)
                 elif colour[y] != c:
                     raise GraphError(f"odd cycle through vertex {y}: graph is not bipartite")
+    return colour
 
 
 def _bfs_girth(
@@ -179,39 +184,46 @@ def _splice(x: int, y: int, parent: list[int], dist: list[int]) -> list[int]:
 def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
     """Contract degree-2 element vertices into edges between their two coset
     vertices, find the multigraph girth there, expand the witness.  The
-    caller has checked that every element vertex has exactly two edges."""
-    incident: dict[int, list[int]] = {}
-    for i, j, _ in link.edges:
-        e, c = (i, j) if link.sides[i] == 0 else (j, i)
-        incident.setdefault(e, []).append(c)
+    caller has checked that every element vertex has exactly two edges.
+
+    The multigraph lives on the link's own vertex numbers, element vertices
+    left isolated; an element becomes its edge when its second link edge is
+    read, which in a development is element order.  ``pair_seen`` maps each
+    coset pair to its element: a repeated pair is a 4-edge cycle of the
+    link, and otherwise it expands the witness.
+
+    The coset graph is bipartite: the first-generator cosets on one side,
+    the second-generator ones on the other.  Every cycle meets both classes
+    of its component, so the roots are the cosets coloured like the lowest
+    vertex of their component: the class of the lowest-numbered coset
+    vertex, and one class of any other component."""
+    sides = link.sides
+    adj: list[list[int]] = [[] for _ in sides]
+    first = [-1] * len(sides)  # an element's first coset, until its second
     pair_seen: dict[tuple[int, int], int] = {}
-    m_adj: dict[int, list[tuple[int, int]]] = {}
-    for e, cosets in incident.items():
-        c1, c2 = sorted(cosets)
-        if (c1, c2) in pair_seen:
-            other = pair_seen[(c1, c2)]
-            return 4, [c1, other, c2, e]
-        pair_seen[(c1, c2)] = e
-        m_adj.setdefault(c1, []).append((c2, e))
-        m_adj.setdefault(c2, []).append((c1, e))
-    cosets_sorted = sorted(m_adj)
-    cindex = {c: i for i, c in enumerate(cosets_sorted)}
-    adj: list[list[int]] = [[] for _ in cosets_sorted]
-    element_of: dict[tuple[int, int], int] = {}
-    for c, nbrs in m_adj.items():
-        for c2, e in nbrs:
-            adj[cindex[c]].append(cindex[c2])
-            element_of[(cindex[c], cindex[c2])] = e
-    roots = sorted(range(len(cosets_sorted)))
-    found = _bfs_girth(adj, roots)
+    for i, j, _ in link.edges:
+        e, c = (i, j) if sides[i] == 0 else (j, i)
+        c1 = first[e]
+        if c1 < 0:
+            first[e] = c
+            continue
+        pair = (c1, c) if c1 < c else (c, c1)
+        other = pair_seen.get(pair)
+        if other is not None:
+            return 4, [pair[0], other, pair[1], e]
+        pair_seen[pair] = e
+        adj[c1].append(c)
+        adj[c].append(c1)
+    colour = _check_bipartite(adj)
+    found = _bfs_girth(adj, [c for c, row in enumerate(adj) if row and colour[c] == 0])
     if found is None:
         return None
     k, m_cycle = found
     cycle: list[int] = []
     for t in range(k):
-        c_now, c_next = m_cycle[t], m_cycle[(t + 1) % k]
-        cycle.append(cosets_sorted[c_now])
-        cycle.append(element_of[(c_now, c_next)])
+        c, c2 = m_cycle[t], m_cycle[(t + 1) % k]
+        cycle.append(c)
+        cycle.append(pair_seen[(c, c2) if c < c2 else (c2, c)])
     return 2 * k, cycle
 
 

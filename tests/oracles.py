@@ -26,7 +26,11 @@ breadth-first search over (normal form, last letter) states that multiplies
 each step out and tests membership in the ball, never reading its edges.
 
 Developments: ``coset_key`` for every (element, generator) pair, with no
-coset vertex shared along the ball's edges.
+coset vertex shared along the ball's edges; the ball with each level
+multiplied out in full before the cap is tested, and the level then
+dropped; and the development search contracted through dicts keyed by
+vertex, with the coset vertices renumbered in sorted order, rooted at every
+coset vertex.
 
 Dihedral multiplication letter by letter: a positive atom extends or
 appends the last simple (a Delta it fills migrates left), and t^-1 is
@@ -63,6 +67,7 @@ import numpy as np
 from relartin import coxeter
 from relartin.defining_graph import GraphError
 from relartin.dihedral_garside import CapExceeded, DihedralElement, DihedralEngine
+from relartin.girth_checker import _bfs_girth
 from relartin.poset_complex import subset_sort_key
 
 
@@ -258,6 +263,78 @@ def per_pair_development(engine, radius: int, cap: int, units: int):
     boundary = set(range(outer, elements))
     boundary.update(j for i, j, _ in edges if i >= outer)
     return edges, forms, boundary, truncated, len(levels) - 1
+
+
+def expand_then_drop_ball_levels(engine, radius: int, cap: int = 10**6):
+    """``ball_levels`` with the cap tested only after a whole level has been
+    multiplied out, which is then dropped when it would pass the cap."""
+    mult_gen = engine.mult_gen
+    steps = [(g, sign) for g in engine.generators for sign in (1, -1)]
+    slots = len(steps)
+    levels = [[engine.identity]]
+    neighbours = [[-1] * slots]
+    for _ in range(radius):
+        base = len(neighbours) - len(levels[-1])
+        products = [
+            mult_gen(x, g, sign) if row[slot] < 0 else None
+            for x, row in zip(levels[-1], neighbours[base:])
+            for slot, (g, sign) in enumerate(steps)
+        ]
+        found = set(products)
+        found.discard(None)
+        if not found:
+            return levels, False, neighbours
+        if len(neighbours) + len(found) > cap:
+            return levels, True, neighbours
+        level = sorted(found, key=engine.sort_key)
+        number = {w: wi for wi, w in enumerate(level, len(neighbours))}
+        neighbours.extend([-1] * slots for _ in level)
+        for k, w in enumerate(products):
+            if w is not None:
+                xi, slot = divmod(k, slots)
+                wi = number[w]
+                neighbours[xi + base][slot] = wi
+                neighbours[wi][slot ^ 1] = xi + base
+        levels.append(level)
+    return levels, False, neighbours
+
+
+def all_roots_development_girth(link):
+    """(edge count, witness) of a development whose element vertices all
+    have two edges, or None: each element contracted to an edge between its
+    two cosets through dicts, the cosets renumbered in sorted order, and the
+    girth search rooted at every one of them."""
+    incident: dict = {}
+    for i, j, _ in link.edges:
+        e, c = (i, j) if link.sides[i] == 0 else (j, i)
+        incident.setdefault(e, []).append(c)
+    pair_seen: dict = {}
+    m_adj: dict = {}
+    for e, cosets in incident.items():
+        c1, c2 = sorted(cosets)
+        if (c1, c2) in pair_seen:
+            return 4, [c1, pair_seen[(c1, c2)], c2, e]
+        pair_seen[(c1, c2)] = e
+        m_adj.setdefault(c1, []).append((c2, e))
+        m_adj.setdefault(c2, []).append((c1, e))
+    cosets_sorted = sorted(m_adj)
+    cindex = {c: i for i, c in enumerate(cosets_sorted)}
+    adj = [[] for _ in cosets_sorted]
+    element_of = {}
+    for c, nbrs in m_adj.items():
+        for c2, e in nbrs:
+            adj[cindex[c]].append(cindex[c2])
+            element_of[(cindex[c], cindex[c2])] = e
+    found = _bfs_girth(adj, list(range(len(cosets_sorted))))
+    if found is None:
+        return None
+    k, m_cycle = found
+    cycle = []
+    for t in range(k):
+        c_now, c_next = m_cycle[t], m_cycle[(t + 1) % k]
+        cycle.append(cosets_sorted[c_now])
+        cycle.append(element_of[(c_now, c_next)])
+    return 2 * k, cycle
 
 
 # ------------------------------------------------- rewriting closure

@@ -164,6 +164,14 @@ def test_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "kpi1", "--input", str(tmp_path / "missing.json"))
     assert code == 1 and "cannot read" in err
 
+    # a directory, and a file that is not UTF-8
+    code, _, err = run(capsys, "kpi1", "--input", str(tmp_path))
+    assert code == 1 and err.startswith("error: cannot read")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"vertices": ["\xe9"], "edges": [], "family": [["\xe9"]]}')
+    code, _, err = run(capsys, "kpi1", "--input", str(latin))
+    assert code == 1 and err.startswith("error: cannot read")
+
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _, err = run(capsys, "kpi1", "--input", str(bad))

@@ -1,4 +1,7 @@
 """Graph and family validation, inter-edge extraction, label conditions."""
+import copy
+import json
+import pathlib
 import random
 
 import pytest
@@ -17,6 +20,8 @@ from relartin.defining_graph import (
 )
 
 from instances import affine_parts_join, random_rel_prime_instance, touching_triple_control
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_build_and_accessors():
@@ -181,6 +186,62 @@ def test_parse_graph_rejections():
             '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": 1}],'
             ' "family": [["a"], ["b"]]}'
         )
+    # names that are not strings: unhashable, or not comparable with the rest
+    with pytest.raises(GraphError, match="endpoints"):
+        parse_graph(
+            '{"vertices": ["a", "b"], "edges": [{"u": ["a"], "v": "b", "m": 4}],'
+            ' "family": [["a"], ["b"]]}'
+        )
+    with pytest.raises(GraphError, match="not a vertex name"):
+        parse_graph('{"vertices": ["a"], "edges": [], "family": [["a", 1]]}')
+
+
+def _random_value(rng: random.Random, names: list, depth: int = 0):
+    """A random JSON value, containers at most two levels deep."""
+    kind = rng.randrange(7 if depth < 2 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice([0, 1, 2, 4, -3, 10**20, 2.5, -0.0])
+    if kind == 3:
+        return rng.choice(["", "x", "u", "m", "family"])
+    if kind == 4:
+        return rng.choice(names)
+    if kind == 5:
+        return [_random_value(rng, names, depth + 1) for _ in range(rng.randrange(4))]
+    keys = ["u", "v", "m", "vertices", "edges", "family", "x"]
+    return {rng.choice(keys): _random_value(rng, names, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def _mutate(rng: random.Random, doc, names: list):
+    """doc with the value at one random path replaced by a random value."""
+    if not isinstance(doc, (dict, list)) or not doc or rng.random() < 0.2:
+        return _random_value(rng, names)
+    key = rng.choice(list(doc)) if isinstance(doc, dict) else rng.randrange(len(doc))
+    doc[key] = _mutate(rng, doc[key], names)
+    return doc
+
+
+def test_malformed_documents_raise_graph_error_only():
+    # seeded mutations of the fixtures: every document either parses or is
+    # rejected with GraphError, never with another exception
+    rng = random.Random(20261018)
+    fixtures = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+    parsed = rejected = 0
+    for _ in range(3000):
+        doc = copy.deepcopy(rng.choice(fixtures))
+        names = list(doc["vertices"])
+        for _ in range(rng.randint(1, 3)):
+            doc = _mutate(rng, doc, names)
+        text = json.dumps(doc)
+        try:
+            assert isinstance(parse_graph(text), Instance)
+            parsed += 1
+        except GraphError:
+            rejected += 1
+    assert parsed > 10 and rejected > 2000
 
 
 def test_classifier_flags():

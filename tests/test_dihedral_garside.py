@@ -20,6 +20,7 @@ from oracles import (
     atom_coset_rep,
     atom_mult_power,
     atom_normal_form,
+    expand_then_drop_ball_levels,
     quotient_equal,
     quotient_image,
     string_to_word,
@@ -177,6 +178,42 @@ def test_ball_cap():
     assert truncated
     assert len(levels) - 1 < 10
     assert sum(len(l) for l in levels) <= 30
+
+
+def test_ball_cap_matches_expand_then_drop_at_every_level_boundary():
+    # caps one below, at and one above each level boundary: the ball that
+    # stops at the cap is the one that multiplies the dropped level out
+    engines = [DihedralEngine("a", "b", m) for m in range(2, 8)] + [
+        FreeEngine(gens) for gens in (["x"], ["x", "y"], ["x", "y", "z"])
+    ]
+    seen = set()
+    for eng in engines:
+        levels, _, _ = eng.ball_levels(5)
+        boundary = 0
+        for level in levels:
+            boundary += len(level)
+            for cap in (boundary - 1, boundary, boundary + 1):
+                got = eng.ball_levels(5, cap)
+                assert got == expand_then_drop_ball_levels(eng, 5, cap), (eng.generators, cap)
+                seen.add((cap - boundary, got[1]))
+    assert seen == {(-1, True), (0, False), (1, False), (0, True), (1, True)}
+
+
+def test_ball_stops_multiplying_at_the_cap():
+    eng = DihedralEngine("a", "b", 4)
+    calls = 0
+    mult_gen = eng.mult_gen
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return mult_gen(*args)
+
+    eng.mult_gen = counted
+    levels, truncated, _ = eng.ball_levels(32, 4000)
+    assert truncated and len(levels) == 8
+    # multiplying out the dropped level 8 in full takes 8,624 calls
+    assert calls < 4500
 
 
 def test_ball_edges_are_the_products_inside_the_ball():

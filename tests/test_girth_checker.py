@@ -11,7 +11,7 @@ import pytest
 
 from relartin import girth_checker
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
-from relartin.dihedral_garside import DihedralEngine
+from relartin.dihedral_garside import DihedralEngine, FreeEngine
 from relartin.girth_checker import (
     TWO_PI_UNITS,
     CertifyConfig,
@@ -19,8 +19,10 @@ from relartin.girth_checker import (
     shortest_embedded_cycle,
 )
 from relartin.link_builder import (
+    Development,
     LinkGraph,
     TruncationInfo,
+    _develop,
     build_link_empty,
     build_link_single,
     develop_link_interedge,
@@ -33,7 +35,12 @@ from instances import (
     single_interedge,
     touching_triple_control,
 )
-from oracles import brute_min_cycle, full_depth_bfs_girth, per_edge_dijkstra_girth
+from oracles import (
+    all_roots_development_girth,
+    brute_min_cycle,
+    full_depth_bfs_girth,
+    per_edge_dijkstra_girth,
+)
 
 
 def m_interedge(m: int):
@@ -210,6 +217,39 @@ def test_development_girth_matches_full_depth_search_on_fixtures(monkeypatch):
             cert.edge_count,
             cert.cycle,
         )
+
+
+def test_development_search_matches_all_roots_oracle():
+    # complete balls that reach the relator cycle, then balls the cap
+    # truncates, each generator order, both edge units: the same length,
+    # edge count and witness as the dict-based contraction searched from
+    # every coset vertex.  Forests never reach the search.
+    engines = [
+        DihedralEngine(*gens, m) for m in range(2, 8) for gens in (("a", "b"), ("b", "a"))
+    ] + [FreeEngine(["x", "y"])]
+    searched = set()
+    for i, eng in enumerate(engines):
+        size = eng.m if isinstance(eng, DihedralEngine) else 4
+        configs = [(size + 1, 10**5), (8 * size, 1500)]
+        if size == 7 and eng.generators[0] == "b":
+            # m = 7 closes its first cycle at radius 8, in a development of
+            # 25,945 vertices: searched in one generator order only
+            configs[0] = (7, 10**5)
+        for k, (radius, cap) in enumerate(configs):
+            dev = Development(eng, 1 + (i + k) % 2, "inter-edge", "test")
+            link = _develop(dev, radius, cap)
+            cert = shortest_embedded_cycle(link)
+            if cert.note == "acyclic":
+                continue
+            searched.add((link.truncation.truncated, dev.units))
+            edge_count, cycle = all_roots_development_girth(link)
+            assert (cert.length_units, cert.edge_count, cert.vertices, cert.cycle) == (
+                edge_count * dev.units,
+                edge_count,
+                cycle,
+                [link.vertex_labels[v] for v in cycle],
+            ), (eng.generators, radius, cap)
+    assert searched == {(False, 1), (False, 2), (True, 1), (True, 2)}
 
 
 def test_random_weighted_girth_against_oracle():
