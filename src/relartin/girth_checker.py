@@ -34,8 +34,7 @@ and non-disjoint inter-edges of label m share one development and one
 search per call, whenever the radii agree or the element cap stopped the
 earlier ball below the new radius.  Each entry keeps its own radius, its
 own edge units (length = edge count x units) and its witness renamed to
-its own generators.  Without ``dedup`` every link is developed on its own,
-as an independent cross-check.
+its own generators.
 """
 from __future__ import annotations
 
@@ -338,7 +337,6 @@ class CertifyConfig:
     radius_case1: int = 16
     radius_case3: int | None = None  # None: 8 * label per inter-edge
     cap: int = 4000
-    dedup: bool = True
 
 
 @dataclass
@@ -472,10 +470,9 @@ def certify_link_condition(
     two-generator syllable argument of Appel and Schupp, applied through the
     standard-parabolic embedding (van der Lek), not a machine check.
 
-    With ``dedup`` each distinct development is built and searched once per
-    call and shared by every class entry whose engine has its shape (see
-    :func:`_shape`) and whose radius it covers; without it every entry is
-    developed on its own.
+    Each distinct development is built and searched once per call and
+    shared by every class entry whose engine has its shape (see
+    :func:`_shape`) and whose radius it covers.
     """
     cfg = config or CertifyConfig()
     entries: list[LinkCertificate] = []
@@ -487,16 +484,14 @@ def certify_link_condition(
 
     def developed(dev: Development, radius: int, members: list[str], develop) -> LinkCertificate:
         key = _shape(dev.engine)
-        if cfg.dedup:
-            for done in shared.get(key, ()):
-                if done.covers(radius):
-                    return done.entry(dev, radius, members)
+        for done in shared.get(key, ()):
+            if done.covers(radius):
+                return done.entry(dev, radius, members)
         link = develop()
         entry = searched(link, members)
-        if cfg.dedup:
-            cert = entry.certificate
-            witness = [link.vertex_labels.normal_form(v) for v in cert.vertices]
-            shared.setdefault(key, []).append(_Shared(dev.engine, cert, entry.stats, witness))
+        cert = entry.certificate
+        witness = [link.vertex_labels.normal_form(v) for v in cert.vertices]
+        shared.setdefault(key, []).append(_Shared(dev.engine, cert, entry.stats, witness))
         return entry
 
     entries.append(searched(build_link_empty(inst), ["[1]"]))
@@ -511,10 +506,7 @@ def certify_link_condition(
             key = ("free", len(engine.generators))
         else:
             key = ("dihedral", engine.m)
-        if cfg.dedup:
-            part_classes.setdefault(key, []).append(i)
-        else:
-            part_classes[key + ("#", i)] = [i]
+        part_classes.setdefault(key, []).append(i)
     for key in sorted(part_classes, key=str):
         indices = part_classes[key]
         members = [subset_label(frozenset(inst.family.parts[i])) for i in indices]
@@ -548,11 +540,7 @@ def certify_link_condition(
 
     ie_classes: dict[tuple, list] = {}
     for e in inst.inter_edges:
-        key = (e.label, inst.disjoint[e.pair])
-        if cfg.dedup:
-            ie_classes.setdefault(key, []).append(e)
-        else:
-            ie_classes[key + ("#", e.u, e.v)] = [e]
+        ie_classes.setdefault((e.label, inst.disjoint[e.pair]), []).append(e)
     for key in sorted(ie_classes, key=str):
         group = ie_classes[key]
         e0 = group[0]

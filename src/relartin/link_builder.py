@@ -5,22 +5,22 @@ everything:
 
   empty       link of the trivial coset: finite bipartite graph with the
               inter-edge-vertex subgroups on one side, the parts and
-              inter-edge subgroups on the other; edge lengths 2 units to a
-              part, 2 to a disjoint inter-edge, 3 to a non-disjoint one;
+              inter-edge subgroups on the other;
   single      link of an inter-edge-vertex subgroup coset: complete
               bipartite between the powers of the generator and the parts
-              or inter-edges above it, every edge 4 units; only finitely
-              many powers are drawn, which cannot change the cycle
-              structure of a complete bipartite graph;
+              or inter-edges above it; only finitely many powers are drawn,
+              which cannot change the cycle structure of a complete
+              bipartite graph;
   part        link of a part subgroup coset, developed as a ball: element
-              cosets on one side, generator-cyclic cosets on the other,
-              every edge 2 units; needs an exact word-problem engine;
+              cosets on one side, generator-cyclic cosets on the other;
+              needs an exact word-problem engine;
   inter-edge  link of an inter-edge subgroup coset, developed with the
-              dihedral engine; edges 2 units when the inter-edge is
-              disjoint from all others, 1 unit when it shares a vertex.
+              dihedral engine.
 
-Lengths are angles of the metric triangles at the corresponding corner, in
-integer units of pi/8; the 2pi threshold is the integer 16.
+An edge of a link is the angle, at the link's own corner, of the metric
+triangle [empty < {s} < T] it crosses: the empty, {s} or T corner of
+``poset_complex.TRIANGLE_UNITS`` for the empty, single and developed links.
+Lengths are integer units of pi/8; the 2pi threshold is the integer 16.
 
 Developments are balls of infinite graphs.  Enumeration keeps only complete
 word-length levels under the element cap, records the achieved radius, and
@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .defining_graph import GraphError, Instance, InterEdge
 from .dihedral_garside import DihedralEngine
-from .poset_complex import subset_label
+from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, dot_escape, subset_label
 
 TWO_PI_UNITS = 16
 
@@ -114,13 +114,12 @@ class LinkGraph:
         }
 
     def to_dot(self) -> str:
-        lines = [f'graph "{self.descriptor}" {{']
+        lines = [f'graph "{dot_escape(self.descriptor)}" {{']
         for i in range(self.vertex_count):
             shape = "box" if self.sides[i] else "ellipse"
             style = ', style=dashed' if i in self.boundary else ""
-            lines.append(
-                f'  n{i} [label="{self.vertex_labels[i]}", shape={shape}{style}];'
-            )
+            label = dot_escape(self.vertex_labels[i])
+            lines.append(f'  n{i} [label="{label}", shape={shape}{style}];')
         for i, j, w in self.edges:
             lines.append(f'  n{i} -- n{j} [label="{w}"];')
         lines.append("}")
@@ -156,10 +155,11 @@ def build_link_empty(inst: Instance) -> LinkGraph:
         (s,) = t
         part = frozenset(family.parts[family.part_index(s)])
         if part != t:
-            edges.append((index[t], index[part], 2))
+            edges.append((index[t], index[part], TRIANGLE_UNITS["part"][0]))
     for pair, disj in inst.disjoint.items():
+        units = TRIANGLE_UNITS[INTEREDGE_CASE[disj]][0]
         for s in pair:
-            edges.append((index[frozenset((s,))], index[pair], 2 if disj else 3))
+            edges.append((index[frozenset((s,))], index[pair], units))
     link = LinkGraph(
         case="empty",
         descriptor="link of the trivial coset",
@@ -177,7 +177,7 @@ def build_link_single(
     inst: Instance, s: str, truncation_n: int = 3
 ) -> LinkGraph:
     """Link of the cyclic subgroup coset at inter-edge vertex s: complete
-    bipartite, all edges 4 units.
+    bipartite, each edge the {s} corner of its triangle.
 
     Only powers s^k with |k| <= truncation_n are drawn.  Extra powers attach
     by the same complete-bipartite rule, so the minimal cycle (4 edges when
@@ -190,24 +190,25 @@ def build_link_single(
     if not ies:
         raise GraphError(f"{s!r} is not an inter-edge vertex")
     part = frozenset(inst.family.parts[inst.family.part_index(s)])
-    uppers: list[tuple[str, frozenset]] = []
+    # (kind, subset, TRIANGLE_UNITS key) of each part or inter-edge above s
+    uppers: list[tuple[str, frozenset, str]] = []
     if part != frozenset((s,)):
-        uppers.append(("part", part))
-    uppers.extend(("inter-edge", e.pair) for e in ies)
+        uppers.append(("part", part, "part"))
+    uppers.extend(("inter-edge", e.pair, INTEREDGE_CASE[inst.disjoint[e.pair]]) for e in ies)
     kinds, labels, sides = [], [], []
     for k in range(-truncation_n, truncation_n + 1):
         kinds.append("power")
         labels.append(f"{s}^{k}")
         sides.append(0)
-    for kind, t in uppers:
+    for kind, t, _ in uppers:
         kinds.append(kind)
         labels.append(subset_label(t))
         sides.append(1)
     n_powers = 2 * truncation_n + 1
     edges = [
-        (i, n_powers + j, 4)
+        (i, n_powers + j, TRIANGLE_UNITS[case][1])
         for i in range(n_powers)
-        for j in range(len(uppers))
+        for j, (_, _, case) in enumerate(uppers)
     ]
     link = LinkGraph(
         case="single",
@@ -270,11 +271,11 @@ class Development:
 
 
 def part_development(inst: Instance, i: int) -> Development:
-    """The development of the link of the part subgroup coset S_i.
+    """The development of the link of the part subgroup coset S_i, every
+    edge the T corner of a part triangle.
 
-    All edges are 2 units.  An exact engine is required; parts that are
-    neither edgeless nor a single labeled edge have none and raise
-    :class:`UnsupportedPartError`.
+    An exact engine is required; parts that are neither edgeless nor a
+    single labeled edge have none and raise :class:`UnsupportedPartError`.
     """
     part = inst.family.parts[i]
     engine = inst.engines[i]
@@ -282,22 +283,20 @@ def part_development(inst: Instance, i: int) -> Development:
         raise UnsupportedPartError(
             f"no exact word-problem engine for part {list(part)}"
         )
-    return Development(
-        engine, 2, "part", f"link of the part coset {subset_label(frozenset(part))}"
-    )
+    descriptor = f"link of the part coset {subset_label(frozenset(part))}"
+    return Development(engine, TRIANGLE_UNITS["part"][2], "part", descriptor)
 
 
 def interedge_development(inst: Instance, edge: InterEdge) -> Development:
-    """The development of the link of an inter-edge subgroup coset.
-
-    Edge lengths are 2 units when the inter-edge shares no vertex with any
-    other inter-edge, 1 unit otherwise.
+    """The development of the link of an inter-edge subgroup coset, every
+    edge the T corner of its triangle, which depends on whether the
+    inter-edge shares a vertex with another.
     """
     disjoint = inst.disjoint[edge.pair]
     flavor = "disjoint" if disjoint else "non-disjoint"
     return Development(
         DihedralEngine(*sorted(edge.pair), m=edge.label),
-        2 if disjoint else 1,
+        TRIANGLE_UNITS[INTEREDGE_CASE[disjoint]][2],
         "inter-edge",
         f"link of the inter-edge coset {subset_label(edge.pair)} "
         f"(m={edge.label}, {flavor})",

@@ -8,33 +8,30 @@ Three posets under inclusion:
   S^f   every subset whose Coxeter quotient is finite;
   S_bar the union of S^l with every subset of every part.
 
-The derived complex of a poset has one simplex per chain.  Only the S^l
-complex is ever listed chain by chain.  The S_bar complex grows with the
+Every order fact of a poset is read off one up-set map,
+``SubsetPoset.above``, and its covering relation, both computed once per
+poset.  The derived complex of a poset has one simplex per chain.  Only the
+S^l complex is ever listed chain by chain.  The S_bar complex grows with the
 factorial of the part sizes, so it is never materialised: its chains are
 counted by dynamic programming (``SubsetPoset.chain_count``) and its
 maximal chains are walked along the covering relation (``maximal_chains``).
 
 Over S^l the complex is 2-dimensional and every 2-chain has the shape
-[empty < {s} < T]; such a triangle receives Euclidean angles in integer
-units of pi/8:
-
-  T a part, or an inter-edge disjoint from all others   (2, 4, 2)
-  T an inter-edge sharing a vertex with another         (3, 4, 1)
-
-listed at the (empty, {s}, T) corners.  Side lengths follow the law of
-sines once the edge [empty, {s}] is normalised to length 1; they are kept
-exactly as ratios sin(p pi/8) / sin(q pi/8) with p, q in {1..4}.
+[empty < {s} < T].  Such a triangle receives Euclidean angles in integer
+units of pi/8 from one table, ``TRIANGLE_UNITS``, keyed by the kind of T; the
+vertex links read their edge lengths off the same table.  Side lengths
+follow the law of sines once the edge [empty, {s}] is normalised to
+length 1; they are kept exactly as ratios sin(p pi/8) / sin(q pi/8) with
+p, q in {1..4}, one triple per triangle shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi, sin
 from typing import Iterable
 
 from .defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
-
-Subset = frozenset
-
 
 def subset_sort_key(t: frozenset) -> tuple:
     return (len(t), tuple(sorted(t)))
@@ -42,6 +39,11 @@ def subset_sort_key(t: frozenset) -> tuple:
 
 def subset_label(t: frozenset) -> str:
     return "{" + ",".join(sorted(t)) + "}"
+
+
+def dot_escape(text: str) -> str:
+    """text for a double-quoted DOT string: backslashes and quotes escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 @dataclass
@@ -65,23 +67,44 @@ class SubsetPoset:
     def __contains__(self, subset: frozenset) -> bool:
         return subset in self.tags
 
-    def covers(self) -> list[tuple[frozenset, frozenset]]:
-        """Covering relations of the inclusion order (Hasse diagram edges).
+    @cached_property
+    def above(self) -> dict[frozenset, list[frozenset]]:
+        """For each element, the elements strictly above it, in element order.
 
-        Listed by the index of ``small``, then of ``big``.  The elements
-        above ``small`` come in order of size, so a candidate ``big`` covers
-        ``small`` exactly when no cover of ``small`` kept so far lies below
-        it: a strictly intermediate element would contain a cover that is
-        smaller than ``big`` and hence already kept.
+        An element above a nonempty t contains every vertex of t, so it is
+        found among the elements containing t's rarest vertex.
         """
-        out = []
-        for i, small in enumerate(self.elements):
-            above: list[frozenset] = []
-            for big in self.elements[i + 1 :]:
-                if small < big and not any(c < big for c in above):
-                    above.append(big)
-            out.extend((small, big) for big in above)
+        containing: dict[str, list[frozenset]] = {}
+        for u in self.elements:
+            for v in u:
+                containing.setdefault(v, []).append(u)
+        # every element lies above the empty set, which has no rarest vertex
+        return {
+            t: [u for u in min((containing[v] for v in t), key=len, default=self.elements) if t < u]
+            for t in self.elements
+        }
+
+    @cached_property
+    def upper_covers(self) -> dict[frozenset, list[frozenset]]:
+        """For each element, the elements covering it, in element order.
+
+        The elements above ``small`` come in order of size, so a candidate
+        ``big`` covers ``small`` exactly when no cover of ``small`` kept so
+        far lies below it: a strictly intermediate element would contain a
+        cover that is smaller than ``big`` and hence already kept.
+        """
+        out: dict[frozenset, list[frozenset]] = {}
+        for small, bigger in self.above.items():
+            kept = out[small] = []
+            for big in bigger:
+                if not any(c < big for c in kept):
+                    kept.append(big)
         return out
+
+    def covers(self) -> list[tuple[frozenset, frozenset]]:
+        """Covering relations of the inclusion order (Hasse diagram edges),
+        listed by the index of ``small``, then of ``big``."""
+        return [(small, big) for small, bigs in self.upper_covers.items() for big in bigs]
 
     def chain_count(self) -> int:
         """Number of nonempty chains, i.e. of simplices of the derived
@@ -92,7 +115,7 @@ class SubsetPoset:
         """
         f: dict[frozenset, int] = {}
         for t in reversed(self.elements):
-            f[t] = 1 + sum(n for u, n in f.items() if t < u)
+            f[t] = 1 + sum(f[u] for u in self.above[t])
         return sum(f.values())
 
     def to_json_dict(self) -> dict:
@@ -111,7 +134,8 @@ class SubsetPoset:
         index = {t: i for i, t in enumerate(self.elements)}
         for t in self.elements:
             tag_str = ",".join(sorted(self.tags[t]))
-            lines.append(f'  n{index[t]} [label="{subset_label(t)}\\n{tag_str}"];')
+            label = f"{dot_escape(subset_label(t))}\\n{dot_escape(tag_str)}"
+            lines.append(f'  n{index[t]} [label="{label}"];')
         for a, b in self.covers():
             lines.append(f"  n{index[a]} -> n{index[b]};")
         lines.append("}")
@@ -191,21 +215,7 @@ def derived_complex(poset: SubsetPoset) -> DerivedComplex:
     never listed: ``SubsetPoset.chain_count`` counts it and
     ``maximal_chains`` walks its facets along the covering relation.
     """
-    elements = poset.elements
-    # an element above a nonempty t contains every vertex of t, so it is
-    # found among the elements containing t's rarest vertex
-    containing: dict[str, list[frozenset]] = {}
-    for u in elements:
-        for v in u:
-            containing.setdefault(v, []).append(u)
-    above: dict[frozenset, list[frozenset]] = {
-        t: (
-            [u for u in min((containing[v] for v in t), key=len) if t < u]
-            if t
-            else [u for u in elements if u]
-        )
-        for t in elements
-    }
+    above = poset.above
     chains: list[tuple[frozenset, ...]] = []
 
     def grow(chain: tuple[frozenset, ...]) -> None:
@@ -213,7 +223,7 @@ def derived_complex(poset: SubsetPoset) -> DerivedComplex:
         for u in above[chain[-1]]:
             grow(chain + (u,))
 
-    for t in elements:
+    for t in poset.elements:
         grow((t,))
     chains.sort(key=_chain_sort_key(poset))
     return DerivedComplex(poset=poset, chains=tuple(chains))
@@ -282,8 +292,19 @@ class MetricSimplex:
         return {(t0, t1): self.sides[0], (t1, t2): self.sides[1], (t0, t2): self.sides[2]}
 
 
+# angles of [empty < {s} < T] at its (empty, {s}, T) corners in pi/8, by the kind of T
+TRIANGLE_UNITS: dict[str, tuple[int, int, int]] = {
+    "part": (2, 4, 2),
+    "inter-edge-disjoint": (2, 4, 2),
+    "inter-edge-nondisjoint": (3, 4, 1),
+}
+# the TRIANGLE_UNITS key of an inter-edge, by whether it is disjoint from all others
+INTEREDGE_CASE = {True: "inter-edge-disjoint", False: "inter-edge-nondisjoint"}
+
+
 def _sides_from_units(units: tuple[int, int, int]) -> tuple:
     a0, a1, a2 = units
+    assert sum(units) == 8, f"angles {units} of a Euclidean triangle must sum to pi"
     # law of sines: each side is proportional to the sine of the opposite
     # corner; dividing by sin(top corner) normalises [empty,{s}] to 1
     return (
@@ -291,6 +312,9 @@ def _sides_from_units(units: tuple[int, int, int]) -> tuple:
         canonical_sine_ratio(a0, a2),
         canonical_sine_ratio(a1, a2),
     )
+
+
+_SIDES = {case: _sides_from_units(units) for case, units in TRIANGLE_UNITS.items()}
 
 
 def disjoint_inter_edges(inst: Instance) -> dict[frozenset, bool]:
@@ -313,19 +337,12 @@ def assign_metric(
             raise GraphError(f"unrecognised 2-chain shape {[sorted(t) for t in chain]}")
         top_tags = tags[t2]
         if "inter-edge" in top_tags:
-            units = (2, 4, 2) if disjoint[t2] else (3, 4, 1)
-            case = "inter-edge-disjoint" if disjoint[t2] else "inter-edge-nondisjoint"
+            case = INTEREDGE_CASE[disjoint[t2]]
         elif "part" in top_tags:
-            units = (2, 4, 2)
             case = "part"
         else:
             raise GraphError(f"2-chain top {sorted(t2)} is neither part nor inter-edge")
-        assert sum(units) == 8
-        out.append(
-            MetricSimplex(
-                chain=(t0, t1, t2), units=units, case=case, sides=_sides_from_units(units)
-            )
-        )
+        out.append(MetricSimplex(chain, TRIANGLE_UNITS[case], case, _SIDES[case]))
     return out
 
 
@@ -389,9 +406,7 @@ def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
     relation from each minimal element.  Inside a part of size k they are
     the k! orders in which its vertices can be added.
     """
-    up: dict[frozenset, list[frozenset]] = {t: [] for t in poset.elements}
-    for small, big in poset.covers():
-        up[small].append(big)
+    up = poset.upper_covers
     minimal = set(poset.elements).difference(*up.values())
     out: list[tuple[frozenset, ...]] = []
 
@@ -402,9 +417,8 @@ def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
         for u in above:
             walk(chain + (u,))
 
-    for t in poset.elements:
-        if t in minimal:
-            walk((t,))
+    for t in minimal:
+        walk((t,))
     out.sort(key=_chain_sort_key(poset))
     return out
 
@@ -446,18 +460,17 @@ def retraction_map(
 
     # monotone vertex maps carry chains to chains, which is exactly
     # compatibility on shared faces; additionally the image of each maximal
-    # chain must match the stated formula
+    # chain must match the stated formula.  Inclusion is transitive, so
+    # covers suffice when every element has an image, and a partial map
+    # fails already
     monotone = True
-    elems = [t for t in s_bar.elements if t in vertex_map]
-    for a in elems:
-        for b in elems:
-            if a < b and not vertex_map[a] <= vertex_map[b]:
+    for a, bigger in s_bar.upper_covers.items():
+        for b in bigger:
+            if a in vertex_map and b in vertex_map and not vertex_map[a] <= vertex_map[b]:
                 monotone = False
                 failures.append(f"not monotone on {sorted(a)} < {sorted(b)}")
 
-    iev = {
-        t for t in s_ell.elements if "inter-edge-vertex" in s_ell.tags[t]
-    }
+    iev = {t for t in s_ell.elements if "inter-edge-vertex" in s_ell.tags[t]}
     s_ell_chains = set(s_ell_cx.chains)
     total = 0
     formula_ok = True

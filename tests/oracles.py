@@ -43,11 +43,17 @@ edge by one Dijkstra per edge, with that edge removed; and breadth-first
 girth search from every root that expands every depth up to half the best
 length so far and tests every non-tree edge it meets.
 
-Posets: the covering relation by testing every intermediate element, the
-chains of the derived complex by extending each chain by every larger
-element found in a scan of all pairs, the maximal chains by scanning every
-such chain for an element that would extend it, and the chain count as the
-number of such chains.
+Posets: the up-set of each element and the covering relation by testing
+every pair and every intermediate element, the chains of the derived
+complex by extending each chain by every larger element found in a scan of
+all pairs, the maximal chains by scanning every such chain for an element
+that would extend it, and the chain count as the number of such chains.
+The retraction audit with monotonicity tested on every comparable pair of
+mapped elements, not on covers only.
+
+Certification: each part with an engine and each inter-edge developed
+alone at the configured radius and cap and searched, with no development
+shared between links of one engine shape.
 
 Coxeter types: the smallest eigenvalue of the cosine matrix
 B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
@@ -67,8 +73,20 @@ import numpy as np
 from relartin import coxeter
 from relartin.defining_graph import GraphError
 from relartin.dihedral_garside import CapExceeded, DihedralElement, DihedralEngine
-from relartin.girth_checker import _bfs_girth
-from relartin.poset_complex import subset_sort_key
+from relartin.girth_checker import (
+    LinkCertificate,
+    _bfs_girth,
+    _stats,
+    _status,
+    shortest_embedded_cycle,
+)
+from relartin.link_builder import develop_link_interedge, develop_link_part
+from relartin.poset_complex import (
+    RetractionReport,
+    maximal_chains,
+    subset_label,
+    subset_sort_key,
+)
 
 
 # ---------------------------------------------------------------- words
@@ -611,12 +629,16 @@ def _chain_order(chain) -> tuple:
     return (len(chain), tuple(subset_sort_key(t) for t in chain))
 
 
+def brute_above(poset) -> dict:
+    """For each element, the elements strictly above it, found by comparing
+    all pairs, in element order."""
+    return {t: [u for u in poset.elements if t < u] for t in poset.elements}
+
+
 def brute_chains(poset) -> list:
-    """Every nonempty chain, with the elements above each one found by
-    comparing all pairs, by length and then element by element in
-    ``subset_sort_key`` order."""
-    elements = poset.elements
-    above = {t: [u for u in elements if t < u] for t in elements}
+    """Every nonempty chain, grown along ``brute_above``, by length and then
+    element by element in ``subset_sort_key`` order."""
+    above = brute_above(poset)
     chains = []
 
     def grow(chain):
@@ -624,7 +646,7 @@ def brute_chains(poset) -> list:
         for u in above[chain[-1]]:
             grow(chain + (u,))
 
-    for t in elements:
+    for t in poset.elements:
         grow((t,))
     return sorted(chains, key=_chain_order)
 
@@ -645,6 +667,108 @@ def brute_maximal_chains(poset) -> list:
 
 def brute_chain_count(poset) -> int:
     return len(brute_chains(poset))
+
+
+def all_pairs_retraction_map(s_bar, s_ell_cx, family) -> RetractionReport:
+    """``retraction_map`` with monotonicity tested on every pair a < b of
+    mapped elements of S_bar."""
+    s_ell = s_ell_cx.poset
+    part_of = {}
+    for part in family.parts:
+        pset = frozenset(part)
+        for t in s_bar.elements:
+            if t and t <= pset:
+                part_of.setdefault(t, pset)
+
+    failures = []
+    vertex_map = {}
+    for t in s_bar.elements:
+        if t in s_ell:
+            vertex_map[t] = t
+        elif t in part_of:
+            vertex_map[t] = part_of[t]
+        else:
+            failures.append(f"no image for {sorted(t)}")
+
+    lands = not failures and all(img in s_ell for img in vertex_map.values())
+    identity = all(vertex_map.get(t) == t for t in s_ell.elements)
+    idempotent = all(vertex_map.get(img) == img for img in vertex_map.values())
+
+    monotone = True
+    elems = [t for t in s_bar.elements if t in vertex_map]
+    for a in elems:
+        for b in elems:
+            if a < b and not vertex_map[a] <= vertex_map[b]:
+                monotone = False
+                failures.append(f"not monotone on {sorted(a)} < {sorted(b)}")
+
+    iev = {t for t in s_ell.elements if "inter-edge-vertex" in s_ell.tags[t]}
+    s_ell_chains = set(s_ell_cx.chains)
+    total = 0
+    formula_ok = True
+    for chain in maximal_chains(s_bar):
+        if any(t not in vertex_map for t in chain):
+            continue
+        total += 1
+        image = []
+        for t in chain:
+            img = vertex_map[t]
+            if not image or image[-1] != img:
+                image.append(img)
+        top = chain[-1]
+        if "inter-edge" in s_bar.tags.get(top, frozenset()):
+            expected = chain
+        else:
+            bottom = chain[1] if len(chain) > 1 else None
+            part = vertex_map[top]
+            if bottom is not None and bottom in iev:
+                expected = (frozenset(), bottom, part)
+            else:
+                expected = (frozenset(), part)
+        if tuple(image) != expected:
+            formula_ok = False
+            failures.append(
+                f"chain {[sorted(t) for t in chain]} mapped to "
+                f"{[sorted(t) for t in image]}, expected {[sorted(t) for t in expected]}"
+            )
+        if tuple(image) not in s_ell_chains:
+            lands = False
+            failures.append(f"image of {[sorted(t) for t in chain]} is not an S^l chain")
+
+    return RetractionReport(
+        total_maximal_chains=total,
+        lands_in_s_ell=lands,
+        identity_on_s_ell=identity,
+        idempotent=idempotent,
+        face_compatible=monotone and formula_ok,
+        vertex_map=vertex_map,
+        failures=failures,
+    )
+
+
+# ---------------------------------------------------- certification
+
+def independent_certification(inst, config) -> list:
+    """One entry per part with an engine and per inter-edge, each developed
+    alone at the config's radius and cap and then searched, as a class of
+    that member alone would be reported."""
+    entries = []
+
+    def searched(link, member):
+        cert = shortest_embedded_cycle(link)
+        entries.append(
+            LinkCertificate(link.case, link.descriptor, _status(cert), cert, [member], _stats(link))
+        )
+
+    for i, part in enumerate(inst.family.parts):
+        if inst.engines[i] is not None:
+            link = develop_link_part(inst, i, radius=config.radius_case1, cap=config.cap)
+            searched(link, subset_label(frozenset(part)))
+    for e in inst.inter_edges:
+        radius = config.radius_case3 if config.radius_case3 is not None else 8 * e.label
+        link = develop_link_interedge(inst, e, radius=radius, cap=config.cap)
+        searched(link, subset_label(e.pair))
+    return entries
 
 
 # ---------------------------------------------------------- coxeter

@@ -6,13 +6,14 @@ and the property fails, 1 for unusable input.
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import relartin
-from relartin import cli, defining_graph, kpi1_checker, poset_complex
+from relartin import cli, defining_graph, kpi1_checker, link_builder, poset_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 JOIN = str(FIXTURES / "affine_parts_join.json")
@@ -61,6 +62,47 @@ def test_build_outputs(capsys):
     code, out, _ = run(capsys, "build", "--input", JOIN, "--format", "dot")
     assert code == 0
     assert out.startswith("digraph")
+
+
+QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def _dot_strings(dot: str) -> list[str]:
+    """The quoted strings of a DOT document, unescaped, with the label
+    separator \\n read as a newline; no quote may be left outside them."""
+    out = []
+    for line in dot.splitlines():
+        assert '"' not in QUOTED.sub("", line), line
+        for text in QUOTED.findall(line):
+            out.append(re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], text))
+    return out
+
+
+def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    a, b = 'a"x', "b\\y"
+    path = tmp_path / "odd.json"
+    doc = {"vertices": [a, b], "edges": [{"u": a, "v": b, "m": 4}], "family": [[a], [b]]}
+    path.write_text(json.dumps(doc))
+    inst = defining_graph.parse_graph(path.read_text())
+
+    code, out, _ = run(capsys, "build", "--input", str(path), "--format", "dot")
+    assert code == 0
+    s_ell = inst.s_ell
+    assert _dot_strings(out) == [
+        poset_complex.subset_label(t) + "\n" + ",".join(sorted(s_ell.tags[t]))
+        for t in s_ell.elements
+    ]
+
+    argv = ["develop", "--input", str(path), "--edge", a, b, "--radius-case3", "2"]
+    code, out, _ = run(capsys, *argv, "--format", "dot")
+    assert code == 0
+    link = link_builder.develop_link_interedge(inst, inst.inter_edges[0], radius=2)
+    assert any('"' in label and "\\" in label for label in link.vertex_labels)
+    assert _dot_strings(out) == [
+        link.descriptor,
+        *link.vertex_labels,
+        *(str(w) for _, _, w in link.edges),
+    ]
 
 
 def test_links_pass_and_fail(capsys):

@@ -1,5 +1,7 @@
 """Link graphs at each coset type: the finite links read off the fundamental
 domain and the ball developments of the infinite ones."""
+import random
+
 import pytest
 
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
@@ -14,7 +16,14 @@ from relartin.link_builder import (
     develop_link_part,
 )
 
-from instances import affine_parts_join, single_interedge, touching_triple_control
+from relartin.poset_complex import TRIANGLE_UNITS, assign_metric, derived_complex, subset_label
+
+from instances import (
+    affine_parts_join,
+    random_rel_prime_instance,
+    single_interedge,
+    touching_triple_control,
+)
 from oracles import per_pair_development
 
 
@@ -178,3 +187,37 @@ def test_develop_reuses_cosets_along_ball_edges(monkeypatch):
 def test_dot_rendering_smoke():
     dot = build_link_empty(single_interedge()).to_dot()
     assert dot.startswith('graph "') and " -- " in dot
+
+
+def _weights(link, *labels: str) -> set[int]:
+    """Units of the link edges that touch every vertex labelled in ``labels``."""
+    ends = {link.vertex_labels.index(label) for label in labels}
+    return {w for i, j, w in link.edges if ends <= {i, j}}
+
+
+def test_link_lengths_are_the_metric_corner_angles():
+    # every edge of a link is the angle of the triangle [empty < {s} < T] at
+    # the link's corner: empty for the empty link, {s} for the single link
+    # at s, T for T's development
+    assert all(sum(units) == 8 for units in TRIANGLE_UNITS.values())
+    instances = [affine_parts_join(), touching_triple_control()]
+    instances += [random_rel_prime_instance(random.Random(seed)) for seed in range(12)]
+    shapes = set()
+    for inst in instances:
+        empty = build_link_empty(inst)
+        for sx in assign_metric(derived_complex(inst.s_ell), inst):
+            _, single, top = sx.chain
+            (s,) = single
+            shapes.add(sx.case)
+            assert _weights(empty, subset_label(single), subset_label(top)) == {sx.units[0]}
+            assert _weights(build_link_single(inst, s), subset_label(top)) == {sx.units[1]}
+            if sx.case == "part":
+                i = inst.family.part_index(s)
+                if inst.engines[i] is None:
+                    continue
+                dev = develop_link_part(inst, i, radius=2)
+            else:
+                (edge,) = [e for e in inst.inter_edges if e.pair == top]
+                dev = develop_link_interedge(inst, edge, radius=2)
+            assert {w for _, _, w in dev.edges} == {sx.units[2]}, sx.chain
+    assert shapes == set(TRIANGLE_UNITS)

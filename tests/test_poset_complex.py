@@ -22,8 +22,20 @@ from relartin.poset_complex import (
     subset_label,
 )
 
-from instances import affine_parts_join, single_interedge, touching_triple_control
-from oracles import brute_chain_count, brute_chains, brute_covers, brute_maximal_chains
+from instances import (
+    affine_parts_join,
+    random_rel_prime_instance,
+    single_interedge,
+    touching_triple_control,
+)
+from oracles import (
+    all_pairs_retraction_map,
+    brute_above,
+    brute_chain_count,
+    brute_chains,
+    brute_covers,
+    brute_maximal_chains,
+)
 
 
 def test_s_ell_join_counts_and_tags():
@@ -227,8 +239,23 @@ def test_retraction_breaks_without_part_subsets():
     assert any("no image" in f for f in report.failures)
 
 
+def test_retraction_matches_all_pairs_reference():
+    # monotonicity is checked on covers; the reference checks every pair
+    join = affine_parts_join()
+    cases = [(join, poset) for poset in _with_strays(join)]
+    for inst in [join, touching_triple_control()] + [
+        random_rel_prime_instance(random.Random(seed)) for seed in range(30)
+    ]:
+        cases.append((inst, build_S_bar(inst)))
+    for inst, s_bar in cases:
+        s_ell_cx = derived_complex(inst.s_ell)
+        report = retraction_map(s_bar, s_ell_cx, inst.family)
+        assert report == all_pairs_retraction_map(s_bar, s_ell_cx, inst.family)
+
+
 def _assert_matches_oracles(poset: SubsetPoset) -> None:
     # equal lists, order included: build and kpi1 print in this order
+    assert poset.above == brute_above(poset)
     assert poset.covers() == brute_covers(poset)
     assert derived_complex(poset).chains == tuple(brute_chains(poset))
     assert maximal_chains(poset) == brute_maximal_chains(poset)
