@@ -139,14 +139,14 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
 
 
 def cmd_links(inst: Instance, args: argparse.Namespace) -> int:
-    config = CertifyConfig(args.radius_case1, args.radius_case3, args.cap)
+    config = CertifyConfig(args.radius_case3, args.cap)
     report = certify_link_condition(inst, config)
     _emit(report.to_json_dict(), args.fmt)
     return 0 if report.ok else 2
 
 
 def cmd_kpi1(inst: Instance, args: argparse.Namespace) -> int:
-    config = CertifyConfig(args.radius_case1, args.radius_case3, args.cap)
+    config = CertifyConfig(args.radius_case3, args.cap)
     verdict = kpi1_verdict(inst, certify_config=config)
     _emit(verdict.to_json_dict(), args.fmt)
     return 0 if verdict.holds else 2
@@ -202,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "text", "dot"), default="text", dest="fmt"
     )
-    # development radii and element cap, for the subcommands that develop links
+    # inter-edge radius and element cap, for the subcommands that develop links
     developing = argparse.ArgumentParser(add_help=False)
-    developing.add_argument("--radius-case1", type=int, default=16)
     developing.add_argument(
         "--radius-case3",
         type=int,
@@ -226,6 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("kpi1", parents=[common, developing])
     sub.add_parser("acyl", parents=[common])
     dev = sub.add_parser("develop", parents=[common, developing])
+    dev.add_argument(
+        "--radius-case1", type=int, default=16, help="development radius for part links"
+    )
     dev.add_argument("--part", type=int, default=None, help="part index to develop")
     dev.add_argument(
         "--edge", nargs=2, metavar=("U", "V"), default=None, help="inter-edge to develop"
@@ -242,9 +244,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    # only the developing subcommands have these flags
+    # only the developing subcommands have these flags, and only develop
+    # has --radius-case1
     if "cap" in args:
-        if args.radius_case1 < 1 or (args.radius_case3 is not None and args.radius_case3 < 1):
+        radii = (getattr(args, "radius_case1", None), args.radius_case3)
+        if any(r is not None and r < 1 for r in radii):
             sys.stderr.write("error: radii must be >= 1\n")
             return 1
         if args.cap < 1:

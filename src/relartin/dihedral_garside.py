@@ -28,7 +28,7 @@ C where a dataclass goes through its Python ``__hash__`` and ``__eq__``.
 
 Two word-problem engines share one small interface used by link
 development (identity, generators, mult_gen, mult_word, sort_key,
-ball_levels, coset_key, rename, describe): the exact dihedral engine above,
+ball_levels, coset_key, describe): the exact dihedral engine above,
 and an exact free-group engine (reduced words) for edgeless subgraphs.
 
 ``ball_levels`` returns the word-metric ball level by level together with
@@ -320,10 +320,6 @@ class DihedralEngine:
         rep = self.mult_power(el, generator, -self.epsilon(el))
         return (generator, rep.k, rep.tail)
 
-    def rename(self, el: DihedralElement, names: dict[str, str]) -> DihedralElement:
-        """el with every generator letter replaced through names."""
-        return DihedralElement(el.k, tuple((names[f], l) for f, l in el.tail))
-
     def describe(self, el: DihedralElement) -> str:
         if el.k == 0 and not el.tail:
             return "1"
@@ -367,10 +363,6 @@ class FreeEngine:
         while el and el[-1][0] == generator:
             el = el[:-1]
         return (generator, el)
-
-    def rename(self, el: Word, names: dict[str, str]) -> Word:
-        """el with every generator letter replaced through names."""
-        return tuple((names[l], sign) for l, sign in el)
 
     def describe(self, el: Word) -> str:
         return word_to_str(el) if el else "1"

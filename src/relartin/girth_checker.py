@@ -24,17 +24,33 @@ search, :func:`_bfs_girth`, finds the shortest cycle and a simple witness:
     link is searched as it is, and a cycle of s unit steps is s * g / k
     units long.
 
-Certification runs every link of an instance.  Inter-edges are grouped by
-(label, disjointness) and parts by engine, one report entry per class.
-Each class's link is developed with a two-generator (or free) engine, and
-the ball depends only on the engine's shape: dihedral of label m or free of
-rank r, with the generator names in a given order, which fixes the level
-sort and so the vertex numbering.  So a part of label m and the disjoint
-and non-disjoint inter-edges of label m share one development and one
-search per call, whenever the radii agree or the element cap stopped the
-earlier ball below the new radius.  Each entry keeps its own radius, its
-own edge units (length = edge count x units) and its witness renamed to
-its own generators.
+Certification runs every link of an instance.  The empty and single links
+are finite and searched whole.  A link at a T coset (T a part or an
+inter-edge) has an element vertex per element h of A_T and a coset vertex
+per coset h<s>, s a generator of T, joined when h lies in h<s>; every edge
+is the T corner of its triangle, c units.  A cycle alternates the two
+kinds, so a cycle through k coset vertices is 2kc units long and 2pi needs
+k >= 16 / 2c: 4 coset vertices at a part or a disjoint inter-edge (c = 2),
+8 at a non-disjoint inter-edge (c = 1).
+
+Four coset vertices follow from a lemma, for any part whatever its size or
+labels.  Read a simple cycle h_1, h_1<s_1>, h_2, ..., h_k<s_k>, h_1: then
+h_{i+1} = h_i s_i^p_i, so s_1^p_1 ... s_k^p_k = 1.  Every p_i is nonzero,
+because h_{i+1} != h_i, and neighbouring generators differ (indices mod k),
+because h_i<s_i> and h_{i+1}<s_{i+1}> are distinct cosets while h_{i+1}
+lies in both.  Every generator has infinite order, since the exponent-sum
+map onto Z sends s^p to p.  van der Lek's theorem says that standard
+parabolic subgroups intersect as A_X ∩ A_Y = A_{X ∩ Y}.  So
+
+  * k = 2 would put s^p = t^-q in A_{s} ∩ A_{t} = 1, with s != t;
+  * k = 3 needs three distinct generators, and would put
+    u^-r = s^p t^q in A_{s,t} ∩ A_{u} = 1;
+
+neither can happen, and every cycle passes through at least 4 coset
+vertices, 8 edges.  Those links get the status PASS-lemma and no
+development; the m = 2 link (Z^2, the commutator) meets the bound exactly.
+The non-disjoint inter-edge links, beyond the lemma, are developed once per
+label with the dihedral engine and searched.
 """
 from __future__ import annotations
 
@@ -42,20 +58,14 @@ import math
 from dataclasses import dataclass, field
 
 from .defining_graph import GraphError, Instance
-from .dihedral_garside import FreeEngine
 from .link_builder import (
     TWO_PI_UNITS,
-    Development,
     LinkGraph,
     build_link_empty,
     build_link_single,
     develop_link_interedge,
-    develop_link_part,
-    interedge_development,
-    part_development,
-    vertex_label,
 )
-from .poset_complex import subset_label
+from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, subset_label
 
 # largest mixed-weight link, in edges, that the girth search accepts
 _WEIGHTED_EDGE_LIMIT = 20000
@@ -112,11 +122,13 @@ def _check_bipartite(adj: list[list[int]]) -> list[int]:
 
 
 def _bfs_girth(
-    adj: list[list[int]], roots: list[int]
+    adj: list[list[int]], roots: list[int] | None = None
 ) -> tuple[int, list[int]] | None:
     """Exact girth (edge count) of a simple bipartite graph, with a simple
     witness cycle; raises :class:`GraphError` on a graph that is not
-    bipartite.
+    bipartite.  The roots must meet every cycle; by default they are the
+    vertices with edges coloured like the lowest vertex of their component,
+    one colour class of each component, which every cycle meets.
 
     In a bipartite BFS every edge joins consecutive depths.  So a non-tree
     edge met while expanding depth d either ends at a vertex of depth d + 1
@@ -130,7 +142,9 @@ def _bfs_girth(
     running best never underestimates and reaches the girth at roots lying
     on a minimal cycle.
     """
-    _check_bipartite(adj)
+    colour = _check_bipartite(adj)
+    if roots is None:
+        roots = [v for v, row in enumerate(adj) if row and colour[v] == 0]
     n = len(adj)
     # dist and parent are valid where mark holds the current root
     mark, dist, parent = [-1] * n, [0] * n, [-1] * n
@@ -192,10 +206,9 @@ def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
     link, and otherwise it expands the witness.
 
     The coset graph is bipartite: the first-generator cosets on one side,
-    the second-generator ones on the other.  Every cycle meets both classes
-    of its component, so the roots are the cosets coloured like the lowest
-    vertex of their component: the class of the lowest-numbered coset
-    vertex, and one class of any other component."""
+    the second-generator ones on the other.  It is searched from the
+    default roots of :func:`_bfs_girth`: the class of the lowest-numbered
+    coset vertex, and one class of any other component."""
     sides = link.sides
     adj: list[list[int]] = [[] for _ in sides]
     first = [-1] * len(sides)  # an element's first coset, until its second
@@ -213,8 +226,7 @@ def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
         pair_seen[pair] = e
         adj[c1].append(c)
         adj[c].append(c1)
-    colour = _check_bipartite(adj)
-    found = _bfs_girth(adj, [c for c, row in enumerate(adj) if row and colour[c] == 0])
+    found = _bfs_girth(adj)
     if found is None:
         return None
     k, m_cycle = found
@@ -334,7 +346,6 @@ def _verify_cycle(link: LinkGraph, cycle: list[int], claimed_length: int) -> Non
 
 @dataclass
 class CertifyConfig:
-    radius_case1: int = 16
     radius_case3: int | None = None  # None: 8 * label per inter-edge
     cap: int = 4000
 
@@ -343,7 +354,7 @@ class CertifyConfig:
 class LinkCertificate:
     case: str
     descriptor: str
-    status: str  # PASS-complete | PASS-within-radius | TRUSTED-CITATION | FAIL
+    status: str  # PASS-complete | PASS-within-radius | PASS-lemma | FAIL
     certificate: CycleCertificate | None
     members: list[str]
     stats: dict
@@ -397,162 +408,84 @@ def _stats(link: LinkGraph) -> dict:
     }
 
 
-def _shape(engine) -> tuple:
-    """Engines of one shape develop the same ball up to renaming the
-    generators position by position, vertex numbering included: the same
-    group (free of one rank, or dihedral of one label) and the same order
-    among the generator names, which the level sort and so the coset order
-    depend on."""
-    gens = engine.generators
-    order = tuple(sorted(range(len(gens)), key=gens.__getitem__))
-    size = len(gens) if isinstance(engine, FreeEngine) else engine.m
-    return (type(engine).__name__, size, order)
+# the fewest coset vertices a cycle of a link at a T coset can pass
+# through, by the lemma of the module docstring
+LEMMA_COSETS = 4
 
 
-@dataclass
-class _Shared:
-    """What one development leaves for later class entries of the same
-    engine shape: its certificate, its stats and its witness as normal
-    forms of the engine that developed it, never the graph itself."""
+def _cosets_needed(case: str) -> int:
+    """Coset vertices a cycle needs to reach 2pi in the link at a T of this
+    TRIANGLE_UNITS case: 2 edges of T-corner units per coset vertex."""
+    return -(-TWO_PI_UNITS // (2 * TRIANGLE_UNITS[case][2]))
 
-    engine: object
-    cert: CycleCertificate
-    stats: dict
-    witness: list[tuple]  # (element, generator or None) per witness vertex
 
-    def covers(self, radius: int) -> bool:
-        """Whether developing to radius gives this same ball: the radius is
-        the one developed, or the cap stopped the ball below it, where the
-        ball enumeration stops at the same level whatever the radius."""
-        stats = self.stats
-        return radius == stats["requested_radius"] or (
-            stats["truncated"] and stats["achieved_radius"] < radius
+def _lemma_entry(case: str, members: list[str]) -> LinkCertificate:
+    """The entry of every link of one TRIANGLE_UNITS case that the coset
+    lemma certifies."""
+    needed = _cosets_needed(case)
+    if needed > LEMMA_COSETS:
+        raise AssertionError(
+            f"{case} links need {needed} coset vertices; the lemma gives {LEMMA_COSETS}"
         )
-
-    def entry(self, dev: Development, radius: int, members: list[str]) -> LinkCertificate:
-        """The class entry of dev at radius: the same search result in dev's
-        edge units, its witness renamed to dev's generators."""
-        cert = self.cert
-        if cert.length_units is not None:
-            names = dict(zip(self.engine.generators, dev.engine.generators))
-            length = cert.edge_count * dev.units
-            cert = CycleCertificate(
-                passes=length >= TWO_PI_UNITS,
-                length_units=length,
-                edge_count=cert.edge_count,
-                cycle=[
-                    vertex_label(dev.engine, dev.engine.rename(el, names), names.get(g))
-                    for el, g in self.witness
-                ],
-                complete=cert.complete,
-                vertices=cert.vertices,
-            )
-        return LinkCertificate(
-            case=dev.case,
-            descriptor=dev.descriptor,
-            status=_status(cert),
-            certificate=cert,
-            members=members,
-            stats=dict(self.stats, requested_radius=radius),
-        )
+    part = case == "part"
+    return LinkCertificate(
+        case="part" if part else "inter-edge",
+        descriptor=f"links of the {'part' if part else 'disjoint inter-edge'} cosets",
+        status="PASS-lemma",
+        certificate=None,
+        members=members,
+        stats={
+            "cosets_needed": needed,
+            "units": TRIANGLE_UNITS[case][2],
+            "note": (
+                "no cycle through 2 or 3 coset vertices: standard parabolic "
+                "subgroups A_X and A_Y intersect in A_(X cap Y) (van der Lek)"
+            ),
+        },
+    )
 
 
 def certify_link_condition(
     inst: Instance, config: CertifyConfig | None = None
 ) -> CertificationReport:
-    """Run every link of the instance through the cycle search.
+    """Run every link of the instance through the cycle search, or through
+    the coset lemma where 2pi needs at most LEMMA_COSETS coset vertices.
 
-    Finite links give PASS-complete.  Developments give PASS-within-radius,
-    with the achieved radius recorded; enlarging a ball can only reveal
-    shorter cycles, never hide one, so a FAIL from a development is final
-    while a pass is a certificate for the developed ball.  Parts without an
-    exact engine are reported as TRUSTED-CITATION: their link bound is the
-    two-generator syllable argument of Appel and Schupp, applied through the
-    standard-parabolic embedding (van der Lek), not a machine check.
-
-    Each distinct development is built and searched once per call and
-    shared by every class entry whose engine has its shape (see
-    :func:`_shape`) and whose radius it covers.
+    Finite links give PASS-complete.  Part links and disjoint inter-edge
+    links give PASS-lemma, one entry per case listing every member.
+    Non-disjoint inter-edges are developed once per label and give
+    PASS-within-radius, with the achieved radius recorded; enlarging a ball
+    can only reveal shorter cycles, never hide one, so a FAIL from a
+    development is final while a pass is a certificate for the developed
+    ball.
     """
     cfg = config or CertifyConfig()
     entries: list[LinkCertificate] = []
-    shared: dict[tuple, list[_Shared]] = {}
 
     def searched(link: LinkGraph, members: list[str]) -> LinkCertificate:
         cert = shortest_embedded_cycle(link)
         return LinkCertificate(link.case, link.descriptor, _status(cert), cert, members, _stats(link))
 
-    def developed(dev: Development, radius: int, members: list[str], develop) -> LinkCertificate:
-        key = _shape(dev.engine)
-        for done in shared.get(key, ()):
-            if done.covers(radius):
-                return done.entry(dev, radius, members)
-        link = develop()
-        entry = searched(link, members)
-        cert = entry.certificate
-        witness = [link.vertex_labels.normal_form(v) for v in cert.vertices]
-        shared.setdefault(key, []).append(_Shared(dev.engine, cert, entry.stats, witness))
-        return entry
-
     entries.append(searched(build_link_empty(inst), ["[1]"]))
     for s in sorted(inst.inter_edges_at):
         entries.append(searched(build_link_single(inst, s), [s]))
 
-    part_classes: dict[tuple, list[int]] = {}
-    for i, engine in enumerate(inst.engines):
-        if engine is None:
-            key = ("unsupported", i)
-        elif isinstance(engine, FreeEngine):
-            key = ("free", len(engine.generators))
-        else:
-            key = ("dihedral", engine.m)
-        part_classes.setdefault(key, []).append(i)
-    for key in sorted(part_classes, key=str):
-        indices = part_classes[key]
-        members = [subset_label(frozenset(inst.family.parts[i])) for i in indices]
-        i0 = indices[0]
-        if key[0] == "unsupported":
-            entries.append(
-                LinkCertificate(
-                    case="part",
-                    descriptor=f"link of the part coset {members[0]}",
-                    status="TRUSTED-CITATION",
-                    certificate=None,
-                    members=members,
-                    stats={
-                        "note": (
-                            "no exact word-problem engine for this part; the "
-                            "link bound is cited theory (Appel-Schupp syllable "
-                            "growth through the van der Lek embedding)"
-                        )
-                    },
-                )
-            )
-            continue
-        entries.append(
-            developed(
-                part_development(inst, i0),
-                cfg.radius_case1,
-                members,
-                lambda: develop_link_part(inst, i0, radius=cfg.radius_case1, cap=cfg.cap),
-            )
-        )
-
-    ie_classes: dict[tuple, list] = {}
+    lemma = {"part": [subset_label(frozenset(p)) for p in inst.family.parts]}
+    classes: dict[tuple, list] = {}
     for e in inst.inter_edges:
-        ie_classes.setdefault((e.label, inst.disjoint[e.pair]), []).append(e)
-    for key in sorted(ie_classes, key=str):
-        group = ie_classes[key]
+        disjoint = inst.disjoint[e.pair]
+        case = INTEREDGE_CASE[disjoint]
+        if _cosets_needed(case) <= LEMMA_COSETS:
+            lemma.setdefault(case, []).append(subset_label(e.pair))
+        else:
+            classes.setdefault((e.label, disjoint), []).append(e)
+    entries += [_lemma_entry(case, members) for case, members in lemma.items()]
+    for key in sorted(classes):
+        group = classes[key]
         e0 = group[0]
         radius = cfg.radius_case3 if cfg.radius_case3 is not None else 8 * e0.label
-        entries.append(
-            developed(
-                interedge_development(inst, e0),
-                radius,
-                [subset_label(e.pair) for e in group],
-                lambda: develop_link_interedge(inst, e0, radius=radius, cap=cfg.cap),
-            )
-        )
+        link = develop_link_interedge(inst, e0, radius=radius, cap=cfg.cap)
+        entries.append(searched(link, [subset_label(e.pair) for e in group]))
 
     ok = all(e.status != "FAIL" for e in entries)
     return CertificationReport(ok=ok, entries=entries)

@@ -62,6 +62,7 @@ spherical subsets are every vertex subset that ``classify_type`` calls
 finite, and FC type is every clique being spherical, with cliques grown one
 vertex at a time.
 """
+import collections
 import heapq
 import itertools
 import math
@@ -80,7 +81,7 @@ from relartin.girth_checker import (
     _status,
     shortest_embedded_cycle,
 )
-from relartin.link_builder import develop_link_interedge, develop_link_part
+from relartin.link_builder import develop_link_interedge
 from relartin.poset_complex import (
     RetractionReport,
     maximal_chains,
@@ -548,10 +549,26 @@ def per_edge_dijkstra_girth(n: int, edges) -> tuple[int, int, list] | None:
     return best
 
 
-def full_depth_bfs_girth(adj, roots):
+def full_depth_bfs_girth(adj, roots=None):
     """Girth (edge count) and witness of a simple graph: a BFS from every
     root expands each depth up to half the best length so far and splices
-    every shorter non-tree edge it meets at the lowest common ancestor."""
+    every shorter non-tree edge it meets at the lowest common ancestor.
+    The default roots are the vertices with edges at even distance from
+    the lowest vertex of their component."""
+    if roots is None:
+        dist = {}
+        for s in range(len(adj)):
+            if s in dist:
+                continue
+            dist[s] = 0
+            queue = collections.deque([s])
+            while queue:
+                x = queue.popleft()
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        queue.append(y)
+        roots = [v for v in range(len(adj)) if adj[v] and dist[v] % 2 == 0]
     best = None
     for r in roots:
         if best is not None and best[0] <= 3:
@@ -749,25 +766,20 @@ def all_pairs_retraction_map(s_bar, s_ell_cx, family) -> RetractionReport:
 # ---------------------------------------------------- certification
 
 def independent_certification(inst, config) -> list:
-    """One entry per part with an engine and per inter-edge, each developed
-    alone at the config's radius and cap and then searched, as a class of
-    that member alone would be reported."""
+    """One entry per non-disjoint inter-edge, each developed alone at the
+    config's radius and cap and then searched, as a class of that member
+    alone would be reported."""
     entries = []
-
-    def searched(link, member):
+    for e in inst.inter_edges:
+        if inst.disjoint[e.pair]:
+            continue
+        radius = config.radius_case3 if config.radius_case3 is not None else 8 * e.label
+        link = develop_link_interedge(inst, e, radius=radius, cap=config.cap)
         cert = shortest_embedded_cycle(link)
+        member = subset_label(e.pair)
         entries.append(
             LinkCertificate(link.case, link.descriptor, _status(cert), cert, [member], _stats(link))
         )
-
-    for i, part in enumerate(inst.family.parts):
-        if inst.engines[i] is not None:
-            link = develop_link_part(inst, i, radius=config.radius_case1, cap=config.cap)
-            searched(link, subset_label(frozenset(part)))
-    for e in inst.inter_edges:
-        radius = config.radius_case3 if config.radius_case3 is not None else 8 * e.label
-        link = develop_link_interedge(inst, e, radius=radius, cap=config.cap)
-        searched(link, subset_label(e.pair))
     return entries
 
 

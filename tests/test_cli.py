@@ -108,7 +108,7 @@ def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
 def test_links_pass_and_fail(capsys):
     code, doc, _ = run_json(capsys, "links", "--input", JOIN)
     assert code == 0
-    assert doc["ok"] and len(doc["entries"]) == 12
+    assert doc["ok"] and len(doc["entries"]) == 11
 
     code, out, _ = run(capsys, "links", "--input", CONTROL)
     assert code == 2
@@ -256,7 +256,7 @@ def test_oversized_link_exits_1(capsys, tmp_path, monkeypatch):
 
 def test_flag_validation(capsys):
     assert run(capsys, "links", "--input", JOIN, "--cap", "0")[0] == 1
-    assert run(capsys, "links", "--input", JOIN, "--radius-case1", "0")[0] == 1
+    assert run(capsys, "develop", "--input", JOIN, "--part", "0", "--radius-case1", "0")[0] == 1
     assert run(capsys, "links", "--input", JOIN, "--radius-case3", "-1")[0] == 1
     code, _, err = run(capsys, "kpi1", "--input", JOIN, "--format", "dot")
     assert code == 1 and "dot output" in err
@@ -268,8 +268,11 @@ def test_development_flags_belong_to_developing_subcommands(capsys):
     for sub in ("links", "kpi1", "develop"):
         code, _, err = run(capsys, sub, "--input", JOIN, "--cap", "0")
         assert code == 1 and err == "error: cap must be >= 1\n"
-    for sub in ("check-rel", "classify", "build", "acyl"):
-        for flag in ("--radius-case1", "--radius-case3", "--cap"):
+    for sub in ("check-rel", "classify", "build", "acyl", "links", "kpi1"):
+        flags = ("--radius-case1",) if sub in ("links", "kpi1") else (
+            "--radius-case1", "--radius-case3", "--cap"
+        )
+        for flag in flags:
             code, out, err = run(capsys, sub, "--input", JOIN, flag, "5")
             assert code == 1 and out == ""
             assert f"unrecognized arguments: {flag} 5" in err

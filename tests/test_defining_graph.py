@@ -161,8 +161,10 @@ def test_random_generator_emits_valid_instances():
 
 
 def test_parse_graph_round_trip():
-    inst = affine_parts_join()
-    assert parse_graph(instance_to_json(inst)) == inst
+    insts = [affine_parts_join()]
+    insts += [random_rel_prime_instance(random.Random(seed)) for seed in range(30)]
+    for inst in insts:
+        assert parse_graph(instance_to_json(inst)) == inst
 
 
 def test_parse_graph_rejections():

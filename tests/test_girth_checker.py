@@ -8,7 +8,7 @@ import random
 import networkx as nx
 import pytest
 
-from relartin import girth_checker
+from relartin import girth_checker, link_builder
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
 from relartin.dihedral_garside import DihedralEngine, FreeEngine
 from relartin.girth_checker import (
@@ -26,7 +26,10 @@ from relartin.link_builder import (
     build_link_single,
     develop_link_interedge,
     develop_link_part,
+    interedge_development,
+    part_development,
 )
+from relartin.poset_complex import subset_label
 
 from instances import (
     affine_parts_join,
@@ -188,13 +191,50 @@ def test_bfs_girth_rejects_odd_cycles():
         girth_checker._bfs_girth(triangle, [0])
 
 
+def _nx_weighted_girth(link: LinkGraph) -> float:
+    """Lightest cycle by networkx: each edge plus the shortest path joining
+    its ends without it."""
+    g = nx.Graph()
+    g.add_nodes_from(range(link.vertex_count))
+    g.add_weighted_edges_from(link.edges)
+    best = float("inf")
+    for i, j, w in link.edges:
+        g.remove_edge(i, j)
+        try:
+            best = min(best, w + nx.dijkstra_path_length(g, i, j))
+        except nx.NetworkXNoPath:
+            pass
+        g.add_edge(i, j, weight=w)
+    return best
+
+
+def test_finite_links_match_networkx_on_random_instances():
+    # the empty link and every single link of seeds 0..29; a link of one
+    # weight also matches networkx's unweighted girth in edges
+    seen = {"empty": 0, "single": 0, "acyclic": 0, "cyclic": 0}
+    for seed in range(30):
+        inst = random_rel_prime_instance(random.Random(seed))
+        links = [build_link_empty(inst)]
+        links += [build_link_single(inst, s) for s in sorted(inst.inter_edges_at)]
+        for link in links:
+            cert = shortest_embedded_cycle(link)
+            assert (cert.length_units or float("inf")) == _nx_weighted_girth(link)
+            if len({w for _, _, w in link.edges}) == 1:
+                pairs = [(i, j) for i, j, _ in link.edges]
+                assert (cert.edge_count or float("inf")) == _nx_girth(link.vertex_count, pairs)
+            seen[link.case] += 1
+            seen["acyclic" if cert.note == "acyclic" else "cyclic"] += 1
+    assert seen["empty"] == 30 and min(seen.values()) >= 10, seen
+
+
 def _fixture_developments():
-    """One development per link class of both fixtures, at default settings."""
+    """Every part development and one development per inter-edge class of
+    both fixtures, at the default radii and cap of ``develop``."""
     cfg = CertifyConfig()
     for inst in (affine_parts_join(), touching_triple_control()):
         for i, engine in enumerate(inst.engines):
             if engine is not None:
-                yield develop_link_part(inst, i, radius=cfg.radius_case1, cap=cfg.cap)
+                yield develop_link_part(inst, i, radius=16, cap=cfg.cap)
         classes = {(e.label, inst.disjoint[e.pair]): e for e in inst.inter_edges}
         for e in classes.values():
             yield develop_link_interedge(inst, e, radius=8 * e.label, cap=cfg.cap)
@@ -339,18 +379,19 @@ def test_certify_join():
     assert report.ok
     assert report.failures() == []
     statuses = sorted(e.status for e in report.entries)
-    # 1 empty + 8 singles pass completely, 2 parts are cited, the single
-    # inter-edge class passes within its developed radius
-    assert statuses == ["PASS-complete"] * 9 + [
-        "PASS-within-radius",
-        "TRUSTED-CITATION",
-        "TRUSTED-CITATION",
-    ]
+    # 1 empty + 8 singles pass completely, both parts pass by the lemma in
+    # one entry, the single inter-edge class passes within its developed
+    # radius
+    assert statuses == ["PASS-complete"] * 9 + ["PASS-lemma", "PASS-within-radius"]
+    part_entry = next(e for e in report.entries if e.case == "part")
+    assert part_entry.members == ["{a1,b1,c1,d1}", "{a2,b2,c2,d2}"]
+    assert part_entry.certificate is None
+    assert (part_entry.stats["cosets_needed"], part_entry.stats["units"]) == (4, 2)
     ie_entry = next(e for e in report.entries if e.case == "inter-edge")
     assert len(ie_entry.members) == 16
     assert ie_entry.certificate.length_units == 16
     doc = report.to_json_dict()
-    assert doc["ok"] is True and len(doc["entries"]) == 12
+    assert doc["ok"] is True and len(doc["entries"]) == 11
 
 
 def test_certify_control_fails_on_the_interedge():
@@ -384,20 +425,25 @@ def test_certify_radius_override():
     assert ie_entry.certificate.length_units == 16
 
 
-def _assert_shared_entries_match_independent(
+def _assert_entries_match_independent(
     inst: Instance, config: CertifyConfig = CertifyConfig()
 ) -> None:
-    """Every developed class entry of the shared report equals the
-    independent entry of its first member: status, certificate and stats.
-    The witness's vertex indices must agree too, so the shared ball numbers
-    its vertices as the member's own development would."""
-    shared = certify_link_condition(inst, config)
+    """Every developed class entry of the report equals the independent
+    entry of its first member: status, certificate and stats, the
+    witness's vertex indices included.  The lemma entries list every part
+    and every disjoint inter-edge, and only those."""
+    report = certify_link_condition(inst, config)
     alone = {(e.case, e.members[0]): e for e in independent_certification(inst, config)}
-    for entry in shared.entries:
+    lemma = {}
+    for entry in report.entries:
+        if entry.status == "PASS-lemma":
+            assert entry.certificate is None and entry.stats["cosets_needed"] <= 4
+            lemma[entry.descriptor] = entry.members
+            continue
         own = alone.get((entry.case, entry.members[0]))
         if own is None:
-            # finite links and cited parts are never developed
-            assert entry.case in ("empty", "single") or entry.status == "TRUSTED-CITATION"
+            # finite links are never developed
+            assert entry.case in ("empty", "single")
             continue
         assert entry.status == own.status, entry.descriptor
         assert entry.descriptor == own.descriptor
@@ -410,58 +456,98 @@ def _assert_shared_entries_match_independent(
             want.vertices,
             want.note,
         ), entry.descriptor
+    disjoint = [subset_label(e.pair) for e in inst.inter_edges if inst.disjoint[e.pair]]
+    expected = {"links of the part cosets": [subset_label(frozenset(p)) for p in inst.family.parts]}
+    if disjoint:
+        expected["links of the disjoint inter-edge cosets"] = disjoint
+    assert lemma == expected
+
+
+def _count_developments(monkeypatch) -> list:
+    """Record the case and descriptor of every ball development."""
+    built = []
+    original = link_builder._develop
+
+    def counted(dev, radius, cap):
+        built.append((dev.case, dev.descriptor))
+        return original(dev, radius, cap)
+
+    monkeypatch.setattr(link_builder, "_develop", counted)
+    return built
 
 
 def test_shared_developments_match_independent_ones(monkeypatch):
     # seed 45 has a label-4 part next to a disjoint and a non-disjoint
-    # label-4 inter-edge, so all three share one engine shape
+    # label-4 inter-edge: one entry per lemma case and one development
     mixed = random_rel_prime_instance(random.Random(45))
     part_labels = {e.m for e in mixed.engines if isinstance(e, DihedralEngine)}
     classes = {(e.label, mixed.disjoint[e.pair]) for e in mixed.inter_edges}
     assert 4 in part_labels and {(4, True), (4, False)} <= classes
     for inst in (affine_parts_join(), touching_triple_control(), mixed):
-        _assert_shared_entries_match_independent(inst)
-        # balls below the cap: a part at radius 3 cannot serve radius 5
-        _assert_shared_entries_match_independent(
-            inst, CertifyConfig(radius_case1=3, radius_case3=5)
-        )
+        _assert_entries_match_independent(inst)
+        _assert_entries_match_independent(inst, CertifyConfig(radius_case3=5))
 
-    built = []
-    for name in ("develop_link_part", "develop_link_interedge"):
-        original = getattr(girth_checker, name)
-        monkeypatch.setattr(
-            girth_checker, name, lambda *a, f=original, **k: built.append(1) or f(*a, **k)
-        )
-    report = certify_link_condition(mixed)
-    developed = [e for e in report.entries if e.case in ("part", "inter-edge")]
-    assert len(built) < len(developed)
+        built = _count_developments(monkeypatch)
+        certify_link_condition(inst)
+        monkeypatch.undo()
+        labels = sorted({e.label for e in inst.inter_edges if not inst.disjoint[e.pair]})
+        assert [case for case, _ in built] == ["inter-edge"] * len(labels)
+        assert [int(d.split("(m=")[1].split(",")[0]) for _, d in built] == labels
+        assert all("non-disjoint" in d for _, d in built)
 
 
 def test_shared_entries_match_independent_ones_on_random_instances():
-    # seeds 0..9 of random_rel_prime_instance, about 9 s: enough to meet
-    # inter-edge classes with several members and parts whose dihedral
-    # label equals an inter-edge's, so a part and an inter-edge class share
-    # one development
-    merged = shared_shapes = 0
+    # seeds 0..9 of random_rel_prime_instance: enough to meet non-disjoint
+    # classes with several members and disjoint inter-edges next to them
+    merged = disjoint = 0
     for seed in range(10):
         inst = random_rel_prime_instance(random.Random(seed))
-        classes = {(e.label, inst.disjoint[e.pair]) for e in inst.inter_edges}
-        part_labels = {e.m for e in inst.engines if isinstance(e, DihedralEngine)}
-        merged += len(classes) < len(inst.inter_edges)
-        shared_shapes += any(label in part_labels for label, _ in classes)
-        _assert_shared_entries_match_independent(inst)
-    assert merged >= 3 and shared_shapes >= 3
+        nondisjoint = [e for e in inst.inter_edges if not inst.disjoint[e.pair]]
+        merged += len({e.label for e in nondisjoint}) < len(nondisjoint)
+        disjoint += len(nondisjoint) < len(inst.inter_edges)
+        _assert_entries_match_independent(inst)
+    assert merged >= 3 and disjoint >= 3
 
 
-def test_shared_developments_respect_generator_order():
-    """A part engine with descending generators develops its own ball: the
-    level sort, and so the coset order and the witness, follow the order of
-    the generator names."""
-    graph = DefiningGraph.build(["a", "b", "c"], [("a", "b", 4), ("a", "c", 4)])
-    inst = Instance(graph, SubgraphFamily.build(graph, [["a", "b"], ["c"]]))
-    # the edge listed as (b, a): the parser would store it as (a, b)
-    inst.__dict__["engines"] = (DihedralEngine("b", "a", 4),) + inst.engines[1:]
-    assert inst.engines[0].generators == ("b", "a")
-    assert [(e.label, inst.disjoint[e.pair]) for e in inst.inter_edges] == [(4, True)]
-    _assert_shared_entries_match_independent(inst)
-    _assert_shared_entries_match_independent(inst, CertifyConfig(radius_case1=4, radius_case3=4))
+def _lemma_shapes():
+    """One development per engine shape: dihedral m = 2..7 and free of
+    rank 1..3 with T-corner units 2, then the parts and disjoint
+    inter-edges of random_rel_prime_instance seeds 0..29, each at a radius
+    that reaches the relator cycle (m + 1, or 5 for a free group)."""
+    for m in range(2, 8):
+        yield Development(DihedralEngine("a", "b", m), 2, "part", f"m={m}"), m + 1
+    for rank in (1, 2, 3):
+        yield Development(FreeEngine("xyz"[:rank]), 2, "part", f"rank {rank}"), 5
+    seen = set()
+    for seed in range(30):
+        inst = random_rel_prime_instance(random.Random(seed))
+        devs = [part_development(inst, i) for i, eng in enumerate(inst.engines) if eng]
+        devs += [interedge_development(inst, e) for e in inst.inter_edges if inst.disjoint[e.pair]]
+        for dev in devs:
+            eng = dev.engine
+            shape = (eng.m,) if isinstance(eng, DihedralEngine) else ("free", len(eng.generators))
+            if shape not in seen:
+                seen.add(shape)
+                yield dev, eng.m + 1 if isinstance(eng, DihedralEngine) else 5
+
+
+def test_lemma_bound_holds_in_developments():
+    # the lemma: no cycle through fewer than 4 coset vertices, so none under
+    # 8 edges, which is 16 units at the part and disjoint T corner; m = 2
+    # (Z^2) meets it exactly
+    found = []
+    for dev, radius in _lemma_shapes():
+        assert dev.units == 2
+        cert = shortest_embedded_cycle(_develop(dev, radius, 10**5))
+        if cert.note == "acyclic":
+            assert isinstance(dev.engine, FreeEngine)
+            continue
+        assert cert.edge_count >= 8 and cert.length_units >= TWO_PI_UNITS, dev.descriptor
+        found.append((dev.descriptor, cert.edge_count))
+    assert found[0] == ("m=2", 8)
+    assert [d for d, _ in found[:6]] == [f"m={m}" for m in range(2, 8)]
+    # the instances add dihedral parts and disjoint inter-edges of their own
+    assert len(found) >= 9
+    # the non-disjoint T corner of 1 unit needs 8 coset vertices
+    with pytest.raises(AssertionError, match="need 8 coset vertices"):
+        girth_checker._lemma_entry("inter-edge-nondisjoint", [])

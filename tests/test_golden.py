@@ -79,10 +79,10 @@ GOLDEN = {
     'affine_parts_join.json build --format json': [0, '529cddde1870f0b0d7ae618dc353e90b0366de6cb980f4a6938e32d62d302b00', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json build --format text': [0, 'f97250b77ead403dcc696fa692cc89d589ba1973792744e73cf11df8d52f8125', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json build --format dot': [0, 'fdd3651783073379a88a14736fbee2249f7dd57bc2d6ad32f7fe3b14d834267f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json links --format json': [0, '6ff5b51dd6f156b3f9b3c813d658329457f6a3aa0ac321935200d22433423d2c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json links --format text': [0, '343520e2a7b5a600d70546999e841c5454ecc6a8afb7dcd4748b98b79608a306', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json kpi1 --format json': [0, 'eb19f2c19b1be19c989f065e1e20de59a5178e77418e8843ed24dad384484d8c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json kpi1 --format text': [0, 'ee90ce0dfea53c90c74452572689a4d416821e00bbce6cb11a01d673ee06d804', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json links --format json': [0, 'bf600b768d1bdb85cce059cf79becbf7643f6ed0aa05b67d8961154e2e5f28a4', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json links --format text': [0, 'a538913d0bc6a669808f8a3808c8724b74254b0ea6279bf30dc3417c622e7cc0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json kpi1 --format json': [0, 'e046ed2575be38266e9cfab336f3434b74fcec6ffcef01d27d0fb31f64e71bd8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json kpi1 --format text': [0, '96d0ff6e2c63a6143514e7a18327e9ad508560f3ee3d2fc4a8852b97d89d5148', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json acyl --format json': [0, '7aad25968f8a1cb16438959042ebeec706b533dcc2070212ebfacb42d5d61e9c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json acyl --format text': [0, 'b3bae5557452abf980b2c35b0a10c4b572f2c00d1eec06aabfbd002c9fa0e8f5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json develop --part 0 --format json': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],
@@ -104,8 +104,8 @@ GOLDEN = {
     'touching_triple_control.json build --format json': [0, 'd5e7aa323a56ebe015a1b342caf12d982463180cee9e37d8a22290919f035078', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json build --format text': [0, '241cba64c3655f8e2349cd8544abbef3097afa8698f471d189f11d2998514ef6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json build --format dot': [0, '1fc054e1385b97db667376ca87fe2f6438ae6d6eddde17d52b15f17257e4f04a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'touching_triple_control.json links --format json': [2, '4a48656fb50a697f64764865a87a1554e9887da849b3ab86bfcaca07e05516a9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'touching_triple_control.json links --format text': [2, 'feab30030704d73119d66c1e615a3d9edb766854ad0e1634fd3e0d1123ff4b95', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json links --format json': [2, '9bc54a08fcf9b726b68f7c12f7d0a4595a82019729c83f0d6e8c1b955a21d969', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json links --format text': [2, '48977e0ec0266ac5434a38419d7a279873fe010ec0cdbb55ec690f30df7a404b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json kpi1 --format json': [2, '9e25cc032b27e29db532aac8d4fa8f1f10e52dfc00a1a09008d59d8d1638c15d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json kpi1 --format text': [2, '8382be5c19c4f441f755fb128a1163e3d71d0d6c19e9be3e9d130514fe5e9e3d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json acyl --format json': [2, 'fdf89393e2239618ac716ec34fb273fd2eba8d81431922c87ba1ec933f4882a2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
