@@ -10,15 +10,17 @@ of that criterion that is genuinely infinite (weak malnormality of the edge
 subgroup, A_e meeting its conjugates trivially) is recorded as a citation,
 never as a computation.
 
-As empirical corroboration we measure syllable growth in the dihedral
-group of the witness edge: the maximum, over the word-metric ball of a
-given radius, of the least number of generator blocks needed to spell an
-element by paths inside the enumerated ball.  Strict growth of that
-statistic across radii is the signature of an unbounded orbit for the
-syllable quasi-action.  The largest ball is enumerated once together with
-its Cayley edges as element numbers; each radius is a prefix of that
-numbering, and its entry is a 0/1 breadth-first search over those integer
-edges, with no further normal-form multiplication.
+As empirical corroboration, ``empirical_orbit_growth`` measures syllable
+growth in the dihedral group of a witness edge: the maximum, over the
+word-metric ball of a given radius, of the least number of generator
+blocks needed to spell an element by paths inside the enumerated ball.
+Strict growth of that statistic across radii is the signature of an
+unbounded orbit for the syllable quasi-action.  It never decides a
+verdict, so ``check_acylindricity`` does not compute it.  The largest ball
+is enumerated once together with its Cayley edges as element numbers;
+each radius is a prefix of that numbering, and its entry is a 0/1
+breadth-first search over those integer edges, with no further
+normal-form multiplication.
 """
 from __future__ import annotations
 
@@ -185,7 +187,6 @@ class AcylVerdict:
     witness_vertex: str | None
     delta: tuple[str, str, str] | None
     delta_checks: DeltaChecks | None
-    orbit_growth: list[tuple[int, int]] | None
     citations: list[str]
 
     def to_json_dict(self) -> dict:
@@ -197,7 +198,6 @@ class AcylVerdict:
             "witness_vertex": self.witness_vertex,
             "delta": list(self.delta) if self.delta else None,
             "delta_checks": self.delta_checks.to_json_dict() if self.delta_checks else None,
-            "orbit_growth": [list(r) for r in self.orbit_growth] if self.orbit_growth else None,
             "citations": self.citations,
         }
 
@@ -225,7 +225,6 @@ def _inapplicable(reason: str) -> AcylVerdict:
         witness_vertex=None,
         delta=None,
         delta_checks=None,
-        orbit_growth=None,
         citations=[],
     )
 
@@ -239,13 +238,12 @@ def _free_product(reason: str) -> AcylVerdict:
         witness_vertex=None,
         delta=None,
         delta_checks=None,
-        orbit_growth=None,
         citations=[_FREE_PRODUCT_CITATION],
     )
 
 
 def check_hypotheses(inst: Instance) -> AcylVerdict:
-    """Decide which route applies before spending any enumeration work."""
+    """Decide which route applies, before any witness search."""
     if len(inst.family.parts) < 2:
         return _inapplicable("the family must contain at least two parts")
     ies = inst.inter_edges
@@ -263,12 +261,8 @@ def check_hypotheses(inst: Instance) -> AcylVerdict:
     return verdict
 
 
-def check_acylindricity(
-    inst: Instance,
-    radii: tuple[int, ...] = (2, 4, 6, 8),
-    cap: int = 10**6,
-) -> AcylVerdict:
-    """Full pipeline: hypotheses, witness triple, rank 3 checks, growth table."""
+def check_acylindricity(inst: Instance) -> AcylVerdict:
+    """Full pipeline: hypotheses, witness triple, rank 3 checks."""
     gate = check_hypotheses(inst)
     if gate.status != "hypotheses-pass":
         return gate
@@ -282,21 +276,18 @@ def check_acylindricity(
         )
     edge, s, delta = found
     checks = check_delta(inst.graph, delta)
-    growth = empirical_orbit_growth(edge.label, radii, cap)
-    reasons = []
-    if not checks.all_ok:
-        reasons.append("the witness triple fails a rank 3 hypothesis")
-    if not strictly_increasing(growth):
-        reasons.append("syllable growth is not strictly increasing over the radii")
     ok = checks.all_ok
     return AcylVerdict(
         status="acyl-hyperbolic-via-witness" if ok else "witness-checks-failed",
         ok=ok,
-        reasons=reasons or ["witness triple satisfies the rank 3 criterion"],
+        reasons=[
+            "witness triple satisfies the rank 3 criterion"
+            if ok
+            else "the witness triple fails a rank 3 hypothesis"
+        ],
         witness_edge=(edge.u, edge.v, edge.label),
         witness_vertex=s,
         delta=delta,
         delta_checks=checks,
-        orbit_growth=growth,
         citations=[_VASKOU_CITATION, _MALNORMALITY_CITATION],
     )

@@ -120,7 +120,7 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
     s_f = build_S_f(inst.graph)
     s_bar = build_S_bar(inst)
     cx_ell = derived_complex(s_ell)
-    dim = check_two_dimensional(cx_ell)
+    dim = check_two_dimensional(s_ell)
     gluing = check_gluing(assign_metric(cx_ell, inst))
     if args.fmt == "dot":
         sys.stdout.write(s_ell.to_dot())

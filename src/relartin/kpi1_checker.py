@@ -28,7 +28,6 @@ from .poset_complex import (
     SubsetPoset,
     build_S_bar,
     check_two_dimensional,
-    derived_complex,
     retraction_map,
     subset_label,
 )
@@ -85,17 +84,26 @@ def audit_family(
     assertions=None,
 ) -> FamilyAudit:
     """Check subset closure of S_bar and that it covers ``spherical``, the
-    graph's spherical subsets, and tag parts."""
+    graph's spherical subsets, and tag parts.
+
+    A family is closed under subsets exactly when it is closed under
+    removing one vertex.  The first element with a missing subset s is also
+    the first with a missing one-vertex deletion: were t - v present for
+    some v outside s, it would be an earlier element missing s.  So only
+    that element's subsets are scanned, for the first missing one in mask
+    order.
+    """
     cond1_witness = None
     for t in s_bar.elements:
+        if all(t - {v} in s_bar for v in t):
+            continue
         members = sorted(t)
         for mask in range(1 << len(members)):
             sub = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
             if sub not in s_bar:
                 cond1_witness = (sub, t)
                 break
-        if cond1_witness:
-            break
+        break
 
     cond3_witness = None
     for t in spherical:
@@ -202,11 +210,8 @@ def kpi1_verdict(
             audit=None,
         )
 
-    # certification first: it rejects an oversized link before the chains
-    # of S^l are listed
     cert = certify_link_condition(inst, certify_config)
-    s_ell_cx = derived_complex(inst.s_ell)
-    dim = check_two_dimensional(s_ell_cx)
+    dim = check_two_dimensional(inst.s_ell)
     evidence.append(
         {
             "check": "fundamental domain complex is 2-dimensional",
@@ -269,7 +274,7 @@ def kpi1_verdict(
         }
     )
 
-    retraction = retraction_map(s_bar, s_ell_cx, inst.family)
+    retraction = retraction_map(s_bar, inst.s_ell, inst.family)
     evidence.append(
         {
             "check": "retraction onto the small fundamental domain is well defined",

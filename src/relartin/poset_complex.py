@@ -11,10 +11,13 @@ Three posets under inclusion:
 Every order fact of a poset is read off one up-set map,
 ``SubsetPoset.above``, and its covering relation, both computed once per
 poset.  The derived complex of a poset has one simplex per chain.  Only the
-S^l complex is ever listed chain by chain.  The S_bar complex grows with the
-factorial of the part sizes, so it is never materialised: its chains are
-counted by dynamic programming (``SubsetPoset.chain_count``) and its
-maximal chains are walked along the covering relation (``maximal_chains``).
+S^l complex is ever listed chain by chain, and only for ``build``'s report
+and the metric.  The S_bar complex grows with the factorial of the part
+sizes, so it is never materialised: its chains are counted by dynamic
+programming (``SubsetPoset.chain_count``), and the retraction audit counts
+and checks its maximal chains by dynamic programming along the covering
+relation, one state per distinct image.  The dimension of a complex comes
+from the longest chain of its poset (``SubsetPoset.longest_chain``).
 
 Over S^l the complex is 2-dimensional and every 2-chain has the shape
 [empty < {s} < T].  Such a triangle receives Euclidean angles in integer
@@ -118,6 +121,25 @@ class SubsetPoset:
             f[t] = 1 + sum(f[u] for u in self.above[t])
         return sum(f.values())
 
+    def longest_chain(self) -> tuple[frozenset, ...]:
+        """The first chain of greatest length in derived-complex order (by
+        length, then element by element in element order), without listing
+        the chains.
+
+        With h(t) the length of the longest chain whose least element is t,
+        h(t) = 1 + max of h(u) over u > t.  The chain starts at the first
+        element of greatest h and steps each time to the first element above
+        with h one less.
+        """
+        h: dict[frozenset, int] = {}
+        for t in reversed(self.elements):
+            h[t] = 1 + max((h[u] for u in self.above[t]), default=0)
+        chain: list[frozenset] = []
+        for need in range(max(h.values(), default=0), 0, -1):
+            candidates = self.above[chain[-1]] if chain else self.elements
+            chain.append(next(u for u in candidates if h[u] == need))
+        return tuple(chain)
+
     def to_json_dict(self) -> dict:
         return {
             "elements": [
@@ -212,8 +234,7 @@ def derived_complex(poset: SubsetPoset) -> DerivedComplex:
 
     Chain counts grow with the factorial of the largest part size, so this
     is for the small fundamental domain S^l only.  The S_bar complex is
-    never listed: ``SubsetPoset.chain_count`` counts it and
-    ``maximal_chains`` walks its facets along the covering relation.
+    never listed: ``SubsetPoset.chain_count`` counts it.
     """
     above = poset.above
     chains: list[tuple[frozenset, ...]] = []
@@ -236,9 +257,9 @@ class DimensionVerdict:
     witness: tuple[frozenset, ...] | None
 
 
-def check_two_dimensional(cx: DerivedComplex) -> DimensionVerdict:
-    """True when no chain has four or more subsets."""
-    longest = max(cx.chains, key=len)
+def check_two_dimensional(poset: SubsetPoset) -> DimensionVerdict:
+    """True when no chain of the poset has four or more subsets."""
+    longest = poset.longest_chain()
     return DimensionVerdict(
         ok=len(longest) <= 3,
         max_chain_length=len(longest),
@@ -404,7 +425,8 @@ def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
     A maximal chain is saturated and runs from a minimal element to a
     maximal one, so the chains are the upward walks along the covering
     relation from each minimal element.  Inside a part of size k they are
-    the k! orders in which its vertices can be added.
+    the k! orders in which its vertices can be added; ``retraction_map``
+    counts and checks them without this listing.
     """
     up = poset.upper_covers
     minimal = set(poset.elements).difference(*up.values())
@@ -425,7 +447,7 @@ def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
 
 def retraction_map(
     s_bar: SubsetPoset,
-    s_ell_cx: DerivedComplex,
+    s_ell: SubsetPoset,
     family: SubgraphFamily,
 ) -> RetractionReport:
     """The simplicial retraction: subsets already in S^l stay fixed, proper
@@ -434,8 +456,16 @@ def retraction_map(
     On a maximal chain inside a part this sends [empty < {s} < ... < S_i]
     to [empty < {s} < S_i] when s lies on an inter-edge and to
     [empty < S_i] otherwise; maximal inter-edge chains are fixed pointwise.
+
+    The maximal chains of S_bar are not listed.  What the audit reads off a
+    chain depends only on its second element, its image with repeats
+    dropped, whether every element so far is fixed (the rule for an
+    inter-edge on top) and whether that image strictly increases (an S^l
+    chain).  Upward walks along the covering relation merge on that state,
+    so the k! chains inside a part of size k make about k states per
+    subset.  Each failing state is reported once, with its first chain in
+    ``derived_complex`` order as the witness.
     """
-    s_ell = s_ell_cx.poset
     part_of: dict[frozenset, frozenset] = {}
     for part in family.parts:
         pset = frozenset(part)
@@ -463,43 +493,77 @@ def retraction_map(
     # chain must match the stated formula.  Inclusion is transitive, so
     # covers suffice when every element has an image, and a partial map
     # fails already
+    up = s_bar.upper_covers
     monotone = True
-    for a, bigger in s_bar.upper_covers.items():
+    for a, bigger in up.items():
         for b in bigger:
             if a in vertex_map and b in vertex_map and not vertex_map[a] <= vertex_map[b]:
                 monotone = False
                 failures.append(f"not monotone on {sorted(a)} < {sorted(b)}")
 
     iev = {t for t in s_ell.elements if "inter-edge-vertex" in s_ell.tags[t]}
-    s_ell_chains = set(s_ell_cx.chains)
+    rank = {t: i for i, t in enumerate(s_bar.elements)}
+    # per mapped element: (second element, image, all fixed, image rising)
+    # -> [walks from a minimal element ending in that state, the first of
+    # them in chain order as element ranks]; walks through an unmapped
+    # element are dropped
+    states: dict[frozenset, dict[tuple, list]] = {t: {} for t in vertex_map}
+    for t in set(s_bar.elements).difference(*up.values()):
+        if t in vertex_map:
+            states[t][(None, (vertex_map[t],), vertex_map[t] == t, True)] = [1, (rank[t],)]
     total = 0
-    formula_ok = True
-    for chain in maximal_chains(s_bar):
-        if any(t not in vertex_map for t in chain):
+    failing = []
+    # elements come by size, so each after every element below it
+    for t in s_bar.elements:
+        here = states.get(t)
+        if not here:
             continue
-        total += 1
-        image: list[frozenset] = []
-        for t in chain:
-            img = vertex_map[t]
-            if not image or image[-1] != img:
-                image.append(img)
-        top = chain[-1]
-        if "inter-edge" in s_bar.tags.get(top, frozenset()):
+        if not up[t]:
+            inter_edge_top = "inter-edge" in s_bar.tags[t]
+            for (second, image, fixed, rising), (count, walk) in here.items():
+                total += count
+                if inter_edge_top:
+                    expected, formula = None, fixed
+                else:
+                    part = image[-1]
+                    expected = (frozenset(), second, part) if second in iev else (frozenset(), part)
+                    formula = image == expected
+                in_s_ell = rising and all(img in s_ell for img in image)
+                if not (formula and in_s_ell):
+                    failing.append((walk, image, expected, formula, in_s_ell))
+            continue
+        for u in up[t]:
+            img = vertex_map.get(u)
+            if img is None:
+                continue
+            into = states[u]
+            for (second, image, fixed, rising), (count, walk) in here.items():
+                if img != image[-1]:
+                    rising = rising and image[-1] < img
+                    image = image + (img,)
+                state = (u if second is None else second, image, fixed and img == u, rising)
+                walk = walk + (rank[u],)
+                seen = into.get(state)
+                if seen is None:
+                    into[state] = [count, walk]
+                else:
+                    seen[0] += count
+                    if (len(walk), walk) < (len(seen[1]), seen[1]):
+                        seen[1] = walk
+
+    formula_ok = True
+    failing.sort(key=lambda f: (len(f[0]), f[0]))
+    for walk, image, expected, formula, in_s_ell in failing:
+        chain = tuple(s_bar.elements[i] for i in walk)
+        if expected is None:
             expected = chain
-        else:
-            bottom = chain[1] if len(chain) > 1 else None
-            part = vertex_map[top]
-            if bottom is not None and bottom in iev:
-                expected = (frozenset(), bottom, part)
-            else:
-                expected = (frozenset(), part)
-        if tuple(image) != expected:
+        if not formula:
             formula_ok = False
             failures.append(
                 f"chain {[sorted(t) for t in chain]} mapped to "
                 f"{[sorted(t) for t in image]}, expected {[sorted(t) for t in expected]}"
             )
-        if tuple(image) not in s_ell_chains:
+        if not in_s_ell:
             lands = False
             failures.append(f"image of {[sorted(t) for t in chain]} is not an S^l chain")
 

@@ -9,6 +9,7 @@ exact way the curvature certificate is supposed to detect.
 import random
 
 from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily, check_rel_prime
+from relartin.poset_complex import SubsetPoset
 
 CTILDE3_EDGES = [
     ("a", "b", 3),
@@ -98,3 +99,16 @@ def random_rel_prime_instance(
     inst = Instance(graph, SubgraphFamily.build(graph, parts))
     assert check_rel_prime(inst).ok
     return inst
+
+
+def with_strays(inst) -> list[SubsetPoset]:
+    """S^l plus {a1,b1,c1}, which lies inside part 0 of the join, then plus
+    {a1,a2,b1}, which crosses parts and so has no image under the
+    retraction."""
+    s_ell = inst.s_ell
+    tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
+    out = []
+    for stray in (("a1", "b1", "c1"), ("a1", "a2", "b1")):
+        tagged.append((frozenset(stray), "stray"))
+        out.append(SubsetPoset.from_tagged(tagged))
+    return out

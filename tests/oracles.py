@@ -49,7 +49,9 @@ complex by extending each chain by every larger element found in a scan of
 all pairs, the maximal chains by scanning every such chain for an element
 that would extend it, and the chain count as the number of such chains.
 The retraction audit with monotonicity tested on every comparable pair of
-mapped elements, not on covers only.
+mapped elements, not on covers only, and with every maximal chain listed
+and its image looked up among the listed chains of S^l.  The family
+audit's subset closure by scanning every subset of every element.
 
 Certification: each part with an engine and each inter-edge developed
 alone at the configured radius and cap and searched, with no development
@@ -81,6 +83,7 @@ from relartin.girth_checker import (
     _status,
     shortest_embedded_cycle,
 )
+from relartin.kpi1_checker import FamilyAudit, _part_status
 from relartin.link_builder import develop_link_interedge
 from relartin.poset_complex import (
     RetractionReport,
@@ -686,10 +689,10 @@ def brute_chain_count(poset) -> int:
     return len(brute_chains(poset))
 
 
-def all_pairs_retraction_map(s_bar, s_ell_cx, family) -> RetractionReport:
+def all_pairs_retraction_map(s_bar, s_ell, family) -> RetractionReport:
     """``retraction_map`` with monotonicity tested on every pair a < b of
-    mapped elements of S_bar."""
-    s_ell = s_ell_cx.poset
+    mapped elements of S_bar, and every maximal chain listed and tested on
+    its own against the listed chains of S^l."""
     part_of = {}
     for part in family.parts:
         pset = frozenset(part)
@@ -720,7 +723,7 @@ def all_pairs_retraction_map(s_bar, s_ell_cx, family) -> RetractionReport:
                 failures.append(f"not monotone on {sorted(a)} < {sorted(b)}")
 
     iev = {t for t in s_ell.elements if "inter-edge-vertex" in s_ell.tags[t]}
-    s_ell_chains = set(s_ell_cx.chains)
+    s_ell_chains = set(brute_chains(s_ell))
     total = 0
     formula_ok = True
     for chain in maximal_chains(s_bar):
@@ -760,6 +763,29 @@ def all_pairs_retraction_map(s_bar, s_ell_cx, family) -> RetractionReport:
         face_compatible=monotone and formula_ok,
         vertex_map=vertex_map,
         failures=failures,
+    )
+
+
+def scan_audit_family(s_bar, inst, spherical, assertions=None) -> FamilyAudit:
+    """``audit_family`` with subset closure decided by scanning the 2^|t|
+    subsets of every element t, in element order and then mask order."""
+    cond1_witness = None
+    for t in s_bar.elements:
+        members = sorted(t)
+        for mask in range(1 << len(members)):
+            sub = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
+            if sub not in s_bar:
+                cond1_witness = (sub, t)
+                break
+        if cond1_witness:
+            break
+    cond3_witness = next((t for t in spherical if t not in s_bar), None)
+    return FamilyAudit(
+        condition1_ok=cond1_witness is None,
+        condition1_witness=cond1_witness,
+        condition3_ok=cond3_witness is None,
+        condition3_witness=cond3_witness,
+        parts=[_part_status(inst, i, assertions) for i in range(len(inst.family.parts))],
     )
 
 

@@ -28,7 +28,7 @@ from relartin.girth_checker import (
 from relartin.kpi1_checker import verify_no_large_crossing_spherical
 from relartin.link_builder import develop_link_interedge, develop_link_part
 from relartin.acyl_checker import empirical_orbit_growth, strictly_increasing
-from relartin.poset_complex import build_S_bar, derived_complex, retraction_map
+from relartin.poset_complex import build_S_bar, retraction_map
 
 from instances import (
     affine_parts_join,
@@ -238,8 +238,7 @@ def test_criterion_08_dihedral_oracle_equivalence():
 
 def test_criterion_09_retraction():
     inst = affine_parts_join()
-    s_ell_cx = derived_complex(inst.s_ell)
-    report = retraction_map(build_S_bar(inst), s_ell_cx, inst.family)
+    report = retraction_map(build_S_bar(inst), inst.s_ell, inst.family)
     assert report.total_maximal_chains == 80
     assert report.failures == []
     assert report.lands_in_s_ell

@@ -1,5 +1,7 @@
 """Acylindrical hyperbolicity routes: witness triples, rank 3 checks, and
 the confined syllable growth tables."""
+import random
+
 import pytest
 
 from relartin.acyl_checker import (
@@ -14,7 +16,12 @@ from relartin.acyl_checker import (
 from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily
 from relartin.dihedral_garside import CapExceeded
 
-from instances import affine_parts_join, single_interedge
+from instances import (
+    affine_parts_join,
+    random_rel_prime_instance,
+    single_interedge,
+    touching_triple_control,
+)
 from oracles import per_radius_orbit_growth
 
 
@@ -141,14 +148,12 @@ def test_full_pipeline_on_the_join():
     assert verdict.ok
     assert verdict.witness_edge == ("a1", "a2", 4)
     assert verdict.witness_vertex == "b1"
-    assert verdict.orbit_growth == [(2, 2), (4, 4), (6, 6), (8, 8)]
     assert verdict.reasons == ["witness triple satisfies the rank 3 criterion"]
     assert len(verdict.citations) == 2
     assert "Vaskou" in verdict.citations[0]
     assert "cited, not computed" in verdict.citations[1]
     doc = verdict.to_json_dict()
     assert doc["delta"] == ["a1", "a2", "b1"]
-    assert doc["orbit_growth"] == [[2, 2], [4, 4], [6, 6], [8, 8]]
 
 
 def test_free_product_routes():
@@ -191,3 +196,29 @@ def test_witness_checks_failed_on_a_spherical_triple():
     assert verdict.reasons[0] == "the witness triple fails a rank 3 hypothesis"
     assert verdict.delta_checks is not None
     assert not verdict.delta_checks.two_dimensional
+
+
+def test_witness_reasons_agree_with_ok():
+    # a witness verdict rests on the rank 3 checks alone: it gives the one
+    # passing reason exactly when it is ok, and no reason cites growth
+    insts = [affine_parts_join(), touching_triple_control()]
+    insts += [
+        tripartite(edges)
+        for edges in (
+            [("a", "b", 3), ("b", "c", 5)],
+            [("a", "b", 2), ("a", "c", 2), ("b", "c", 2)],
+            [("a", "b", 5), ("a", "c", 2), ("b", "c", 3)],
+        )
+    ]
+    insts += [random_rel_prime_instance(random.Random(seed)) for seed in range(30)]
+    by_status = {}
+    for inst in insts:
+        verdict = check_acylindricity(inst)
+        by_status[verdict.status] = by_status.get(verdict.status, 0) + 1
+        assert not any("growth" in r for r in verdict.reasons)
+        assert "orbit_growth" not in verdict.to_json_dict()
+        if verdict.status in ("acyl-hyperbolic-via-witness", "witness-checks-failed"):
+            passing = verdict.reasons == ["witness triple satisfies the rank 3 criterion"]
+            assert verdict.ok == passing
+    assert by_status["acyl-hyperbolic-via-witness"] > 10
+    assert by_status["witness-checks-failed"] == 2

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import relartin
-from relartin import cli, defining_graph, kpi1_checker, link_builder, poset_complex
+from relartin import cli, defining_graph, dihedral_garside, link_builder, poset_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 JOIN = str(FIXTURES / "affine_parts_join.json")
@@ -24,6 +24,20 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def forbid(monkeypatch, owner, attr: str) -> None:
+    """Make ``owner.attr`` raise when called, also where a relartin module
+    imported it by name."""
+    original = getattr(owner, attr)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{attr} was called")
+
+    monkeypatch.setattr(owner, attr, forbidden)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("relartin.") and getattr(mod, attr, None) is original:
+            monkeypatch.setattr(mod, attr, forbidden)
 
 
 def run_json(capsys, *argv):
@@ -240,11 +254,8 @@ def test_oversized_link_exits_1(capsys, tmp_path, monkeypatch):
     path = tmp_path / "oversized.json"
     path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
 
-    def unlisted(poset):
-        raise AssertionError("kpi1 listed the chains of S^l before the link check")
-
-    # kpi1 rejects the link before it lists the chains of S^l
-    monkeypatch.setattr(kpi1_checker, "derived_complex", unlisted)
+    # kpi1 rejects the link, and lists no chains of S^l on the way
+    forbid(monkeypatch, poset_complex, "derived_complex")
     for sub in ("links", "kpi1"):
         code, out, err = run(capsys, sub, "--input", str(path))
         assert code == 1 and out == ""
@@ -252,6 +263,23 @@ def test_oversized_link_exits_1(capsys, tmp_path, monkeypatch):
             "error: the empty link has 25440 edges; "
             "the weighted girth search takes at most 20000\n"
         )
+
+
+def test_acyl_and_kpi1_list_no_ball_and_no_chains(capsys, monkeypatch):
+    # kpi1 counts and checks the maximal chains of S_bar by dynamic
+    # programming and reads the dimension off the longest chain, so neither
+    # subcommand lists the chains of a complex
+    for attr in ("maximal_chains", "derived_complex"):
+        forbid(monkeypatch, poset_complex, attr)
+    assert run(capsys, "kpi1", "--input", JOIN)[0] == 0
+    # acyl's verdict reads the witness triple alone, so it enumerates no
+    # ball; kpi1 on the join still develops its non-disjoint inter-edge
+    # link for certification, and on the control stops at the label check
+    for engine in (dihedral_garside.DihedralEngine, dihedral_garside.FreeEngine):
+        forbid(monkeypatch, engine, "ball_levels")
+    assert run(capsys, "kpi1", "--input", CONTROL)[0] == 2
+    assert run(capsys, "acyl", "--input", JOIN)[0] == 0
+    assert run(capsys, "acyl", "--input", CONTROL)[0] == 2
 
 
 def test_flag_validation(capsys):

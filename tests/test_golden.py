@@ -83,8 +83,8 @@ GOLDEN = {
     'affine_parts_join.json links --format text': [0, 'a538913d0bc6a669808f8a3808c8724b74254b0ea6279bf30dc3417c622e7cc0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json kpi1 --format json': [0, 'e046ed2575be38266e9cfab336f3434b74fcec6ffcef01d27d0fb31f64e71bd8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json kpi1 --format text': [0, '96d0ff6e2c63a6143514e7a18327e9ad508560f3ee3d2fc4a8852b97d89d5148', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json acyl --format json': [0, '7aad25968f8a1cb16438959042ebeec706b533dcc2070212ebfacb42d5d61e9c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json acyl --format text': [0, 'b3bae5557452abf980b2c35b0a10c4b572f2c00d1eec06aabfbd002c9fa0e8f5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json acyl --format json': [0, '315e84276d3f21f63181bf2dd20538d213f4a1102dfa0ad3416bb94d6d6620fd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json acyl --format text': [0, '04df2dc6cdd734855930aa530bce1087617a7073e24b33b71a4cd53fabf8e67f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json develop --part 0 --format json': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],
     'affine_parts_join.json develop --part 0 --format text': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],
     'affine_parts_join.json develop --part 0 --format dot': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],
@@ -108,8 +108,8 @@ GOLDEN = {
     'touching_triple_control.json links --format text': [2, '48977e0ec0266ac5434a38419d7a279873fe010ec0cdbb55ec690f30df7a404b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json kpi1 --format json': [2, '9e25cc032b27e29db532aac8d4fa8f1f10e52dfc00a1a09008d59d8d1638c15d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json kpi1 --format text': [2, '8382be5c19c4f441f755fb128a1163e3d71d0d6c19e9be3e9d130514fe5e9e3d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'touching_triple_control.json acyl --format json': [2, 'fdf89393e2239618ac716ec34fb273fd2eba8d81431922c87ba1ec933f4882a2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'touching_triple_control.json acyl --format text': [2, 'afab4bda615a754f98c123c77ace1aa531d74e10d46778799714a7f54e515323', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json acyl --format json': [2, 'e89f063df725a012d1ad23e30b7d7e3cf4d6e85be968877ecf9a5d8bcc04fcc4', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json acyl --format text': [2, '80ffcda29e0586be105637c698c311646a58845bbd9faedc8fe74f68ae70a2ec', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json develop --part 0 --format json': [0, '09db0d42df174ef0f4f5122b656cc5e64e6d2d47b734c0bc328e685126a39aa0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json develop --part 0 --format text': [0, '70af8585d667baa89b24d95461392c7babb9a68ea51c415352579265af3d443e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json develop --part 0 --format dot': [0, '8f72054c41cfd7189282781d67b1dc387c38e173b55cdd607c0066631fd13e30', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],

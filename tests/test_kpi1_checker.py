@@ -1,4 +1,6 @@
 """Family audit, crossing check, and the assembled asphericity verdict."""
+import random
+
 from relartin.coxeter import enumerate_spherical_subsets
 from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily
 from relartin.girth_checker import CertificationReport, LinkCertificate
@@ -9,7 +11,14 @@ from relartin.kpi1_checker import (
 )
 from relartin.poset_complex import SubsetPoset, build_S_bar
 
-from instances import affine_parts_join, single_interedge, touching_triple_control
+from instances import (
+    affine_parts_join,
+    random_rel_prime_instance,
+    single_interedge,
+    touching_triple_control,
+    with_strays,
+)
+from oracles import scan_audit_family
 
 
 def unknown_part_instance():
@@ -55,6 +64,32 @@ def test_audit_family_reports_witnesses():
     assert not audit.condition3_ok
     assert audit.condition3_witness == frozenset("a")
     assert audit.overall == "fail"
+
+
+def test_audit_family_matches_subset_scan():
+    # closure under one-vertex deletions, with the failing element's subsets
+    # scanned for the witness, against a scan of every subset of every element
+    join = affine_parts_join()
+    cases = [(build_S_bar(inst), inst) for inst in (join, touching_triple_control())]
+    cases += [(poset, join) for poset in with_strays(join)]
+    cases += [
+        (build_S_bar(inst), inst)
+        for inst in (random_rel_prime_instance(random.Random(seed)) for seed in range(30))
+    ]
+    # {a1,b1,c1} keeps all three of its pairs but lacks {a1}, two levels
+    # down; the first element missing a subset is then the pair {a1,b1}
+    kept = ((), ("b1",), ("c1",), ("a1", "b1"), ("a1", "c1"), ("b1", "c1"), ("a1", "b1", "c1"))
+    lacking = SubsetPoset.from_tagged((frozenset(t), "x") for t in kept)
+    cases.append((lacking, join))
+    failing = 0
+    for s_bar, inst in cases:
+        spherical = enumerate_spherical_subsets(inst.graph)
+        audit = audit_family(s_bar, inst, spherical)
+        assert audit == scan_audit_family(s_bar, inst, spherical)
+        failing += not audit.condition1_ok
+    # the stray posets are S^l plus a triple, so they lack its pairs
+    assert failing == 3
+    assert audit.condition1_witness == (frozenset(("a1",)), frozenset(("a1", "b1")))
 
 
 def test_assertions_upgrade_parts():

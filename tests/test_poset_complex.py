@@ -1,6 +1,7 @@
 """Subset posets, order complexes, the integer-unit metric, and the
 retraction onto the small fundamental domain."""
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,7 @@ from instances import (
     random_rel_prime_instance,
     single_interedge,
     touching_triple_control,
+    with_strays,
 )
 from oracles import (
     all_pairs_retraction_map,
@@ -86,8 +88,7 @@ def test_single_interedge_two_simplices():
 
 
 def test_two_dimensional_check_and_negative_control():
-    cx = derived_complex(affine_parts_join().s_ell)
-    verdict = check_two_dimensional(cx)
+    verdict = check_two_dimensional(affine_parts_join().s_ell)
     assert verdict.ok and verdict.max_chain_length == 3 and verdict.witness is None
 
     # a poset with a length-4 nest is rejected with the witness chain
@@ -99,9 +100,9 @@ def test_two_dimensional_check_and_negative_control():
             (frozenset("abc"), "x"),
         ]
     )
-    bad = check_two_dimensional(derived_complex(deep))
+    bad = check_two_dimensional(deep)
     assert not bad.ok and bad.max_chain_length == 4
-    assert bad.witness is not None and len(bad.witness) == 4
+    assert bad.witness == tuple(frozenset(x) for x in ("", "a", "ab", "abc"))
 
 
 def test_covers_relation():
@@ -199,8 +200,7 @@ def test_gluing_detects_conflicts():
 
 def test_retraction_join():
     inst = affine_parts_join()
-    s_ell_cx = derived_complex(inst.s_ell)
-    report = retraction_map(build_S_bar(inst), s_ell_cx, inst.family)
+    report = retraction_map(build_S_bar(inst), inst.s_ell, inst.family)
     assert report.ok
     assert report.total_maximal_chains == 80
     assert report.lands_in_s_ell
@@ -214,43 +214,52 @@ def test_retraction_join():
     assert report.vertex_map[frozenset(("a1",))] == frozenset(("a1",))
 
 
-def _with_strays(inst) -> list[SubsetPoset]:
-    """S^l plus {a1,b1,c1}, which lies inside part 0, then plus {a1,a2,b1},
-    which crosses parts and so has no image under the retraction."""
-    s_ell = inst.s_ell
-    tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
-    out = []
-    for stray in (("a1", "b1", "c1"), ("a1", "a2", "b1")):
-        tagged.append((frozenset(stray), "stray"))
-        out.append(SubsetPoset.from_tagged(tagged))
-    return out
-
-
 def test_retraction_breaks_without_part_subsets():
     # removing a part subset from the domain makes the map partial, which
     # the report records as a failure
     inst = affine_parts_join()
-    s_ell_cx = derived_complex(inst.s_ell)
-    inside, crossing = _with_strays(inst)
-    report = retraction_map(inside, s_ell_cx, inst.family)
+    inside, crossing = with_strays(inst)
+    report = retraction_map(inside, inst.s_ell, inst.family)
     assert report.ok  # the triple still lies inside part 0, so it retracts
-    report = retraction_map(crossing, s_ell_cx, inst.family)
+    report = retraction_map(crossing, inst.s_ell, inst.family)
     assert not report.ok or report.failures
     assert any("no image" in f for f in report.failures)
 
 
+def _plus(poset: SubsetPoset, *subsets: str) -> SubsetPoset:
+    tagged = [(t, tag) for t in poset.elements for tag in poset.tags[t]]
+    return SubsetPoset.from_tagged(tagged + [(frozenset(x), "stray") for x in subsets])
+
+
 def test_retraction_matches_all_pairs_reference():
-    # monotonicity is checked on covers; the reference checks every pair
+    # monotonicity is checked on covers and the maximal chains by dynamic
+    # programming; the reference checks every pair and walks every chain.
+    # On invalid input the report names one chain per failing state, where
+    # the reference names every failing chain
     join = affine_parts_join()
-    cases = [(join, poset) for poset in _with_strays(join)]
+    cases = [(poset, join.s_ell, join) for poset in with_strays(join)]
+    # S^l claiming a proper part subset, or a crossing triple that leaves
+    # {a1,b1} -> part 0 below it non-monotone: chains fail the formula, and
+    # in the second case images stop increasing
+    crossing = _plus(build_S_bar(join), ("a1", "a2", "b1"))
+    for extra in ((("a1", "b1"), ("a1", "a2", "b1")), (("a1", "a2", "b1"),)):
+        cases.append((crossing, _plus(join.s_ell, *extra), join))
     for inst in [join, touching_triple_control()] + [
         random_rel_prime_instance(random.Random(seed)) for seed in range(30)
     ]:
-        cases.append((inst, build_S_bar(inst)))
-    for inst, s_bar in cases:
-        s_ell_cx = derived_complex(inst.s_ell)
-        report = retraction_map(s_bar, s_ell_cx, inst.family)
-        assert report == all_pairs_retraction_map(s_bar, s_ell_cx, inst.family)
+        cases.append((build_S_bar(inst), inst.s_ell, inst))
+    valid = 0
+    for s_bar, s_ell, inst in cases:
+        report = retraction_map(s_bar, s_ell, inst.family)
+        reference = all_pairs_retraction_map(s_bar, s_ell, inst.family)
+        assert replace(report, failures=[]) == replace(reference, failures=[])
+        if reference.ok:
+            valid += 1
+            assert report.failures == reference.failures
+        else:
+            assert report.failures[0] == reference.failures[0]
+            assert set(report.failures) <= set(reference.failures)
+    assert valid == len(cases) - 3
 
 
 def _assert_matches_oracles(poset: SubsetPoset) -> None:
@@ -260,6 +269,8 @@ def _assert_matches_oracles(poset: SubsetPoset) -> None:
     assert derived_complex(poset).chains == tuple(brute_chains(poset))
     assert maximal_chains(poset) == brute_maximal_chains(poset)
     assert poset.chain_count() == brute_chain_count(poset)
+    chains = brute_chains(poset)
+    assert poset.longest_chain() == (max(chains, key=len) if chains else ())
 
 
 def test_poset_walks_match_oracles_on_instances():
@@ -267,7 +278,7 @@ def test_poset_walks_match_oracles_on_instances():
         inst = make()
         for poset in (build_S_ell(inst), build_S_bar(inst), build_S_f(inst.graph)):
             _assert_matches_oracles(poset)
-    for poset in _with_strays(affine_parts_join()):
+    for poset in with_strays(affine_parts_join()):
         _assert_matches_oracles(poset)
 
 
