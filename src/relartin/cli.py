@@ -22,7 +22,7 @@ from .defining_graph import (
     classify_known,
     parse_graph,
 )
-from .girth_checker import CertifyConfig, certify_link_condition
+from .girth_checker import certify_link_condition
 from .kpi1_checker import kpi1_verdict
 from .link_builder import develop_link_interedge, develop_link_part
 from .poset_complex import (
@@ -139,15 +139,13 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
 
 
 def cmd_links(inst: Instance, args: argparse.Namespace) -> int:
-    config = CertifyConfig(args.radius_case3, args.cap)
-    report = certify_link_condition(inst, config)
+    report = certify_link_condition(inst)
     _emit(report.to_json_dict(), args.fmt)
     return 0 if report.ok else 2
 
 
 def cmd_kpi1(inst: Instance, args: argparse.Namespace) -> int:
-    config = CertifyConfig(args.radius_case3, args.cap)
-    verdict = kpi1_verdict(inst, certify_config=config)
+    verdict = kpi1_verdict(inst)
     _emit(verdict.to_json_dict(), args.fmt)
     return 0 if verdict.holds else 2
 
@@ -202,16 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "text", "dot"), default="text", dest="fmt"
     )
-    # inter-edge radius and element cap, for the subcommands that develop links
-    developing = argparse.ArgumentParser(add_help=False)
-    developing.add_argument(
-        "--radius-case3",
-        type=int,
-        default=None,
-        help="development radius for inter-edge links (default 8m per edge)",
-    )
-    developing.add_argument("--cap", type=int, default=4000)
-
     parser = argparse.ArgumentParser(
         prog="relartin",
         description="checks for graph-of-parts presentations: label conditions, "
@@ -221,10 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("check-rel", parents=[common])
     sub.add_parser("classify", parents=[common])
     sub.add_parser("build", parents=[common])
-    sub.add_parser("links", parents=[common, developing])
-    sub.add_parser("kpi1", parents=[common, developing])
+    sub.add_parser("links", parents=[common])
+    sub.add_parser("kpi1", parents=[common])
     sub.add_parser("acyl", parents=[common])
-    dev = sub.add_parser("develop", parents=[common, developing])
+    dev = sub.add_parser("develop", parents=[common])
+    dev.add_argument(
+        "--radius-case3",
+        type=int,
+        default=None,
+        help="development radius for inter-edge links (default 8m per edge)",
+    )
+    dev.add_argument("--cap", type=int, default=4000)
     dev.add_argument(
         "--radius-case1", type=int, default=16, help="development radius for part links"
     )
@@ -244,10 +239,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    # only the developing subcommands have these flags, and only develop
-    # has --radius-case1
-    if "cap" in args:
-        radii = (getattr(args, "radius_case1", None), args.radius_case3)
+    # only develop has these flags
+    if args.subcommand == "develop":
+        radii = (args.radius_case1, args.radius_case3)
         if any(r is not None and r < 1 for r in radii):
             sys.stderr.write("error: radii must be >= 1\n")
             return 1

@@ -49,21 +49,50 @@ parabolic subgroups intersect as A_X ∩ A_Y = A_{X ∩ Y}.  So
 neither can happen, and every cycle passes through at least 4 coset
 vertices, 8 edges.  Those links get the status PASS-lemma and no
 development; the m = 2 link (Z^2, the commutator) meets the bound exactly.
-The non-disjoint inter-edge links, beyond the lemma, are developed once per
-label with the dihedral engine and searched.
+
+A non-disjoint inter-edge link needs 8 coset vertices, beyond the lemma,
+and is searched instead, once per label m.  Its T = {a, b} has two
+generators, so the generators of a cycle alternate and k is even: only
+the even k from LEMMA_COSETS up to the number needed remain, k = 4 and
+k = 6.  Rotated to start at an a-coset and translated to start at 1, such
+a cycle is a trivial word a^p_1 b^q_1 ... of k syllables, all exponents
+nonzero, in the dihedral Artin group A_m.  Conversely such a word with
+k = 4 or 6 reads as a simple cycle h_0 = 1, h_0<a>, h_1, h_1<b>, ..., h_i
+the product of its first i syllables.  A repeated element would split the
+word into two trivial words, one of 1 to 3 syllables; s^p is not trivial,
+and s^p t^q or s^p t^q s^r trivial would put t^q != 1 in
+A_{s} ∩ A_{t} = 1.  A repeated coset h_i<s> = h_j<s> would put the word
+between them, and the rest of the cycle, into <s>; one of the two has 2
+syllables s^p t^q, and again t^q would lie in A_{s} ∩ A_{t}.
+
+The word is trivial exactly when its first k/2 syllables, an a-first
+word, equal the inverse of its last k/2, a word b^x_1 a^x_2 ... that
+starts with b because the last syllable is a b-syllable.  So the search is
+a meet in the middle over the window 0 < |p| <= EXPONENT_RADIUS: one table
+of a-first normal forms, built a syllable at a time from the level before,
+matched against its own image under the automorphism exchanging a and b,
+which fixes Delta and swaps the first letter of every simple; that image
+is the table of b-first forms, with no multiplication.  A hit is a FAIL,
+its word the witness cycle; with none the link passes within the window,
+PASS-within-radius.  Exponents outside the window are settled by Appel
+and Schupp (1983): a relator of A_m has at least 2m syllables.  So m = 3
+fails (aba = bab has 6) and m >= 4 passes, which the window confirms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .defining_graph import GraphError, Instance
+from .defining_graph import GraphError, Instance, InterEdge
+from .dihedral_garside import DihedralElement, DihedralEngine
 from .link_builder import (
     TWO_PI_UNITS,
     LinkGraph,
     build_link_empty,
     build_link_single,
-    develop_link_interedge,
+    interedge_development,
+    vertex_label,
 )
 from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, subset_label
 
@@ -345,12 +374,6 @@ def _verify_cycle(link: LinkGraph, cycle: list[int], claimed_length: int) -> Non
 
 
 @dataclass
-class CertifyConfig:
-    radius_case3: int | None = None  # None: 8 * label per inter-edge
-    cap: int = 4000
-
-
-@dataclass
 class LinkCertificate:
     case: str
     descriptor: str
@@ -445,21 +468,120 @@ def _lemma_entry(case: str, members: list[str]) -> LinkCertificate:
     )
 
 
-def certify_link_condition(
-    inst: Instance, config: CertifyConfig | None = None
-) -> CertificationReport:
-    """Run every link of the instance through the cycle search, or through
-    the coset lemma where 2pi needs at most LEMMA_COSETS coset vertices.
+# every exponent of a searched syllable word satisfies 0 < |p| <= EXPONENT_RADIUS
+EXPONENT_RADIUS = 8
+
+
+def _syllable_search(
+    engine: DihedralEngine, counts: Iterable[int]
+) -> tuple[list[int], list[tuple[int, ...]], int]:
+    """Search the cyclic words a^p_1 b^q_1 ... of each even syllable count
+    in ``counts``, a and b the engine's generators and every exponent in the
+    window, for trivial ones (see the module docstring).
+
+    Returns the counts searched, which stop at the first with a hit; the
+    exponents of every trivial word of that count, sorted by the window
+    order of their exponents, which puts smaller exponents first and each
+    positive one before its negative; and the number of normal forms
+    hashed.  ``level`` holds the a-first words of one syllable count, each
+    with its normal form.
+    """
+    window = [p for n in range(1, EXPONENT_RADIUS + 1) for p in (n, -n)]
+    rank = {p: i for i, p in enumerate(window)}
+    a, b = engine.generators
+    other = {a: b, b: a}
+    level: list[tuple[tuple[int, ...], DihedralElement]] = [((), engine.identity)]
+    searched: list[int] = []
+    hits: list[tuple[int, ...]] = []
+    words = 0
+    for k in counts:
+        while len(level[0][0]) < k // 2:
+            g = b if len(level[0][0]) % 2 else a
+            level = [
+                (exps + (p,), engine.mult_power(el, g, p)) for exps, el in level for p in window
+            ]
+        table: dict[DihedralElement, list[tuple[int, ...]]] = {}
+        for exps, el in level:
+            table.setdefault(el, []).append(exps)
+        words += len(level)
+        searched.append(k)
+        for exps, el in level:
+            # el swapped is the normal form of b^x_1 a^x_2 ... for exps = x,
+            # and each a-first word equal to it closes with its inverse
+            lefts = table.get(DihedralElement(el.k, tuple([(other[f], n) for f, n in el.tail])))
+            if lefts:
+                right = tuple(-p for p in reversed(exps))
+                hits += [left + right for left in lefts]
+        if hits:
+            break
+    hits.sort(key=lambda w: [rank[p] for p in w])
+    return searched, hits, words
+
+
+def _relation_cycle(engine: DihedralEngine, exponents: tuple[int, ...]) -> list[str]:
+    """The labels of the cycle 1, 1<s_1>, h_1, h_1<s_2>, ..., h_i the
+    product of the first i syllables of a trivial word with these
+    exponents, checked: the word's normal form is the identity, the
+    elements and the cosets are distinct, and h_i lies in h_(i-1)<s_i>."""
+    gens = engine.generators
+    letters = [gens[i % 2] for i in range(len(exponents))]
+    elements = [engine.identity]
+    for s, p in zip(letters, exponents):
+        elements.append(engine.mult_power(elements[-1], s, p))
+    if elements.pop() != engine.identity:
+        raise AssertionError(f"witness word {exponents} is not trivial")
+    cosets = [engine.coset_key(h, s) for h, s in zip(elements, letters)]
+    k = len(exponents)
+    if len(set(elements)) != k or len(set(cosets)) != k:
+        raise AssertionError("witness cycle repeats a vertex")
+    for i, s in enumerate(letters):
+        if engine.coset_key(elements[(i + 1) % k], s) != cosets[i]:
+            raise AssertionError(f"witness element {i + 1} is not in its coset")
+    cycle = []
+    for h, s in zip(elements, letters):
+        cycle += [vertex_label(engine, h), vertex_label(engine, h, s)]
+    return cycle
+
+
+def _window_entry(inst: Instance, case: str, group: list[InterEdge]) -> LinkCertificate:
+    """The entry of one label class of inter-edge links of this
+    TRIANGLE_UNITS case, by the syllable search of the module docstring."""
+    dev = interedge_development(inst, group[0])
+    needed = _cosets_needed(case)
+    counts = range(LEMMA_COSETS + LEMMA_COSETS % 2, needed, 2)
+    searched, hits, words = _syllable_search(dev.engine, counts)
+    stats = {
+        "cosets_needed": needed,
+        "syllables_searched": searched,
+        "exponent_radius": EXPONENT_RADIUS,
+        "words": words,
+        "units": dev.units,
+    }
+    members = [subset_label(e.pair) for e in group]
+    if not hits:
+        return LinkCertificate(dev.case, dev.descriptor, "PASS-within-radius", None, members, stats)
+    # the first hit: fewest syllables, then the window order of its exponents
+    cycle = _relation_cycle(dev.engine, hits[0])
+    cert = CycleCertificate(
+        passes=False,
+        length_units=len(cycle) * dev.units,
+        edge_count=len(cycle),
+        cycle=cycle,
+        complete=False,
+    )
+    return LinkCertificate(dev.case, dev.descriptor, "FAIL", cert, members, stats)
+
+
+def certify_link_condition(inst: Instance) -> CertificationReport:
+    """Run every link of the instance through the cycle search, the coset
+    lemma where 2pi needs at most LEMMA_COSETS coset vertices, or the
+    syllable search.
 
     Finite links give PASS-complete.  Part links and disjoint inter-edge
     links give PASS-lemma, one entry per case listing every member.
-    Non-disjoint inter-edges are developed once per label and give
-    PASS-within-radius, with the achieved radius recorded; enlarging a ball
-    can only reveal shorter cycles, never hide one, so a FAIL from a
-    development is final while a pass is a certificate for the developed
-    ball.
+    Non-disjoint inter-edges are searched once per label, in the exponent
+    window, and give PASS-within-radius or a FAIL with its witness cycle.
     """
-    cfg = config or CertifyConfig()
     entries: list[LinkCertificate] = []
 
     def searched(link: LinkGraph, members: list[str]) -> LinkCertificate:
@@ -471,21 +593,15 @@ def certify_link_condition(
         entries.append(searched(build_link_single(inst, s), [s]))
 
     lemma = {"part": [subset_label(frozenset(p)) for p in inst.family.parts]}
-    classes: dict[tuple, list] = {}
+    classes: dict[tuple[int, str], list[InterEdge]] = {}
     for e in inst.inter_edges:
-        disjoint = inst.disjoint[e.pair]
-        case = INTEREDGE_CASE[disjoint]
+        case = INTEREDGE_CASE[inst.disjoint[e.pair]]
         if _cosets_needed(case) <= LEMMA_COSETS:
             lemma.setdefault(case, []).append(subset_label(e.pair))
         else:
-            classes.setdefault((e.label, disjoint), []).append(e)
+            classes.setdefault((e.label, case), []).append(e)
     entries += [_lemma_entry(case, members) for case, members in lemma.items()]
-    for key in sorted(classes):
-        group = classes[key]
-        e0 = group[0]
-        radius = cfg.radius_case3 if cfg.radius_case3 is not None else 8 * e0.label
-        link = develop_link_interedge(inst, e0, radius=radius, cap=cfg.cap)
-        entries.append(searched(link, [subset_label(e.pair) for e in group]))
+    entries += [_window_entry(inst, case, classes[m, case]) for m, case in sorted(classes)]
 
     ok = all(e.status != "FAIL" for e in entries)
     return CertificationReport(ok=ok, entries=entries)

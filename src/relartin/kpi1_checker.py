@@ -23,7 +23,7 @@ from .defining_graph import (
     check_rel_prime,
     classify_known,
 )
-from .girth_checker import CertificationReport, CertifyConfig, certify_link_condition
+from .girth_checker import CertificationReport, certify_link_condition
 from .poset_complex import (
     SubsetPoset,
     build_S_bar,
@@ -175,11 +175,7 @@ class Kpi1Verdict:
         }
 
 
-def kpi1_verdict(
-    inst: Instance,
-    assertions=None,
-    certify_config: CertifyConfig | None = None,
-) -> Kpi1Verdict:
+def kpi1_verdict(inst: Instance, assertions=None) -> Kpi1Verdict:
     """Assemble the asphericity reduction from its machine-checkable pieces.
 
     The verdict "holds" means: the inter-edge label condition is satisfied,
@@ -210,7 +206,7 @@ def kpi1_verdict(
             audit=None,
         )
 
-    cert = certify_link_condition(inst, certify_config)
+    cert = certify_link_condition(inst)
     dim = check_two_dimensional(inst.s_ell)
     evidence.append(
         {
@@ -240,6 +236,16 @@ def kpi1_verdict(
             "ok": True,
             "detail": "van der Lek (1983 thesis): standard parabolic subgroups "
             "A_X and A_Y intersect in A_(X cap Y)",
+        }
+    )
+    evidence.append(
+        {
+            "check": "no cycle through 4 or 6 coset vertices in non-disjoint "
+            "inter-edge links of label m >= 4, at exponents outside the window",
+            "kind": "citation",
+            "ok": True,
+            "detail": "Appel-Schupp (Invent. Math. 1983): a relator of the "
+            "dihedral Artin group A_m has at least 2m syllables",
         }
     )
 

@@ -53,9 +53,11 @@ mapped elements, not on covers only, and with every maximal chain listed
 and its image looked up among the listed chains of S^l.  The family
 audit's subset closure by scanning every subset of every element.
 
-Certification: each part with an engine and each inter-edge developed
-alone at the configured radius and cap and searched, with no development
-shared between links of one engine shape.
+Certification: each non-disjoint inter-edge developed alone at radius 8m
+and cap 4000 and searched, with no development shared between links of
+one label.  The syllable search: every cyclic word of each syllable count
+multiplied out in full and compared with the identity, with no table and
+no use of the automorphism exchanging the generators.
 
 Coxeter types: the smallest eigenvalue of the cosine matrix
 B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
@@ -791,22 +793,45 @@ def scan_audit_family(s_bar, inst, spherical, assertions=None) -> FamilyAudit:
 
 # ---------------------------------------------------- certification
 
-def independent_certification(inst, config) -> list:
-    """One entry per non-disjoint inter-edge, each developed alone at the
-    config's radius and cap and then searched, as a class of that member
-    alone would be reported."""
+def independent_certification(inst) -> list:
+    """One entry per non-disjoint inter-edge, each developed alone at radius
+    8m and cap 4000 and then searched."""
     entries = []
     for e in inst.inter_edges:
         if inst.disjoint[e.pair]:
             continue
-        radius = config.radius_case3 if config.radius_case3 is not None else 8 * e.label
-        link = develop_link_interedge(inst, e, radius=radius, cap=config.cap)
+        link = develop_link_interedge(inst, e, radius=8 * e.label, cap=4000)
         cert = shortest_embedded_cycle(link)
         member = subset_label(e.pair)
         entries.append(
             LinkCertificate(link.case, link.descriptor, _status(cert), cert, [member], _stats(link))
         )
     return entries
+
+
+def brute_syllable_relations(engine, radius: int, counts=(4, 6)):
+    """(k, exponents of every trivial word) for the least k of ``counts``
+    with a trivial word s_1^p_1 s_2^p_2 ... of k syllables, s_1 the
+    engine's first generator, the generators alternating and
+    0 < |p_i| <= radius; the words in the window order of their exponents
+    (smaller first, each positive before its negative).  None when no
+    such word is trivial.  Every word is multiplied out in full, prefixes
+    shared."""
+    window = [p for n in range(1, radius + 1) for p in (n, -n)]
+    gens = engine.generators
+
+    def words(exps, el, k):
+        if len(exps) == k:
+            yield exps, el
+            return
+        for p in window:
+            yield from words(exps + (p,), engine.mult_power(el, gens[len(exps) % 2], p), k)
+
+    for k in counts:
+        hits = [exps for exps, el in words((), engine.identity, k) if el == engine.identity]
+        if hits:
+            return k, hits
+    return None
 
 
 # ---------------------------------------------------------- coxeter

@@ -20,11 +20,7 @@ from relartin.defining_graph import (
     classify_known,
 )
 from relartin.dihedral_garside import DihedralEngine
-from relartin.girth_checker import (
-    CertifyConfig,
-    certify_link_condition,
-    shortest_embedded_cycle,
-)
+from relartin.girth_checker import certify_link_condition, shortest_embedded_cycle
 from relartin.kpi1_checker import verify_no_large_crossing_spherical
 from relartin.link_builder import develop_link_interedge, develop_link_part
 from relartin.acyl_checker import empirical_orbit_growth, strictly_increasing

@@ -129,6 +129,24 @@ def test_links_pass_and_fail(capsys):
     assert "FAIL" in out and "m=3, non-disjoint" in out
 
 
+def test_no_flag_shrinks_the_certification(capsys):
+    # a capped or shallow ball once let the control pass: links and kpi1
+    # have no ball, so no flag, and the control's 12-unit witness stands
+    code, doc, _ = run_json(capsys, "links", "--input", CONTROL)
+    assert code == 2 and not doc["ok"]
+    (bad,) = [e for e in doc["entries"] if e["status"] == "FAIL"]
+    cert = bad["certificate"]
+    assert (cert["length_units"], cert["edge_count"], len(set(cert["cycle"]))) == (12, 12, 12)
+    assert run(capsys, "links", "--input", JOIN)[0] == 0
+    assert run(capsys, "kpi1", "--input", JOIN)[0] == 0
+    for sub in ("links", "kpi1"):
+        for flag in (("--cap", "1"), ("--radius-case3", "2")):
+            for fixture in (JOIN, CONTROL):
+                code, out, err = run(capsys, sub, "--input", fixture, *flag)
+                assert code == 1 and out == ""
+                assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
 def test_kpi1_verdict_and_byte_stability(capsys):
     code, out1, _ = run(capsys, "kpi1", "--input", JOIN, "--format", "json")
     code2, out2, _ = run(capsys, "kpi1", "--input", JOIN, "--format", "json")
@@ -272,20 +290,22 @@ def test_acyl_and_kpi1_list_no_ball_and_no_chains(capsys, monkeypatch):
     for attr in ("maximal_chains", "derived_complex"):
         forbid(monkeypatch, poset_complex, attr)
     assert run(capsys, "kpi1", "--input", JOIN)[0] == 0
-    # acyl's verdict reads the witness triple alone, so it enumerates no
-    # ball; kpi1 on the join still develops its non-disjoint inter-edge
-    # link for certification, and on the control stops at the label check
+    # acyl's verdict reads the witness triple alone, and links and kpi1
+    # certify non-disjoint inter-edge links by the syllable search, so none
+    # of them enumerates a ball
     for engine in (dihedral_garside.DihedralEngine, dihedral_garside.FreeEngine):
         forbid(monkeypatch, engine, "ball_levels")
-    assert run(capsys, "kpi1", "--input", CONTROL)[0] == 2
-    assert run(capsys, "acyl", "--input", JOIN)[0] == 0
-    assert run(capsys, "acyl", "--input", CONTROL)[0] == 2
+    for fixture, code in ((JOIN, 0), (CONTROL, 2)):
+        for sub in ("links", "kpi1", "acyl"):
+            assert run(capsys, sub, "--input", fixture)[0] == code, (sub, fixture)
 
 
 def test_flag_validation(capsys):
-    assert run(capsys, "links", "--input", JOIN, "--cap", "0")[0] == 1
+    assert run(capsys, "develop", "--input", JOIN, "--edge", "a1", "a2", "--cap", "0")[0] == 1
     assert run(capsys, "develop", "--input", JOIN, "--part", "0", "--radius-case1", "0")[0] == 1
-    assert run(capsys, "links", "--input", JOIN, "--radius-case3", "-1")[0] == 1
+    argv = ("develop", "--input", JOIN, "--edge", "a1", "a2", "--radius-case3", "-1")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err == "error: radii must be >= 1\n"
     code, _, err = run(capsys, "kpi1", "--input", JOIN, "--format", "dot")
     assert code == 1 and "dot output" in err
     assert cli.main(["nonsense"]) == 1
@@ -293,14 +313,10 @@ def test_flag_validation(capsys):
 
 
 def test_development_flags_belong_to_developing_subcommands(capsys):
-    for sub in ("links", "kpi1", "develop"):
-        code, _, err = run(capsys, sub, "--input", JOIN, "--cap", "0")
-        assert code == 1 and err == "error: cap must be >= 1\n"
+    code, _, err = run(capsys, "develop", "--input", JOIN, "--cap", "0")
+    assert code == 1 and err == "error: cap must be >= 1\n"
     for sub in ("check-rel", "classify", "build", "acyl", "links", "kpi1"):
-        flags = ("--radius-case1",) if sub in ("links", "kpi1") else (
-            "--radius-case1", "--radius-case3", "--cap"
-        )
-        for flag in flags:
+        for flag in ("--radius-case1", "--radius-case3", "--cap"):
             code, out, err = run(capsys, sub, "--input", JOIN, flag, "5")
             assert code == 1 and out == ""
             assert f"unrecognized arguments: {flag} 5" in err

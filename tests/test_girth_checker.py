@@ -13,7 +13,6 @@ from relartin.defining_graph import DefiningGraph, GraphError, Instance, Subgrap
 from relartin.dihedral_garside import DihedralEngine, FreeEngine
 from relartin.girth_checker import (
     TWO_PI_UNITS,
-    CertifyConfig,
     certify_link_condition,
     shortest_embedded_cycle,
 )
@@ -40,6 +39,7 @@ from instances import (
 from oracles import (
     all_roots_development_girth,
     brute_min_cycle,
+    brute_syllable_relations,
     full_depth_bfs_girth,
     independent_certification,
     per_edge_dijkstra_girth,
@@ -49,6 +49,13 @@ from oracles import (
 def m_interedge(m: int):
     g = DefiningGraph.build(["a", "b"], [("a", "b", m)])
     return Instance(g, SubgraphFamily.build(g, [["a"], ["b"]]))
+
+
+def m_touching_pair(m: int):
+    """Two inter-edges {a,b} and {b,c} of label m sharing b: the
+    non-disjoint link of label m."""
+    g = DefiningGraph.build(["a", "b", "c"], [("a", "b", m), ("b", "c", m)])
+    return Instance(g, SubgraphFamily.build(g, [["b"], ["a", "c"]]))
 
 
 def finite_link(sides, edges) -> LinkGraph:
@@ -230,14 +237,13 @@ def test_finite_links_match_networkx_on_random_instances():
 def _fixture_developments():
     """Every part development and one development per inter-edge class of
     both fixtures, at the default radii and cap of ``develop``."""
-    cfg = CertifyConfig()
     for inst in (affine_parts_join(), touching_triple_control()):
         for i, engine in enumerate(inst.engines):
             if engine is not None:
-                yield develop_link_part(inst, i, radius=16, cap=cfg.cap)
+                yield develop_link_part(inst, i, radius=16, cap=4000)
         classes = {(e.label, inst.disjoint[e.pair]): e for e in inst.inter_edges}
         for e in classes.values():
-            yield develop_link_interedge(inst, e, radius=8 * e.label, cap=cfg.cap)
+            yield develop_link_interedge(inst, e, radius=8 * e.label, cap=4000)
 
 
 def test_development_girth_matches_full_depth_search_on_fixtures(monkeypatch):
@@ -380,8 +386,8 @@ def test_certify_join():
     assert report.failures() == []
     statuses = sorted(e.status for e in report.entries)
     # 1 empty + 8 singles pass completely, both parts pass by the lemma in
-    # one entry, the single inter-edge class passes within its developed
-    # radius
+    # one entry, the single inter-edge class passes within the exponent
+    # window
     assert statuses == ["PASS-complete"] * 9 + ["PASS-lemma", "PASS-within-radius"]
     part_entry = next(e for e in report.entries if e.case == "part")
     assert part_entry.members == ["{a1,b1,c1,d1}", "{a2,b2,c2,d2}"]
@@ -389,7 +395,14 @@ def test_certify_join():
     assert (part_entry.stats["cosets_needed"], part_entry.stats["units"]) == (4, 2)
     ie_entry = next(e for e in report.entries if e.case == "inter-edge")
     assert len(ie_entry.members) == 16
-    assert ie_entry.certificate.length_units == 16
+    assert ie_entry.certificate is None
+    assert ie_entry.stats == {
+        "cosets_needed": 8,
+        "syllables_searched": [4, 6],
+        "exponent_radius": 8,
+        "words": 16**2 + 16**3,
+        "units": 1,
+    }
     doc = report.to_json_dict()
     assert doc["ok"] is True and len(doc["entries"]) == 11
 
@@ -401,6 +414,12 @@ def test_certify_control_fails_on_the_interedge():
     assert [e.case for e in bad] == ["inter-edge"]
     assert bad[0].certificate.length_units == 12
     assert "m=3, non-disjoint" in bad[0].descriptor
+    # aba = bab read from 1: a, b, a, b^-1, a^-1, b^-1
+    assert bad[0].certificate.cycle == [
+        "1", "1.<a>", "a", "a.<b>", "ab", "ab.<a>",
+        "D^1", "D^1.<b>", "ba", "ba.<a>", "b", "b.<b>",
+    ]
+    assert bad[0].stats["syllables_searched"] == [4, 6]
     # everything else still passes
     assert all(e.status != "FAIL" for e in report.entries if e.case != "inter-edge")
 
@@ -408,54 +427,40 @@ def test_certify_control_fails_on_the_interedge():
 def test_certify_dedup_flag():
     inst = affine_parts_join()
     merged = certify_link_condition(inst).entries
-    split = independent_certification(inst, CertifyConfig())
+    split = independent_certification(inst)
     count = lambda entries: sum(e.case == "inter-edge" for e in entries)
     assert count(merged) == 1
     assert count(split) == 16
     assert {e.status for e in split if e.case == "inter-edge"} == {"PASS-within-radius"}
 
 
-def test_certify_radius_override():
-    report = certify_link_condition(
-        affine_parts_join(), CertifyConfig(radius_case3=9, cap=10**5)
-    )
-    ie_entry = next(e for e in report.entries if e.case == "inter-edge")
-    assert ie_entry.stats["requested_radius"] == 9
-    assert ie_entry.status in ("PASS-complete", "PASS-within-radius")
-    assert ie_entry.certificate.length_units == 16
-
-
-def _assert_entries_match_independent(
-    inst: Instance, config: CertifyConfig = CertifyConfig()
-) -> None:
-    """Every developed class entry of the report equals the independent
-    entry of its first member: status, certificate and stats, the
-    witness's vertex indices included.  The lemma entries list every part
-    and every disjoint inter-edge, and only those."""
-    report = certify_link_condition(inst, config)
-    alone = {(e.case, e.members[0]): e for e in independent_certification(inst, config)}
+def _assert_entries_match_independent(inst: Instance) -> None:
+    """Every member of a searched class entry passes or fails as its own
+    development at radius 8m and cap 4000 does, and a FAIL has the
+    development's length and edge count; the first member has the entry's
+    descriptor.  The lemma entries list every part and every disjoint
+    inter-edge, and only those."""
+    report = certify_link_condition(inst)
+    alone = {e.members[0]: e for e in independent_certification(inst)}
     lemma = {}
     for entry in report.entries:
         if entry.status == "PASS-lemma":
             assert entry.certificate is None and entry.stats["cosets_needed"] <= 4
             lemma[entry.descriptor] = entry.members
             continue
-        own = alone.get((entry.case, entry.members[0]))
-        if own is None:
-            # finite links are never developed
-            assert entry.case in ("empty", "single")
+        if entry.case in ("empty", "single"):
             continue
-        assert entry.status == own.status, entry.descriptor
-        assert entry.descriptor == own.descriptor
-        assert entry.stats == own.stats, entry.descriptor
-        got, want = entry.certificate, own.certificate
-        assert (got.length_units, got.edge_count, got.cycle, got.vertices, got.note) == (
-            want.length_units,
-            want.edge_count,
-            want.cycle,
-            want.vertices,
-            want.note,
-        ), entry.descriptor
+        assert entry.descriptor == alone[entry.members[0]].descriptor
+        for member in entry.members:
+            own = alone.pop(member)
+            assert (entry.status == "FAIL") == (own.status == "FAIL"), member
+            if entry.status == "FAIL":
+                got, want = entry.certificate, own.certificate
+                assert (got.length_units, got.edge_count) == (
+                    want.length_units,
+                    want.edge_count,
+                ), member
+    assert alone == {}, "a non-disjoint inter-edge is in no searched entry"
     disjoint = [subset_label(e.pair) for e in inst.inter_edges if inst.disjoint[e.pair]]
     expected = {"links of the part cosets": [subset_label(frozenset(p)) for p in inst.family.parts]}
     if disjoint:
@@ -485,15 +490,16 @@ def test_shared_developments_match_independent_ones(monkeypatch):
     assert 4 in part_labels and {(4, True), (4, False)} <= classes
     for inst in (affine_parts_join(), touching_triple_control(), mixed):
         _assert_entries_match_independent(inst)
-        _assert_entries_match_independent(inst, CertifyConfig(radius_case3=5))
 
+        # certification develops no ball: one searched entry per label
         built = _count_developments(monkeypatch)
-        certify_link_condition(inst)
+        report = certify_link_condition(inst)
         monkeypatch.undo()
+        assert built == []
         labels = sorted({e.label for e in inst.inter_edges if not inst.disjoint[e.pair]})
-        assert [case for case, _ in built] == ["inter-edge"] * len(labels)
-        assert [int(d.split("(m=")[1].split(",")[0]) for _, d in built] == labels
-        assert all("non-disjoint" in d for _, d in built)
+        searched = [e.descriptor for e in report.entries if "syllables_searched" in e.stats]
+        assert [int(d.split("(m=")[1].split(",")[0]) for d in searched] == labels
+        assert all("non-disjoint" in d for d in searched)
 
 
 def test_shared_entries_match_independent_ones_on_random_instances():
@@ -551,3 +557,66 @@ def test_lemma_bound_holds_in_developments():
     # the non-disjoint T corner of 1 unit needs 8 coset vertices
     with pytest.raises(AssertionError, match="need 8 coset vertices"):
         girth_checker._lemma_entry("inter-edge-nondisjoint", [])
+
+
+def test_syllable_search_matches_brute_force(monkeypatch):
+    # every cyclic word of 4 and 6 syllables with 0 < |p| <= N, from either
+    # generator: the same fewest syllables and the same trivial words
+    firsts = set()
+    for n in (1, 2, 3):
+        monkeypatch.setattr(girth_checker, "EXPONENT_RADIUS", n)
+        for m in range(2, 8):
+            for gens in (("a", "b"), ("b", "a")):
+                engine = DihedralEngine(*gens, m)
+                searched, hits, words = girth_checker._syllable_search(engine, (4, 6))
+                want = brute_syllable_relations(engine, n, (4, 6))
+                assert ((searched[-1], hits) if hits else None) == want, (n, m, gens)
+                assert searched == ([4] if want and want[0] == 4 else [4, 6])
+                assert words == sum((2 * n) ** (k // 2) for k in searched)
+                firsts.add(want and (want[0], want[1][0]))
+    assert firsts == {(4, (1, 1, -1, -1)), (6, (1, 1, 1, -1, -1, -1)), None}
+
+
+def test_every_hit_in_the_window_is_a_checked_cycle():
+    # at N = 8: 256 commutators for m = 2 at 4 syllables and 90 words for
+    # m = 3 at 6, each read as a simple cycle and checked
+    for m, (k, count) in ((2, (4, 256)), (3, (6, 90))):
+        engine = DihedralEngine("a", "b", m)
+        searched, hits, _ = girth_checker._syllable_search(engine, (4, 6))
+        assert (searched[-1], len(hits), len(set(hits))) == (k, count, count)
+        for word in hits:
+            assert len(girth_checker._relation_cycle(engine, word)) == 2 * k
+
+
+def test_syllable_search_agrees_with_developments():
+    # criterion 03's 4m-edge girth, at 1 unit per edge: the development at
+    # radius 8m and cap 4000 and the search fail at 8 units for m = 2 and at
+    # 12 for m = 3, and both pass from m = 4 on
+    expected = {2: ("FAIL", 8), 3: ("FAIL", 12), 4: ("PASS-within-radius", None)}
+    for m in range(2, 6):
+        inst = m_touching_pair(m)
+        (entry,) = [e for e in certify_link_condition(inst).entries if "words" in e.stats]
+        cert = entry.certificate
+        got = (entry.status, cert and cert.length_units)
+        assert got == expected.get(m, expected[4]), m
+        if cert:
+            assert cert.edge_count == len(cert.cycle) == len(set(cert.cycle)) == cert.length_units
+            assert entry.stats["syllables_searched"][-1] * 2 == cert.edge_count
+        dev = shortest_embedded_cycle(
+            develop_link_interedge(inst, inst.inter_edges[0], radius=8 * m, cap=4000)
+        )
+        assert dev.passes == (entry.status != "FAIL"), m
+        assert dev.edge_count == 4 * m or (m > 4 and dev.edge_count is None), m
+        if cert:
+            assert (dev.length_units, dev.edge_count) == (cert.length_units, cert.edge_count)
+
+
+def test_relation_witness_is_checked():
+    engine = DihedralEngine("a", "b", 3)
+    cycle = girth_checker._relation_cycle(engine, (1, 1, 1, -1, -1, -1))
+    assert len(cycle) == 12
+    with pytest.raises(AssertionError, match="not trivial"):
+        girth_checker._relation_cycle(engine, (1, 1, 1, -1, -1, -2))
+    # m = 2: a b a^-1 b^-1 twice is trivial but passes every vertex twice
+    with pytest.raises(AssertionError, match="repeats a vertex"):
+        girth_checker._relation_cycle(DihedralEngine("a", "b", 2), (1, 1, -1, -1) * 2)

@@ -129,9 +129,10 @@ def test_kpi1_holds_on_the_join():
     machine = [e for e in verdict.evidence if e["kind"] == "machine"]
     citations = [e for e in verdict.evidence if e["kind"] == "citation"]
     assert len(machine) == 6 and all(e["ok"] for e in machine)
-    assert len(citations) == 3
+    assert len(citations) == 4
     cited = " ".join(e["detail"] for e in citations)
     assert "Godelle-Paris" in cited and "Cartan-Hadamard" in cited and "van der Lek" in cited
+    assert "Appel-Schupp" in cited
     assert verdict.certification is not None and verdict.certification.ok
     doc = verdict.to_json_dict()
     assert doc["status"] == "holds, parts affine"
