@@ -22,6 +22,7 @@ from .defining_graph import (
     classify_known,
     parse_graph,
 )
+from .dihedral_garside import BALL_CAP
 from .girth_checker import certify_link_condition
 from .kpi1_checker import kpi1_verdict
 from .link_builder import develop_link_interedge, develop_link_part
@@ -162,9 +163,7 @@ def cmd_develop(inst: Instance, args: argparse.Namespace) -> int:
     if args.part is not None:
         if not 0 <= args.part < len(inst.family.parts):
             raise GraphError(f"part index {args.part} out of range")
-        link = develop_link_part(
-            inst, args.part, radius=args.radius_case1, cap=args.cap
-        )
+        link = develop_link_part(inst, args.part, radius=args.radius, cap=args.cap)
     else:
         u, v = args.edge
         ie = next(
@@ -173,9 +172,7 @@ def cmd_develop(inst: Instance, args: argparse.Namespace) -> int:
         )
         if ie is None:
             raise GraphError(f"{u!r},{v!r} is not an inter-edge of the family")
-        link = develop_link_interedge(
-            inst, ie, radius=args.radius_case3, cap=args.cap
-        )
+        link = develop_link_interedge(inst, ie, radius=args.radius, cap=args.cap)
     if args.fmt == "dot":
         sys.stdout.write(link.to_dot())
     else:
@@ -214,14 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("acyl", parents=[common])
     dev = sub.add_parser("develop", parents=[common])
     dev.add_argument(
-        "--radius-case3",
+        "--radius",
         type=int,
         default=None,
-        help="development radius for inter-edge links (default 8m per edge)",
+        help="development radius (default 16 for a part, 8m for an inter-edge)",
     )
-    dev.add_argument("--cap", type=int, default=4000)
     dev.add_argument(
-        "--radius-case1", type=int, default=16, help="development radius for part links"
+        "--cap", type=int, default=4000, help=f"ball element cap, at most {BALL_CAP}"
     )
     dev.add_argument("--part", type=int, default=None, help="part index to develop")
     dev.add_argument(
@@ -241,12 +237,14 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     # only develop has these flags
     if args.subcommand == "develop":
-        radii = (args.radius_case1, args.radius_case3)
-        if any(r is not None and r < 1 for r in radii):
-            sys.stderr.write("error: radii must be >= 1\n")
+        if args.radius is not None and args.radius < 1:
+            sys.stderr.write("error: radius must be >= 1\n")
             return 1
         if args.cap < 1:
             sys.stderr.write("error: cap must be >= 1\n")
+            return 1
+        if args.cap > BALL_CAP:
+            sys.stderr.write(f"error: cap must be <= {BALL_CAP}\n")
             return 1
     if args.fmt == "dot" and args.subcommand not in _DOT_CAPABLE:
         sys.stderr.write("error: dot output is only available for build and develop\n")

@@ -117,8 +117,12 @@ class DihedralElement(NamedTuple):
     tail: tuple[tuple[str, int], ...]
 
 
+# the default element cap of a ball, and the largest the CLI accepts
+BALL_CAP = 10**6
+
+
 def _ball_levels(
-    engine, radius: int, cap: int = 10**6
+    engine, radius: int, cap: int = BALL_CAP
 ) -> tuple[list[list], bool, list[list[int]]]:
     """BFS levels of the word metric ball, through the engine's identity,
     generators and mult_gen, with the ball's Cayley edges.

@@ -4,25 +4,16 @@ An embedded loop in a 1-dimensional spherical link is a simple graph cycle;
 the link condition asks every one to have length at least 2pi = 16 units.
 All lengths are integers, so every comparison here is exact.
 
-Forests are recognised upfront (union-find).  Every other link is reduced
-to a simple bipartite graph with unit edges, where one breadth-first girth
-search, :func:`_bfs_girth`, finds the shortest cycle and a simple witness:
-
-  * developments, where every element vertex has exactly two incident
-    edges of one weight, are contracted to a multigraph on the coset
-    vertices (element = edge), halving the search; a parallel pair there
-    is a 4-edge cycle of the link.  That multigraph is bipartite, the
-    cosets of one generator against those of the other, and every cycle
-    meets both classes, so it is searched from the class holding the
-    lowest-numbered coset vertex only;
-  * every other link, the finite ones among them, is subdivided: an edge
-    of w units becomes a path of k * w / g unit edges, g the gcd of the
-    link's weights.  A link is bipartite, so each of its cycles has an
-    even number of edges; with k = 1 when every w / g is odd, the sum of
-    an even number of odd path lengths is even, and otherwise k = 2 makes
-    every path even.  So the subdivided graph is bipartite too, a uniform
-    link is searched as it is, and a cycle of s unit steps is s * g / k
-    units long.
+Forests are recognised upfront (union-find).  Every other link is
+subdivided into a simple bipartite graph with unit edges, where one
+breadth-first girth search, :func:`_bfs_girth`, finds the shortest cycle
+and a simple witness.  An edge of w units becomes a path of k * w / g unit
+edges, g the gcd of the link's weights.  A link is bipartite, so each of
+its cycles has an even number of edges; with k = 1 when every w / g is
+odd, the sum of an even number of odd path lengths is even, and otherwise
+k = 2 makes every path even.  So the subdivided graph is bipartite too, a
+uniform link is searched as it is, and a cycle of s unit steps is
+s * g / k units long.
 
 Certification runs every link of an instance.  The empty and single links
 are finite and searched whole.  A link at a T coset (T a part or an
@@ -129,9 +120,8 @@ def _is_forest(n: int, edges: list[tuple[int, int, int]]) -> bool:
     return True
 
 
-def _check_bipartite(adj: list[list[int]]) -> list[int]:
-    """A 2-colouring of the graph, the lowest vertex of each component
-    coloured 0; raise unless one exists."""
+def _check_bipartite(adj: list[list[int]]) -> None:
+    """Raise unless the graph has a 2-colouring."""
     colour = [-1] * len(adj)
     for s in range(len(adj)):
         if colour[s] >= 0:
@@ -147,17 +137,12 @@ def _check_bipartite(adj: list[list[int]]) -> list[int]:
                     stack.append(y)
                 elif colour[y] != c:
                     raise GraphError(f"odd cycle through vertex {y}: graph is not bipartite")
-    return colour
 
 
-def _bfs_girth(
-    adj: list[list[int]], roots: list[int] | None = None
-) -> tuple[int, list[int]] | None:
+def _bfs_girth(adj: list[list[int]], roots: list[int]) -> tuple[int, list[int]] | None:
     """Exact girth (edge count) of a simple bipartite graph, with a simple
     witness cycle; raises :class:`GraphError` on a graph that is not
-    bipartite.  The roots must meet every cycle; by default they are the
-    vertices with edges coloured like the lowest vertex of their component,
-    one colour class of each component, which every cycle meets.
+    bipartite.  The roots must meet every cycle.
 
     In a bipartite BFS every edge joins consecutive depths.  So a non-tree
     edge met while expanding depth d either ends at a vertex of depth d + 1
@@ -171,9 +156,7 @@ def _bfs_girth(
     running best never underestimates and reaches the girth at roots lying
     on a minimal cycle.
     """
-    colour = _check_bipartite(adj)
-    if roots is None:
-        roots = [v for v, row in enumerate(adj) if row and colour[v] == 0]
+    _check_bipartite(adj)
     n = len(adj)
     # dist and parent are valid where mark holds the current root
     mark, dist, parent = [-1] * n, [0] * n, [-1] * n
@@ -223,50 +206,6 @@ def _splice(x: int, y: int, parent: list[int], dist: list[int]) -> list[int]:
     return px + py[-2::-1]
 
 
-def _girth_development(link: LinkGraph) -> tuple[int, list[int]] | None:
-    """Contract degree-2 element vertices into edges between their two coset
-    vertices, find the multigraph girth there, expand the witness.  The
-    caller has checked that every element vertex has exactly two edges.
-
-    The multigraph lives on the link's own vertex numbers, element vertices
-    left isolated; an element becomes its edge when its second link edge is
-    read, which in a development is element order.  ``pair_seen`` maps each
-    coset pair to its element: a repeated pair is a 4-edge cycle of the
-    link, and otherwise it expands the witness.
-
-    The coset graph is bipartite: the first-generator cosets on one side,
-    the second-generator ones on the other.  It is searched from the
-    default roots of :func:`_bfs_girth`: the class of the lowest-numbered
-    coset vertex, and one class of any other component."""
-    sides = link.sides
-    adj: list[list[int]] = [[] for _ in sides]
-    first = [-1] * len(sides)  # an element's first coset, until its second
-    pair_seen: dict[tuple[int, int], int] = {}
-    for i, j, _ in link.edges:
-        e, c = (i, j) if sides[i] == 0 else (j, i)
-        c1 = first[e]
-        if c1 < 0:
-            first[e] = c
-            continue
-        pair = (c1, c) if c1 < c else (c, c1)
-        other = pair_seen.get(pair)
-        if other is not None:
-            return 4, [pair[0], other, pair[1], e]
-        pair_seen[pair] = e
-        adj[c1].append(c)
-        adj[c].append(c1)
-    found = _bfs_girth(adj)
-    if found is None:
-        return None
-    k, m_cycle = found
-    cycle: list[int] = []
-    for t in range(k):
-        c, c2 = m_cycle[t], m_cycle[(t + 1) % k]
-        cycle.append(c)
-        cycle.append(pair_seen[(c, c2) if c < c2 else (c2, c)])
-    return 2 * k, cycle
-
-
 def _girth_subdivided(link: LinkGraph, weights: set[int]) -> tuple[int, list[int]]:
     """Search a link that is not a forest, its edge weights ``weights``,
     with each edge of w units subdivided into k * w / g unit edges (see the
@@ -312,27 +251,12 @@ def shortest_embedded_cycle(link: LinkGraph) -> CycleCertificate:
             complete=complete,
             note="acyclic",
         )
-    weights = {w for _, _, w in link.edges}
-    degree0 = {}
-    for i, j, _ in link.edges:
-        e = i if link.sides[i] == 0 else j
-        degree0[e] = degree0.get(e, 0) + 1
-    dev_shape = link.case in ("part", "inter-edge") and all(
-        d == 2 for d in degree0.values()
-    )
-    if len(weights) == 1 and dev_shape:
-        found = _girth_development(link)
-        assert found is not None
-        edge_count, cycle = found
-        length = edge_count * next(iter(weights))
-    else:
-        length, cycle = _girth_subdivided(link, weights)
-        edge_count = len(cycle)
+    length, cycle = _girth_subdivided(link, {w for _, _, w in link.edges})
     _verify_cycle(link, cycle, length)
     return CycleCertificate(
         passes=length >= TWO_PI_UNITS,
         length_units=length,
-        edge_count=edge_count,
+        edge_count=len(cycle),
         cycle=[link.vertex_labels[v] for v in cycle],
         complete=complete,
         vertices=cycle,

@@ -25,9 +25,9 @@ Lengths are integer units of pi/8; the 2pi threshold is the integer 16.
 Developments are balls of infinite graphs.  Enumeration keeps only complete
 word-length levels under the element cap, records the achieved radius, and
 marks outer-level element vertices and every coset vertex touching them as
-boundary.  A development keeps each element vertex's normal form and each
-coset vertex's (element, generator) pair, and builds a vertex's label only
-when it is read: for a witness cycle or for printed ``develop`` output.
+boundary.  An element vertex is labelled by its normal form, and a coset
+vertex el<g> by the label of the element vertex el that first met it,
+followed by ``.<g>``.
 Coset vertices follow the ball's Cayley edges from ``ball_levels``: an
 element with a lower-numbered neighbour along g joins that neighbour's
 coset vertex of g, and only the others compute a coset key.
@@ -35,10 +35,9 @@ coset vertex of g, and only the others compute a coset key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .defining_graph import GraphError, Instance, InterEdge
-from .dihedral_garside import DihedralEngine
+from .dihedral_garside import BALL_CAP, DihedralEngine
 from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, dot_escape, subset_label
 
 TWO_PI_UNITS = 16
@@ -64,7 +63,7 @@ class LinkGraph:
     case: str
     descriptor: str
     vertex_kinds: list[str]
-    vertex_labels: Sequence[str]
+    vertex_labels: list[str]
     sides: list[int]
     edges: list[tuple[int, int, int]]
     truncation: TruncationInfo
@@ -173,19 +172,19 @@ def build_link_empty(inst: Instance) -> LinkGraph:
     return link
 
 
-def build_link_single(
-    inst: Instance, s: str, truncation_n: int = 3
-) -> LinkGraph:
+# a single link draws the powers s^k with |k| <= SINGLE_POWERS
+SINGLE_POWERS = 3
+
+
+def build_link_single(inst: Instance, s: str) -> LinkGraph:
     """Link of the cyclic subgroup coset at inter-edge vertex s: complete
     bipartite, each edge the {s} corner of its triangle.
 
-    Only powers s^k with |k| <= truncation_n are drawn.  Extra powers attach
-    by the same complete-bipartite rule, so the minimal cycle (4 edges when
-    both sides have two vertices, none otherwise) is already exact; the
-    graph is marked complete.
+    Only powers s^k with |k| <= SINGLE_POWERS are drawn.  Extra powers
+    attach by the same complete-bipartite rule, so the minimal cycle (4
+    edges when both sides have two vertices, none otherwise) is already
+    exact; the graph is marked complete.
     """
-    if truncation_n < 1:
-        raise GraphError("truncation_n must be >= 1")
     ies = inst.inter_edges_at.get(s)
     if not ies:
         raise GraphError(f"{s!r} is not an inter-edge vertex")
@@ -196,7 +195,7 @@ def build_link_single(
         uppers.append(("part", part, "part"))
     uppers.extend(("inter-edge", e.pair, INTEREDGE_CASE[inst.disjoint[e.pair]]) for e in ies)
     kinds, labels, sides = [], [], []
-    for k in range(-truncation_n, truncation_n + 1):
+    for k in range(-SINGLE_POWERS, SINGLE_POWERS + 1):
         kinds.append("power")
         labels.append(f"{s}^{k}")
         sides.append(0)
@@ -204,7 +203,7 @@ def build_link_single(
         kinds.append(kind)
         labels.append(subset_label(t))
         sides.append(1)
-    n_powers = 2 * truncation_n + 1
+    n_powers = 2 * SINGLE_POWERS + 1
     edges = [
         (i, n_powers + j, TRIANGLE_UNITS[case][1])
         for i in range(n_powers)
@@ -217,41 +216,10 @@ def build_link_single(
         vertex_labels=labels,
         sides=sides,
         edges=edges,
-        truncation=TruncationInfo(complete=True, requested_radius=truncation_n),
+        truncation=TruncationInfo(complete=True, requested_radius=SINGLE_POWERS),
     )
     link.check_simple_bipartite()
     return link
-
-
-class DevelopmentLabels(Sequence[str]):
-    """Vertex labels of a development, each built only when it is read.
-
-    Element vertices come first and keep their normal forms.  A coset
-    vertex keeps the index of the element vertex that first met it and the
-    generator, and reads as that element's label followed by ``.<g>``.
-    Only a witness cycle or a printed development reads labels, so most are
-    never built.
-    """
-
-    def __init__(self, engine, refs: list, elements: int):
-        self.engine = engine
-        self._refs = refs
-        self._elements = elements
-
-    def __len__(self) -> int:
-        return len(self._refs)
-
-    def __getitem__(self, i: int) -> str:
-        return vertex_label(self.engine, *self.normal_form(i))
-
-    def normal_form(self, i: int) -> tuple:
-        """(element, None) for an element vertex, (element, generator) for
-        the coset vertex element<generator>."""
-        i = range(len(self._refs))[i]
-        if i < self._elements:
-            return self._refs[i], None
-        e, g = self._refs[i]
-        return self._refs[e], g
 
 
 def vertex_label(engine, el, generator: str | None = None) -> str:
@@ -317,15 +285,17 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
         raise GraphError("radius must be >= 1")
     engine = dev.engine
     levels, truncated, neighbours = engine.ball_levels(radius, cap)
-    refs: list = [el for level in levels for el in level]
-    elements = len(refs)
+    ball = [el for level in levels for el in level]
+    elements = len(ball)
     outer = elements - len(levels[-1])
+    # (element vertex that first met it, generator) of each coset vertex
+    cosets: list[tuple[int, str]] = []
     coset_index: dict[tuple, int] = {}
     edges: list[tuple[int, int, int]] = []
     coset_key, generators, units = engine.coset_key, engine.generators, dev.units
     gens = len(generators)
     for i in range(elements):
-        el = refs[i]
+        el = ball[i]
         row = neighbours[i]
         for gi, g in enumerate(generators):
             # a neighbour p's own edge of g is edges[p * gens + gi]
@@ -338,19 +308,20 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
                 key = coset_key(el, g)
                 j = coset_index.get(key)
                 if j is None:
-                    j = coset_index[key] = len(refs)
-                    refs.append((i, g))
+                    j = coset_index[key] = elements + len(cosets)
+                    cosets.append((i, g))
             edges.append((i, j, units))
     # the outer level's element vertices and every coset vertex they touch
     boundary = set(range(outer, elements))
     boundary.update(j for _, j, _ in edges[outer * len(generators) :])
-    cosets = len(refs) - elements
+    labels = [engine.describe(el) for el in ball]
+    labels += [f"{labels[e]}.<{g}>" for e, g in cosets]
     link = LinkGraph(
         case=dev.case,
         descriptor=dev.descriptor,
-        vertex_kinds=["element"] * elements + ["coset"] * cosets,
-        vertex_labels=DevelopmentLabels(engine, refs, elements),
-        sides=[0] * elements + [1] * cosets,
+        vertex_kinds=["element"] * elements + ["coset"] * len(cosets),
+        vertex_labels=labels,
+        sides=[0] * elements + [1] * len(cosets),
         edges=edges,
         truncation=TruncationInfo(
             complete=False,
@@ -368,11 +339,13 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
 def develop_link_part(
     inst: Instance,
     i: int,
-    radius: int = 16,
-    cap: int = 10**6,
+    radius: int | None = None,
+    cap: int = BALL_CAP,
 ) -> LinkGraph:
     """Ball development of the link of the part subgroup coset S_i (see
-    :func:`part_development`)."""
+    :func:`part_development`).  The default radius is 16."""
+    if radius is None:
+        radius = 16
     return _develop(part_development(inst, i), radius, cap)
 
 
@@ -380,7 +353,7 @@ def develop_link_interedge(
     inst: Instance,
     edge: InterEdge,
     radius: int | None = None,
-    cap: int = 10**6,
+    cap: int = BALL_CAP,
 ) -> LinkGraph:
     """Ball development of the link of an inter-edge subgroup coset (see
     :func:`interedge_development`).  The default radius is 8m."""

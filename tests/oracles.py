@@ -28,9 +28,10 @@ each step out and tests membership in the ball, never reading its edges.
 Developments: ``coset_key`` for every (element, generator) pair, with no
 coset vertex shared along the ball's edges; the ball with each level
 multiplied out in full before the cap is tested, and the level then
-dropped; and the development search contracted through dicts keyed by
-vertex, with the coset vertices renumbered in sorted order, rooted at every
-coset vertex.
+dropped; and the development girth searched on the coset multigraph, not
+on the link itself: each element contracted to an edge between its two
+cosets through dicts keyed by vertex, the coset vertices renumbered in
+sorted order, and the search rooted at every coset vertex.
 
 Dihedral multiplication letter by letter: a positive atom extends or
 appends the last simple (a Delta it fills migrates left), and t^-1 is
@@ -66,7 +67,6 @@ spherical subsets are every vertex subset that ``classify_type`` calls
 finite, and FC type is every clique being spherical, with cliques grown one
 vertex at a time.
 """
-import collections
 import heapq
 import itertools
 import math
@@ -554,26 +554,10 @@ def per_edge_dijkstra_girth(n: int, edges) -> tuple[int, int, list] | None:
     return best
 
 
-def full_depth_bfs_girth(adj, roots=None):
+def full_depth_bfs_girth(adj, roots):
     """Girth (edge count) and witness of a simple graph: a BFS from every
     root expands each depth up to half the best length so far and splices
-    every shorter non-tree edge it meets at the lowest common ancestor.
-    The default roots are the vertices with edges at even distance from
-    the lowest vertex of their component."""
-    if roots is None:
-        dist = {}
-        for s in range(len(adj)):
-            if s in dist:
-                continue
-            dist[s] = 0
-            queue = collections.deque([s])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        queue.append(y)
-        roots = [v for v in range(len(adj)) if adj[v] and dist[v] % 2 == 0]
+    every shorter non-tree edge it meets at the lowest common ancestor."""
     best = None
     for r in roots:
         if best is not None and best[0] <= 3:

@@ -107,7 +107,7 @@ def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
         for t in s_ell.elements
     ]
 
-    argv = ["develop", "--input", str(path), "--edge", a, b, "--radius-case3", "2"]
+    argv = ["develop", "--input", str(path), "--edge", a, b, "--radius", "2"]
     code, out, _ = run(capsys, *argv, "--format", "dot")
     assert code == 0
     link = link_builder.develop_link_interedge(inst, inst.inter_edges[0], radius=2)
@@ -140,7 +140,7 @@ def test_no_flag_shrinks_the_certification(capsys):
     assert run(capsys, "links", "--input", JOIN)[0] == 0
     assert run(capsys, "kpi1", "--input", JOIN)[0] == 0
     for sub in ("links", "kpi1"):
-        for flag in (("--cap", "1"), ("--radius-case3", "2")):
+        for flag in (("--cap", "1"), ("--radius", "2")):
             for fixture in (JOIN, CONTROL):
                 code, out, err = run(capsys, sub, "--input", fixture, *flag)
                 assert code == 1 and out == ""
@@ -191,7 +191,7 @@ def test_acyl_routes(capsys, tmp_path):
 
 def test_develop_edge_and_part(capsys):
     code, doc, _ = run_json(
-        capsys, "develop", "--input", JOIN, "--edge", "a1", "a2", "--radius-case3", "2"
+        capsys, "develop", "--input", JOIN, "--edge", "a1", "a2", "--radius", "2"
     )
     assert code == 0
     assert doc["case"] == "inter-edge"
@@ -209,7 +209,7 @@ def test_develop_edge_and_part(capsys):
         "--edge",
         "a1",
         "a2",
-        "--radius-case3",
+        "--radius",
         "2",
         "--format",
         "dot",
@@ -300,12 +300,22 @@ def test_acyl_and_kpi1_list_no_ball_and_no_chains(capsys, monkeypatch):
             assert run(capsys, sub, "--input", fixture)[0] == code, (sub, fixture)
 
 
-def test_flag_validation(capsys):
+def test_flag_validation(capsys, monkeypatch):
     assert run(capsys, "develop", "--input", JOIN, "--edge", "a1", "a2", "--cap", "0")[0] == 1
-    assert run(capsys, "develop", "--input", JOIN, "--part", "0", "--radius-case1", "0")[0] == 1
-    argv = ("develop", "--input", JOIN, "--edge", "a1", "a2", "--radius-case3", "-1")
+    assert run(capsys, "develop", "--input", JOIN, "--part", "0", "--radius", "0")[0] == 1
+    argv = ("develop", "--input", JOIN, "--edge", "a1", "a2", "--radius", "-1")
     code, out, err = run(capsys, *argv)
-    assert code == 1 and out == "" and err == "error: radii must be >= 1\n"
+    assert code == 1 and out == "" and err == "error: radius must be >= 1\n"
+    # a cap above the default of ball_levels is refused before any ball
+    for engine in (dihedral_garside.DihedralEngine, dihedral_garside.FreeEngine):
+        forbid(monkeypatch, engine, "ball_levels")
+    for selector in (("--edge", "a1", "a2"), ("--part", "1")):
+        code, out, err = run(capsys, "develop", "--input", CONTROL, *selector, "--cap", "1000001")
+        assert code == 1 and out == "" and err == "error: cap must be <= 1000000\n"
+    # one --radius serves both selectors
+    for flag in ("--radius-case1", "--radius-case3"):
+        code, out, err = run(capsys, "develop", "--input", JOIN, "--edge", "a1", "a2", flag, "2")
+        assert code == 1 and out == "" and f"unrecognized arguments: {flag} 2" in err
     code, _, err = run(capsys, "kpi1", "--input", JOIN, "--format", "dot")
     assert code == 1 and "dot output" in err
     assert cli.main(["nonsense"]) == 1
@@ -316,7 +326,7 @@ def test_development_flags_belong_to_developing_subcommands(capsys):
     code, _, err = run(capsys, "develop", "--input", JOIN, "--cap", "0")
     assert code == 1 and err == "error: cap must be >= 1\n"
     for sub in ("check-rel", "classify", "build", "acyl", "links", "kpi1"):
-        for flag in ("--radius-case1", "--radius-case3", "--cap"):
+        for flag in ("--radius", "--cap"):
             code, out, err = run(capsys, sub, "--input", JOIN, flag, "5")
             assert code == 1 and out == ""
             assert f"unrecognized arguments: {flag} 5" in err

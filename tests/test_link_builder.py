@@ -14,6 +14,7 @@ from relartin.link_builder import (
     build_link_single,
     develop_link_interedge,
     develop_link_part,
+    vertex_label,
 )
 
 from relartin.poset_complex import TRIANGLE_UNITS, assign_metric, derived_complex, subset_label
@@ -67,8 +68,7 @@ def test_link_single_complete_bipartite():
     assert "a1^0" in link.vertex_labels and "a1^-3" in link.vertex_labels
     uppers = [k for k in link.vertex_kinds if k != "power"]
     assert sorted(uppers) == ["inter-edge"] * 4 + ["part"]
-    small = build_link_single(inst, "a1", truncation_n=1)
-    assert link.truncation.complete and small.vertex_count == 3 + 5
+    assert link.truncation.complete and link.truncation.requested_radius == 3
 
 
 def test_link_single_coincident_part_drops_the_part_vertex():
@@ -83,8 +83,6 @@ def test_link_single_rejections():
     inst = Instance(g, SubgraphFamily.build(g, [["a", "c"], ["b"]]))
     with pytest.raises(GraphError):
         build_link_single(inst, "c")
-    with pytest.raises(GraphError):
-        build_link_single(inst, "a", truncation_n=0)
 
 
 def test_develop_part_needs_an_exact_engine():
@@ -161,8 +159,7 @@ def test_develop_matches_a_coset_key_per_pair():
                     eng, radius, cap, units
                 )
                 assert link.edges == edges, (eng.generators, units, radius, cap)
-                labels = link.vertex_labels
-                assert [labels.normal_form(i) for i in range(len(labels))] == forms
+                assert link.vertex_labels == [vertex_label(eng, *form) for form in forms]
                 assert link.boundary == boundary
                 assert link.truncation.truncated == truncated
                 assert link.truncation.achieved_radius == achieved
