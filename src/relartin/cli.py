@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import coxeter
 from .acyl_checker import check_acylindricity
@@ -38,30 +39,133 @@ from .poset_complex import (
 
 def _emit(doc, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(doc))
     else:
         _emit_text(doc)
 
 
-def _emit_text(doc, indent: int = 0) -> None:
-    pad = "  " * indent
+# one C-encoder pass over the values of a row list; every control
+# character in a string is escaped, so a raw newline is a separator
+_encode_values = json.JSONEncoder(separators=("\n", ":")).encode
+_ROW_VALUE_TYPES = frozenset((str, int, float, bool, type(None)))
+_INF = float("inf")
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, the
+    same string; a dict key that is not a str raises TypeError."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(val, nl: str, out: list[str]) -> None:
+    """Append val's JSON; nl is a newline and the indent of val's line."""
+    if isinstance(val, dict):
+        if not val:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(val):
+            item = val[key]
+            if isinstance(item, (dict, list, tuple)):
+                out.append(f"{sep}{_quote(key)}: ")
+                _write_json(item, inner, out)
+            else:
+                out.append(f"{sep}{_quote(key)}: {_json_scalar(item)}")
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(val, (list, tuple)):
+        if not val:
+            out.append("[]")
+        elif not _write_rows(val, nl, out):
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in val:
+                if isinstance(item, (dict, list, tuple)):
+                    out.append(sep)
+                    _write_json(item, inner, out)
+                else:
+                    out.append(sep + _json_scalar(item))
+                sep = "," + inner
+            out.append(nl + "]")
+    else:
+        out.append(_json_scalar(val))
+
+
+def _write_rows(rows, nl: str, out: list[str]) -> bool:
+    """Append a list of flat dicts with one key set, values encoded in one
+    pass and laid out by a template; False, appending nothing, for any
+    other list."""
+    first = rows[0]
+    if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
+        return False
+    keys = sorted(first)
+    if set(map(len, rows)) != {len(keys)}:
+        return False
+    try:
+        values = [row[k] for row in rows for k in keys]
+    except KeyError:
+        return False
+    if not set(map(type, values)) <= _ROW_VALUE_TYPES:
+        return False
+    item, entry = nl + "  ", nl + "    "
+    row = "{" + ",".join(
+        f"{entry}{_quote(k).replace('%', '%%')}: %s" for k in keys
+    ) + item + "}"
+    layout = "[" + item + ("," + item).join([row] * len(rows)) + nl + "]"
+    out.append(layout % tuple(_encode_values(values)[1:-1].split("\n")))
+    return True
+
+
+def _json_scalar(val) -> str:
+    if isinstance(val, str):
+        return _quote(val)
+    if val is None:
+        return "null"
+    if val is True:
+        return "true"
+    if val is False:
+        return "false"
+    if isinstance(val, int):
+        return int.__repr__(val)
+    if isinstance(val, float):
+        if val != val:
+            return "NaN"
+        if val == _INF:
+            return "Infinity"
+        if val == -_INF:
+            return "-Infinity"
+        return float.__repr__(val)
+    raise TypeError(f"Object of type {type(val).__name__} is not JSON serializable")
+
+
+def _emit_text(doc) -> None:
+    lines: list[str] = []
+    _text_lines(doc, "", lines)
+    sys.stdout.write("".join(lines))
+
+
+def _text_lines(doc, pad: str, lines: list[str]) -> None:
     if isinstance(doc, dict):
         for key in doc:
             val = doc[key]
             if isinstance(val, (dict, list)) and val:
-                sys.stdout.write(f"{pad}{key}:\n")
-                _emit_text(val, indent + 1)
+                lines.append(f"{pad}{key}:\n")
+                _text_lines(val, pad + "  ", lines)
             else:
-                sys.stdout.write(f"{pad}{key}: {_scalar(val)}\n")
+                lines.append(f"{pad}{key}: {_scalar(val)}\n")
     elif isinstance(doc, list):
         for val in doc:
             if isinstance(val, (dict, list)):
-                sys.stdout.write(f"{pad}-\n")
-                _emit_text(val, indent + 1)
+                lines.append(f"{pad}-\n")
+                _text_lines(val, pad + "  ", lines)
             else:
-                sys.stdout.write(f"{pad}- {_scalar(val)}\n")
+                lines.append(f"{pad}- {_scalar(val)}\n")
     else:
-        sys.stdout.write(f"{pad}{_scalar(doc)}\n")
+        lines.append(f"{pad}{_scalar(doc)}\n")
 
 
 def _scalar(val) -> str:

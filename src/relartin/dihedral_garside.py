@@ -216,6 +216,12 @@ class DihedralEngine:
         self.m = m
         self.identity = DihedralElement(0, ())
         self._other = {a: b, b: a}
+        # the letters of each proper simple, for describe
+        self._words = {
+            (t, length): (t + u) * (length // 2) + t * (length % 2)
+            for t, u in self._other.items()
+            for length in range(1, m)
+        }
 
     def other(self, t: str) -> str:
         if t not in self._other:
@@ -325,15 +331,10 @@ class DihedralEngine:
         return (generator, rep.k, rep.tail)
 
     def describe(self, el: DihedralElement) -> str:
-        if el.k == 0 and not el.tail:
-            return "1"
-        parts = []
-        if el.k != 0:
-            parts.append(f"D^{el.k}")
-        for first, length in el.tail:
-            pair = first + self.other(first)
-            parts.append(pair * (length // 2) + first * (length % 2))
-        return ".".join(parts)
+        words = ".".join(map(self._words.__getitem__, el.tail))
+        if el.k == 0:
+            return words or "1"
+        return f"D^{el.k}.{words}" if words else f"D^{el.k}"
 
 
 # the benchmark's layer tracer patches mult_gen under this name

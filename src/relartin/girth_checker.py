@@ -72,7 +72,7 @@ fails (aba = bab has 6) and m >= 4 passes, which the window confirms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .defining_graph import GraphError, Instance, InterEdge
@@ -99,8 +99,6 @@ class CycleCertificate:
     cycle: list[str]
     complete: bool
     note: str = ""
-    # the witness as vertex indices of the link searched
-    vertices: list[int] = field(default_factory=list)
 
 
 def _is_forest(n: int, edges: list[tuple[int, int, int]]) -> bool:
@@ -259,7 +257,6 @@ def shortest_embedded_cycle(link: LinkGraph) -> CycleCertificate:
         edge_count=len(cycle),
         cycle=[link.vertex_labels[v] for v in cycle],
         complete=complete,
-        vertices=cycle,
     )
 
 

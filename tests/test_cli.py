@@ -6,11 +6,14 @@ and the property fails, 1 for unusable input.
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 
 import pytest
+from instances import random_rel_prime_instance
+from test_golden import SUBCOMMANDS, invocations
 
 import relartin
 from relartin import cli, defining_graph, dihedral_garside, link_builder, poset_complex
@@ -371,3 +374,107 @@ def test_cli_import_is_numpy_free():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "False\n"
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_reports_equal_json_dumps(capsys, monkeypatch, tmp_path):
+    # every document the golden invocations print, then every subcommand
+    # (develop on the first part and the first inter-edge) on random
+    # instances, each rendered both ways
+    seen = []
+    writer = cli._json_text
+
+    def checked(doc):
+        text = writer(doc)
+        assert text == _dumps(doc)
+        seen.append(doc)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+    for name, sub, *rest in invocations():
+        if rest[-1] == "json":
+            cli.main([sub, "--input", str(FIXTURES / name), *rest])
+    assert len(seen) == 18
+    for seed in range(10):
+        inst = random_rel_prime_instance(random.Random(seed))
+        path = tmp_path / f"seed{seed}.json"
+        path.write_text(defining_graph.instance_to_json(inst))
+        edge = min(sorted(e.pair) for e in inst.inter_edges)
+        argvs = [[sub] for sub in SUBCOMMANDS]
+        argvs += [["develop", "--part", "0"], ["develop", "--edge", *edge]]
+        for argv in argvs:
+            cli.main([*argv, "--input", str(path), "--format", "json"])
+    capsys.readouterr()
+    assert len(seen) > 18 + 10 * len(SUBCOMMANDS)
+
+
+ROWS = [{"a": 1, "b": "x", "c": None}, {"c": 2.5, "b": "y", "a": True}]
+NOT_ROWS = [
+    [{"a": 1}, {"b": 1}],
+    [{"a": 1, "b": 2}, {"a": 1}],
+    [{"a": 1}, {"a": [1]}],
+    [{"a": {"b": 1}}, {"a": {"b": 2}}],
+    [{"a": (1, 2)}],
+    [{"a": 1}, [1]],
+    [{"a": 1}, 1],
+    [{}, {}],
+    [[1, 2], [3]],
+]
+CRAFTED = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+    [[], {}, [[{}]], [[[]]]],
+    {'q"uote': 'back\\slash "x"', "ctl\n\t\x00\x1f": "\x7f\u00e9\u2603\U0001f600\u2028"},
+    ["\u00fc", "\r\n", "", "%s %% %d"],
+    [True, 1, False, 0, None, 1.0, 0.0],
+    {"t": True, "o": 1, "f": False, "z": 0, "n": None},
+    [-0.0, 1e300, -1e-300, 1.5, float("nan"), float("inf"), float("-inf"), 2**70, -5],
+    (1, (2, "x"), [(), (3,)]),
+    {"t": (1, 2), "u": ({"v": (4,)},)},
+    [{"k%s": "%d", "\u00e9\n\"": "\x01\u2603", "%": float("nan")}] * 3,
+    [{"a": float("inf"), "b": -0.0}, {"a": 2**70, "b": False}],
+    {"rows": ROWS, "deeper": [{"rows": ROWS}]},
+    *NOT_ROWS,
+    [NOT_ROWS, [ROWS, ROWS]],
+    "top",
+    "\u2603\n",
+    7,
+    -0.0,
+    None,
+    True,
+]
+
+
+@pytest.mark.parametrize("doc", CRAFTED)
+def test_json_writer_equals_json_dumps_on_crafted_documents(doc):
+    assert cli._json_text(doc) == _dumps(doc)
+
+
+def test_json_row_lists_fall_back_unless_flat_with_one_key_set():
+    out = []
+    assert cli._write_rows(ROWS, "\n", out) and len(out) == 1
+    for rows in NOT_ROWS:
+        out = []
+        assert not cli._write_rows(rows, "\n", out) and out == []
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1: "a"},
+        {None: 1},
+        {b"k": 1},
+        {"a": {2.5: 1}},
+        {"a": 1, 2: 3},
+        [{1: 2}, {1: 3}],
+        [{(1,): 2}],
+    ],
+)
+def test_json_writer_rejects_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)

@@ -287,6 +287,15 @@ def test_engine_coset_keys():
     assert eng.coset_key(g, "a") != eng.coset_key(other, "a")
     assert eng.describe(eng.identity) == "1"
     assert eng.describe(normal_form(eng, string_to_word("abab"))) == "D^1"
+    # Delta's power, then each simple's alternating letters
+    for m, word, label in [
+        (4, "abaB", "D^-1.aba.aba"),
+        (3, "baa", "ba.a"),
+        (5, "AbbaB", "D^-2.baba.a.ab.baba"),
+        (3, "ABA", "D^-1"),
+    ]:
+        eng = DihedralEngine("a", "b", m)
+        assert eng.describe(normal_form(eng, string_to_word(word))) == label
 
 
 def test_free_engine():

@@ -369,7 +369,7 @@ def test_girth_matches_per_edge_dijkstra_on_random_links():
             seen["acyclic"] += 1
         else:
             assert cert.note == "" and cert.length_units == found[0]
-            assert cert.edge_count == len(cert.cycle) == len(cert.vertices)
+            assert cert.edge_count == len(cert.cycle)
             assert cert.passes == (found[0] >= TWO_PI_UNITS)
             seen["cyclic"] += 1
         if len(link.edges) <= 16:
