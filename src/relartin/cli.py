@@ -44,11 +44,11 @@ def _emit(doc, fmt: str) -> None:
         _emit_text(doc)
 
 
-# one C-encoder pass over the values of a row list; every control
+# the C encoder, compact with "\n" between items: it encodes a row list's
+# values in one pass and every scalar outside rows; every control
 # character in a string is escaped, so a raw newline is a separator
 _encode_values = json.JSONEncoder(separators=("\n", ":")).encode
 _ROW_VALUE_TYPES = frozenset((str, int, float, bool, type(None)))
-_INF = float("inf")
 
 
 def _json_text(doc) -> str:
@@ -121,25 +121,9 @@ def _write_rows(rows, nl: str, out: list[str]) -> bool:
 
 
 def _json_scalar(val) -> str:
-    if isinstance(val, str):
-        return _quote(val)
-    if val is None:
-        return "null"
-    if val is True:
-        return "true"
-    if val is False:
-        return "false"
-    if isinstance(val, int):
-        return int.__repr__(val)
-    if isinstance(val, float):
-        if val != val:
-            return "NaN"
-        if val == _INF:
-            return "Infinity"
-        if val == -_INF:
-            return "-Infinity"
-        return float.__repr__(val)
-    raise TypeError(f"Object of type {type(val).__name__} is not JSON serializable")
+    # strings are most of the scalars outside rows; the C encoder spells
+    # the rest (true, NaN, ...) and rejects what JSON cannot hold
+    return _quote(val) if isinstance(val, str) else _encode_values(val)
 
 
 def _emit_text(doc) -> None:

@@ -204,6 +204,22 @@ def _mult_word(engine, el, word: Iterable[tuple[str, int]]):
     return el
 
 
+class _SyllableWords(dict):
+    """(first letter, length) -> the simple's alternating letters, each
+    made the first time it is read: a label m can be far larger than any
+    ball, so the table holds only the syllables of described elements."""
+
+    def __init__(self, other: dict[str, str]):
+        super().__init__()
+        self._other = other
+
+    def __missing__(self, key: tuple[str, int]) -> str:
+        first, length = key
+        pair = first + self._other[first]
+        word = self[key] = pair * (length // 2) + first * (length % 2)
+        return word
+
+
 class DihedralEngine:
     """Exact engine for two generators with one finite label m >= 2."""
 
@@ -216,12 +232,8 @@ class DihedralEngine:
         self.m = m
         self.identity = DihedralElement(0, ())
         self._other = {a: b, b: a}
-        # the letters of each proper simple, for describe
-        self._words = {
-            (t, length): (t + u) * (length // 2) + t * (length % 2)
-            for t, u in self._other.items()
-            for length in range(1, m)
-        }
+        # the letters of each proper simple describe has met
+        self._words = _SyllableWords(self._other)
 
     def other(self, t: str) -> str:
         if t not in self._other:

@@ -455,14 +455,6 @@ def test_json_writer_equals_json_dumps_on_crafted_documents(doc):
     assert cli._json_text(doc) == _dumps(doc)
 
 
-def test_json_row_lists_fall_back_unless_flat_with_one_key_set():
-    out = []
-    assert cli._write_rows(ROWS, "\n", out) and len(out) == 1
-    for rows in NOT_ROWS:
-        out = []
-        assert not cli._write_rows(rows, "\n", out) and out == []
-
-
 @pytest.mark.parametrize(
     "doc",
     [

@@ -1,6 +1,7 @@
 """Link graphs at each coset type: the finite links read off the fundamental
 domain and the ball developments of the infinite ones."""
 import random
+import time
 
 import pytest
 
@@ -138,6 +139,20 @@ def test_develop_truncation_is_reported():
     assert link.to_json_dict()["truncation"]["truncated"] is True
     with pytest.raises(GraphError):
         develop_link_interedge(inst, e, radius=0)
+
+
+def test_develop_cost_follows_the_cap_not_the_label():
+    # a label of 10**6 (about 10**12 letters over all its proper simples)
+    # develops under a small cap in a fraction of a second
+    m = 10**6
+    start = time.perf_counter()
+    inst = single_interedge(m)
+    (e,) = inst.inter_edges
+    link = develop_link_interedge(inst, e, cap=20)
+    assert time.perf_counter() - start < 10
+    assert link.truncation.truncated
+    # a^-1 = Delta^-1 . (the simple of length m-1 starting with b)
+    assert "D^-1." + "ba" * (m // 2 - 1) + "b" in link.vertex_labels
 
 
 def test_develop_matches_a_coset_key_per_pair():
