@@ -12,7 +12,6 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import coxeter
 from .acyl_checker import check_acylindricity
 from .defining_graph import (
     GraphError,
@@ -189,24 +188,23 @@ def cmd_check_rel(inst: Instance, args: argparse.Namespace) -> int:
 
 def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
     graph = inst.graph
-    doc = {
-        "graph": classifier_to_dict(classify_known(graph)),
-        "parts": [
-            {
-                "vertices": list(part),
-                "report": classifier_to_dict(classify_known(graph.induced(part))),
-                "coxeter_kind": coxeter.classify_type(graph, part).kind,
-            }
-            for part in inst.family.parts
-        ],
-    }
-    _emit(doc, args.fmt)
+    parts = []
+    for part, group in zip(inst.family.parts, inst.spherical_groups[0]):
+        report = classify_known(graph, part, group)
+        kind = "finite" if report.spherical_type else (
+            "affine" if report.affine_type else "indefinite"
+        )
+        parts.append(
+            {"vertices": list(part), "report": classifier_to_dict(report), "coxeter_kind": kind}
+        )
+    whole = classify_known(graph, graph.vertices, inst.spherical)
+    _emit({"graph": classifier_to_dict(whole), "parts": parts}, args.fmt)
     return 0
 
 
 def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
     s_ell = inst.s_ell
-    s_f = build_S_f(inst.graph)
+    s_f = build_S_f(inst)
     s_bar = build_S_bar(inst)
     cx_ell = derived_complex(s_ell)
     dim = check_two_dimensional(s_ell)

@@ -19,11 +19,13 @@ edge is an infinity diagram label, and a component carrying one is ~A1 or
 indefinite.  Sphericity is also hereditary.  So the spherical subsets are
 found by growing cliques: a spherical set is extended only by a vertex above
 its largest member that is adjacent to every member, which proposes each
-clique exactly once.  The same pass decides FC type (every clique
-spherical): if some clique is not spherical, a minimal one minus its largest
-vertex is a spherical clique, and putting that vertex back is a candidate
-the pass tries and rejects.  So the graph is FC exactly when no candidate is
-rejected.
+clique exactly once.  The pass keeps the candidates it rejects, and they
+decide FC type (every clique spherical): if some clique is not spherical, a
+minimal one minus its largest vertex is a spherical clique, and putting
+that vertex back is a candidate the pass tries and rejects.  So the graph
+is FC exactly when no candidate is rejected.  The same holds for the full
+subgraph on any vertex set, with the subsets and rejected candidates that
+lie inside it, since each of its candidates is one of the graph's.
 """
 from __future__ import annotations
 
@@ -250,10 +252,17 @@ def is_spherical(graph: DefiningGraph, subset: Iterable[str]) -> bool:
 
 class SphericalSubsets(list[frozenset[str]]):
     """The spherical subsets of a graph, smallest first and each size in
-    lexicographic order.  ``fc`` is True when every clique of the graph is
-    among them."""
+    lexicographic order.  ``rejected`` holds the non-spherical cliques the
+    enumeration proposed and turned down, in the order it proposed them."""
 
-    fc: bool = True
+    def __init__(self, subsets: Iterable[frozenset[str]]):
+        super().__init__(subsets)
+        self.rejected: list[frozenset[str]] = []
+
+    @property
+    def fc(self) -> bool:
+        """True when every clique of the graph is spherical."""
+        return not self.rejected
 
 
 def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
@@ -277,7 +286,7 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
                 cand = base + (v,)
                 # cliques of one or two vertices are A1, A1xA1, A2, B2 or I2(m)
                 if len(cand) > 2 and classify_type(graph, cand).kind != "finite":
-                    out.fc = False
+                    out.rejected.append(frozenset(cand))
                     continue
                 out.append(frozenset(cand))
                 nxt.append((cand, tuple(w for w in above[i + 1 :] if w in adjacent[v])))

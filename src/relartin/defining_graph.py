@@ -100,17 +100,6 @@ class DefiningGraph:
             raise GraphError(f"unknown vertex {v!r}")
         return self._adjacency[v]
 
-    def induced(self, subset: Iterable[str]) -> "DefiningGraph":
-        """Full subgraph on ``subset`` (keeps every edge with both ends inside)."""
-        sub = set(subset)
-        unknown = sub - set(self.vertices)
-        if unknown:
-            raise GraphError(f"unknown vertices {sorted(unknown)}")
-        return DefiningGraph.build(
-            sorted(sub),
-            [(u, v, m) for u, v, m in self.edges if u in sub and v in sub],
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
@@ -128,7 +117,7 @@ class SubgraphFamily:
     def build(cls, graph: DefiningGraph, parts: Sequence[Iterable[str]]) -> "SubgraphFamily":
         vs = set(graph.vertices)
         norm: list[tuple[str, ...]] = []
-        seen: set[str] = set()
+        seen: dict[str, int] = {}
         for i, part in enumerate(parts):
             p = list(part)
             for v in p:
@@ -141,11 +130,14 @@ class SubgraphFamily:
                 if v not in vs:
                     raise GraphError(f"family part {i} mentions unknown vertex {v!r}")
                 if v in seen:
-                    raise GraphError(f"vertex {v!r} appears in two family parts")
-                seen.add(v)
+                    where = f"twice in family part {i}" if seen[v] == i else (
+                        f"in family parts {seen[v]} and {i}"
+                    )
+                    raise GraphError(f"vertex {v!r} appears {where}")
+                seen[v] = i
             norm.append(tuple(p))
-        if seen != vs:
-            missing = sorted(vs - seen)
+        if len(seen) != len(vs):
+            missing = sorted(vs - seen.keys())
             raise GraphError(f"family does not cover vertices {missing}")
         return cls(parts=tuple(norm))
 
@@ -206,6 +198,40 @@ class Instance:
         from . import poset_complex
 
         return poset_complex.disjoint_inter_edges(self)
+
+    @cached_property
+    def spherical(self):
+        """The graph's spherical subsets, with the non-spherical cliques
+        their enumeration rejected (see :mod:`relartin.coxeter`)."""
+        from . import coxeter
+
+        return coxeter.enumerate_spherical_subsets(self.graph)
+
+    @cached_property
+    def spherical_groups(self) -> tuple[tuple, tuple[frozenset[str], ...]]:
+        """``spherical`` split in one pass: for each part, the spherical
+        subsets and rejected cliques inside it, which are those of its full
+        subgraph; then the spherical subsets inside no part.  A non-empty
+        subset lies inside the part of any one of its vertices or inside
+        none."""
+        from .coxeter import SphericalSubsets
+
+        sets = self.family.part_sets()
+        part_of = self.family._part_of
+        # the empty set comes first and lies inside every part
+        groups = tuple(SphericalSubsets([frozenset()]) for _ in sets)
+        crossing = []
+        for t in self.spherical[1:]:
+            i = part_of[next(iter(t))]
+            if t <= sets[i]:
+                groups[i].append(t)
+            else:
+                crossing.append(t)
+        for t in self.spherical.rejected:
+            i = part_of[next(iter(t))]
+            if t <= sets[i]:
+                groups[i].rejected.append(t)
+        return groups, tuple(crossing)
 
     @cached_property
     def s_ell(self):
@@ -341,57 +367,48 @@ class ClassifierReport:
     notes: tuple[str, ...]
 
 
-def _complement_connected(graph: DefiningGraph) -> bool:
-    vs = graph.vertices
-    if len(vs) <= 1:
-        return True
-    adj = {v: set(vs) - {v} - set(graph.neighbors(v)) for v in vs}
-    seen = {vs[0]}
-    stack = [vs[0]]
+def _complement_connected(graph: DefiningGraph, vertices: frozenset[str]) -> bool:
+    """Whether the complement of the full subgraph on ``vertices`` is connected."""
+    start = min(vertices)
+    seen = {start}
+    stack = [start]
     while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vs)
+        v = stack.pop()
+        for w in vertices - seen - set(graph.neighbors(v)) - {v}:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == len(vertices)
 
 
-def classify_known(graph: DefiningGraph) -> ClassifierReport:
+def classify_known(graph: DefiningGraph, vertices: Iterable[str], spherical) -> ClassifierReport:
     """Flags for the presentation classes with a known K(pi,1) or known
-    acylindrical hyperbolicity status.
+    acylindrical hyperbolicity status, for the full subgraph on
+    ``vertices``.
 
-    Label quantifiers run over the edges that are present; a graph with no
-    edges is therefore vacuously large/extra-large/XXL and right-angled.
+    ``spherical`` is that subgraph's spherical subsets with its rejected
+    cliques, as :func:`relartin.coxeter.enumerate_spherical_subsets`
+    returns them for it (``Instance.spherical_groups`` holds each part's).
+    Every edge is a spherical pair, so the subgraph's labels are read off
+    the two-vertex members.  Label quantifiers run over the edges that are
+    present; a subgraph with no edges is therefore vacuously
+    large/extra-large/XXL and right-angled.
     """
     from . import coxeter
 
-    labels = [m for _, _, m in graph.edges]
-    large = all(m >= 3 for m in labels)
-    xl = all(m >= 4 for m in labels)
-    xxl = all(m >= 5 for m in labels)
-    right_angled = all(m == 2 for m in labels)
-
-    whole = frozenset(graph.vertices)
-    ctype = coxeter.classify_type(graph, whole)
-    spherical = ctype.kind == "finite"
-    affine = ctype.kind == "affine"
-
-    spherical_sets = coxeter.enumerate_spherical_subsets(graph)
-    two_dim = all(len(t) <= 2 for t in spherical_sets)
-    fc = spherical_sets.fc
-    join = not _complement_connected(graph) if len(graph.vertices) >= 2 else False
-
+    inside = frozenset(vertices)
+    labels = [graph._label_map[t] for t in spherical if len(t) == 2]
+    ctype = coxeter.classify_type(graph, inside)
     notes = (f"coxeter type: {ctype.kind} ({', '.join(ctype.components) or 'empty'})",)
     return ClassifierReport(
-        spherical_type=spherical,
-        affine_type=affine,
-        two_dimensional=two_dim,
-        fc_type=fc,
-        large_type=large,
-        extra_large_type=xl,
-        xxl_type=xxl,
-        right_angled=right_angled,
-        join_decomposable=join,
+        spherical_type=ctype.kind == "finite",
+        affine_type=ctype.kind == "affine",
+        two_dimensional=all(len(t) <= 2 for t in spherical),
+        fc_type=spherical.fc,
+        large_type=all(m >= 3 for m in labels),
+        extra_large_type=all(m >= 4 for m in labels),
+        xxl_type=all(m >= 5 for m in labels),
+        right_angled=all(m == 2 for m in labels),
+        join_decomposable=len(inside) >= 2 and not _complement_connected(graph, inside),
         locally_reducible=None,
         notes=notes,
     )

@@ -392,10 +392,10 @@ def engine_for_part(graph, part: Sequence[str]) -> DihedralEngine | FreeEngine |
     two-vertex part with an edge (dihedral).
     """
     verts = sorted(part)
-    sub = graph.induced(verts)
-    if not sub.edges:
+    inside = set(verts)
+    edges = [(u, v, m) for u, v, m in graph.edges if u in inside and v in inside]
+    if not edges:
         return FreeEngine(verts)
-    if len(verts) == 2 and len(sub.edges) == 1:
-        u, v, m = sub.edges[0]
-        return DihedralEngine(u, v, m)
+    if len(verts) == 2:
+        return DihedralEngine(*edges[0])
     return None

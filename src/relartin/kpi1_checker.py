@@ -6,23 +6,19 @@ every subset with finite Coxeter quotient.  Conditions (1) and (3) are
 decided here by enumeration.  Condition (2) is undecidable in general, so
 each part carries a provenance tag: known-class when the part's defining
 graph lies in a class with settled asphericity (spherical, affine,
-2-dimensional, FC), user-asserted when the caller vouches for it, unknown
-otherwise.  The final verdict never claims more than the weakest tag.
+2-dimensional, FC), unknown otherwise.  The final verdict never claims more
+than the weakest tag.
 
 The enumeration behind condition (3) also checks the structural fact that
 makes S_bar complete under the inter-edge label conditions: a subset with
-finite quotient that crosses parts can only be a single inter-edge.
+finite quotient that crosses parts can only be a single inter-edge.  Both
+read the instance's one list of spherical subsets, grouped by part.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import coxeter
-from .defining_graph import (
-    Instance,
-    check_rel_prime,
-    classify_known,
-)
+from .defining_graph import Instance, check_rel_prime, classify_known
 from .girth_checker import CertificationReport, certify_link_condition
 from .poset_complex import (
     SubsetPoset,
@@ -37,7 +33,7 @@ from .poset_complex import (
 class PartStatus:
     index: int
     vertices: tuple[str, ...]
-    provenance: str  # known-class | user-asserted | unknown
+    provenance: str  # known-class | unknown
     which: str | None
 
 
@@ -53,17 +49,14 @@ class FamilyAudit:
     def overall(self) -> str:
         if not (self.condition1_ok and self.condition3_ok):
             return "fail"
-        if all(p.provenance in ("known-class", "user-asserted") for p in self.parts):
+        if all(p.provenance == "known-class" for p in self.parts):
             return "pass"
         return "conditional"
 
 
-def _part_status(inst: Instance, i: int, assertions) -> PartStatus:
+def _part_status(inst: Instance, i: int) -> PartStatus:
     part = inst.family.parts[i]
-    asserted = assertions is not None and (
-        i in assertions or frozenset(part) in assertions
-    )
-    report = classify_known(inst.graph.induced(part))
+    report = classify_known(inst.graph, part, inst.spherical_groups[0][i])
     for which, flag in (
         ("spherical", report.spherical_type),
         ("affine", report.affine_type),
@@ -72,19 +65,12 @@ def _part_status(inst: Instance, i: int, assertions) -> PartStatus:
     ):
         if flag:
             return PartStatus(index=i, vertices=part, provenance="known-class", which=which)
-    if asserted:
-        return PartStatus(index=i, vertices=part, provenance="user-asserted", which=None)
     return PartStatus(index=i, vertices=part, provenance="unknown", which=None)
 
 
-def audit_family(
-    s_bar: SubsetPoset,
-    inst: Instance,
-    spherical: list[frozenset[str]],
-    assertions=None,
-) -> FamilyAudit:
-    """Check subset closure of S_bar and that it covers ``spherical``, the
-    graph's spherical subsets, and tag parts.
+def audit_family(s_bar: SubsetPoset, inst: Instance) -> FamilyAudit:
+    """Check subset closure of S_bar and that it covers the graph's
+    spherical subsets, and tag parts.
 
     A family is closed under subsets exactly when it is closed under
     removing one vertex.  The first element with a missing subset s is also
@@ -106,14 +92,12 @@ def audit_family(
         break
 
     cond3_witness = None
-    for t in spherical:
+    for t in inst.spherical:
         if t not in s_bar:
             cond3_witness = t
             break
 
-    parts = [
-        _part_status(inst, i, assertions) for i in range(len(inst.family.parts))
-    ]
+    parts = [_part_status(inst, i) for i in range(len(inst.family.parts))]
     return FamilyAudit(
         condition1_ok=cond1_witness is None,
         condition1_witness=cond1_witness,
@@ -130,28 +114,17 @@ class CrossingVerdict:
     checked: int
 
 
-def verify_no_large_crossing_spherical(
-    inst: Instance, spherical: list[frozenset[str]]
-) -> CrossingVerdict:
-    """Every subset with finite Coxeter quotient (``spherical``, the graph's
-    spherical subsets) that is not inside a single part must be a subset of
-    a defining edge.
+def verify_no_large_crossing_spherical(inst: Instance) -> CrossingVerdict:
+    """Every subset with finite Coxeter quotient that is not inside a single
+    part must be a subset of a defining edge.
 
     Holds for every valid instance of the inter-edge label conditions; a
     violating instance is reported with the crossing subsets as witnesses.
+    A spherical subset is a clique, so only those of more than two vertices
+    can be witnesses.
     """
-    part_sets = inst.family.part_sets()
-    witnesses = []
-    for t in spherical:
-        if any(t <= p for p in part_sets):
-            continue
-        if len(t) > 2:
-            witnesses.append(t)
-        elif len(t) == 2:
-            u, v = sorted(t)
-            if not inst.graph.has_edge(u, v):
-                witnesses.append(t)
-    return CrossingVerdict(ok=not witnesses, witnesses=witnesses, checked=len(spherical))
+    witnesses = [t for t in inst.spherical_groups[1] if len(t) > 2]
+    return CrossingVerdict(ok=not witnesses, witnesses=witnesses, checked=len(inst.spherical))
 
 
 @dataclass
@@ -175,7 +148,7 @@ class Kpi1Verdict:
         }
 
 
-def kpi1_verdict(inst: Instance, assertions=None) -> Kpi1Verdict:
+def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
     """Assemble the asphericity reduction from its machine-checkable pieces.
 
     The verdict "holds" means: the inter-edge label condition is satisfied,
@@ -249,8 +222,7 @@ def kpi1_verdict(inst: Instance, assertions=None) -> Kpi1Verdict:
         }
     )
 
-    spherical = coxeter.enumerate_spherical_subsets(inst.graph)
-    crossing = verify_no_large_crossing_spherical(inst, spherical)
+    crossing = verify_no_large_crossing_spherical(inst)
     evidence.append(
         {
             "check": "no crossing subset with finite quotient beyond inter-edges",
@@ -261,7 +233,7 @@ def kpi1_verdict(inst: Instance, assertions=None) -> Kpi1Verdict:
     )
 
     s_bar = build_S_bar(inst)
-    audit = audit_family(s_bar, inst, spherical, assertions)
+    audit = audit_family(s_bar, inst)
     evidence.append(
         {
             "check": "family completeness (subset closure, spherical coverage)",
@@ -316,7 +288,7 @@ def kpi1_verdict(inst: Instance, assertions=None) -> Kpi1Verdict:
         status = "failed: a machine check did not pass"
         holds = False
     elif audit.overall == "pass":
-        kinds = sorted({p.which or "asserted" for p in audit.parts})
+        kinds = sorted({p.which for p in audit.parts})
         status = f"holds, parts {', '.join(kinds)}"
         holds = True
     else:

@@ -34,7 +34,7 @@ from functools import cached_property
 from math import pi, sin
 from typing import Iterable
 
-from .defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
+from .defining_graph import GraphError, Instance, SubgraphFamily
 
 def subset_sort_key(t: frozenset) -> tuple:
     return (len(t), tuple(sorted(t)))
@@ -177,12 +177,9 @@ def build_S_ell(inst: Instance) -> SubsetPoset:
     return SubsetPoset.from_tagged(tagged)
 
 
-def build_S_f(graph: DefiningGraph) -> SubsetPoset:
-    from . import coxeter
-
-    return SubsetPoset.from_tagged(
-        (t, "spherical") for t in coxeter.enumerate_spherical_subsets(graph)
-    )
+def build_S_f(inst: Instance) -> SubsetPoset:
+    """The graph's spherical subsets."""
+    return SubsetPoset.from_tagged((t, "spherical") for t in inst.spherical)
 
 
 def build_S_bar(inst: Instance) -> SubsetPoset:

@@ -65,7 +65,9 @@ B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
 finite quotient, zero for an affine one and negative otherwise.  The
 spherical subsets are every vertex subset that ``classify_type`` calls
 finite, and FC type is every clique being spherical, with cliques grown one
-vertex at a time.
+vertex at a time.  A part's classifier flags are worked out on a copy of
+the part's full subgraph: its own enumeration, its own Coxeter type, its
+own edge labels and its own complement.
 """
 import heapq
 import itertools
@@ -76,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from relartin import coxeter
-from relartin.defining_graph import GraphError
+from relartin.defining_graph import ClassifierReport, DefiningGraph, GraphError
 from relartin.dihedral_garside import CapExceeded, DihedralElement, DihedralEngine
 from relartin.girth_checker import (
     LinkCertificate,
@@ -752,7 +754,7 @@ def all_pairs_retraction_map(s_bar, s_ell, family) -> RetractionReport:
     )
 
 
-def scan_audit_family(s_bar, inst, spherical, assertions=None) -> FamilyAudit:
+def scan_audit_family(s_bar, inst) -> FamilyAudit:
     """``audit_family`` with subset closure decided by scanning the 2^|t|
     subsets of every element t, in element order and then mask order."""
     cond1_witness = None
@@ -765,13 +767,13 @@ def scan_audit_family(s_bar, inst, spherical, assertions=None) -> FamilyAudit:
                 break
         if cond1_witness:
             break
-    cond3_witness = next((t for t in spherical if t not in s_bar), None)
+    cond3_witness = next((t for t in inst.spherical if t not in s_bar), None)
     return FamilyAudit(
         condition1_ok=cond1_witness is None,
         condition1_witness=cond1_witness,
         condition3_ok=cond3_witness is None,
         condition3_witness=cond3_witness,
-        parts=[_part_status(inst, i, assertions) for i in range(len(inst.family.parts))],
+        parts=[_part_status(inst, i) for i in range(len(inst.family.parts))],
     )
 
 
@@ -896,3 +898,42 @@ def brute_fc(graph) -> bool:
         frontier = sorted(nxt, key=sorted)
         cliques.extend(frontier)
     return all(coxeter.is_spherical(graph, c) for c in cliques)
+
+
+def induced_subgraph(graph, vertices):
+    """A new graph: the full subgraph on ``vertices``."""
+    inside = set(vertices)
+    return DefiningGraph.build(
+        sorted(inside), [(u, v, m) for u, v, m in graph.edges if u in inside and v in inside]
+    )
+
+
+def part_alone_report(graph, part) -> ClassifierReport:
+    """The classifier flags of the full subgraph on ``part``, from a copy
+    of that subgraph alone."""
+    sub = induced_subgraph(graph, part)
+    spherical = coxeter.enumerate_spherical_subsets(sub)
+    ctype = coxeter.classify_type(sub, sub.vertices)
+    labels = [m for _, _, m in sub.edges]
+    vs = sub.vertices
+    reached = {vs[0]}
+    frontier = [vs[0]]
+    while frontier:
+        v = frontier.pop()
+        for w in vs:
+            if w not in reached and w != v and not sub.has_edge(v, w):
+                reached.add(w)
+                frontier.append(w)
+    return ClassifierReport(
+        spherical_type=ctype.kind == "finite",
+        affine_type=ctype.kind == "affine",
+        two_dimensional=all(len(t) <= 2 for t in spherical),
+        fc_type=spherical.fc,
+        large_type=all(m >= 3 for m in labels),
+        extra_large_type=all(m >= 4 for m in labels),
+        xxl_type=all(m >= 5 for m in labels),
+        right_angled=all(m == 2 for m in labels),
+        join_decomposable=len(reached) < len(vs),
+        locally_reducible=None,
+        notes=(f"coxeter type: {ctype.kind} ({', '.join(ctype.components) or 'empty'})",),
+    )

@@ -42,7 +42,7 @@ def test_criterion_01_join_end_to_end(capsys):
     t0 = time.monotonic()
     inst = affine_parts_join()
     assert check_rel(inst).ok and check_rel_prime(inst).ok
-    report = classify_known(inst.graph)
+    report = classify_known(inst.graph, inst.graph.vertices, inst.spherical)
     assert not report.spherical_type
     assert not report.affine_type
     assert not report.two_dimensional
@@ -178,14 +178,10 @@ def test_criterion_06_coxeter_cross_validation():
 
 def test_criterion_07_no_crossing_spherical():
     for inst in [affine_parts_join()] + RANDOM_INSTANCES:
-        verdict = verify_no_large_crossing_spherical(
-            inst, coxeter.enumerate_spherical_subsets(inst.graph)
-        )
+        verdict = verify_no_large_crossing_spherical(inst)
         assert verdict.ok and verdict.witnesses == []
     control = touching_triple_control()
-    bad = verify_no_large_crossing_spherical(
-        control, coxeter.enumerate_spherical_subsets(control.graph)
-    )
+    bad = verify_no_large_crossing_spherical(control)
     assert not bad.ok
     assert any(len(w) == 3 for w in bad.witnesses)
     print(

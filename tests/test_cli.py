@@ -16,7 +16,7 @@ from instances import random_rel_prime_instance
 from test_golden import SUBCOMMANDS, invocations
 
 import relartin
-from relartin import cli, defining_graph, dihedral_garside, link_builder, poset_complex
+from relartin import cli, coxeter, defining_graph, dihedral_garside, link_builder, poset_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 JOIN = str(FIXTURES / "affine_parts_join.json")
@@ -260,6 +260,20 @@ def test_input_errors(capsys, tmp_path):
     assert code == 1 and "unknown keys" in err
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ([["a", "a"], ["b"]], "error: vertex 'a' appears twice in family part 0\n"),
+        ([["a"], ["b", "a"]], "error: vertex 'a' appears in family parts 0 and 1\n"),
+    ],
+)
+def test_family_listing_a_vertex_twice(capsys, tmp_path, family, message):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [], "family": family}))
+    code, out, err = run(capsys, "check-rel", "--input", str(path))
+    assert (code, out, err) == (1, "", message)
+
+
 def test_oversized_link_exits_1(capsys, tmp_path, monkeypatch):
     # 80 two-vertex parts, every cross pair an inter-edge of label 4: the
     # finite empty link gets 2 * 12640 + 160 = 25440 edges of 2 and 3 units
@@ -350,11 +364,26 @@ def test_per_instance_facts_are_derived_once(capsys, monkeypatch):
     counted(defining_graph, "inter_edges")
     counted(poset_complex, "disjoint_inter_edges")
     counted(poset_complex, "build_S_ell")
+    counted(coxeter, "enumerate_spherical_subsets")
+    # every graph made during a run, by its vertices: the input's only,
+    # never a copy of a part's subgraph
+    graphs = []
+    init = defining_graph.DefiningGraph.__init__
+
+    def recorded(self, vertices, edges):
+        graphs.append(tuple(sorted(vertices)))
+        init(self, vertices, edges)
+
+    monkeypatch.setattr(defining_graph.DefiningGraph, "__init__", recorded)
     for fixture in (JOIN, CONTROL):
-        for sub in ("check-rel", "build", "links", "kpi1"):
+        for sub in ("check-rel", "classify", "build", "links", "kpi1"):
             calls.clear()
+            graphs.clear()
             run(capsys, sub, "--input", fixture)
             assert calls and max(calls.values()) == 1, (fixture, sub, calls)
+            assert len(graphs) == 1, (fixture, sub, graphs)
+            if sub in ("classify", "build"):
+                assert calls["enumerate_spherical_subsets"] == 1
 
 
 def test_text_format_is_default(capsys):

@@ -14,10 +14,24 @@ import numpy as np
 import pytest
 
 from relartin import coxeter
-from relartin.defining_graph import DefiningGraph, GraphError, classify_known, parse_graph
+from relartin.defining_graph import (
+    DefiningGraph,
+    GraphError,
+    Instance,
+    SubgraphFamily,
+    classify_known,
+    parse_graph,
+)
 
-from instances import affine_parts_join
-from oracles import brute_fc, brute_spherical_subsets, cosine_matrix, definiteness_oracle
+from instances import affine_parts_join, random_rel_prime_instance
+from oracles import (
+    brute_fc,
+    brute_spherical_subsets,
+    cosine_matrix,
+    definiteness_oracle,
+    induced_subgraph,
+    part_alone_report,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -222,11 +236,17 @@ def _random_graph(rng):
     return DefiningGraph.build(vs, edges)
 
 
+def _fixtures():
+    return [
+        parse_graph((FIXTURES / name).read_text())
+        for name in ("affine_parts_join.json", "touching_triple_control.json")
+    ]
+
+
 def test_spherical_enumeration_and_fc_match_brute_force():
     graphs = []
-    for name in ("affine_parts_join.json", "touching_triple_control.json"):
-        inst = parse_graph((FIXTURES / name).read_text())
-        graphs += [inst.graph] + [inst.graph.induced(part) for part in inst.family.parts]
+    for inst in _fixtures():
+        graphs += [inst.graph] + [induced_subgraph(inst.graph, part) for part in inst.family.parts]
     rng = random.Random(2024)
     graphs += [_random_graph(rng) for _ in range(300)]
     seen = set()
@@ -236,10 +256,42 @@ def test_spherical_enumeration_and_fc_match_brute_force():
         found = coxeter.enumerate_spherical_subsets(g)
         assert list(found) == expected, g.edges
         assert found.fc == fc, g.edges
-        report = classify_known(g)
+        report = classify_known(g, g.vertices, found)
         assert report.spherical_type == (frozenset(g.vertices) in expected)
         assert report.two_dimensional == all(len(t) <= 2 for t in expected)
         assert report.fc_type == fc, g.edges
         seen.add((fc, report.two_dimensional))
     # every combination of the two flags is exercised
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _random_parts(rng, graph):
+    """The graph's vertices shuffled and cut into non-empty runs."""
+    vs = list(graph.vertices)
+    rng.shuffle(vs)
+    cuts = sorted(rng.sample(range(1, len(vs)), rng.randint(0, len(vs) - 1)))
+    return [vs[i:j] for i, j in zip([0] + cuts, cuts + [len(vs)])]
+
+
+def test_part_reports_from_the_instance_list_match_each_part_alone():
+    # each part's group of the one enumeration against an enumeration of a
+    # copy of the part's subgraph, and its report against one worked out
+    # on that copy alone
+    insts = _fixtures() + [random_rel_prime_instance(random.Random(seed)) for seed in range(30)]
+    rng = random.Random(2024)
+    for _ in range(300):
+        g = _random_graph(rng)
+        insts.append(Instance(g, SubgraphFamily.build(g, _random_parts(rng, g))))
+    seen = set()
+    for inst in insts:
+        groups, crossing = inst.spherical_groups
+        for part, group in zip(inst.family.parts, groups):
+            alone = coxeter.enumerate_spherical_subsets(induced_subgraph(inst.graph, part))
+            assert list(group) == list(alone) and group.rejected == alone.rejected
+            report = classify_known(inst.graph, part, group)
+            assert report == part_alone_report(inst.graph, part), (inst.graph.edges, part)
+            seen.add((report.fc_type, report.two_dimensional))
+        sets = inst.family.part_sets()
+        assert list(crossing) == [t for t in inst.spherical if not any(t <= p for p in sets)]
+    # every combination of the two flags is exercised at part level
     assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -1,7 +1,6 @@
 """Family audit, crossing check, and the assembled asphericity verdict."""
 import random
 
-from relartin.coxeter import enumerate_spherical_subsets
 from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily
 from relartin.girth_checker import CertificationReport, LinkCertificate
 from relartin.kpi1_checker import (
@@ -44,7 +43,7 @@ def unknown_part_instance():
 
 def test_audit_family_passes_on_the_join():
     inst = affine_parts_join()
-    audit = audit_family(build_S_bar(inst), inst, enumerate_spherical_subsets(inst.graph))
+    audit = audit_family(build_S_bar(inst), inst)
     assert audit.condition1_ok and audit.condition1_witness is None
     assert audit.condition3_ok and audit.condition3_witness is None
     assert audit.overall == "pass"
@@ -58,7 +57,7 @@ def test_audit_family_reports_witnesses():
     poset = SubsetPoset.from_tagged(
         [(frozenset(), "empty"), (frozenset("ab"), "inter-edge")]
     )
-    audit = audit_family(poset, inst, enumerate_spherical_subsets(inst.graph))
+    audit = audit_family(poset, inst)
     assert not audit.condition1_ok
     assert audit.condition1_witness == (frozenset("a"), frozenset("ab"))
     assert not audit.condition3_ok
@@ -83,40 +82,21 @@ def test_audit_family_matches_subset_scan():
     cases.append((lacking, join))
     failing = 0
     for s_bar, inst in cases:
-        spherical = enumerate_spherical_subsets(inst.graph)
-        audit = audit_family(s_bar, inst, spherical)
-        assert audit == scan_audit_family(s_bar, inst, spherical)
+        audit = audit_family(s_bar, inst)
+        assert audit == scan_audit_family(s_bar, inst)
         failing += not audit.condition1_ok
     # the stray posets are S^l plus a triple, so they lack its pairs
     assert failing == 3
     assert audit.condition1_witness == (frozenset(("a1",)), frozenset(("a1", "b1")))
 
 
-def test_assertions_upgrade_parts():
-    inst = unknown_part_instance()
-    spherical = enumerate_spherical_subsets(inst.graph)
-    audit = audit_family(build_S_bar(inst), inst, spherical)
-    assert audit.parts[0].provenance == "unknown"
-    assert audit.overall == "conditional"
-    by_index = audit_family(build_S_bar(inst), inst, spherical, assertions={0})
-    assert by_index.parts[0].provenance == "user-asserted"
-    key = frozenset(("p", "q", "r", "s"))
-    by_set = audit_family(build_S_bar(inst), inst, spherical, assertions={key})
-    assert by_set.parts[0].provenance == "user-asserted"
-    assert by_set.overall == "pass"
-    # a known class is never downgraded to an assertion
-    assert by_set.parts[1].provenance == "known-class"
-
-
 def test_crossing_check():
     inst = affine_parts_join()
-    verdict = verify_no_large_crossing_spherical(inst, enumerate_spherical_subsets(inst.graph))
+    verdict = verify_no_large_crossing_spherical(inst)
     assert verdict.ok and verdict.checked == 45 and verdict.witnesses == []
 
     control = touching_triple_control()
-    bad = verify_no_large_crossing_spherical(
-        control, enumerate_spherical_subsets(control.graph)
-    )
+    bad = verify_no_large_crossing_spherical(control)
     assert not bad.ok
     assert bad.witnesses == [frozenset(("a", "b", "c"))]
     assert bad.checked == 8
@@ -148,13 +128,16 @@ def test_kpi1_inapplicable_on_the_control():
     assert verdict.certification is None and verdict.audit is None
 
 
-def test_kpi1_pending_and_asserted_parts():
+def test_kpi1_pending_parts():
     inst = unknown_part_instance()
     verdict = kpi1_verdict(inst)
     assert verdict.holds
     assert verdict.status_line == "reduction established, per-part status pending"
-    asserted = kpi1_verdict(inst, assertions={0})
-    assert asserted.status_line == "holds, parts asserted, spherical"
+    assert [(p.provenance, p.which) for p in verdict.audit.parts] == [
+        ("unknown", None),
+        ("known-class", "spherical"),
+    ]
+    assert verdict.audit.overall == "conditional"
 
 
 def test_kpi1_spherical_parts():

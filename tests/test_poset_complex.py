@@ -57,7 +57,7 @@ def test_s_bar_and_s_f_join():
     s_bar = build_S_bar(inst)
     assert len(s_bar.elements) == 47
     assert set(inst.s_ell.elements) <= set(s_bar.elements)
-    s_f = build_S_f(inst.graph)
+    s_f = build_S_f(inst)
     assert set(s_f.elements) <= set(s_bar.elements)
     assert len(s_f.elements) == 45
 
@@ -276,7 +276,7 @@ def _assert_matches_oracles(poset: SubsetPoset) -> None:
 def test_poset_walks_match_oracles_on_instances():
     for make in (affine_parts_join, touching_triple_control):
         inst = make()
-        for poset in (build_S_ell(inst), build_S_bar(inst), build_S_f(inst.graph)):
+        for poset in (build_S_ell(inst), build_S_bar(inst), build_S_f(inst)):
             _assert_matches_oracles(poset)
     for poset in with_strays(affine_parts_join()):
         _assert_matches_oracles(poset)
