@@ -188,8 +188,9 @@ def cmd_check_rel(inst: Instance, args: argparse.Namespace) -> int:
 
 def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
     graph = inst.graph
+    groups, _ = inst.spherical_groups
     parts = []
-    for part, group in zip(inst.family.parts, inst.spherical_groups[0]):
+    for part, group in zip(inst.family.parts, groups):
         report = classify_known(graph, part, group)
         kind = "finite" if report.spherical_type else (
             "affine" if report.affine_type else "indefinite"

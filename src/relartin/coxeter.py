@@ -253,11 +253,12 @@ def is_spherical(graph: DefiningGraph, subset: Iterable[str]) -> bool:
 class SphericalSubsets(list[frozenset[str]]):
     """The spherical subsets of a graph, smallest first and each size in
     lexicographic order.  ``rejected`` holds the non-spherical cliques the
-    enumeration proposed and turned down, in the order it proposed them."""
+    enumeration proposed and turned down, as sorted tuples in the order it
+    proposed them."""
 
     def __init__(self, subsets: Iterable[frozenset[str]]):
         super().__init__(subsets)
-        self.rejected: list[frozenset[str]] = []
+        self.rejected: list[tuple[str, ...]] = []
 
     @property
     def fc(self) -> bool:
@@ -286,7 +287,7 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
                 cand = base + (v,)
                 # cliques of one or two vertices are A1, A1xA1, A2, B2 or I2(m)
                 if len(cand) > 2 and classify_type(graph, cand).kind != "finite":
-                    out.rejected.append(frozenset(cand))
+                    out.rejected.append(cand)
                     continue
                 out.append(frozenset(cand))
                 nxt.append((cand, tuple(w for w in above[i + 1 :] if w in adjacent[v])))

@@ -228,8 +228,8 @@ class Instance:
             else:
                 crossing.append(t)
         for t in self.spherical.rejected:
-            i = part_of[next(iter(t))]
-            if t <= sets[i]:
+            i = part_of[t[0]]
+            if sets[i].issuperset(t):
                 groups[i].rejected.append(t)
         return groups, tuple(crossing)
 

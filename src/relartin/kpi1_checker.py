@@ -123,7 +123,8 @@ def verify_no_large_crossing_spherical(inst: Instance) -> CrossingVerdict:
     A spherical subset is a clique, so only those of more than two vertices
     can be witnesses.
     """
-    witnesses = [t for t in inst.spherical_groups[1] if len(t) > 2]
+    _, crossing = inst.spherical_groups
+    witnesses = [t for t in crossing if len(t) > 2]
     return CrossingVerdict(ok=not witnesses, witnesses=witnesses, checked=len(inst.spherical))
 
 
