@@ -43,14 +43,6 @@ class DeltaChecks:
     def all_ok(self) -> bool:
         return self.connected and self.two_dimensional and self.not_right_angled and self.rank3
 
-    def to_json_dict(self) -> dict:
-        return {
-            "connected": self.connected,
-            "two_dimensional": self.two_dimensional,
-            "not_right_angled": self.not_right_angled,
-            "rank3": self.rank3,
-        }
-
 
 def check_delta(graph: DefiningGraph, delta: tuple[str, str, str]) -> DeltaChecks:
     """Hypotheses of the rank 3 criterion on the induced triple."""
@@ -173,11 +165,6 @@ def empirical_orbit_growth(
     return rows
 
 
-def strictly_increasing(rows: list[tuple[int, int]]) -> bool:
-    vals = [v for _, v in rows]
-    return all(x < y for x, y in zip(vals, vals[1:]))
-
-
 @dataclass
 class AcylVerdict:
     status: str  # acyl-hyperbolic-via-witness | acyl-hyperbolic-free-product | inapplicable
@@ -188,18 +175,6 @@ class AcylVerdict:
     delta: tuple[str, str, str] | None
     delta_checks: DeltaChecks | None
     citations: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "ok": self.ok,
-            "reasons": self.reasons,
-            "witness_edge": list(self.witness_edge) if self.witness_edge else None,
-            "witness_vertex": self.witness_vertex,
-            "delta": list(self.delta) if self.delta else None,
-            "delta_checks": self.delta_checks.to_json_dict() if self.delta_checks else None,
-            "citations": self.citations,
-        }
 
 
 _FREE_PRODUCT_CITATION = (

@@ -3,13 +3,16 @@
 Subcommands mirror the pipeline stages: check-rel, classify, build, links,
 kpi1, acyl, develop.  Exit code 0 means the checked condition holds, 2
 means it fails, 1 means the input could not be used.  Reports are
-deterministic for a fixed input and configuration.
+deterministic for a fixed input and configuration.  A report emitted
+through ``dataclasses.asdict`` takes its keys, and its text order, from
+its dataclass's field names and order.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 
 from .acyl_checker import check_acylindricity
@@ -18,7 +21,6 @@ from .defining_graph import (
     Instance,
     check_rel,
     check_rel_prime,
-    classifier_to_dict,
     classify_known,
     parse_graph,
 )
@@ -135,14 +137,14 @@ def _text_lines(doc, pad: str, lines: list[str]) -> None:
     if isinstance(doc, dict):
         for key in doc:
             val = doc[key]
-            if isinstance(val, (dict, list)) and val:
+            if isinstance(val, (dict, list, tuple)) and val:
                 lines.append(f"{pad}{key}:\n")
                 _text_lines(val, pad + "  ", lines)
             else:
                 lines.append(f"{pad}{key}: {_scalar(val)}\n")
-    elif isinstance(doc, list):
+    elif isinstance(doc, (list, tuple)):
         for val in doc:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 lines.append(f"{pad}-\n")
                 _text_lines(val, pad + "  ", lines)
             else:
@@ -156,8 +158,8 @@ def _scalar(val) -> str:
         return "null"
     if isinstance(val, bool):
         return "true" if val else "false"
-    if isinstance(val, (list, dict)):
-        return "[]" if val == [] else "{}"
+    if isinstance(val, (list, tuple, dict)):
+        return "{}" if isinstance(val, dict) else "[]"
     return str(val)
 
 
@@ -196,10 +198,10 @@ def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
             "affine" if report.affine_type else "indefinite"
         )
         parts.append(
-            {"vertices": list(part), "report": classifier_to_dict(report), "coxeter_kind": kind}
+            {"vertices": list(part), "report": asdict(report), "coxeter_kind": kind}
         )
     whole = classify_known(graph, graph.vertices, inst.spherical)
-    _emit({"graph": classifier_to_dict(whole), "parts": parts}, args.fmt)
+    _emit({"graph": asdict(whole), "parts": parts}, args.fmt)
     return 0
 
 
@@ -220,7 +222,7 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
         "complex_S_ell": cx_ell.to_json_dict(),
         "complex_S_bar_chain_count": s_bar.chain_count(),
         "two_dimensional": {"ok": dim.ok, "max_chain_length": dim.max_chain_length},
-        "gluing": {"ok": gluing.ok, "conflicts": gluing.conflicts},
+        "gluing": asdict(gluing),
     }
     _emit(doc, args.fmt)
     return 0 if dim.ok and gluing.ok else 2
@@ -228,7 +230,7 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
 
 def cmd_links(inst: Instance, args: argparse.Namespace) -> int:
     report = certify_link_condition(inst)
-    _emit(report.to_json_dict(), args.fmt)
+    _emit(asdict(report), args.fmt)
     return 0 if report.ok else 2
 
 
@@ -240,7 +242,7 @@ def cmd_kpi1(inst: Instance, args: argparse.Namespace) -> int:
 
 def cmd_acyl(inst: Instance, args: argparse.Namespace) -> int:
     verdict = check_acylindricity(inst)
-    _emit(verdict.to_json_dict(), args.fmt)
+    _emit(asdict(verdict), args.fmt)
     return 0 if verdict.ok else 2
 
 

@@ -100,12 +100,6 @@ class DefiningGraph:
             raise GraphError(f"unknown vertex {v!r}")
         return self._adjacency[v]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [{"u": u, "v": v, "m": m} for u, v, m in self.edges],
-        }
-
 
 @dataclass(frozen=True)
 class SubgraphFamily:
@@ -139,6 +133,8 @@ class SubgraphFamily:
         if len(seen) != len(vs):
             missing = sorted(vs - seen.keys())
             raise GraphError(f"family does not cover vertices {missing}")
+        if not norm:
+            raise GraphError("family has no parts")
         return cls(parts=tuple(norm))
 
     @cached_property
@@ -303,12 +299,6 @@ def parse_graph(text: str) -> Instance:
     return Instance(graph, family)
 
 
-def instance_to_json(inst: Instance) -> str:
-    doc = inst.graph.to_json_dict()
-    doc["family"] = [list(p) for p in inst.family.parts]
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def inter_edges(inst: Instance) -> tuple[InterEdge, ...]:
     """All edges joining two distinct parts, sorted by vertex pair."""
     family = inst.family
@@ -412,19 +402,3 @@ def classify_known(graph: DefiningGraph, vertices: Iterable[str], spherical) -> 
         locally_reducible=None,
         notes=notes,
     )
-
-
-def classifier_to_dict(report: ClassifierReport) -> dict:
-    return {
-        "spherical_type": report.spherical_type,
-        "affine_type": report.affine_type,
-        "two_dimensional": report.two_dimensional,
-        "fc_type": report.fc_type,
-        "large_type": report.large_type,
-        "extra_large_type": report.extra_large_type,
-        "xxl_type": report.xxl_type,
-        "right_angled": report.right_angled,
-        "join_decomposable": report.join_decomposable,
-        "locally_reducible": None,
-        "notes": list(report.notes),
-    }

@@ -62,24 +62,6 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-def parse_word(text: str, letters: Sequence[str]) -> Word:
-    """Tokens separated by whitespace: "a", "a^-1", or single-char uppercase
-    for the inverse of a single-char generator."""
-    lower = {l for l in letters}
-    out: list[tuple[str, int]] = []
-    for tok in text.split():
-        if tok.endswith("^-1"):
-            base, sign = tok[:-3], -1
-        elif tok not in lower and len(tok) == 1 and tok.lower() in lower:
-            base, sign = tok.lower(), -1
-        else:
-            base, sign = tok, 1
-        if base not in lower:
-            raise ValueError(f"unknown letter {tok!r}")
-        out.append((base, sign))
-    return tuple(out)
-
-
 def word_to_str(word: Word) -> str:
     toks = []
     for letter, sign in word:
@@ -90,24 +72,6 @@ def word_to_str(word: Word) -> str:
         else:
             toks.append(f"{letter}^-1")
     return " ".join(toks)
-
-
-def syllable_length(word: Iterable[tuple[str, int]]) -> int:
-    """Number of maximal one-generator blocks after cancelling within blocks.
-
-    Blocks that cancel to nothing disappear and same-generator neighbours
-    merge, repeatedly.
-    """
-    stack: list[tuple[str, int]] = []
-    for letter, sign in word:
-        if stack and stack[-1][0] == letter:
-            exp = stack[-1][1] + sign
-            stack.pop()
-            if exp != 0:
-                stack.append((letter, exp))
-        else:
-            stack.append((letter, sign))
-    return len(stack)
 
 
 class DihedralElement(NamedTuple):

@@ -303,34 +303,11 @@ class LinkCertificate:
     members: list[str]
     stats: dict
 
-    def to_json_dict(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "passes": self.certificate.passes,
-                "length_units": self.certificate.length_units,
-                "edge_count": self.certificate.edge_count,
-                "cycle": self.certificate.cycle,
-                "complete": self.certificate.complete,
-                "note": self.certificate.note,
-            }
-        return {
-            "case": self.case,
-            "descriptor": self.descriptor,
-            "status": self.status,
-            "certificate": cert,
-            "members": self.members,
-            "stats": self.stats,
-        }
-
 
 @dataclass
 class CertificationReport:
     ok: bool
     entries: list[LinkCertificate]
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "entries": [e.to_json_dict() for e in self.entries]}
 
     def failures(self) -> list[LinkCertificate]:
         return [e for e in self.entries if e.status == "FAIL"]

@@ -16,7 +16,7 @@ read the instance's one list of spherical subsets, grouped by part.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .defining_graph import Instance, check_rel_prime, classify_known
 from .girth_checker import CertificationReport, certify_link_condition
@@ -143,9 +143,7 @@ class Kpi1Verdict:
             "holds": self.holds,
             "status": self.status_line,
             "evidence": self.evidence,
-            "certification": (
-                self.certification.to_json_dict() if self.certification else None
-            ),
+            "certification": asdict(self.certification) if self.certification else None,
         }
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi, sin
 from typing import Iterable
 
 from .defining_graph import GraphError, Instance, SubgraphFamily
@@ -267,30 +266,12 @@ def check_two_dimensional(poset: SubsetPoset) -> DimensionVerdict:
 # ---------------------------------------------------------------------------
 # metric
 
-# exact equality on ratios sin(p pi/8)/sin(q pi/8) for p, q in 1..4: the 16
-# values split into classes detectable by floats at this scale (the closest
-# distinct pair differs by more than 0.05)
-_SIN = {k: sin(k * pi / 8) for k in (1, 2, 3, 4)}
-
-
 def canonical_sine_ratio(p: int, q: int) -> tuple[int, int]:
+    """The ratio sin(p pi/8) / sin(q pi/8) as a pair.  The 16 ratios for
+    p, q in 1..4 are distinct except the four with p == q, all equal to 1."""
     if not (1 <= p <= 4 and 1 <= q <= 4):
         raise ValueError("sine units must lie in 1..4")
-    value = _SIN[p] / _SIN[q]
-    best = None
-    for pp in (1, 2, 3, 4):
-        for qq in (1, 2, 3, 4):
-            if abs(_SIN[pp] / _SIN[qq] - value) < 1e-9:
-                cand = (pp, qq)
-                if best is None or cand < best:
-                    best = cand
-    assert best is not None
-    return best
-
-
-def sine_ratio_value(ratio: tuple[int, int]) -> float:
-    p, q = ratio
-    return _SIN[p] / _SIN[q]
+    return (1, 1) if p == q else (p, q)
 
 
 @dataclass(frozen=True)
@@ -367,7 +348,6 @@ def assign_metric(
 @dataclass
 class GluingReport:
     ok: bool
-    shared_edges: list[dict]
     conflicts: list[dict]
 
 
@@ -378,18 +358,15 @@ def check_gluing(simplices: list[MetricSimplex]) -> GluingReport:
     for sx in simplices:
         for edge, ratio in sx.edge_lengths().items():
             lengths.setdefault(edge, set()).add(ratio)
-    shared, conflicts = [], []
-    for edge, ratios in sorted(
-        lengths.items(), key=lambda kv: (subset_sort_key(kv[0][0]), subset_sort_key(kv[0][1]))
-    ):
-        entry = {
-            "edge": [sorted(edge[0]), sorted(edge[1])],
-            "lengths": sorted(ratios),
-        }
-        shared.append(entry)
-        if len(ratios) > 1:
-            conflicts.append(entry)
-    return GluingReport(ok=not conflicts, shared_edges=shared, conflicts=conflicts)
+    clashing = sorted(
+        (edge for edge, ratios in lengths.items() if len(ratios) > 1),
+        key=lambda edge: (subset_sort_key(edge[0]), subset_sort_key(edge[1])),
+    )
+    conflicts = [
+        {"edge": [sorted(lo), sorted(hi)], "lengths": sorted(lengths[lo, hi])}
+        for lo, hi in clashing
+    ]
+    return GluingReport(ok=not conflicts, conflicts=conflicts)
 
 
 # ---------------------------------------------------------------------------

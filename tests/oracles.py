@@ -68,9 +68,14 @@ finite, and FC type is every clique being spherical, with cliques grown one
 vertex at a time.  A part's classifier flags are worked out on a copy of
 the part's full subgraph: its own enumeration, its own Coxeter type, its
 own edge labels and its own complement.
+
+Helpers the tests share and the package has no use for: parsing a word and
+its syllable length, an instance written back as JSON, a sine ratio as a
+float, and whether a growth table strictly increases.
 """
 import heapq
 import itertools
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -937,3 +942,62 @@ def part_alone_report(graph, part) -> ClassifierReport:
         locally_reducible=None,
         notes=(f"coxeter type: {ctype.kind} ({', '.join(ctype.components) or 'empty'})",),
     )
+
+
+# ---------------------------------------------------------- helpers
+
+def parse_word(text: str, letters):
+    """Tokens separated by whitespace: "a", "a^-1", or single-char uppercase
+    for the inverse of a single-char generator."""
+    lower = set(letters)
+    out = []
+    for tok in text.split():
+        if tok.endswith("^-1"):
+            base, sign = tok[:-3], -1
+        elif tok not in lower and len(tok) == 1 and tok.lower() in lower:
+            base, sign = tok.lower(), -1
+        else:
+            base, sign = tok, 1
+        if base not in lower:
+            raise ValueError(f"unknown letter {tok!r}")
+        out.append((base, sign))
+    return tuple(out)
+
+
+def syllable_length(word) -> int:
+    """Number of maximal one-generator blocks after cancelling within blocks.
+
+    Blocks that cancel to nothing disappear and same-generator neighbours
+    merge, repeatedly.
+    """
+    stack = []
+    for letter, sign in word:
+        if stack and stack[-1][0] == letter:
+            exp = stack[-1][1] + sign
+            stack.pop()
+            if exp != 0:
+                stack.append((letter, exp))
+        else:
+            stack.append((letter, sign))
+    return len(stack)
+
+
+def instance_to_json(inst) -> str:
+    """The instance in the CLI's input format."""
+    doc = {
+        "vertices": list(inst.graph.vertices),
+        "edges": [{"u": u, "v": v, "m": m} for u, v, m in inst.graph.edges],
+        "family": [list(p) for p in inst.family.parts],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def sine_ratio_value(ratio: tuple[int, int]) -> float:
+    """sin(p pi/8) / sin(q pi/8) for the pair (p, q)."""
+    p, q = ratio
+    return math.sin(p * math.pi / 8) / math.sin(q * math.pi / 8)
+
+
+def strictly_increasing(rows: list[tuple[int, int]]) -> bool:
+    vals = [v for _, v in rows]
+    return all(x < y for x, y in zip(vals, vals[1:]))

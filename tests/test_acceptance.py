@@ -23,7 +23,7 @@ from relartin.dihedral_garside import DihedralEngine
 from relartin.girth_checker import certify_link_condition, shortest_embedded_cycle
 from relartin.kpi1_checker import verify_no_large_crossing_spherical
 from relartin.link_builder import develop_link_interedge, develop_link_part
-from relartin.acyl_checker import empirical_orbit_growth, strictly_increasing
+from relartin.acyl_checker import empirical_orbit_growth
 from relartin.poset_complex import build_S_bar, retraction_map
 
 from instances import (
@@ -32,7 +32,7 @@ from instances import (
     single_interedge,
     touching_triple_control,
 )
-from oracles import definiteness_oracle, rewriting_classes, string_to_word
+from oracles import definiteness_oracle, rewriting_classes, string_to_word, strictly_increasing
 
 _RNG = random.Random(20260819)
 RANDOM_INSTANCES = [random_rel_prime_instance(_RNG) for _ in range(6)]

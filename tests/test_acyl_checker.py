@@ -1,9 +1,12 @@
 """Acylindrical hyperbolicity routes: witness triples, rank 3 checks, and
 the confined syllable growth tables."""
+import json
 import random
+from dataclasses import asdict
 
 import pytest
 
+from relartin import cli
 from relartin.acyl_checker import (
     AcylVerdict,
     check_acylindricity,
@@ -11,7 +14,6 @@ from relartin.acyl_checker import (
     check_hypotheses,
     empirical_orbit_growth,
     find_witness,
-    strictly_increasing,
 )
 from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily
 from relartin.dihedral_garside import CapExceeded
@@ -22,7 +24,7 @@ from instances import (
     single_interedge,
     touching_triple_control,
 )
-from oracles import per_radius_orbit_growth
+from oracles import per_radius_orbit_growth, strictly_increasing
 
 
 def tripartite(edges):
@@ -105,8 +107,7 @@ def test_check_delta_on_the_join():
     assert checks.not_right_angled
     assert checks.rank3
     assert checks.all_ok
-    doc = checks.to_json_dict()
-    assert doc == {
+    assert asdict(checks) == {
         "connected": True,
         "two_dimensional": True,
         "not_right_angled": True,
@@ -152,7 +153,7 @@ def test_full_pipeline_on_the_join():
     assert len(verdict.citations) == 2
     assert "Vaskou" in verdict.citations[0]
     assert "cited, not computed" in verdict.citations[1]
-    doc = verdict.to_json_dict()
+    doc = json.loads(cli._json_text(asdict(verdict)))
     assert doc["delta"] == ["a1", "a2", "b1"]
 
 
@@ -216,7 +217,7 @@ def test_witness_reasons_agree_with_ok():
         verdict = check_acylindricity(inst)
         by_status[verdict.status] = by_status.get(verdict.status, 0) + 1
         assert not any("growth" in r for r in verdict.reasons)
-        assert "orbit_growth" not in verdict.to_json_dict()
+        assert "orbit_growth" not in asdict(verdict)
         if verdict.status in ("acyl-hyperbolic-via-witness", "witness-checks-failed"):
             passing = verdict.reasons == ["witness triple satisfies the rank 3 criterion"]
             assert verdict.ok == passing

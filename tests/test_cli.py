@@ -13,6 +13,7 @@ import sys
 
 import pytest
 from instances import random_rel_prime_instance
+from oracles import instance_to_json
 from test_golden import SUBCOMMANDS, invocations
 
 import relartin
@@ -274,6 +275,16 @@ def test_family_listing_a_vertex_twice(capsys, tmp_path, family, message):
     assert (code, out, err) == (1, "", message)
 
 
+def test_family_with_no_parts_exits_1(capsys, tmp_path):
+    # with no parts there is nothing to check: every subcommand rejects the
+    # input instead of reporting on it
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "edges": [], "family": []}))
+    for argv in [(sub,) for sub in SUBCOMMANDS] + [("develop", "--part", "0")]:
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out, err) == (1, "", "error: family has no parts\n"), argv
+
+
 def test_oversized_link_exits_1(capsys, tmp_path, monkeypatch):
     # 80 two-vertex parts, every cross pair an inter-edge of label 4: the
     # finite empty link gets 2 * 12640 + 160 = 25440 edges of 2 and 3 units
@@ -430,7 +441,7 @@ def test_json_reports_equal_json_dumps(capsys, monkeypatch, tmp_path):
     for seed in range(10):
         inst = random_rel_prime_instance(random.Random(seed))
         path = tmp_path / f"seed{seed}.json"
-        path.write_text(defining_graph.instance_to_json(inst))
+        path.write_text(instance_to_json(inst))
         edge = min(sorted(e.pair) for e in inst.inter_edges)
         argvs = [[sub] for sub in SUBCOMMANDS]
         argvs += [["develop", "--part", "0"], ["develop", "--edge", *edge]]
@@ -499,3 +510,31 @@ def test_json_writer_equals_json_dumps_on_crafted_documents(doc):
 def test_json_writer_rejects_non_str_keys(doc):
     with pytest.raises(TypeError):
         cli._json_text(doc)
+
+
+def _text(doc) -> str:
+    lines: list[str] = []
+    cli._text_lines(doc, "", lines)
+    return "".join(lines)
+
+
+def _listed(doc):
+    """doc with every tuple replaced by the equal list."""
+    if isinstance(doc, dict):
+        return {k: _listed(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_listed(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("doc", CRAFTED)
+def test_text_prints_a_tuple_as_the_equal_list(doc):
+    assert _text(doc) == _text(_listed(doc))
+
+
+def test_text_prints_an_empty_tuple_as_brackets():
+    doc = {"notes": (), "edge": ("a", "b", 4), "rows": [(), ((),)]}
+    assert _text(doc) == (
+        "notes: []\nedge:\n  - a\n  - b\n  - 4\nrows:\n  -\n  -\n    -\n"
+    )
+    assert _text(doc) == _text(_listed(doc))

@@ -15,12 +15,12 @@ from relartin.defining_graph import (
     check_rel,
     check_rel_prime,
     classify_known,
-    instance_to_json,
     inter_edges,
     parse_graph,
 )
 
 from instances import affine_parts_join, random_rel_prime_instance, touching_triple_control
+from oracles import instance_to_json
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -11,8 +11,6 @@ from relartin.dihedral_garside import (
     DihedralEngine,
     FreeEngine,
     engine_for_part,
-    parse_word,
-    syllable_length,
     word_to_str,
 )
 
@@ -21,9 +19,11 @@ from oracles import (
     atom_mult_power,
     atom_normal_form,
     expand_then_drop_ball_levels,
+    parse_word,
     quotient_equal,
     quotient_image,
     string_to_word,
+    syllable_length,
 )
 
 

@@ -4,6 +4,7 @@ The 2 pi threshold is 16 units; a link passes when its shortest embedded
 cycle is at least that long.
 """
 import random
+from dataclasses import asdict
 
 import networkx as nx
 import pytest
@@ -402,7 +403,7 @@ def test_certify_join():
         "words": 16**2 + 16**3,
         "units": 1,
     }
-    doc = report.to_json_dict()
+    doc = asdict(report)
     assert doc["ok"] is True and len(doc["entries"]) == 11
 
 
