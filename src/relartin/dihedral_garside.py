@@ -7,24 +7,31 @@ either alternating product of length m.  Every element is uniquely
     Delta^k . x_1 x_2 ... x_r
 
 where each x_i is a proper simple (an alternating positive word of length
-1..m-1, recorded as (first letter, length)) and consecutive factors are
-left-weighted: the last letter of x_i equals the first letter of x_{i+1}.
-Pairwise left-weightedness characterises the normal form, so multiplying by
-one letter needs only a local repair at the right end, with Delta powers
+1..m-1) and consecutive factors are left-weighted: the last letter of x_i
+equals the first letter of x_{i+1}.  So the last letter of x_r and the
+lengths of x_1 .. x_r fix every letter, and an element is recorded as k,
+that letter (None when r = 0) and the lengths.  Pairwise
+left-weightedness characterises the normal form, so multiplying by one
+letter needs only a local repair at the right end, with Delta powers
 migrating left through tau (the atom swap when m is odd, identity when m is
-even).  A whole power t^n is multiplied in one pass: t^n is itself a
-left-weighted chain after its Delta power (n atoms t, or for n < 0 the
-tau-twisted copies of Delta t^-1), so the only repair is the Delta-fill
-cascade where the tail meets the chain, O(|tail| + |n|) steps.
+even).  tau, and the automorphism exchanging a and b, which fixes Delta,
+keep every length and flip the last letter.  A whole power t^n is
+multiplied in one pass: t^n is itself a left-weighted chain after its
+Delta power (n atoms t, or for n < 0 the tau-twisted copies of Delta
+t^-1), so the only repair is the Delta-fill cascade where the tail meets
+the chain, O(|tail| + |n|) steps.
 
 Equality of words is equality of normal forms.  The exponent-sum
 homomorphism eps (every generator to 1) reads off normal forms as
-eps = k*m + sum of tail lengths; each coset g<s> contains exactly one
+eps = k*m + sum of the lengths; each coset g<s> contains exactly one
 element with eps = 0, which serves as its canonical representative.
 
-Elements are ``DihedralElement`` named tuples, not dataclasses: development
-puts every element into sets and dicts, and a tuple hashes and compares in
-C where a dataclass goes through its Python ``__hash__`` and ``__eq__``.
+Elements are ``DihedralElement`` named tuples (k, last, lengths), not
+dataclasses: development puts every element into sets and dicts, and a
+tuple hashes and compares in C where a dataclass goes through its Python
+``__hash__`` and ``__eq__``.  A named tuple equals the plain tuple of its
+fields, so the syllable search looks up an image as (k, flipped letter,
+lengths) without building one.
 
 Two word-problem engines share one small interface used by link
 development (identity, generators, mult_gen, mult_word, sort_key,
@@ -75,10 +82,13 @@ def word_to_str(word: Word) -> str:
 
 
 class DihedralElement(NamedTuple):
-    """Normal form Delta^k times a left-weighted tail of proper simples."""
+    """Normal form Delta^k times a left-weighted tail of proper simples,
+    kept as the tail's last letter (None for an empty tail) and the
+    lengths of its simples."""
 
     k: int
-    tail: tuple[tuple[str, int], ...]
+    last: str | None
+    lengths: tuple[int, ...]
 
 
 # the default element cap of a ball, and the largest the CLI accepts
@@ -194,7 +204,7 @@ class DihedralEngine:
             raise ValueError("label must be >= 2")
         self.generators = (a, b)
         self.m = m
-        self.identity = DihedralElement(0, ())
+        self.identity = DihedralElement(0, None, ())
         self._other = {a: b, b: a}
         # the letters of each proper simple describe has met
         self._words = _SyllableWords(self._other)
@@ -213,16 +223,20 @@ class DihedralEngine:
             t^n = Delta^n . tau^(-n-1)(y) ... tau(y) . y,
 
         again left-weighted (tau(y) ends with the letter y starts with), and
-        Delta^n migrates left through the tail as tau^n.  Either way the
-        product is a normal tail followed by a normal chain, so the only
-        repair is at the junction.  While the last simple x of the tail and
-        the head c of the chain are not left-weighted, x c is one
-        alternating word: shorter than m it becomes one simple; longer, it
-        fills a Delta that migrates left, and the rest of c is
-        left-weighted after the new last simple; of length exactly m, the
-        Delta leaves the next chain factor to meet the new last simple,
-        and the cascade goes on.  Each step consumes a tail factor, so the
-        cost is O(|tail| + |n|).
+        Delta^n migrates left through the tail as tau^n, which flips the
+        tail's last letter when m and n are odd.  Either way the product is
+        a normal tail followed by a normal chain whose simples all have one
+        length and whose last letter is t (n > 0) or the other generator
+        (n < 0), so the only repair is at the junction.  While the last
+        simple x of the tail and the head c of the chain are not
+        left-weighted, x c is one alternating word: shorter than m it
+        becomes one simple; longer, it fills a Delta that migrates left,
+        and the rest of c is left-weighted after the new last simple; of
+        length exactly m, the Delta leaves the next chain factor to meet
+        the new last simple, and the cascade goes on.  The tail's lengths
+        are walked from the right, carrying the last letter of the part
+        still standing.  Each step consumes a tail factor, so the cost is
+        O(|tail| + |n|).
         """
         other = self._other
         if t not in other:
@@ -230,54 +244,50 @@ class DihedralEngine:
         if n == 0:
             return el
         m, odd = self.m, self.m % 2 == 1
-        k = el.k
-        # the standing tail prefix is read through tau when swap is set
+        k, last, lengths = el
         if n > 0:
-            swap = False
-            chain = [(t, 1)] * n
+            # the chain's simples have length size, its head starts with hf
+            # and its last simple ends with end
+            size, hf, end = 1, t, t
         else:
             n = -n
             k -= n
-            swap = odd and n % 2 == 1
-            y = (t if odd else other[t], m - 1)
+            size, end = m - 1, other[t]
             if odd:
-                chain = ([(other[y[0]], m - 1), y] * ((n + 1) // 2))[-n:]
+                hf = t if n % 2 else end
+                if n % 2 and lengths:
+                    last = other[last]
             else:
-                chain = [y] * n
-        tail = el.tail
-        j = len(tail)  # length of the standing tail prefix
-        i = 0  # index in the chain of the current head
-        head: tuple[str, int] | None = chain[0]
-        while j:
-            first, length = tail[j - 1]
-            if swap:
-                first = other[first]
-            hf, hl = head
-            if (first if length % 2 else other[first]) == hf:
-                break
+                hf = end
+        hl = size  # the head's length, 0 once the chain is used up
+        rest = n - 1  # chain factors after the head
+        j = len(lengths)  # length of the standing tail prefix, ending with last
+        while j and last != hf:
+            length = lengths[j - 1]
             j -= 1
+            # the first letter of x, which the prefix before it ends with
+            first = last if length % 2 else other[last]
             total = length + hl
             if total < m:
-                head = (first, total)
+                hl = total
                 break
-            # x c fills a Delta, which migrates left through the tail prefix
+            # x c fills a Delta, which migrates left through the prefix
             k += 1
-            swap ^= odd
+            last = other[first] if odd else first
             if total > m:
-                # the rest of c starts with tau(first letter of x), the
-                # letter the new last simple ends with
-                head = (other[first] if odd else first, total - m)
+                # the rest of c starts with the letter the prefix ends with
+                hl = total - m
                 break
-            i += 1
-            if i == len(chain):
-                head = None
+            if not rest:
+                hl = 0
                 break
-            head = chain[i]
-        prefix = tail[:j]
-        if swap:
-            prefix = tuple((other[f], l) for f, l in prefix)
-        rest = chain[i + 1 :] if head is None else [head] + chain[i + 1 :]
-        return DihedralElement(k, prefix + tuple(rest))
+            rest -= 1
+            hl = size
+            if size % 2 == 0:
+                hf = other[hf]
+        if hl:
+            return DihedralElement(k, end, lengths[:j] + (hl,) + (size,) * rest)
+        return DihedralElement(k, last if j else None, lengths[:j])
 
     def mult_gen(self, el: DihedralElement, letter: str, sign: int) -> DihedralElement:
         if sign != 1 and sign != -1:
@@ -291,23 +301,38 @@ class DihedralEngine:
 
     def epsilon(self, el: DihedralElement) -> int:
         """Exponent-sum homomorphism (both generators to 1)."""
-        return el.k * self.m + sum(l for _, l in el.tail)
+        return el.k * self.m + sum(el.lengths)
+
+    def _first(self, el: DihedralElement) -> str | None:
+        """The tail's first letter: a simple of length l flips the letter
+        l - 1 times from its first to its last, and each later simple
+        starts with the letter the one before it ends with."""
+        if (sum(el.lengths) - len(el.lengths)) % 2:
+            return self._other[el.last]
+        return el.last
 
     def sort_key(self, el: DihedralElement):
-        return (el.k, len(el.tail), el.tail)
+        # the order of (k, number of simples, the (first letter, length)
+        # pairs), since each later first letter follows from the pair
+        # before it
+        return (el.k, len(el.lengths), self._first(el), el.lengths)
 
     def coset_key(self, el: DihedralElement, generator: str) -> tuple:
-        """The generator, then the k and tail of the unique element of
-        el<generator> whose exponent sum is zero.
+        """The generator, then the k, last letter and lengths of the unique
+        element of el<generator> whose exponent sum is zero.
 
         Radius independent, so two elements get one key exactly when their
         cosets coincide.
         """
-        rep = self.mult_power(el, generator, -self.epsilon(el))
-        return (generator, rep.k, rep.tail)
+        return (generator, *self.mult_power(el, generator, -self.epsilon(el)))
 
     def describe(self, el: DihedralElement) -> str:
-        words = ".".join(map(self._words.__getitem__, el.tail))
+        letter, other, simples = self._first(el), self._other, []
+        for length in el.lengths:
+            simples.append(self._words[letter, length])
+            if length % 2 == 0:
+                letter = other[letter]
+        words = ".".join(simples)
         if el.k == 0:
             return words or "1"
         return f"D^{el.k}.{words}" if words else f"D^{el.k}"

@@ -62,8 +62,9 @@ starts with b because the last syllable is a b-syllable.  So the search is
 a meet in the middle over the window 0 < |p| <= EXPONENT_RADIUS: one table
 of a-first normal forms, built a syllable at a time from the level before,
 matched against its own image under the automorphism exchanging a and b,
-which fixes Delta and swaps the first letter of every simple; that image
-is the table of b-first forms, with no multiplication.  A hit is a FAIL,
+which fixes Delta and the length of every simple and flips the tail's
+last letter; that image is the table of b-first forms, read with no
+multiplication.  A hit is a FAIL,
 its word the witness cycle; with none the link passes within the window,
 PASS-within-radius.  Exponents outside the window are settled by Appel
 and Schupp (1983): a relator of A_m has at least 2m syllables.  So m = 3
@@ -387,7 +388,8 @@ def _syllable_search(
     window = [p for n in range(1, EXPONENT_RADIUS + 1) for p in (n, -n)]
     rank = {p: i for i, p in enumerate(window)}
     a, b = engine.generators
-    other = {a: b, b: a}
+    # None, the last letter of an empty tail, maps to itself
+    other = {a: b, b: a, None: None}
     level: list[tuple[tuple[int, ...], DihedralElement]] = [((), engine.identity)]
     searched: list[int] = []
     hits: list[tuple[int, ...]] = []
@@ -406,7 +408,7 @@ def _syllable_search(
         for exps, el in level:
             # el swapped is the normal form of b^x_1 a^x_2 ... for exps = x,
             # and each a-first word equal to it closes with its inverse
-            lefts = table.get(DihedralElement(el.k, tuple([(other[f], n) for f, n in el.tail])))
+            lefts = table.get((el.k, other[el.last], el.lengths))
             if lefts:
                 right = tuple(-p for p in reversed(exps))
                 hits += [left + right for left in lefts]

@@ -84,7 +84,7 @@ import numpy as np
 
 from relartin import coxeter
 from relartin.defining_graph import ClassifierReport, DefiningGraph, GraphError
-from relartin.dihedral_garside import CapExceeded, DihedralElement, DihedralEngine
+from relartin.dihedral_garside import CapExceeded, DihedralEngine
 from relartin.girth_checker import (
     LinkCertificate,
     _bfs_girth,
@@ -172,6 +172,32 @@ def quotient_equal(m: int, w1, w2) -> bool:
 
 
 # ------------------------------------------ letter-by-letter products
+#
+# The oracle keeps its own normal form, the plain tuple (k, pairs): Delta's
+# power and the (first letter, length) pair of every simple of the tail.
+# ``as_pairs`` spells an engine element in this form.
+
+def as_pairs(ctx, el) -> tuple:
+    """The engine element el as (k, pairs), each simple's first letter read
+    off from the right: a simple starts with the letter it ends with when
+    its length is odd, and ends with the letter the next one starts with."""
+    k, letter, lengths = el
+    pairs = []
+    for length in reversed(lengths):
+        if length % 2 == 0:
+            letter = ctx.other(letter)
+        pairs.append((letter, length))
+    return k, tuple(reversed(pairs))
+
+
+def pairs_label(ctx, k: int, pairs) -> str:
+    """The develop label of (k, pairs): Delta's power, then each simple's
+    alternating letters."""
+    words = ".".join(((f + ctx.other(f)) * length)[:length] for f, length in pairs)
+    if k == 0:
+        return words or "1"
+    return f"D^{k}.{words}" if words else f"D^{k}"
+
 
 def _tau_tail(ctx, tail):
     if ctx.m % 2 == 0:
@@ -180,20 +206,20 @@ def _tau_tail(ctx, tail):
 
 
 def atom_mult_pos(ctx, el, t: str):
-    k, tail = el.k, el.tail
+    k, tail = el
     if tail:
         first, length = tail[-1]
         last = first if length % 2 == 1 else ctx.other(first)
         if last != t:
             if length + 1 == ctx.m:
-                return DihedralElement(k=k + 1, tail=_tau_tail(ctx, tail[:-1]))
-            return DihedralElement(k=k, tail=tail[:-1] + ((first, length + 1),))
-    return DihedralElement(k=k, tail=tail + ((t, 1),))
+                return k + 1, _tau_tail(ctx, tail[:-1])
+            return k, tail[:-1] + ((first, length + 1),)
+    return k, tail + ((t, 1),)
 
 
 def atom_mult_neg(ctx, el, t: str):
     """el . t^-1 as Delta^-1 and then the m - 1 letters of Delta t^-1."""
-    out = DihedralElement(k=el.k - 1, tail=_tau_tail(ctx, el.tail))
+    out = el[0] - 1, _tau_tail(ctx, el[1])
     letter = t if ctx.m % 2 == 1 else ctx.other(t)
     for _ in range(ctx.m - 1):
         out = atom_mult_pos(ctx, out, letter)
@@ -209,7 +235,7 @@ def atom_mult_power(ctx, el, t: str, n: int):
 
 
 def atom_normal_form(ctx, word):
-    el = ctx.identity
+    el = (0, ())
     for letter, sign in word:
         el = atom_mult_power(ctx, el, letter, sign)
     return el
@@ -217,7 +243,7 @@ def atom_normal_form(ctx, word):
 
 def atom_coset_rep(ctx, g, generator: str):
     """The exponent-sum-zero element of g<generator>, one letter at a time."""
-    e = g.k * ctx.m + sum(l for _, l in g.tail)
+    e = g[0] * ctx.m + sum(l for _, l in g[1])
     return atom_mult_power(ctx, g, generator, -e)
 
 

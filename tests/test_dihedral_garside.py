@@ -15,10 +15,12 @@ from relartin.dihedral_garside import (
 )
 
 from oracles import (
+    as_pairs,
     atom_coset_rep,
     atom_mult_power,
     atom_normal_form,
     expand_then_drop_ball_levels,
+    pairs_label,
     parse_word,
     quotient_equal,
     quotient_image,
@@ -86,9 +88,9 @@ def test_normal_form_basics():
     w1, w2 = prod_pair(3)
     assert equals(ctx, w1, w2)
     delta = normal_form(ctx, w1)
-    assert delta.k == 1 and delta.tail == ()
+    assert delta == (1, None, ())
     two = normal_form(ctx, w1 + w1)
-    assert two.k == 2 and two.tail == ()
+    assert two == (2, None, ())
     assert normal_form(ctx, []) == ctx.identity
     # tau flips the letters when m is odd: Delta a = b Delta
     assert equals(ctx, w1 + [("a", 1)], [("b", 1)] + w1)
@@ -264,18 +266,65 @@ def test_mult_power_matches_letter_by_letter_oracle():
         ctx = DihedralEngine("a", "b", m)
         for trial in range(300):
             word = random_word(rng, 24)
-            g = atom_normal_form(ctx, word)
-            assert normal_form(ctx, word) == g, (m, word)
+            pairs = atom_normal_form(ctx, word)
+            g = normal_form(ctx, word)
+            assert as_pairs(ctx, g) == pairs, (m, word)
             for t in ("a", "b"):
-                assert ctx.mult_gen(g, t, -1) == atom_mult_power(ctx, g, t, -1)
-                rep = atom_coset_rep(ctx, g, t)
-                assert ctx.coset_key(g, t) == (t, rep.k, rep.tail)
+                got = ctx.mult_gen(g, t, -1)
+                assert as_pairs(ctx, got) == atom_mult_power(ctx, pairs, t, -1)
+                key = ctx.coset_key(g, t)
+                assert key[0] == t
+                assert as_pairs(ctx, key[1:]) == atom_coset_rep(ctx, pairs, t)
             t = rng.choice("ab")
             powers = range(-12, 13) if trial < 40 else (rng.randint(-12, 12),)
             for n in powers:
-                assert ctx.mult_power(g, t, n) == atom_mult_power(ctx, g, t, n), (
-                    m, word, t, n
-                )
+                got = ctx.mult_power(g, t, n)
+                assert as_pairs(ctx, got) == atom_mult_power(ctx, pairs, t, n), (m, word, t, n)
+
+
+def test_swapping_the_generators_flips_the_last_letter():
+    # the automorphism a <-> b fixes Delta and each simple's length, so the
+    # syllable search reads the image of a normal form as one letter flip
+    rng = random.Random(7)
+    swap = {"a": "b", "b": "a"}
+    for m in range(2, 9):
+        ctx = DihedralEngine("a", "b", m)
+        for _ in range(200):
+            word = random_word(rng, 20)
+            el = normal_form(ctx, word)
+            image = normal_form(ctx, [(swap[g], s) for g, s in word])
+            assert image == (el.k, swap.get(el.last), el.lengths), (m, word)
+
+
+def test_delta_conjugation_flips_the_last_letter_for_odd_m():
+    # Delta x Delta^-1 is tau(x): the swap for odd m, x itself for even m
+    rng = random.Random(8)
+    for m in range(2, 9):
+        ctx = DihedralEngine("a", "b", m)
+        delta, _ = prod_pair(m)
+        delta_inverse = [(g, -s) for g, s in reversed(delta)]
+        for _ in range(200):
+            word = random_word(rng, 20)
+            el = normal_form(ctx, word)
+            conjugate = normal_form(ctx, delta + word + delta_inverse)
+            if m % 2:
+                assert conjugate == (el.k, el.last and ctx.other(el.last), el.lengths)
+            else:
+                assert conjugate == el, (m, word)
+
+
+def test_ball_order_and_labels_match_the_pair_form():
+    # develop numbers a ball's vertices by sort_key and labels them by
+    # describe; both must read as the (first letter, length) pairs do
+    for m in range(2, 8):
+        ctx = DihedralEngine("a", "b", m)
+        levels, truncated, _ = ctx.ball_levels(10)
+        assert not truncated
+        ball = [el for level in levels for el in level]
+        pairs = [as_pairs(ctx, el) for el in ball]
+        by_pairs = sorted(range(len(ball)), key=lambda i: (pairs[i][0], len(pairs[i][1]), pairs[i][1]))
+        assert sorted(ball, key=ctx.sort_key) == [ball[i] for i in by_pairs], m
+        assert list(map(ctx.describe, ball)) == [pairs_label(ctx, *p) for p in pairs], m
 
 
 def test_engine_coset_keys():

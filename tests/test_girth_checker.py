@@ -44,6 +44,7 @@ from oracles import (
     full_depth_bfs_girth,
     independent_certification,
     per_edge_dijkstra_girth,
+    quotient_equal,
 )
 
 
@@ -579,13 +580,16 @@ def test_syllable_search_matches_brute_force(monkeypatch):
 
 def test_every_hit_in_the_window_is_a_checked_cycle():
     # at N = 8: 256 commutators for m = 2 at 4 syllables and 90 words for
-    # m = 3 at 6, each read as a simple cycle and checked
+    # m = 3 at 6, each read as a simple cycle and checked, and each trivial
+    # in the central quotient, which shares no code with the engine
     for m, (k, count) in ((2, (4, 256)), (3, (6, 90))):
         engine = DihedralEngine("a", "b", m)
         searched, hits, _ = girth_checker._syllable_search(engine, (4, 6))
         assert (searched[-1], len(hits), len(set(hits))) == (k, count, count)
         for word in hits:
             assert len(girth_checker._relation_cycle(engine, word)) == 2 * k
+            spelled = [("ab"[i % 2], p // abs(p)) for i, p in enumerate(word) for _ in range(abs(p))]
+            assert quotient_equal(m, spelled, []), (m, word)
 
 
 def test_syllable_search_agrees_with_developments():
