@@ -180,8 +180,10 @@ def quotient_equal(m: int, w1, w2) -> bool:
 def as_pairs(ctx, el) -> tuple:
     """The engine element el as (k, pairs), each simple's first letter read
     off from the right: a simple starts with the letter it ends with when
-    its length is odd, and ends with the letter the next one starts with."""
+    its length is odd, and ends with the letter the next one starts with.
+    An empty tail, and only an empty tail, has no last letter."""
     k, letter, lengths = el
+    assert (letter is None) == (not lengths), el
     pairs = []
     for length in reversed(lengths):
         if length % 2 == 0:
