@@ -26,6 +26,22 @@ that vertex back is a candidate the pass tries and rejects.  So the graph
 is FC exactly when no candidate is rejected.  The same holds for the full
 subgraph on any vertex set, with the subsets and rejected candidates that
 lie inside it, since each of its candidates is one of the graph's.
+
+A candidate is decided by one diagram component.  The Coxeter group of a
+vertex set is the direct product of the groups of its diagram components
+(Humphreys, *Reflection Groups and Coxeter Groups*, 1990, sections 2.7 and
+6.5), so it is finite exactly when every component is.  When a vertex v is
+added to a spherical set B, the components of B that hold a diagram
+neighbour of v (a label other than 2; every label exists, since the
+candidate is a clique) merge with v into one component, and every other
+component of B is left as it was, finite because B is spherical.  So B + v
+is spherical exactly when that merged component is finite.  A connected
+three-vertex component of a clique is a path, whose third pair has label 2,
+or a triangle, and its type depends only on the multiset of its three
+labels: each path type (A3, B3, H3, ~C2, ~G2) reads the same from either
+end, and a triangle is ~A2 when every label is 3 and indefinite otherwise.
+So the enumeration classifies a three-vertex component once per sorted
+label triple, and a larger one once per vertex set.
 """
 from __future__ import annotations
 
@@ -132,7 +148,8 @@ def _classify_component(
     n = len(verts)
     if n == 1:
         return "A1"
-    comp_edges = {e: m for e, m in edges.items() if e <= set(verts)}
+    inside = set(verts)
+    comp_edges = {e: m for e, m in edges.items() if e <= inside}
     if any(m is INFINITY for m in comp_edges.values()):
         if n == 2 and len(comp_edges) == 1:
             return "~A1"
@@ -229,19 +246,22 @@ def _classify_component(
     return "indefinite"
 
 
+def _kind(names: list[str]) -> str:
+    """The kind of a product of components with these type names."""
+    if any(n == "indefinite" for n in names):
+        return "indefinite"
+    if any(n.startswith("~") for n in names):
+        return "affine"
+    return "finite"
+
+
 def classify_type(graph: DefiningGraph, subset: Iterable[str]) -> CoxeterType:
     verts = sorted(set(subset))
     if not verts:
         return CoxeterType(kind="finite", components=())
     edges = diagram_edges(graph, verts)
     names = sorted(_classify_component(c, edges) for c in _components(verts, edges))
-    if any(n == "indefinite" for n in names):
-        kind = "indefinite"
-    elif any(n.startswith("~") for n in names):
-        kind = "affine"
-    else:
-        kind = "finite"
-    return CoxeterType(kind=kind, components=tuple(names))
+    return CoxeterType(kind=_kind(names), components=tuple(names))
 
 
 def is_spherical(graph: DefiningGraph, subset: Iterable[str]) -> bool:
@@ -275,21 +295,57 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
     hereditary.  A rejected candidate is a non-spherical clique, and one
     exists whenever any clique is not spherical (a minimal one minus its
     largest vertex is spherical), so ``fc`` is "no candidate rejected".
+
+    Each candidate is decided by the one diagram component its new vertex
+    changes (see the module docstring).  The components' verdicts are
+    memoised for this call only.
     """
-    adjacent = {v: set(graph.neighbors(v)) for v in graph.vertices}
+    labels: dict[str, dict[str, int]] = {v: {} for v in graph.vertices}
+    for u, v, m in graph.edges:
+        labels[u][v] = labels[v][u] = m
+    linked = {v: frozenset(w for w, m in labels[v].items() if m != 2) for v in labels}
+    # merged component's verdict, by sorted label triple or by vertex set
+    finite: dict[object, bool] = {}
+
+    def is_finite(comp: frozenset[str]) -> bool:
+        if len(comp) == 3:
+            a, b, c = comp
+            key: object = tuple(sorted((labels[a][b], labels[a][c], labels[b][c])))
+        else:
+            key = comp
+        if key not in finite:
+            verts = sorted(comp)
+            edges = {
+                frozenset((x, y)): labels[x][y]
+                for i, x in enumerate(verts)
+                for y in verts[i + 1 :]
+                if labels[x][y] != 2
+            }
+            finite[key] = _kind([_classify_component(verts, edges)]) == "finite"
+        return finite[key]
+
     out = SphericalSubsets([frozenset()])
-    # (spherical set as a sorted tuple, its common neighbours above its max)
-    level: list[tuple[tuple[str, ...], tuple[str, ...]]] = [((), graph.vertices)]
+    # (spherical set as a sorted tuple, its common neighbours above its max,
+    # its diagram components)
+    level: list[tuple[tuple[str, ...], tuple[str, ...], tuple[frozenset[str], ...]]] = [
+        ((), graph.vertices, ())
+    ]
     while level:
         nxt = []
-        for base, above in level:
+        for base, above, comps in level:
             for i, v in enumerate(above):
                 cand = base + (v,)
-                # cliques of one or two vertices are A1, A1xA1, A2, B2 or I2(m)
-                if len(cand) > 2 and classify_type(graph, cand).kind != "finite":
+                near = linked[v]
+                joined = [c for c in comps if not c.isdisjoint(near)]
+                merged = frozenset((v,)).union(*joined)
+                # one or two clique vertices are A1, A2, B2 or I2(m)
+                if len(merged) > 2 and not is_finite(merged):
                     out.rejected.append(cand)
                     continue
                 out.append(frozenset(cand))
-                nxt.append((cand, tuple(w for w in above[i + 1 :] if w in adjacent[v])))
+                kept = tuple(c for c in comps if c not in joined)
+                nxt.append(
+                    (cand, tuple(w for w in above[i + 1 :] if w in labels[v]), kept + (merged,))
+                )
         level = nxt
     return out

@@ -65,9 +65,11 @@ B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
 finite quotient, zero for an affine one and negative otherwise.  The
 spherical subsets are every vertex subset that ``classify_type`` calls
 finite, and FC type is every clique being spherical, with cliques grown one
-vertex at a time.  A part's classifier flags are worked out on a copy of
-the part's full subgraph: its own enumeration, its own Coxeter type, its
-own edge labels and its own complement.
+vertex at a time.  The rejected cliques are every spherical subset, in that
+order, extended by each larger vertex adjacent to all of it that
+``classify_type`` does not call finite.  A part's classifier flags are
+worked out on a copy of the part's full subgraph: its own enumeration, its
+own Coxeter type, its own edge labels and its own complement.
 
 Helpers the tests share and the package has no use for: parsing a word and
 its syllable length, an instance written back as JSON, a sine ratio as a
@@ -931,6 +933,24 @@ def brute_fc(graph) -> bool:
         frontier = sorted(nxt, key=sorted)
         cliques.extend(frontier)
     return all(coxeter.is_spherical(graph, c) for c in cliques)
+
+
+def brute_rejected(graph) -> list:
+    """The non-spherical cliques the enumeration proposes, in its order:
+    each spherical subset, by size and then lexicographically, extended by
+    every larger vertex adjacent to all of its members, as sorted tuples."""
+    out = []
+    for subset in brute_spherical_subsets(graph):
+        base = tuple(sorted(subset))
+        for v in graph.vertices:
+            if base and v <= base[-1]:
+                continue
+            cand = base + (v,)
+            if all(graph.has_edge(v, u) for u in base) and (
+                coxeter.classify_type(graph, cand).kind != "finite"
+            ):
+                out.append(cand)
+    return out
 
 
 def induced_subgraph(graph, vertices):

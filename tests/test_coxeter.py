@@ -26,6 +26,7 @@ from relartin.defining_graph import (
 from instances import affine_parts_join, random_rel_prime_instance
 from oracles import (
     brute_fc,
+    brute_rejected,
     brute_spherical_subsets,
     cosine_matrix,
     definiteness_oracle,
@@ -213,6 +214,73 @@ def test_spherical_pairs_need_an_edge():
     assert not coxeter.is_spherical(g, ["a", "b", "c"])
 
 
+def test_three_vertex_components_are_typed_by_their_label_multiset():
+    # the enumeration keys a three-vertex component's verdict by its sorted
+    # label triple, so every order of a triple must give one type, and that
+    # type's kind must be the eigenvalue oracle's
+    names = {}
+    for triple in itertools.product(range(2, 9), repeat=3):
+        if triple.count(2) > 1:
+            continue  # no three-vertex diagram component
+        g = coxgraph(3, [(0, 1, triple[0]), (0, 2, triple[1]), (1, 2, triple[2])])
+        name = coxeter._classify_component(
+            list(g.vertices), coxeter.diagram_edges(g, g.vertices)
+        )
+        kind = coxeter._kind([name])
+        assert kind == definiteness_oracle(g, g.vertices).classification, (triple, name)
+        assert names.setdefault(tuple(sorted(triple)), name) == name, triple
+
+
+@pytest.mark.parametrize(
+    "n, diagram, spherical",
+    [
+        # A1 + A2 (v0 | v1-v2), v3 joins both ends: A4 path v0-v3-v1-v2
+        (4, [(1, 2, 3), (0, 3, 3), (1, 3, 3)], True),
+        # three A1, v3 joins all three: D4
+        (4, [(0, 3, 3), (1, 3, 3), (2, 3, 3)], True),
+        # A1 + A2 + A2, v5 joins one end of each: E6 with arms 1, 2, 2
+        (6, [(0, 5, 3), (1, 2, 3), (1, 5, 3), (3, 4, 3), (3, 5, 3)], True),
+        # v2 joins no component: A2 x A1
+        (3, [(0, 1, 3)], True),
+        # A3 path v0-v1-v2, v3 closes the cycle: ~A3
+        (4, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (0, 3, 3)], False),
+        # B3 path 4, 3, v3 extends it with a 4: ~C3
+        (4, [(0, 1, 4), (1, 2, 3), (2, 3, 4)], False),
+        # three A1, v3 joins them with 3, 3, 4: ~B3
+        (4, [(0, 3, 3), (1, 3, 3), (2, 3, 4)], False),
+    ],
+)
+def test_new_vertex_merges_the_components_it_touches(n, diagram, spherical):
+    g = coxgraph(n, diagram)
+    found = coxeter.enumerate_spherical_subsets(g)
+    assert (frozenset(g.vertices) in found) == spherical
+    assert (g.vertices in found.rejected) == (not spherical)
+    assert list(found) == brute_spherical_subsets(g)
+    assert found.rejected == brute_rejected(g)
+
+
+def test_component_verdicts_are_memoised_within_one_call(monkeypatch):
+    # a ~A3 cycle v0-v1-v2-v5 closed by v5, with v3 and v4 commuting with
+    # everything: v5 closes the same cycle over four bases
+    g = coxgraph(6, [(0, 1, 3), (1, 2, 3), (2, 5, 3), (0, 5, 3)])
+    calls = []
+    real = coxeter._classify_component
+
+    def counted(verts, edges):
+        calls.append(tuple(verts))
+        return real(verts, edges)
+
+    monkeypatch.setattr(coxeter, "_classify_component", counted)
+    for _ in range(2):
+        calls.clear()
+        found = coxeter.enumerate_spherical_subsets(g)
+        cycle = [c for c in found.rejected if {"v0", "v1", "v2", "v5"} <= set(c)]
+        assert len(cycle) == 4 and found.rejected == cycle
+        # one path triple, label multiset {2, 3, 3}, and one cycle; counted
+        # afresh on the second call, since the memo lives only in the call
+        assert len(calls) == 2 and ("v0", "v1", "v2", "v5") in calls
+
+
 def test_exhaustive_small_paths_match_oracle():
     for labels in itertools.product(range(2, 7), repeat=3):
         g = coxpath(list(labels))
@@ -249,12 +317,14 @@ def test_spherical_enumeration_and_fc_match_brute_force():
         graphs += [inst.graph] + [induced_subgraph(inst.graph, part) for part in inst.family.parts]
     rng = random.Random(2024)
     graphs += [_random_graph(rng) for _ in range(300)]
+    graphs += [random_rel_prime_instance(random.Random(seed)).graph for seed in range(30)]
     seen = set()
     for g in graphs:
         expected = brute_spherical_subsets(g)
         fc = brute_fc(g)
         found = coxeter.enumerate_spherical_subsets(g)
         assert list(found) == expected, g.edges
+        assert found.rejected == brute_rejected(g), g.edges
         assert found.fc == fc, g.edges
         report = classify_known(g, g.vertices, found)
         assert report.spherical_type == (frozenset(g.vertices) in expected)
