@@ -290,9 +290,41 @@ class DihedralEngine:
         return DihedralElement(k, last if j else None, lengths[:j])
 
     def mult_gen(self, el: DihedralElement, letter: str, sign: int) -> DihedralElement:
-        if sign != 1 and sign != -1:
-            raise ValueError(f"sign must be +-1, got {sign}")
-        return self.mult_power(el, letter, sign)
+        """Right-multiply by letter^sign: ``mult_power`` for n = +-1, its
+        junction repair written out.
+
+        For t, the tail's last simple x either ends with t (or the tail is
+        empty), and t is a new simple; or x t is alternating, one longer
+        simple, or Delta when x has length m - 1.  That Delta migrates left,
+        and the prefix standing before x ends with x's first letter, flipped
+        by tau when m is odd: the other generator either way.
+
+        For t^-1 = Delta^-1 y, y = Delta t^-1 of length m - 1 and ending
+        with the other generator: when x ends with t, x t^-1 drops that
+        letter, leaving the prefix (which ends with t) when x was t alone;
+        otherwise y is left-weighted after the tau-twisted tail and is
+        appended."""
+        other = self._other
+        if letter not in other:
+            raise ValueError(f"unknown generator {letter!r}")
+        k, last, lengths = el
+        if sign == 1:
+            if not lengths or last == letter:
+                return DihedralElement(k, letter, lengths + (1,))
+            length = lengths[-1] + 1
+            if length < self.m:
+                return DihedralElement(k, letter, lengths[:-1] + (length,))
+            head = lengths[:-1]
+            return DihedralElement(k + 1, other[letter] if head else None, head)
+        if sign == -1:
+            if not lengths or last != letter:
+                return DihedralElement(k - 1, other[letter], lengths + (self.m - 1,))
+            length = lengths[-1] - 1
+            if length:
+                return DihedralElement(k, other[letter], lengths[:-1] + (length,))
+            head = lengths[:-1]
+            return DihedralElement(k, letter if head else None, head)
+        raise ValueError(f"sign must be +-1, got {sign}")
 
     # shared with FreeEngine, and assigned rather than inherited so that each
     # class holds its own entry for the benchmark's layer tracer to patch

@@ -15,14 +15,32 @@ k = 2 makes every path even.  So the subdivided graph is bipartite too, a
 uniform link is searched as it is, and a cycle of s unit steps is
 s * g / k units long.
 
-Certification runs every link of an instance.  The empty and single links
-are finite and searched whole.  A link at a T coset (T a part or an
-inter-edge) has an element vertex per element h of A_T and a coset vertex
-per coset h<s>, s a generator of T, joined when h lies in h<s>; every edge
-is the T corner of its triangle, c units.  A cycle alternates the two
-kinds, so a cycle through k coset vertices is 2kc units long and 2pi needs
-k >= 16 / 2c: 4 coset vertices at a part or a disjoint inter-edge (c = 2),
-8 at a non-disjoint inter-edge (c = 1).
+Certification runs every link of an instance.  The empty link is finite
+and searched whole, with a floor of 2pi.  Its upper vertices are the parts
+and inter-edges of S^l, and two of them share at most one singleton,
+because parts are disjoint and an inter-edge joins two parts: so it has no
+4-cycle.  A 6-cycle holds at most one part, and two of its inter-edges meet
+at a singleton, so both are non-disjoint, 3 units at the empty corner: the
+cycle is at least 2*2 + 4*3 = 16 units with a part and 6*3 = 18 without
+one.  Every edge is at least 2 units, so a cycle of 8 or more edges is at
+least 16.  The empty link's girth is therefore at least 16 = 2pi whatever
+the labels, and its search stops at the first root that closes a cycle
+that short, with the length and witness of the search from every root.
+
+A single link, at the cyclic coset of an inter-edge vertex s, is complete
+bipartite: the 2 SINGLE_POWERS + 1 = 7 drawn powers of s against the u
+parts and inter-edges above s, K_(7,u), every edge the {s} corner of 4
+units.  With u >= 2 its girth is 4 edges, 16 units, and with u = 1 it is a
+star, so its entry is read off u, with the witness the search would give,
+and the link is not built.
+
+A link at a T coset (T a part or an inter-edge) has an element vertex per
+element h of A_T and a coset vertex per coset h<s>, s a generator of T,
+joined when h lies in h<s>; every edge is the T corner of its triangle,
+c units.  A cycle alternates the two kinds, so a cycle through k coset
+vertices is 2kc units long and 2pi needs k >= 16 / 2c: 4 coset vertices at
+a part or a disjoint inter-edge (c = 2), 8 at a non-disjoint inter-edge
+(c = 1).
 
 Four coset vertices follow from a lemma, for any part whatever its size or
 labels.  Read a simple cycle h_1, h_1<s_1>, h_2, ..., h_k<s_k>, h_1: then
@@ -59,16 +77,28 @@ syllables s^p t^q, and again t^q would lie in A_{s} ∩ A_{t}.
 The word is trivial exactly when its first k/2 syllables, an a-first
 word, equal the inverse of its last k/2, a word b^x_1 a^x_2 ... that
 starts with b because the last syllable is a b-syllable.  So the search is
-a meet in the middle over the window 0 < |p| <= EXPONENT_RADIUS: one table
+a meet in the middle over the window 0 < |p| <= EXPONENT_RADIUS: one level
 of a-first normal forms, built a syllable at a time from the level before,
 matched against its own image under the automorphism exchanging a and b,
 which fixes Delta and the length of every simple and flips the tail's
-last letter; that image is the table of b-first forms, read with no
-multiplication.  A hit is a FAIL,
-its word the witness cycle; with none the link passes within the window,
-PASS-within-radius.  Exponents outside the window are settled by Appel
-and Schupp (1983): a relator of A_m has at least 2m syllables.  So m = 3
-fails (aba = bab has 6) and m >= 4 passes, which the window confirms.
+last letter; that image is the level of b-first forms, read with no
+multiplication.  A level holds bare normal forms: word i's exponents are
+the base-2N digits of i in window order, N = EXPONENT_RADIUS.  One set
+intersection of the level with its image decides whether any word closes;
+only then is a table of positions built and the exponents decoded.  A hit
+is a FAIL, its word the witness cycle; with none the link passes within
+the window, PASS-within-radius.  Exponents outside the window are settled
+by Appel and Schupp (1983): a relator of A_m has at least 2m syllables.
+So m = 3 fails (aba = bab has 6) and m >= 4 passes, which the window
+confirms.
+
+The powers h t^p of a prefix h are stepped one letter at a time only
+until the product ends with t, for p > 0, or with the other generator,
+for p < 0.  From there on the chain of ``mult_power`` meets the tail with
+nothing to repair: each further t appends a simple of length 1, and each
+further t^-1 = Delta^-1 y lowers the Delta power by one and appends y, of
+length m - 1, which starts with the letter the tau-twisted tail ends
+with.
 """
 from __future__ import annotations
 
@@ -77,13 +107,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .defining_graph import GraphError, Instance, InterEdge
-from .dihedral_garside import DihedralElement, DihedralEngine
+from .dihedral_garside import DihedralEngine
 from .link_builder import (
+    SINGLE_POWERS,
     TWO_PI_UNITS,
     LinkGraph,
     build_link_empty,
-    build_link_single,
     interedge_development,
+    single_shape,
     vertex_label,
 )
 from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, subset_label
@@ -138,10 +169,13 @@ def _check_bipartite(adj: list[list[int]]) -> None:
                     raise GraphError(f"odd cycle through vertex {y}: graph is not bipartite")
 
 
-def _bfs_girth(adj: list[list[int]], roots: list[int]) -> tuple[int, list[int]] | None:
+def _bfs_girth(
+    adj: list[list[int]], roots: list[int], floor: int = 4
+) -> tuple[int, list[int]] | None:
     """Exact girth (edge count) of a simple bipartite graph, with a simple
     witness cycle; raises :class:`GraphError` on a graph that is not
-    bipartite.  The roots must meet every cycle.
+    bipartite.  The roots must meet every cycle, and ``floor`` must be at
+    most the girth: 4, the bipartite minimum, unless the caller proves more.
 
     In a bipartite BFS every edge joins consecutive depths.  So a non-tree
     edge met while expanding depth d either ends at a vertex of depth d + 1
@@ -151,9 +185,10 @@ def _bfs_girth(adj: list[list[int]], roots: list[int]) -> tuple[int, list[int]] 
     common ancestor of its endpoints into a simple cycle of at most 2d + 2
     edges, so nothing later from the same root can be shorter: a root's
     search ends there, or before depth d once 2d + 2 reaches the best length
-    so far, and the root loop ends at 4 edges, the bipartite minimum.  The
-    running best never underestimates and reaches the girth at roots lying
-    on a minimal cycle.
+    so far, and the root loop ends once the best length reaches the floor.
+    The running best never underestimates and reaches the girth at roots
+    lying on a minimal cycle, and the first root to reach the minimum keeps
+    its witness, so a floor at most the girth changes neither.
     """
     _check_bipartite(adj)
     n = len(adj)
@@ -161,7 +196,7 @@ def _bfs_girth(adj: list[list[int]], roots: list[int]) -> tuple[int, list[int]] 
     mark, dist, parent = [-1] * n, [0] * n, [-1] * n
     best: tuple[int, list[int]] | None = None
     for r in roots:
-        if best is not None and best[0] == 4:
+        if best is not None and best[0] <= floor:
             break
         mark[r], dist[r], parent[r] = r, 0, -1
         frontier = [r]
@@ -205,14 +240,18 @@ def _splice(x: int, y: int, parent: list[int], dist: list[int]) -> list[int]:
     return px + py[-2::-1]
 
 
-def _girth_subdivided(link: LinkGraph, weights: set[int]) -> tuple[int, list[int]]:
+def _girth_subdivided(
+    link: LinkGraph, weights: set[int], floor: int | None = None
+) -> tuple[int, list[int]]:
     """Search a link that is not a forest, its edge weights ``weights``,
     with each edge of w units subdivided into k * w / g unit edges (see the
     module docstring); return the length in units and the witness on the
     link's own vertices.  Subdivision vertices are numbered after those and
     have degree 2, so a simple cycle runs through whole paths and is a
     simple cycle of the link.  The roots are the smaller side of the link's
-    own vertices, which every cycle meets."""
+    own vertices, which every cycle meets.  A ``floor`` in units, at most
+    the link's girth, ends the root loop once a cycle that short is found:
+    no cycle has fewer than floor * k / g unit steps, rounded up."""
     if len(weights) > 1 and len(link.edges) > _WEIGHTED_EDGE_LIMIT:
         raise GraphError(
             f"the {link.case} link has {len(link.edges)} edges; the weighted "
@@ -232,14 +271,19 @@ def _girth_subdivided(link: LinkGraph, weights: set[int]) -> tuple[int, list[int
         adj[j].append(x)
     side0 = [i for i in range(n) if link.sides[i] == 0]
     side1 = [i for i in range(n) if link.sides[i] == 1]
-    found = _bfs_girth(adj, side0 if len(side0) <= len(side1) else side1)
+    roots = side0 if len(side0) <= len(side1) else side1
+    if floor is None:
+        found = _bfs_girth(adj, roots)
+    else:
+        found = _bfs_girth(adj, roots, -(-floor * k // g))
     assert found is not None, "a link that is not a forest has a cycle"
     steps, cycle = found
     return steps * g // k, [v for v in cycle if v < n]
 
 
-def shortest_embedded_cycle(link: LinkGraph) -> CycleCertificate:
-    """Exact minimum-length simple cycle of a link graph."""
+def shortest_embedded_cycle(link: LinkGraph, floor: int | None = None) -> CycleCertificate:
+    """Exact minimum-length simple cycle of a link graph.  A ``floor`` in
+    units must be at most the link's girth (see :func:`_girth_subdivided`)."""
     complete = link.truncation.complete and not link.truncation.truncated
     if _is_forest(link.vertex_count, link.edges):
         return CycleCertificate(
@@ -250,7 +294,7 @@ def shortest_embedded_cycle(link: LinkGraph) -> CycleCertificate:
             complete=complete,
             note="acyclic",
         )
-    length, cycle = _girth_subdivided(link, {w for _, _, w in link.edges})
+    length, cycle = _girth_subdivided(link, {w for _, _, w in link.edges}, floor)
     _verify_cycle(link, cycle, length)
     return CycleCertificate(
         passes=length >= TWO_PI_UNITS,
@@ -330,6 +374,48 @@ def _stats(link: LinkGraph) -> dict:
     }
 
 
+def _single_entry(inst: Instance, s: str) -> LinkCertificate:
+    """The entry of the link of the cyclic coset at s, read off its shape
+    without building it: K_(n,u), n drawn powers against u parts and
+    inter-edges, every edge of one {s}-corner length w.  With u >= 2 its
+    girth is 4 edges, 4w units, and the witness is the one the search of
+    the built link returns: rooted at the first vertex r_0 of the smaller
+    side r (the powers on a tie), it first closes r_1, q_0, r_0, q_1 through
+    the first two vertices of the other side q.  With u = 1 it is a star."""
+    shape = single_shape(inst, s)
+    powers, uppers = shape.powers, [label for _, label, _ in shape.uppers]
+    units = {w for _, _, w in shape.uppers}
+    if len(units) != 1:
+        raise AssertionError(f"the single link at {s} mixes edge lengths {sorted(units)}")
+    if len(uppers) < 2:
+        cert = CycleCertificate(
+            passes=True,
+            length_units=None,
+            edge_count=None,
+            cycle=[],
+            complete=True,
+            note="acyclic",
+        )
+    else:
+        r, q = (powers, uppers) if len(powers) <= len(uppers) else (uppers, powers)
+        length = 4 * units.pop()
+        cert = CycleCertificate(
+            passes=length >= TWO_PI_UNITS,
+            length_units=length,
+            edge_count=4,
+            cycle=[q[1], r[0], q[0], r[1]],
+            complete=True,
+        )
+    stats = {
+        "vertices": len(powers) + len(uppers),
+        "edges": len(powers) * len(uppers),
+        "requested_radius": SINGLE_POWERS,
+        "achieved_radius": None,
+        "truncated": False,
+    }
+    return LinkCertificate("single", shape.descriptor, _status(cert), cert, [s], stats)
+
+
 # the fewest coset vertices a cycle of a link at a T coset can pass
 # through, by the lemma of the module docstring
 LEMMA_COSETS = 4
@@ -382,38 +468,64 @@ def _syllable_search(
     exponents of every trivial word of that count, sorted by the window
     order of their exponents, which puts smaller exponents first and each
     positive one before its negative; and the number of normal forms
-    hashed.  ``level`` holds the a-first words of one syllable count, each
-    with its normal form.
+    hashed.  ``level`` holds the normal forms of the a-first words of one
+    syllable count and nothing else: word i's exponents are the base-2N
+    digits of i, N = EXPONENT_RADIUS, read in window order.  The powers of
+    each prefix are stepped by one letter until they reach the steady state
+    of the module docstring, then extended with no multiplication; those
+    are plain tuples, which equal and hash as the named tuples do.
     """
-    window = [p for n in range(1, EXPONENT_RADIUS + 1) for p in (n, -n)]
+    radius = EXPONENT_RADIUS
+    window = [p for n in range(1, radius + 1) for p in (n, -n)]
     rank = {p: i for i, p in enumerate(window)}
     a, b = engine.generators
     # None, the last letter of an empty tail, maps to itself
     other = {a: b, b: a, None: None}
-    level: list[tuple[tuple[int, ...], DihedralElement]] = [((), engine.identity)]
+    mult_gen, inverse = engine.mult_gen, (engine.m - 1,)
+    level: list[tuple] = [engine.identity]
+    depth = 0  # the syllables of each word of the level
     searched: list[int] = []
     hits: list[tuple[int, ...]] = []
     words = 0
     for k in counts:
-        while len(level[0][0]) < k // 2:
-            g = b if len(level[0][0]) % 2 else a
-            level = [
-                (exps + (p,), engine.mult_power(el, g, p)) for exps, el in level for p in window
-            ]
-        table: dict[DihedralElement, list[tuple[int, ...]]] = {}
-        for exps, el in level:
-            table.setdefault(el, []).append(exps)
+        while depth < k // 2:
+            g = b if depth % 2 else a
+            h = other[g]
+            nxt: list[tuple] = []
+            push = nxt.append
+            for el in level:
+                x = y = el
+                for _ in range(radius):
+                    x = (x[0], g, x[2] + (1,)) if x[1] == g else mult_gen(x, g, 1)
+                    push(x)
+                    y = (y[0] - 1, h, y[2] + inverse) if y[1] == h else mult_gen(y, g, -1)
+                    push(y)
+            level = nxt
+            depth += 1
         words += len(level)
         searched.append(k)
-        for exps, el in level:
-            # el swapped is the normal form of b^x_1 a^x_2 ... for exps = x,
-            # and each a-first word equal to it closes with its inverse
-            lefts = table.get((el.k, other[el.last], el.lengths))
+        # el swapped is the normal form of b^x_1 a^x_2 ... for the exponents
+        # x of el, and each a-first word equal to it closes with its inverse
+        ks, lasts, lengths = zip(*level)
+        if set(level).isdisjoint(zip(ks, map(other.__getitem__, lasts), lengths)):
+            continue
+        table: dict[tuple, list[int]] = {}
+        for i, el in enumerate(level):
+            table.setdefault(el, []).append(i)
+
+        def exponents(i: int) -> tuple[int, ...]:
+            digits = []
+            for _ in range(depth):
+                i, d = divmod(i, 2 * radius)
+                digits.append(window[d])
+            return tuple(reversed(digits))
+
+        for i, (el_k, last, el_lengths) in enumerate(level):
+            lefts = table.get((el_k, other[last], el_lengths))
             if lefts:
-                right = tuple(-p for p in reversed(exps))
-                hits += [left + right for left in lefts]
-        if hits:
-            break
+                right = tuple(-p for p in reversed(exponents(i)))
+                hits += [exponents(j) + right for j in lefts]
+        break
     hits.sort(key=lambda w: [rank[p] for p in w])
     return searched, hits, words
 
@@ -473,24 +585,23 @@ def _window_entry(inst: Instance, case: str, group: list[InterEdge]) -> LinkCert
 
 
 def certify_link_condition(inst: Instance) -> CertificationReport:
-    """Run every link of the instance through the cycle search, the coset
-    lemma where 2pi needs at most LEMMA_COSETS coset vertices, or the
-    syllable search.
+    """Run every link of the instance through the cycle search (the empty
+    link), its closed form (the single links), the coset lemma where 2pi
+    needs at most LEMMA_COSETS coset vertices, or the syllable search.
 
     Finite links give PASS-complete.  Part links and disjoint inter-edge
     links give PASS-lemma, one entry per case listing every member.
     Non-disjoint inter-edges are searched once per label, in the exponent
     window, and give PASS-within-radius or a FAIL with its witness cycle.
     """
-    entries: list[LinkCertificate] = []
-
-    def searched(link: LinkGraph, members: list[str]) -> LinkCertificate:
-        cert = shortest_embedded_cycle(link)
-        return LinkCertificate(link.case, link.descriptor, _status(cert), cert, members, _stats(link))
-
-    entries.append(searched(build_link_empty(inst), ["[1]"]))
-    for s in sorted(inst.inter_edges_at):
-        entries.append(searched(build_link_single(inst, s), [s]))
+    # the empty link has girth at least 2pi, by the lemma of the module
+    # docstring, so its search stops at the first cycle that short
+    empty = build_link_empty(inst)
+    cert = shortest_embedded_cycle(empty, TWO_PI_UNITS)
+    entries = [
+        LinkCertificate(empty.case, empty.descriptor, _status(cert), cert, ["[1]"], _stats(empty))
+    ]
+    entries += [_single_entry(inst, s) for s in sorted(inst.inter_edges_at)]
 
     lemma = {"part": [subset_label(frozenset(p)) for p in inst.family.parts]}
     classes: dict[tuple[int, str], list[InterEdge]] = {}

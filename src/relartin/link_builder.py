@@ -176,45 +176,60 @@ def build_link_empty(inst: Instance) -> LinkGraph:
 SINGLE_POWERS = 3
 
 
+@dataclass(frozen=True)
+class SingleShape:
+    """The make-up of the link of the cyclic coset at an inter-edge vertex
+    s: complete bipartite between the drawn powers of s and the parts and
+    inter-edges above s, each edge the {s} corner of its triangle."""
+
+    descriptor: str
+    powers: list[str]  # the labels of s^k, |k| <= SINGLE_POWERS
+    uppers: list[tuple[str, str, int]]  # (kind, label, units) above s
+
+
+def single_shape(inst: Instance, s: str) -> SingleShape:
+    """The make-up of the single link at s; raises :class:`GraphError` when
+    s is not an inter-edge vertex."""
+    ies = inst.inter_edges_at.get(s)
+    if not ies:
+        raise GraphError(f"{s!r} is not an inter-edge vertex")
+    part = frozenset(inst.family.parts[inst.family.part_index(s)])
+    uppers = []
+    if part != frozenset((s,)):
+        uppers.append(("part", subset_label(part), TRIANGLE_UNITS["part"][1]))
+    uppers.extend(
+        ("inter-edge", subset_label(e.pair), TRIANGLE_UNITS[INTEREDGE_CASE[inst.disjoint[e.pair]]][1])
+        for e in ies
+    )
+    return SingleShape(
+        descriptor=f"link of the cyclic coset at {s}",
+        powers=[f"{s}^{k}" for k in range(-SINGLE_POWERS, SINGLE_POWERS + 1)],
+        uppers=uppers,
+    )
+
+
 def build_link_single(inst: Instance, s: str) -> LinkGraph:
-    """Link of the cyclic subgroup coset at inter-edge vertex s: complete
-    bipartite, each edge the {s} corner of its triangle.
+    """Link of the cyclic subgroup coset at inter-edge vertex s (see
+    :func:`single_shape`).
 
     Only powers s^k with |k| <= SINGLE_POWERS are drawn.  Extra powers
     attach by the same complete-bipartite rule, so the minimal cycle (4
     edges when both sides have two vertices, none otherwise) is already
     exact; the graph is marked complete.
     """
-    ies = inst.inter_edges_at.get(s)
-    if not ies:
-        raise GraphError(f"{s!r} is not an inter-edge vertex")
-    part = frozenset(inst.family.parts[inst.family.part_index(s)])
-    # (kind, subset, TRIANGLE_UNITS key) of each part or inter-edge above s
-    uppers: list[tuple[str, frozenset, str]] = []
-    if part != frozenset((s,)):
-        uppers.append(("part", part, "part"))
-    uppers.extend(("inter-edge", e.pair, INTEREDGE_CASE[inst.disjoint[e.pair]]) for e in ies)
-    kinds, labels, sides = [], [], []
-    for k in range(-SINGLE_POWERS, SINGLE_POWERS + 1):
-        kinds.append("power")
-        labels.append(f"{s}^{k}")
-        sides.append(0)
-    for kind, t, _ in uppers:
-        kinds.append(kind)
-        labels.append(subset_label(t))
-        sides.append(1)
-    n_powers = 2 * SINGLE_POWERS + 1
+    shape = single_shape(inst, s)
+    n_powers = len(shape.powers)
     edges = [
-        (i, n_powers + j, TRIANGLE_UNITS[case][1])
+        (i, n_powers + j, units)
         for i in range(n_powers)
-        for j, (_, _, case) in enumerate(uppers)
+        for j, (_, _, units) in enumerate(shape.uppers)
     ]
     link = LinkGraph(
         case="single",
-        descriptor=f"link of the cyclic coset at {s}",
-        vertex_kinds=kinds,
-        vertex_labels=labels,
-        sides=sides,
+        descriptor=shape.descriptor,
+        vertex_kinds=["power"] * n_powers + [kind for kind, _, _ in shape.uppers],
+        vertex_labels=shape.powers + [label for _, label, _ in shape.uppers],
+        sides=[0] * n_powers + [1] * len(shape.uppers),
         edges=edges,
         truncation=TruncationInfo(complete=True, requested_radius=SINGLE_POWERS),
     )

@@ -58,7 +58,9 @@ Certification: each non-disjoint inter-edge developed alone at radius 8m
 and cap 4000 and searched, with no development shared between links of
 one label.  The syllable search: every cyclic word of each syllable count
 multiplied out in full and compared with the identity, with no table and
-no use of the automorphism exchanging the generators.
+no use of the automorphism exchanging the generators; and the search as it
+was first written, a table of (exponents, normal form) pairs built with
+``mult_power`` a syllable at a time and matched pair by pair.
 
 Coxeter types: the smallest eigenvalue of the cosine matrix
 B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
@@ -853,6 +855,39 @@ def brute_syllable_relations(engine, radius: int, counts=(4, 6)):
         if hits:
             return k, hits
     return None
+
+
+def reference_syllable_search(engine, radius: int, counts=(4, 6)):
+    """``girth_checker._syllable_search`` at this exponent radius, each
+    a-first word kept with its exponent tuple and multiplied with
+    ``mult_power``, every level entry looked up in a table keyed by normal
+    form for its image under the exchange of the generators."""
+    window = [p for n in range(1, radius + 1) for p in (n, -n)]
+    rank = {p: i for i, p in enumerate(window)}
+    a, b = engine.generators
+    other = {a: b, b: a, None: None}
+    level = [((), engine.identity)]
+    searched, hits, words = [], [], 0
+    for k in counts:
+        while len(level[0][0]) < k // 2:
+            g = b if len(level[0][0]) % 2 else a
+            level = [
+                (exps + (p,), engine.mult_power(el, g, p)) for exps, el in level for p in window
+            ]
+        table = {}
+        for exps, el in level:
+            table.setdefault(el, []).append(exps)
+        words += len(level)
+        searched.append(k)
+        for exps, el in level:
+            lefts = table.get((el.k, other[el.last], el.lengths))
+            if lefts:
+                right = tuple(-p for p in reversed(exps))
+                hits += [left + right for left in lefts]
+        if hits:
+            break
+    hits.sort(key=lambda w: [rank[p] for p in w])
+    return searched, hits, words
 
 
 # ---------------------------------------------------------- coxeter

@@ -258,6 +258,28 @@ def test_coset_rep_is_canonical():
                 assert ctx.coset_key(shifted, gen) == key
 
 
+def test_mult_gen_is_mult_power_by_one_letter():
+    # the written-out unit step against the one-pass power, on every
+    # element of the balls that developments enumerate
+    products = 0
+    for m in range(2, 9):
+        for gens in (("a", "b"), ("b", "a")):
+            eng = DihedralEngine(*gens, m)
+            levels, _, _ = eng.ball_levels(8 * m, 4000)
+            for el in (el for level in levels for el in level):
+                for g in gens:
+                    for sign in (1, -1):
+                        assert eng.mult_gen(el, g, sign) == eng.mult_power(el, g, sign), (
+                            m, gens, el, g, sign,
+                        )
+                        products += 1
+    assert products > 100000
+    with pytest.raises(ValueError, match="unknown generator"):
+        eng.mult_gen(eng.identity, "c", 1)
+    with pytest.raises(ValueError, match="sign must be"):
+        eng.mult_gen(eng.identity, "a", 2)
+
+
 def test_mult_power_matches_letter_by_letter_oracle():
     # one-pass powers, single inverse letters and coset representatives
     # against the per-atom products they replace, m = 2..8

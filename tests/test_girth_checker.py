@@ -45,6 +45,7 @@ from oracles import (
     independent_certification,
     per_edge_dijkstra_girth,
     quotient_equal,
+    reference_syllable_search,
 )
 
 
@@ -576,6 +577,63 @@ def test_syllable_search_matches_brute_force(monkeypatch):
                 assert words == sum((2 * n) ** (k // 2) for k in searched)
                 firsts.add(want and (want[0], want[1][0]))
     assert firsts == {(4, (1, 1, -1, -1)), (6, (1, 1, 1, -1, -1, -1)), None}
+
+
+def test_syllable_search_matches_the_reference_search():
+    # the level of bare normal forms, its exponents read off the word's
+    # index, against the table of exponent tuples at the shipped radius;
+    # m = 4 first has hits at 8 syllables (120 words), past the m = 2 and 3
+    # hit paths
+    radius = girth_checker.EXPONENT_RADIUS
+    assert radius == 8
+    cases = [(m, (4, 6)) for m in (*range(2, 13), 20)]
+    cases += [(m, (4, 6, 8)) for m in range(2, 5)]
+    for m, counts in cases:
+        for gens in (("a", "b"), ("b", "a")):
+            engine = DihedralEngine(*gens, m)
+            got = girth_checker._syllable_search(engine, counts)
+            assert got == reference_syllable_search(engine, radius, counts), (m, gens, counts)
+            if (m, counts) == (4, (4, 6, 8)):
+                assert (got[0], len(got[1])) == ([4, 6, 8], 120)
+
+
+def test_finite_entries_match_the_full_depth_search(monkeypatch):
+    # the empty link searched with the 2pi floor and the single links read
+    # off in closed form, against each built link searched from every root
+    # by the reference search: the same entry, field for field
+    instances = [random_rel_prime_instance(random.Random(seed)) for seed in range(30)]
+    instances += [affine_parts_join(), touching_triple_control()]
+    # a vertex of a 2-vertex part joined to 5, 6 and 7 singleton parts: 6,
+    # 7 and 8 vertices above it, on either side of the 7 drawn powers
+    for spokes in (5, 6, 7):
+        leaves = [f"x{i}" for i in range(spokes)]
+        g = DefiningGraph.build(["s", "t", *leaves], [("s", "t", 2)] + [("s", x, 4) for x in leaves])
+        instances.append(Instance(g, SubgraphFamily.build(g, [["s", "t"]] + [[x] for x in leaves])))
+    got = [
+        [e for e in certify_link_condition(inst).entries if e.case in ("empty", "single")]
+        for inst in instances
+    ]
+    monkeypatch.setattr(girth_checker, "_bfs_girth", full_depth_bfs_girth)
+    seen = set()
+    for inst, entries in zip(instances, got):
+        links = [(build_link_empty(inst), ["[1]"])]
+        links += [(build_link_single(inst, s), [s]) for s in sorted(inst.inter_edges_at)]
+        want = []
+        for link, members in links:
+            cert = shortest_embedded_cycle(link)
+            want.append(
+                girth_checker.LinkCertificate(
+                    link.case,
+                    link.descriptor,
+                    girth_checker._status(cert),
+                    cert,
+                    members,
+                    girth_checker._stats(link),
+                )
+            )
+            seen.add((link.case, cert.note))
+        assert entries == want
+    assert seen == {(case, note) for case in ("empty", "single") for note in ("", "acyclic")}
 
 
 def test_every_hit_in_the_window_is_a_checked_cycle():
