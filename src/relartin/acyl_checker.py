@@ -217,8 +217,9 @@ def _free_product(reason: str) -> AcylVerdict:
     )
 
 
-def check_hypotheses(inst: Instance) -> AcylVerdict:
-    """Decide which route applies, before any witness search."""
+def check_hypotheses(inst: Instance) -> AcylVerdict | None:
+    """Decide which route applies, before any witness search: the verdict
+    when the hypotheses settle it, None when the witness route applies."""
     if len(inst.family.parts) < 2:
         return _inapplicable("the family must contain at least two parts")
     ies = inst.inter_edges
@@ -230,16 +231,13 @@ def check_hypotheses(inst: Instance) -> AcylVerdict:
         return _inapplicable("the witness route needs at least three generators")
     if all(e.label == 2 for e in ies):
         return _inapplicable("every inter-edge has label 2, no witness edge exists")
-    verdict = _inapplicable("hypotheses pass")
-    verdict.ok = True
-    verdict.status = "hypotheses-pass"
-    return verdict
+    return None
 
 
 def check_acylindricity(inst: Instance) -> AcylVerdict:
     """Full pipeline: hypotheses, witness triple, rank 3 checks."""
     gate = check_hypotheses(inst)
-    if gate.status != "hypotheses-pass":
+    if gate is not None:
         return gate
     found = find_witness(inst)
     if found is None:

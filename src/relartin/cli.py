@@ -31,7 +31,6 @@ from .link_builder import develop_link_interedge, develop_link_part
 from .poset_complex import (
     assign_metric,
     build_S_bar,
-    build_S_f,
     check_gluing,
     check_two_dimensional,
     derived_complex,
@@ -207,7 +206,6 @@ def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
 
 def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
     s_ell = inst.s_ell
-    s_f = build_S_f(inst)
     s_bar = build_S_bar(inst)
     cx_ell = derived_complex(s_ell)
     dim = check_two_dimensional(s_ell)
@@ -217,7 +215,7 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
         return 0 if dim.ok and gluing.ok else 2
     doc = {
         "S_ell": s_ell.to_json_dict(),
-        "S_f_size": len(s_f.elements),
+        "S_f_size": len(inst.spherical),
         "S_bar_size": len(s_bar.elements),
         "complex_S_ell": cx_ell.to_json_dict(),
         "complex_S_bar_chain_count": s_bar.chain_count(),

@@ -14,12 +14,10 @@ that letter (None when r = 0) and the lengths.  Pairwise
 left-weightedness characterises the normal form, so multiplying by one
 letter needs only a local repair at the right end, with Delta powers
 migrating left through tau (the atom swap when m is odd, identity when m is
-even).  tau, and the automorphism exchanging a and b, which fixes Delta,
-keep every length and flip the last letter.  A whole power t^n is
-multiplied in one pass: t^n is itself a left-weighted chain after its
-Delta power (n atoms t, or for n < 0 the tau-twisted copies of Delta
-t^-1), so the only repair is the Delta-fill cascade where the tail meets
-the chain, O(|tail| + |n|) steps.
+even).  A whole power t^n is multiplied in one pass: t^n is itself a
+left-weighted chain after its Delta power (n atoms t, or for n < 0 the
+tau-twisted copies of Delta t^-1), so the only repair is the Delta-fill
+cascade where the tail meets the chain, O(|tail| + |n|) steps.
 
 Equality of words is equality of normal forms.  The exponent-sum
 homomorphism eps (every generator to 1) reads off normal forms as
@@ -29,9 +27,7 @@ element with eps = 0, which serves as its canonical representative.
 Elements are ``DihedralElement`` named tuples (k, last, lengths), not
 dataclasses: development puts every element into sets and dicts, and a
 tuple hashes and compares in C where a dataclass goes through its Python
-``__hash__`` and ``__eq__``.  A named tuple equals the plain tuple of its
-fields, so the syllable search looks up an image as (k, flipped letter,
-lengths) without building one.
+``__hash__`` and ``__eq__``.
 
 Two word-problem engines share one small interface used by link
 development (identity, generators, mult_gen, mult_word, sort_key,

@@ -59,53 +59,37 @@ neither can happen, and every cycle passes through at least 4 coset
 vertices, 8 edges.  Those links get the status PASS-lemma and no
 development; the m = 2 link (Z^2, the commutator) meets the bound exactly.
 
-A non-disjoint inter-edge link needs 8 coset vertices, beyond the lemma,
-and is searched instead, once per label m.  Its T = {a, b} has two
-generators, so the generators of a cycle alternate and k is even: only
-the even k from LEMMA_COSETS up to the number needed remain, k = 4 and
-k = 6.  Rotated to start at an a-coset and translated to start at 1, such
-a cycle is a trivial word a^p_1 b^q_1 ... of k syllables, all exponents
-nonzero, in the dihedral Artin group A_m.  Conversely such a word with
-k = 4 or 6 reads as a simple cycle h_0 = 1, h_0<a>, h_1, h_1<b>, ..., h_i
+A non-disjoint inter-edge link needs 8 coset vertices, beyond that lemma,
+and is decided by a second one, once per label m: its shortest cycle passes
+through exactly 2m coset vertices.  Its T = {a, b} has two generators, so
+the generators of a cycle alternate and k is even.  Rotated to start at an
+a-coset and translated to start at 1, such a cycle is a trivial word
+a^p_1 b^q_1 ... of k syllables, all exponents nonzero, in the dihedral
+Artin group A_m.  In the two directions:
+
+  * Appel and Schupp (1983): a trivial cyclic word of k alternating
+    syllables in A_m has k >= 2m, so for m >= 4 every cycle passes
+    through at least 8 coset vertices, and the class gets the status
+    PASS-lemma;
+  * the relator prod(a,b;m) prod(b,a;m)^-1, exponents m ones and then m
+    minus ones, has exactly 2m syllables, so for m = 2 and m = 3 it is a
+    cycle of 4m < 16 units, the class's FAIL witness.
+
+For m = 2 and 3 the relator has k = 4 or 6 syllables, and any trivial
+word of 4 or 6 syllables reads as a simple cycle h_0 = 1, h_0<a>, h_1, h_1<b>, ..., h_i
 the product of its first i syllables.  A repeated element would split the
 word into two trivial words, one of 1 to 3 syllables; s^p is not trivial,
 and s^p t^q or s^p t^q s^r trivial would put t^q != 1 in
 A_{s} ∩ A_{t} = 1.  A repeated coset h_i<s> = h_j<s> would put the word
 between them, and the rest of the cycle, into <s>; one of the two has 2
-syllables s^p t^q, and again t^q would lie in A_{s} ∩ A_{t}.
-
-The word is trivial exactly when its first k/2 syllables, an a-first
-word, equal the inverse of its last k/2, a word b^x_1 a^x_2 ... that
-starts with b because the last syllable is a b-syllable.  So the search is
-a meet in the middle over the window 0 < |p| <= EXPONENT_RADIUS: one level
-of a-first normal forms, built a syllable at a time from the level before,
-matched against its own image under the automorphism exchanging a and b,
-which fixes Delta and the length of every simple and flips the tail's
-last letter; that image is the level of b-first forms, read with no
-multiplication.  A level holds bare normal forms: word i's exponents are
-the base-2N digits of i in window order, N = EXPONENT_RADIUS.  One set
-intersection of the level with its image decides whether any word closes;
-only then is a table of positions built and the exponents decoded.  A hit
-is a FAIL, its word the witness cycle; with none the link passes within
-the window, PASS-within-radius.  Exponents outside the window are settled
-by Appel and Schupp (1983): a relator of A_m has at least 2m syllables.
-So m = 3 fails (aba = bab has 6) and m >= 4 passes, which the window
-confirms.
-
-The powers h t^p of a prefix h are stepped one letter at a time only
-until the product ends with t, for p > 0, or with the other generator,
-for p < 0.  From there on the chain of ``mult_power`` meets the tail with
-nothing to repair: each further t appends a simple of length 1, and each
-further t^-1 = Delta^-1 y lowers the Delta power by one and appends y, of
-length m - 1, which starts with the letter the tau-twisted tail ends
-with.
+syllables s^p t^q, and again t^q would lie in A_{s} ∩ A_{t}.  The witness
+is checked all the same: its word multiplies out to 1, and its elements
+and cosets are distinct.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 from .defining_graph import GraphError, Instance, InterEdge
 from .dihedral_garside import DihedralEngine
 from .link_builder import (
@@ -343,7 +327,9 @@ def _verify_cycle(link: LinkGraph, cycle: list[int], claimed_length: int) -> Non
 class LinkCertificate:
     case: str
     descriptor: str
-    status: str  # PASS-complete | PASS-within-radius | PASS-lemma | FAIL
+    # PASS-complete | PASS-lemma | FAIL; the PASS-within-radius of _status,
+    # a truncated link that passes, is met only by the tests' developments
+    status: str
     certificate: CycleCertificate | None
     members: list[str]
     stats: dict
@@ -416,9 +402,18 @@ def _single_entry(inst: Instance, s: str) -> LinkCertificate:
     return LinkCertificate("single", shape.descriptor, _status(cert), cert, [s], stats)
 
 
-# the fewest coset vertices a cycle of a link at a T coset can pass
-# through, by the lemma of the module docstring
+# the fewest coset vertices a cycle of a part or disjoint inter-edge link
+# passes through, by the first lemma of the module docstring
 LEMMA_COSETS = 4
+_VAN_DER_LEK = (
+    "no cycle through 2 or 3 coset vertices: standard parabolic "
+    "subgroups A_X and A_Y intersect in A_(X cap Y) (van der Lek)"
+)
+_APPEL_SCHUPP = (
+    "no cycle through fewer than 2m coset vertices, and the relator "
+    "prod(a,b;m) prod(b,a;m)^-1 closes one through 2m: a trivial cyclic word "
+    "of alternating syllables in A_m has at least 2m (Appel-Schupp)"
+)
 
 
 def _cosets_needed(case: str) -> int:
@@ -427,107 +422,34 @@ def _cosets_needed(case: str) -> int:
     return -(-TWO_PI_UNITS // (2 * TRIANGLE_UNITS[case][2]))
 
 
-def _lemma_entry(case: str, members: list[str]) -> LinkCertificate:
-    """The entry of every link of one TRIANGLE_UNITS case that the coset
-    lemma certifies."""
+def _lemma_entry(
+    case: str,
+    descriptor: str,
+    members: list[str],
+    cosets: int,
+    note: str,
+    witness: list[str] | None = None,
+) -> LinkCertificate:
+    """The entry of every link of one TRIANGLE_UNITS case whose cycles pass
+    through at least ``cosets`` coset vertices, by the lemma that ``note``
+    names: PASS-lemma when 2pi needs no more, and otherwise a FAIL whose
+    ``witness`` is a cycle through exactly that many."""
     needed = _cosets_needed(case)
-    if needed > LEMMA_COSETS:
-        raise AssertionError(
-            f"{case} links need {needed} coset vertices; the lemma gives {LEMMA_COSETS}"
-        )
-    part = case == "part"
-    return LinkCertificate(
-        case="part" if part else "inter-edge",
-        descriptor=f"links of the {'part' if part else 'disjoint inter-edge'} cosets",
-        status="PASS-lemma",
-        certificate=None,
-        members=members,
-        stats={
-            "cosets_needed": needed,
-            "units": TRIANGLE_UNITS[case][2],
-            "note": (
-                "no cycle through 2 or 3 coset vertices: standard parabolic "
-                "subgroups A_X and A_Y intersect in A_(X cap Y) (van der Lek)"
-            ),
-        },
+    units = TRIANGLE_UNITS[case][2]
+    stats = {"cosets_needed": needed, "units": units, "note": note}
+    kind = "part" if case == "part" else "inter-edge"
+    if cosets >= needed:
+        return LinkCertificate(kind, descriptor, "PASS-lemma", None, members, stats)
+    if witness is None or len(witness) != 2 * cosets:
+        raise AssertionError(f"{case} links need {needed} coset vertices; the lemma gives {cosets}")
+    cert = CycleCertificate(
+        passes=False,
+        length_units=len(witness) * units,
+        edge_count=len(witness),
+        cycle=witness,
+        complete=False,
     )
-
-
-# every exponent of a searched syllable word satisfies 0 < |p| <= EXPONENT_RADIUS
-EXPONENT_RADIUS = 8
-
-
-def _syllable_search(
-    engine: DihedralEngine, counts: Iterable[int]
-) -> tuple[list[int], list[tuple[int, ...]], int]:
-    """Search the cyclic words a^p_1 b^q_1 ... of each even syllable count
-    in ``counts``, a and b the engine's generators and every exponent in the
-    window, for trivial ones (see the module docstring).
-
-    Returns the counts searched, which stop at the first with a hit; the
-    exponents of every trivial word of that count, sorted by the window
-    order of their exponents, which puts smaller exponents first and each
-    positive one before its negative; and the number of normal forms
-    hashed.  ``level`` holds the normal forms of the a-first words of one
-    syllable count and nothing else: word i's exponents are the base-2N
-    digits of i, N = EXPONENT_RADIUS, read in window order.  The powers of
-    each prefix are stepped by one letter until they reach the steady state
-    of the module docstring, then extended with no multiplication; those
-    are plain tuples, which equal and hash as the named tuples do.
-    """
-    radius = EXPONENT_RADIUS
-    window = [p for n in range(1, radius + 1) for p in (n, -n)]
-    rank = {p: i for i, p in enumerate(window)}
-    a, b = engine.generators
-    # None, the last letter of an empty tail, maps to itself
-    other = {a: b, b: a, None: None}
-    mult_gen, inverse = engine.mult_gen, (engine.m - 1,)
-    level: list[tuple] = [engine.identity]
-    depth = 0  # the syllables of each word of the level
-    searched: list[int] = []
-    hits: list[tuple[int, ...]] = []
-    words = 0
-    for k in counts:
-        while depth < k // 2:
-            g = b if depth % 2 else a
-            h = other[g]
-            nxt: list[tuple] = []
-            push = nxt.append
-            for el in level:
-                x = y = el
-                for _ in range(radius):
-                    x = (x[0], g, x[2] + (1,)) if x[1] == g else mult_gen(x, g, 1)
-                    push(x)
-                    y = (y[0] - 1, h, y[2] + inverse) if y[1] == h else mult_gen(y, g, -1)
-                    push(y)
-            level = nxt
-            depth += 1
-        words += len(level)
-        searched.append(k)
-        # el swapped is the normal form of b^x_1 a^x_2 ... for the exponents
-        # x of el, and each a-first word equal to it closes with its inverse
-        ks, lasts, lengths = zip(*level)
-        if set(level).isdisjoint(zip(ks, map(other.__getitem__, lasts), lengths)):
-            continue
-        table: dict[tuple, list[int]] = {}
-        for i, el in enumerate(level):
-            table.setdefault(el, []).append(i)
-
-        def exponents(i: int) -> tuple[int, ...]:
-            digits = []
-            for _ in range(depth):
-                i, d = divmod(i, 2 * radius)
-                digits.append(window[d])
-            return tuple(reversed(digits))
-
-        for i, (el_k, last, el_lengths) in enumerate(level):
-            lefts = table.get((el_k, other[last], el_lengths))
-            if lefts:
-                right = tuple(-p for p in reversed(exponents(i)))
-                hits += [exponents(j) + right for j in lefts]
-        break
-    hits.sort(key=lambda w: [rank[p] for p in w])
-    return searched, hits, words
+    return LinkCertificate(kind, descriptor, "FAIL", cert, members, stats)
 
 
 def _relation_cycle(engine: DihedralEngine, exponents: tuple[int, ...]) -> list[str]:
@@ -555,44 +477,29 @@ def _relation_cycle(engine: DihedralEngine, exponents: tuple[int, ...]) -> list[
     return cycle
 
 
-def _window_entry(inst: Instance, case: str, group: list[InterEdge]) -> LinkCertificate:
-    """The entry of one label class of inter-edge links of this
-    TRIANGLE_UNITS case, by the syllable search of the module docstring."""
+def _relator_entry(inst: Instance, group: list[InterEdge]) -> LinkCertificate:
+    """The entry of one label class of non-disjoint inter-edge links, by
+    the relator lemma of the module docstring: a cycle through 2m coset
+    vertices, read off the relator when that is too few for 2pi."""
     dev = interedge_development(inst, group[0])
-    needed = _cosets_needed(case)
-    counts = range(LEMMA_COSETS + LEMMA_COSETS % 2, needed, 2)
-    searched, hits, words = _syllable_search(dev.engine, counts)
-    stats = {
-        "cosets_needed": needed,
-        "syllables_searched": searched,
-        "exponent_radius": EXPONENT_RADIUS,
-        "words": words,
-        "units": dev.units,
-    }
+    m = dev.engine.m
+    case = INTEREDGE_CASE[False]
+    witness = None
+    if 2 * m < _cosets_needed(case):
+        witness = _relation_cycle(dev.engine, (1,) * m + (-1,) * m)
     members = [subset_label(e.pair) for e in group]
-    if not hits:
-        return LinkCertificate(dev.case, dev.descriptor, "PASS-within-radius", None, members, stats)
-    # the first hit: fewest syllables, then the window order of its exponents
-    cycle = _relation_cycle(dev.engine, hits[0])
-    cert = CycleCertificate(
-        passes=False,
-        length_units=len(cycle) * dev.units,
-        edge_count=len(cycle),
-        cycle=cycle,
-        complete=False,
-    )
-    return LinkCertificate(dev.case, dev.descriptor, "FAIL", cert, members, stats)
+    return _lemma_entry(case, dev.descriptor, members, 2 * m, _APPEL_SCHUPP, witness)
 
 
 def certify_link_condition(inst: Instance) -> CertificationReport:
     """Run every link of the instance through the cycle search (the empty
-    link), its closed form (the single links), the coset lemma where 2pi
-    needs at most LEMMA_COSETS coset vertices, or the syllable search.
+    link), its closed form (the single links) or a lemma of the module
+    docstring (the part and inter-edge links).
 
     Finite links give PASS-complete.  Part links and disjoint inter-edge
     links give PASS-lemma, one entry per case listing every member.
-    Non-disjoint inter-edges are searched once per label, in the exponent
-    window, and give PASS-within-radius or a FAIL with its witness cycle.
+    Non-disjoint inter-edges give one entry per label m: PASS-lemma for
+    m >= 4, and a FAIL with the relator's witness cycle for m = 2 and 3.
     """
     # the empty link has girth at least 2pi, by the lemma of the module
     # docstring, so its search stops at the first cycle that short
@@ -604,15 +511,18 @@ def certify_link_condition(inst: Instance) -> CertificationReport:
     entries += [_single_entry(inst, s) for s in sorted(inst.inter_edges_at)]
 
     lemma = {"part": [subset_label(frozenset(p)) for p in inst.family.parts]}
-    classes: dict[tuple[int, str], list[InterEdge]] = {}
+    classes: dict[int, list[InterEdge]] = {}
     for e in inst.inter_edges:
-        case = INTEREDGE_CASE[inst.disjoint[e.pair]]
-        if _cosets_needed(case) <= LEMMA_COSETS:
-            lemma.setdefault(case, []).append(subset_label(e.pair))
+        if inst.disjoint[e.pair]:
+            lemma.setdefault(INTEREDGE_CASE[True], []).append(subset_label(e.pair))
         else:
-            classes.setdefault((e.label, case), []).append(e)
-    entries += [_lemma_entry(case, members) for case, members in lemma.items()]
-    entries += [_window_entry(inst, case, classes[m, case]) for m, case in sorted(classes)]
+            classes.setdefault(e.label, []).append(e)
+    for case, members in lemma.items():
+        kind = "part" if case == "part" else "disjoint inter-edge"
+        entries.append(
+            _lemma_entry(case, f"links of the {kind} cosets", members, LEMMA_COSETS, _VAN_DER_LEK)
+        )
+    entries += [_relator_entry(inst, classes[m]) for m in sorted(classes)]
 
     ok = all(e.status != "FAIL" for e in entries)
     return CertificationReport(ok=ok, entries=entries)

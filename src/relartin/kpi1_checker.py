@@ -213,7 +213,7 @@ def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
     evidence.append(
         {
             "check": "no cycle through 4 or 6 coset vertices in non-disjoint "
-            "inter-edge links of label m >= 4, at exponents outside the window",
+            "inter-edge links of label m >= 4, at any exponents",
             "kind": "citation",
             "ok": True,
             "detail": "Appel-Schupp (Invent. Math. 1983): a relator of the "

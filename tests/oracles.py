@@ -858,10 +858,16 @@ def brute_syllable_relations(engine, radius: int, counts=(4, 6)):
 
 
 def reference_syllable_search(engine, radius: int, counts=(4, 6)):
-    """``girth_checker._syllable_search`` at this exponent radius, each
-    a-first word kept with its exponent tuple and multiplied with
-    ``mult_power``, every level entry looked up in a table keyed by normal
-    form for its image under the exchange of the generators."""
+    """The trivial cyclic words of ``brute_syllable_relations``, found by
+    meeting in the middle: (the counts searched, which stop at the first
+    with a hit; the hits of that count in window order; the number of
+    a-first half words).  A word of k syllables is trivial exactly when its
+    first k/2 syllables equal the inverse of its last k/2, a b-first word,
+    which is an a-first word's image under the exchange of the generators:
+    that fixes Delta and the lengths and flips the last letter.  So each
+    a-first half word is kept with its exponent tuple and multiplied with
+    ``mult_power``, and every one is looked up in a table keyed by normal
+    form for its image."""
     window = [p for n in range(1, radius + 1) for p in (n, -n)]
     rank = {p: i for i, p in enumerate(window)}
     a, b = engine.generators

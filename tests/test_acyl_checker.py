@@ -185,8 +185,7 @@ def test_inapplicable_routes():
     assert flat.status == "inapplicable"
     assert "label 2" in flat.reasons[0]
 
-    gate = check_hypotheses(affine_parts_join())
-    assert gate.status == "hypotheses-pass" and gate.ok
+    assert check_hypotheses(affine_parts_join()) is None
 
 
 def test_witness_checks_failed_on_a_spherical_triple():

@@ -54,6 +54,18 @@ def m_interedge(m: int):
     return Instance(g, SubgraphFamily.build(g, [["a"], ["b"]]))
 
 
+RELATOR_NOTE = girth_checker._APPEL_SCHUPP
+
+
+def relator(m: int) -> tuple[int, ...]:
+    """The exponents of prod(a,b;m) prod(b,a;m)^-1, syllable by syllable."""
+    return (1,) * m + (-1,) * m
+
+
+def nondisjoint_entries(inst: Instance) -> list:
+    return [e for e in certify_link_condition(inst).entries if "non-disjoint" in e.descriptor]
+
+
 def m_touching_pair(m: int):
     """Two inter-edges {a,b} and {b,c} of label m sharing b: the
     non-disjoint link of label m."""
@@ -387,10 +399,10 @@ def test_certify_join():
     assert report.ok
     assert report.failures() == []
     statuses = sorted(e.status for e in report.entries)
-    # 1 empty + 8 singles pass completely, both parts pass by the lemma in
-    # one entry, the single inter-edge class passes within the exponent
-    # window
-    assert statuses == ["PASS-complete"] * 9 + ["PASS-lemma", "PASS-within-radius"]
+    # 1 empty + 8 singles pass completely, both parts pass by the coset
+    # lemma in one entry, the single inter-edge class (m = 4) by the
+    # relator lemma
+    assert statuses == ["PASS-complete"] * 9 + ["PASS-lemma"] * 2
     part_entry = next(e for e in report.entries if e.case == "part")
     assert part_entry.members == ["{a1,b1,c1,d1}", "{a2,b2,c2,d2}"]
     assert part_entry.certificate is None
@@ -398,13 +410,9 @@ def test_certify_join():
     ie_entry = next(e for e in report.entries if e.case == "inter-edge")
     assert len(ie_entry.members) == 16
     assert ie_entry.certificate is None
-    assert ie_entry.stats == {
-        "cosets_needed": 8,
-        "syllables_searched": [4, 6],
-        "exponent_radius": 8,
-        "words": 16**2 + 16**3,
-        "units": 1,
-    }
+    assert ie_entry.status == "PASS-lemma"
+    assert ie_entry.stats == {"cosets_needed": 8, "units": 1, "note": RELATOR_NOTE}
+    assert "Appel-Schupp" in RELATOR_NOTE and "prod(a,b;m) prod(b,a;m)^-1" in RELATOR_NOTE
     doc = asdict(report)
     assert doc["ok"] is True and len(doc["entries"]) == 11
 
@@ -421,7 +429,7 @@ def test_certify_control_fails_on_the_interedge():
         "1", "1.<a>", "a", "a.<b>", "ab", "ab.<a>",
         "D^1", "D^1.<b>", "ba", "ba.<a>", "b", "b.<b>",
     ]
-    assert bad[0].stats["syllables_searched"] == [4, 6]
+    assert bad[0].stats == {"cosets_needed": 8, "units": 1, "note": RELATOR_NOTE}
     # everything else still passes
     assert all(e.status != "FAIL" for e in report.entries if e.case != "inter-edge")
 
@@ -437,20 +445,21 @@ def test_certify_dedup_flag():
 
 
 def _assert_entries_match_independent(inst: Instance) -> None:
-    """Every member of a searched class entry passes or fails as its own
-    development at radius 8m and cap 4000 does, and a FAIL has the
+    """Every member of a non-disjoint label class entry passes or fails as
+    its own development at radius 8m and cap 4000 does, and a FAIL has the
     development's length and edge count; the first member has the entry's
-    descriptor.  The lemma entries list every part and every disjoint
+    descriptor.  The coset lemma entries list every part and every disjoint
     inter-edge, and only those."""
     report = certify_link_condition(inst)
     alone = {e.members[0]: e for e in independent_certification(inst)}
     lemma = {}
     for entry in report.entries:
-        if entry.status == "PASS-lemma":
-            assert entry.certificate is None and entry.stats["cosets_needed"] <= 4
-            lemma[entry.descriptor] = entry.members
-            continue
         if entry.case in ("empty", "single"):
+            continue
+        if "non-disjoint" not in entry.descriptor:
+            assert entry.status == "PASS-lemma" and entry.certificate is None
+            assert entry.stats["cosets_needed"] <= 4
+            lemma[entry.descriptor] = entry.members
             continue
         assert entry.descriptor == alone[entry.members[0]].descriptor
         for member in entry.members:
@@ -462,7 +471,7 @@ def _assert_entries_match_independent(inst: Instance) -> None:
                     want.length_units,
                     want.edge_count,
                 ), member
-    assert alone == {}, "a non-disjoint inter-edge is in no searched entry"
+    assert alone == {}, "a non-disjoint inter-edge is in no label class entry"
     disjoint = [subset_label(e.pair) for e in inst.inter_edges if inst.disjoint[e.pair]]
     expected = {"links of the part cosets": [subset_label(frozenset(p)) for p in inst.family.parts]}
     if disjoint:
@@ -493,15 +502,15 @@ def test_shared_developments_match_independent_ones(monkeypatch):
     for inst in (affine_parts_join(), touching_triple_control(), mixed):
         _assert_entries_match_independent(inst)
 
-        # certification develops no ball: one searched entry per label
+        # certification develops no ball: one relator lemma entry per label
         built = _count_developments(monkeypatch)
         report = certify_link_condition(inst)
         monkeypatch.undo()
         assert built == []
         labels = sorted({e.label for e in inst.inter_edges if not inst.disjoint[e.pair]})
-        searched = [e.descriptor for e in report.entries if "syllables_searched" in e.stats]
-        assert [int(d.split("(m=")[1].split(",")[0]) for d in searched] == labels
-        assert all("non-disjoint" in d for d in searched)
+        relator = [e.descriptor for e in report.entries if e.stats.get("note") == RELATOR_NOTE]
+        assert [int(d.split("(m=")[1].split(",")[0]) for d in relator] == labels
+        assert all("non-disjoint" in d for d in relator)
 
 
 def test_shared_entries_match_independent_ones_on_random_instances():
@@ -557,44 +566,56 @@ def test_lemma_bound_holds_in_developments():
     # the instances add dihedral parts and disjoint inter-edges of their own
     assert len(found) >= 9
     # the non-disjoint T corner of 1 unit needs 8 coset vertices
-    with pytest.raises(AssertionError, match="need 8 coset vertices"):
-        girth_checker._lemma_entry("inter-edge-nondisjoint", [])
+    with pytest.raises(AssertionError, match="need 8 coset vertices; the lemma gives 4"):
+        girth_checker._lemma_entry("inter-edge-nondisjoint", "", [], girth_checker.LEMMA_COSETS, "")
 
 
-def test_syllable_search_matches_brute_force(monkeypatch):
+def test_syllable_search_matches_brute_force():
     # every cyclic word of 4 and 6 syllables with 0 < |p| <= N, from either
-    # generator: the same fewest syllables and the same trivial words
-    firsts = set()
+    # generator: the reference search finds the same fewest syllables and
+    # the same trivial words, and the first is the relator of m = 2 or 3
     for n in (1, 2, 3):
-        monkeypatch.setattr(girth_checker, "EXPONENT_RADIUS", n)
         for m in range(2, 8):
             for gens in (("a", "b"), ("b", "a")):
                 engine = DihedralEngine(*gens, m)
-                searched, hits, words = girth_checker._syllable_search(engine, (4, 6))
+                searched, hits, words = reference_syllable_search(engine, n, (4, 6))
                 want = brute_syllable_relations(engine, n, (4, 6))
                 assert ((searched[-1], hits) if hits else None) == want, (n, m, gens)
                 assert searched == ([4] if want and want[0] == 4 else [4, 6])
                 assert words == sum((2 * n) ** (k // 2) for k in searched)
-                firsts.add(want and (want[0], want[1][0]))
-    assert firsts == {(4, (1, 1, -1, -1)), (6, (1, 1, 1, -1, -1, -1)), None}
-
-
-def test_syllable_search_matches_the_reference_search():
-    # the level of bare normal forms, its exponents read off the word's
-    # index, against the table of exponent tuples at the shipped radius;
-    # m = 4 first has hits at 8 syllables (120 words), past the m = 2 and 3
-    # hit paths
-    radius = girth_checker.EXPONENT_RADIUS
-    assert radius == 8
-    cases = [(m, (4, 6)) for m in (*range(2, 13), 20)]
-    cases += [(m, (4, 6, 8)) for m in range(2, 5)]
-    for m, counts in cases:
+                if m > 3:
+                    assert want is None, (n, m, gens)
+                else:
+                    assert (want[0], want[1][0]) == (2 * m, relator(m)), (n, m, gens)
+    # past the 6 syllables that brute force reaches: the relator is still
+    # the first hit, at exactly 2m syllables
+    for m in (4, 5):
         for gens in (("a", "b"), ("b", "a")):
             engine = DihedralEngine(*gens, m)
-            got = girth_checker._syllable_search(engine, counts)
-            assert got == reference_syllable_search(engine, radius, counts), (m, gens, counts)
-            if (m, counts) == (4, (4, 6, 8)):
-                assert (got[0], len(got[1])) == ([4, 6, 8], 120)
+            searched, hits, _ = reference_syllable_search(engine, 3, range(4, 2 * m + 1, 2))
+            assert (searched[-1], hits[0]) == (2 * m, relator(m)), (m, gens)
+
+
+def test_relator_is_the_first_hit_of_the_reference_search():
+    # the relator lemma against the reference search over the exponents
+    # 0 < |p| <= 8 and 4 or 6 syllables: the relator is the first trivial
+    # word for m = 2 and 3, with none from m = 4 on, and the relator entry
+    # is a FAIL with that word's cycle, or PASS-lemma
+    for m in (*range(2, 13), 20):
+        for gens in (("a", "b"), ("b", "a")):
+            engine = DihedralEngine(*gens, m)
+            searched, hits, _ = reference_syllable_search(engine, 8, (4, 6))
+            if m > 3:
+                assert (searched, hits) == ([4, 6], []), (m, gens)
+            else:
+                assert (searched[-1], hits[0]) == (2 * m, relator(m)), (m, gens)
+        (entry,) = nondisjoint_entries(m_touching_pair(m))
+        if m > 3:
+            assert (entry.status, entry.certificate) == ("PASS-lemma", None), m
+        else:
+            assert entry.status == "FAIL", m
+            cycle = girth_checker._relation_cycle(DihedralEngine("a", "b", m), hits[0])
+            assert entry.certificate.cycle == cycle, m
 
 
 def test_finite_entries_match_the_full_depth_search(monkeypatch):
@@ -638,11 +659,12 @@ def test_finite_entries_match_the_full_depth_search(monkeypatch):
 
 def test_every_hit_in_the_window_is_a_checked_cycle():
     # at N = 8: 256 commutators for m = 2 at 4 syllables and 90 words for
-    # m = 3 at 6, each read as a simple cycle and checked, and each trivial
-    # in the central quotient, which shares no code with the engine
+    # m = 3 at 6, each found by the reference search, read as a simple cycle
+    # and checked, and each trivial in the central quotient, which shares
+    # no code with the engine
     for m, (k, count) in ((2, (4, 256)), (3, (6, 90))):
         engine = DihedralEngine("a", "b", m)
-        searched, hits, _ = girth_checker._syllable_search(engine, (4, 6))
+        searched, hits, _ = reference_syllable_search(engine, 8, (4, 6))
         assert (searched[-1], len(hits), len(set(hits))) == (k, count, count)
         for word in hits:
             assert len(girth_checker._relation_cycle(engine, word)) == 2 * k
@@ -650,20 +672,20 @@ def test_every_hit_in_the_window_is_a_checked_cycle():
             assert quotient_equal(m, spelled, []), (m, word)
 
 
-def test_syllable_search_agrees_with_developments():
+def test_relator_lemma_agrees_with_developments():
     # criterion 03's 4m-edge girth, at 1 unit per edge: the development at
-    # radius 8m and cap 4000 and the search fail at 8 units for m = 2 and at
-    # 12 for m = 3, and both pass from m = 4 on
-    expected = {2: ("FAIL", 8), 3: ("FAIL", 12), 4: ("PASS-within-radius", None)}
+    # radius 8m and cap 4000 and the relator lemma fail at 8 units for
+    # m = 2 and at 12 for m = 3, and both pass from m = 4 on
+    expected = {2: ("FAIL", 8), 3: ("FAIL", 12), 4: ("PASS-lemma", None)}
     for m in range(2, 6):
         inst = m_touching_pair(m)
-        (entry,) = [e for e in certify_link_condition(inst).entries if "words" in e.stats]
+        (entry,) = nondisjoint_entries(inst)
         cert = entry.certificate
         got = (entry.status, cert and cert.length_units)
         assert got == expected.get(m, expected[4]), m
         if cert:
             assert cert.edge_count == len(cert.cycle) == len(set(cert.cycle)) == cert.length_units
-            assert entry.stats["syllables_searched"][-1] * 2 == cert.edge_count
+            assert cert.edge_count == 4 * m
         dev = shortest_embedded_cycle(
             develop_link_interedge(inst, inst.inter_edges[0], radius=8 * m, cap=4000)
         )

@@ -79,10 +79,10 @@ GOLDEN = {
     'affine_parts_join.json build --format json': [0, '529cddde1870f0b0d7ae618dc353e90b0366de6cb980f4a6938e32d62d302b00', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json build --format text': [0, 'f97250b77ead403dcc696fa692cc89d589ba1973792744e73cf11df8d52f8125', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json build --format dot': [0, 'fdd3651783073379a88a14736fbee2249f7dd57bc2d6ad32f7fe3b14d834267f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json links --format json': [0, '5a99fb864433666e69166bcbedbb00e3edfd29166e42cbf3f09bf03c53ca41d6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json links --format text': [0, 'a415cdbdede025b6a586f0b814c1fcb7c520362e19213585f0a985eedb553ad9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json kpi1 --format json': [0, 'fc6ca85459b373e74e0c91ad6120a261f0a1ecea0afb1585059997d05657c452', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json kpi1 --format text': [0, '6dded3c41c6c33da874c2d12d00734c6577b03293e1211ef58126b6a4df1de9f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json links --format json': [0, '2ca0ff63ef2a91a9136d9c2c5dedcbd3cbf43e5d300862833e9cccc8dba5254b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json links --format text': [0, '7b30afd4c2da4e278583353dd1f502a3a024729adfeacf7f7f5c0d55772861b2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json kpi1 --format json': [0, 'de418b882e0f96ee80c3aa3e19f7a8ca3ae386e59bf2b8d60ed5bf8475807105', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json kpi1 --format text': [0, '48edc41596d96eb72753252225974f3a8b79aff2e1abce9f594c3cbe9c324f94', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json acyl --format json': [0, '315e84276d3f21f63181bf2dd20538d213f4a1102dfa0ad3416bb94d6d6620fd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json acyl --format text': [0, '04df2dc6cdd734855930aa530bce1087617a7073e24b33b71a4cd53fabf8e67f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json develop --part 0 --format json': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],
@@ -104,8 +104,8 @@ GOLDEN = {
     'touching_triple_control.json build --format json': [0, 'd5e7aa323a56ebe015a1b342caf12d982463180cee9e37d8a22290919f035078', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json build --format text': [0, '241cba64c3655f8e2349cd8544abbef3097afa8698f471d189f11d2998514ef6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json build --format dot': [0, '1fc054e1385b97db667376ca87fe2f6438ae6d6eddde17d52b15f17257e4f04a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'touching_triple_control.json links --format json': [2, '53f72dfdb75ad159473d2f0d375291a910c87becba29f5ea4ddf99d981e1cd33', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'touching_triple_control.json links --format text': [2, '3368daef07edd2cf332bd830f9bb51b8ddab51079d445900af75d13f78144f35', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json links --format json': [2, 'a91d8fd6502ec4c655c86cb9d998c2e84e1ea32ea19a310f91005d05e7052ea3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'touching_triple_control.json links --format text': [2, '3b78d145e1d09fdf2bb9a86e76500d246d468eb5d7b9d85300c61d014aed3137', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json kpi1 --format json': [2, '9e25cc032b27e29db532aac8d4fa8f1f10e52dfc00a1a09008d59d8d1638c15d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json kpi1 --format text': [2, '8382be5c19c4f441f755fb128a1163e3d71d0d6c19e9be3e9d130514fe5e9e3d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'touching_triple_control.json acyl --format json': [2, 'e89f063df725a012d1ad23e30b7d7e3cf4d6e85be968877ecf9a5d8bcc04fcc4', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],

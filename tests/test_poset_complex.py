@@ -60,6 +60,12 @@ def test_s_bar_and_s_f_join():
     s_f = build_S_f(inst)
     assert set(s_f.elements) <= set(s_bar.elements)
     assert len(s_f.elements) == 45
+    # `build` prints S_f_size as the number of spherical subsets, without
+    # building the poset: the enumeration lists each subset once
+    others = [touching_triple_control()]
+    others += [random_rel_prime_instance(random.Random(seed)) for seed in range(30)]
+    for other in [inst, *others]:
+        assert len(build_S_f(other).elements) == len(other.spherical)
 
 
 def test_derived_complex_chain_counts():
