@@ -69,9 +69,10 @@ def diagram_edges(
     """Classification-diagram edges on ``subset``: label m when m != 2,
     INFINITY when the defining edge is absent, nothing when m == 2."""
     verts = sorted(set(subset))
-    unknown = set(verts) - set(graph.vertices)
+    # the graph keeps an adjacency entry for every vertex
+    unknown = [v for v in verts if v not in graph._adjacency]
     if unknown:
-        raise GraphError(f"unknown vertices {sorted(unknown)}")
+        raise GraphError(f"unknown vertices {unknown}")
     out: dict[frozenset[str], int | None] = {}
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:

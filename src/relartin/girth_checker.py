@@ -7,25 +7,27 @@ All lengths are integers, so every comparison here is exact.
 Forests are recognised upfront (union-find).  Every other link is
 subdivided into a simple bipartite graph with unit edges, where one
 breadth-first girth search, :func:`_bfs_girth`, finds the shortest cycle
-and a simple witness.  An edge of w units becomes a path of k * w / g unit
-edges, g the gcd of the link's weights.  A link is bipartite, so each of
-its cycles has an even number of edges; with k = 1 when every w / g is
-odd, the sum of an even number of odd path lengths is even, and otherwise
-k = 2 makes every path even.  So the subdivided graph is bipartite too, a
-uniform link is searched as it is, and a cycle of s unit steps is
-s * g / k units long.
+and a simple witness, or, given a floor at most the girth, a cycle that
+short.  An edge of w units becomes a path of k * w / g unit edges, g the
+gcd of the link's weights.  A link is bipartite, so each of its cycles has
+an even number of edges; with k = 1 when every w / g is odd, the sum of an
+even number of odd path lengths is even, and otherwise k = 2 makes every
+path even.  So the subdivided graph is bipartite too, a uniform link is
+searched as it is, and a cycle of s unit steps is s * g / k units long.
 
-Certification runs every link of an instance.  The empty link is finite
-and searched whole, with a floor of 2pi.  Its upper vertices are the parts
-and inter-edges of S^l, and two of them share at most one singleton,
-because parts are disjoint and an inter-edge joins two parts: so it has no
-4-cycle.  A 6-cycle holds at most one part, and two of its inter-edges meet
-at a singleton, so both are non-disjoint, 3 units at the empty corner: the
-cycle is at least 2*2 + 4*3 = 16 units with a part and 6*3 = 18 without
-one.  Every edge is at least 2 units, so a cycle of 8 or more edges is at
-least 16.  The empty link's girth is therefore at least 16 = 2pi whatever
-the labels, and its search stops at the first root that closes a cycle
-that short, with the length and witness of the search from every root.
+Certification runs every link of an instance.  The empty link is finite,
+and its girth is at least 2pi whatever the labels.  Its upper vertices are
+the parts and inter-edges of S^l, and two of them share at most one
+singleton, because parts are disjoint and an inter-edge joins two parts:
+so it has no 4-cycle.  A 6-cycle holds at most one part, and two of its
+inter-edges meet at a singleton, so both are non-disjoint, 3 units at the
+empty corner: the cycle is at least 2*2 + 4*3 = 16 units with a part and
+6*3 = 18 without one.  Every edge is at least 2 units, so a cycle of 8 or
+more edges is at least 16.  So the search only asks whether a 16-unit
+cycle exists: each root's search stops at 16 units, and the witness is the
+cycle through the first root that lies on one.  When no root does, the
+link's girth is above 2pi by this lemma, and its entry is PASS-lemma with
+no certificate.
 
 A single link, at the cyclic coset of an inter-edge vertex s, is complete
 bipartite: the 2 SINGLE_POWERS + 1 = 7 drawn powers of s against the u
@@ -103,9 +105,6 @@ from .link_builder import (
 )
 from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, subset_label
 
-# largest mixed-weight link, in edges, that the girth search accepts
-_WEIGHTED_EDGE_LIMIT = 20000
-
 
 @dataclass
 class CycleCertificate:
@@ -134,32 +133,12 @@ def _is_forest(n: int, edges: list[tuple[int, int, int]]) -> bool:
     return True
 
 
-def _check_bipartite(adj: list[list[int]]) -> None:
-    """Raise unless the graph has a 2-colouring."""
-    colour = [-1] * len(adj)
-    for s in range(len(adj)):
-        if colour[s] >= 0:
-            continue
-        colour[s] = 0
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            c = 1 - colour[x]
-            for y in adj[x]:
-                if colour[y] < 0:
-                    colour[y] = c
-                    stack.append(y)
-                elif colour[y] != c:
-                    raise GraphError(f"odd cycle through vertex {y}: graph is not bipartite")
-
-
 def _bfs_girth(
-    adj: list[list[int]], roots: list[int], floor: int = 4
+    adj: list[list[int]], roots: list[int], floor: int | None = None
 ) -> tuple[int, list[int]] | None:
-    """Exact girth (edge count) of a simple bipartite graph, with a simple
-    witness cycle; raises :class:`GraphError` on a graph that is not
-    bipartite.  The roots must meet every cycle, and ``floor`` must be at
-    most the girth: 4, the bipartite minimum, unless the caller proves more.
+    """Girth (edge count) of a simple bipartite graph, with a simple witness
+    cycle, or None when it has none; the caller checks that the graph is
+    bipartite, and the roots must meet every cycle.
 
     In a bipartite BFS every edge joins consecutive depths.  So a non-tree
     edge met while expanding depth d either ends at a vertex of depth d + 1
@@ -169,24 +148,32 @@ def _bfs_girth(
     common ancestor of its endpoints into a simple cycle of at most 2d + 2
     edges, so nothing later from the same root can be shorter: a root's
     search ends there, or before depth d once 2d + 2 reaches the best length
-    so far, and the root loop ends once the best length reaches the floor.
-    The running best never underestimates and reaches the girth at roots
-    lying on a minimal cycle, and the first root to reach the minimum keeps
-    its witness, so a floor at most the girth changes neither.
+    so far, and the root loop ends at 4 edges, the bipartite minimum.  The
+    running best never underestimates and reaches the girth at roots lying
+    on a minimal cycle, and the first root to reach the minimum keeps its
+    witness.
+
+    A ``floor`` at most the girth asks only whether a cycle of ``floor``
+    edges exists.  Each root's search stops before its walks pass the floor,
+    and the first root that closes one returns its splice; None means no
+    root did.  A splice shorter than its walk would undercut the floor, so a
+    root closes within it only when the root lies on a cycle of ``floor``
+    edges, and such a root does: its own cycle closes a walk that short.
     """
-    _check_bipartite(adj)
     n = len(adj)
     # dist and parent are valid where mark holds the current root
     mark, dist, parent = [-1] * n, [0] * n, [-1] * n
     best: tuple[int, list[int]] | None = None
     for r in roots:
-        if best is not None and best[0] <= floor:
+        if best is not None and best[0] <= 4:
             break
+        # the longest closing walk still worth finding from r
+        longest = floor if floor is not None else best[0] - 1 if best else math.inf
         mark[r], dist[r], parent[r] = r, 0, -1
         frontier = [r]
         depth = 0
         closing: tuple[int, int] | None = None
-        while frontier and closing is None and (best is None or 2 * depth + 2 < best[0]):
+        while frontier and closing is None and 2 * depth + 2 <= longest:
             depth += 1
             nxt: list[int] = []
             for x in frontier:
@@ -202,6 +189,8 @@ def _bfs_girth(
             frontier = nxt
         if closing is not None:
             cycle = _splice(*closing, parent, dist)
+            if floor is not None:
+                return len(cycle), cycle
             best = (len(cycle), cycle)
     return best
 
@@ -226,26 +215,28 @@ def _splice(x: int, y: int, parent: list[int], dist: list[int]) -> list[int]:
 
 def _girth_subdivided(
     link: LinkGraph, weights: set[int], floor: int | None = None
-) -> tuple[int, list[int]]:
+) -> tuple[int, list[int]] | None:
     """Search a link that is not a forest, its edge weights ``weights``,
     with each edge of w units subdivided into k * w / g unit edges (see the
     module docstring); return the length in units and the witness on the
     link's own vertices.  Subdivision vertices are numbered after those and
     have degree 2, so a simple cycle runs through whole paths and is a
     simple cycle of the link.  The roots are the smaller side of the link's
-    own vertices, which every cycle meets.  A ``floor`` in units, at most
-    the link's girth, ends the root loop once a cycle that short is found:
-    no cycle has fewer than floor * k / g unit steps, rounded up."""
-    if len(weights) > 1 and len(link.edges) > _WEIGHTED_EDGE_LIMIT:
-        raise GraphError(
-            f"the {link.case} link has {len(link.edges)} edges; the weighted "
-            f"girth search takes at most {_WEIGHTED_EDGE_LIMIT}"
-        )
+    own vertices, which every cycle meets.  An edge inside one side raises
+    :class:`GraphError`; with none, the subdivided graph is bipartite.
+
+    A ``floor`` in units, at most the link's girth, asks only for a cycle
+    of that length, floor * k / g unit steps (none when that is not whole):
+    the witness comes from the first root lying on one, and None means the
+    link has none (see :func:`_bfs_girth`)."""
     g = math.gcd(*weights)
     k = 1 if all(w // g % 2 for w in weights) else 2
     n = link.vertex_count
+    sides = link.sides
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j, w in link.edges:
+        if sides[i] == sides[j]:
+            raise GraphError(f"edge ({i}, {j}) inside one side of the bipartition")
         x = i
         for _ in range(k * w // g - 1):
             adj.append([x])
@@ -253,21 +244,21 @@ def _girth_subdivided(
             x = len(adj) - 1
         adj[x].append(j)
         adj[j].append(x)
-    side0 = [i for i in range(n) if link.sides[i] == 0]
-    side1 = [i for i in range(n) if link.sides[i] == 1]
+    side0 = [i for i in range(n) if sides[i] == 0]
+    side1 = [i for i in range(n) if sides[i] == 1]
     roots = side0 if len(side0) <= len(side1) else side1
-    if floor is None:
-        found = _bfs_girth(adj, roots)
-    else:
-        found = _bfs_girth(adj, roots, -(-floor * k // g))
-    assert found is not None, "a link that is not a forest has a cycle"
+    found = _bfs_girth(adj, roots, None if floor is None else floor * k // g)
+    if found is None:
+        return None
     steps, cycle = found
     return steps * g // k, [v for v in cycle if v < n]
 
 
-def shortest_embedded_cycle(link: LinkGraph, floor: int | None = None) -> CycleCertificate:
-    """Exact minimum-length simple cycle of a link graph.  A ``floor`` in
-    units must be at most the link's girth (see :func:`_girth_subdivided`)."""
+def shortest_embedded_cycle(link: LinkGraph, floor: int | None = None) -> CycleCertificate | None:
+    """Exact minimum-length simple cycle of a link graph.  With a ``floor``
+    in units, at most the link's girth, only a cycle of exactly that length
+    is sought, and None means the link has none (see
+    :func:`_girth_subdivided`); a forest is reported acyclic either way."""
     complete = link.truncation.complete and not link.truncation.truncated
     if _is_forest(link.vertex_count, link.edges):
         return CycleCertificate(
@@ -278,7 +269,10 @@ def shortest_embedded_cycle(link: LinkGraph, floor: int | None = None) -> CycleC
             complete=complete,
             note="acyclic",
         )
-    length, cycle = _girth_subdivided(link, {w for _, _, w in link.edges}, floor)
+    found = _girth_subdivided(link, {w for _, _, w in link.edges}, floor)
+    if found is None:
+        return None
+    length, cycle = found
     _verify_cycle(link, cycle, length)
     return CycleCertificate(
         passes=length >= TWO_PI_UNITS,
@@ -327,9 +321,7 @@ def _verify_cycle(link: LinkGraph, cycle: list[int], claimed_length: int) -> Non
 class LinkCertificate:
     case: str
     descriptor: str
-    # PASS-complete | PASS-lemma | FAIL; the PASS-within-radius of _status,
-    # a truncated link that passes, is met only by the tests' developments
-    status: str
+    status: str  # PASS-complete | PASS-lemma | FAIL
     certificate: CycleCertificate | None
     members: list[str]
     stats: dict
@@ -345,9 +337,7 @@ class CertificationReport:
 
 
 def _status(cert: CycleCertificate) -> str:
-    if not cert.passes:
-        return "FAIL"
-    return "PASS-complete" if cert.complete else "PASS-within-radius"
+    return "PASS-complete" if cert.passes else "FAIL"
 
 
 def _stats(link: LinkGraph) -> dict:
@@ -496,18 +486,19 @@ def certify_link_condition(inst: Instance) -> CertificationReport:
     link), its closed form (the single links) or a lemma of the module
     docstring (the part and inter-edge links).
 
-    Finite links give PASS-complete.  Part links and disjoint inter-edge
+    Finite links give PASS-complete, except an empty link with no 2pi
+    cycle: its girth is above 2pi by the floor lemma, and it gives
+    PASS-lemma with no certificate.  Part links and disjoint inter-edge
     links give PASS-lemma, one entry per case listing every member.
     Non-disjoint inter-edges give one entry per label m: PASS-lemma for
     m >= 4, and a FAIL with the relator's witness cycle for m = 2 and 3.
     """
     # the empty link has girth at least 2pi, by the lemma of the module
-    # docstring, so its search stops at the first cycle that short
+    # docstring, so its search only asks for a cycle that short
     empty = build_link_empty(inst)
     cert = shortest_embedded_cycle(empty, TWO_PI_UNITS)
-    entries = [
-        LinkCertificate(empty.case, empty.descriptor, _status(cert), cert, ["[1]"], _stats(empty))
-    ]
+    status = "PASS-lemma" if cert is None else _status(cert)
+    entries = [LinkCertificate(empty.case, empty.descriptor, status, cert, ["[1]"], _stats(empty))]
     entries += [_single_entry(inst, s) for s in sorted(inst.inter_edges_at)]
 
     lemma = {"part": [subset_label(frozenset(p)) for p in inst.family.parts]}

@@ -440,20 +440,17 @@ def retraction_map(
     subset.  Each failing state is reported once, with its first chain in
     ``derived_complex`` order as the witness.
     """
-    part_of: dict[frozenset, frozenset] = {}
-    for part in family.parts:
-        pset = frozenset(part)
-        for t in s_bar.elements:
-            if t and t <= pset:
-                part_of.setdefault(t, pset)
-
+    parts = family.part_sets()
     failures: list[str] = []
     vertex_map: dict[frozenset, frozenset] = {}
     for t in s_bar.elements:
         if t in s_ell:
             vertex_map[t] = t
-        elif t in part_of:
-            vertex_map[t] = part_of[t]
+            continue
+        # parts are disjoint, so one vertex names the only part t can lie in
+        part = parts[family.part_index(next(iter(t)))] if t else frozenset()
+        if t and t <= part:
+            vertex_map[t] = part
         else:
             failures.append(f"no image for {sorted(t)}")
 

@@ -93,7 +93,6 @@ from relartin.girth_checker import (
     LinkCertificate,
     _bfs_girth,
     _stats,
-    _status,
     shortest_embedded_cycle,
 )
 from relartin.kpi1_checker import FamilyAudit, _part_status
@@ -626,6 +625,20 @@ def full_depth_bfs_girth(adj, roots):
     return best
 
 
+def first_root_floor_girth(adj, roots, floor=None):
+    """The girth search by the reference rule: with no floor, the reference
+    search from every root; with one, the reference search from each root
+    alone, in root order, and the first cycle of ``floor`` edges that runs
+    through its own root, or None."""
+    if floor is None:
+        return full_depth_bfs_girth(adj, roots)
+    for r in roots:
+        found = full_depth_bfs_girth(adj, [r])
+        if found is not None and found[0] == floor and r in found[1]:
+            return found
+    return None
+
+
 def _lca_splice(x, y, parent, dist):
     px, py = [x], [y]
     a, b = x, y
@@ -818,7 +831,8 @@ def scan_audit_family(s_bar, inst) -> FamilyAudit:
 
 def independent_certification(inst) -> list:
     """One entry per non-disjoint inter-edge, each developed alone at radius
-    8m and cap 4000 and then searched."""
+    8m and cap 4000 and then searched; a truncated development that passes
+    is PASS-within-radius."""
     entries = []
     for e in inst.inter_edges:
         if inst.disjoint[e.pair]:
@@ -826,8 +840,12 @@ def independent_certification(inst) -> list:
         link = develop_link_interedge(inst, e, radius=8 * e.label, cap=4000)
         cert = shortest_embedded_cycle(link)
         member = subset_label(e.pair)
+        if not cert.passes:
+            status = "FAIL"
+        else:
+            status = "PASS-complete" if cert.complete else "PASS-within-radius"
         entries.append(
-            LinkCertificate(link.case, link.descriptor, _status(cert), cert, [member], _stats(link))
+            LinkCertificate(link.case, link.descriptor, status, cert, [member], _stats(link))
         )
     return entries
 

@@ -285,9 +285,10 @@ def test_family_with_no_parts_exits_1(capsys, tmp_path):
         assert (code, out, err) == (1, "", "error: family has no parts\n"), argv
 
 
-def test_oversized_link_exits_1(capsys, tmp_path, monkeypatch):
+def test_dense_empty_link_is_searched_to_its_floor(capsys, tmp_path, monkeypatch):
     # 80 two-vertex parts, every cross pair an inter-edge of label 4: the
-    # finite empty link gets 2 * 12640 + 160 = 25440 edges of 2 and 3 units
+    # finite empty link has 2 * 12640 + 160 = 25440 edges of 2 and 3 units,
+    # and 16-unit cycles through a part and two of its inter-edges
     parts = [[f"p{i}a", f"p{i}b"] for i in range(80)]
     vertices = [v for part in parts for v in part]
     edges = [{"u": a, "v": b, "m": 2} for a, b in parts]
@@ -297,18 +298,37 @@ def test_oversized_link_exits_1(capsys, tmp_path, monkeypatch):
         for j, v in enumerate(vertices[i + 1 :], i + 1)
         if i // 2 != j // 2
     ]
-    path = tmp_path / "oversized.json"
+    path = tmp_path / "dense.json"
     path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
 
-    # kpi1 rejects the link, and lists no chains of S^l on the way
+    # kpi1 certifies the link, and lists no chains of S^l on the way
     forbid(monkeypatch, poset_complex, "derived_complex")
     for sub in ("links", "kpi1"):
-        code, out, err = run(capsys, sub, "--input", str(path))
-        assert code == 1 and out == ""
-        assert err == (
-            "error: the empty link has 25440 edges; "
-            "the weighted girth search takes at most 20000\n"
-        )
+        code, doc, err = run_json(capsys, sub, "--input", str(path))
+        assert (code, err) == (0, "")
+        empty = (doc if sub == "links" else doc["certification"])["entries"][0]
+        assert (empty["case"], empty["status"]) == ("empty", "PASS-complete")
+        assert empty["certificate"]["length_units"] == 16
+        assert empty["stats"]["edges"] == 25440
+
+
+def test_ring_with_no_2pi_cycle_passes_by_the_floor_lemma(capsys, tmp_path):
+    # 5,000 two-vertex parts of label 2, consecutive parts joined by
+    # disjoint label-4 inter-edges: the empty link's only cycle runs round
+    # the ring, 40,000 units, so no root lies on a 16-unit cycle and the
+    # floor lemma settles the entry without a search of the whole ring
+    n = 5000
+    parts = [[f"p{i}a", f"p{i}b"] for i in range(n)]
+    edges = [{"u": a, "v": b, "m": 2} for a, b in parts]
+    edges += [{"u": parts[i][1], "v": parts[(i + 1) % n][0], "m": 4} for i in range(n)]
+    vertices = [v for part in parts for v in part]
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
+    code, doc, err = run_json(capsys, "links", "--input", str(path))
+    assert (code, err) == (0, "")
+    empty = doc["entries"][0]
+    assert (empty["case"], empty["status"], empty["certificate"]) == ("empty", "PASS-lemma", None)
+    assert empty["stats"]["edges"] == 4 * n
 
 
 def test_acyl_and_kpi1_list_no_ball_and_no_chains(capsys, monkeypatch):

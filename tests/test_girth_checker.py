@@ -41,6 +41,7 @@ from oracles import (
     all_roots_development_girth,
     brute_min_cycle,
     brute_syllable_relations,
+    first_root_floor_girth,
     full_depth_bfs_girth,
     independent_certification,
     per_edge_dijkstra_girth,
@@ -203,14 +204,25 @@ def test_bfs_girth_matches_full_depth_search_on_random_bipartite_graphs():
             assert found == full_depth_bfs_girth(adj, roots)
             expected = _nx_girth(n0 + n1, pairs)
             assert (found[0] if found else float("inf")) == expected
+            if found:
+                # a floor at the girth: the first root on a shortest cycle;
+                # a floor below it: no cycle
+                girth = found[0]
+                capped = girth_checker._bfs_girth(adj, roots, girth)
+                assert capped == first_root_floor_girth(adj, roots, girth)
+                assert capped[0] == girth
+                assert girth_checker._bfs_girth(adj, roots, girth - 1) is None
         cyclic += found is not None
     assert cyclic > 100
 
 
 def test_bfs_girth_rejects_odd_cycles():
-    triangle = [[1, 2], [0, 2], [0, 1]]
-    with pytest.raises(GraphError, match="not bipartite"):
-        girth_checker._bfs_girth(triangle, [0])
+    # the search checks the link's sides as it subdivides: a triangle has
+    # an edge inside one of them, whichever sides it is given
+    triangle = [(0, 1, 2), (1, 2, 2), (0, 2, 3)]
+    for sides in ([0, 1, 0], [0, 1, 1]):
+        with pytest.raises(GraphError, match="inside one side"):
+            shortest_embedded_cycle(finite_link(sides, triangle))
 
 
 def _nx_weighted_girth(link: LinkGraph) -> float:
@@ -270,7 +282,7 @@ def test_development_girth_matches_full_depth_search_on_fixtures(monkeypatch):
             pairs = [(i, j) for i, j, _ in link.edges]
             expected = _nx_girth(link.vertex_count, pairs)
             assert (cert.edge_count or float("inf")) == expected
-    monkeypatch.setattr(girth_checker, "_bfs_girth", full_depth_bfs_girth)
+    monkeypatch.setattr(girth_checker, "_bfs_girth", first_root_floor_girth)
     for link, cert in zip(links, certs):
         old = shortest_embedded_cycle(link)
         assert (old.length_units, old.edge_count, old.cycle) == (
@@ -619,9 +631,12 @@ def test_relator_is_the_first_hit_of_the_reference_search():
 
 
 def test_finite_entries_match_the_full_depth_search(monkeypatch):
-    # the empty link searched with the 2pi floor and the single links read
-    # off in closed form, against each built link searched from every root
-    # by the reference search: the same entry, field for field
+    # the empty link against the reference rule: each root searched alone
+    # by the reference search, in root order, the first whose cycle is 2pi
+    # and runs through it giving the witness, and PASS-lemma, its exact
+    # girth above 2pi, when none does; the single links, read off in closed
+    # form, against each built link searched from every root.  The same
+    # entry, field for field
     instances = [random_rel_prime_instance(random.Random(seed)) for seed in range(30)]
     instances += [affine_parts_join(), touching_triple_control()]
     # a vertex of a 2-vertex part joined to 5, 6 and 7 singleton parts: 6,
@@ -634,13 +649,25 @@ def test_finite_entries_match_the_full_depth_search(monkeypatch):
         [e for e in certify_link_condition(inst).entries if e.case in ("empty", "single")]
         for inst in instances
     ]
-    monkeypatch.setattr(girth_checker, "_bfs_girth", full_depth_bfs_girth)
+    monkeypatch.setattr(girth_checker, "_bfs_girth", first_root_floor_girth)
     seen = set()
     for inst, entries in zip(instances, got):
-        links = [(build_link_empty(inst), ["[1]"])]
-        links += [(build_link_single(inst, s), [s]) for s in sorted(inst.inter_edges_at)]
-        want = []
-        for link, members in links:
+        empty = build_link_empty(inst)
+        cert = shortest_embedded_cycle(empty, TWO_PI_UNITS)
+        if cert is None:
+            assert shortest_embedded_cycle(empty).length_units > TWO_PI_UNITS
+            status = "PASS-lemma"
+        else:
+            assert cert.length_units in (None, TWO_PI_UNITS)
+            status = girth_checker._status(cert)
+        want = [
+            girth_checker.LinkCertificate(
+                empty.case, empty.descriptor, status, cert, ["[1]"], girth_checker._stats(empty)
+            )
+        ]
+        seen.add(("empty", cert.note if cert else "lemma"))
+        for s in sorted(inst.inter_edges_at):
+            link = build_link_single(inst, s)
             cert = shortest_embedded_cycle(link)
             want.append(
                 girth_checker.LinkCertificate(
@@ -648,13 +675,15 @@ def test_finite_entries_match_the_full_depth_search(monkeypatch):
                     link.descriptor,
                     girth_checker._status(cert),
                     cert,
-                    members,
+                    [s],
                     girth_checker._stats(link),
                 )
             )
             seen.add((link.case, cert.note))
         assert entries == want
-    assert seen == {(case, note) for case in ("empty", "single") for note in ("", "acyclic")}
+    assert seen == {("empty", "lemma")} | {
+        (case, note) for case in ("empty", "single") for note in ("", "acyclic")
+    }
 
 
 def test_every_hit_in_the_window_is_a_checked_cycle():
