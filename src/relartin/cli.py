@@ -3,16 +3,17 @@
 Subcommands mirror the pipeline stages: check-rel, classify, build, links,
 kpi1, acyl, develop.  Exit code 0 means the checked condition holds, 2
 means it fails, 1 means the input could not be used.  Reports are
-deterministic for a fixed input and configuration.  A report emitted
-through ``dataclasses.asdict`` takes its keys, and its text order, from
-its dataclass's field names and order.
+deterministic for a fixed input and configuration.  The writers render
+a dataclass instance as its fields: its keys, and its text order, are its
+field names and order.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 from .acyl_checker import check_acylindricity
@@ -70,11 +71,11 @@ def _write_json(val, nl: str, out: list[str]) -> None:
         sep = "{" + inner
         for key in sorted(val):
             item = val[key]
-            if isinstance(item, (dict, list, tuple)):
+            if type(item) in _ROW_VALUE_TYPES:
+                out.append(f"{sep}{_quote(key)}: {_json_scalar(item)}")
+            else:
                 out.append(f"{sep}{_quote(key)}: ")
                 _write_json(item, inner, out)
-            else:
-                out.append(f"{sep}{_quote(key)}: {_json_scalar(item)}")
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(val, (list, tuple)):
@@ -84,15 +85,22 @@ def _write_json(val, nl: str, out: list[str]) -> None:
             inner = nl + "  "
             sep = "[" + inner
             for item in val:
-                if isinstance(item, (dict, list, tuple)):
+                if type(item) in _ROW_VALUE_TYPES:
+                    out.append(sep + _json_scalar(item))
+                else:
                     out.append(sep)
                     _write_json(item, inner, out)
-                else:
-                    out.append(sep + _json_scalar(item))
                 sep = "," + inner
             out.append(nl + "]")
+    elif is_dataclass(val):
+        _write_json(_fields(val), nl, out)
     else:
         out.append(_json_scalar(val))
+
+
+def _fields(report) -> dict:
+    """A dataclass instance's fields by name, in field order."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def _write_rows(rows, nl: str, out: list[str]) -> bool:
@@ -136,18 +144,20 @@ def _text_lines(doc, pad: str, lines: list[str]) -> None:
     if isinstance(doc, dict):
         for key in doc:
             val = doc[key]
-            if isinstance(val, (dict, list, tuple)) and val:
+            if type(val) in _ROW_VALUE_TYPES or not val:
+                lines.append(f"{pad}{key}: {_scalar(val)}\n")
+            else:
                 lines.append(f"{pad}{key}:\n")
                 _text_lines(val, pad + "  ", lines)
-            else:
-                lines.append(f"{pad}{key}: {_scalar(val)}\n")
     elif isinstance(doc, (list, tuple)):
         for val in doc:
-            if isinstance(val, (dict, list, tuple)):
+            if type(val) in _ROW_VALUE_TYPES:
+                lines.append(f"{pad}- {_scalar(val)}\n")
+            else:
                 lines.append(f"{pad}-\n")
                 _text_lines(val, pad + "  ", lines)
-            else:
-                lines.append(f"{pad}- {_scalar(val)}\n")
+    elif is_dataclass(doc):
+        _text_lines(_fields(doc), pad, lines)
     else:
         lines.append(f"{pad}{_scalar(doc)}\n")
 
@@ -197,10 +207,10 @@ def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
             "affine" if report.affine_type else "indefinite"
         )
         parts.append(
-            {"vertices": list(part), "report": asdict(report), "coxeter_kind": kind}
+            {"vertices": list(part), "report": report, "coxeter_kind": kind}
         )
     whole = classify_known(graph, graph.vertices, inst.spherical)
-    _emit({"graph": asdict(whole), "parts": parts}, args.fmt)
+    _emit({"graph": whole, "parts": parts}, args.fmt)
     return 0
 
 
@@ -220,7 +230,7 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
         "complex_S_ell": cx_ell.to_json_dict(),
         "complex_S_bar_chain_count": s_bar.chain_count(),
         "two_dimensional": {"ok": dim.ok, "max_chain_length": dim.max_chain_length},
-        "gluing": asdict(gluing),
+        "gluing": gluing,
     }
     _emit(doc, args.fmt)
     return 0 if dim.ok and gluing.ok else 2
@@ -228,19 +238,19 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
 
 def cmd_links(inst: Instance, args: argparse.Namespace) -> int:
     report = certify_link_condition(inst)
-    _emit(asdict(report), args.fmt)
+    _emit(report, args.fmt)
     return 0 if report.ok else 2
 
 
 def cmd_kpi1(inst: Instance, args: argparse.Namespace) -> int:
     verdict = kpi1_verdict(inst)
-    _emit(verdict.to_json_dict(), args.fmt)
+    _emit(verdict, args.fmt)
     return 0 if verdict.holds else 2
 
 
 def cmd_acyl(inst: Instance, args: argparse.Namespace) -> int:
     verdict = check_acylindricity(inst)
-    _emit(asdict(verdict), args.fmt)
+    _emit(verdict, args.fmt)
     return 0 if verdict.ok else 2
 
 
@@ -278,6 +288,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="instance JSON file")

@@ -46,7 +46,7 @@ label triple, and a larger one once per vertex set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .defining_graph import DefiningGraph, GraphError
 
@@ -84,26 +84,29 @@ def diagram_edges(
     return out
 
 
-def _components(verts: list[str], edges: dict[frozenset[str], int | None]) -> list[list[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in verts}
-    for e in edges:
-        u, v = sorted(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[str] = set()
+def complement_components(
+    verts: Iterable[str], apart: Mapping[str, Iterable[str]]
+) -> list[list[str]]:
+    """The components of the graph on ``verts`` that joins every pair except
+    those ``apart`` names (``apart[v]`` holds the vertices not joined to v,
+    and may name vertices outside ``verts``), each sorted, in order of their
+    least vertex.  A popped vertex reaches every unvisited vertex not apart
+    from it, so only those apart stay unvisited, and the walk costs the
+    vertices plus the pairs named."""
+    unvisited = set(verts)
     comps: list[list[str]] = []
-    for start in verts:
-        if start in seen:
+    for start in sorted(unvisited):
+        if start not in unvisited:
             continue
+        unvisited.remove(start)
         comp = [start]
-        seen.add(start)
         stack = [start]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
+            reached = unvisited
+            unvisited = reached.intersection(apart[stack.pop()])
+            reached -= unvisited
+            comp += reached
+            stack += reached
         comps.append(sorted(comp))
     return comps
 
@@ -143,18 +146,12 @@ def _classify_path(labels: list[int]) -> str:
     return "indefinite"
 
 
-def _classify_component(
-    verts: list[str], edges: dict[frozenset[str], int | None]
-) -> str:
+def _classify_component(verts: list[str], comp_edges: dict[frozenset[str], int]) -> str:
+    """The type of a connected diagram on a clique of the defining graph,
+    given its diagram edges, none of them infinity."""
     n = len(verts)
     if n == 1:
         return "A1"
-    inside = set(verts)
-    comp_edges = {e: m for e, m in edges.items() if e <= inside}
-    if any(m is INFINITY for m in comp_edges.values()):
-        if n == 2 and len(comp_edges) == 1:
-            return "~A1"
-        return "indefinite"
     adj: dict[str, list[str]] = {v: [] for v in verts}
     for e in comp_edges:
         u, v = sorted(e)
@@ -257,11 +254,27 @@ def _kind(names: list[str]) -> str:
 
 
 def classify_type(graph: DefiningGraph, subset: Iterable[str]) -> CoxeterType:
+    """The type of the full subgraph on ``subset``.  Its diagram components
+    are the complement components of its label-2 edges.  A component that
+    is not a clique carries an infinity label, so it is ~A1 on two vertices
+    and indefinite otherwise; only a clique's pairs are listed."""
     verts = sorted(set(subset))
     if not verts:
         return CoxeterType(kind="finite", components=())
-    edges = diagram_edges(graph, verts)
-    names = sorted(_classify_component(c, edges) for c in _components(verts, edges))
+    labels = graph._label_map
+    # diagram edges join every pair whose label is not 2, absent edges too
+    commuting = {
+        v: [w for w in graph.neighbors(v) if labels[frozenset((v, w))] == 2] for v in verts
+    }
+    names = []
+    for comp in complement_components(verts, commuting):
+        inside = set(comp)
+        if all(len(inside.intersection(graph.neighbors(v))) == len(comp) - 1 for v in comp):
+            names.append(_classify_component(comp, diagram_edges(graph, comp)))
+        else:
+            # an absent edge is an infinity label
+            names.append("~A1" if len(comp) == 2 else "indefinite")
+    names.sort()
     return CoxeterType(kind=_kind(names), components=tuple(names))
 
 
@@ -345,8 +358,12 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
                     continue
                 out.append(frozenset(cand))
                 kept = tuple(c for c in comps if c not in joined)
-                nxt.append(
-                    (cand, tuple(w for w in above[i + 1 :] if w in labels[v]), kept + (merged,))
+                # the first level reads v's own neighbours above it
+                common = (
+                    tuple(w for w in above[i + 1 :] if w in labels[v])
+                    if base
+                    else tuple(w for w in graph._adjacency[v] if w > v)
                 )
+                nxt.append((cand, common, kept + (merged,)))
         level = nxt
     return out

@@ -357,19 +357,6 @@ class ClassifierReport:
     notes: tuple[str, ...]
 
 
-def _complement_connected(graph: DefiningGraph, vertices: frozenset[str]) -> bool:
-    """Whether the complement of the full subgraph on ``vertices`` is connected."""
-    start = min(vertices)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in vertices - seen - set(graph.neighbors(v)) - {v}:
-            seen.add(w)
-            stack.append(w)
-    return len(seen) == len(vertices)
-
-
 def classify_known(graph: DefiningGraph, vertices: Iterable[str], spherical) -> ClassifierReport:
     """Flags for the presentation classes with a known K(pi,1) or known
     acylindrical hyperbolicity status, for the full subgraph on
@@ -398,7 +385,7 @@ def classify_known(graph: DefiningGraph, vertices: Iterable[str], spherical) -> 
         extra_large_type=all(m >= 4 for m in labels),
         xxl_type=all(m >= 5 for m in labels),
         right_angled=all(m == 2 for m in labels),
-        join_decomposable=len(inside) >= 2 and not _complement_connected(graph, inside),
+        join_decomposable=len(coxeter.complement_components(inside, graph._adjacency)) > 1,
         locally_reducible=None,
         notes=notes,
     )

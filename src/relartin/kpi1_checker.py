@@ -16,7 +16,7 @@ read the instance's one list of spherical subsets, grouped by part.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .defining_graph import Instance, check_rel_prime, classify_known
 from .girth_checker import CertificationReport, certify_link_condition
@@ -132,19 +132,9 @@ def verify_no_large_crossing_spherical(inst: Instance) -> CrossingVerdict:
 class Kpi1Verdict:
     applicable: bool
     holds: bool
-    status_line: str
+    status: str
     evidence: list[dict]
     certification: CertificationReport | None
-    audit: FamilyAudit | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "status": self.status_line,
-            "evidence": self.evidence,
-            "certification": asdict(self.certification) if self.certification else None,
-        }
 
 
 def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
@@ -172,10 +162,9 @@ def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
         return Kpi1Verdict(
             applicable=False,
             holds=False,
-            status_line="inapplicable: inter-edge label condition fails",
+            status="inapplicable: inter-edge label condition fails",
             evidence=evidence,
             certification=None,
-            audit=None,
         )
 
     cert = certify_link_condition(inst)
@@ -296,8 +285,7 @@ def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
     return Kpi1Verdict(
         applicable=True,
         holds=holds,
-        status_line=status,
+        status=status,
         evidence=evidence,
         certification=cert,
-        audit=audit,
     )

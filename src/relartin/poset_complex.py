@@ -93,14 +93,18 @@ class SubsetPoset:
         The elements above ``small`` come in order of size, so a candidate
         ``big`` covers ``small`` exactly when no cover of ``small`` kept so
         far lies below it: a strictly intermediate element would contain a
-        cover that is smaller than ``big`` and hence already kept.
+        cover that is smaller than ``big`` and hence already kept.  So
+        ``big`` is a cover exactly when it lies above no kept cover.
         """
+        above = self.above
         out: dict[frozenset, list[frozenset]] = {}
-        for small, bigger in self.above.items():
+        for small, bigger in above.items():
             kept = out[small] = []
+            shadowed: set[frozenset] = set()
             for big in bigger:
-                if not any(c < big for c in kept):
+                if big not in shadowed:
                     kept.append(big)
+                    shadowed.update(above[big])
         return out
 
     def covers(self) -> list[tuple[frozenset, frozenset]]:

@@ -65,9 +65,11 @@ was first written, a table of (exponents, normal form) pairs built with
 Coxeter types: the smallest eigenvalue of the cosine matrix
 B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
 finite quotient, zero for an affine one and negative otherwise.  The
-spherical subsets are every vertex subset that ``classify_type`` calls
-finite, and FC type is every clique being spherical, with cliques grown one
-vertex at a time.  The rejected cliques are every spherical subset, in that
+type is also read off the diagram listed pair by pair: every pair with a
+label other than 2 is a diagram edge, and each component found along those
+edges is typed from them.  The spherical subsets are every vertex subset
+that ``classify_type`` calls finite, and FC type is every clique being
+spherical, with cliques grown one vertex at a time.  The rejected cliques are every spherical subset, in that
 order, extended by each larger vertex adjacent to all of it that
 ``classify_type`` does not call finite.  A part's classifier flags are
 worked out on a copy of the part's full subgraph: its own enumeration, its
@@ -962,6 +964,37 @@ def definiteness_oracle(graph, subset, tolerance: float = 1e-9) -> OracleVerdict
         min_eigenvalue=lam,
         low_confidence=abs(lam) <= 10 * tolerance,
     )
+
+
+def all_pairs_classify_type(graph, subset) -> coxeter.CoxeterType:
+    """``coxeter.classify_type`` from the diagram of every pair: its
+    components are walked along its edges and each is typed from them, a
+    component with an infinity edge as ~A1 on two vertices and as
+    indefinite otherwise."""
+    verts = sorted(set(subset))
+    edges = coxeter.diagram_edges(graph, verts)
+    adj = {v: set() for v in verts}
+    for u, v in map(tuple, edges):
+        adj[u].add(v)
+        adj[v].add(u)
+    seen: set = set()
+    names = []
+    for start in verts:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        inside = {e: m for e, m in edges.items() if e <= comp}
+        if coxeter.INFINITY in inside.values():
+            names.append("~A1" if len(comp) == 2 else "indefinite")
+        else:
+            names.append(coxeter._classify_component(sorted(comp), inside))
+    names.sort()
+    return coxeter.CoxeterType(kind=coxeter._kind(names), components=tuple(names))
 
 
 def brute_spherical_subsets(graph) -> list:

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import asdict, is_dataclass
 
 import pytest
 from instances import random_rel_prime_instance
@@ -312,23 +313,55 @@ def test_dense_empty_link_is_searched_to_its_floor(capsys, tmp_path, monkeypatch
         assert empty["stats"]["edges"] == 25440
 
 
-def test_ring_with_no_2pi_cycle_passes_by_the_floor_lemma(capsys, tmp_path):
-    # 5,000 two-vertex parts of label 2, consecutive parts joined by
-    # disjoint label-4 inter-edges: the empty link's only cycle runs round
-    # the ring, 40,000 units, so no root lies on a 16-unit cycle and the
-    # floor lemma settles the entry without a search of the whole ring
-    n = 5000
+RING_PARTS = 5000
+
+
+def _ring(tmp_path) -> str:
+    """5,000 two-vertex parts of label 2, consecutive parts joined by
+    disjoint label-4 inter-edges."""
+    n = RING_PARTS
     parts = [[f"p{i}a", f"p{i}b"] for i in range(n)]
     edges = [{"u": a, "v": b, "m": 2} for a, b in parts]
     edges += [{"u": parts[i][1], "v": parts[(i + 1) % n][0], "m": 4} for i in range(n)]
     vertices = [v for part in parts for v in part]
     path = tmp_path / "ring.json"
     path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
-    code, doc, err = run_json(capsys, "links", "--input", str(path))
+    return str(path)
+
+
+def test_ring_with_no_2pi_cycle_passes_by_the_floor_lemma(capsys, tmp_path):
+    # the empty link's only cycle runs round the ring, 40,000 units, so no
+    # root lies on a 16-unit cycle and the floor lemma settles the entry
+    # without a search of the whole ring
+    code, doc, err = run_json(capsys, "links", "--input", _ring(tmp_path))
     assert (code, err) == (0, "")
     empty = doc["entries"][0]
     assert (empty["case"], empty["status"], empty["certificate"]) == ("empty", "PASS-lemma", None)
-    assert empty["stats"]["edges"] == 4 * n
+    assert empty["stats"]["edges"] == 4 * RING_PARTS
+
+
+def test_ring_is_classified_without_listing_the_pairs_of_a_non_clique(
+    capsys, monkeypatch, tmp_path
+):
+    # the whole ring's diagram is one component of 10,000 vertices with
+    # infinity labels; listing its pairs would take 50 million entries
+    real = coxeter.diagram_edges
+
+    def clique_only(graph, subset):
+        verts = sorted(subset)
+        if not all(graph.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]):
+            raise AssertionError(f"diagram pairs listed for a non-clique of {len(verts)}")
+        return real(graph, verts)
+
+    monkeypatch.setattr(coxeter, "diagram_edges", clique_only)
+    code, doc, err = run_json(capsys, "classify", "--input", _ring(tmp_path))
+    assert (code, err) == (0, "")
+    assert doc["graph"]["notes"] == ["coxeter type: indefinite (indefinite)"]
+    assert not doc["graph"]["join_decomposable"]
+    assert len(doc["parts"]) == RING_PARTS
+    assert {part["report"]["notes"][0] for part in doc["parts"]} == {
+        "coxeter type: finite (A1, A1)"
+    }
 
 
 def test_acyl_and_kpi1_list_no_ball_and_no_chains(capsys, monkeypatch):
@@ -436,6 +469,17 @@ def test_cli_import_is_numpy_free():
     assert result.stdout == "False\n"
 
 
+def _plain(doc):
+    """doc with each dataclass instance in it copied by ``asdict``."""
+    if is_dataclass(doc):
+        return asdict(doc)
+    if isinstance(doc, dict):
+        return {key: _plain(val) for key, val in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(val) for val in doc]
+    return doc
+
+
 def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -449,7 +493,9 @@ def test_json_reports_equal_json_dumps(capsys, monkeypatch, tmp_path):
 
     def checked(doc):
         text = writer(doc)
-        assert text == _dumps(doc)
+        assert text == _dumps(_plain(doc))
+        # the text writer, too, renders a dataclass as its fields
+        assert _text(doc) == _text(_plain(doc))
         seen.append(doc)
         return text
 

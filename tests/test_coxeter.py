@@ -25,6 +25,7 @@ from relartin.defining_graph import (
 
 from instances import affine_parts_join, random_rel_prime_instance
 from oracles import (
+    all_pairs_classify_type,
     brute_fc,
     brute_rejected,
     brute_spherical_subsets,
@@ -365,3 +366,66 @@ def test_part_reports_from_the_instance_list_match_each_part_alone():
         assert list(crossing) == [t for t in inst.spherical if not any(t <= p for p in sets)]
     # every combination of the two flags is exercised at part level
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _graph_at_any_density(rng):
+    """Up to 12 vertices, from no edges to complete, with label 2 drawn at
+    a varying rate so that diagrams split into several components."""
+    n = rng.randint(1, 12)
+    vs = [f"v{i:02d}" for i in range(n)]
+    density = rng.choice((0.0, 0.1, 0.3, 0.6, 0.9, 1.0))
+    commuting = rng.choice((0.3, 0.7, 0.95))
+    edges = [
+        (vs[i], vs[j], 2 if rng.random() < commuting else rng.randint(3, 6))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return DefiningGraph.build(vs, edges)
+
+
+def test_complement_walk_types_match_the_all_pairs_route():
+    rng = random.Random(23)
+    names = set()
+    for _ in range(2000):
+        g = _graph_at_any_density(rng)
+        subset = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
+        for verts in (g.vertices, subset):
+            t = coxeter.classify_type(g, verts)
+            assert t == all_pairs_classify_type(g, verts), (g.edges, verts)
+            assert t.kind == definiteness_oracle(g, verts).classification, (g.edges, verts)
+            names.update(t.components)
+    # non-clique components of both kinds and clique components of every
+    # kind are met
+    assert {"~A1", "indefinite", "A1", "A2", "B2", "~A2"} <= names
+
+
+def _brute_complement_components(graph, verts):
+    """The complement's components on verts, every pair tested."""
+    comps, left = [], sorted(verts)
+    while left:
+        comp, frontier = {left[0]}, [left[0]]
+        while frontier:
+            v = frontier.pop()
+            for w in left:
+                if w not in comp and not graph.has_edge(v, w):
+                    comp.add(w)
+                    frontier.append(w)
+        comps.append(sorted(comp))
+        left = [v for v in left if v not in comp]
+    return comps
+
+
+def test_join_decomposable_matches_brute_complement_connectivity():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(1000):
+        g = _graph_at_any_density(rng)
+        verts = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
+        comps = coxeter.complement_components(verts, g._adjacency)
+        assert comps == _brute_complement_components(g, verts), (g.edges, verts)
+        spherical = coxeter.enumerate_spherical_subsets(induced_subgraph(g, verts))
+        join = classify_known(g, verts, spherical).join_decomposable
+        assert join == (len(comps) > 1), (g.edges, verts)
+        seen.add((len(verts) > 1, join))
+    assert seen == {(False, False), (True, False), (True, True)}

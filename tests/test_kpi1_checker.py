@@ -1,5 +1,6 @@
 """Family audit, crossing check, and the assembled asphericity verdict."""
 import random
+from dataclasses import fields
 
 from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily
 from relartin.girth_checker import CertificationReport, LinkCertificate
@@ -105,7 +106,7 @@ def test_crossing_check():
 def test_kpi1_holds_on_the_join():
     verdict = kpi1_verdict(affine_parts_join())
     assert verdict.applicable and verdict.holds
-    assert verdict.status_line == "holds, parts affine"
+    assert verdict.status == "holds, parts affine"
     machine = [e for e in verdict.evidence if e["kind"] == "machine"]
     citations = [e for e in verdict.evidence if e["kind"] == "citation"]
     assert len(machine) == 6 and all(e["ok"] for e in machine)
@@ -114,30 +115,32 @@ def test_kpi1_holds_on_the_join():
     assert "Godelle-Paris" in cited and "Cartan-Hadamard" in cited and "van der Lek" in cited
     assert "Appel-Schupp" in cited
     assert verdict.certification is not None and verdict.certification.ok
-    doc = verdict.to_json_dict()
-    assert doc["status"] == "holds, parts affine"
-    assert set(doc) == {"applicable", "holds", "status", "evidence", "certification"}
+    # the report's keys, in text order
+    assert [f.name for f in fields(verdict)] == [
+        "applicable", "holds", "status", "evidence", "certification"
+    ]
 
 
 def test_kpi1_inapplicable_on_the_control():
     verdict = kpi1_verdict(touching_triple_control())
     assert not verdict.applicable and not verdict.holds
-    assert verdict.status_line == "inapplicable: inter-edge label condition fails"
+    assert verdict.status == "inapplicable: inter-edge label condition fails"
     assert len(verdict.evidence) == 1
     assert sorted(verdict.evidence[0]["detail"]) == ["a-b (m=3)", "b-c (m=3)"]
-    assert verdict.certification is None and verdict.audit is None
+    assert verdict.certification is None
 
 
 def test_kpi1_pending_parts():
     inst = unknown_part_instance()
     verdict = kpi1_verdict(inst)
     assert verdict.holds
-    assert verdict.status_line == "reduction established, per-part status pending"
-    assert [(p.provenance, p.which) for p in verdict.audit.parts] == [
+    assert verdict.status == "reduction established, per-part status pending"
+    family = next(e for e in verdict.evidence if e["check"].startswith("family completeness"))
+    assert family["ok"]
+    assert [(p["provenance"], p["class"]) for p in family["detail"]["parts"]] == [
         ("unknown", None),
         ("known-class", "spherical"),
     ]
-    assert verdict.audit.overall == "conditional"
 
 
 def test_kpi1_spherical_parts():
@@ -153,7 +156,7 @@ def test_kpi1_spherical_parts():
         ],
     )
     verdict = kpi1_verdict(Instance(g, SubgraphFamily.build(g, [["a", "b"], ["c", "d"]])))
-    assert verdict.holds and verdict.status_line == "holds, parts spherical"
+    assert verdict.holds and verdict.status == "holds, parts spherical"
 
 
 def test_kpi1_reports_machine_failure(monkeypatch):
@@ -177,7 +180,7 @@ def test_kpi1_reports_machine_failure(monkeypatch):
     )
     verdict = kpi1_verdict(affine_parts_join())
     assert verdict.applicable and not verdict.holds
-    assert verdict.status_line == "failed: a machine check did not pass"
+    assert verdict.status == "failed: a machine check did not pass"
     link_evidence = next(
         e for e in verdict.evidence if "link condition" in e["check"]
     )
