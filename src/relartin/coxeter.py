@@ -259,8 +259,6 @@ def classify_type(graph: DefiningGraph, subset: Iterable[str]) -> CoxeterType:
     is not a clique carries an infinity label, so it is ~A1 on two vertices
     and indefinite otherwise; only a clique's pairs are listed."""
     verts = sorted(set(subset))
-    if not verts:
-        return CoxeterType(kind="finite", components=())
     labels = graph._label_map
     # diagram edges join every pair whose label is not 2, absent edges too
     commuting = {
