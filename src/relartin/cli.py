@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .acyl_checker import check_acylindricity
 from .defining_graph import (
@@ -45,11 +46,12 @@ def _emit(doc, fmt: str) -> None:
         _emit_text(doc)
 
 
-# the C encoder, compact with "\n" between items: it encodes a row list's
-# values in one pass and every scalar outside rows; every control
-# character in a string is escaped, so a raw newline is a separator
-_encode_values = json.JSONEncoder(separators=("\n", ":")).encode
+# the C encoder, compact: it spells every scalar that has no cheaper spelling
+_encode_value = json.JSONEncoder().encode
 _ROW_VALUE_TYPES = frozenset((str, int, float, bool, type(None)))
+# JSON's constants; read only for a bool or None, since 1 == True
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+_CONSTANT_TYPES = frozenset((bool, type(None)))
 
 
 def _json_text(doc) -> str:
@@ -104,9 +106,13 @@ def _fields(report) -> dict:
 
 
 def _write_rows(rows, nl: str, out: list[str]) -> bool:
-    """Append a list of flat dicts with one key set, values encoded in one
-    pass and laid out by a template; False, appending nothing, for any
-    other list."""
+    """Append a list of flat dicts with one key set, each row laid out by
+    one ``%`` template; False, appending nothing, for any other list.
+
+    Each column is spelled by its types: ints by ``%d``, strings by the C
+    string encoder, bools and None from a table, any other mix through
+    ``_json_scalar``.  The spellings are lazy maps read as the rows are
+    formatted, so no column of spelled values is ever held."""
     first = rows[0]
     if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
         return False
@@ -114,24 +120,45 @@ def _write_rows(rows, nl: str, out: list[str]) -> bool:
     if set(map(len, rows)) != {len(keys)}:
         return False
     try:
-        values = [row[k] for row in rows for k in keys]
+        columns = [list(map(itemgetter(k), rows)) for k in keys]
     except KeyError:
         return False
-    if not set(map(type, values)) <= _ROW_VALUE_TYPES:
-        return False
+    cells, spelled = [], []
+    for column in columns:
+        kinds = set(map(type, column))
+        if not kinds <= _ROW_VALUE_TYPES:
+            return False
+        if kinds == {int}:
+            cells.append("%d")
+            spelled.append(column)
+            continue
+        cells.append("%s")
+        if kinds == {str}:
+            spelled.append(map(_quote, column))
+        elif kinds <= _CONSTANT_TYPES:
+            spelled.append(map(_JSON_CONSTANTS.__getitem__, column))
+        else:
+            spelled.append(map(_json_scalar, column))
     item, entry = nl + "  ", nl + "    "
     row = "{" + ",".join(
-        f"{entry}{_quote(k).replace('%', '%%')}: %s" for k in keys
+        f"{entry}{_quote(k).replace('%', '%%')}: {cell}" for k, cell in zip(keys, cells)
     ) + item + "}"
-    layout = "[" + item + ("," + item).join([row] * len(rows)) + nl + "]"
-    out.append(layout % tuple(_encode_values(values)[1:-1].split("\n")))
+    out += ("[" + item, ("," + item).join(map(row.__mod__, zip(*spelled))), nl + "]")
     return True
 
 
 def _json_scalar(val) -> str:
-    # strings are most of the scalars outside rows; the C encoder spells
-    # the rest (true, NaN, ...) and rejects what JSON cannot hold
-    return _quote(val) if isinstance(val, str) else _encode_values(val)
+    # strings are most of the scalars outside rows; exact ints and the
+    # constants have fixed spellings, and the C encoder spells the rest
+    # (NaN, -Infinity, int subclasses) and rejects what JSON cannot hold
+    if isinstance(val, str):
+        return _quote(val)
+    kind = type(val)
+    if kind is int:
+        return int.__repr__(val)
+    if kind in _CONSTANT_TYPES:
+        return _JSON_CONSTANTS[val]
+    return _encode_value(val)
 
 
 def _emit_text(doc) -> None:

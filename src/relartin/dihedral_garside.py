@@ -27,7 +27,15 @@ element with eps = 0, which serves as its canonical representative.
 Elements are ``DihedralElement`` named tuples (k, last, lengths), not
 dataclasses: development puts every element into sets and dicts, and a
 tuple hashes and compares in C where a dataclass goes through its Python
-``__hash__`` and ``__eq__``.
+``__hash__`` and ``__eq__``.  The engine builds them with ``tuple.__new__``
+in C, not through the named tuple's own ``__new__``, which is a Python
+function: a development makes one element per product.
+
+``describe`` spells Delta's power and then the tail's simples.  Many
+elements of a ball share a tail and differ only in their Delta power, so
+each engine keeps a memo of the tails it has spelled, keyed by last letter
+and lengths.  The memo lives and dies with its engine, which each CLI call
+makes afresh, and holds only the tails of described elements.
 
 Two word-problem engines share one small interface used by link
 development (identity, generators, mult_gen, mult_word, sort_key,
@@ -86,6 +94,9 @@ class DihedralElement(NamedTuple):
     last: str | None
     lengths: tuple[int, ...]
 
+
+# builds a DihedralElement in C (see the module docstring)
+_new = tuple.__new__
 
 # the default element cap of a ball, and the largest the CLI accepts
 BALL_CAP = 10**6
@@ -174,22 +185,6 @@ def _mult_word(engine, el, word: Iterable[tuple[str, int]]):
     return el
 
 
-class _SyllableWords(dict):
-    """(first letter, length) -> the simple's alternating letters, each
-    made the first time it is read: a label m can be far larger than any
-    ball, so the table holds only the syllables of described elements."""
-
-    def __init__(self, other: dict[str, str]):
-        super().__init__()
-        self._other = other
-
-    def __missing__(self, key: tuple[str, int]) -> str:
-        first, length = key
-        pair = first + self._other[first]
-        word = self[key] = pair * (length // 2) + first * (length % 2)
-        return word
-
-
 class DihedralEngine:
     """Exact engine for two generators with one finite label m >= 2."""
 
@@ -202,8 +197,9 @@ class DihedralEngine:
         self.m = m
         self.identity = DihedralElement(0, None, ())
         self._other = {a: b, b: a}
-        # the letters of each proper simple describe has met
-        self._words = _SyllableWords(self._other)
+        # by last letter, then lengths: the spelled tail of each element
+        # describe has met
+        self._tails: dict = {None: {(): ""}, a: {}, b: {}}
 
     def other(self, t: str) -> str:
         if t not in self._other:
@@ -282,8 +278,8 @@ class DihedralEngine:
             if size % 2 == 0:
                 hf = other[hf]
         if hl:
-            return DihedralElement(k, end, lengths[:j] + (hl,) + (size,) * rest)
-        return DihedralElement(k, last if j else None, lengths[:j])
+            return _new(DihedralElement, (k, end, lengths[:j] + (hl,) + (size,) * rest))
+        return _new(DihedralElement, (k, last if j else None, lengths[:j]))
 
     def mult_gen(self, el: DihedralElement, letter: str, sign: int) -> DihedralElement:
         """Right-multiply by letter^sign: ``mult_power`` for n = +-1, its
@@ -306,20 +302,20 @@ class DihedralEngine:
         k, last, lengths = el
         if sign == 1:
             if not lengths or last == letter:
-                return DihedralElement(k, letter, lengths + (1,))
+                return _new(DihedralElement, (k, letter, lengths + (1,)))
             length = lengths[-1] + 1
             if length < self.m:
-                return DihedralElement(k, letter, lengths[:-1] + (length,))
+                return _new(DihedralElement, (k, letter, lengths[:-1] + (length,)))
             head = lengths[:-1]
-            return DihedralElement(k + 1, other[letter] if head else None, head)
+            return _new(DihedralElement, (k + 1, other[letter] if head else None, head))
         if sign == -1:
             if not lengths or last != letter:
-                return DihedralElement(k - 1, other[letter], lengths + (self.m - 1,))
+                return _new(DihedralElement, (k - 1, other[letter], lengths + (self.m - 1,)))
             length = lengths[-1] - 1
             if length:
-                return DihedralElement(k, other[letter], lengths[:-1] + (length,))
+                return _new(DihedralElement, (k, other[letter], lengths[:-1] + (length,)))
             head = lengths[:-1]
-            return DihedralElement(k, letter if head else None, head)
+            return _new(DihedralElement, (k, letter if head else None, head))
         raise ValueError(f"sign must be +-1, got {sign}")
 
     # shared with FreeEngine, and assigned rather than inherited so that each
@@ -331,19 +327,16 @@ class DihedralEngine:
         """Exponent-sum homomorphism (both generators to 1)."""
         return el.k * self.m + sum(el.lengths)
 
-    def _first(self, el: DihedralElement) -> str | None:
-        """The tail's first letter: a simple of length l flips the letter
-        l - 1 times from its first to its last, and each later simple
-        starts with the letter the one before it ends with."""
-        if (sum(el.lengths) - len(el.lengths)) % 2:
-            return self._other[el.last]
-        return el.last
-
     def sort_key(self, el: DihedralElement):
-        # the order of (k, number of simples, the (first letter, length)
-        # pairs), since each later first letter follows from the pair
-        # before it
-        return (el.k, len(el.lengths), self._first(el), el.lengths)
+        """(k, number of simples, first letter, lengths): the order of the
+        (first letter, length) pairs, since each later first letter
+        follows from the pair before it.  A simple of length l flips the
+        letter l - 1 times from its first to its last, and each later
+        simple starts with the letter the one before it ends with."""
+        k, last, lengths = el
+        if (sum(lengths) - len(lengths)) % 2:
+            last = self._other[last]
+        return k, len(lengths), last, lengths
 
     def coset_key(self, el: DihedralElement, generator: str) -> tuple:
         """The generator, then the k, last letter and lengths of the unique
@@ -352,18 +345,39 @@ class DihedralEngine:
         Radius independent, so two elements get one key exactly when their
         cosets coincide.
         """
-        return (generator, *self.mult_power(el, generator, -self.epsilon(el)))
+        k, _, lengths = el  # epsilon(el) is k m + sum(lengths)
+        return (generator, *self.mult_power(el, generator, -k * self.m - sum(lengths)))
 
     def describe(self, el: DihedralElement) -> str:
-        letter, other, simples = self._first(el), self._other, []
-        for length in el.lengths:
-            simples.append(self._words[letter, length])
-            if length % 2 == 0:
-                letter = other[letter]
-        words = ".".join(simples)
-        if el.k == 0:
+        """Delta's power, then each simple's alternating letters."""
+        k, last, lengths = el
+        words = self._tails[last].get(lengths)
+        if words is None:
+            words = self._spell(last, lengths)
+        if k == 0:
             return words or "1"
-        return f"D^{el.k}.{words}" if words else f"D^{el.k}"
+        return f"D^{k}.{words}" if words else f"D^{k}"
+
+    def _spell(self, last: str, lengths: tuple[int, ...]) -> str:
+        """The tail's simples spelled out and joined by dots, kept in the
+        memo.  Simples are spelled from the right until the rest of the
+        tail is found in the memo: a new tail of a ball is mostly a spelled
+        one plus one simple."""
+        tails, other, simples, rest = self._tails, self._other, [], ""
+        end = last
+        for r in range(len(lengths), 0, -1):
+            # the simple ends with end; the tail before it ends with the
+            # simple's first letter
+            length = lengths[r - 1]
+            first = end if length % 2 else other[end]
+            simples.append((first + other[first]) * (length // 2) + first * (length % 2))
+            end = first
+            known = tails[end].get(lengths[: r - 1]) if r > 1 else None
+            if known is not None:
+                rest = known + "."
+                break
+        words = tails[last][lengths] = rest + ".".join(reversed(simples))
+        return words
 
 
 # the benchmark's layer tracer patches mult_gen under this name

@@ -35,12 +35,16 @@ coset vertex of g, and only the others compute a coset key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from operator import add, itemgetter, mul, ne
 
 from .defining_graph import GraphError, Instance, InterEdge
 from .dihedral_garside import BALL_CAP, DihedralEngine
 from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, dot_escape, subset_label
 
 TWO_PI_UNITS = 16
+# the lengths a link edge may have, in units of pi/8
+_UNIT_RANGE = frozenset((1, 2, 3, 4))
 
 
 class UnsupportedPartError(GraphError):
@@ -74,6 +78,28 @@ class LinkGraph:
         return len(self.vertex_labels)
 
     def check_simple_bipartite(self) -> None:
+        """Raise GraphError at the first edge that is a self-loop, repeats
+        an earlier edge, lies inside one side or has a length outside 1..4
+        units.
+
+        The edges are first tested all at once: an edge (i, j) is coded
+        as the int i n + j for n vertices, and a repeat is a code met twice
+        or also met as j n + i; a self-loop lies inside its side.  Only a
+        graph that fails is scanned edge by edge, to name its first
+        fault."""
+        if self.edges:
+            # columns by itemgetter: zip(*edges) would make an iterator per edge
+            us, vs, ws = (list(map(itemgetter(c), self.edges)) for c in range(3))
+            n = self.vertex_count
+            codes = set(map(add, map(mul, us, repeat(n)), vs))
+            sides = self.sides.__getitem__
+            if (
+                len(codes) == len(us)
+                and codes.isdisjoint(map(add, map(mul, vs, repeat(n)), us))
+                and all(map(ne, map(sides, us), map(sides, vs)))
+                and set(ws) <= _UNIT_RANGE
+            ):
+                return
         seen = set()
         for i, j, w in self.edges:
             if i == j:
@@ -84,7 +110,7 @@ class LinkGraph:
             seen.add(key)
             if self.sides[i] == self.sides[j]:
                 raise GraphError(f"edge {key} inside one side of the bipartition")
-            if w not in (1, 2, 3, 4):
+            if w not in _UNIT_RANGE:
                 raise GraphError(f"edge length {w} outside 1..4 units")
 
     def to_json_dict(self) -> dict:
@@ -92,17 +118,15 @@ class LinkGraph:
             "case": self.case,
             "descriptor": self.descriptor,
             "vertices": [
-                {
-                    "kind": self.vertex_kinds[i],
-                    "label": self.vertex_labels[i],
-                    "side": self.sides[i],
-                    "boundary": i in self.boundary,
-                }
-                for i in range(self.vertex_count)
+                {"kind": kind, "label": label, "side": side, "boundary": boundary}
+                for kind, label, side, boundary in zip(
+                    self.vertex_kinds,
+                    self.vertex_labels,
+                    self.sides,
+                    map(self.boundary.__contains__, range(self.vertex_count)),
+                )
             ],
-            "edges": [
-                {"u": i, "v": j, "units": w} for i, j, w in self.edges
-            ],
+            "edges": [{"u": i, "v": j, "units": w} for i, j, w in self.edges],
             "truncation": {
                 "complete": self.truncation.complete,
                 "truncated": self.truncation.truncated,
@@ -113,14 +137,19 @@ class LinkGraph:
         }
 
     def to_dot(self) -> str:
+        labels, boundary = self.vertex_labels, self.boundary
+        # developed labels are spelled from generator names, so mostly
+        # none needs escaping
+        joined = "".join(labels)
+        if "\\" in joined or '"' in joined:
+            labels = list(map(dot_escape, labels))
         lines = [f'graph "{dot_escape(self.descriptor)}" {{']
-        for i in range(self.vertex_count):
-            shape = "box" if self.sides[i] else "ellipse"
-            style = ', style=dashed' if i in self.boundary else ""
-            label = dot_escape(self.vertex_labels[i])
-            lines.append(f'  n{i} [label="{label}", shape={shape}{style}];')
-        for i, j, w in self.edges:
-            lines.append(f'  n{i} -- n{j} [label="{w}"];')
+        lines += [
+            f'  n{i} [label="{label}", shape={"box" if side else "ellipse"}'
+            f'{", style=dashed" if i in boundary else ""}];'
+            for i, label, side in zip(count(), labels, self.sides)
+        ]
+        lines += [f'  n{i} -- n{j} [label="{w}"];' for i, j, w in self.edges]
         lines.append("}")
         return "\n".join(lines)
 
@@ -295,7 +324,8 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     only the other elements pay for ``coset_key``, which stays the exact
     test because a coset can meet the ball in pieces that no g-step joins.
     A shared coset vertex was created at or before that neighbour, so the
-    numbering is the one the keys alone would give."""
+    numbering is the one the keys alone would give.  The element labels
+    come first, so a coset vertex is labelled as it is created."""
     if radius < 1:
         raise GraphError("radius must be >= 1")
     engine = dev.engine
@@ -303,18 +333,18 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     ball = [el for level in levels for el in level]
     elements = len(ball)
     outer = elements - len(levels[-1])
-    # (element vertex that first met it, generator) of each coset vertex
-    cosets: list[tuple[int, str]] = []
+    # element labels, then each coset vertex's label as it is created
+    labels = list(map(engine.describe, ball))
     coset_index: dict[tuple, int] = {}
     edges: list[tuple[int, int, int]] = []
     coset_key, generators, units = engine.coset_key, engine.generators, dev.units
     gens = len(generators)
-    for i in range(elements):
-        el = ball[i]
-        row = neighbours[i]
-        for gi, g in enumerate(generators):
+    # each generator's g^+1 slot in a neighbour row, its position, itself
+    steps = [(2 * gi, gi, g) for gi, g in enumerate(generators)]
+    for i, el, row in zip(range(elements), ball, neighbours):
+        for slot, gi, g in steps:
             # a neighbour p's own edge of g is edges[p * gens + gi]
-            up, down = row[2 * gi], row[2 * gi + 1]
+            up, down = row[slot], row[slot + 1]
             if 0 <= up < i:
                 j = edges[up * gens + gi][1]
             elif 0 <= down < i:
@@ -323,20 +353,19 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
                 key = coset_key(el, g)
                 j = coset_index.get(key)
                 if j is None:
-                    j = coset_index[key] = elements + len(cosets)
-                    cosets.append((i, g))
+                    j = coset_index[key] = len(labels)
+                    labels.append(f"{labels[i]}.<{g}>")
             edges.append((i, j, units))
+    cosets = len(labels) - elements
     # the outer level's element vertices and every coset vertex they touch
     boundary = set(range(outer, elements))
-    boundary.update(j for _, j, _ in edges[outer * len(generators) :])
-    labels = [engine.describe(el) for el in ball]
-    labels += [f"{labels[e]}.<{g}>" for e, g in cosets]
+    boundary.update(j for _, j, _ in edges[outer * gens :])
     link = LinkGraph(
         case=dev.case,
         descriptor=dev.descriptor,
-        vertex_kinds=["element"] * elements + ["coset"] * len(cosets),
+        vertex_kinds=["element"] * elements + ["coset"] * cosets,
         vertex_labels=labels,
-        sides=[0] * elements + [1] * len(cosets),
+        sides=[0] * elements + [1] * cosets,
         edges=edges,
         truncation=TruncationInfo(
             complete=False,

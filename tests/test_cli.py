@@ -518,6 +518,14 @@ def test_json_reports_equal_json_dumps(capsys, monkeypatch, tmp_path):
 
 
 ROWS = [{"a": 1, "b": "x", "c": None}, {"c": 2.5, "b": "y", "a": True}]
+
+
+class _Count(int):
+    """An int whose repr is not its JSON spelling."""
+
+    def __repr__(self):
+        return "count"
+
 NOT_ROWS = [
     [{"a": 1}, {"b": 1}],
     [{"a": 1, "b": 2}, {"a": 1}],
@@ -544,6 +552,18 @@ CRAFTED = [
     {"t": (1, 2), "u": ({"v": (4,)},)},
     [{"k%s": "%d", "\u00e9\n\"": "\x01\u2603", "%": float("nan")}] * 3,
     [{"a": float("inf"), "b": -0.0}, {"a": 2**70, "b": False}],
+    # row columns of bools, of ints, of None, and of bools and None
+    [
+        {"b": True, "i": 2**70, "n": None, "c": None},
+        {"b": False, "i": -3, "n": None, "c": False},
+        {"b": True, "i": -(2**70), "n": None, "c": True},
+    ],
+    # a mixed int/bool column and an int/float column
+    [{"m": 1, "f": 1}, {"m": True, "f": 2.5}, {"m": 0, "f": float("-inf")}, {"m": False, "f": -0.0}],
+    # a string column with %, control characters and non-ASCII
+    [{"s": "%s %d %% %(k)s"}, {"s": "\x00\n\t\x1f\x7f\"\\"}, {"s": "\u00e9\u2603\U0001f600\u2028"}],
+    # int subclasses are spelled as ints, outside rows and inside them
+    [_Count(3), {"n": _Count(-4)}, [{"n": _Count(5)}, {"n": 6}]],
     {"rows": ROWS, "deeper": [{"rows": ROWS}]},
     *NOT_ROWS,
     [NOT_ROWS, [ROWS, ROWS]],

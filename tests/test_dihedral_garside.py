@@ -350,6 +350,38 @@ def test_ball_order_and_labels_match_the_pair_form():
         assert list(map(ctx.describe, ball)) == [pairs_label(ctx, *p) for p in pairs], m
 
 
+def _memo_tails(eng) -> set:
+    return {(last, lengths) for last, table in eng._tails.items() for lengths in table}
+
+
+def test_describe_memo_belongs_to_its_engine():
+    # an engine that labels a ball of radius 6 and then one of radius 10
+    # labels both as a fresh engine does, also when it meets the tails out
+    # of ball order; and each engine's memo holds the tails of the
+    # elements it described, none from another engine's ball
+    eng = DihedralEngine("a", "b", 4)
+    for radius in (6, 10):
+        levels, _, _ = eng.ball_levels(radius)
+        ball = [el for level in levels for el in level]
+        labels = list(map(eng.describe, ball))
+        assert labels == list(map(DihedralEngine("a", "b", 4).describe, ball)), radius
+        assert labels == [pairs_label(eng, *as_pairs(eng, el)) for el in ball], radius
+        backwards = DihedralEngine("a", "b", 4)
+        assert labels == list(map(backwards.describe, ball[::-1]))[::-1], radius
+    balls = {}
+    for m in (3, 4):
+        eng = DihedralEngine("a", "b", m)
+        levels, _, _ = eng.ball_levels(6)
+        balls[m] = eng, {(el.last, el.lengths) for level in levels for el in level}
+        for level in levels:
+            for el in level:
+                eng.describe(el)
+    for m, (eng, tails) in balls.items():
+        assert _memo_tails(eng) == tails, m
+    assert any(3 in lengths for _, lengths in balls[4][1])
+    assert not any(3 in lengths for _, lengths in _memo_tails(balls[3][0]))
+
+
 def test_engine_coset_keys():
     eng = DihedralEngine("a", "b", 4)
     g = normal_form(eng, string_to_word("abaB"))

@@ -18,7 +18,13 @@ from relartin.link_builder import (
     vertex_label,
 )
 
-from relartin.poset_complex import TRIANGLE_UNITS, assign_metric, derived_complex, subset_label
+from relartin.poset_complex import (
+    TRIANGLE_UNITS,
+    assign_metric,
+    derived_complex,
+    dot_escape,
+    subset_label,
+)
 
 from instances import (
     affine_parts_join,
@@ -27,6 +33,7 @@ from instances import (
     touching_triple_control,
 )
 from oracles import per_pair_development
+from test_girth_checker import finite_link
 
 
 def m2_interedge():
@@ -199,6 +206,47 @@ def test_develop_reuses_cosets_along_ball_edges(monkeypatch):
 def test_dot_rendering_smoke():
     dot = build_link_empty(single_interedge()).to_dot()
     assert dot.startswith('graph "') and " -- " in dot
+
+
+@pytest.mark.parametrize("labels", [['q"', "r", "s"], ["q", "r\\", "s"], ['"\\', "r", "s\\\""]])
+def test_dot_escapes_a_quote_or_a_backslash_alone(labels):
+    link = finite_link([0, 1, 1], [(0, 1, 2), (0, 2, 3)])
+    link.vertex_labels = labels
+    dot = link.to_dot()
+    for i, label in enumerate(labels):
+        assert f'  n{i} [label="{dot_escape(label)}", shape=' in dot
+
+
+@pytest.mark.parametrize(
+    "sides, edges, message",
+    [
+        # a self-loop, with the fault on a later edge each time
+        ([0, 1, 0], [(0, 1, 1), (2, 2, 1)], "self-loop at vertex 2"),
+        # a repeated edge, as given and reversed
+        ([0, 1, 0], [(0, 1, 1), (2, 1, 2), (0, 1, 3)], "parallel edge (0, 1)"),
+        ([0, 1, 0], [(0, 1, 1), (2, 1, 2), (1, 2, 2)], "parallel edge (1, 2)"),
+        # an edge inside one side
+        ([0, 1, 0], [(0, 1, 1), (2, 0, 1)], "edge (0, 2) inside one side of the bipartition"),
+        # a length outside 1..4 units
+        ([0, 1, 0], [(0, 1, 1), (2, 1, 5)], "edge length 5 outside 1..4 units"),
+        ([0, 1, 0], [(0, 1, 0), (2, 1, 1)], "edge length 0 outside 1..4 units"),
+        # several faults: the first edge with one names it, and within one
+        # edge a repeat is named before the sides and the length
+        ([0, 1, 0], [(0, 1, 1), (1, 2, 7), (0, 0, 1), (2, 0, 1)], "edge length 7 outside 1..4 units"),
+        ([0, 1, 0], [(0, 1, 1), (2, 0, 2), (1, 0, 9)], "edge (0, 2) inside one side of the bipartition"),
+        ([0, 0, 1], [(0, 2, 1), (2, 0, 9), (0, 1, 1)], "parallel edge (0, 2)"),
+    ],
+)
+def test_check_simple_bipartite_names_the_first_fault(sides, edges, message):
+    with pytest.raises(GraphError) as exc:
+        finite_link(sides, edges).check_simple_bipartite()
+    assert str(exc.value) == message
+
+
+def test_check_simple_bipartite_accepts_simple_bipartite_graphs():
+    finite_link([0, 1, 0, 1], [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4)]).check_simple_bipartite()
+    finite_link([1, 0], [(0, 1, 4)]).check_simple_bipartite()
+    finite_link([0], []).check_simple_bipartite()
 
 
 def _weights(link, *labels: str) -> set[int]:
