@@ -69,17 +69,13 @@ def find_witness(
     """Deterministic witness search: inter-edges by label descending then
     lexicographic, third vertex lexicographic among neighbours of the
     endpoints."""
-    graph = inst.graph
+    rows = inst.graph.adjacency
     ies = [e for e in inst.inter_edges if e.label >= 3]
     ies.sort(key=lambda e: (-e.label, e.u, e.v))
     for e in ies:
-        candidates = sorted(
-            v
-            for v in graph.vertices
-            if v != e.u and v != e.v and (graph.has_edge(v, e.u) or graph.has_edge(v, e.v))
-        )
+        candidates = (rows[e.u].keys() | rows[e.v].keys()) - {e.u, e.v}
         if candidates:
-            s = candidates[0]
+            s = min(candidates)
             return e, s, (e.u, e.v, s)
     return None
 

@@ -243,13 +243,13 @@ def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
 
 def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
     s_ell = inst.s_ell
-    s_bar = build_S_bar(inst)
     cx_ell = derived_complex(s_ell)
     dim = check_two_dimensional(s_ell)
     gluing = check_gluing(assign_metric(cx_ell, inst))
     if args.fmt == "dot":
         sys.stdout.write(s_ell.to_dot())
         return 0 if dim.ok and gluing.ok else 2
+    s_bar = build_S_bar(inst)
     doc = {
         "S_ell": s_ell.to_json_dict(),
         "S_f_size": len(inst.spherical),

@@ -69,19 +69,24 @@ def diagram_edges(
     """Classification-diagram edges on ``subset``: label m when m != 2,
     INFINITY when the defining edge is absent, nothing when m == 2."""
     verts = sorted(set(subset))
-    # the graph keeps an adjacency entry for every vertex
-    unknown = [v for v in verts if v not in graph._adjacency]
-    if unknown:
-        raise GraphError(f"unknown vertices {unknown}")
+    rows = _rows(graph, verts)
     out: dict[frozenset[str], int | None] = {}
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
-            m = graph.label(u, v)
-            if m is None:
-                out[frozenset((u, v))] = INFINITY
-            elif m != 2:
+            # an absent edge reads INFINITY
+            m = rows[u].get(v, INFINITY)
+            if m != 2:
                 out[frozenset((u, v))] = m
     return out
+
+
+def _rows(graph: DefiningGraph, verts: list[str]) -> dict[str, dict[str, int]]:
+    """The graph's adjacency map, after checking that it holds ``verts``."""
+    rows = graph.adjacency
+    unknown = [v for v in verts if v not in rows]
+    if unknown:
+        raise GraphError(f"unknown vertices {unknown}")
+    return rows
 
 
 def complement_components(
@@ -259,15 +264,13 @@ def classify_type(graph: DefiningGraph, subset: Iterable[str]) -> CoxeterType:
     is not a clique carries an infinity label, so it is ~A1 on two vertices
     and indefinite otherwise; only a clique's pairs are listed."""
     verts = sorted(set(subset))
-    labels = graph._label_map
+    rows = _rows(graph, verts)
     # diagram edges join every pair whose label is not 2, absent edges too
-    commuting = {
-        v: [w for w in graph.neighbors(v) if labels[frozenset((v, w))] == 2] for v in verts
-    }
+    commuting = {v: [w for w, m in rows[v].items() if m == 2] for v in verts}
     names = []
     for comp in complement_components(verts, commuting):
         inside = set(comp)
-        if all(len(inside.intersection(graph.neighbors(v))) == len(comp) - 1 for v in comp):
+        if all(len(inside.intersection(rows[v])) == len(comp) - 1 for v in comp):
             names.append(_classify_component(comp, diagram_edges(graph, comp)))
         else:
             # an absent edge is an infinity label
@@ -312,9 +315,7 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
     changes (see the module docstring).  The components' verdicts are
     memoised for this call only.
     """
-    labels: dict[str, dict[str, int]] = {v: {} for v in graph.vertices}
-    for u, v, m in graph.edges:
-        labels[u][v] = labels[v][u] = m
+    labels = graph.adjacency
     linked = {v: frozenset(w for w, m in labels[v].items() if m != 2) for v in labels}
     # merged component's verdict, by sorted label triple or by vertex set
     finite: dict[object, bool] = {}
@@ -360,7 +361,7 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
                 common = (
                     tuple(w for w in above[i + 1 :] if w in labels[v])
                     if base
-                    else tuple(w for w in graph._adjacency[v] if w > v)
+                    else tuple(w for w in labels[v] if w > v)
                 )
                 nxt.append((cand, common, kept + (merged,)))
         level = nxt

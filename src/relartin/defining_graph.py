@@ -77,28 +77,26 @@ class DefiningGraph:
         return cls(vertices=tuple(sorted(vs)), edges=tuple(sorted(canon)))
 
     @cached_property
-    def _label_map(self) -> dict[frozenset[str], int]:
-        return {frozenset((u, v)): m for u, v, m in self.edges}
-
-    @cached_property
-    def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v, _ in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+    def adjacency(self) -> dict[str, dict[str, int]]:
+        """Each vertex's neighbours with their edge labels, in name order:
+        the one form in which the graph's labels and neighbours are read.
+        ``edges`` is sorted, so each row fills in name order."""
+        rows: dict[str, dict[str, int]] = {v: {} for v in self.vertices}
+        for u, v, m in self.edges:
+            rows[u][v] = rows[v][u] = m
+        return rows
 
     def label(self, u: str, v: str) -> int | None:
         """Edge label of {u, v}, or None when the edge is absent (m = infinity)."""
-        return self._label_map.get(frozenset((u, v)))
+        return self.adjacency.get(u, {}).get(v)
 
     def has_edge(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self._label_map
+        return v in self.adjacency.get(u, ())
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        if v not in self._adjacency:
+        if v not in self.adjacency:
             raise GraphError(f"unknown vertex {v!r}")
-        return self._adjacency[v]
+        return tuple(self.adjacency[v])
 
 
 @dataclass(frozen=True)
@@ -236,15 +234,6 @@ class Instance:
 
         return poset_complex.build_S_ell(self)
 
-    @cached_property
-    def engines(self) -> tuple:
-        """Each part's exact word-problem engine, None where it has none."""
-        from . import dihedral_garside
-
-        return tuple(
-            dihedral_garside.engine_for_part(self.graph, part) for part in self.family.parts
-        )
-
 
 _TOP_KEYS = {"vertices", "edges", "family"}
 _EDGE_KEYS = {"u", "v", "m"}
@@ -373,7 +362,7 @@ def classify_known(graph: DefiningGraph, vertices: Iterable[str], spherical) -> 
     from . import coxeter
 
     inside = frozenset(vertices)
-    labels = [graph._label_map[t] for t in spherical if len(t) == 2]
+    labels = [graph.label(*t) for t in spherical if len(t) == 2]
     ctype = coxeter.classify_type(graph, inside)
     notes = (f"coxeter type: {ctype.kind} ({', '.join(ctype.components) or 'empty'})",)
     return ClassifierReport(
@@ -385,7 +374,7 @@ def classify_known(graph: DefiningGraph, vertices: Iterable[str], spherical) -> 
         extra_large_type=all(m >= 4 for m in labels),
         xxl_type=all(m >= 5 for m in labels),
         right_angled=all(m == 2 for m in labels),
-        join_decomposable=len(coxeter.complement_components(inside, graph._adjacency)) > 1,
+        join_decomposable=len(coxeter.complement_components(inside, graph.adjacency)) > 1,
         locally_reducible=None,
         notes=notes,
     )

@@ -38,9 +38,11 @@ and lengths.  The memo lives and dies with its engine, which each CLI call
 makes afresh, and holds only the tails of described elements.
 
 Two word-problem engines share one small interface used by link
-development (identity, generators, mult_gen, mult_word, sort_key,
-ball_levels, coset_key, describe): the exact dihedral engine above,
-and an exact free-group engine (reduced words) for edgeless subgraphs.
+development (identity, generators, mult_gen, sort_key, ball_levels,
+coset_key, describe): the exact dihedral engine above, and an exact
+free-group engine (reduced words) for edgeless subgraphs.  Both also
+have mult_word, a whole word multiplied one letter at a time, which no
+development calls.
 
 ``ball_levels`` returns the word-metric ball level by level together with
 its Cayley edges as flat element numbers, filled from the products the
@@ -424,9 +426,10 @@ def engine_for_part(graph, part: Sequence[str]) -> DihedralEngine | FreeEngine |
     """
     verts = sorted(part)
     inside = set(verts)
-    edges = [(u, v, m) for u, v, m in graph.edges if u in inside and v in inside]
-    if not edges:
+    rows = graph.adjacency
+    if all(rows[v].keys().isdisjoint(inside) for v in verts):
         return FreeEngine(verts)
     if len(verts) == 2:
-        return DihedralEngine(*edges[0])
+        a, b = verts
+        return DihedralEngine(a, b, rows[a][b])
     return None

@@ -92,7 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .defining_graph import GraphError, Instance, InterEdge
+from .defining_graph import Instance, InterEdge
 from .dihedral_garside import DihedralEngine
 from .link_builder import (
     SINGLE_POWERS,
@@ -213,30 +213,27 @@ def _splice(x: int, y: int, parent: list[int], dist: list[int]) -> list[int]:
     return px + py[-2::-1]
 
 
-def _girth_subdivided(
-    link: LinkGraph, weights: set[int], floor: int | None = None
-) -> tuple[int, list[int]] | None:
-    """Search a link that is not a forest, its edge weights ``weights``,
-    with each edge of w units subdivided into k * w / g unit edges (see the
-    module docstring); return the length in units and the witness on the
-    link's own vertices.  Subdivision vertices are numbered after those and
-    have degree 2, so a simple cycle runs through whole paths and is a
-    simple cycle of the link.  The roots are the smaller side of the link's
-    own vertices, which every cycle meets.  An edge inside one side raises
-    :class:`GraphError`; with none, the subdivided graph is bipartite.
+def _girth_subdivided(link: LinkGraph, floor: int | None = None) -> tuple[int, list[int]] | None:
+    """Search a link that is not a forest, with each edge of w units
+    subdivided into k * w / g unit edges (see the module docstring); return
+    the length in units and the witness on the link's own vertices.
+    Subdivision vertices are numbered after those and have degree 2, so a
+    simple cycle runs through whole paths and is a simple cycle of the
+    link.  The roots are the smaller side of the link's own vertices, which
+    every cycle meets.  A link is bipartite from the moment it is built,
+    and so is the subdivided graph.
 
     A ``floor`` in units, at most the link's girth, asks only for a cycle
     of that length, floor * k / g unit steps (none when that is not whole):
     the witness comes from the first root lying on one, and None means the
     link has none (see :func:`_bfs_girth`)."""
+    weights = {w for _, _, w in link.edges}
     g = math.gcd(*weights)
     k = 1 if all(w // g % 2 for w in weights) else 2
     n = link.vertex_count
     sides = link.sides
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j, w in link.edges:
-        if sides[i] == sides[j]:
-            raise GraphError(f"edge ({i}, {j}) inside one side of the bipartition")
         x = i
         for _ in range(k * w // g - 1):
             adj.append([x])
@@ -269,7 +266,7 @@ def shortest_embedded_cycle(link: LinkGraph, floor: int | None = None) -> CycleC
             complete=complete,
             note="acyclic",
         )
-    found = _girth_subdivided(link, {w for _, _, w in link.edges}, floor)
+    found = _girth_subdivided(link, floor)
     if found is None:
         return None
     length, cycle = found

@@ -39,7 +39,7 @@ from itertools import count, repeat
 from operator import add, itemgetter, mul, ne
 
 from .defining_graph import GraphError, Instance, InterEdge
-from .dihedral_garside import BALL_CAP, DihedralEngine
+from .dihedral_garside import BALL_CAP, DihedralEngine, engine_for_part
 from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, dot_escape, subset_label
 
 TWO_PI_UNITS = 16
@@ -62,7 +62,8 @@ class TruncationInfo:
 
 @dataclass
 class LinkGraph:
-    """Simple weighted graph with a bipartition and development metadata."""
+    """Simple weighted graph with a bipartition and development metadata,
+    checked to be simple and bipartite when it is built."""
 
     case: str
     descriptor: str
@@ -72,6 +73,9 @@ class LinkGraph:
     edges: list[tuple[int, int, int]]
     truncation: TruncationInfo
     boundary: set[int] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.check_simple_bipartite()
 
     @property
     def vertex_count(self) -> int:
@@ -188,7 +192,7 @@ def build_link_empty(inst: Instance) -> LinkGraph:
         units = TRIANGLE_UNITS[INTEREDGE_CASE[disj]][0]
         for s in pair:
             edges.append((index[frozenset((s,))], index[pair], units))
-    link = LinkGraph(
+    return LinkGraph(
         case="empty",
         descriptor="link of the trivial coset",
         vertex_kinds=kinds,
@@ -197,8 +201,6 @@ def build_link_empty(inst: Instance) -> LinkGraph:
         edges=sorted(edges),
         truncation=TruncationInfo(complete=True),
     )
-    link.check_simple_bipartite()
-    return link
 
 
 # a single link draws the powers s^k with |k| <= SINGLE_POWERS
@@ -253,7 +255,7 @@ def build_link_single(inst: Instance, s: str) -> LinkGraph:
         for i in range(n_powers)
         for j, (_, _, units) in enumerate(shape.uppers)
     ]
-    link = LinkGraph(
+    return LinkGraph(
         case="single",
         descriptor=shape.descriptor,
         vertex_kinds=["power"] * n_powers + [kind for kind, _, _ in shape.uppers],
@@ -262,8 +264,6 @@ def build_link_single(inst: Instance, s: str) -> LinkGraph:
         edges=edges,
         truncation=TruncationInfo(complete=True, requested_radius=SINGLE_POWERS),
     )
-    link.check_simple_bipartite()
-    return link
 
 
 def vertex_label(engine, el, generator: str | None = None) -> str:
@@ -290,7 +290,7 @@ def part_development(inst: Instance, i: int) -> Development:
     single labeled edge have none and raise :class:`UnsupportedPartError`.
     """
     part = inst.family.parts[i]
-    engine = inst.engines[i]
+    engine = engine_for_part(inst.graph, part)
     if engine is None:
         raise UnsupportedPartError(
             f"no exact word-problem engine for part {list(part)}"
@@ -360,7 +360,7 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     # the outer level's element vertices and every coset vertex they touch
     boundary = set(range(outer, elements))
     boundary.update(j for _, j, _ in edges[outer * gens :])
-    link = LinkGraph(
+    return LinkGraph(
         case=dev.case,
         descriptor=dev.descriptor,
         vertex_kinds=["element"] * elements + ["coset"] * cosets,
@@ -376,8 +376,6 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
         ),
         boundary=boundary,
     )
-    link.check_simple_bipartite()
-    return link
 
 
 def develop_link_part(

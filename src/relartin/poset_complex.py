@@ -29,6 +29,7 @@ p, q in {1..4}, one triple per triangle shape.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -212,13 +213,13 @@ class DerivedComplex:
         return [c for c in self.chains if len(c) == n]
 
     def to_json_dict(self) -> dict:
+        counts = Counter(map(len, self.chains))
+        # each element spelled once, the same list in every chain through it
+        spelled = {t: sorted(t) for t in self.poset.elements}.__getitem__
         return {
             "vertex_count": len(self.poset.elements),
-            "chain_counts": {
-                str(n): len(self.chains_of_length(n))
-                for n in range(1, self.dimension + 2)
-            },
-            "chains": [[sorted(t) for t in c] for c in self.chains],
+            "chain_counts": {str(n): counts[n] for n in range(1, max(counts, default=0) + 1)},
+            "chains": [list(map(spelled, c)) for c in self.chains],
         }
 
 

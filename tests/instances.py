@@ -101,6 +101,25 @@ def random_rel_prime_instance(
     return inst
 
 
+def random_instance(rng: random.Random, max_vertices: int = 9) -> Instance:
+    """Any instance: up to ``max_vertices`` vertices, from no edges to
+    complete, labels 2..6 anywhere, and a random family of parts."""
+    n = rng.randint(1, max_vertices)
+    vertices = [f"v{i}" for i in range(n)]
+    density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+    edges = [
+        (vertices[i], vertices[j], rng.randint(2, 6))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    order = rng.sample(vertices, n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    parts = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    graph = DefiningGraph.build(vertices, edges)
+    return Instance(graph, SubgraphFamily.build(graph, parts))
+
+
 def with_strays(inst) -> list[SubsetPoset]:
     """S^l plus {a1,b1,c1}, which lies inside part 0 of the join, then plus
     {a1,a2,b1}, which crosses parts and so has no image under the

@@ -75,6 +75,10 @@ order, extended by each larger vertex adjacent to all of it that
 worked out on a copy of the part's full subgraph: its own enumeration, its
 own Coxeter type, its own edge labels and its own complement.
 
+Graph readers: each part's word-problem engine chosen from a scan of every
+edge of the graph, and the acylindricity witness's third vertex found by
+testing every vertex of the graph for an edge to either endpoint.
+
 Helpers the tests share and the package has no use for: parsing a word and
 its syllable length, an instance written back as JSON, a sine ratio as a
 float, and whether a growth table strictly increases.
@@ -90,7 +94,7 @@ import numpy as np
 
 from relartin import coxeter
 from relartin.defining_graph import ClassifierReport, DefiningGraph, GraphError
-from relartin.dihedral_garside import CapExceeded, DihedralEngine
+from relartin.dihedral_garside import CapExceeded, DihedralEngine, FreeEngine
 from relartin.girth_checker import (
     LinkCertificate,
     _bfs_girth,
@@ -1051,6 +1055,37 @@ def induced_subgraph(graph, vertices):
     return DefiningGraph.build(
         sorted(inside), [(u, v, m) for u, v, m in graph.edges if u in inside and v in inside]
     )
+
+
+def edge_scan_engine_for_part(graph, part):
+    """``dihedral_garside.engine_for_part`` from the part's edges, found by
+    scanning every edge of the graph."""
+    verts = sorted(part)
+    inside = set(verts)
+    edges = [(u, v, m) for u, v, m in graph.edges if u in inside and v in inside]
+    if not edges:
+        return FreeEngine(verts)
+    if len(verts) == 2:
+        return DihedralEngine(*edges[0])
+    return None
+
+
+def all_vertex_find_witness(inst):
+    """``acyl_checker.find_witness`` with every vertex of the graph tested
+    for an edge to either endpoint of each inter-edge of label >= 3."""
+    graph = inst.graph
+    ies = sorted(
+        (e for e in inst.inter_edges if e.label >= 3), key=lambda e: (-e.label, e.u, e.v)
+    )
+    for e in ies:
+        candidates = sorted(
+            v
+            for v in graph.vertices
+            if v != e.u and v != e.v and (graph.has_edge(v, e.u) or graph.has_edge(v, e.v))
+        )
+        if candidates:
+            return e, candidates[0], (e.u, e.v, candidates[0])
+    return None
 
 
 def part_alone_report(graph, part) -> ClassifierReport:

@@ -20,11 +20,12 @@ from relartin.dihedral_garside import CapExceeded
 
 from instances import (
     affine_parts_join,
+    random_instance,
     random_rel_prime_instance,
     single_interedge,
     touching_triple_control,
 )
-from oracles import per_radius_orbit_growth, strictly_increasing
+from oracles import all_vertex_find_witness, per_radius_orbit_growth, strictly_increasing
 
 
 def tripartite(edges):
@@ -141,6 +142,25 @@ def test_find_witness_ordering():
     edge2, s2, _ = find_witness(tripartite([("a", "b", 3), ("b", "c", 5)]))
     assert (edge2.u, edge2.v, edge2.label) == ("b", "c", 5)
     assert s2 == "a"
+
+
+def test_find_witness_equals_the_all_vertex_scan():
+    # a label-4 inter-edge a-b alone, beside a label-2 inter-edge c-d whose
+    # end d has a third neighbour e: no inter-edge of label >= 3 has one
+    g = DefiningGraph.build(
+        ["a", "b", "c", "d", "e"], [("a", "b", 4), ("c", "d", 2), ("d", "e", 3)]
+    )
+    lonely = Instance(g, SubgraphFamily.build(g, [["a", "c"], ["b", "d", "e"]]))
+    assert find_witness(lonely) is None and all_vertex_find_witness(lonely) is None
+    rng = random.Random(2511)
+    instances = [random_instance(rng) for _ in range(400)]
+    instances += [random_rel_prime_instance(random.Random(seed)) for seed in range(40)]
+    found = 0
+    for inst in instances:
+        witness = find_witness(inst)
+        assert witness == all_vertex_find_witness(inst), inst.graph.edges
+        found += witness is not None
+    assert 50 < found < len(instances) - 50
 
 
 def test_full_pipeline_on_the_join():

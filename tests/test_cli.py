@@ -31,18 +31,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def patch_everywhere(monkeypatch, owner, attr: str, replacement) -> None:
+    """Set ``owner.attr`` to ``replacement``, also where a relartin module
+    imported it by name."""
+    original = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, replacement)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("relartin.") and getattr(mod, attr, None) is original:
+            monkeypatch.setattr(mod, attr, replacement)
+
+
 def forbid(monkeypatch, owner, attr: str) -> None:
     """Make ``owner.attr`` raise when called, also where a relartin module
     imported it by name."""
-    original = getattr(owner, attr)
 
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{attr} was called")
 
-    monkeypatch.setattr(owner, attr, forbidden)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("relartin.") and getattr(mod, attr, None) is original:
-            monkeypatch.setattr(mod, attr, forbidden)
+    patch_everywhere(monkeypatch, owner, attr, forbidden)
 
 
 def run_json(capsys, *argv):
@@ -220,6 +226,32 @@ def test_develop_edge_and_part(capsys):
         "dot",
     )
     assert code == 0 and out.startswith('graph "')
+
+
+def test_develop_part_builds_that_part_engine_only(capsys, monkeypatch, tmp_path):
+    parts = []
+    original = dihedral_garside.engine_for_part
+
+    def counted(graph, part):
+        parts.append(tuple(part))
+        return original(graph, part)
+
+    patch_everywhere(monkeypatch, dihedral_garside, "engine_for_part", counted)
+    three = tmp_path / "three.json"
+    three.write_text(instance_to_json(random_rel_prime_instance(random.Random(3))))
+    for path in (CONTROL, JOIN, str(three)):
+        family = json.loads(pathlib.Path(path).read_text())["family"]
+        assert len(family) >= 2
+        for i, part in enumerate(family):
+            parts.clear()
+            run(capsys, "develop", "--input", path, "--part", str(i), "--radius", "2")
+            assert parts == [tuple(sorted(part))], (path, i)
+
+
+def test_build_dot_does_not_build_s_bar(capsys, monkeypatch):
+    forbid(monkeypatch, poset_complex, "build_S_bar")
+    code, out, _ = run(capsys, "build", "--input", JOIN, "--format", "dot")
+    assert code == 0 and out.startswith("digraph")
 
 
 def test_develop_selector_errors(capsys):

@@ -422,7 +422,7 @@ def test_join_decomposable_matches_brute_complement_connectivity():
     for _ in range(1000):
         g = _graph_at_any_density(rng)
         verts = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
-        comps = coxeter.complement_components(verts, g._adjacency)
+        comps = coxeter.complement_components(verts, g.adjacency)
         assert comps == _brute_complement_components(g, verts), (g.edges, verts)
         spherical = coxeter.enumerate_spherical_subsets(induced_subgraph(g, verts))
         join = classify_known(g, verts, spherical).join_decomposable

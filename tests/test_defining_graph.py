@@ -19,7 +19,12 @@ from relartin.defining_graph import (
     parse_graph,
 )
 
-from instances import affine_parts_join, random_rel_prime_instance, touching_triple_control
+from instances import (
+    affine_parts_join,
+    random_instance,
+    random_rel_prime_instance,
+    touching_triple_control,
+)
 from oracles import instance_to_json
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -34,6 +39,33 @@ def test_build_and_accessors():
     assert g.label("b", "c") is None
     assert g.has_edge("a", "b") and not g.has_edge("b", "c")
     assert g.neighbors("a") == ("b", "c")
+
+
+def test_adjacency_map_agrees_with_edges_and_accessors():
+    rng = random.Random(2510)
+    for _ in range(300):
+        g = random_instance(rng).graph
+        rows = g.adjacency
+        # the same graph from its vertices and edges shuffled and turned round
+        edges = [(v, u, m) if rng.random() < 0.5 else (u, v, m) for u, v, m in g.edges]
+        rng.shuffle(edges)
+        shuffled = DefiningGraph.build(rng.sample(g.vertices, len(g.vertices)), edges)
+        assert list(rows) == list(g.vertices)
+        for v, row in rows.items():
+            assert list(row) == sorted(row) == list(shuffled.adjacency[v])
+            assert row == shuffled.adjacency[v]
+            assert all(rows[w][v] == m for w, m in row.items())
+            assert g.neighbors(v) == tuple(row)
+        pairs = [(u, v, m) for u, row in rows.items() for v, m in row.items() if u < v]
+        assert sorted(pairs) == list(g.edges)
+        names = list(g.vertices) + ["zz"]
+        for u in names:
+            for v in names:
+                m = next((m for a, b, m in g.edges if {a, b} == {u, v}), None)
+                assert g.label(u, v) == m
+                assert g.has_edge(u, v) == (m is not None)
+        with pytest.raises(GraphError, match="unknown vertex 'zz'"):
+            g.neighbors("zz")
 
 
 def test_singleton_instance_is_valid():

@@ -14,11 +14,13 @@ from relartin.dihedral_garside import (
     word_to_str,
 )
 
+from instances import random_instance
 from oracles import (
     as_pairs,
     atom_coset_rep,
     atom_mult_power,
     atom_normal_form,
+    edge_scan_engine_for_part,
     expand_then_drop_ball_levels,
     pairs_label,
     parse_word,
@@ -441,3 +443,25 @@ def test_engine_for_part_selection():
     assert engine_for_part(g, ["a", "b", "e"]) is None
     # two vertices with no edge: free of rank two
     assert isinstance(engine_for_part(g, ["a", "e"]), FreeEngine)
+
+
+def test_engine_for_part_equals_the_edge_scan():
+    rng = random.Random(2512)
+    shapes = set()
+    for _ in range(300):
+        inst = random_instance(rng)
+        for part in inst.family.parts:
+            got = engine_for_part(inst.graph, part)
+            expected = edge_scan_engine_for_part(inst.graph, part)
+            assert type(got) is type(expected), (inst.graph.edges, part)
+            if expected is not None:
+                assert got.generators == expected.generators
+                assert getattr(got, "m", None) == getattr(expected, "m", None)
+            shapes.add((type(expected).__name__, min(len(part), 3)))
+    assert shapes == {
+        ("FreeEngine", 1),
+        ("FreeEngine", 2),
+        ("FreeEngine", 3),
+        ("DihedralEngine", 2),
+        ("NoneType", 3),
+    }

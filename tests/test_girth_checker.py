@@ -11,7 +11,7 @@ import pytest
 
 from relartin import girth_checker, link_builder
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
-from relartin.dihedral_garside import DihedralEngine, FreeEngine
+from relartin.dihedral_garside import DihedralEngine, FreeEngine, engine_for_part
 from relartin.girth_checker import (
     TWO_PI_UNITS,
     certify_link_condition,
@@ -217,8 +217,8 @@ def test_bfs_girth_matches_full_depth_search_on_random_bipartite_graphs():
 
 
 def test_bfs_girth_rejects_odd_cycles():
-    # the search checks the link's sides as it subdivides: a triangle has
-    # an edge inside one of them, whichever sides it is given
+    # a link checks its sides when it is built: a triangle has an edge
+    # inside one of them, whichever sides it is given
     triangle = [(0, 1, 2), (1, 2, 2), (0, 2, 3)]
     for sides in ([0, 1, 0], [0, 1, 1]):
         with pytest.raises(GraphError, match="inside one side"):
@@ -265,8 +265,8 @@ def _fixture_developments():
     """Every part development and one development per inter-edge class of
     both fixtures, at the default radii and cap of ``develop``."""
     for inst in (affine_parts_join(), touching_triple_control()):
-        for i, engine in enumerate(inst.engines):
-            if engine is not None:
+        for i, part in enumerate(inst.family.parts):
+            if engine_for_part(inst.graph, part) is not None:
                 yield develop_link_part(inst, i, radius=16, cap=4000)
         classes = {(e.label, inst.disjoint[e.pair]): e for e in inst.inter_edges}
         for e in classes.values():
@@ -508,7 +508,8 @@ def test_shared_developments_match_independent_ones(monkeypatch):
     # seed 45 has a label-4 part next to a disjoint and a non-disjoint
     # label-4 inter-edge: one entry per lemma case and one development
     mixed = random_rel_prime_instance(random.Random(45))
-    part_labels = {e.m for e in mixed.engines if isinstance(e, DihedralEngine)}
+    engines = [engine_for_part(mixed.graph, part) for part in mixed.family.parts]
+    part_labels = {e.m for e in engines if isinstance(e, DihedralEngine)}
     classes = {(e.label, mixed.disjoint[e.pair]) for e in mixed.inter_edges}
     assert 4 in part_labels and {(4, True), (4, False)} <= classes
     for inst in (affine_parts_join(), touching_triple_control(), mixed):
@@ -550,7 +551,11 @@ def _lemma_shapes():
     seen = set()
     for seed in range(30):
         inst = random_rel_prime_instance(random.Random(seed))
-        devs = [part_development(inst, i) for i, eng in enumerate(inst.engines) if eng]
+        devs = [
+            part_development(inst, i)
+            for i, part in enumerate(inst.family.parts)
+            if engine_for_part(inst.graph, part)
+        ]
         devs += [interedge_development(inst, e) for e in inst.inter_edges if inst.disjoint[e.pair]]
         for dev in devs:
             eng = dev.engine

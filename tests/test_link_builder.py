@@ -6,7 +6,7 @@ import time
 import pytest
 
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
-from relartin.dihedral_garside import DihedralEngine, FreeEngine
+from relartin.dihedral_garside import DihedralEngine, FreeEngine, engine_for_part
 from relartin.link_builder import (
     Development,
     UnsupportedPartError,
@@ -243,6 +243,22 @@ def test_check_simple_bipartite_names_the_first_fault(sides, edges, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "sides, edges, message",
+    [
+        ([0, 1], [(1, 1, 2)], "self-loop at vertex 1"),
+        ([0, 1], [(0, 1, 2), (1, 0, 3)], "parallel edge (0, 1)"),
+        ([0, 1, 1], [(1, 2, 2)], "edge (1, 2) inside one side of the bipartition"),
+        ([0, 1], [(0, 1, 9)], "edge length 9 outside 1..4 units"),
+    ],
+)
+def test_a_link_graph_checks_its_shape_when_built(sides, edges, message):
+    # finite_link only constructs the link
+    with pytest.raises(GraphError) as exc:
+        finite_link(sides, edges)
+    assert str(exc.value) == message
+
+
 def test_check_simple_bipartite_accepts_simple_bipartite_graphs():
     finite_link([0, 1, 0, 1], [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4)]).check_simple_bipartite()
     finite_link([1, 0], [(0, 1, 4)]).check_simple_bipartite()
@@ -273,7 +289,7 @@ def test_link_lengths_are_the_metric_corner_angles():
             assert _weights(build_link_single(inst, s), subset_label(top)) == {sx.units[1]}
             if sx.case == "part":
                 i = inst.family.part_index(s)
-                if inst.engines[i] is None:
+                if engine_for_part(inst.graph, inst.family.parts[i]) is None:
                     continue
                 dev = develop_link_part(inst, i, radius=2)
             else:
