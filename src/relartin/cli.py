@@ -226,17 +226,16 @@ def cmd_check_rel(inst: Instance, args: argparse.Namespace) -> int:
 
 def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
     graph = inst.graph
-    groups, _ = inst.spherical_groups
     parts = []
-    for part, group in zip(inst.family.parts, groups):
-        report = classify_known(graph, part, group)
+    for part in inst.family.parts:
+        report = classify_known(graph, part)
         kind = "finite" if report.spherical_type else (
             "affine" if report.affine_type else "indefinite"
         )
         parts.append(
             {"vertices": list(part), "report": report, "coxeter_kind": kind}
         )
-    whole = classify_known(graph, graph.vertices, inst.spherical)
+    whole = classify_known(graph, graph.vertices)
     _emit({"graph": whole, "parts": parts}, args.fmt)
     return 0
 

@@ -27,6 +27,18 @@ is FC exactly when no candidate is rejected.  The same holds for the full
 subgraph on any vertex set, with the subsets and rejected candidates that
 lie inside it, since each of its candidates is one of the graph's.
 
+The classifier's flags list no subsets.  The full subgraph on a vertex set
+is 2-dimensional when no three of its vertices are spherical, and FC when
+every clique is spherical.  A minimal non-spherical clique is
+diagram-connected: were it split into two diagram components, it would be
+the product of two proper subsets, spherical by minimality, and so
+spherical itself.  Its vertices can be ordered so that every prefix is
+diagram-connected, and every proper prefix is a spherical clique.  So the
+subgraph is FC exactly when growing diagram-connected cliques, one
+diagram neighbour at a time and only while they stay spherical, never
+meets a non-spherical one.  On a right-angled subgraph no pair is a
+diagram edge, and the growth stops after one step per vertex.
+
 A candidate is decided by one diagram component.  The Coxeter group of a
 vertex set is the direct product of the groups of its diagram components
 (Humphreys, *Reflection Groups and Coxeter Groups*, 1990, sections 2.7 and
@@ -301,23 +313,10 @@ class SphericalSubsets(list[frozenset[str]]):
         return not self.rejected
 
 
-def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
-    """Every vertex subset with finite Coxeter quotient, smallest first.
-
-    Each spherical set grows only by its common neighbours above its largest
-    vertex, so every clique is proposed once and non-cliques never are;
-    both are exact, since spherical sets are cliques and sphericity is
-    hereditary.  A rejected candidate is a non-spherical clique, and one
-    exists whenever any clique is not spherical (a minimal one minus its
-    largest vertex is spherical), so ``fc`` is "no candidate rejected".
-
-    Each candidate is decided by the one diagram component its new vertex
-    changes (see the module docstring).  The components' verdicts are
-    memoised for this call only.
-    """
-    labels = graph.adjacency
-    linked = {v: frozenset(w for w, m in labels[v].items() if m != 2) for v in labels}
-    # merged component's verdict, by sorted label triple or by vertex set
+def _finite_components(labels: Mapping[str, Mapping[str, int]]):
+    """A test of whether a diagram-connected clique is finite, memoised for
+    the caller's lifetime: by sorted label triple for three vertices (see
+    the module docstring), by vertex set for more."""
     finite: dict[object, bool] = {}
 
     def is_finite(comp: frozenset[str]) -> bool:
@@ -336,6 +335,27 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
             }
             finite[key] = _kind([_classify_component(verts, edges)]) == "finite"
         return finite[key]
+
+    return is_finite
+
+
+def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
+    """Every vertex subset with finite Coxeter quotient, smallest first.
+
+    Each spherical set grows only by its common neighbours above its largest
+    vertex, so every clique is proposed once and non-cliques never are;
+    both are exact, since spherical sets are cliques and sphericity is
+    hereditary.  A rejected candidate is a non-spherical clique, and one
+    exists whenever any clique is not spherical (a minimal one minus its
+    largest vertex is spherical), so ``fc`` is "no candidate rejected".
+
+    Each candidate is decided by the one diagram component its new vertex
+    changes (see the module docstring).  The components' verdicts are
+    memoised for this call only.
+    """
+    labels = graph.adjacency
+    linked = {v: frozenset(w for w, m in labels[v].items() if m != 2) for v in labels}
+    is_finite = _finite_components(labels)
 
     out = SphericalSubsets([frozenset()])
     # (spherical set as a sorted tuple, its common neighbours above its max,
@@ -366,3 +386,48 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
                 nxt.append((cand, common, kept + (merged,)))
         level = nxt
     return out
+
+
+def has_spherical_triangle(graph: DefiningGraph, subset: Iterable[str]) -> bool:
+    """True when the full subgraph on ``subset`` has a spherical clique of
+    three vertices.  A triangle of labels 3 or more is ~A2 or indefinite,
+    so each spherical one has an edge {u, v} of label 2, and only common
+    neighbours w of such edges are tried.  With a second label 2 the
+    diagram has at most one edge, A1 x A1 x A1 or A1 x I2(m); otherwise it
+    is the path u - w - v."""
+    inside = set(subset)
+    rows = _rows(graph, sorted(inside))
+    is_finite = _finite_components(rows)
+    for u in inside:
+        for v, m in rows[u].items():
+            if m == 2 and u < v and v in inside:
+                for w in rows[u].keys() & rows[v].keys() & inside:
+                    if 2 in (rows[u][w], rows[v][w]) or is_finite(frozenset((u, v, w))):
+                        return True
+    return False
+
+
+def is_fc(graph: DefiningGraph, subset: Iterable[str]) -> bool:
+    """True when every clique of the full subgraph on ``subset`` is
+    spherical, found by growing diagram-connected cliques while they stay
+    spherical (module docstring).  A clique grows by a vertex joined to
+    all of it and a diagram neighbour of one member, so it stays
+    diagram-connected and is decided as one component."""
+    inside = set(subset)
+    rows = _rows(graph, sorted(inside))
+    is_finite = _finite_components(rows)
+    linked = {v: {w for w, m in rows[v].items() if m != 2 and w in inside} for v in inside}
+    seen: set[frozenset[str]] = set()
+    stack = [frozenset((v,)) for v in inside]
+    while stack:
+        clique = stack.pop()
+        for w in set().union(*(linked[v] for v in clique)) - clique:
+            grown = clique | {w}
+            if grown in seen or not clique <= rows[w].keys():
+                continue
+            # one or two clique vertices are A1, A2, B2 or I2(m)
+            if len(grown) > 2 and not is_finite(grown):
+                return False
+            seen.add(grown)
+            stack.append(grown)
+    return True

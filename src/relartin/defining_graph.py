@@ -93,11 +93,6 @@ class DefiningGraph:
     def has_edge(self, u: str, v: str) -> bool:
         return v in self.adjacency.get(u, ())
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        if v not in self.adjacency:
-            raise GraphError(f"unknown vertex {v!r}")
-        return tuple(self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class SubgraphFamily:
@@ -195,37 +190,10 @@ class Instance:
 
     @cached_property
     def spherical(self):
-        """The graph's spherical subsets, with the non-spherical cliques
-        their enumeration rejected (see :mod:`relartin.coxeter`)."""
+        """The graph's spherical subsets (see :mod:`relartin.coxeter`)."""
         from . import coxeter
 
         return coxeter.enumerate_spherical_subsets(self.graph)
-
-    @cached_property
-    def spherical_groups(self) -> tuple[tuple, tuple[frozenset[str], ...]]:
-        """``spherical`` split in one pass: for each part, the spherical
-        subsets and rejected cliques inside it, which are those of its full
-        subgraph; then the spherical subsets inside no part.  A non-empty
-        subset lies inside the part of any one of its vertices or inside
-        none."""
-        from .coxeter import SphericalSubsets
-
-        sets = self.family.part_sets()
-        part_of = self.family._part_of
-        # the empty set comes first and lies inside every part
-        groups = tuple(SphericalSubsets([frozenset()]) for _ in sets)
-        crossing = []
-        for t in self.spherical[1:]:
-            i = part_of[next(iter(t))]
-            if t <= sets[i]:
-                groups[i].append(t)
-            else:
-                crossing.append(t)
-        for t in self.spherical.rejected:
-            i = part_of[t[0]]
-            if sets[i].issuperset(t):
-                groups[i].rejected.append(t)
-        return groups, tuple(crossing)
 
     @cached_property
     def s_ell(self):
@@ -346,35 +314,31 @@ class ClassifierReport:
     notes: tuple[str, ...]
 
 
-def classify_known(graph: DefiningGraph, vertices: Iterable[str], spherical) -> ClassifierReport:
+def classify_known(graph: DefiningGraph, vertices: Iterable[str]) -> ClassifierReport:
     """Flags for the presentation classes with a known K(pi,1) or known
     acylindrical hyperbolicity status, for the full subgraph on
-    ``vertices``.
-
-    ``spherical`` is that subgraph's spherical subsets with its rejected
-    cliques, as :func:`relartin.coxeter.enumerate_spherical_subsets`
-    returns them for it (``Instance.spherical_groups`` holds each part's).
-    Every edge is a spherical pair, so the subgraph's labels are read off
-    the two-vertex members.  Label quantifiers run over the edges that are
-    present; a subgraph with no edges is therefore vacuously
-    large/extra-large/XXL and right-angled.
+    ``vertices``, read off its adjacency rows without listing its
+    subsets (see :mod:`relartin.coxeter`).  Label quantifiers run over the
+    edges that are present; a subgraph with no edges is therefore
+    vacuously large/extra-large/XXL and right-angled.
     """
     from . import coxeter
 
     inside = frozenset(vertices)
-    labels = [graph.label(*t) for t in spherical if len(t) == 2]
     ctype = coxeter.classify_type(graph, inside)
+    rows = graph.adjacency
+    labels = {m for v in inside for w, m in rows[v].items() if w in inside}
     notes = (f"coxeter type: {ctype.kind} ({', '.join(ctype.components) or 'empty'})",)
     return ClassifierReport(
         spherical_type=ctype.kind == "finite",
         affine_type=ctype.kind == "affine",
-        two_dimensional=all(len(t) <= 2 for t in spherical),
-        fc_type=spherical.fc,
+        two_dimensional=not coxeter.has_spherical_triangle(graph, inside),
+        fc_type=coxeter.is_fc(graph, inside),
         large_type=all(m >= 3 for m in labels),
         extra_large_type=all(m >= 4 for m in labels),
         xxl_type=all(m >= 5 for m in labels),
         right_angled=all(m == 2 for m in labels),
-        join_decomposable=len(coxeter.complement_components(inside, graph.adjacency)) > 1,
+        join_decomposable=len(coxeter.complement_components(inside, rows)) > 1,
         locally_reducible=None,
         notes=notes,
     )

@@ -13,11 +13,28 @@ Every order fact of a poset is read off one up-set map,
 poset.  The derived complex of a poset has one simplex per chain.  Only the
 S^l complex is ever listed chain by chain, and only for ``build``'s report
 and the metric.  The S_bar complex grows with the factorial of the part
-sizes, so it is never materialised: its chains are counted by dynamic
-programming (``SubsetPoset.chain_count``), and the retraction audit counts
-and checks its maximal chains by dynamic programming along the covering
-relation, one state per distinct image.  The dimension of a complex comes
-from the longest chain of its poset (``SubsetPoset.longest_chain``).
+sizes, so it is never materialised: ``build`` counts its chains by dynamic
+programming (``SubsetPoset.chain_count``), and ``kpi1`` builds no S_bar at
+all.  The dimension of a complex comes from the longest chain of its
+poset (``SubsetPoset.longest_chain``).
+
+S_bar and its retraction onto S^l are known in closed form.  Parts are
+disjoint, so S_bar holds the empty set, the non-empty subsets of each part
+once, and the inter-edges, the only members of S^l that lie in no part:
+|S_bar| = 1 + sum (2^k_i - 1) + |inter-edges| over parts of k_i vertices.
+The retraction r fixes S^l and sends every other member, a subset of a
+part, to that part.  It lands in S^l, is the identity there and so
+idempotent.  It is monotone, so it carries chains to chains and agrees on
+shared faces: below a part-subset t' other than a singleton lie only
+subsets t of its part, with r(t) in {t, part} and r(t') the part; below an
+inter-edge lie the empty set and its two singletons, all fixed.  A maximal
+chain runs from the empty set to a maximal element, a part or an
+inter-edge; a singleton part on an inter-edge lies below that inter-edge.
+Every subset of a part is in S_bar, so the maximal chains up to a part of
+k vertices are its k! vertex orders, and each inter-edge {u, v} tops the
+two chains through {u} and {v}.  r sends [empty < {s} < ... < S_i] to
+[empty < {s} < S_i] when s lies on an inter-edge and to [empty < S_i]
+otherwise, and fixes the inter-edge chains: each image is a chain of S^l.
 
 Over S^l the complex is 2-dimensional and every 2-chain has the shape
 [empty < {s} < T].  Such a triangle receives Euclidean angles in integer
@@ -32,9 +49,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from typing import Iterable
 
-from .defining_graph import GraphError, Instance, SubgraphFamily
+from .defining_graph import GraphError, Instance
 
 def subset_sort_key(t: frozenset) -> tuple:
     return (len(t), tuple(sorted(t)))
@@ -378,26 +396,6 @@ def check_gluing(simplices: list[MetricSimplex]) -> GluingReport:
 # retraction from the S_bar complex onto the S^l complex
 
 
-@dataclass
-class RetractionReport:
-    total_maximal_chains: int
-    lands_in_s_ell: bool
-    identity_on_s_ell: bool
-    idempotent: bool
-    face_compatible: bool
-    vertex_map: dict[frozenset, frozenset]
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.lands_in_s_ell
-            and self.identity_on_s_ell
-            and self.idempotent
-            and self.face_compatible
-        )
-
-
 def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
     """Every maximal chain, in the order of ``derived_complex`` chains.
 
@@ -405,7 +403,7 @@ def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
     maximal one, so the chains are the upward walks along the covering
     relation from each minimal element.  Inside a part of size k they are
     the k! orders in which its vertices can be added; ``retraction_map``
-    counts and checks them without this listing.
+    counts them in closed form.
     """
     up = poset.upper_covers
     minimal = set(poset.elements).difference(*up.values())
@@ -424,131 +422,14 @@ def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
     return out
 
 
-def retraction_map(
-    s_bar: SubsetPoset,
-    s_ell: SubsetPoset,
-    family: SubgraphFamily,
-) -> RetractionReport:
-    """The simplicial retraction: subsets already in S^l stay fixed, proper
-    part-subsets collapse onto their part.
-
-    On a maximal chain inside a part this sends [empty < {s} < ... < S_i]
-    to [empty < {s} < S_i] when s lies on an inter-edge and to
-    [empty < S_i] otherwise; maximal inter-edge chains are fixed pointwise.
-
-    The maximal chains of S_bar are not listed.  What the audit reads off a
-    chain depends only on its second element, its image with repeats
-    dropped, whether every element so far is fixed (the rule for an
-    inter-edge on top) and whether that image strictly increases (an S^l
-    chain).  Upward walks along the covering relation merge on that state,
-    so the k! chains inside a part of size k make about k states per
-    subset.  Each failing state is reported once, with its first chain in
-    ``derived_complex`` order as the witness.
-    """
-    parts = family.part_sets()
-    failures: list[str] = []
-    vertex_map: dict[frozenset, frozenset] = {}
-    for t in s_bar.elements:
-        if t in s_ell:
-            vertex_map[t] = t
-            continue
-        # parts are disjoint, so one vertex names the only part t can lie in
-        part = parts[family.part_index(next(iter(t)))] if t else frozenset()
-        if t and t <= part:
-            vertex_map[t] = part
-        else:
-            failures.append(f"no image for {sorted(t)}")
-
-    # an unmapped element makes the retraction partial, so it cannot land
-    lands = not failures and all(img in s_ell for img in vertex_map.values())
-    identity = all(vertex_map.get(t) == t for t in s_ell.elements)
-    idempotent = all(vertex_map.get(img) == img for img in vertex_map.values())
-
-    # monotone vertex maps carry chains to chains, which is exactly
-    # compatibility on shared faces; additionally the image of each maximal
-    # chain must match the stated formula.  Inclusion is transitive, so
-    # covers suffice when every element has an image, and a partial map
-    # fails already
-    up = s_bar.upper_covers
-    monotone = True
-    for a, bigger in up.items():
-        for b in bigger:
-            if a in vertex_map and b in vertex_map and not vertex_map[a] <= vertex_map[b]:
-                monotone = False
-                failures.append(f"not monotone on {sorted(a)} < {sorted(b)}")
-
-    iev = {t for t in s_ell.elements if "inter-edge-vertex" in s_ell.tags[t]}
-    rank = {t: i for i, t in enumerate(s_bar.elements)}
-    # per mapped element: (second element, image, all fixed, image rising)
-    # -> [walks from a minimal element ending in that state, the first of
-    # them in chain order as element ranks]; walks through an unmapped
-    # element are dropped
-    states: dict[frozenset, dict[tuple, list]] = {t: {} for t in vertex_map}
-    for t in set(s_bar.elements).difference(*up.values()):
-        if t in vertex_map:
-            states[t][(None, (vertex_map[t],), vertex_map[t] == t, True)] = [1, (rank[t],)]
-    total = 0
-    failing = []
-    # elements come by size, so each after every element below it
-    for t in s_bar.elements:
-        here = states.get(t)
-        if not here:
-            continue
-        if not up[t]:
-            inter_edge_top = "inter-edge" in s_bar.tags[t]
-            for (second, image, fixed, rising), (count, walk) in here.items():
-                total += count
-                if inter_edge_top:
-                    expected, formula = None, fixed
-                else:
-                    part = image[-1]
-                    expected = (frozenset(), second, part) if second in iev else (frozenset(), part)
-                    formula = image == expected
-                in_s_ell = rising and all(img in s_ell for img in image)
-                if not (formula and in_s_ell):
-                    failing.append((walk, image, expected, formula, in_s_ell))
-            continue
-        for u in up[t]:
-            img = vertex_map.get(u)
-            if img is None:
-                continue
-            into = states[u]
-            for (second, image, fixed, rising), (count, walk) in here.items():
-                if img != image[-1]:
-                    rising = rising and image[-1] < img
-                    image = image + (img,)
-                state = (u if second is None else second, image, fixed and img == u, rising)
-                walk = walk + (rank[u],)
-                seen = into.get(state)
-                if seen is None:
-                    into[state] = [count, walk]
-                else:
-                    seen[0] += count
-                    if (len(walk), walk) < (len(seen[1]), seen[1]):
-                        seen[1] = walk
-
-    formula_ok = True
-    failing.sort(key=lambda f: (len(f[0]), f[0]))
-    for walk, image, expected, formula, in_s_ell in failing:
-        chain = tuple(s_bar.elements[i] for i in walk)
-        if expected is None:
-            expected = chain
-        if not formula:
-            formula_ok = False
-            failures.append(
-                f"chain {[sorted(t) for t in chain]} mapped to "
-                f"{[sorted(t) for t in image]}, expected {[sorted(t) for t in expected]}"
-            )
-        if not in_s_ell:
-            lands = False
-            failures.append(f"image of {[sorted(t) for t in chain]} is not an S^l chain")
-
-    return RetractionReport(
-        total_maximal_chains=total,
-        lands_in_s_ell=lands,
-        identity_on_s_ell=identity,
-        idempotent=idempotent,
-        face_compatible=monotone and formula_ok,
-        vertex_map=vertex_map,
-        failures=failures,
-    )
+def retraction_map(inst: Instance) -> int:
+    """The number of maximal chains of the S_bar complex, each of which the
+    retraction onto S^l carries onto an S^l chain (module docstring):
+    k! for each part of k vertices, except a singleton part on an
+    inter-edge, and 2 for each inter-edge."""
+    on_edges = inst.inter_edges_at
+    total = 2 * len(inst.inter_edges)
+    for part in inst.family.parts:
+        if len(part) > 1 or part[0] not in on_edges:
+            total += factorial(len(part))
+    return total

@@ -6,10 +6,23 @@ every cross edge labeled 4.  The control instance has two inter-edges
 labeled 3 meeting at a vertex, which breaks the label condition in the
 exact way the curvature certificate is supposed to detect.
 """
+import functools
+import pathlib
 import random
+import subprocess
+import sys
+import tempfile
 
-from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily, check_rel_prime
+from relartin.defining_graph import (
+    DefiningGraph,
+    Instance,
+    SubgraphFamily,
+    check_rel_prime,
+    parse_graph,
+)
 from relartin.poset_complex import SubsetPoset
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 CTILDE3_EDGES = [
     ("a", "b", 3),
@@ -131,3 +144,35 @@ def with_strays(inst) -> list[SubsetPoset]:
         tagged.append((frozenset(stray), "stray"))
         out.append(SubsetPoset.from_tagged(tagged))
     return out
+
+
+def right_angled_part(k: int) -> Instance:
+    """A complete part on k vertices with every label 2, plus a two-vertex
+    part {b0, b1} of label 3 and one label-5 inter-edge a00-b0."""
+    part = [f"a{i:02d}" for i in range(k)]
+    edges = [(u, v, 2) for i, u in enumerate(part) for v in part[i + 1 :]]
+    edges += [("b0", "b1", 3), ("a00", "b0", 5)]
+    graph = DefiningGraph.build(part + ["b0", "b1"], edges)
+    return Instance(graph, SubgraphFamily.build(graph, [part, ["b0", "b1"]]))
+
+
+@functools.cache
+def ladder_instances(seed: int) -> tuple[Instance, ...]:
+    """The benchmark ladder's instances for ``seed``, as
+    ``bench/instances.py`` writes them, in shape-name order."""
+    with tempfile.TemporaryDirectory() as out:
+        subprocess.run(
+            [sys.executable, str(BENCH / "instances.py"), "--seed", str(seed), "--out", out],
+            check=True,
+        )
+        return tuple(parse_graph(p.read_text()) for p in sorted(pathlib.Path(out).glob("*.json")))
+
+
+def lemma_instances() -> list[Instance]:
+    """The inputs the lemmas are checked on: both fixtures, the seed-7 and
+    seed-11 ladders, and 300 seeds each of the two random generators."""
+    insts = [affine_parts_join(), touching_triple_control()]
+    insts += ladder_instances(7) + ladder_instances(11)
+    insts += [random_rel_prime_instance(random.Random(seed)) for seed in range(300)]
+    insts += [random_instance(random.Random(seed)) for seed in range(300)]
+    return insts

@@ -51,8 +51,14 @@ all pairs, the maximal chains by scanning every such chain for an element
 that would extend it, and the chain count as the number of such chains.
 The retraction audit with monotonicity tested on every comparable pair of
 mapped elements, not on covers only, and with every maximal chain listed
-and its image looked up among the listed chains of S^l.  The family
-audit's subset closure by scanning every subset of every element.
+and its image looked up among the listed chains of S^l; and by dynamic
+programming along the covering relation, which counts and checks the
+maximal chains without listing them, one state per distinct image.  Both
+check the closed forms of ``poset_complex.retraction_map``.  The family
+audit by scanning every subset of every element of S_bar for subset
+closure and every spherical subset of the graph for coverage, and the
+spherical subsets that cross parts read off the whole-graph enumeration:
+they check the lemmas of ``kpi1_checker``.
 
 Certification: each non-disjoint inter-edge developed alone at radius 8m
 and cap 4000 and searched, with no development shared between links of
@@ -101,14 +107,8 @@ from relartin.girth_checker import (
     _stats,
     shortest_embedded_cycle,
 )
-from relartin.kpi1_checker import FamilyAudit, _part_status
 from relartin.link_builder import develop_link_interedge
-from relartin.poset_complex import (
-    RetractionReport,
-    maximal_chains,
-    subset_label,
-    subset_sort_key,
-)
+from relartin.poset_complex import maximal_chains, subset_label, subset_sort_key
 
 
 # ---------------------------------------------------------------- words
@@ -733,6 +733,145 @@ def brute_chain_count(poset) -> int:
     return len(brute_chains(poset))
 
 
+@dataclass
+class RetractionReport:
+    total_maximal_chains: int
+    lands_in_s_ell: bool
+    identity_on_s_ell: bool
+    idempotent: bool
+    face_compatible: bool
+    vertex_map: dict
+    failures: list
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.lands_in_s_ell
+            and self.identity_on_s_ell
+            and self.idempotent
+            and self.face_compatible
+        )
+
+
+def cover_walk_retraction_map(s_bar, s_ell, family) -> RetractionReport:
+    """The retraction audit with monotonicity tested on covers and the
+    maximal chains counted and checked by dynamic programming along the
+    covering relation, not listed.
+
+    What the audit reads off a chain depends only on its second element,
+    its image with repeats dropped, whether every element so far is fixed
+    (the rule for an inter-edge on top) and whether that image strictly
+    increases (an S^l chain).  Upward walks along the covering relation
+    merge on that state, so the k! chains inside a part of size k make
+    about k states per subset.  Each failing state is reported once, with
+    its first chain in ``derived_complex`` order as the witness.
+    """
+    parts = family.part_sets()
+    failures = []
+    vertex_map = {}
+    for t in s_bar.elements:
+        if t in s_ell:
+            vertex_map[t] = t
+            continue
+        # parts are disjoint, so one vertex names the only part t can lie in
+        part = parts[family.part_index(next(iter(t)))] if t else frozenset()
+        if t and t <= part:
+            vertex_map[t] = part
+        else:
+            failures.append(f"no image for {sorted(t)}")
+
+    # an unmapped element makes the retraction partial, so it cannot land
+    lands = not failures and all(img in s_ell for img in vertex_map.values())
+    identity = all(vertex_map.get(t) == t for t in s_ell.elements)
+    idempotent = all(vertex_map.get(img) == img for img in vertex_map.values())
+
+    # inclusion is transitive, so covers suffice when every element has an
+    # image, and a partial map fails already
+    up = s_bar.upper_covers
+    monotone = True
+    for a, bigger in up.items():
+        for b in bigger:
+            if a in vertex_map and b in vertex_map and not vertex_map[a] <= vertex_map[b]:
+                monotone = False
+                failures.append(f"not monotone on {sorted(a)} < {sorted(b)}")
+
+    iev = {t for t in s_ell.elements if "inter-edge-vertex" in s_ell.tags[t]}
+    rank = {t: i for i, t in enumerate(s_bar.elements)}
+    # per mapped element: (second element, image, all fixed, image rising)
+    # -> [walks from a minimal element ending in that state, the first of
+    # them in chain order as element ranks]; walks through an unmapped
+    # element are dropped
+    states = {t: {} for t in vertex_map}
+    for t in set(s_bar.elements).difference(*up.values()):
+        if t in vertex_map:
+            states[t][(None, (vertex_map[t],), vertex_map[t] == t, True)] = [1, (rank[t],)]
+    total = 0
+    failing = []
+    # elements come by size, so each after every element below it
+    for t in s_bar.elements:
+        here = states.get(t)
+        if not here:
+            continue
+        if not up[t]:
+            inter_edge_top = "inter-edge" in s_bar.tags[t]
+            for (second, image, fixed, rising), (count, walk) in here.items():
+                total += count
+                if inter_edge_top:
+                    expected, formula = None, fixed
+                else:
+                    part = image[-1]
+                    expected = (frozenset(), second, part) if second in iev else (frozenset(), part)
+                    formula = image == expected
+                in_s_ell = rising and all(img in s_ell for img in image)
+                if not (formula and in_s_ell):
+                    failing.append((walk, image, expected, formula, in_s_ell))
+            continue
+        for u in up[t]:
+            img = vertex_map.get(u)
+            if img is None:
+                continue
+            into = states[u]
+            for (second, image, fixed, rising), (count, walk) in here.items():
+                if img != image[-1]:
+                    rising = rising and image[-1] < img
+                    image = image + (img,)
+                state = (u if second is None else second, image, fixed and img == u, rising)
+                walk = walk + (rank[u],)
+                seen = into.get(state)
+                if seen is None:
+                    into[state] = [count, walk]
+                else:
+                    seen[0] += count
+                    if (len(walk), walk) < (len(seen[1]), seen[1]):
+                        seen[1] = walk
+
+    formula_ok = True
+    failing.sort(key=lambda f: (len(f[0]), f[0]))
+    for walk, image, expected, formula, in_s_ell in failing:
+        chain = tuple(s_bar.elements[i] for i in walk)
+        if expected is None:
+            expected = chain
+        if not formula:
+            formula_ok = False
+            failures.append(
+                f"chain {[sorted(t) for t in chain]} mapped to "
+                f"{[sorted(t) for t in image]}, expected {[sorted(t) for t in expected]}"
+            )
+        if not in_s_ell:
+            lands = False
+            failures.append(f"image of {[sorted(t) for t in chain]} is not an S^l chain")
+
+    return RetractionReport(
+        total_maximal_chains=total,
+        lands_in_s_ell=lands,
+        identity_on_s_ell=identity,
+        idempotent=idempotent,
+        face_compatible=monotone and formula_ok,
+        vertex_map=vertex_map,
+        failures=failures,
+    )
+
+
 def all_pairs_retraction_map(s_bar, s_ell, family) -> RetractionReport:
     """``retraction_map`` with monotonicity tested on every pair a < b of
     mapped elements of S_bar, and every maximal chain listed and tested on
@@ -810,9 +949,18 @@ def all_pairs_retraction_map(s_bar, s_ell, family) -> RetractionReport:
     )
 
 
-def scan_audit_family(s_bar, inst) -> FamilyAudit:
-    """``audit_family`` with subset closure decided by scanning the 2^|t|
-    subsets of every element t, in element order and then mask order."""
+@dataclass
+class ScanAudit:
+    condition1_ok: bool
+    condition1_witness: tuple | None
+    condition3_ok: bool
+    condition3_witness: frozenset | None
+
+
+def scan_audit_family(s_bar, inst) -> ScanAudit:
+    """The family audit by scanning: subset closure by the 2^|t| subsets
+    of every element t, in element order and then mask order, and
+    spherical coverage by every spherical subset of the graph."""
     cond1_witness = None
     for t in s_bar.elements:
         members = sorted(t)
@@ -824,13 +972,19 @@ def scan_audit_family(s_bar, inst) -> FamilyAudit:
         if cond1_witness:
             break
     cond3_witness = next((t for t in inst.spherical if t not in s_bar), None)
-    return FamilyAudit(
+    return ScanAudit(
         condition1_ok=cond1_witness is None,
         condition1_witness=cond1_witness,
         condition3_ok=cond3_witness is None,
         condition3_witness=cond3_witness,
-        parts=[_part_status(inst, i) for i in range(len(inst.family.parts))],
     )
+
+
+def enumerated_crossing_spherical(inst) -> list:
+    """The graph's spherical subsets that lie inside no part, from the
+    whole-graph enumeration, in its order."""
+    sets = inst.family.part_sets()
+    return [t for t in inst.spherical if not any(t <= p for p in sets)]
 
 
 # ---------------------------------------------------- certification

@@ -24,7 +24,7 @@ from relartin.girth_checker import certify_link_condition, shortest_embedded_cyc
 from relartin.kpi1_checker import verify_no_large_crossing_spherical
 from relartin.link_builder import develop_link_interedge, develop_link_part
 from relartin.acyl_checker import empirical_orbit_growth
-from relartin.poset_complex import build_S_bar, retraction_map
+from relartin.poset_complex import build_S_bar, retraction_map, subset_sort_key
 
 from instances import (
     affine_parts_join,
@@ -32,7 +32,14 @@ from instances import (
     single_interedge,
     touching_triple_control,
 )
-from oracles import definiteness_oracle, rewriting_classes, string_to_word, strictly_increasing
+from oracles import (
+    cover_walk_retraction_map,
+    definiteness_oracle,
+    enumerated_crossing_spherical,
+    rewriting_classes,
+    string_to_word,
+    strictly_increasing,
+)
 
 _RNG = random.Random(20260819)
 RANDOM_INSTANCES = [random_rel_prime_instance(_RNG) for _ in range(6)]
@@ -42,7 +49,7 @@ def test_criterion_01_join_end_to_end(capsys):
     t0 = time.monotonic()
     inst = affine_parts_join()
     assert check_rel(inst).ok and check_rel_prime(inst).ok
-    report = classify_known(inst.graph, inst.graph.vertices, inst.spherical)
+    report = classify_known(inst.graph, inst.graph.vertices)
     assert not report.spherical_type
     assert not report.affine_type
     assert not report.two_dimensional
@@ -177,13 +184,14 @@ def test_criterion_06_coxeter_cross_validation():
 
 
 def test_criterion_07_no_crossing_spherical():
+    # under REL' the crossing spherical subsets are the inter-edges
     for inst in [affine_parts_join()] + RANDOM_INSTANCES:
-        verdict = verify_no_large_crossing_spherical(inst)
-        assert verdict.ok and verdict.witnesses == []
+        assert verify_no_large_crossing_spherical(inst)
+        pairs = sorted((e.pair for e in inst.inter_edges), key=subset_sort_key)
+        assert enumerated_crossing_spherical(inst) == pairs
     control = touching_triple_control()
-    bad = verify_no_large_crossing_spherical(control)
-    assert not bad.ok
-    assert any(len(w) == 3 for w in bad.witnesses)
+    assert not verify_no_large_crossing_spherical(control)
+    assert any(len(w) == 3 for w in enumerated_crossing_spherical(control))
     print(
         f"criterion 07: PASS - crossing check on {1 + len(RANDOM_INSTANCES)} "
         f"instances, control caught"
@@ -230,8 +238,8 @@ def test_criterion_08_dihedral_oracle_equivalence():
 
 def test_criterion_09_retraction():
     inst = affine_parts_join()
-    report = retraction_map(build_S_bar(inst), inst.s_ell, inst.family)
-    assert report.total_maximal_chains == 80
+    report = cover_walk_retraction_map(build_S_bar(inst), inst.s_ell, inst.family)
+    assert report.total_maximal_chains == retraction_map(inst) == 80
     assert report.failures == []
     assert report.lands_in_s_ell
     assert report.identity_on_s_ell

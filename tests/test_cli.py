@@ -10,10 +10,11 @@ import random
 import re
 import subprocess
 import sys
+import time
 from dataclasses import asdict, is_dataclass
 
 import pytest
-from instances import random_rel_prime_instance
+from instances import random_rel_prime_instance, right_angled_part
 from oracles import instance_to_json
 from test_golden import SUBCOMMANDS, invocations
 
@@ -397,9 +398,8 @@ def test_ring_is_classified_without_listing_the_pairs_of_a_non_clique(
 
 
 def test_acyl_and_kpi1_list_no_ball_and_no_chains(capsys, monkeypatch):
-    # kpi1 counts and checks the maximal chains of S_bar by dynamic
-    # programming and reads the dimension off the longest chain, so neither
-    # subcommand lists the chains of a complex
+    # kpi1 reads the maximal chains of S_bar and the dimension of S^l off
+    # lemmas, so neither subcommand lists the chains of a complex
     for attr in ("maximal_chains", "derived_complex"):
         forbid(monkeypatch, poset_complex, attr)
     assert run(capsys, "kpi1", "--input", JOIN)[0] == 0
@@ -411,6 +411,45 @@ def test_acyl_and_kpi1_list_no_ball_and_no_chains(capsys, monkeypatch):
     for fixture, code in ((JOIN, 0), (CONTROL, 2)):
         for sub in ("links", "kpi1", "acyl"):
             assert run(capsys, sub, "--input", fixture)[0] == code, (sub, fixture)
+
+
+def test_kpi1_and_classify_list_no_subset_family(capsys, monkeypatch, tmp_path):
+    # on a REL' instance the family audit, the crossing check, the
+    # retraction and the part flags are lemmas or read off adjacency rows,
+    # so no run lists spherical subsets, builds S_bar or compares its pairs
+    forbid(monkeypatch, coxeter, "enumerate_spherical_subsets")
+    forbid(monkeypatch, poset_complex, "build_S_bar")
+
+    def no_up_sets(self):
+        raise AssertionError("SubsetPoset.above was read")
+
+    monkeypatch.setattr(poset_complex.SubsetPoset, "above", property(no_up_sets))
+    paths = [JOIN]
+    for seed in range(5):
+        path = tmp_path / f"rel{seed}.json"
+        path.write_text(instance_to_json(random_rel_prime_instance(random.Random(seed))))
+        paths.append(str(path))
+    for path in paths:
+        for sub in ("kpi1", "classify"):
+            assert run(capsys, sub, "--input", path)[0] == 0, (sub, path)
+
+
+def test_a_large_right_angled_part_is_checked_in_time(capsys, tmp_path):
+    # a complete part of 16 vertices with every label 2 is spherical; its
+    # 2^16 subsets are neither listed nor compared pair by pair
+    path = tmp_path / "right_angled.json"
+    path.write_text(instance_to_json(right_angled_part(16)))
+    for sub in ("kpi1", "classify"):
+        start = time.perf_counter()
+        code, doc, err = run_json(capsys, sub, "--input", str(path))
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, ""), sub
+        assert elapsed < 1.0, (sub, elapsed)
+    assert [p["coxeter_kind"] for p in doc["parts"]] == ["finite", "finite"]
+    assert doc["parts"][0]["report"]["right_angled"] and doc["parts"][0]["report"]["fc_type"]
+    assert not doc["parts"][0]["report"]["two_dimensional"]
+    code, doc, _ = run_json(capsys, "kpi1", "--input", str(path))
+    assert doc["status"] == "holds, parts spherical"
 
 
 def test_flag_validation(capsys, monkeypatch):
@@ -476,10 +515,12 @@ def test_per_instance_facts_are_derived_once(capsys, monkeypatch):
             calls.clear()
             graphs.clear()
             run(capsys, sub, "--input", fixture)
-            assert calls and max(calls.values()) == 1, (fixture, sub, calls)
+            assert all(n == 1 for n in calls.values()), (fixture, sub, calls)
+            # classify reads the adjacency rows and derives none of these
+            assert bool(calls) == (sub != "classify"), (fixture, sub, calls)
             assert len(graphs) == 1, (fixture, sub, graphs)
-            if sub in ("classify", "build"):
-                assert calls["enumerate_spherical_subsets"] == 1
+            # only build lists the spherical subsets, for S_f_size
+            assert calls.get("enumerate_spherical_subsets", 0) == (sub == "build")
 
 
 def test_text_format_is_default(capsys):

@@ -23,7 +23,7 @@ from relartin.defining_graph import (
     parse_graph,
 )
 
-from instances import affine_parts_join, random_rel_prime_instance
+from instances import affine_parts_join, lemma_instances, random_rel_prime_instance
 from oracles import (
     all_pairs_classify_type,
     brute_fc,
@@ -327,7 +327,7 @@ def test_spherical_enumeration_and_fc_match_brute_force():
         assert list(found) == expected, g.edges
         assert found.rejected == brute_rejected(g), g.edges
         assert found.fc == fc, g.edges
-        report = classify_known(g, g.vertices, found)
+        report = classify_known(g, g.vertices)
         assert report.spherical_type == (frozenset(g.vertices) in expected)
         assert report.two_dimensional == all(len(t) <= 2 for t in expected)
         assert report.fc_type == fc, g.edges
@@ -344,27 +344,22 @@ def _random_parts(rng, graph):
     return [vs[i:j] for i, j in zip([0] + cuts, cuts + [len(vs)])]
 
 
-def test_part_reports_from_the_instance_list_match_each_part_alone():
-    # each part's group of the one enumeration against an enumeration of a
-    # copy of the part's subgraph, and its report against one worked out
-    # on that copy alone
-    insts = _fixtures() + [random_rel_prime_instance(random.Random(seed)) for seed in range(30)]
+def test_part_reports_match_each_part_alone():
+    # the flags read off the adjacency rows, for each part and for the
+    # whole graph, against a report worked out on a copy of that subgraph
+    # alone from the enumeration of its spherical subsets
+    insts = _fixtures() + lemma_instances()
     rng = random.Random(2024)
     for _ in range(300):
         g = _random_graph(rng)
         insts.append(Instance(g, SubgraphFamily.build(g, _random_parts(rng, g))))
     seen = set()
     for inst in insts:
-        groups, crossing = inst.spherical_groups
-        for part, group in zip(inst.family.parts, groups):
-            alone = coxeter.enumerate_spherical_subsets(induced_subgraph(inst.graph, part))
-            assert list(group) == list(alone) and group.rejected == alone.rejected
-            report = classify_known(inst.graph, part, group)
+        for part in inst.family.parts + (inst.graph.vertices,):
+            report = classify_known(inst.graph, part)
             assert report == part_alone_report(inst.graph, part), (inst.graph.edges, part)
             seen.add((report.fc_type, report.two_dimensional))
-        sets = inst.family.part_sets()
-        assert list(crossing) == [t for t in inst.spherical if not any(t <= p for p in sets)]
-    # every combination of the two flags is exercised at part level
+    # every combination of the two flags is exercised
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -424,8 +419,7 @@ def test_join_decomposable_matches_brute_complement_connectivity():
         verts = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
         comps = coxeter.complement_components(verts, g.adjacency)
         assert comps == _brute_complement_components(g, verts), (g.edges, verts)
-        spherical = coxeter.enumerate_spherical_subsets(induced_subgraph(g, verts))
-        join = classify_known(g, verts, spherical).join_decomposable
+        join = classify_known(g, verts).join_decomposable
         assert join == (len(comps) > 1), (g.edges, verts)
         seen.add((len(verts) > 1, join))
     assert seen == {(False, False), (True, False), (True, True)}

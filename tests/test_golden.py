@@ -81,8 +81,8 @@ GOLDEN = {
     'affine_parts_join.json build --format dot': [0, 'fdd3651783073379a88a14736fbee2249f7dd57bc2d6ad32f7fe3b14d834267f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json links --format json': [0, '2ca0ff63ef2a91a9136d9c2c5dedcbd3cbf43e5d300862833e9cccc8dba5254b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json links --format text': [0, '7b30afd4c2da4e278583353dd1f502a3a024729adfeacf7f7f5c0d55772861b2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json kpi1 --format json': [0, 'de418b882e0f96ee80c3aa3e19f7a8ca3ae386e59bf2b8d60ed5bf8475807105', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
-    'affine_parts_join.json kpi1 --format text': [0, '48edc41596d96eb72753252225974f3a8b79aff2e1abce9f594c3cbe9c324f94', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json kpi1 --format json': [0, '5965a4aa69f4bda087c77f3a9aab5f4a5b10c6fafa26b5c05e138b5f6f2f758a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    'affine_parts_join.json kpi1 --format text': [0, '16c53373eebecb28fdb454bc93bce1c6f07c0ded6320a8d2aa348084433124a0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json acyl --format json': [0, '315e84276d3f21f63181bf2dd20538d213f4a1102dfa0ad3416bb94d6d6620fd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json acyl --format text': [0, '04df2dc6cdd734855930aa530bce1087617a7073e24b33b71a4cd53fabf8e67f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
     'affine_parts_join.json develop --part 0 --format json': [1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'c55960e99cbb2f90048cd29ed2eb6d599652e5267cdea85ec7370783114ebf0a'],

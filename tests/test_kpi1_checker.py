@@ -1,24 +1,22 @@
 """Family audit, crossing check, and the assembled asphericity verdict."""
-import random
 from dataclasses import fields
 
-from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily
+from relartin.defining_graph import DefiningGraph, Instance, SubgraphFamily, check_rel_prime
 from relartin.girth_checker import CertificationReport, LinkCertificate
 from relartin.kpi1_checker import (
     audit_family,
     kpi1_verdict,
     verify_no_large_crossing_spherical,
 )
-from relartin.poset_complex import SubsetPoset, build_S_bar
+from relartin.poset_complex import SubsetPoset, build_S_bar, subset_sort_key
 
 from instances import (
     affine_parts_join,
-    random_rel_prime_instance,
+    lemma_instances,
     single_interedge,
     touching_triple_control,
-    with_strays,
 )
-from oracles import scan_audit_family
+from oracles import enumerated_crossing_spherical, scan_audit_family
 
 
 def unknown_part_instance():
@@ -44,63 +42,62 @@ def unknown_part_instance():
 
 def test_audit_family_passes_on_the_join():
     inst = affine_parts_join()
-    audit = audit_family(build_S_bar(inst), inst)
-    assert audit.condition1_ok and audit.condition1_witness is None
-    assert audit.condition3_ok and audit.condition3_witness is None
+    audit = audit_family(inst)
     assert audit.overall == "pass"
     assert [(p.provenance, p.which) for p in audit.parts] == [
         ("known-class", "affine")
     ] * 2
+    scan = scan_audit_family(build_S_bar(inst), inst)
+    assert scan.condition1_ok and scan.condition3_ok
 
 
 def test_audit_family_reports_witnesses():
+    # the scan names the first missing subset and the first spherical
+    # subset outside the family
     inst = single_interedge()
     poset = SubsetPoset.from_tagged(
         [(frozenset(), "empty"), (frozenset("ab"), "inter-edge")]
     )
-    audit = audit_family(poset, inst)
+    audit = scan_audit_family(poset, inst)
     assert not audit.condition1_ok
     assert audit.condition1_witness == (frozenset("a"), frozenset("ab"))
     assert not audit.condition3_ok
     assert audit.condition3_witness == frozenset("a")
-    assert audit.overall == "fail"
 
 
 def test_audit_family_matches_subset_scan():
-    # closure under one-vertex deletions, with the failing element's subsets
-    # scanned for the witness, against a scan of every subset of every element
-    join = affine_parts_join()
-    cases = [(build_S_bar(inst), inst) for inst in (join, touching_triple_control())]
-    cases += [(poset, join) for poset in with_strays(join)]
-    cases += [
-        (build_S_bar(inst), inst)
-        for inst in (random_rel_prime_instance(random.Random(seed)) for seed in range(30))
-    ]
-    # {a1,b1,c1} keeps all three of its pairs but lacks {a1}, two levels
-    # down; the first element missing a subset is then the pair {a1,b1}
-    kept = ((), ("b1",), ("c1",), ("a1", "b1"), ("a1", "c1"), ("b1", "c1"), ("a1", "b1", "c1"))
-    lacking = SubsetPoset.from_tagged((frozenset(t), "x") for t in kept)
-    cases.append((lacking, join))
-    failing = 0
-    for s_bar, inst in cases:
-        audit = audit_family(s_bar, inst)
-        assert audit == scan_audit_family(s_bar, inst)
-        failing += not audit.condition1_ok
-    # the stray posets are S^l plus a triple, so they lack its pairs
-    assert failing == 3
-    assert audit.condition1_witness == (frozenset(("a1",)), frozenset(("a1", "b1")))
+    # the completeness lemma: S_bar is closed under subsets on every
+    # instance, and holds every spherical subset wherever REL' holds
+    rel_prime = 0
+    for inst in lemma_instances():
+        scan = scan_audit_family(build_S_bar(inst), inst)
+        assert scan.condition1_ok, inst.graph.edges
+        if check_rel_prime(inst).ok:
+            rel_prime += 1
+            assert scan.condition3_ok, inst.graph.edges
+    assert 350 < rel_prime < 618
 
 
 def test_crossing_check():
-    inst = affine_parts_join()
-    verdict = verify_no_large_crossing_spherical(inst)
-    assert verdict.ok and verdict.checked == 45 and verdict.witnesses == []
+    # the crossing lemma: under REL' the spherical subsets that cross parts
+    # are exactly the inter-edges, and the check is REL' itself
+    holds = 0
+    for inst in lemma_instances():
+        ok = verify_no_large_crossing_spherical(inst)
+        assert ok == check_rel_prime(inst).ok
+        if ok:
+            holds += 1
+            pairs = sorted((e.pair for e in inst.inter_edges), key=subset_sort_key)
+            assert enumerated_crossing_spherical(inst) == pairs, inst.graph.edges
+    assert 350 < holds < 618
 
+    # without REL' a larger crossing subset can be spherical: the control's
+    # labels 3, 3, 2 make {a, b, c} an A3
     control = touching_triple_control()
-    bad = verify_no_large_crossing_spherical(control)
-    assert not bad.ok
-    assert bad.witnesses == [frozenset(("a", "b", "c"))]
-    assert bad.checked == 8
+    assert not verify_no_large_crossing_spherical(control)
+    crossing = enumerated_crossing_spherical(control)
+    assert [t for t in crossing if len(t) > 2] == [frozenset(("a", "b", "c"))]
+    assert len(control.spherical) == 8
 
 
 def test_kpi1_holds_on_the_join():
@@ -108,8 +105,10 @@ def test_kpi1_holds_on_the_join():
     assert verdict.applicable and verdict.holds
     assert verdict.status == "holds, parts affine"
     machine = [e for e in verdict.evidence if e["kind"] == "machine"]
+    lemmas = [e for e in verdict.evidence if e["kind"] == "lemma"]
     citations = [e for e in verdict.evidence if e["kind"] == "citation"]
-    assert len(machine) == 6 and all(e["ok"] for e in machine)
+    assert len(machine) == 2 and all(e["ok"] for e in machine)
+    assert len(lemmas) == 4 and all(e["ok"] for e in lemmas)
     assert len(citations) == 4
     cited = " ".join(e["detail"] for e in citations)
     assert "Godelle-Paris" in cited and "Cartan-Hadamard" in cited and "van der Lek" in cited

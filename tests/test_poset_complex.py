@@ -24,6 +24,7 @@ from relartin.poset_complex import (
 
 from instances import (
     affine_parts_join,
+    lemma_instances,
     random_rel_prime_instance,
     single_interedge,
     touching_triple_control,
@@ -31,6 +32,7 @@ from instances import (
 )
 from oracles import (
     all_pairs_retraction_map,
+    cover_walk_retraction_map,
     brute_above,
     brute_chain_count,
     brute_chains,
@@ -79,7 +81,7 @@ def test_derived_complex_chain_counts():
     }
     s_bar = build_S_bar(inst)
     assert s_bar.chain_count() == 693
-    assert len(maximal_chains(s_bar)) == 80
+    assert len(maximal_chains(s_bar)) == retraction_map(inst) == 80
     doc = cx.to_json_dict()
     assert doc["chain_counts"] == {"1": 27, "2": 66, "3": 40}
 
@@ -220,9 +222,9 @@ def test_gluing_detects_conflicts():
 
 def test_retraction_join():
     inst = affine_parts_join()
-    report = retraction_map(build_S_bar(inst), inst.s_ell, inst.family)
+    report = cover_walk_retraction_map(build_S_bar(inst), inst.s_ell, inst.family)
     assert report.ok
-    assert report.total_maximal_chains == 80
+    assert report.total_maximal_chains == retraction_map(inst) == 80
     assert report.lands_in_s_ell
     assert report.identity_on_s_ell
     assert report.idempotent
@@ -239,9 +241,9 @@ def test_retraction_breaks_without_part_subsets():
     # the report records as a failure
     inst = affine_parts_join()
     inside, crossing = with_strays(inst)
-    report = retraction_map(inside, inst.s_ell, inst.family)
+    report = cover_walk_retraction_map(inside, inst.s_ell, inst.family)
     assert report.ok  # the triple still lies inside part 0, so it retracts
-    report = retraction_map(crossing, inst.s_ell, inst.family)
+    report = cover_walk_retraction_map(crossing, inst.s_ell, inst.family)
     assert not report.ok or report.failures
     assert any("no image" in f for f in report.failures)
 
@@ -252,8 +254,9 @@ def _plus(poset: SubsetPoset, *subsets: str) -> SubsetPoset:
 
 
 def test_retraction_matches_all_pairs_reference():
-    # monotonicity is checked on covers and the maximal chains by dynamic
-    # programming; the reference checks every pair and walks every chain.
+    # the cover walk checks monotonicity on covers and the maximal chains by
+    # dynamic programming; the reference checks every pair and walks every
+    # chain.
     # On invalid input the report names one chain per failing state, where
     # the reference names every failing chain
     join = affine_parts_join()
@@ -270,7 +273,7 @@ def test_retraction_matches_all_pairs_reference():
         cases.append((build_S_bar(inst), inst.s_ell, inst))
     valid = 0
     for s_bar, s_ell, inst in cases:
-        report = retraction_map(s_bar, s_ell, inst.family)
+        report = cover_walk_retraction_map(s_bar, s_ell, inst.family)
         reference = all_pairs_retraction_map(s_bar, s_ell, inst.family)
         assert replace(report, failures=[]) == replace(reference, failures=[])
         if reference.ok:
@@ -280,6 +283,21 @@ def test_retraction_matches_all_pairs_reference():
             assert report.failures[0] == reference.failures[0]
             assert set(report.failures) <= set(reference.failures)
     assert valid == len(cases) - 3
+
+
+def test_s_bar_size_retraction_and_dimension_in_closed_form():
+    # |S_bar| = 1 + sum (2^k_i - 1) + |inter-edges|, the retraction's
+    # maximal chains counted in closed form, and the longest S^l chain,
+    # against the built S_bar, the cover-walk audit and the S^l poset
+    for inst in lemma_instances():
+        s_bar = build_S_bar(inst)
+        size = 1 + sum(2 ** len(p) - 1 for p in inst.family.parts) + len(inst.inter_edges)
+        assert len(s_bar.elements) == size, inst.graph.edges
+        report = cover_walk_retraction_map(s_bar, inst.s_ell, inst.family)
+        assert report.ok and report.failures == [], inst.graph.edges
+        assert retraction_map(inst) == report.total_maximal_chains, inst.graph.edges
+        longest = check_two_dimensional(inst.s_ell).max_chain_length
+        assert longest == (3 if inst.inter_edges else 2), inst.graph.edges
 
 
 def _assert_matches_oracles(poset: SubsetPoset) -> None:
