@@ -32,10 +32,11 @@ from .kpi1_checker import kpi1_verdict
 from .link_builder import develop_link_interedge, develop_link_part
 from .poset_complex import (
     assign_metric,
-    build_S_bar,
     check_gluing,
     check_two_dimensional,
     derived_complex,
+    s_bar_chain_count,
+    s_bar_size,
 )
 
 
@@ -248,13 +249,12 @@ def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
     if args.fmt == "dot":
         sys.stdout.write(s_ell.to_dot())
         return 0 if dim.ok and gluing.ok else 2
-    s_bar = build_S_bar(inst)
     doc = {
         "S_ell": s_ell.to_json_dict(),
         "S_f_size": len(inst.spherical),
-        "S_bar_size": len(s_bar.elements),
+        "S_bar_size": s_bar_size(inst),
         "complex_S_ell": cx_ell.to_json_dict(),
-        "complex_S_bar_chain_count": s_bar.chain_count(),
+        "complex_S_bar_chain_count": s_bar_chain_count(inst),
         "two_dimensional": {"ok": dim.ok, "max_chain_length": dim.max_chain_length},
         "gluing": gluing,
     }

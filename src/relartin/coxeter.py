@@ -19,13 +19,7 @@ edge is an infinity diagram label, and a component carrying one is ~A1 or
 indefinite.  Sphericity is also hereditary.  So the spherical subsets are
 found by growing cliques: a spherical set is extended only by a vertex above
 its largest member that is adjacent to every member, which proposes each
-clique exactly once.  The pass keeps the candidates it rejects, and they
-decide FC type (every clique spherical): if some clique is not spherical, a
-minimal one minus its largest vertex is a spherical clique, and putting
-that vertex back is a candidate the pass tries and rejects.  So the graph
-is FC exactly when no candidate is rejected.  The same holds for the full
-subgraph on any vertex set, with the subsets and rejected candidates that
-lie inside it, since each of its candidates is one of the graph's.
+clique exactly once.
 
 The classifier's flags list no subsets.  The full subgraph on a vertex set
 is 2-dimensional when no three of its vertices are spherical, and FC when
@@ -297,22 +291,6 @@ def is_spherical(graph: DefiningGraph, subset: Iterable[str]) -> bool:
     return classify_type(graph, subset).kind == "finite"
 
 
-class SphericalSubsets(list[frozenset[str]]):
-    """The spherical subsets of a graph, smallest first and each size in
-    lexicographic order.  ``rejected`` holds the non-spherical cliques the
-    enumeration proposed and turned down, as sorted tuples in the order it
-    proposed them."""
-
-    def __init__(self, subsets: Iterable[frozenset[str]]):
-        super().__init__(subsets)
-        self.rejected: list[tuple[str, ...]] = []
-
-    @property
-    def fc(self) -> bool:
-        """True when every clique of the graph is spherical."""
-        return not self.rejected
-
-
 def _finite_components(labels: Mapping[str, Mapping[str, int]]):
     """A test of whether a diagram-connected clique is finite, memoised for
     the caller's lifetime: by sorted label triple for three vertices (see
@@ -339,15 +317,14 @@ def _finite_components(labels: Mapping[str, Mapping[str, int]]):
     return is_finite
 
 
-def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
-    """Every vertex subset with finite Coxeter quotient, smallest first.
+def enumerate_spherical_subsets(graph: DefiningGraph) -> list[frozenset[str]]:
+    """Every vertex subset with finite Coxeter quotient, smallest first and
+    each size in lexicographic order.
 
     Each spherical set grows only by its common neighbours above its largest
     vertex, so every clique is proposed once and non-cliques never are;
     both are exact, since spherical sets are cliques and sphericity is
-    hereditary.  A rejected candidate is a non-spherical clique, and one
-    exists whenever any clique is not spherical (a minimal one minus its
-    largest vertex is spherical), so ``fc`` is "no candidate rejected".
+    hereditary.
 
     Each candidate is decided by the one diagram component its new vertex
     changes (see the module docstring).  The components' verdicts are
@@ -357,7 +334,7 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
     linked = {v: frozenset(w for w, m in labels[v].items() if m != 2) for v in labels}
     is_finite = _finite_components(labels)
 
-    out = SphericalSubsets([frozenset()])
+    out = [frozenset()]
     # (spherical set as a sorted tuple, its common neighbours above its max,
     # its diagram components)
     level: list[tuple[tuple[str, ...], tuple[str, ...], tuple[frozenset[str], ...]]] = [
@@ -373,7 +350,6 @@ def enumerate_spherical_subsets(graph: DefiningGraph) -> SphericalSubsets:
                 merged = frozenset((v,)).union(*joined)
                 # one or two clique vertices are A1, A2, B2 or I2(m)
                 if len(merged) > 2 and not is_finite(merged):
-                    out.rejected.append(cand)
                     continue
                 out.append(frozenset(cand))
                 kept = tuple(c for c in comps if c not in joined)

@@ -90,9 +90,6 @@ class DefiningGraph:
         """Edge label of {u, v}, or None when the edge is absent (m = infinity)."""
         return self.adjacency.get(u, {}).get(v)
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self.adjacency.get(u, ())
-
 
 @dataclass(frozen=True)
 class SubgraphFamily:
@@ -138,9 +135,6 @@ class SubgraphFamily:
         if v not in self._part_of:
             raise GraphError(f"unknown vertex {v!r}")
         return self._part_of[v]
-
-    def part_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(p) for p in self.parts)
 
 
 @dataclass(frozen=True)

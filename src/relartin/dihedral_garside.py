@@ -40,9 +40,7 @@ makes afresh, and holds only the tails of described elements.
 Two word-problem engines share one small interface used by link
 development (identity, generators, mult_gen, sort_key, ball_levels,
 coset_key, describe): the exact dihedral engine above, and an exact
-free-group engine (reduced words) for edgeless subgraphs.  Both also
-have mult_word, a whole word multiplied one letter at a time, which no
-development calls.
+free-group engine (reduced words) for edgeless subgraphs.
 
 ``ball_levels`` returns the word-metric ball level by level together with
 its Cayley edges as flat element numbers, filled from the products the
@@ -56,7 +54,7 @@ multiplying again.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 Word = tuple[tuple[str, int], ...]
 
@@ -177,14 +175,6 @@ def _ball_levels(
                 neighbours[wi][slot ^ 1] = xi
         levels.append(level)
     return levels, False, neighbours
-
-
-def _mult_word(engine, el, word: Iterable[tuple[str, int]]):
-    """el times the word, one letter at a time; from the identity this is
-    the word's normal form."""
-    for letter, sign in word:
-        el = engine.mult_gen(el, letter, sign)
-    return el
 
 
 class DihedralEngine:
@@ -322,12 +312,7 @@ class DihedralEngine:
 
     # shared with FreeEngine, and assigned rather than inherited so that each
     # class holds its own entry for the benchmark's layer tracer to patch
-    mult_word = _mult_word
     ball_levels = _ball_levels
-
-    def epsilon(self, el: DihedralElement) -> int:
-        """Exponent-sum homomorphism (both generators to 1)."""
-        return el.k * self.m + sum(el.lengths)
 
     def sort_key(self, el: DihedralElement):
         """(k, number of simples, first letter, lengths): the order of the
@@ -347,7 +332,7 @@ class DihedralEngine:
         Radius independent, so two elements get one key exactly when their
         cosets coincide.
         """
-        k, _, lengths = el  # epsilon(el) is k m + sum(lengths)
+        k, _, lengths = el  # el's exponent sum is k m + sum(lengths)
         return (generator, *self.mult_power(el, generator, -k * self.m - sum(lengths)))
 
     def describe(self, el: DihedralElement) -> str:
@@ -403,7 +388,6 @@ class FreeEngine:
             return el[:-1]
         return el + ((letter, sign),)
 
-    mult_word = _mult_word
     ball_levels = _ball_levels
 
     def sort_key(self, el: Word):

@@ -12,11 +12,11 @@ Every order fact of a poset is read off one up-set map,
 ``SubsetPoset.above``, and its covering relation, both computed once per
 poset.  The derived complex of a poset has one simplex per chain.  Only the
 S^l complex is ever listed chain by chain, and only for ``build``'s report
-and the metric.  The S_bar complex grows with the factorial of the part
-sizes, so it is never materialised: ``build`` counts its chains by dynamic
-programming (``SubsetPoset.chain_count``), and ``kpi1`` builds no S_bar at
-all.  The dimension of a complex comes from the longest chain of its
-poset (``SubsetPoset.longest_chain``).
+and the metric.  S_bar holds every subset of every part, so no program path
+builds it: ``build`` reads its size and its chain count off the closed
+forms below, and ``kpi1`` reads its facts off lemmas.  The dimension of a
+complex comes from the longest chain of its poset
+(``SubsetPoset.longest_chain``).
 
 S_bar and its retraction onto S^l are known in closed form.  Parts are
 disjoint, so S_bar holds the empty set, the non-empty subsets of each part
@@ -36,6 +36,23 @@ two chains through {u} and {v}.  r sends [empty < {s} < ... < S_i] to
 [empty < {s} < S_i] when s lies on an inter-edge and to [empty < S_i]
 otherwise, and fixes the inter-edge chains: each image is a chain of S^l.
 
+The chains of S_bar, the simplices of its complex, are counted in closed
+form too.  A chain of S_bar either holds the empty set or not, and adding
+the empty set to a chain of non-empty members gives every chain that holds
+it but {empty}.  So the count is 1 + 2N, with N the number of chains of
+non-empty members.  An inter-edge lies in no part, no member lies above
+it, and its only non-empty members below are its two singletons, which
+are incomparable.  So every such chain lies inside one part, or is one of
+{e}, {u} < e and {v} < e for an inter-edge e = {u, v}.  Inside a part K
+of k vertices, a chain T_1 < ... < T_r of non-empty subsets spells the
+ordered partition T_1, T_2 - T_1, ..., T_r - T_(r-1) of T_r.  When T_r is
+K that is an ordered partition of K; otherwise adding the block K - T_r
+gives one of two or more blocks.  Each ordered partition of K arises once
+each way, but the one-block partition only the first way.  So with F(k)
+the number of ordered partitions of a k-set (the Fubini number: 1, 1, 3,
+13, 75, ...), the part holds 2 F(k) - 1 chains, and the S_bar complex has
+1 + 2 (sum (2 F(k_i) - 1) + 3 |inter-edges|) simplices.
+
 Over S^l the complex is 2-dimensional and every 2-chain has the shape
 [empty < {s} < T].  Such a triangle receives Euclidean angles in integer
 units of pi/8 from one table, ``TRIANGLE_UNITS``, keyed by the kind of T; the
@@ -49,7 +66,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import comb, factorial
 from typing import Iterable
 
 from .defining_graph import GraphError, Instance
@@ -131,18 +148,6 @@ class SubsetPoset:
         listed by the index of ``small``, then of ``big``."""
         return [(small, big) for small, bigs in self.upper_covers.items() for big in bigs]
 
-    def chain_count(self) -> int:
-        """Number of nonempty chains, i.e. of simplices of the derived
-        complex, without listing them.
-
-        With f(t) the number of chains whose least element is t,
-        f(t) = 1 + sum of f(u) over u > t, and the total is the sum of f.
-        """
-        f: dict[frozenset, int] = {}
-        for t in reversed(self.elements):
-            f[t] = 1 + sum(f[u] for u in self.above[t])
-        return sum(f.values())
-
     def longest_chain(self) -> tuple[frozenset, ...]:
         """The first chain of greatest length in derived-complex order (by
         length, then element by element in element order), without listing
@@ -205,7 +210,8 @@ def build_S_f(inst: Instance) -> SubsetPoset:
 
 
 def build_S_bar(inst: Instance) -> SubsetPoset:
-    """S^l together with every subset of every part."""
+    """S^l together with every subset of every part.  No program path
+    builds it; the tests check the closed forms against it."""
     s_ell = inst.s_ell
     tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
     for part in inst.family.parts:
@@ -222,10 +228,6 @@ class DerivedComplex:
 
     poset: SubsetPoset
     chains: tuple[tuple[frozenset, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return max(len(c) for c in self.chains) - 1 if self.chains else -1
 
     def chains_of_length(self, n: int) -> list[tuple[frozenset, ...]]:
         return [c for c in self.chains if len(c) == n]
@@ -253,7 +255,7 @@ def derived_complex(poset: SubsetPoset) -> DerivedComplex:
 
     Chain counts grow with the factorial of the largest part size, so this
     is for the small fundamental domain S^l only.  The S_bar complex is
-    never listed: ``SubsetPoset.chain_count`` counts it.
+    never listed: ``s_bar_chain_count`` counts it.
     """
     above = poset.above
     chains: list[tuple[frozenset, ...]] = []
@@ -433,3 +435,21 @@ def retraction_map(inst: Instance) -> int:
         if len(part) > 1 or part[0] not in on_edges:
             total += factorial(len(part))
     return total
+
+
+def s_bar_size(inst: Instance) -> int:
+    """|S_bar| = 1 + sum (2^k_i - 1) + |inter-edges| over parts of k_i
+    vertices (module docstring)."""
+    return 1 + sum(2 ** len(p) - 1 for p in inst.family.parts) + len(inst.inter_edges)
+
+
+def s_bar_chain_count(inst: Instance) -> int:
+    """The number of chains of S_bar, the simplices of its complex, from
+    the Fubini numbers of the part sizes (module docstring).  An ordered
+    partition of an n-set is a first block of j vertices and an ordered
+    partition of the rest: F(n) = sum C(n, j) F(n - j) over j in 1..n."""
+    sizes = [len(p) for p in inst.family.parts]
+    fubini = [1]
+    for n in range(1, max(sizes) + 1):
+        fubini.append(sum(comb(n, j) * fubini[n - j] for j in range(1, n + 1)))
+    return 1 + 2 * (sum(2 * fubini[k] - 1 for k in sizes) + 3 * len(inst.inter_edges))

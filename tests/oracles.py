@@ -48,7 +48,10 @@ Posets: the up-set of each element and the covering relation by testing
 every pair and every intermediate element, the chains of the derived
 complex by extending each chain by every larger element found in a scan of
 all pairs, the maximal chains by scanning every such chain for an element
-that would extend it, and the chain count as the number of such chains.
+that would extend it, and the chain count twice: as the number of such
+chains, and by dynamic programming over the up-sets, which counts without
+listing.  Both check the closed forms of ``poset_complex.s_bar_size`` and
+``s_bar_chain_count`` on the S_bar that ``build_S_bar`` lists.
 The retraction audit with monotonicity tested on every comparable pair of
 mapped elements, not on covers only, and with every maximal chain listed
 and its image looked up among the listed chains of S^l; and by dynamic
@@ -75,19 +78,19 @@ type is also read off the diagram listed pair by pair: every pair with a
 label other than 2 is a diagram edge, and each component found along those
 edges is typed from them.  The spherical subsets are every vertex subset
 that ``classify_type`` calls finite, and FC type is every clique being
-spherical, with cliques grown one vertex at a time.  The rejected cliques are every spherical subset, in that
-order, extended by each larger vertex adjacent to all of it that
-``classify_type`` does not call finite.  A part's classifier flags are
-worked out on a copy of the part's full subgraph: its own enumeration, its
-own Coxeter type, its own edge labels and its own complement.
+spherical, with cliques grown one vertex at a time.  A part's classifier
+flags are worked out on a copy of the part's full subgraph: its own
+enumeration, FC read off that enumeration, its own Coxeter type, its own
+edge labels and its own complement.
 
 Graph readers: each part's word-problem engine chosen from a scan of every
 edge of the graph, and the acylindricity witness's third vertex found by
 testing every vertex of the graph for an edge to either endpoint.
 
-Helpers the tests share and the package has no use for: parsing a word and
-its syllable length, an instance written back as JSON, a sine ratio as a
-float, and whether a growth table strictly increases.
+Helpers the tests share and the package has no use for: a word multiplied
+out one letter at a time, parsing a word and its syllable length, an
+instance written back as JSON, a sine ratio as a float, and whether a
+growth table strictly increases.
 """
 import heapq
 import itertools
@@ -733,6 +736,19 @@ def brute_chain_count(poset) -> int:
     return len(brute_chains(poset))
 
 
+def dp_chain_count(poset) -> int:
+    """Number of nonempty chains, i.e. of simplices of the derived
+    complex, without listing them.
+
+    With f(t) the number of chains whose least element is t,
+    f(t) = 1 + sum of f(u) over u > t, and the total is the sum of f.
+    """
+    f = {}
+    for t in reversed(poset.elements):
+        f[t] = 1 + sum(f[u] for u in poset.above[t])
+    return sum(f.values())
+
+
 @dataclass
 class RetractionReport:
     total_maximal_chains: int
@@ -766,7 +782,7 @@ def cover_walk_retraction_map(s_bar, s_ell, family) -> RetractionReport:
     about k states per subset.  Each failing state is reported once, with
     its first chain in ``derived_complex`` order as the witness.
     """
-    parts = family.part_sets()
+    parts = [frozenset(p) for p in family.parts]
     failures = []
     vertex_map = {}
     for t in s_bar.elements:
@@ -983,7 +999,7 @@ def scan_audit_family(s_bar, inst) -> ScanAudit:
 def enumerated_crossing_spherical(inst) -> list:
     """The graph's spherical subsets that lie inside no part, from the
     whole-graph enumeration, in its order."""
-    sets = inst.family.part_sets()
+    sets = [frozenset(p) for p in inst.family.parts]
     return [t for t in inst.spherical if not any(t <= p for p in sets)]
 
 
@@ -1178,29 +1194,11 @@ def brute_fc(graph) -> bool:
         for c in frontier:
             top = max(c)
             for v in vs:
-                if v > top and all(graph.has_edge(v, u) for u in c):
+                if v > top and c <= graph.adjacency[v].keys():
                     nxt.add(c | {v})
         frontier = sorted(nxt, key=sorted)
         cliques.extend(frontier)
     return all(coxeter.is_spherical(graph, c) for c in cliques)
-
-
-def brute_rejected(graph) -> list:
-    """The non-spherical cliques the enumeration proposes, in its order:
-    each spherical subset, by size and then lexicographically, extended by
-    every larger vertex adjacent to all of its members, as sorted tuples."""
-    out = []
-    for subset in brute_spherical_subsets(graph):
-        base = tuple(sorted(subset))
-        for v in graph.vertices:
-            if base and v <= base[-1]:
-                continue
-            cand = base + (v,)
-            if all(graph.has_edge(v, u) for u in base) and (
-                coxeter.classify_type(graph, cand).kind != "finite"
-            ):
-                out.append(cand)
-    return out
 
 
 def induced_subgraph(graph, vertices):
@@ -1235,7 +1233,7 @@ def all_vertex_find_witness(inst):
         candidates = sorted(
             v
             for v in graph.vertices
-            if v != e.u and v != e.v and (graph.has_edge(v, e.u) or graph.has_edge(v, e.v))
+            if v != e.u and v != e.v and not graph.adjacency[v].keys().isdisjoint(e.pair)
         )
         if candidates:
             return e, candidates[0], (e.u, e.v, candidates[0])
@@ -1250,19 +1248,23 @@ def part_alone_report(graph, part) -> ClassifierReport:
     ctype = coxeter.classify_type(sub, sub.vertices)
     labels = [m for _, _, m in sub.edges]
     vs = sub.vertices
+    # FC: no spherical set plus a vertex joined to all of it is a
+    # non-spherical clique, since a minimal one minus any vertex is spherical
+    listed = set(spherical)
+    fc = all(t | {v} in listed for t in spherical for v in vs if t <= sub.adjacency[v].keys())
     reached = {vs[0]}
     frontier = [vs[0]]
     while frontier:
         v = frontier.pop()
         for w in vs:
-            if w not in reached and w != v and not sub.has_edge(v, w):
+            if w not in reached and w != v and w not in sub.adjacency[v]:
                 reached.add(w)
                 frontier.append(w)
     return ClassifierReport(
         spherical_type=ctype.kind == "finite",
         affine_type=ctype.kind == "affine",
         two_dimensional=all(len(t) <= 2 for t in spherical),
-        fc_type=spherical.fc,
+        fc_type=fc,
         large_type=all(m >= 3 for m in labels),
         extra_large_type=all(m >= 4 for m in labels),
         xxl_type=all(m >= 5 for m in labels),
@@ -1274,6 +1276,14 @@ def part_alone_report(graph, part) -> ClassifierReport:
 
 
 # ---------------------------------------------------------- helpers
+
+def mult_word(engine, el, word):
+    """el times the word, one letter at a time through ``mult_gen``; from
+    the identity this is the word's normal form."""
+    for letter, sign in word:
+        el = engine.mult_gen(el, letter, sign)
+    return el
+
 
 def parse_word(text: str, letters):
     """Tokens separated by whitespace: "a", "a^-1", or single-char uppercase

@@ -36,6 +36,7 @@ from oracles import (
     cover_walk_retraction_map,
     definiteness_oracle,
     enumerated_crossing_spherical,
+    mult_word,
     rewriting_classes,
     string_to_word,
     strictly_increasing,
@@ -219,17 +220,17 @@ def test_criterion_08_dihedral_oracle_equivalence():
         by_nf: dict = {}
         by_rewrite: dict = {}
         for w in words:
-            by_nf.setdefault(ctx.mult_word(ctx.identity, string_to_word(w)), set()).add(w)
+            by_nf.setdefault(mult_word(ctx, ctx.identity, string_to_word(w)), set()).add(w)
             by_rewrite.setdefault(classes[w], set()).add(w)
         partition_nf = {frozenset(c) for c in by_nf.values()}
         partition_rw = {frozenset(c) for c in by_rewrite.values()}
         assert partition_nf == partition_rw
 
         # the generator a is not any product of b letters, up to length 8
-        nf_a = ctx.mult_word(ctx.identity, string_to_word("a"))
+        nf_a = mult_word(ctx, ctx.identity, string_to_word("a"))
         for k in range(-8, 9):
             b_word = [("b", 1 if k > 0 else -1)] * abs(k)
-            assert ctx.mult_word(ctx.identity, b_word) != nf_a
+            assert mult_word(ctx, ctx.identity, b_word) != nf_a
     print(
         "criterion 08: PASS - normal form matches rewriting closure on all "
         "words of length <= 6 for m in 2..5"

@@ -253,6 +253,12 @@ def test_build_dot_does_not_build_s_bar(capsys, monkeypatch):
     forbid(monkeypatch, poset_complex, "build_S_bar")
     code, out, _ = run(capsys, "build", "--input", JOIN, "--format", "dot")
     assert code == 0 and out.startswith("digraph")
+    # nor does any other format: S_bar's two counts are read off closed forms
+    for fixture, counts in ((JOIN, (47, 693)), (CONTROL, (7, 25))):
+        code, doc, err = run_json(capsys, "build", "--input", fixture)
+        assert (code, err) == (0, "")
+        assert (doc["S_bar_size"], doc["complex_S_bar_chain_count"]) == counts
+        assert run(capsys, "build", "--input", fixture)[0] == 0
 
 
 def test_develop_selector_errors(capsys):
@@ -382,7 +388,7 @@ def test_ring_is_classified_without_listing_the_pairs_of_a_non_clique(
 
     def clique_only(graph, subset):
         verts = sorted(subset)
-        if not all(graph.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]):
+        if not all(v in graph.adjacency[u] for i, u in enumerate(verts) for v in verts[i + 1 :]):
             raise AssertionError(f"diagram pairs listed for a non-clique of {len(verts)}")
         return real(graph, verts)
 
@@ -450,6 +456,14 @@ def test_a_large_right_angled_part_is_checked_in_time(capsys, tmp_path):
     assert not doc["parts"][0]["report"]["two_dimensional"]
     code, doc, _ = run_json(capsys, "kpi1", "--input", str(path))
     assert doc["status"] == "holds, parts spherical"
+    # build lists the 2^16 spherical subsets for S_f_size, and reads S_bar's
+    # counts off closed forms where it used to build S_bar for minutes
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "build", "--input", str(path))
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert doc["S_bar_size"] == doc["S_f_size"] == 65540
+    assert elapsed < 10.0, elapsed
 
 
 def test_flag_validation(capsys, monkeypatch):

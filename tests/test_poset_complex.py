@@ -19,6 +19,8 @@ from relartin.poset_complex import (
     derived_complex,
     maximal_chains,
     retraction_map,
+    s_bar_chain_count,
+    s_bar_size,
     subset_label,
 )
 
@@ -26,6 +28,7 @@ from instances import (
     affine_parts_join,
     lemma_instances,
     random_rel_prime_instance,
+    right_angled_part,
     single_interedge,
     touching_triple_control,
     with_strays,
@@ -38,6 +41,7 @@ from oracles import (
     brute_chains,
     brute_covers,
     brute_maximal_chains,
+    dp_chain_count,
     sine_ratio_value,
 )
 
@@ -73,14 +77,14 @@ def test_s_bar_and_s_f_join():
 def test_derived_complex_chain_counts():
     inst = affine_parts_join()
     cx = derived_complex(inst.s_ell)
-    assert cx.dimension == 2
+    assert max(map(len, cx.chains)) == 3
     assert {n: len(cx.chains_of_length(n)) for n in (1, 2, 3)} == {
         1: 27,
         2: 66,
         3: 40,
     }
     s_bar = build_S_bar(inst)
-    assert s_bar.chain_count() == 693
+    assert dp_chain_count(s_bar) == s_bar_chain_count(inst) == 693
     assert len(maximal_chains(s_bar)) == retraction_map(inst) == 80
     doc = cx.to_json_dict()
     assert doc["chain_counts"] == {"1": 27, "2": 66, "3": 40}
@@ -286,18 +290,28 @@ def test_retraction_matches_all_pairs_reference():
 
 
 def test_s_bar_size_retraction_and_dimension_in_closed_form():
-    # |S_bar| = 1 + sum (2^k_i - 1) + |inter-edges|, the retraction's
+    # |S_bar| = 1 + sum (2^k_i - 1) + |inter-edges|, its chains
+    # 1 + 2 (sum (2 F(k_i) - 1) + 3 |inter-edges|), the retraction's
     # maximal chains counted in closed form, and the longest S^l chain,
-    # against the built S_bar, the cover-walk audit and the S^l poset
-    for inst in lemma_instances():
+    # against the built S_bar, its chains counted by dynamic programming
+    # and, where there are few, listed, the cover-walk audit and the S^l
+    # poset; right-angled parts reach one part of 10 vertices
+    insts = lemma_instances() + [right_angled_part(k) for k in range(1, 11)]
+    listed = 0
+    for inst in insts:
         s_bar = build_S_bar(inst)
-        size = 1 + sum(2 ** len(p) - 1 for p in inst.family.parts) + len(inst.inter_edges)
-        assert len(s_bar.elements) == size, inst.graph.edges
+        assert len(s_bar.elements) == s_bar_size(inst), inst.graph.edges
+        count = s_bar_chain_count(inst)
+        assert count == dp_chain_count(s_bar), inst.graph.edges
+        if count <= 2000:
+            assert count == brute_chain_count(s_bar), inst.graph.edges
+            listed += 1
         report = cover_walk_retraction_map(s_bar, inst.s_ell, inst.family)
         assert report.ok and report.failures == [], inst.graph.edges
         assert retraction_map(inst) == report.total_maximal_chains, inst.graph.edges
         longest = check_two_dimensional(inst.s_ell).max_chain_length
         assert longest == (3 if inst.inter_edges else 2), inst.graph.edges
+    assert listed > len(insts) // 2
 
 
 def _assert_matches_oracles(poset: SubsetPoset) -> None:
@@ -306,7 +320,7 @@ def _assert_matches_oracles(poset: SubsetPoset) -> None:
     assert poset.covers() == brute_covers(poset)
     assert derived_complex(poset).chains == tuple(brute_chains(poset))
     assert maximal_chains(poset) == brute_maximal_chains(poset)
-    assert poset.chain_count() == brute_chain_count(poset)
+    assert dp_chain_count(poset) == brute_chain_count(poset)
     chains = brute_chains(poset)
     assert poset.longest_chain() == (max(chains, key=len) if chains else ())
 
