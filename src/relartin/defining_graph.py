@@ -147,7 +147,7 @@ class InterEdge:
     part_u: int
     part_v: int
 
-    @property
+    @cached_property
     def pair(self) -> frozenset[str]:
         return frozenset((self.u, self.v))
 

@@ -16,18 +16,53 @@ path even.  So the subdivided graph is bipartite too, a uniform link is
 searched as it is, and a cycle of s unit steps is s * g / k units long.
 
 Certification runs every link of an instance.  The empty link is finite,
-and its girth is at least 2pi whatever the labels.  Its upper vertices are
-the parts and inter-edges of S^l, and two of them share at most one
-singleton, because parts are disjoint and an inter-edge joins two parts:
-so it has no 4-cycle.  A 6-cycle holds at most one part, and two of its
-inter-edges meet at a singleton, so both are non-disjoint, 3 units at the
-empty corner: the cycle is at least 2*2 + 4*3 = 16 units with a part and
-6*3 = 18 without one.  Every edge is at least 2 units, so a cycle of 8 or
-more edges is at least 16.  So the search only asks whether a 16-unit
-cycle exists: each root's search stops at 16 units, and the witness is the
-cycle through the first root that lies on one.  When no root does, the
-link's girth is above 2pi by this lemma, and its entry is PASS-lemma with
-no certificate.
+and it is read off the instance without being built.  Its singleton
+vertices are the inter-edge vertices; its upper vertices are the parts and
+the inter-edges.  A singleton {s} is joined to its part, when that is not
+{s} itself, by 2 units, and to each inter-edge at s by 2 units when that
+inter-edge is disjoint and 3 when it is not.  Two uppers share at most one
+singleton, because parts are disjoint and an inter-edge joins two parts,
+so the link has no 4-cycle.  A 6-cycle has three uppers, each two of them
+sharing a singleton, so it holds at most one part, and two of its
+inter-edges meet at a singleton, which makes both non-disjoint: 3 units
+at each of their four edges.  Such a cycle is 6*3 = 18 units with no
+part, and with a part P it is 2*2 + 4*3 = 16 units, shape A: x != z in P,
+and y outside P joined to both by inter-edges.  Every edge is at least 2
+units, so a cycle of 8 edges is at least 16 units, with equality only
+when every upper is a part or a disjoint inter-edge.  Neighbouring
+uppers share a singleton, so no two parts and no two disjoint
+inter-edges are neighbours: the cycle alternates two distinct parts with
+two disjoint inter-edges between them, shape B.  A cycle of 10 or more
+edges is at least 20 units.  So the link's girth is at least 2pi, and it
+is 2pi exactly when shape A or shape B occurs, which is found in one pass
+over the inter-edges.
+
+The entry keeps the witness of a search over the built link: from each
+root, in link order, a breadth-first search of unit steps (an edge of w
+units is w / g steps, or 2w / g when some w / g is even, g the gcd of the
+weights) stopped at 16 units, the first root that closes a cycle giving
+its splice.  The roots are the smaller side, the singletons on a tie.  Below
+8 units from a root the subdivided link is a tree, since a cycle there
+would be shorter than 16 units.  So a root closes a cycle exactly when it
+lies on one of shape A or B, and what it closes is one of those through
+it: two halves that leave the root by different edges and meet at a point
+8 units away.  Breadth-first order on a tree is the order of the paths'
+vertex lists, compared vertex by vertex in link order, and a point closes
+a cycle when the second half to reach it is expanded.  So the search closes
+the first two halves to the point whose second half comes first.  Each
+shape spells both halves, and the witness is checked: a simple cycle whose
+steps join a singleton to an upper containing it and add up to 16 units.
+
+When neither shape occurs the link is a forest, kept as the ``acyclic``
+certificate, or its girth is above 2pi and its entry is PASS-lemma with no
+certificate.  The link's vertices are the parts, the inter-edges and the u
+singletons not themselves a part, and its edges are those u and two per
+inter-edge; each component holds a part, so its components are those of
+the parts joined by the inter-edges.  So edges less vertices plus
+components, which is 0 exactly for a forest, is the same for the link as
+for that multigraph of parts.  ``build_link_empty`` and
+:func:`shortest_embedded_cycle` build and search the link itself; no
+program path runs them, and the tests check the closed form against them.
 
 A single link, at the cyclic coset of an inter-edge vertex s, is complete
 bipartite: the 2 SINGLE_POWERS + 1 = 7 drawn powers of s against the u
@@ -98,12 +133,11 @@ from .link_builder import (
     SINGLE_POWERS,
     TWO_PI_UNITS,
     LinkGraph,
-    build_link_empty,
     interedge_development,
     single_shape,
     vertex_label,
 )
-from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, subset_label
+from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, subset_label, subset_sort_key
 
 
 @dataclass
@@ -337,16 +371,6 @@ def _status(cert: CycleCertificate) -> str:
     return "PASS-complete" if cert.passes else "FAIL"
 
 
-def _stats(link: LinkGraph) -> dict:
-    return {
-        "vertices": link.vertex_count,
-        "edges": len(link.edges),
-        "requested_radius": link.truncation.requested_radius,
-        "achieved_radius": link.truncation.achieved_radius,
-        "truncated": link.truncation.truncated,
-    }
-
-
 def _single_entry(inst: Instance, s: str) -> LinkCertificate:
     """The entry of the link of the cyclic coset at s, read off its shape
     without building it: K_(n,u), n drawn powers against u parts and
@@ -478,24 +502,182 @@ def _relator_entry(inst: Instance, group: list[InterEdge]) -> LinkCertificate:
     return _lemma_entry(case, dev.descriptor, members, 2 * m, _APPEL_SCHUPP, witness)
 
 
-def certify_link_condition(inst: Instance) -> CertificationReport:
-    """Run every link of the instance through the cycle search (the empty
-    link), its closed form (the single links) or a lemma of the module
-    docstring (the part and inter-edge links).
+def _singleton(s: str) -> frozenset:
+    return frozenset((s,))
 
-    Finite links give PASS-complete, except an empty link with no 2pi
-    cycle: its girth is above 2pi by the floor lemma, and it gives
-    PASS-lemma with no certificate.  Part links and disjoint inter-edge
+
+def _empty_witness(inst: Instance, singleton_roots: bool) -> list[frozenset] | None:
+    """The cycle that a search of the empty link, root by root, closes
+    first at 16 units, or None when the link has none (module docstring).
+
+    Shape A is read off ``fans[y][q]``, the inter-edge neighbours of y in
+    part q, and shape B off ``twins``, the disjoint inter-edges between two
+    parts.  Each cycle through the first root on either shape is listed
+    with the key of its later half: the vertices after the root up to the
+    first one at least 8 units away.  Its witness is the splice: the later
+    half without its last vertex, reversed, then the root, then the earlier
+    half, also without its last vertex when the point 8 units away lies
+    inside an edge."""
+    parts = [frozenset(p) for p in inst.family.parts]
+    part_of = inst.family.part_index
+    at, disjoint, S = inst.inter_edges_at, inst.disjoint, _singleton
+    fans: dict[str, dict[int, list[str]]] = {}
+    for y, es in at.items():
+        row = fans[y] = {}
+        for e in es:
+            x, q = (e.u, e.part_u) if e.v == y else (e.v, e.part_v)
+            row.setdefault(q, []).append(x)
+    twins: dict[tuple[int, int], list[InterEdge]] = {}
+    for e in inst.inter_edges:
+        if disjoint[e.pair]:
+            twins.setdefault(tuple(sorted((e.part_u, e.part_v))), []).append(e)
+    on: set[frozenset] = set()
+    for y, row in fans.items():
+        for q, xs in row.items():
+            if len(xs) > 1:
+                on.update((S(y), parts[q]), map(S, xs), (frozenset((x, y)) for x in xs))
+    for (p, q), es in twins.items():
+        if len(es) > 1:
+            on.update((parts[p], parts[q]), (e.pair for e in es))
+            on.update(S(v) for e in es for v in e.pair)
+    roots = [t for t in on if (len(t) == 1) == singleton_roots]
+    if not roots:
+        return None
+    r = min(roots, key=subset_sort_key)
+
+    def ends(e: InterEdge, p: int) -> tuple[str, str]:
+        """e's vertex in part p, then its other one."""
+        return (e.u, e.v) if e.part_u == p else (e.v, e.u)
+
+    def key(half: list[frozenset]) -> tuple:
+        return tuple(map(subset_sort_key, half))
+
+    # (key of the later half, witness) of each cycle through r
+    cycles: list[tuple[tuple, list[frozenset]]] = []
+
+    def add(halves: list[list[frozenset]], inside: bool = False) -> None:
+        """The cycle of the first two halves to one point 8 units from r,
+        ``inside`` when that point lies inside an edge."""
+        earlier, later = sorted(halves, key=key)[:2]
+        cycles.append((key(later), later[-2::-1] + [r] + earlier[: len(earlier) - inside]))
+
+    if len(r) == 1:
+        (s,) = r
+        p = part_of(s)
+        P = parts[p]
+        for e in at[s]:
+            y = e.u if e.v == s else e.v
+            if disjoint[e.pair]:
+                q = part_of(y)
+                for f in twins[min(p, q), max(p, q)]:
+                    if f is not e:
+                        c, d = ends(f, p)
+                        add([[P, S(c), f.pair, S(d)], [e.pair, S(y), parts[q], S(d)]])
+                continue
+            for t in fans[y].get(p, ()):
+                if t != s:
+                    f = frozenset((t, y))
+                    add([[P, S(t), f, S(y)], [e.pair, S(y), f]], inside=True)
+        for q, xs in fans[s].items():
+            if len(xs) > 1:
+                add([[frozenset((s, x)), S(x), parts[q]] for x in xs])
+    elif r in disjoint:
+        u, v = sorted(r)
+        pu, pv = part_of(u), part_of(v)
+        Pu, Pv = parts[pu], parts[pv]
+        if disjoint[r]:
+            for f in twins[min(pu, pv), max(pu, pv)]:
+                if f.pair != r:
+                    c, d = ends(f, pu)
+                    add([[S(u), Pu, S(c), f.pair], [S(v), Pv, S(d), f.pair]])
+        else:
+            for z in fans[v].get(pu, ()):
+                if z != u:
+                    f = frozenset((v, z))
+                    add([[S(u), Pu, S(z), f], [S(v), f, S(z)]], inside=True)
+            for z in fans[u].get(pv, ()):
+                if z != v:
+                    f = frozenset((u, z))
+                    add([[S(u), f, S(z)], [S(v), Pv, S(z), f]], inside=True)
+    else:
+        p = part_of(min(r))
+        for y, row in fans.items():
+            xs = row.get(p, ())
+            if len(xs) > 1:
+                add([[S(x), frozenset((x, y)), S(y)] for x in xs])
+        for pair, es in twins.items():
+            if p in pair and len(es) > 1:
+                Q = parts[pair[0] + pair[1] - p]
+                add([[S(a), e.pair, S(b), Q] for e in es for a, b in [ends(e, p)]])
+    return min(cycles, key=lambda kc: kc[0])[1]
+
+
+def _empty_cycle_units(inst: Instance, cycle: list[frozenset]) -> int:
+    """The length in units of a cycle of the empty link, checked: simple,
+    every step a singleton {s} of an inter-edge vertex and an upper that
+    contains s, its part or an inter-edge at s."""
+    if len(set(cycle)) != len(cycle):
+        raise AssertionError("witness cycle repeats a vertex")
+    at, disjoint, family = inst.inter_edges_at, inst.disjoint, inst.family
+    total = 0
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        low, top = sorted((a, b), key=len)
+        s = min(low, default=None)
+        if len(low) == 1 and s in at and s in top:
+            if top in disjoint:
+                total += TRIANGLE_UNITS[INTEREDGE_CASE[disjoint[top]]][0]
+                continue
+            if top == frozenset(family.parts[family.part_index(s)]):
+                total += TRIANGLE_UNITS["part"][0]
+                continue
+        raise AssertionError(f"witness uses a non-edge ({subset_label(a)}, {subset_label(b)})")
+    return total
+
+
+def _empty_entry(inst: Instance) -> LinkCertificate:
+    """The entry of the empty link, read off the instance by the two-shape
+    lemma of the module docstring, with the certificate and the stats a
+    search of the built link gives."""
+    parts, at, ies = inst.family.parts, inst.inter_edges_at, inst.inter_edges
+    # the singletons joined to their part, which is not the singleton itself
+    under = sum(len(parts[inst.family.part_index(s)]) > 1 for s in at)
+    vertices = len(parts) + len(ies) + under
+    edges = under + 2 * len(ies)
+    if _is_forest(len(parts), [(e.part_u, e.part_v, 0) for e in ies]):
+        cert = CycleCertificate(True, None, None, [], True, "acyclic")
+    else:
+        # roots on the smaller side, the singletons on a tie
+        cycle = _empty_witness(inst, 2 * len(at) <= vertices)
+        cert = None
+        if cycle is not None:
+            length = _empty_cycle_units(inst, cycle)
+            if length != TWO_PI_UNITS:
+                raise AssertionError(f"witness length {length} != {TWO_PI_UNITS}")
+            cert = CycleCertificate(True, length, len(cycle), list(map(subset_label, cycle)), True)
+    stats = {
+        "vertices": vertices,
+        "edges": edges,
+        "requested_radius": None,
+        "achieved_radius": None,
+        "truncated": False,
+    }
+    status = "PASS-lemma" if cert is None else _status(cert)
+    return LinkCertificate("empty", "link of the trivial coset", status, cert, ["[1]"], stats)
+
+
+def certify_link_condition(inst: Instance) -> CertificationReport:
+    """Run every link of the instance through its closed form (the empty
+    and the single links) or a lemma of the module docstring (the part and
+    inter-edge links).
+
+    The empty link gives PASS-complete with its 2pi witness or as a forest,
+    and otherwise PASS-lemma with no certificate, its girth above 2pi.
+    Single links give PASS-complete.  Part links and disjoint inter-edge
     links give PASS-lemma, one entry per case listing every member.
     Non-disjoint inter-edges give one entry per label m: PASS-lemma for
     m >= 4, and a FAIL with the relator's witness cycle for m = 2 and 3.
     """
-    # the empty link has girth at least 2pi, by the lemma of the module
-    # docstring, so its search only asks for a cycle that short
-    empty = build_link_empty(inst)
-    cert = shortest_embedded_cycle(empty, TWO_PI_UNITS)
-    status = "PASS-lemma" if cert is None else _status(cert)
-    entries = [LinkCertificate(empty.case, empty.descriptor, status, cert, ["[1]"], _stats(empty))]
+    entries = [_empty_entry(inst)]
     entries += [_single_entry(inst, s) for s in sorted(inst.inter_edges_at)]
 
     lemma = {"part": [subset_label(frozenset(p)) for p in inst.family.parts]}

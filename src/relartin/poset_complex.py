@@ -66,7 +66,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lgamma, log
+from sys import get_int_max_str_digits
 from typing import Iterable
 
 from .defining_graph import GraphError, Instance
@@ -251,23 +252,21 @@ def _chain_sort_key(poset: SubsetPoset):
 
 
 def derived_complex(poset: SubsetPoset) -> DerivedComplex:
-    """Every nonempty chain, face-closed by construction.
+    """Every nonempty chain, face-closed by construction, in the order of
+    ``_chain_sort_key``.
 
-    Chain counts grow with the factorial of the largest part size, so this
-    is for the small fundamental domain S^l only.  The S_bar complex is
-    never listed: ``s_bar_chain_count`` counts it.
+    The chains grow level by level, each extended by the elements above
+    its top in element order, so each level is in that order as it is
+    made.  Chain counts grow with the factorial of the largest part size,
+    so this is for the small fundamental domain S^l only.  The S_bar
+    complex is never listed: ``s_bar_chain_count`` counts it.
     """
     above = poset.above
+    level = [(t,) for t in poset.elements]
     chains: list[tuple[frozenset, ...]] = []
-
-    def grow(chain: tuple[frozenset, ...]) -> None:
-        chains.append(chain)
-        for u in above[chain[-1]]:
-            grow(chain + (u,))
-
-    for t in poset.elements:
-        grow((t,))
-    chains.sort(key=_chain_sort_key(poset))
+    while level:
+        chains += level
+        level = [c + (u,) for c in level for u in above[c[-1]]]
     return DerivedComplex(poset=poset, chains=tuple(chains))
 
 
@@ -447,9 +446,29 @@ def s_bar_chain_count(inst: Instance) -> int:
     """The number of chains of S_bar, the simplices of its complex, from
     the Fubini numbers of the part sizes (module docstring).  An ordered
     partition of an n-set is a first block of j vertices and an ordered
-    partition of the rest: F(n) = sum C(n, j) F(n - j) over j in 1..n."""
+    partition of the rest: F(n) = sum C(n, j) F(n - j) over j in 1..n.
+
+    A count of more digits than ``int`` may print raises GraphError, and
+    a large part is refused before the O(k^2) recurrence runs.  For
+    k >= 1, F(k) = sum j^k / 2^(j+1) over j >= 0.  The term rises and then
+    falls in j, so the sum is at least its integral, k! / (2 (ln 2)^(k+1)),
+    less its largest term.  That term over the integral is
+    ln 2 k^k e^-k / k! <= ln 2 / sqrt(2 pi k) < 1/2 by Stirling, so
+    F(k) >= k! / (4 (ln 2)^(k+1)), and the count, at least 4 F(k) - 1 for
+    the largest part's k, is at least that."""
     sizes = [len(p) for p in inst.family.parts]
+    k = max(sizes)
+    limit = get_int_max_str_digits()
+    too_long = (
+        f"the S_bar chain count has more than {limit} digits, too many to print "
+        f"(the largest part has {k} vertices)"
+    )
+    if limit and lgamma(k + 1) - (k + 1) * log(log(2)) - log(4) >= limit * log(10):
+        raise GraphError(too_long)
     fubini = [1]
-    for n in range(1, max(sizes) + 1):
+    for n in range(1, k + 1):
         fubini.append(sum(comb(n, j) * fubini[n - j] for j in range(1, n + 1)))
-    return 1 + 2 * (sum(2 * fubini[k] - 1 for k in sizes) + 3 * len(inst.inter_edges))
+    count = 1 + 2 * (sum(2 * fubini[size] - 1 for size in sizes) + 3 * len(inst.inter_edges))
+    if limit and count >= 10**limit:
+        raise GraphError(too_long)
+    return count

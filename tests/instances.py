@@ -114,6 +114,32 @@ def random_rel_prime_instance(
     return inst
 
 
+def random_matching_instance(rng: random.Random) -> Instance:
+    """Two to four parts of 2 to 6 vertices, joined by a random matching
+    and up to two more inter-edges: most inter-edges are disjoint, and the
+    empty link often has fewer uppers than singletons."""
+    parts = [[f"p{i}v{j}" for j in range(rng.randint(2, 6))] for i in range(rng.randint(2, 4))]
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+    vertices = list(part_of)
+    rng.shuffle(vertices)
+    free = set(vertices)
+    edges: list[tuple[str, str, int]] = []
+    for u in vertices:
+        others = [v for v in vertices if v in free and part_of[v] != part_of[u]]
+        if u in free and others and rng.random() < 0.8:
+            v = rng.choice(others)
+            free -= {u, v}
+            edges.append((u, v, rng.randint(2, 6)))
+    pairs = {frozenset(e[:2]) for e in edges}
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(vertices, 2)
+        if part_of[u] != part_of[v] and frozenset((u, v)) not in pairs:
+            pairs.add(frozenset((u, v)))
+            edges.append((u, v, 4))
+    graph = DefiningGraph.build(vertices, edges)
+    return Instance(graph, SubgraphFamily.build(graph, parts))
+
+
 def random_instance(rng: random.Random, max_vertices: int = 9) -> Instance:
     """Any instance: up to ``max_vertices`` vertices, from no edges to
     complete, labels 2..6 anywhere, and a random family of parts."""

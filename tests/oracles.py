@@ -104,13 +104,8 @@ import numpy as np
 from relartin import coxeter
 from relartin.defining_graph import ClassifierReport, DefiningGraph, GraphError
 from relartin.dihedral_garside import CapExceeded, DihedralEngine, FreeEngine
-from relartin.girth_checker import (
-    LinkCertificate,
-    _bfs_girth,
-    _stats,
-    shortest_embedded_cycle,
-)
-from relartin.link_builder import develop_link_interedge
+from relartin.girth_checker import LinkCertificate, _bfs_girth, shortest_embedded_cycle
+from relartin.link_builder import LinkGraph, develop_link_interedge
 from relartin.poset_complex import maximal_chains, subset_label, subset_sort_key
 
 
@@ -1005,6 +1000,17 @@ def enumerated_crossing_spherical(inst) -> list:
 
 # ---------------------------------------------------- certification
 
+def link_stats(link: LinkGraph) -> dict:
+    """The stats of a certification entry, read off a built link."""
+    return {
+        "vertices": link.vertex_count,
+        "edges": len(link.edges),
+        "requested_radius": link.truncation.requested_radius,
+        "achieved_radius": link.truncation.achieved_radius,
+        "truncated": link.truncation.truncated,
+    }
+
+
 def independent_certification(inst) -> list:
     """One entry per non-disjoint inter-edge, each developed alone at radius
     8m and cap 4000 and then searched; a truncated development that passes
@@ -1021,7 +1027,7 @@ def independent_certification(inst) -> list:
         else:
             status = "PASS-complete" if cert.complete else "PASS-within-radius"
         entries.append(
-            LinkCertificate(link.case, link.descriptor, status, cert, [member], _stats(link))
+            LinkCertificate(link.case, link.descriptor, status, cert, [member], link_stats(link))
         )
     return entries
 

@@ -19,7 +19,15 @@ from oracles import instance_to_json
 from test_golden import SUBCOMMANDS, invocations
 
 import relartin
-from relartin import cli, coxeter, defining_graph, dihedral_garside, link_builder, poset_complex
+from relartin import (
+    cli,
+    coxeter,
+    defining_graph,
+    dihedral_garside,
+    girth_checker,
+    link_builder,
+    poset_complex,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 JOIN = str(FIXTURES / "affine_parts_join.json")
@@ -328,7 +336,8 @@ def test_family_with_no_parts_exits_1(capsys, tmp_path):
 def test_dense_empty_link_is_searched_to_its_floor(capsys, tmp_path, monkeypatch):
     # 80 two-vertex parts, every cross pair an inter-edge of label 4: the
     # finite empty link has 2 * 12640 + 160 = 25440 edges of 2 and 3 units,
-    # and 16-unit cycles through a part and two of its inter-edges
+    # and 16-unit cycles through a part and two of its inter-edges (shape
+    # A), which the entry reads off the instance without building the link
     parts = [[f"p{i}a", f"p{i}b"] for i in range(80)]
     vertices = [v for part in parts for v in part]
     edges = [{"u": a, "v": b, "m": 2} for a, b in parts]
@@ -350,6 +359,71 @@ def test_dense_empty_link_is_searched_to_its_floor(capsys, tmp_path, monkeypatch
         assert (empty["case"], empty["status"]) == ("empty", "PASS-complete")
         assert empty["certificate"]["length_units"] == 16
         assert empty["stats"]["edges"] == 25440
+
+
+def test_dense_empty_link_without_a_2pi_cycle_is_read_off(capsys, tmp_path, monkeypatch):
+    # 140 two-vertex parts {a_i, b_i} and a label-4 clique on the a_i: the
+    # empty link has 19,600 edges and no 16-unit cycle (no part holds two
+    # inter-edge vertices, and every inter-edge meets another), so its
+    # entry is PASS-lemma, read off without building S^l or the link
+    parts = [[f"a{i:03d}", f"b{i:03d}"] for i in range(140)]
+    vertices = [v for part in parts for v in part]
+    edges = [{"u": a, "v": b, "m": 2} for a, b in parts]
+    edges += [
+        {"u": a, "v": c, "m": 4} for i, (a, _) in enumerate(parts) for c, _ in parts[i + 1 :]
+    ]
+    path = tmp_path / "clique.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
+    forbid(monkeypatch, link_builder, "build_link_empty")
+    forbid(monkeypatch, poset_complex, "build_S_ell")
+    forbid(monkeypatch, girth_checker, "shortest_embedded_cycle")
+    for sub in ("links", "kpi1"):
+        start = time.perf_counter()
+        code, doc, err = run_json(capsys, sub, "--input", str(path))
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, ""), sub
+        empty = (doc if sub == "links" else doc["certification"])["entries"][0]
+        assert (empty["case"], empty["status"], empty["certificate"]) == ("empty", "PASS-lemma", None)
+        assert (empty["stats"]["vertices"], empty["stats"]["edges"]) == (10010, 19600)
+        # a floored search of the built link took 3.6-5.2 s here
+        assert elapsed < 2.0, (sub, elapsed)
+
+
+def _one_big_part(tmp_path, k: int) -> str:
+    """One edgeless part of k vertices, plus a vertex b joined to the
+    first by one inter-edge."""
+    part = [f"a{i:04d}" for i in range(k)]
+    doc = {"vertices": part + ["b"], "edges": [{"u": part[0], "v": "b", "m": 4}]}
+    path = tmp_path / f"big{k}.json"
+    path.write_text(json.dumps({**doc, "family": [part, ["b"]]}))
+    return str(path)
+
+
+def test_a_chain_count_too_long_to_print_exits_with_a_message(capsys, tmp_path):
+    # F(1500) has about 4,350 digits, over the default 4,300 that an int
+    # may print: refused before the Fubini recurrence, which took 28.7 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", "--input", _one_big_part(tmp_path, 1500))
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: the S_bar chain count has more than {limit} digits, too many to print "
+        "(the largest part has 1500 vertices)\n"
+    )
+    # under the smallest limit, 640 digits, a part of 291 vertices has a
+    # count of exactly 640 digits and prints; one of 292 is refused
+    sys.set_int_max_str_digits(640)
+    try:
+        code, doc, err = run_json(capsys, "build", "--input", _one_big_part(tmp_path, 291))
+        assert (code, err) == (0, "")
+        assert len(str(doc["complex_S_bar_chain_count"])) == 640
+        code, out, err = run(capsys, "build", "--input", _one_big_part(tmp_path, 292))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the S_bar chain count has more than 640 digits")
+        assert err.count("\n") == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 RING_PARTS = 5000

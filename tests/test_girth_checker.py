@@ -33,6 +33,8 @@ from relartin.poset_complex import subset_label
 
 from instances import (
     affine_parts_join,
+    random_instance,
+    random_matching_instance,
     random_rel_prime_instance,
     single_interedge,
     touching_triple_control,
@@ -44,6 +46,7 @@ from oracles import (
     first_root_floor_girth,
     full_depth_bfs_girth,
     independent_certification,
+    link_stats,
     per_edge_dijkstra_girth,
     quotient_equal,
     reference_syllable_search,
@@ -667,7 +670,7 @@ def test_finite_entries_match_the_full_depth_search(monkeypatch):
             status = girth_checker._status(cert)
         want = [
             girth_checker.LinkCertificate(
-                empty.case, empty.descriptor, status, cert, ["[1]"], girth_checker._stats(empty)
+                empty.case, empty.descriptor, status, cert, ["[1]"], link_stats(empty)
             )
         ]
         seen.add(("empty", cert.note if cert else "lemma"))
@@ -681,7 +684,7 @@ def test_finite_entries_match_the_full_depth_search(monkeypatch):
                     girth_checker._status(cert),
                     cert,
                     [s],
-                    girth_checker._stats(link),
+                    link_stats(link),
                 )
             )
             seen.add((link.case, cert.note))
@@ -689,6 +692,51 @@ def test_finite_entries_match_the_full_depth_search(monkeypatch):
     assert seen == {("empty", "lemma")} | {
         (case, note) for case in ("empty", "single") for note in ("", "acyclic")
     }
+
+
+# each witness the empty entry spells, as the position of its root and the
+# kinds along it: s for a singleton, p for a part, i for an inter-edge
+EMPTY_WITNESS_SHAPES = {
+    (2, "sispsi"),  # A at a singleton x of the part, the part first
+    (3, "ispsis"),  # A at such a singleton, its inter-edge first
+    (2, "sisisp"),  # A at y, the inter-edges' common vertex
+    (2, "isisps"),  # A at an inter-edge, the part at its first vertex
+    (3, "spsisi"),  # A at an inter-edge, the part at its second vertex
+    (2, "ispsis"),  # A at the part
+    (3, "psispsis"),  # B at a singleton, its part first
+    (3, "ispsisps"),  # B at a singleton, its inter-edge first
+    (3, "spsispsi"),  # B at an inter-edge
+    (3, "sispsisp"),  # B at a part
+}
+
+
+def test_empty_entry_matches_the_search_of_the_built_link():
+    # the closed-form entry of the empty link against the built link and
+    # its search floored at 2pi, field for field, on forests, links with
+    # no 2pi cycle and every witness shape, with roots on either side
+    instances = [random_rel_prime_instance(random.Random(seed)) for seed in range(300)]
+    instances += [random_instance(random.Random(seed)) for seed in range(100)]
+    instances += [random_matching_instance(random.Random(seed)) for seed in range(300)]
+    seen = set()
+    for inst in instances:
+        link = build_link_empty(inst)
+        cert = shortest_embedded_cycle(link, TWO_PI_UNITS)
+        status = "PASS-lemma" if cert is None else girth_checker._status(cert)
+        stats = link_stats(link)
+        want = girth_checker.LinkCertificate("empty", link.descriptor, status, cert, ["[1]"], stats)
+        assert girth_checker._empty_entry(inst) == want
+        if cert is None or not cert.cycle:
+            seen.add(status if cert is None else cert.note)
+            continue
+        index = {label: i for i, label in enumerate(link.vertex_labels)}
+        cycle = [index[label] for label in cert.cycle]
+        # the roots are the smaller side, and the root a witness runs
+        # through is its first vertex there
+        side = int(2 * link.sides.count(0) > link.vertex_count)
+        root = min(v for v in cycle if link.sides[v] == side)
+        kinds = "".join(link.vertex_kinds[v][0] for v in cycle)
+        seen.add((cycle.index(root), kinds))
+    assert seen == EMPTY_WITNESS_SHAPES | {"acyclic", "PASS-lemma"}
 
 
 def test_every_hit_in_the_window_is_a_checked_cycle():
