@@ -1,5 +1,5 @@
 """Golden outputs: the exit code and the sha256 of stdout and stderr of
-every subcommand on both fixtures.
+every subcommand on both fixtures, and of ``build`` on the seed-7 ladder.
 
 Each subcommand runs in json and text format, ``build`` and ``develop``
 also in dot.  ``develop`` runs with ``--part`` on every part and with
@@ -7,16 +7,22 @@ also in dot.  ``develop`` runs with ``--part`` on every part and with
 vertex names).  The invocations are read off the fixture files, not from
 the package, so a change of the package's API leaves them alone.
 
-Output must not depend on Python's string hashing, so the table is
-computed in child interpreters under three ``PYTHONHASHSEED`` values and
-each must equal ``GOLDEN``.
+``LADDER_GOLDEN`` pins ``build`` in json, text and dot on every instance
+the benchmark's generator writes for seed 7 (``bench/instances.py``),
+keyed by file name.  Those instances are larger than the fixtures, so
+they reach spherical subsets, chains and 2-chains the fixtures do not.
 
-When a change alters an output on purpose, print the new table with
+Output must not depend on Python's string hashing, so the tables are
+computed in child interpreters under three ``PYTHONHASHSEED`` values and
+each must equal its golden table.
+
+When a change alters an output on purpose, print the new tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
-paste it over ``GOLDEN`` below, and say in the change's notes which
-invocations changed and why; the diff of this file shows them.
+paste them over ``GOLDEN`` and ``LADDER_GOLDEN`` below, and say in the
+change's notes which invocations changed and why; the diff of this file
+shows them.
 """
 import contextlib
 import hashlib
@@ -26,11 +32,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ("affine_parts_join.json", "touching_triple_control.json")
 SUBCOMMANDS = ("check-rel", "classify", "build", "links", "kpi1", "acyl")
 HASH_SEEDS = ("0", "1", "20261018")
+LADDER_SEED = "7"
 
 
 def invocations() -> list[tuple[str, ...]]:
@@ -55,19 +63,40 @@ def invocations() -> list[tuple[str, ...]]:
     return out
 
 
-def run_all() -> dict[str, list]:
+def _row(argv: list[str]) -> list:
+    """Exit code and the sha256 of stdout and stderr of one CLI call."""
     from relartin import cli
 
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [
+        code,
+        hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    ]
+
+
+def run_all() -> dict[str, list]:
+    return {
+        " ".join((name, sub, *rest)): _row([sub, "--input", str(ROOT / "fixtures" / name), *rest])
+        for name, sub, *rest in invocations()
+    }
+
+
+def run_ladder() -> dict[str, list]:
+    """``build`` in every format on each seed-7 ladder instance."""
     table = {}
-    for name, sub, *rest in invocations():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([sub, "--input", str(ROOT / "fixtures" / name), *rest])
-        table[" ".join((name, sub, *rest))] = [
-            code,
-            hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            hashlib.sha256(err.getvalue().encode()).hexdigest(),
-        ]
+    with tempfile.TemporaryDirectory() as out:
+        subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "instances.py"), "--seed", LADDER_SEED, "--out", out],
+            check=True,
+        )
+        for path in sorted(pathlib.Path(out).glob("*.json")):
+            for fmt in ("json", "text", "dot"):
+                table[f"{path.name} build --format {fmt}"] = _row(
+                    ["build", "--input", str(path), "--format", fmt]
+                )
     return table
 
 
@@ -125,14 +154,43 @@ GOLDEN = {
 }
 
 
-def test_golden_outputs_under_three_hash_seeds():
+LADDER_GOLDEN = {
+    '20x2-twin.json build --format json': [0, 'c9209a86963278a2709d03b9c79c1641e17e1f24b8d0d624c3c3aa24ff488c25', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '20x2-twin.json build --format text': [0, '6813f53a3d88b13f0e17af098927f7342f46ee3c22ea7288e6c011982cca22c6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '20x2-twin.json build --format dot': [0, 'c435f35f96983329bbb491bcf45c9b4bcfbc97609544760f0f968fb8cd6b83f4', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '20x2.json build --format json': [0, '1ca519e7281f1ae965a0de4140ed7521be18bf08942b8e6a2286b0a6f57c28d2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '20x2.json build --format text': [0, '2dc9cf9721c786e8eebe65e0036ff19fcce32e2a53acb0d149165db7b861adb5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '20x2.json build --format dot': [0, 'cd796217cb9eb68a6881e868ddafcd8b9cb1f7b499450d14c2761aa23cf35097', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '2x6.json build --format json': [0, '02728052026a8c3f6287200479a0c00f413b6253b7c81603d7c881e7173915d7', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '2x6.json build --format text': [0, '7d1879288a5681f45902afd0b46b63bcb18f7d79d00e1f176ea5aa7133837e91', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '2x6.json build --format dot': [0, 'bd19b1edf81ed9651b62e35c04e194377203cf0a84f9f9643eee7accdab4b511', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '2x7.json build --format json': [0, 'b681a73179ae30e1ee22fdc66d7139ea01977eeaef0748ba37d370e5df7ed3d5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '2x7.json build --format text': [0, '86419153864ffef83748815f4fe5913006e6f83bfde23399c3097861b30232a9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '2x7.json build --format dot': [0, '41a548ddd6b75e8de8fd560fc3b6078d817eb6708b5b6ae6ce6bd41f6a680b85', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '3x6.json build --format json': [0, '8c9c1c9b6e708bce449de36e0b6133a77e69567167b9bd40d362de0c929de798', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '3x6.json build --format text': [0, 'da1478f84d68106a3d761475d29a232c4d139ed228e728eaddbe01f25223a6c0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '3x6.json build --format dot': [0, '7297050374e904190cb3294127fdbe708f2c1d18569a58bc985d40576fc38510', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '40x2.json build --format json': [0, '95225f49394d936815c43c706080cb338a5f5c1ed674d018a0ce98f61ec47001', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '40x2.json build --format text': [0, 'd4aaeb6d4f51d8f1b165ac3c97d8b0a8e5f66b9b76f5f438eafe752981ccfe21', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '40x2.json build --format dot': [0, 'e446b38aef82d57d94f8be31d31684ae70121b69f1ea4e9affe335405a890654', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '4x4.json build --format json': [0, 'ddae2910c641a9cbe238ff031ffaccab7079ce4e4f56cea680878aefe1c62d5e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '4x4.json build --format text': [0, '355dc6c9c05a40f5b92b8a00dd79d306f6693e56c118e476de66aa70cce51637', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '4x4.json build --format dot': [0, '61b4413e9ea5fce7c5d0910a51ac8125fe7a5257e739be691817adf3a74c702d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '5x2-twin.json build --format json': [0, '5a90791d8e0673a208c6fa548a5e3c7ff686cdc66ec2cb688ce2d0853045fb3c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '5x2-twin.json build --format text': [0, '1e3edeb69e7bd595e4ee486b1cb119556033ec73053b1928d759ed826c2e2d5e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+    '5x2-twin.json build --format dot': [0, '4b1bf5f2e3e0fc1a1a3626c1113e2a14151ff20bc43ac16bebcfa97d6949e8de', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'],
+}
+
+
+def _assert_tables_under_hash_seeds(flag: str, golden: dict[str, list]) -> None:
+    """Run this file with ``flag`` under each hash seed and compare."""
     import relartin
 
     src = str(pathlib.Path(relartin.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     children = [
         subprocess.Popen(
-            [sys.executable, __file__, "--json"],
+            [sys.executable, __file__, flag],
             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -144,16 +202,26 @@ def test_golden_outputs_under_three_hash_seeds():
         out, err = child.communicate(timeout=600)
         assert child.returncode == 0, err
         table = json.loads(out)
-        changed = sorted(k for k in GOLDEN.keys() | table.keys() if table.get(k) != GOLDEN.get(k))
+        changed = sorted(k for k in golden.keys() | table.keys() if table.get(k) != golden.get(k))
         assert changed == [], f"PYTHONHASHSEED={seed}: outputs differ for {changed}"
 
 
+def test_golden_outputs_under_three_hash_seeds():
+    _assert_tables_under_hash_seeds("--json", GOLDEN)
+
+
+def test_ladder_build_outputs_under_three_hash_seeds():
+    _assert_tables_under_hash_seeds("--ladder-json", LADDER_GOLDEN)
+
+
 if __name__ == "__main__":
-    table = run_all()
     if sys.argv[1:] == ["--json"]:
-        print(json.dumps(table))
+        print(json.dumps(run_all()))
+    elif sys.argv[1:] == ["--ladder-json"]:
+        print(json.dumps(run_ladder()))
     else:
-        print("GOLDEN = {")
-        for key, row in table.items():
-            print(f"    {key!r}: {row!r},")
-        print("}")
+        for name, table in (("GOLDEN", run_all()), ("LADDER_GOLDEN", run_ladder())):
+            print(f"{name} = {{")
+            for key, row in table.items():
+                print(f"    {key!r}: {row!r},")
+            print("}\n\n")
