@@ -31,7 +31,6 @@ from .girth_checker import certify_link_condition
 from .kpi1_checker import kpi1_verdict
 from .link_builder import develop_link_interedge, develop_link_part
 from .poset_complex import (
-    assign_metric,
     check_gluing,
     check_two_dimensional,
     derived_complex,
@@ -244,8 +243,8 @@ def cmd_classify(inst: Instance, args: argparse.Namespace) -> int:
 def cmd_build(inst: Instance, args: argparse.Namespace) -> int:
     s_ell = inst.s_ell
     cx_ell = derived_complex(s_ell)
-    dim = check_two_dimensional(s_ell)
-    gluing = check_gluing(assign_metric(cx_ell, inst))
+    dim = check_two_dimensional(cx_ell)
+    gluing = check_gluing(cx_ell, inst)
     if args.fmt == "dot":
         sys.stdout.write(s_ell.to_dot())
         return 0 if dim.ok and gluing.ok else 2
@@ -286,7 +285,10 @@ def cmd_develop(inst: Instance, args: argparse.Namespace) -> int:
     if args.part is not None:
         if not 0 <= args.part < len(inst.family.parts):
             raise GraphError(f"part index {args.part} out of range")
-        link = develop_link_part(inst, args.part, radius=args.radius, cap=args.cap)
+        part = inst.family.parts[args.part]
+        # only a two-vertex part's engine reads a label
+        label = inst.graph.label(*part) if len(part) == 2 else None
+        develop, target = develop_link_part, args.part
     else:
         u, v = args.edge
         ie = next(
@@ -295,7 +297,16 @@ def cmd_develop(inst: Instance, args: argparse.Namespace) -> int:
         )
         if ie is None:
             raise GraphError(f"{u!r},{v!r} is not an inter-edge of the family")
-        link = develop_link_interedge(inst, ie, radius=args.radius, cap=args.cap)
+        label = ie.label
+        develop, target = develop_link_interedge, ie
+    # an element of a label-m ball spells a simple of m - 1 letters for
+    # each inverse letter, where label 2 spells one
+    if label is not None and args.cap * (label - 1) > BALL_CAP:
+        raise GraphError(
+            f"label {label} is too large to develop under cap {args.cap}: "
+            f"cap * (label - 1) must be at most {BALL_CAP}"
+        )
+    link = develop(inst, target, radius=args.radius, cap=args.cap)
     if args.fmt == "dot":
         sys.stdout.write(link.to_dot())
     else:

@@ -21,6 +21,21 @@ found by growing cliques: a spherical set is extended only by a vertex above
 its largest member that is adjacent to every member, which proposes each
 clique exactly once.
 
+The walk starts at the triangles.  The empty set, every vertex and every
+edge are spherical by definition: an edge's diagram is A1 x A1, A2, B2 or
+I2(m), all finite.  A triangle whose three labels are all 3 or more is ~A2
+or indefinite, so every spherical triangle has an edge of label 2, and the
+triangles tried are the common neighbours of the label-2 edges.  A
+spherical set of four or more vertices has a spherical 3-vertex prefix,
+by heredity, so growing each spherical triangle above its largest vertex
+reaches every larger spherical set exactly once, and the list is the one
+growing every clique from the empty set gives.
+
+The walk is bounded: a right-angled clique of k vertices has 2^k spherical
+subsets, so once it has listed more than ``SPHERICAL_CAP`` = 2^18 subsets
+it raises GraphError naming the count reached.  A part of 17 commuting
+vertices is listed; one of 18 or more is refused.
+
 The classifier's flags list no subsets.  The full subgraph on a vertex set
 is 2-dimensional when no three of its vertices are spherical, and FC when
 every clique is spherical.  A minimal non-spherical clique is
@@ -317,49 +332,87 @@ def _finite_components(labels: Mapping[str, Mapping[str, int]]):
     return is_finite
 
 
+# the most spherical subsets ``enumerate_spherical_subsets`` lists
+SPHERICAL_CAP = 2**18
+
+
 def enumerate_spherical_subsets(graph: DefiningGraph) -> list[frozenset[str]]:
     """Every vertex subset with finite Coxeter quotient, smallest first and
     each size in lexicographic order.
 
-    Each spherical set grows only by its common neighbours above its largest
-    vertex, so every clique is proposed once and non-cliques never are;
-    both are exact, since spherical sets are cliques and sphericity is
-    hereditary.
+    The empty set, the vertices and the edges are spherical.  A spherical
+    triangle has a label-2 edge, so the triangles tried are the common
+    neighbours of those edges.  Each larger spherical set grows from its
+    spherical 3-vertex prefix, only by common neighbours above its largest
+    vertex, so every clique above a triangle is proposed once and
+    non-cliques never are (module docstring).
 
     Each candidate is decided by the one diagram component its new vertex
     changes (see the module docstring).  The components' verdicts are
     memoised for this call only.
+
+    A graph with more than ``SPHERICAL_CAP`` spherical subsets raises
+    GraphError naming the count reached: a right-angled clique of k
+    vertices has 2^k of them.
     """
     labels = graph.adjacency
+    vertices = graph.vertices
     linked = {v: frozenset(w for w, m in labels[v].items() if m != 2) for v in labels}
     is_finite = _finite_components(labels)
 
+    def grown(comps: tuple[frozenset[str], ...], v: str):
+        """The diagram components of a spherical set with its components
+        ``comps`` and v added, or None when that set is not spherical."""
+        near = linked[v]
+        joined = [c for c in comps if not c.isdisjoint(near)]
+        merged = frozenset((v,)).union(*joined)
+        # one or two clique vertices are A1, A2, B2 or I2(m)
+        if len(merged) > 2 and not is_finite(merged):
+            return None
+        return tuple(c for c in comps if c not in joined) + (merged,)
+
+    def check_cap(size: int) -> None:
+        if len(out) > SPHERICAL_CAP:
+            raise GraphError(
+                f"more than {SPHERICAL_CAP} spherical subsets: the walk reached "
+                f"{len(out)} at size {size}, too many to list"
+            )
+
     out = [frozenset()]
+    out += [frozenset((v,)) for v in vertices]
+    out += [frozenset((u, v)) for u in vertices for v in labels[u] if v > u]
+    check_cap(2)
+    triangles = sorted(
+        {
+            tuple(sorted((u, v, w)))
+            for u in vertices
+            for v, m in labels[u].items()
+            if m == 2 and u < v
+            for w in labels[u].keys() & labels[v].keys()
+        }
+    )
     # (spherical set as a sorted tuple, its common neighbours above its max,
     # its diagram components)
-    level: list[tuple[tuple[str, ...], tuple[str, ...], tuple[frozenset[str], ...]]] = [
-        ((), graph.vertices, ())
-    ]
+    level: list[tuple[tuple[str, ...], tuple[str, ...], tuple[frozenset[str], ...]]] = []
+    for a, b, c in triangles:
+        # only the last step can meet an infinite component
+        comps = grown(grown(grown((), a), b), c)
+        if comps is not None:
+            out.append(frozenset((a, b, c)))
+            common = tuple(w for w in labels[c] if w > c and w in labels[a] and w in labels[b])
+            level.append(((a, b, c), common, comps))
+    check_cap(3)
     while level:
         nxt = []
         for base, above, comps in level:
             for i, v in enumerate(above):
-                cand = base + (v,)
-                near = linked[v]
-                joined = [c for c in comps if not c.isdisjoint(near)]
-                merged = frozenset((v,)).union(*joined)
-                # one or two clique vertices are A1, A2, B2 or I2(m)
-                if len(merged) > 2 and not is_finite(merged):
+                comps_v = grown(comps, v)
+                if comps_v is None:
                     continue
+                cand = base + (v,)
                 out.append(frozenset(cand))
-                kept = tuple(c for c in comps if c not in joined)
-                # the first level reads v's own neighbours above it
-                common = (
-                    tuple(w for w in above[i + 1 :] if w in labels[v])
-                    if base
-                    else tuple(w for w in labels[v] if w > v)
-                )
-                nxt.append((cand, common, kept + (merged,)))
+                nxt.append((cand, tuple(w for w in above[i + 1 :] if w in labels[v]), comps_v))
+            check_cap(len(base) + 1)
         level = nxt
     return out
 

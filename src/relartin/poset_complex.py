@@ -14,9 +14,14 @@ poset.  The derived complex of a poset has one simplex per chain.  Only the
 S^l complex is ever listed chain by chain, and only for ``build``'s report
 and the metric.  S_bar holds every subset of every part, so no program path
 builds it: ``build`` reads its size and its chain count off the closed
-forms below, and ``kpi1`` reads its facts off lemmas.  The dimension of a
-complex comes from the longest chain of its poset
-(``SubsetPoset.longest_chain``).
+forms below, and ``kpi1`` reads its facts off lemmas.
+
+``build`` reads the dimension and the gluing off the listed S^l complex.
+``derived_complex`` lists the chains level by level, by length, so the
+first chain of the last level is the first chain of greatest length, the
+dimension's witness, and the 2-chains are one slice of the list.  The
+gluing check passes over those 2-chains once, reading each top's side
+lengths once and collecting the lengths each 1-cell receives.
 
 S_bar and its retraction onto S^l are known in closed form.  Parts are
 disjoint, so S_bar holds the empty set, the non-empty subsets of each part
@@ -63,6 +68,7 @@ p, q in {1..4}, one triple per triangle shape.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -149,25 +155,6 @@ class SubsetPoset:
         listed by the index of ``small``, then of ``big``."""
         return [(small, big) for small, bigs in self.upper_covers.items() for big in bigs]
 
-    def longest_chain(self) -> tuple[frozenset, ...]:
-        """The first chain of greatest length in derived-complex order (by
-        length, then element by element in element order), without listing
-        the chains.
-
-        With h(t) the length of the longest chain whose least element is t,
-        h(t) = 1 + max of h(u) over u > t.  The chain starts at the first
-        element of greatest h and steps each time to the first element above
-        with h one less.
-        """
-        h: dict[frozenset, int] = {}
-        for t in reversed(self.elements):
-            h[t] = 1 + max((h[u] for u in self.above[t]), default=0)
-        chain: list[frozenset] = []
-        for need in range(max(h.values(), default=0), 0, -1):
-            candidates = self.above[chain[-1]] if chain else self.elements
-            chain.append(next(u for u in candidates if h[u] == need))
-        return tuple(chain)
-
     def to_json_dict(self) -> dict:
         return {
             "elements": [
@@ -230,8 +217,11 @@ class DerivedComplex:
     poset: SubsetPoset
     chains: tuple[tuple[frozenset, ...], ...]
 
-    def chains_of_length(self, n: int) -> list[tuple[frozenset, ...]]:
-        return [c for c in self.chains if len(c) == n]
+    def chains_of_length(self, n: int) -> tuple[tuple[frozenset, ...], ...]:
+        """The chains of n subsets.  ``chains`` is sorted by length, so
+        they are one slice of it."""
+        chains = self.chains
+        return chains[bisect_left(chains, n, key=len) : bisect_right(chains, n, key=len)]
 
     def to_json_dict(self) -> dict:
         counts = Counter(map(len, self.chains))
@@ -277,9 +267,12 @@ class DimensionVerdict:
     witness: tuple[frozenset, ...] | None
 
 
-def check_two_dimensional(poset: SubsetPoset) -> DimensionVerdict:
-    """True when no chain of the poset has four or more subsets."""
-    longest = poset.longest_chain()
+def check_two_dimensional(cx: DerivedComplex) -> DimensionVerdict:
+    """True when no chain of the complex's poset has four or more subsets.
+    The chains are listed by length, so the witness, the first chain of
+    greatest length, opens the last level."""
+    chains = cx.chains
+    longest = chains[bisect_left(chains, len(chains[-1]), key=len)] if chains else ()
     return DimensionVerdict(
         ok=len(longest) <= 3,
         max_chain_length=len(longest),
@@ -296,23 +289,6 @@ def canonical_sine_ratio(p: int, q: int) -> tuple[int, int]:
     if not (1 <= p <= 4 and 1 <= q <= 4):
         raise ValueError("sine units must lie in 1..4")
     return (1, 1) if p == q else (p, q)
-
-
-@dataclass(frozen=True)
-class MetricSimplex:
-    """A 2-chain [empty < {s} < T] with corner angles in pi/8 units and the
-    three side lengths as exact sine ratios, normalised so that the side
-    [empty, {s}] has length 1."""
-
-    chain: tuple[frozenset, frozenset, frozenset]
-    units: tuple[int, int, int]
-    case: str
-    sides: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    # sides listed for edges ([empty,{s}], [{s},T], [empty,T])
-
-    def edge_lengths(self) -> dict[tuple[frozenset, frozenset], tuple[int, int]]:
-        t0, t1, t2 = self.chain
-        return {(t0, t1): self.sides[0], (t1, t2): self.sides[1], (t0, t2): self.sides[2]}
 
 
 # angles of [empty < {s} < T] at its (empty, {s}, T) corners in pi/8, by the kind of T
@@ -347,41 +323,38 @@ def disjoint_inter_edges(inst: Instance) -> dict[frozenset, bool]:
     return {e.pair: len(at[e.u]) == len(at[e.v]) == 1 for e in inst.inter_edges}
 
 
-def assign_metric(
-    cx: DerivedComplex, inst: Instance
-) -> list[MetricSimplex]:
-    """Angles and side lengths for every 2-chain of the S^l complex."""
-    disjoint = inst.disjoint
-    tags = cx.poset.tags
-    out: list[MetricSimplex] = []
-    for chain in cx.chains_of_length(3):
-        t0, t1, t2 = chain
-        if t0 != frozenset() or len(t1) != 1:
-            raise GraphError(f"unrecognised 2-chain shape {[sorted(t) for t in chain]}")
-        top_tags = tags[t2]
-        if "inter-edge" in top_tags:
-            case = INTEREDGE_CASE[disjoint[t2]]
-        elif "part" in top_tags:
-            case = "part"
-        else:
-            raise GraphError(f"2-chain top {sorted(t2)} is neither part nor inter-edge")
-        out.append(MetricSimplex(chain, TRIANGLE_UNITS[case], case, _SIDES[case]))
-    return out
-
-
 @dataclass
 class GluingReport:
     ok: bool
     conflicts: list[dict]
 
 
-def check_gluing(simplices: list[MetricSimplex]) -> GluingReport:
+def check_gluing(cx: DerivedComplex, inst: Instance) -> GluingReport:
     """Every 1-cell shared by several metric triangles must receive one
-    length."""
+    length.  Each 2-chain [empty < {s} < T] of the S^l complex takes the
+    side lengths of its top's kind, read once per top; its sides are
+    listed for the edges ([empty,{s}], [{s},T], [empty,T])."""
+    disjoint = inst.disjoint
+    tags = cx.poset.tags
+    empty = frozenset()
+    sides_at: dict[frozenset, tuple] = {}
     lengths: dict[tuple[frozenset, frozenset], set[tuple[int, int]]] = {}
-    for sx in simplices:
-        for edge, ratio in sx.edge_lengths().items():
-            lengths.setdefault(edge, set()).add(ratio)
+    for t0, t1, t2 in cx.chains_of_length(3):
+        if t0 != empty or len(t1) != 1:
+            raise GraphError(f"unrecognised 2-chain shape {[sorted(t) for t in (t0, t1, t2)]}")
+        sides = sides_at.get(t2)
+        if sides is None:
+            top_tags = tags[t2]
+            if "inter-edge" in top_tags:
+                case = INTEREDGE_CASE[disjoint[t2]]
+            elif "part" in top_tags:
+                case = "part"
+            else:
+                raise GraphError(f"2-chain top {sorted(t2)} is neither part nor inter-edge")
+            sides = sides_at[t2] = _SIDES[case]
+        lengths.setdefault((t0, t1), set()).add(sides[0])
+        lengths.setdefault((t1, t2), set()).add(sides[1])
+        lengths.setdefault((t0, t2), set()).add(sides[2])
     clashing = sorted(
         (edge for edge, ratios in lengths.items() if len(ratios) > 1),
         key=lambda edge: (subset_sort_key(edge[0]), subset_sort_key(edge[1])),

@@ -51,7 +51,9 @@ all pairs, the maximal chains by scanning every such chain for an element
 that would extend it, and the chain count twice: as the number of such
 chains, and by dynamic programming over the up-sets, which counts without
 listing.  Both check the closed forms of ``poset_complex.s_bar_size`` and
-``s_bar_chain_count`` on the S_bar that ``build_S_bar`` lists.
+``s_bar_chain_count`` on the S_bar that ``build_S_bar`` lists.  The
+longest chain by dynamic programming over the up-sets, which finds it
+without listing the chains.
 The retraction audit with monotonicity tested on every comparable pair of
 mapped elements, not on covers only, and with every maximal chain listed
 and its image looked up among the listed chains of S^l; and by dynamic
@@ -62,6 +64,11 @@ audit by scanning every subset of every element of S_bar for subset
 closure and every spherical subset of the graph for coverage, and the
 spherical subsets that cross parts read off the whole-graph enumeration:
 they check the lemmas of ``kpi1_checker``.
+
+Metric: one ``MetricSimplex`` per 2-chain of the S^l complex, with its
+angles, case and side lengths, and the gluing checked by collecting each
+triangle's three edge lengths; ``check_gluing`` reads each top's case once
+and keeps no triangle.
 
 Certification: each non-disjoint inter-edge developed alone at radius 8m
 and cap 4000 and searched, with no development shared between links of
@@ -77,8 +84,11 @@ finite quotient, zero for an affine one and negative otherwise.  The
 type is also read off the diagram listed pair by pair: every pair with a
 label other than 2 is a diagram edge, and each component found along those
 edges is typed from them.  The spherical subsets are every vertex subset
-that ``classify_type`` calls finite, and FC type is every clique being
-spherical, with cliques grown one vertex at a time.  A part's classifier
+that ``classify_type`` calls finite, and also every clique grown from the
+empty set one common neighbour at a time, each candidate decided by its
+merged diagram component, with no triangle seeding and no cap.  FC type
+is every clique being spherical, with cliques grown one vertex at a
+time.  A part's classifier
 flags are worked out on a copy of the part's full subgraph: its own
 enumeration, FC read off that enumeration, its own Coxeter type, its own
 edge labels and its own complement.
@@ -106,7 +116,15 @@ from relartin.defining_graph import ClassifierReport, DefiningGraph, GraphError
 from relartin.dihedral_garside import CapExceeded, DihedralEngine, FreeEngine
 from relartin.girth_checker import LinkCertificate, _bfs_girth, shortest_embedded_cycle
 from relartin.link_builder import LinkGraph, develop_link_interedge
-from relartin.poset_complex import maximal_chains, subset_label, subset_sort_key
+from relartin.poset_complex import (
+    INTEREDGE_CASE,
+    TRIANGLE_UNITS,
+    GluingReport,
+    _SIDES,
+    maximal_chains,
+    subset_label,
+    subset_sort_key,
+)
 
 
 # ---------------------------------------------------------------- words
@@ -744,6 +762,84 @@ def dp_chain_count(poset) -> int:
     return sum(f.values())
 
 
+def dp_longest_chain(poset) -> tuple:
+    """The first chain of greatest length in derived-complex order, without
+    listing the chains.
+
+    With h(t) the length of the longest chain whose least element is t,
+    h(t) = 1 + max of h(u) over u > t.  The chain starts at the first
+    element of greatest h and steps each time to the first element above
+    with h one less.
+    """
+    h = {}
+    for t in reversed(poset.elements):
+        h[t] = 1 + max((h[u] for u in poset.above[t]), default=0)
+    chain = []
+    for need in range(max(h.values(), default=0), 0, -1):
+        candidates = poset.above[chain[-1]] if chain else poset.elements
+        chain.append(next(u for u in candidates if h[u] == need))
+    return tuple(chain)
+
+
+# ----------------------------------------------------------- metric
+
+@dataclass(frozen=True)
+class MetricSimplex:
+    """A 2-chain [empty < {s} < T] with corner angles in pi/8 units and the
+    three side lengths as exact sine ratios, normalised so that the side
+    [empty, {s}] has length 1."""
+
+    chain: tuple
+    units: tuple
+    case: str
+    # sides listed for edges ([empty,{s}], [{s},T], [empty,T])
+    sides: tuple
+
+    def edge_lengths(self) -> dict:
+        t0, t1, t2 = self.chain
+        return {(t0, t1): self.sides[0], (t1, t2): self.sides[1], (t0, t2): self.sides[2]}
+
+
+def assign_metric(cx, inst) -> list:
+    """Angles and side lengths for every 2-chain of the S^l complex."""
+    disjoint = inst.disjoint
+    tags = cx.poset.tags
+    out = []
+    for chain in cx.chains_of_length(3):
+        t0, t1, t2 = chain
+        if t0 != frozenset() or len(t1) != 1:
+            raise GraphError(f"unrecognised 2-chain shape {[sorted(t) for t in chain]}")
+        top_tags = tags[t2]
+        if "inter-edge" in top_tags:
+            case = INTEREDGE_CASE[disjoint[t2]]
+        elif "part" in top_tags:
+            case = "part"
+        else:
+            raise GraphError(f"2-chain top {sorted(t2)} is neither part nor inter-edge")
+        out.append(MetricSimplex(chain, TRIANGLE_UNITS[case], case, _SIDES[case]))
+    return out
+
+
+def simplex_gluing(simplices) -> GluingReport:
+    """Every 1-cell shared by several metric triangles must receive one
+    length, from each triangle's own edge-length dict."""
+    lengths = {}
+    for sx in simplices:
+        for edge, ratio in sx.edge_lengths().items():
+            lengths.setdefault(edge, set()).add(ratio)
+    clashing = sorted(
+        (edge for edge, ratios in lengths.items() if len(ratios) > 1),
+        key=lambda edge: (subset_sort_key(edge[0]), subset_sort_key(edge[1])),
+    )
+    conflicts = [
+        {"edge": [sorted(lo), sorted(hi)], "lengths": sorted(lengths[lo, hi])}
+        for lo, hi in clashing
+    ]
+    return GluingReport(ok=not conflicts, conflicts=conflicts)
+
+
+# ----------------------------------------------------------- retraction
+
 @dataclass
 class RetractionReport:
     total_maximal_chains: int
@@ -1186,6 +1282,34 @@ def brute_spherical_subsets(graph) -> list:
         for subset in itertools.combinations(sorted(graph.vertices), k)
         if coxeter.classify_type(graph, subset).kind == "finite"
     ]
+
+
+def clique_growth_spherical_subsets(graph) -> list:
+    """Every spherical subset, smallest first and each size in
+    lexicographic order, grown from the empty set: each spherical set is
+    extended by every common neighbour above its largest vertex, and the
+    candidate is decided by the diagram component its new vertex merges,
+    with no triangle seeding and no cap."""
+    labels = graph.adjacency
+    linked = {v: frozenset(w for w, m in labels[v].items() if m != 2) for v in labels}
+    is_finite = coxeter._finite_components(labels)
+    out = [frozenset()]
+    level = [((), graph.vertices, ())]
+    while level:
+        nxt = []
+        for base, above, comps in level:
+            for i, v in enumerate(above):
+                cand = base + (v,)
+                joined = [c for c in comps if not c.isdisjoint(linked[v])]
+                merged = frozenset((v,)).union(*joined)
+                if len(merged) > 2 and not is_finite(merged):
+                    continue
+                out.append(frozenset(cand))
+                kept = tuple(c for c in comps if c not in joined)
+                common = tuple(w for w in above[i + 1 :] if w in labels[v])
+                nxt.append((cand, common, kept + (merged,)))
+        level = nxt
+    return out
 
 
 def brute_fc(graph) -> bool:

@@ -540,6 +540,66 @@ def test_a_large_right_angled_part_is_checked_in_time(capsys, tmp_path):
     assert elapsed < 10.0, elapsed
 
 
+def test_build_stops_at_the_spherical_cap_in_bounded_time_and_memory(tmp_path):
+    # 24 commuting vertices have 2^24 spherical subsets: build stops at
+    # coxeter.SPHERICAL_CAP with a message naming the count reached; a child
+    # interpreter reports its own peak memory
+    path = tmp_path / "right_angled.json"
+    path.write_text(instance_to_json(right_angled_part(24)))
+    script = (
+        "import resource, sys\n"
+        "from relartin import cli\n"
+        "code = cli.main(['build', '--input', sys.argv[1], '--format', 'json'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(pathlib.Path(relartin.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    message, peak_kb = child.stderr.splitlines()
+    assert child.returncode == 1 and child.stdout == ""
+    cap = coxeter.SPHERICAL_CAP
+    assert re.fullmatch(
+        rf"error: more than {cap} spherical subsets: the walk reached (\d+) at size \d+, too many to list",
+        message,
+    )
+    assert elapsed < 10, elapsed
+    assert int(peak_kb) < 1024 * 1024, peak_kb
+
+
+def test_develop_refuses_a_label_too_large_for_its_cap(capsys, monkeypatch, tmp_path):
+    # a label-m ball element spells m - 1 letters per inverse letter, so
+    # cap * (m - 1) is bounded by BALL_CAP, and checked before any ball
+    for engine in (dihedral_garside.DihedralEngine, dihedral_garside.FreeEngine):
+        forbid(monkeypatch, engine, "ball_levels")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "m": 10**6}, {"u": "a", "v": "c", "m": 10**6}],
+        "family": [["a", "b"], ["c"]],
+    }))
+    for selector in (("--edge", "a", "c"), ("--part", "0")):
+        code, out, err = run(capsys, "develop", "--input", str(path), *selector)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: label 1000000 is too large to develop under cap 4000: "
+            "cap * (label - 1) must be at most 1000000\n"
+        )
+        code, out, err = run(capsys, "develop", "--input", str(path), *selector, "--cap", "2")
+        assert code == 1 and "under cap 2" in err
+    # at the bound the development runs
+    monkeypatch.undo()
+    code, out, err = run(capsys, "develop", "--input", str(path), "--edge", "a", "c", "--cap", "1")
+    assert (code, err) == (0, "") and "m=1000000" in out
+
+
 def test_flag_validation(capsys, monkeypatch):
     assert run(capsys, "develop", "--input", JOIN, "--edge", "a1", "a2", "--cap", "0")[0] == 1
     assert run(capsys, "develop", "--input", JOIN, "--part", "0", "--radius", "0")[0] == 1

@@ -23,10 +23,16 @@ from relartin.defining_graph import (
     parse_graph,
 )
 
-from instances import affine_parts_join, lemma_instances, random_rel_prime_instance
+from instances import (
+    affine_parts_join,
+    lemma_instances,
+    random_rel_prime_instance,
+    right_angled_part,
+)
 from oracles import (
     all_pairs_classify_type,
     brute_fc,
+    clique_growth_spherical_subsets,
     brute_spherical_subsets,
     cosine_matrix,
     definiteness_oracle,
@@ -255,6 +261,47 @@ def test_new_vertex_merges_the_components_it_touches(n, diagram, spherical):
     found = coxeter.enumerate_spherical_subsets(g)
     assert (frozenset(g.vertices) in found) == spherical
     assert found == brute_spherical_subsets(g)
+
+
+def test_triangle_seeded_walk_matches_clique_growth():
+    # sizes 0 to 2 listed outright, triangles tried only on label-2 edges
+    # and larger sets grown from them: the list, order included, of
+    # growing every clique from the empty set
+    graphs = [inst.graph for inst in lemma_instances()]
+    graphs += [right_angled_part(k).graph for k in range(1, 13)]
+    # parts whose spherical sets reach 4 and 5 vertices: A4, B4, D4, F4,
+    # H4, A5, D5, and commuting A1^4 and A1^5 with one label-3 pair
+    reach = {
+        coxpath([3, 3, 3]): 4,
+        coxpath([4, 3, 3]): 4,
+        coxgraph(4, [(0, 3, 3), (1, 3, 3), (2, 3, 3)]): 4,
+        coxpath([3, 4, 3]): 4,
+        coxpath([5, 3, 3]): 4,
+        coxpath([3, 3, 3, 3]): 5,
+        coxgraph(5, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)]): 5,
+        coxgraph(4, [(0, 1, 3)]): 4,
+        coxgraph(5, [(0, 1, 3)]): 5,
+    }
+    for g, size in reach.items():
+        found = coxeter.enumerate_spherical_subsets(g)
+        assert max(map(len, found)) == size, g.edges
+        assert found == brute_spherical_subsets(g), g.edges
+    for g in graphs + list(reach):
+        assert coxeter.enumerate_spherical_subsets(g) == clique_growth_spherical_subsets(g), g.edges
+
+
+def test_enumeration_stops_at_the_cap(monkeypatch):
+    # a right-angled clique of 12 vertices has 2^12 spherical subsets; past
+    # the cap the walk raises, naming the count it reached
+    g = right_angled_part(12).graph
+    assert len(coxeter.enumerate_spherical_subsets(g)) == 2**12 + 4
+    monkeypatch.setattr(coxeter, "SPHERICAL_CAP", 1000)
+    with pytest.raises(GraphError, match="more than 1000 spherical subsets: the walk reached 1001 at size 5"):
+        coxeter.enumerate_spherical_subsets(g)
+    # the vertices and edges are counted against the cap too
+    monkeypatch.setattr(coxeter, "SPHERICAL_CAP", 50)
+    with pytest.raises(GraphError, match="reached 83 at size 2"):
+        coxeter.enumerate_spherical_subsets(g)
 
 
 def test_component_verdicts_are_memoised_within_one_call(monkeypatch):

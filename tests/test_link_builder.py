@@ -20,7 +20,6 @@ from relartin.link_builder import (
 
 from relartin.poset_complex import (
     TRIANGLE_UNITS,
-    assign_metric,
     derived_complex,
     dot_escape,
     subset_label,
@@ -32,7 +31,7 @@ from instances import (
     single_interedge,
     touching_triple_control,
 )
-from oracles import per_pair_development
+from oracles import assign_metric, per_pair_development
 from test_girth_checker import finite_link
 
 

@@ -6,10 +6,9 @@ from dataclasses import replace
 import pytest
 
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
+from relartin import poset_complex
 from relartin.poset_complex import (
-    MetricSimplex,
     SubsetPoset,
-    assign_metric,
     build_S_bar,
     build_S_ell,
     build_S_f,
@@ -34,7 +33,9 @@ from instances import (
     with_strays,
 )
 from oracles import (
+    MetricSimplex,
     all_pairs_retraction_map,
+    assign_metric,
     cover_walk_retraction_map,
     brute_above,
     brute_chain_count,
@@ -42,6 +43,8 @@ from oracles import (
     brute_covers,
     brute_maximal_chains,
     dp_chain_count,
+    dp_longest_chain,
+    simplex_gluing,
     sine_ratio_value,
 )
 
@@ -100,7 +103,7 @@ def test_single_interedge_two_simplices():
 
 
 def test_two_dimensional_check_and_negative_control():
-    verdict = check_two_dimensional(affine_parts_join().s_ell)
+    verdict = check_two_dimensional(derived_complex(affine_parts_join().s_ell))
     assert verdict.ok and verdict.max_chain_length == 3 and verdict.witness is None
 
     # a poset with a length-4 nest is rejected with the witness chain
@@ -112,9 +115,10 @@ def test_two_dimensional_check_and_negative_control():
             (frozenset("abc"), "x"),
         ]
     )
-    bad = check_two_dimensional(deep)
+    bad = check_two_dimensional(derived_complex(deep))
     assert not bad.ok and bad.max_chain_length == 4
     assert bad.witness == tuple(frozenset(x) for x in ("", "a", "ab", "abc"))
+    assert bad.witness == dp_longest_chain(deep)
 
 
 def test_covers_relation():
@@ -194,13 +198,23 @@ def test_assign_metric_rejects_unknown_shapes():
     fam = SubgraphFamily.build(g, [["a", "b", "c"]])
     with pytest.raises(GraphError):
         assign_metric(cx, Instance(g, fam))
+    with pytest.raises(GraphError):
+        check_gluing(cx, Instance(g, fam))
 
 
 def test_gluing_consistent_on_join():
     inst = affine_parts_join()
-    report = check_gluing(assign_metric(derived_complex(inst.s_ell), inst))
+    report = check_gluing(derived_complex(inst.s_ell), inst)
     assert report.ok
     assert report.conflicts == []
+
+
+def test_gluing_matches_the_simplex_oracle():
+    # the one pass over the 2-chains reports what collecting the edge
+    # lengths of one metric simplex per 2-chain reports
+    for inst in lemma_instances():
+        cx = derived_complex(inst.s_ell)
+        assert check_gluing(cx, inst) == simplex_gluing(assign_metric(cx, inst)), inst.graph.edges
 
 
 def test_gluing_detects_conflicts():
@@ -219,9 +233,23 @@ def test_gluing_detects_conflicts():
         case="inter-edge-nondisjoint",
         sides=((1, 1), (3, 1), (4, 1)),
     )
-    report = check_gluing([sx1, sx2])
+    report = simplex_gluing([sx1, sx2])
     assert not report.ok
     assert [c["edge"] for c in report.conflicts] == [[[], ["a", "b"]]]
+
+
+def test_gluing_detects_conflicts_in_one_pass(monkeypatch):
+    # the S^l metric gives each top one case, so a conflict needs crafted
+    # side lengths: part triangles whose [empty,{s}] side is not 1 clash
+    # with the inter-edge triangles through the same {s}
+    monkeypatch.setitem(poset_complex._SIDES, "part", ((3, 1), (1, 1), (4, 2)))
+    inst = touching_triple_control()
+    cx = derived_complex(inst.s_ell)
+    report = check_gluing(cx, inst)
+    assert not report.ok
+    assert [c["edge"] for c in report.conflicts] == [[[], ["a"]], [[], ["c"]]]
+    assert report.conflicts[0]["lengths"] == [(1, 1), (3, 1)]
+    assert report == simplex_gluing(assign_metric(cx, inst))
 
 
 def test_retraction_join():
@@ -309,7 +337,7 @@ def test_s_bar_size_retraction_and_dimension_in_closed_form():
         report = cover_walk_retraction_map(s_bar, inst.s_ell, inst.family)
         assert report.ok and report.failures == [], inst.graph.edges
         assert retraction_map(inst) == report.total_maximal_chains, inst.graph.edges
-        longest = check_two_dimensional(inst.s_ell).max_chain_length
+        longest = check_two_dimensional(derived_complex(inst.s_ell)).max_chain_length
         assert longest == (3 if inst.inter_edges else 2), inst.graph.edges
     assert listed > len(insts) // 2
 
@@ -322,7 +350,11 @@ def _assert_matches_oracles(poset: SubsetPoset) -> None:
     assert maximal_chains(poset) == brute_maximal_chains(poset)
     assert dp_chain_count(poset) == brute_chain_count(poset)
     chains = brute_chains(poset)
-    assert poset.longest_chain() == (max(chains, key=len) if chains else ())
+    longest = max(chains, key=len) if chains else ()
+    assert dp_longest_chain(poset) == longest
+    verdict = check_two_dimensional(derived_complex(poset))
+    assert verdict.max_chain_length == len(longest)
+    assert verdict.witness == (longest if len(longest) > 3 else None)
 
 
 def test_poset_walks_match_oracles_on_instances():
