@@ -52,6 +52,7 @@ _ROW_VALUE_TYPES = frozenset((str, int, float, bool, type(None)))
 # JSON's constants; read only for a bool or None, since 1 == True
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 _CONSTANT_TYPES = frozenset((bool, type(None)))
+_LIST_TYPES = frozenset((list, tuple))
 
 
 def _json_text(doc) -> str:
@@ -83,7 +84,7 @@ def _write_json(val, nl: str, out: list[str]) -> None:
     elif isinstance(val, (list, tuple)):
         if not val:
             out.append("[]")
-        elif not _write_rows(val, nl, out):
+        elif not _write_rows(val, nl, out) and not _write_groups(val, nl, out):
             inner = nl + "  "
             sep = "[" + inner
             for item in val:
@@ -110,9 +111,9 @@ def _write_rows(rows, nl: str, out: list[str]) -> bool:
     one ``%`` template; False, appending nothing, for any other list.
 
     Each column is spelled by its types: ints by ``%d``, strings by the C
-    string encoder, bools and None from a table, any other mix through
-    ``_json_scalar``.  The spellings are lazy maps read as the rows are
-    formatted, so no column of spelled values is ever held."""
+    string encoder, bools and None from a table, lists of str by
+    ``_str_list``, any other mix of scalars through ``_json_scalar``.  The
+    scalar spellings are lazy maps read as the rows are formatted."""
     first = rows[0]
     if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
         return False
@@ -123,11 +124,10 @@ def _write_rows(rows, nl: str, out: list[str]) -> bool:
         columns = [list(map(itemgetter(k), rows)) for k in keys]
     except KeyError:
         return False
+    item, entry = nl + "  ", nl + "    "
     cells, spelled = [], []
     for column in columns:
         kinds = set(map(type, column))
-        if not kinds <= _ROW_VALUE_TYPES:
-            return False
         if kinds == {int}:
             cells.append("%d")
             spelled.append(column)
@@ -137,14 +137,50 @@ def _write_rows(rows, nl: str, out: list[str]) -> bool:
             spelled.append(map(_quote, column))
         elif kinds <= _CONSTANT_TYPES:
             spelled.append(map(_JSON_CONSTANTS.__getitem__, column))
-        else:
+        elif kinds <= _ROW_VALUE_TYPES:
             spelled.append(map(_json_scalar, column))
-    item, entry = nl + "  ", nl + "    "
+        elif kinds <= _LIST_TYPES and _all_str(column):
+            spelled.append([_str_list(strs, entry) for strs in column])
+        else:
+            return False
     row = "{" + ",".join(
         f"{entry}{_quote(k).replace('%', '%%')}: {cell}" for k, cell in zip(keys, cells)
     ) + item + "}"
     out += ("[" + item, ("," + item).join(map(row.__mod__, zip(*spelled))), nl + "]")
     return True
+
+
+def _write_groups(groups, nl: str, out: list[str]) -> bool:
+    """Append a list of non-empty lists of lists of str, such as chains
+    of subsets; False, appending nothing, for any other list.
+
+    Each innermost list is spelled once per object, by a memo keyed by
+    ``id`` that lives for this call only: every list it spells sits at one
+    indent, and the document keeps each alive, so no id is reused."""
+    if type(groups[0]) not in _LIST_TYPES or not set(map(type, groups)) <= _LIST_TYPES:
+        return False
+    members = {id(m): m for g in groups for m in g}
+    kinds = set(map(type, members.values()))
+    if not all(groups) or not kinds <= _LIST_TYPES or not _all_str(members.values()):
+        return False
+    group, item = nl + "  ", nl + "    "
+    spelled = {key: _str_list(strs, item) for key, strs in members.items()}
+    opening, sep, closing = "[" + item, "," + item, group + "]"
+    texts = [opening + sep.join([spelled[id(m)] for m in g]) + closing for g in groups]
+    out += ("[" + group, ("," + group).join(texts), nl + "]")
+    return True
+
+
+def _all_str(lists) -> bool:
+    return all(type(s) is str for strs in lists for s in strs)
+
+
+def _str_list(strs, nl: str) -> str:
+    """A list of str's JSON; nl is a newline and the indent of its line."""
+    if not strs:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(_quote, strs)) + nl + "]"
 
 
 def _json_scalar(val) -> str:

@@ -150,20 +150,26 @@ class SubsetPoset:
                     shadowed.update(above[big])
         return out
 
+    @cached_property
+    def spelled(self) -> dict[frozenset, list[str]]:
+        """Each element's sorted members, one list per element, which every
+        JSON document of the poset and of its complex hands out wherever
+        the element appears."""
+        return {t: sorted(t) for t in self.elements}
+
     def covers(self) -> list[tuple[frozenset, frozenset]]:
         """Covering relations of the inclusion order (Hasse diagram edges),
         listed by the index of ``small``, then of ``big``."""
         return [(small, big) for small, bigs in self.upper_covers.items() for big in bigs]
 
     def to_json_dict(self) -> dict:
+        spelled = self.spelled
         return {
             "elements": [
-                {"subset": sorted(t), "tags": sorted(self.tags[t])}
+                {"subset": spelled[t], "tags": sorted(self.tags[t])}
                 for t in self.elements
             ],
-            "covers": [
-                [sorted(a), sorted(b)] for a, b in self.covers()
-            ],
+            "covers": [[spelled[a], spelled[b]] for a, b in self.covers()],
         }
 
     def to_dot(self) -> str:
@@ -225,8 +231,8 @@ class DerivedComplex:
 
     def to_json_dict(self) -> dict:
         counts = Counter(map(len, self.chains))
-        # each element spelled once, the same list in every chain through it
-        spelled = {t: sorted(t) for t in self.poset.elements}.__getitem__
+        # the same list in every chain through an element
+        spelled = self.poset.spelled.__getitem__
         return {
             "vertex_count": len(self.poset.elements),
             "chain_counts": {str(n): counts[n] for n in range(1, max(counts, default=0) + 1)},

@@ -183,22 +183,22 @@ def right_angled_part(k: int) -> Instance:
 
 
 @functools.cache
-def ladder_instances(seed: int) -> tuple[Instance, ...]:
+def ladder_instances(seed: int) -> dict[str, Instance]:
     """The benchmark ladder's instances for ``seed``, as
-    ``bench/instances.py`` writes them, in shape-name order."""
+    ``bench/instances.py`` writes them, by shape name in name order."""
     with tempfile.TemporaryDirectory() as out:
         subprocess.run(
             [sys.executable, str(BENCH / "instances.py"), "--seed", str(seed), "--out", out],
             check=True,
         )
-        return tuple(parse_graph(p.read_text()) for p in sorted(pathlib.Path(out).glob("*.json")))
+        return {p.stem: parse_graph(p.read_text()) for p in sorted(pathlib.Path(out).glob("*.json"))}
 
 
 def lemma_instances() -> list[Instance]:
     """The inputs the lemmas are checked on: both fixtures, the seed-7 and
     seed-11 ladders, and 300 seeds each of the two random generators."""
     insts = [affine_parts_join(), touching_triple_control()]
-    insts += ladder_instances(7) + ladder_instances(11)
+    insts += [*ladder_instances(7).values(), *ladder_instances(11).values()]
     insts += [random_rel_prime_instance(random.Random(seed)) for seed in range(300)]
     insts += [random_instance(random.Random(seed)) for seed in range(300)]
     return insts

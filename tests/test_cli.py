@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, is_dataclass
 
 import pytest
-from instances import random_rel_prime_instance, right_angled_part
+from instances import ladder_instances, random_rel_prime_instance, right_angled_part
 from oracles import instance_to_json
 from test_golden import SUBCOMMANDS, invocations
 
@@ -705,6 +705,15 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _assert_dumps(text: str, doc) -> None:
+    """Fail unless text is ``_dumps(doc)``, naming where they part:
+    pytest's own diff of two long documents runs for minutes."""
+    expected = _dumps(doc)
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        pytest.fail(f"differs from json.dumps at {at}: {text[max(at - 60, 0) : at + 60]!r}")
+
+
 def test_json_reports_equal_json_dumps(capsys, monkeypatch, tmp_path):
     # every document the golden invocations print, then every subcommand
     # (develop on the first part and the first inter-edge) on random
@@ -714,7 +723,7 @@ def test_json_reports_equal_json_dumps(capsys, monkeypatch, tmp_path):
 
     def checked(doc):
         text = writer(doc)
-        assert text == _dumps(_plain(doc))
+        _assert_dumps(text, _plain(doc))
         # the text writer, too, renders a dataclass as its fields
         assert _text(doc) == _text(_plain(doc))
         seen.append(doc)
@@ -736,6 +745,37 @@ def test_json_reports_equal_json_dumps(capsys, monkeypatch, tmp_path):
             cli.main([*argv, "--input", str(path), "--format", "json"])
     capsys.readouterr()
     assert len(seen) > 18 + 10 * len(SUBCOMMANDS)
+    # S^l documents of hundreds and thousands of chains: the seed-7 ladder's
+    # 3x6, 4x4 and 20x2 rows
+    shown = len(seen)
+    for name in ("3x6", "4x4", "20x2"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(instance_to_json(ladder_instances(7)[name]))
+        cli.main(["build", "--input", str(path), "--format", "json"])
+        assert len(seen[-1]["complex_S_ell"]["chains"]) > 200, name
+    capsys.readouterr()
+    assert len(seen) == shown + 3
+
+
+def test_build_renders_its_chains_on_the_grouped_path(capsys, monkeypatch, tmp_path):
+    # chains and covers render one group per list item, not one recursive
+    # writer call per chain: the calls stay below the chain count
+    path = tmp_path / "4x4.json"
+    path.write_text(instance_to_json(ladder_instances(7)["4x4"]))
+    calls = 0
+    writer = cli._write_json
+
+    def counted(val, nl, out):
+        nonlocal calls
+        calls += 1
+        writer(val, nl, out)
+
+    monkeypatch.setattr(cli, "_write_json", counted)
+    code, doc, err = run_json(capsys, "build", "--input", str(path))
+    assert (code, err) == (0, "")
+    chains = len(doc["complex_S_ell"]["chains"])
+    assert chains == 247 and len(doc["S_ell"]["covers"]) > 50
+    assert calls < chains, calls
 
 
 ROWS = [{"a": 1, "b": "x", "c": None}, {"c": 2.5, "b": "y", "a": True}]
@@ -746,6 +786,37 @@ class _Count(int):
 
     def __repr__(self):
         return "count"
+
+
+SHARED = ["a", "b"]
+LONG_GROUPS = [[[f"v{i}", "w"], SHARED] for i in range(300)]
+# lists of lists of lists of str, and near misses the grouped path refuses
+GROUPED = [
+    # one innermost list in many groups, and at two indents of one document
+    [[SHARED, SHARED], [SHARED], [["c"], SHARED]],
+    {"x": [[SHARED]], "y": {"z": [[SHARED, ["d"]], [SHARED]]}, "w": [SHARED, [SHARED]]},
+    [[[]], [[], ["a"]]],
+    [[["a"]], []],
+    [[]],
+    [[["a"], "b"]],
+    [[["a"], {"k": "v"}]],
+    [[["a"], ("b",)]],
+    [[["a", 1]]],
+    [[["a", None]]],
+    [[["a", ["b"]]]],
+    ((("a", "b"), ["c"]), [("d",)]),
+    (((),),),
+    LONG_GROUPS + [[["x"], 5]],
+    LONG_GROUPS + [[["x"], ["y", ["z"]]]],
+    {"chains": LONG_GROUPS, "covers": LONG_GROUPS[::-1]},
+    [[['q"uote', "back\\slash", "\x00\n\t\x1f\x7f", "\u00e9\u2603\U0001f600\u2028", "%s %%"]]],
+    # row columns of str lists, shared and escaped, and of a list and a str
+    [{"subset": SHARED, "tags": []}, {"subset": ("c", 'q"'), "tags": SHARED}],
+    [{"s": ["\u2603\n", "%d"], "n": 1}, {"s": [], "n": 2}],
+    [{"a": ["x"]}, {"a": "x"}],
+    [{"a": ["x"]}, {"a": [None]}],
+    [{"a": [["x"]]}],
+]
 
 NOT_ROWS = [
     [{"a": 1}, {"b": 1}],
@@ -788,6 +859,8 @@ CRAFTED = [
     {"rows": ROWS, "deeper": [{"rows": ROWS}]},
     *NOT_ROWS,
     [NOT_ROWS, [ROWS, ROWS]],
+    *GROUPED,
+    [GROUPED, {"g": GROUPED}],
     "top",
     "\u2603\n",
     7,
@@ -799,7 +872,7 @@ CRAFTED = [
 
 @pytest.mark.parametrize("doc", CRAFTED)
 def test_json_writer_equals_json_dumps_on_crafted_documents(doc):
-    assert cli._json_text(doc) == _dumps(doc)
+    _assert_dumps(cli._json_text(doc), doc)
 
 
 @pytest.mark.parametrize(
