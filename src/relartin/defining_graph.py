@@ -216,7 +216,10 @@ def parse_graph(text: str) -> Instance:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise GraphError("invalid JSON: nested too deeply to read") from exc
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer of more digits than int converts
         raise GraphError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphError("top-level document must be an object")

@@ -14,12 +14,8 @@ provenance tag: known-class when the part's defining graph lies in a class
 with settled asphericity (spherical, affine, 2-dimensional, FC), unknown
 otherwise.  The final verdict never claims more than the weakest tag.
 
-The complex of S^l is 2-dimensional by construction: a chain of S^l has
-at most three members.  Above a singleton {s} lie only its part and the
-inter-edges through s, and none of these lies below another, since a part
-inside an inter-edge is one of its singletons.  So the longest chains are
-[empty < {u} < {u, v}] when an inter-edge {u, v} exists, and
-[empty < part] otherwise, the parts being disjoint.
+The complex of S^l is 2-dimensional by the S^l lemma of
+:mod:`relartin.poset_complex`, which also gives its longest chain.
 
 Subset closure holds by construction.  Every element of S^l is the empty
 set, a part, an inter-edge or the singleton of an inter-edge vertex.  The
@@ -46,7 +42,7 @@ from dataclasses import dataclass
 
 from .defining_graph import Instance, check_rel_prime, classify_known
 from .girth_checker import CertificationReport, certify_link_condition
-from .poset_complex import subset_label
+from .poset_complex import s_ell_max_chain_length, subset_label
 
 
 @dataclass
@@ -141,7 +137,7 @@ def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
             "check": "fundamental domain complex is 2-dimensional",
             "kind": "lemma",
             "ok": True,
-            "detail": f"max chain length {3 if inst.inter_edges else 2}",
+            "detail": f"max chain length {s_ell_max_chain_length(inst)}",
         }
     )
 

@@ -11,17 +11,15 @@ Three posets under inclusion:
 Every order fact of a poset is read off one up-set map,
 ``SubsetPoset.above``, and its covering relation, both computed once per
 poset.  The derived complex of a poset has one simplex per chain.  Only the
-S^l complex is ever listed chain by chain, and only for ``build``'s report
-and the metric.  S_bar holds every subset of every part, so no program path
+S^l complex is ever listed chain by chain, and only for ``build``'s json
+and text report.  S_bar holds every subset of every part, so no program path
 builds it: ``build`` reads its size and its chain count off the closed
 forms below, and ``kpi1`` reads its facts off lemmas.
 
-``build`` reads the dimension and the gluing off the listed S^l complex.
-``derived_complex`` lists the chains level by level, by length, so the
-first chain of the last level is the first chain of greatest length, the
-dimension's witness, and the 2-chains are one slice of the list.  The
-gluing check passes over those 2-chains once, reading each top's side
-lengths once and collecting the lengths each 1-cell receives.
+``derived_complex`` lists those chains level by level, by length.
+``build`` does not read the dimension or the gluing off that list: both
+follow from the S^l lemma at the end of this docstring.  The passes that
+check them chain by chain are oracles in the tests.
 
 S_bar and its retraction onto S^l are known in closed form.  Parts are
 disjoint, so S_bar holds the empty set, the non-empty subsets of each part
@@ -58,17 +56,27 @@ the number of ordered partitions of a k-set (the Fubini number: 1, 1, 3,
 13, 75, ...), the part holds 2 F(k) - 1 chains, and the S_bar complex has
 1 + 2 (sum (2 F(k_i) - 1) + 3 |inter-edges|) simplices.
 
-Over S^l the complex is 2-dimensional and every 2-chain has the shape
-[empty < {s} < T].  Such a triangle receives Euclidean angles in integer
-units of pi/8 from one table, ``TRIANGLE_UNITS``, keyed by the kind of T; the
-vertex links read their edge lengths off the same table.  Side lengths
-follow the law of sines once the edge [empty, {s}] is normalised to
-length 1; they are kept exactly as ratios sin(p pi/8) / sin(q pi/8) with
-p, q in {1..4}, one triple per triangle shape.
+The S^l lemma.  Nothing lies above a part or an inter-edge.  Above a
+singleton {s} lie only its part and the inter-edges through s, and none
+of these lies below another, since a part inside an inter-edge is one of
+its singletons.  So a chain of S^l has at most three members, and the
+longest chains are [empty < {u} < {u, v}] when an inter-edge {u, v}
+exists and [empty < part] otherwise: ``s_ell_max_chain_length`` is 3 or
+2, and the complex is 2-dimensional.  Every 2-chain has the shape
+[empty < {s} < T], with T a part or an inter-edge and never both.
+
+Such a triangle receives Euclidean angles in integer units of pi/8 from
+one table, ``TRIANGLE_UNITS``, keyed by the kind of T; the vertex links
+read their edge lengths off the same table.  Side lengths follow the law
+of sines once the side [empty, {s}] is normalised to length 1, so the
+metric glues: each 1-cell receives one length.  Every [empty, {s}] side
+is 1.  A side [{s}, T] lies in exactly one triangle, since only the empty
+set lies below {s} and nothing lies above T.  A side [empty, T] takes
+the length of T's one case in every triangle through it.  So ``build``
+prints the gluing report with no conflict.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -223,12 +231,6 @@ class DerivedComplex:
     poset: SubsetPoset
     chains: tuple[tuple[frozenset, ...], ...]
 
-    def chains_of_length(self, n: int) -> tuple[tuple[frozenset, ...], ...]:
-        """The chains of n subsets.  ``chains`` is sorted by length, so
-        they are one slice of it."""
-        chains = self.chains
-        return chains[bisect_left(chains, n, key=len) : bisect_right(chains, n, key=len)]
-
     def to_json_dict(self) -> dict:
         counts = Counter(map(len, self.chains))
         # the same list in every chain through an element
@@ -266,36 +268,14 @@ def derived_complex(poset: SubsetPoset) -> DerivedComplex:
     return DerivedComplex(poset=poset, chains=tuple(chains))
 
 
-@dataclass(frozen=True)
-class DimensionVerdict:
-    ok: bool
-    max_chain_length: int
-    witness: tuple[frozenset, ...] | None
-
-
-def check_two_dimensional(cx: DerivedComplex) -> DimensionVerdict:
-    """True when no chain of the complex's poset has four or more subsets.
-    The chains are listed by length, so the witness, the first chain of
-    greatest length, opens the last level."""
-    chains = cx.chains
-    longest = chains[bisect_left(chains, len(chains[-1]), key=len)] if chains else ()
-    return DimensionVerdict(
-        ok=len(longest) <= 3,
-        max_chain_length=len(longest),
-        witness=longest if len(longest) > 3 else None,
-    )
+def s_ell_max_chain_length(inst: Instance) -> int:
+    """The most members of a chain of S^l, read off the S^l lemma of the
+    module docstring: 3 when an inter-edge exists and 2 otherwise."""
+    return 3 if inst.inter_edges else 2
 
 
 # ---------------------------------------------------------------------------
 # metric
-
-def canonical_sine_ratio(p: int, q: int) -> tuple[int, int]:
-    """The ratio sin(p pi/8) / sin(q pi/8) as a pair.  The 16 ratios for
-    p, q in 1..4 are distinct except the four with p == q, all equal to 1."""
-    if not (1 <= p <= 4 and 1 <= q <= 4):
-        raise ValueError("sine units must lie in 1..4")
-    return (1, 1) if p == q else (p, q)
-
 
 # angles of [empty < {s} < T] at its (empty, {s}, T) corners in pi/8, by the kind of T
 TRIANGLE_UNITS: dict[str, tuple[int, int, int]] = {
@@ -307,69 +287,11 @@ TRIANGLE_UNITS: dict[str, tuple[int, int, int]] = {
 INTEREDGE_CASE = {True: "inter-edge-disjoint", False: "inter-edge-nondisjoint"}
 
 
-def _sides_from_units(units: tuple[int, int, int]) -> tuple:
-    a0, a1, a2 = units
-    assert sum(units) == 8, f"angles {units} of a Euclidean triangle must sum to pi"
-    # law of sines: each side is proportional to the sine of the opposite
-    # corner; dividing by sin(top corner) normalises [empty,{s}] to 1
-    return (
-        canonical_sine_ratio(a2, a2),
-        canonical_sine_ratio(a0, a2),
-        canonical_sine_ratio(a1, a2),
-    )
-
-
-_SIDES = {case: _sides_from_units(units) for case, units in TRIANGLE_UNITS.items()}
-
-
 def disjoint_inter_edges(inst: Instance) -> dict[frozenset, bool]:
     """For each inter-edge pair, whether it shares no vertex with any other
     inter-edge."""
     at = inst.inter_edges_at
     return {e.pair: len(at[e.u]) == len(at[e.v]) == 1 for e in inst.inter_edges}
-
-
-@dataclass
-class GluingReport:
-    ok: bool
-    conflicts: list[dict]
-
-
-def check_gluing(cx: DerivedComplex, inst: Instance) -> GluingReport:
-    """Every 1-cell shared by several metric triangles must receive one
-    length.  Each 2-chain [empty < {s} < T] of the S^l complex takes the
-    side lengths of its top's kind, read once per top; its sides are
-    listed for the edges ([empty,{s}], [{s},T], [empty,T])."""
-    disjoint = inst.disjoint
-    tags = cx.poset.tags
-    empty = frozenset()
-    sides_at: dict[frozenset, tuple] = {}
-    lengths: dict[tuple[frozenset, frozenset], set[tuple[int, int]]] = {}
-    for t0, t1, t2 in cx.chains_of_length(3):
-        if t0 != empty or len(t1) != 1:
-            raise GraphError(f"unrecognised 2-chain shape {[sorted(t) for t in (t0, t1, t2)]}")
-        sides = sides_at.get(t2)
-        if sides is None:
-            top_tags = tags[t2]
-            if "inter-edge" in top_tags:
-                case = INTEREDGE_CASE[disjoint[t2]]
-            elif "part" in top_tags:
-                case = "part"
-            else:
-                raise GraphError(f"2-chain top {sorted(t2)} is neither part nor inter-edge")
-            sides = sides_at[t2] = _SIDES[case]
-        lengths.setdefault((t0, t1), set()).add(sides[0])
-        lengths.setdefault((t1, t2), set()).add(sides[1])
-        lengths.setdefault((t0, t2), set()).add(sides[2])
-    clashing = sorted(
-        (edge for edge, ratios in lengths.items() if len(ratios) > 1),
-        key=lambda edge: (subset_sort_key(edge[0]), subset_sort_key(edge[1])),
-    )
-    conflicts = [
-        {"edge": [sorted(lo), sorted(hi)], "lengths": sorted(lengths[lo, hi])}
-        for lo, hi in clashing
-    ]
-    return GluingReport(ok=not conflicts, conflicts=conflicts)
 
 
 # ---------------------------------------------------------------------------

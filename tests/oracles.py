@@ -65,10 +65,14 @@ closure and every spherical subset of the graph for coverage, and the
 spherical subsets that cross parts read off the whole-graph enumeration:
 they check the lemmas of ``kpi1_checker``.
 
-Metric: one ``MetricSimplex`` per 2-chain of the S^l complex, with its
-angles, case and side lengths, and the gluing checked by collecting each
-triangle's three edge lengths; ``check_gluing`` reads each top's case once
-and keeps no triangle.
+Dimension and metric of S^l, which ``build`` prints from the S^l lemma of
+``poset_complex``: the longest chain read off the listed complex
+(``check_two_dimensional``), and the gluing checked twice, by one pass
+over the 2-chains that reads each top's side lengths once
+(``check_gluing``) and by one ``MetricSimplex`` per 2-chain, with its
+angles, case and side lengths, collecting each triangle's three edge
+lengths.  Side lengths are exact sine ratios named by their pair of
+pi/8 units.
 
 Certification: each non-disjoint inter-edge developed alone at radius 8m
 and cap 4000 and searched, with no development shared between links of
@@ -106,6 +110,7 @@ import heapq
 import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -119,8 +124,6 @@ from relartin.link_builder import LinkGraph, develop_link_interedge
 from relartin.poset_complex import (
     INTEREDGE_CASE,
     TRIANGLE_UNITS,
-    GluingReport,
-    _SIDES,
     maximal_chains,
     subset_label,
     subset_sort_key,
@@ -783,6 +786,104 @@ def dp_longest_chain(poset) -> tuple:
 
 # ----------------------------------------------------------- metric
 
+def chains_of_length(cx, n: int) -> tuple:
+    """The chains of n subsets of a derived complex.  ``cx.chains`` is
+    sorted by length, so they are one slice of it."""
+    chains = cx.chains
+    return chains[bisect_left(chains, n, key=len) : bisect_right(chains, n, key=len)]
+
+
+@dataclass(frozen=True)
+class DimensionVerdict:
+    ok: bool
+    max_chain_length: int
+    witness: tuple | None
+
+
+def check_two_dimensional(cx) -> DimensionVerdict:
+    """True when no chain of the complex's poset has four or more subsets.
+    The chains are listed by length, so the witness, the first chain of
+    greatest length, opens the last level."""
+    chains = cx.chains
+    longest = chains[bisect_left(chains, len(chains[-1]), key=len)] if chains else ()
+    return DimensionVerdict(
+        ok=len(longest) <= 3,
+        max_chain_length=len(longest),
+        witness=longest if len(longest) > 3 else None,
+    )
+
+
+def canonical_sine_ratio(p: int, q: int) -> tuple[int, int]:
+    """The ratio sin(p pi/8) / sin(q pi/8) as a pair.  The 16 ratios for
+    p, q in 1..4 are distinct except the four with p == q, all equal to 1."""
+    if not (1 <= p <= 4 and 1 <= q <= 4):
+        raise ValueError("sine units must lie in 1..4")
+    return (1, 1) if p == q else (p, q)
+
+
+def _sides_from_units(units: tuple[int, int, int]) -> tuple:
+    a0, a1, a2 = units
+    assert sum(units) == 8, f"angles {units} of a Euclidean triangle must sum to pi"
+    # law of sines: each side is proportional to the sine of the opposite
+    # corner; dividing by sin(top corner) normalises [empty,{s}] to 1
+    return (
+        canonical_sine_ratio(a2, a2),
+        canonical_sine_ratio(a0, a2),
+        canonical_sine_ratio(a1, a2),
+    )
+
+
+_SIDES = {case: _sides_from_units(units) for case, units in TRIANGLE_UNITS.items()}
+
+
+@dataclass
+class GluingReport:
+    ok: bool
+    conflicts: list[dict]
+
+
+def check_gluing(cx, inst) -> GluingReport:
+    """Every 1-cell shared by several metric triangles must receive one
+    length.  Each 2-chain [empty < {s} < T] of the S^l complex takes the
+    side lengths of its top's kind, read once per top; its sides are
+    listed for the edges ([empty,{s}], [{s},T], [empty,T])."""
+    disjoint = inst.disjoint
+    tags = cx.poset.tags
+    empty = frozenset()
+    sides_at = {}
+    lengths = {}
+    for t0, t1, t2 in chains_of_length(cx, 3):
+        if t0 != empty or len(t1) != 1:
+            raise GraphError(f"unrecognised 2-chain shape {[sorted(t) for t in (t0, t1, t2)]}")
+        sides = sides_at.get(t2)
+        if sides is None:
+            top_tags = tags[t2]
+            if "inter-edge" in top_tags:
+                case = INTEREDGE_CASE[disjoint[t2]]
+            elif "part" in top_tags:
+                case = "part"
+            else:
+                raise GraphError(f"2-chain top {sorted(t2)} is neither part nor inter-edge")
+            sides = sides_at[t2] = _SIDES[case]
+        lengths.setdefault((t0, t1), set()).add(sides[0])
+        lengths.setdefault((t1, t2), set()).add(sides[1])
+        lengths.setdefault((t0, t2), set()).add(sides[2])
+    return _gluing_report(lengths)
+
+
+def _gluing_report(lengths) -> GluingReport:
+    """The 1-cells given two or more lengths, in edge order."""
+    clashing = sorted(
+        (edge for edge, ratios in lengths.items() if len(ratios) > 1),
+        key=lambda edge: (subset_sort_key(edge[0]), subset_sort_key(edge[1])),
+    )
+    conflicts = [
+        {"edge": [sorted(lo), sorted(hi)], "lengths": sorted(lengths[lo, hi])}
+        for lo, hi in clashing
+    ]
+    return GluingReport(ok=not conflicts, conflicts=conflicts)
+
+
 @dataclass(frozen=True)
 class MetricSimplex:
     """A 2-chain [empty < {s} < T] with corner angles in pi/8 units and the
@@ -805,7 +906,7 @@ def assign_metric(cx, inst) -> list:
     disjoint = inst.disjoint
     tags = cx.poset.tags
     out = []
-    for chain in cx.chains_of_length(3):
+    for chain in chains_of_length(cx, 3):
         t0, t1, t2 = chain
         if t0 != frozenset() or len(t1) != 1:
             raise GraphError(f"unrecognised 2-chain shape {[sorted(t) for t in chain]}")
@@ -827,15 +928,7 @@ def simplex_gluing(simplices) -> GluingReport:
     for sx in simplices:
         for edge, ratio in sx.edge_lengths().items():
             lengths.setdefault(edge, set()).add(ratio)
-    clashing = sorted(
-        (edge for edge, ratios in lengths.items() if len(ratios) > 1),
-        key=lambda edge: (subset_sort_key(edge[0]), subset_sort_key(edge[1])),
-    )
-    conflicts = [
-        {"edge": [sorted(lo), sorted(hi)], "lengths": sorted(lengths[lo, hi])}
-        for lo, hi in clashing
-    ]
-    return GluingReport(ok=not conflicts, conflicts=conflicts)
+    return _gluing_report(lengths)
 
 
 # ----------------------------------------------------------- retraction

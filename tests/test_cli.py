@@ -3,6 +3,7 @@
 Exit convention: 0 when the checked property holds, 2 when the check ran
 and the property fails, 1 for unusable input.
 """
+import argparse
 import json
 import os
 import pathlib
@@ -14,8 +15,13 @@ import time
 from dataclasses import asdict, is_dataclass
 
 import pytest
-from instances import ladder_instances, random_rel_prime_instance, right_angled_part
-from oracles import instance_to_json
+from instances import (
+    ladder_instances,
+    lemma_instances,
+    random_rel_prime_instance,
+    right_angled_part,
+)
+from oracles import check_gluing, check_two_dimensional, instance_to_json
 from test_golden import SUBCOMMANDS, invocations
 
 import relartin
@@ -25,6 +31,7 @@ from relartin import (
     defining_graph,
     dihedral_garside,
     girth_checker,
+    kpi1_checker,
     link_builder,
     poset_complex,
 )
@@ -259,14 +266,59 @@ def test_develop_part_builds_that_part_engine_only(capsys, monkeypatch, tmp_path
 
 def test_build_dot_does_not_build_s_bar(capsys, monkeypatch):
     forbid(monkeypatch, poset_complex, "build_S_bar")
-    code, out, _ = run(capsys, "build", "--input", JOIN, "--format", "dot")
-    assert code == 0 and out.startswith("digraph")
+    # dot prints the Hasse diagram and lists no chains
+    with monkeypatch.context() as dot_only:
+        forbid(dot_only, poset_complex, "derived_complex")
+        for fixture in (JOIN, CONTROL):
+            code, out, _ = run(capsys, "build", "--input", fixture, "--format", "dot")
+            assert code == 0 and out.startswith("digraph")
     # nor does any other format: S_bar's two counts are read off closed forms
     for fixture, counts in ((JOIN, (47, 693)), (CONTROL, (7, 25))):
         code, doc, err = run_json(capsys, "build", "--input", fixture)
         assert (code, err) == (0, "")
         assert (doc["S_bar_size"], doc["complex_S_bar_chain_count"]) == counts
         assert run(capsys, "build", "--input", fixture)[0] == 0
+
+
+def test_build_prints_the_s_ell_lemma_that_the_oracles_compute(capsys):
+    # build prints the dimension and the gluing from the S^l lemma; the
+    # passes over the listed complex agree on both fixtures, both ladders
+    # and random REL' and non-REL' instances
+    args = argparse.Namespace(fmt="json")
+    insts = lemma_instances()
+    for inst in insts:
+        assert cli.cmd_build(inst, args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        cx = poset_complex.derived_complex(inst.s_ell)
+        dim = check_two_dimensional(cx)
+        assert doc["two_dimensional"] == {"ok": dim.ok, "max_chain_length": dim.max_chain_length}
+        assert doc["gluing"] == asdict(check_gluing(cx, inst)), inst.graph.edges
+    assert {len(inst.inter_edges) > 0 for inst in insts} == {True, False}
+    assert not all(defining_graph.check_rel_prime(inst).ok for inst in insts)
+    # kpi1's dimension line reads the same fact, with and without inter-edges
+    for inst in (insts[0], next(inst for inst in insts if not inst.inter_edges)):
+        dim = check_two_dimensional(poset_complex.derived_complex(inst.s_ell))
+        line = next(e for e in kpi1_checker.kpi1_verdict(inst).evidence if "2-dimensional" in e["check"])
+        assert line["detail"] == f"max chain length {dim.max_chain_length}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # 5,001 digits: more than int converts from a string by default
+        '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "m": 1%s}], '
+        '"family": [["a"], ["b"]]}' % ("0" * 5000),
+        "[" * 200000 + "]" * 200000,
+    ],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_unreadable_json_exits_1_on_every_subcommand(capsys, tmp_path, text):
+    path = tmp_path / "unreadable.json"
+    path.write_text(text)
+    for argv in [(sub,) for sub in SUBCOMMANDS] + [("develop", "--part", "0")]:
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1, argv
 
 
 def test_develop_selector_errors(capsys):

@@ -6,20 +6,17 @@ from dataclasses import replace
 import pytest
 
 from relartin.defining_graph import DefiningGraph, GraphError, Instance, SubgraphFamily
-from relartin import poset_complex
 from relartin.poset_complex import (
     SubsetPoset,
     build_S_bar,
     build_S_ell,
     build_S_f,
-    canonical_sine_ratio,
-    check_gluing,
-    check_two_dimensional,
     derived_complex,
     maximal_chains,
     retraction_map,
     s_bar_chain_count,
     s_bar_size,
+    s_ell_max_chain_length,
     subset_label,
 )
 
@@ -32,10 +29,15 @@ from instances import (
     touching_triple_control,
     with_strays,
 )
+import oracles
 from oracles import (
     MetricSimplex,
     all_pairs_retraction_map,
     assign_metric,
+    canonical_sine_ratio,
+    chains_of_length,
+    check_gluing,
+    check_two_dimensional,
     cover_walk_retraction_map,
     brute_above,
     brute_chain_count,
@@ -81,7 +83,7 @@ def test_derived_complex_chain_counts():
     inst = affine_parts_join()
     cx = derived_complex(inst.s_ell)
     assert max(map(len, cx.chains)) == 3
-    assert {n: len(cx.chains_of_length(n)) for n in (1, 2, 3)} == {
+    assert {n: len(chains_of_length(cx, n)) for n in (1, 2, 3)} == {
         1: 27,
         2: 66,
         3: 40,
@@ -95,7 +97,7 @@ def test_derived_complex_chain_counts():
 
 def test_single_interedge_two_simplices():
     cx = derived_complex(single_interedge().s_ell)
-    two = cx.chains_of_length(3)
+    two = chains_of_length(cx, 3)
     assert [[sorted(t) for t in c] for c in two] == [
         [[], ["a"], ["a", "b"]],
         [[], ["b"], ["a", "b"]],
@@ -242,7 +244,7 @@ def test_gluing_detects_conflicts_in_one_pass(monkeypatch):
     # the S^l metric gives each top one case, so a conflict needs crafted
     # side lengths: part triangles whose [empty,{s}] side is not 1 clash
     # with the inter-edge triangles through the same {s}
-    monkeypatch.setitem(poset_complex._SIDES, "part", ((3, 1), (1, 1), (4, 2)))
+    monkeypatch.setitem(oracles._SIDES, "part", ((3, 1), (1, 1), (4, 2)))
     inst = touching_triple_control()
     cx = derived_complex(inst.s_ell)
     report = check_gluing(cx, inst)
@@ -338,7 +340,7 @@ def test_s_bar_size_retraction_and_dimension_in_closed_form():
         assert report.ok and report.failures == [], inst.graph.edges
         assert retraction_map(inst) == report.total_maximal_chains, inst.graph.edges
         longest = check_two_dimensional(derived_complex(inst.s_ell)).max_chain_length
-        assert longest == (3 if inst.inter_edges else 2), inst.graph.edges
+        assert longest == s_ell_max_chain_length(inst) == (3 if inst.inter_edges else 2), inst.graph.edges
     assert listed > len(insts) // 2
 
 
