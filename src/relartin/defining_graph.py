@@ -20,17 +20,13 @@ REL implies REL'.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
     """Malformed graph, family, or input document."""
-
-
-def _canonical_edge(u: str, v: str, m: int) -> tuple[str, str, int]:
-    return (u, v, m) if u < v else (v, u, m)
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ class DefiningGraph:
             if key in pairs:
                 raise GraphError(f"parallel edge ({u!r}, {v!r})")
             pairs.add(key)
-            canon.append(_canonical_edge(u, v, m))
+            canon.append((u, v, m) if u < v else (v, u, m))
         return cls(vertices=tuple(sorted(vs)), edges=tuple(sorted(canon)))
 
     @cached_property
@@ -93,9 +89,11 @@ class DefiningGraph:
 
 @dataclass(frozen=True)
 class SubgraphFamily:
-    """Ordered list of disjoint non-empty vertex subsets covering the graph."""
+    """Ordered list of disjoint non-empty vertex subsets covering the graph,
+    with ``part_of``, each vertex's part index, kept from validation."""
 
     parts: tuple[tuple[str, ...], ...]
+    part_of: dict[str, int] = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, graph: DefiningGraph, parts: Sequence[Iterable[str]]) -> "SubgraphFamily":
@@ -125,31 +123,19 @@ class SubgraphFamily:
             raise GraphError(f"family does not cover vertices {missing}")
         if not norm:
             raise GraphError("family has no parts")
-        return cls(parts=tuple(norm))
-
-    @cached_property
-    def _part_of(self) -> dict[str, int]:
-        return {v: i for i, part in enumerate(self.parts) for v in part}
-
-    def part_index(self, v: str) -> int:
-        if v not in self._part_of:
-            raise GraphError(f"unknown vertex {v!r}")
-        return self._part_of[v]
+        return cls(parts=tuple(norm), part_of=seen)
 
 
-@dataclass(frozen=True)
-class InterEdge:
-    """Edge joining two distinct family parts.  ``u < v`` canonically."""
+class InterEdge(NamedTuple):
+    """Edge joining two distinct family parts.  ``u < v`` canonically, and
+    ``pair`` is {u, v}, the key of the edge's facts."""
 
     u: str
     v: str
     label: int
     part_u: int
     part_v: int
-
-    @cached_property
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.u, self.v))
+    pair: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -254,14 +240,15 @@ def parse_graph(text: str) -> Instance:
 
 
 def inter_edges(inst: Instance) -> tuple[InterEdge, ...]:
-    """All edges joining two distinct parts, sorted by vertex pair."""
-    family = inst.family
+    """All edges joining two distinct parts, sorted by vertex pair: the
+    graph's edges are, so one pass over them keeps that order."""
+    part_of = inst.family.part_of
     out: list[InterEdge] = []
     for u, v, m in inst.graph.edges:
-        pu, pv = family.part_index(u), family.part_index(v)
+        pu, pv = part_of[u], part_of[v]
         if pu != pv:
-            out.append(InterEdge(u=u, v=v, label=m, part_u=pu, part_v=pv))
-    return tuple(sorted(out, key=lambda e: (e.u, e.v)))
+            out.append(InterEdge(u, v, m, pu, pv, frozenset((u, v))))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -280,13 +267,11 @@ def check_rel_prime(inst: Instance) -> RelVerdict:
     """REL': every non-isolated inter edge has label >= 4.
 
     An inter edge is non-isolated when it shares a vertex with a distinct
-    inter edge, regardless of which parts that second edge joins.
+    inter edge, regardless of which parts that second edge joins: when it
+    is not ``inst.disjoint``, the fact the link entries read too.
     """
-    at = inst.inter_edges_at
-    bad = tuple(
-        e for e in inst.inter_edges
-        if e.label < 4 and (len(at[e.u]) > 1 or len(at[e.v]) > 1)
-    )
+    disjoint = inst.disjoint
+    bad = tuple(e for e in inst.inter_edges if e.label < 4 and not disjoint[e.pair])
     return RelVerdict(ok=not bad, violations=bad)
 
 

@@ -193,11 +193,6 @@ class DihedralEngine:
         # describe has met
         self._tails: dict = {None: {(): ""}, a: {}, b: {}}
 
-    def other(self, t: str) -> str:
-        if t not in self._other:
-            raise ValueError(f"unknown generator {t!r}")
-        return self._other[t]
-
     def mult_power(self, el: DihedralElement, t: str, n: int) -> DihedralElement:
         """Right-multiply by t^n in one pass over the tail.
 

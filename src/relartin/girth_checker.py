@@ -519,7 +519,7 @@ def _empty_witness(inst: Instance, singleton_roots: bool) -> list[frozenset] | N
     half, also without its last vertex when the point 8 units away lies
     inside an edge."""
     parts = [frozenset(p) for p in inst.family.parts]
-    part_of = inst.family.part_index
+    part_of = inst.family.part_of
     at, disjoint, S = inst.inter_edges_at, inst.disjoint, _singleton
     fans: dict[str, dict[int, list[str]]] = {}
     for y, es in at.items():
@@ -563,12 +563,12 @@ def _empty_witness(inst: Instance, singleton_roots: bool) -> list[frozenset] | N
 
     if len(r) == 1:
         (s,) = r
-        p = part_of(s)
+        p = part_of[s]
         P = parts[p]
         for e in at[s]:
             y = e.u if e.v == s else e.v
             if disjoint[e.pair]:
-                q = part_of(y)
+                q = part_of[y]
                 for f in twins[min(p, q), max(p, q)]:
                     if f is not e:
                         c, d = ends(f, p)
@@ -583,7 +583,7 @@ def _empty_witness(inst: Instance, singleton_roots: bool) -> list[frozenset] | N
                 add([[frozenset((s, x)), S(x), parts[q]] for x in xs])
     elif r in disjoint:
         u, v = sorted(r)
-        pu, pv = part_of(u), part_of(v)
+        pu, pv = part_of[u], part_of[v]
         Pu, Pv = parts[pu], parts[pv]
         if disjoint[r]:
             for f in twins[min(pu, pv), max(pu, pv)]:
@@ -600,7 +600,7 @@ def _empty_witness(inst: Instance, singleton_roots: bool) -> list[frozenset] | N
                     f = frozenset((u, z))
                     add([[S(u), f, S(z)], [S(v), Pv, S(z), f]], inside=True)
     else:
-        p = part_of(min(r))
+        p = part_of[min(r)]
         for y, row in fans.items():
             xs = row.get(p, ())
             if len(xs) > 1:
@@ -627,7 +627,7 @@ def _empty_cycle_units(inst: Instance, cycle: list[frozenset]) -> int:
             if top in disjoint:
                 total += TRIANGLE_UNITS[INTEREDGE_CASE[disjoint[top]]][0]
                 continue
-            if top == frozenset(family.parts[family.part_index(s)]):
+            if top == frozenset(family.parts[family.part_of[s]]):
                 total += TRIANGLE_UNITS["part"][0]
                 continue
         raise AssertionError(f"witness uses a non-edge ({subset_label(a)}, {subset_label(b)})")
@@ -640,7 +640,7 @@ def _empty_entry(inst: Instance) -> LinkCertificate:
     search of the built link gives."""
     parts, at, ies = inst.family.parts, inst.inter_edges_at, inst.inter_edges
     # the singletons joined to their part, which is not the singleton itself
-    under = sum(len(parts[inst.family.part_index(s)]) > 1 for s in at)
+    under = sum(len(parts[inst.family.part_of[s]]) > 1 for s in at)
     vertices = len(parts) + len(ies) + under
     edges = under + 2 * len(ies)
     if _is_forest(len(parts), [(e.part_u, e.part_v, 0) for e in ies]):

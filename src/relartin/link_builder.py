@@ -185,7 +185,7 @@ def build_link_empty(inst: Instance) -> LinkGraph:
         if kinds[index[t]] != "singleton":
             continue
         (s,) = t
-        part = frozenset(family.parts[family.part_index(s)])
+        part = frozenset(family.parts[family.part_of[s]])
         if part != t:
             edges.append((index[t], index[part], TRIANGLE_UNITS["part"][0]))
     for pair, disj in inst.disjoint.items():
@@ -224,7 +224,7 @@ def single_shape(inst: Instance, s: str) -> SingleShape:
     ies = inst.inter_edges_at.get(s)
     if not ies:
         raise GraphError(f"{s!r} is not an inter-edge vertex")
-    part = frozenset(inst.family.parts[inst.family.part_index(s)])
+    part = frozenset(inst.family.parts[inst.family.part_of[s]])
     uppers = []
     if part != frozenset((s,)):
         uppers.append(("part", subset_label(part), TRIANGLE_UNITS["part"][1]))

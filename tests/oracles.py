@@ -205,6 +205,13 @@ def quotient_equal(m: int, w1, w2) -> bool:
 # power and the (first letter, length) pair of every simple of the tail.
 # ``as_pairs`` spells an engine element in this form.
 
+def other_letter(ctx, t: str) -> str:
+    """The generator of the two-generator engine ctx that is not t."""
+    a, b = ctx.generators
+    assert t in (a, b), t
+    return b if t == a else a
+
+
 def as_pairs(ctx, el) -> tuple:
     """The engine element el as (k, pairs), each simple's first letter read
     off from the right: a simple starts with the letter it ends with when
@@ -215,7 +222,7 @@ def as_pairs(ctx, el) -> tuple:
     pairs = []
     for length in reversed(lengths):
         if length % 2 == 0:
-            letter = ctx.other(letter)
+            letter = other_letter(ctx, letter)
         pairs.append((letter, length))
     return k, tuple(reversed(pairs))
 
@@ -223,7 +230,7 @@ def as_pairs(ctx, el) -> tuple:
 def pairs_label(ctx, k: int, pairs) -> str:
     """The develop label of (k, pairs): Delta's power, then each simple's
     alternating letters."""
-    words = ".".join(((f + ctx.other(f)) * length)[:length] for f, length in pairs)
+    words = ".".join(((f + other_letter(ctx, f)) * length)[:length] for f, length in pairs)
     if k == 0:
         return words or "1"
     return f"D^{k}.{words}" if words else f"D^{k}"
@@ -232,14 +239,14 @@ def pairs_label(ctx, k: int, pairs) -> str:
 def _tau_tail(ctx, tail):
     if ctx.m % 2 == 0:
         return tail
-    return tuple((ctx.other(f), l) for f, l in tail)
+    return tuple((other_letter(ctx, f), l) for f, l in tail)
 
 
 def atom_mult_pos(ctx, el, t: str):
     k, tail = el
     if tail:
         first, length = tail[-1]
-        last = first if length % 2 == 1 else ctx.other(first)
+        last = first if length % 2 == 1 else other_letter(ctx, first)
         if last != t:
             if length + 1 == ctx.m:
                 return k + 1, _tau_tail(ctx, tail[:-1])
@@ -250,10 +257,10 @@ def atom_mult_pos(ctx, el, t: str):
 def atom_mult_neg(ctx, el, t: str):
     """el . t^-1 as Delta^-1 and then the m - 1 letters of Delta t^-1."""
     out = el[0] - 1, _tau_tail(ctx, el[1])
-    letter = t if ctx.m % 2 == 1 else ctx.other(t)
+    letter = t if ctx.m % 2 == 1 else other_letter(ctx, t)
     for _ in range(ctx.m - 1):
         out = atom_mult_pos(ctx, out, letter)
-        letter = ctx.other(letter)
+        letter = other_letter(ctx, letter)
     return out
 
 
@@ -974,7 +981,7 @@ def cover_walk_retraction_map(s_bar, s_ell, family) -> RetractionReport:
             vertex_map[t] = t
             continue
         # parts are disjoint, so one vertex names the only part t can lie in
-        part = parts[family.part_index(next(iter(t)))] if t else frozenset()
+        part = parts[family.part_of[next(iter(t))]] if t else frozenset()
         if t and t <= part:
             vertex_map[t] = part
         else:

@@ -40,3 +40,23 @@ def test_traced_build_reads_the_poset_layer(monkeypatch, capsys):
     assert span.calls == 1 and span.self_s > 0
     # 27 elements, 66 covers and 40 triangles of the join's S^l
     assert tracer.counters["poset_complex.chains"] == 133
+
+
+def test_traced_links_derives_the_input_facts_once(monkeypatch, capsys):
+    # links reads the inter-edges and their disjointness, each derived once
+    # per instance, so the benchmark's input-layer counters read 1
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layertrace
+    from relartin import cli
+
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["links", "--input", JOIN, "--format", "json"]) == 0
+    finally:
+        tracer.remove()
+    assert layertrace.active_wrappers() == []
+    assert capsys.readouterr().err == ""
+    assert tracer.counters["defining_graph.inter_edges"] == 1
+    assert tracer.counters["poset_complex.disjoint_inter_edges"] == 1
+    assert tracer.by_name()["defining_graph.parse_graph"].calls == 1

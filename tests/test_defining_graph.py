@@ -20,8 +20,10 @@ from relartin.defining_graph import (
 
 from instances import (
     affine_parts_join,
+    lemma_instances,
     random_instance,
     random_rel_prime_instance,
+    right_angled_part,
     touching_triple_control,
 )
 from oracles import instance_to_json
@@ -105,7 +107,7 @@ def test_family_rejections():
         SubgraphFamily.build(g, [["a", "b", "c"], ["z"]])
     fam = SubgraphFamily.build(g, [["c", "a"], ["b"]])
     assert fam.parts == (("a", "c"), ("b",))
-    assert fam.part_index("b") == 1
+    assert fam.part_of == {"a": 0, "c": 0, "b": 1}
 
 
 def test_inter_edges_join():
@@ -118,6 +120,37 @@ def test_inter_edges_join():
     # intra edges are not reported
     pairs = {e.pair for e in ies}
     assert frozenset(("a1", "b1")) not in pairs
+
+
+def test_instance_facts_match_their_definitions():
+    # the part map, the inter-edges (in vertex-pair order, which inter_edges
+    # takes from the graph's edge order without sorting), disjointness and
+    # REL' against a recomputation from the parts and the edge list
+    insts = lemma_instances() + [right_angled_part(k) for k in range(1, 7)]
+    for inst in insts:
+        parts, part_of = inst.family.parts, inst.family.part_of
+        assert len(part_of) == len(inst.graph.vertices)
+        for i, part in enumerate(parts):
+            assert all(part_of[v] == i for v in part)
+
+        def part(x):
+            return next(i for i, p in enumerate(parts) if x in p)
+
+        expected = sorted(
+            (min(u, v), max(u, v), m, part(min(u, v)), part(max(u, v)), frozenset((u, v)))
+            for u, v, m in inst.graph.edges
+            if part(u) != part(v)
+        )
+        got = [(e.u, e.v, e.label, e.part_u, e.part_v, e.pair) for e in inst.inter_edges]
+        assert got == expected
+        degree: dict[str, int] = {}
+        for u, v, *_ in expected:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        alone = {pair: degree[u] == degree[v] == 1 for u, v, _, _, _, pair in expected}
+        assert inst.disjoint == alone
+        bad = [(u, v) for u, v, m, _, _, pair in expected if m < 4 and not alone[pair]]
+        assert [(e.u, e.v) for e in check_rel_prime(inst).violations] == bad
 
 
 def test_rel_conditions_on_fixture_and_control():

@@ -287,7 +287,7 @@ def test_link_lengths_are_the_metric_corner_angles():
             assert _weights(empty, subset_label(single), subset_label(top)) == {sx.units[0]}
             assert _weights(build_link_single(inst, s), subset_label(top)) == {sx.units[1]}
             if sx.case == "part":
-                i = inst.family.part_index(s)
+                i = inst.family.part_of[s]
                 if engine_for_part(inst.graph, inst.family.parts[i]) is None:
                     continue
                 dev = develop_link_part(inst, i, radius=2)
