@@ -32,6 +32,7 @@ from .girth_checker import certify_link_condition
 from .kpi1_checker import kpi1_verdict
 from .link_builder import develop_link_interedge, develop_link_part
 from .poset_complex import (
+    Runs,
     derived_complex,
     s_bar_chain_count,
     s_bar_size,
@@ -84,7 +85,7 @@ def _write_json(val, nl: str, out: list[str]) -> None:
     elif isinstance(val, (list, tuple)):
         if not val:
             out.append("[]")
-        elif not _write_rows(val, nl, out) and not _write_groups(val, nl, out):
+        elif not _write_rows(val, nl, out):
             inner = nl + "  "
             sep = "[" + inner
             for item in val:
@@ -95,6 +96,8 @@ def _write_json(val, nl: str, out: list[str]) -> None:
                     _write_json(item, inner, out)
                 sep = "," + inner
             out.append(nl + "]")
+    elif isinstance(val, Runs):
+        _write_runs(val, nl, out)
     elif is_dataclass(val):
         _write_json(_fields(val), nl, out)
     else:
@@ -150,25 +153,21 @@ def _write_rows(rows, nl: str, out: list[str]) -> bool:
     return True
 
 
-def _write_groups(groups, nl: str, out: list[str]) -> bool:
-    """Append a list of non-empty lists of lists of str, such as chains
-    of subsets; False, appending nothing, for any other list.
-
-    Each innermost list is spelled once per object, by a memo keyed by
-    ``id`` that lives for this call only: every list it spells sits at one
-    indent, and the document keeps each alive, so no id is reused."""
-    if type(groups[0]) not in _LIST_TYPES or not set(map(type, groups)) <= _LIST_TYPES:
-        return False
-    members = {id(m): m for g in groups for m in g}
-    kinds = set(map(type, members.values()))
-    if not all(groups) or not kinds <= _LIST_TYPES or not _all_str(members.values()):
-        return False
+def _write_runs(groups: Runs, nl: str, out: list[str]) -> None:
+    """Append the JSON of a list of groups stored as runs whose items are
+    lists of str, such as the S^l chains: each item's text is spelled
+    once, and each run of groups is one ``join`` of those texts under the
+    run's shared prefix."""
     group, item = nl + "  ", nl + "    "
-    spelled = {key: _str_list(strs, item) for key, strs in members.items()}
+    texts = [_str_list(strs, item) for strs in groups.items]
     opening, sep, closing = "[" + item, "," + item, group + "]"
-    texts = [opening + sep.join([spelled[id(m)] for m in g]) + closing for g in groups]
-    out += ("[" + group, ("," + group).join(texts), nl + "]")
-    return True
+    pieces = []
+    for prefix, tails in groups.runs:
+        if tails:
+            head = opening + "".join([texts[k] + sep for k in prefix])
+            between = closing + "," + group + head
+            pieces.append(head + between.join(map(texts.__getitem__, tails)) + closing)
+    out += ("[" + group, ("," + group).join(pieces), nl + "]") if pieces else ("[]",)
 
 
 def _all_str(lists) -> bool:
@@ -212,6 +211,8 @@ def _text_lines(doc, pad: str, lines: list[str]) -> None:
             else:
                 lines.append(f"{pad}{key}:\n")
                 _text_lines(val, pad + "  ", lines)
+    elif isinstance(doc, Runs):
+        _text_runs(doc, pad, lines)
     elif isinstance(doc, (list, tuple)):
         for val in doc:
             if type(val) in _ROW_VALUE_TYPES:
@@ -225,12 +226,23 @@ def _text_lines(doc, pad: str, lines: list[str]) -> None:
         lines.append(f"{pad}{_scalar(doc)}\n")
 
 
+def _text_runs(groups: Runs, pad: str, lines: list[str]) -> None:
+    """The text of a list of groups stored as runs whose items are lists
+    of str, each item's text spelled once, as ``_write_runs`` does."""
+    item, member = pad + "  ", pad + "    "
+    texts = [item + "-\n" + "".join([f"{member}- {s}\n" for s in strs]) for strs in groups.items]
+    for prefix, tails in groups.runs:
+        if tails:
+            head = pad + "-\n" + "".join([texts[k] for k in prefix])
+            lines.append(head + head.join(map(texts.__getitem__, tails)))
+
+
 def _scalar(val) -> str:
     if val is None:
         return "null"
     if isinstance(val, bool):
         return "true" if val else "false"
-    if isinstance(val, (list, tuple, dict)):
+    if isinstance(val, (list, tuple, Runs, dict)):
         return "{}" if isinstance(val, dict) else "[]"
     return str(val)
 

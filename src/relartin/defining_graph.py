@@ -52,7 +52,7 @@ class DefiningGraph:
                 raise GraphError(f"duplicate vertex {v!r}")
             seen.add(v)
         canon: list[tuple[str, str, int]] = []
-        pairs: set[frozenset[str]] = set()
+        pairs: set[tuple[str, str]] = set()
         for u, v, m in edges:
             if not isinstance(u, str) or not isinstance(v, str):
                 raise GraphError(f"edge endpoints must be vertex names, got ({u!r}, {v!r})")
@@ -65,7 +65,7 @@ class DefiningGraph:
                 raise GraphError(f"edge label must be an integer, got {m!r}")
             if m < 2:
                 raise GraphError(f"edge label must be >= 2, got {m} on ({u!r}, {v!r})")
-            key = frozenset((u, v))
+            key = (u, v) if u < v else (v, u)
             if key in pairs:
                 raise GraphError(f"parallel edge ({u!r}, {v!r})")
             pairs.add(key)
@@ -225,10 +225,10 @@ def parse_graph(text: str) -> Instance:
     for i, entry in enumerate(doc["edges"]):
         if not isinstance(entry, dict):
             raise GraphError(f"edge {i} must be an object")
-        extra = set(entry) - _EDGE_KEYS
-        if extra:
-            raise GraphError(f"edge {i} has unknown keys {sorted(extra)}")
-        if set(entry) != _EDGE_KEYS:
+        if entry.keys() != _EDGE_KEYS:
+            extra = entry.keys() - _EDGE_KEYS
+            if extra:
+                raise GraphError(f"edge {i} has unknown keys {sorted(extra)}")
             raise GraphError(f"edge {i} must have keys u, v, m")
         edges.append((entry["u"], entry["v"], entry["m"]))
     graph = DefiningGraph.build(doc["vertices"], edges)

@@ -8,18 +8,17 @@ Three posets under inclusion:
   S^f   every subset whose Coxeter quotient is finite;
   S_bar the union of S^l with every subset of every part.
 
-Every order fact of a poset is read off one up-set map,
-``SubsetPoset.above``, and its covering relation, both computed once per
-poset.  The derived complex of a poset has one simplex per chain.  Only the
-S^l complex is ever listed chain by chain, and only for ``build``'s json
-and text report.  S_bar holds every subset of every part, so no program path
-builds it: ``build`` reads its size and its chain count off the closed
-forms below, and ``kpi1`` reads its facts off lemmas.
-
-``derived_complex`` lists those chains level by level, by length.
-``build`` does not read the dimension or the gluing off that list: both
-follow from the S^l lemma at the end of this docstring.  The passes that
-check them chain by chain are oracles in the tests.
+S^l's order is read off the S^l lemma at the end of this docstring, with
+no subset tested for inclusion (``build_S_ell``).  The derived complex has
+one simplex per chain, and only the S^l complex is listed, for ``build``'s
+json and text report.  By the lemma its chains are runs that share all
+members but the last (``Runs``), which ``derived_complex`` lists level by
+level with no chain built; the writers spell each element once per list
+and each chain as one concatenation of those texts.  ``build`` reads the
+dimension and the gluing off the lemma too; the passes that check them
+chain by chain are oracles in the tests.  S_bar holds every subset of every
+part, so no program path builds it: ``build`` reads its size and its chain
+count off the closed forms below, and ``kpi1`` reads its facts off lemmas.
 
 S_bar and its retraction onto S^l are known in closed form.  Parts are
 disjoint, so S_bar holds the empty set, the non-empty subsets of each part
@@ -57,9 +56,13 @@ the number of ordered partitions of a k-set (the Fubini number: 1, 1, 3,
 1 + 2 (sum (2 F(k_i) - 1) + 3 |inter-edges|) simplices.
 
 The S^l lemma.  Nothing lies above a part or an inter-edge.  Above a
-singleton {s} lie only its part and the inter-edges through s, and none
-of these lies below another, since a part inside an inter-edge is one of
-its singletons.  So a chain of S^l has at most three members, and the
+singleton {s} lie only its part, when that part has more than one vertex,
+and the inter-edges through s, and none of these lies below another,
+since a part inside an inter-edge is one of its singletons.  So these are
+the covers of {s}, and the covers of the empty set are the singletons and
+the parts of two or more vertices that hold no inter-edge vertex: every
+other element lies above a singleton.  A chain of S^l has at most three
+members, and the
 longest chains are [empty < {u} < {u, v}] when an inter-edge {u, v}
 exists and [empty < part] otherwise: ``s_ell_max_chain_length`` is 3 or
 2, and the complex is 2-dimensional.  Every 2-chain has the shape
@@ -77,12 +80,13 @@ prints the gluing report with no conflict.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, lgamma, log
 from sys import get_int_max_str_digits
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .defining_graph import GraphError, Instance
 
@@ -90,7 +94,7 @@ def subset_sort_key(t: frozenset) -> tuple:
     return (len(t), tuple(sorted(t)))
 
 
-def subset_label(t: frozenset) -> str:
+def subset_label(t: Iterable[str]) -> str:
     return "{" + ",".join(sorted(t)) + "}"
 
 
@@ -103,7 +107,8 @@ def dot_escape(text: str) -> str:
 class SubsetPoset:
     """Finite family of vertex subsets ordered by inclusion, with tags.
 
-    ``elements`` is sorted by ``subset_sort_key``, so by size first.
+    ``elements`` is sorted by ``subset_sort_key``, so by size first.  No
+    subcommand reads this general order: S^l's is read off its lemma.
     """
 
     elements: tuple[frozenset, ...]
@@ -116,9 +121,6 @@ class SubsetPoset:
             tags.setdefault(subset, set()).add(tag)
         elements = tuple(sorted(tags, key=subset_sort_key))
         return cls(elements=elements, tags={t: frozenset(ts) for t, ts in tags.items()})
-
-    def __contains__(self, subset: frozenset) -> bool:
-        return subset in self.tags
 
     @cached_property
     def above(self) -> dict[frozenset, list[frozenset]]:
@@ -158,52 +160,136 @@ class SubsetPoset:
                     shadowed.update(above[big])
         return out
 
-    @cached_property
-    def spelled(self) -> dict[frozenset, list[str]]:
-        """Each element's sorted members, one list per element, which every
-        JSON document of the poset and of its complex hands out wherever
-        the element appears."""
-        return {t: sorted(t) for t in self.elements}
 
-    def covers(self) -> list[tuple[frozenset, frozenset]]:
-        """Covering relations of the inclusion order (Hasse diagram edges),
-        listed by the index of ``small``, then of ``big``."""
-        return [(small, big) for small, bigs in self.upper_covers.items() for big in bigs]
+class Runs:
+    """A list of groups of ``items``, such as the chains of a complex,
+    stored as runs: each (prefix, tails) pair of ``runs`` stands for the
+    groups prefix + (j,) for j in tails, in that order, each a tuple of
+    indices into ``items``.
+
+    Iterating lists each group's items.  The writers instead spell each
+    item once and each group as one concatenation of those texts.
+    """
+
+    __slots__ = ("items", "runs")
+
+    def __init__(self, items: Sequence, runs: Sequence[tuple[tuple[int, ...], Sequence[int]]]):
+        self.items = items
+        self.runs = runs
+
+    def __len__(self) -> int:
+        return sum(len(tails) for _, tails in self.runs)
+
+    def indices(self) -> Iterator[tuple[int, ...]]:
+        for prefix, tails in self.runs:
+            for j in tails:
+                yield prefix + (j,)
+
+    def __iter__(self) -> Iterator[list]:
+        items = self.items
+        return ([items[k] for k in group] for group in self.indices())
+
+
+# the tag rows of S^l elements, each sorted
+_EMPTY, _VERTEX, _PART, _INTER_EDGE = ("empty",), ("inter-edge-vertex",), ("part",), ("inter-edge",)
+
+
+class SEll:
+    """S^l with its order read off the S^l lemma (module docstring).
+
+    ``members`` lists each element's sorted vertices, in (size, members)
+    order: the empty set, the singletons, the pairs (the two-vertex parts
+    and the inter-edges) and the larger parts.  ``tag_rows`` holds each
+    element's sorted tags.  Only the empty set and the singletons lie
+    below anything.  ``minimal`` lists the elements covering the empty
+    set, and ``up[i - 1]`` the elements above the singleton at index i:
+    its part, when that part has more than one vertex, and its
+    inter-edges.  All of them are indices, in element order.
+    """
+
+    def __init__(self, members: tuple, tag_rows: tuple, minimal: tuple, up: tuple):
+        self.members, self.tag_rows, self.minimal, self.up = members, tag_rows, minimal, up
+
+    @cached_property
+    def elements(self) -> tuple[frozenset, ...]:
+        return tuple(map(frozenset, self.members))
+
+    @cached_property
+    def tags(self) -> dict[frozenset, frozenset]:
+        sets = {row: frozenset(row) for row in set(self.tag_rows)}
+        return {t: sets[row] for t, row in zip(self.elements, self.tag_rows)}
+
+    @property
+    def covers(self) -> Runs:
+        """The covering relation (Hasse diagram edges), listed by the index
+        of the smaller element, then of the larger."""
+        above_singletons = [((i,), up) for i, up in enumerate(self.up, 1)]
+        return Runs(self.members, [((0,), self.minimal), *above_singletons])
 
     def to_json_dict(self) -> dict:
-        spelled = self.spelled
         return {
-            "elements": [
-                {"subset": spelled[t], "tags": sorted(self.tags[t])}
-                for t in self.elements
-            ],
-            "covers": [[spelled[a], spelled[b]] for a, b in self.covers()],
+            "elements": [{"subset": m, "tags": r} for m, r in zip(self.members, self.tag_rows)],
+            "covers": self.covers,
         }
 
     def to_dot(self) -> str:
         lines = ["digraph poset {", "  rankdir=BT;"]
-        index = {t: i for i, t in enumerate(self.elements)}
-        for t in self.elements:
-            tag_str = ",".join(sorted(self.tags[t]))
-            label = f"{dot_escape(subset_label(t))}\\n{dot_escape(tag_str)}"
-            lines.append(f'  n{index[t]} [label="{label}"];')
-        for a, b in self.covers():
-            lines.append(f"  n{index[a]} -> n{index[b]};")
+        for i, (members, tags) in enumerate(zip(self.members, self.tag_rows)):
+            label = f"{dot_escape(subset_label(members))}\\n{dot_escape(','.join(tags))}"
+            lines.append(f'  n{i} [label="{label}"];')
+        lines += [f"  n{a} -> n{b};" for a, b in self.covers.indices()]
         lines.append("}")
         return "\n".join(lines)
 
 
-def build_S_ell(inst: Instance) -> SubsetPoset:
+def build_S_ell(inst: Instance) -> SEll:
     """The empty set, the parts, the inter-edges, and the singletons of
-    inter-edge vertices, each stored once with all applicable tags."""
-    tagged: list[tuple[frozenset, str]] = [(frozenset(), "empty")]
-    for part in inst.family.parts:
-        tagged.append((frozenset(part), "part"))
-    for e in inst.inter_edges:
-        tagged.append((e.pair, "inter-edge"))
-        tagged.append((frozenset((e.u,)), "inter-edge-vertex"))
-        tagged.append((frozenset((e.v,)), "inter-edge-vertex"))
-    return SubsetPoset.from_tagged(tagged)
+    inter-edge vertices, each stored once with all applicable tags, and
+    the order among them, read off the instance by the S^l lemma.
+
+    Part tuples and inter-edge pairs are sorted, and the inter-edges come
+    in pair order, so the elements fall into (size, members) order by one
+    merge, with no subset sorted and none tested for inclusion.
+    """
+    parts, part_of, on_edges = inst.family.parts, inst.family.part_of, inst.inter_edges_at
+    by_size = sorted(range(len(parts)), key=lambda i: (len(parts[i]), parts[i]))
+    singles = sorted(on_edges.keys() | {p[0] for p in parts if len(p) == 1})
+    members: list[tuple[str, ...]] = [(), *((s,) for s in singles)]
+    tag_rows = [_EMPTY]
+    # a singleton is an inter-edge vertex, a part of one vertex, or both
+    tag_rows += [_VERTEX * (s in on_edges) + _PART * (len(parts[part_of[s]]) == 1) for s in singles]
+    # the elements above each singleton, and the index of each part of two
+    # or more vertices, both filled in element order
+    up: dict[str, list[int]] = {s: [] for s in singles}
+    part_at: dict[int, int] = {}
+    # two runs already in pair order, which sorted merges in one pass
+    pairs = [(parts[i], i) for i in by_size if len(parts[i]) == 2]
+    pairs += [(e[:2], None) for e in inst.inter_edges]
+    for pair, part in sorted(pairs):
+        if part is None:
+            up[pair[0]].append(len(members))
+            up[pair[1]].append(len(members))
+            tag_rows.append(_INTER_EDGE)
+        else:
+            part_at[part] = len(members)
+            tag_rows.append(_PART)
+        members.append(pair)
+    for i in by_size:
+        if len(parts[i]) > 2:
+            part_at[i] = len(members)
+            members.append(parts[i])
+            tag_rows.append(_PART)
+    for s in singles:
+        if part_of[s] in part_at:
+            insort(up[s], part_at[part_of[s]])
+    # such a part covers the empty set when no singleton lies below it
+    bare = [at for i, at in part_at.items() if on_edges.keys().isdisjoint(parts[i])]
+    return SEll(
+        members=tuple(members),
+        tag_rows=tuple(tag_rows),
+        minimal=(*range(1, len(singles) + 1), *bare),
+        up=tuple(up.values()),
+    )
 
 
 def build_S_f(inst: Instance) -> SubsetPoset:
@@ -226,19 +312,19 @@ def build_S_bar(inst: Instance) -> SubsetPoset:
 
 @dataclass
 class DerivedComplex:
-    """All chains of a poset; a chain of n+1 subsets is an n-simplex."""
+    """All chains of S^l; a chain of n+1 elements is an n-simplex."""
 
-    poset: SubsetPoset
-    chains: tuple[tuple[frozenset, ...], ...]
+    poset: SEll
+    chains: Runs
 
     def to_json_dict(self) -> dict:
-        counts = Counter(map(len, self.chains))
-        # the same list in every chain through an element
-        spelled = self.poset.spelled.__getitem__
+        counts = Counter()
+        for prefix, tails in self.chains.runs:
+            counts[len(prefix) + 1] += len(tails)
         return {
-            "vertex_count": len(self.poset.elements),
+            "vertex_count": len(self.poset.members),
             "chain_counts": {str(n): counts[n] for n in range(1, max(counts, default=0) + 1)},
-            "chains": [list(map(spelled, c)) for c in self.chains],
+            "chains": self.chains,
         }
 
 
@@ -249,23 +335,22 @@ def _chain_sort_key(poset: SubsetPoset):
     return lambda c: (len(c), tuple(rank[t] for t in c))
 
 
-def derived_complex(poset: SubsetPoset) -> DerivedComplex:
-    """Every nonempty chain, face-closed by construction, in the order of
-    ``_chain_sort_key``.
+def derived_complex(s_ell: SEll) -> DerivedComplex:
+    """Every nonempty chain of S^l, by length and then element by element
+    in element order, as runs over its elements.
 
-    The chains grow level by level, each extended by the elements above
-    its top in element order, so each level is in that order as it is
-    made.  Chain counts grow with the factorial of the largest part size,
-    so this is for the small fundamental domain S^l only.  The S_bar
-    complex is never listed: ``s_bar_chain_count`` counts it.
+    By the S^l lemma a chain of two is [empty < T] for every other T, or
+    [{s} < T] for T above a singleton, and a chain of three is
+    [empty < {s} < T].  The singletons directly follow the empty set, so
+    listing these level by level, each by its least elements, keeps the
+    order with no chain compared.
     """
-    above = poset.above
-    level = [(t,) for t in poset.elements]
-    chains: list[tuple[frozenset, ...]] = []
-    while level:
-        chains += level
-        level = [c + (u,) for c in level for u in above[c[-1]]]
-    return DerivedComplex(poset=poset, chains=tuple(chains))
+    n = len(s_ell.members)
+    singles = list(enumerate(s_ell.up, 1))
+    runs = [((), range(n)), ((0,), range(1, n))]
+    runs += [((i,), up) for i, up in singles]
+    runs += [((0, i), up) for i, up in singles]
+    return DerivedComplex(poset=s_ell, chains=Runs(s_ell.members, runs))
 
 
 def s_ell_max_chain_length(inst: Instance) -> int:
@@ -299,7 +384,7 @@ def disjoint_inter_edges(inst: Instance) -> dict[frozenset, bool]:
 
 
 def maximal_chains(poset: SubsetPoset) -> list[tuple[frozenset, ...]]:
-    """Every maximal chain, in the order of ``derived_complex`` chains.
+    """Every maximal chain, in the order of ``_chain_sort_key``.
 
     A maximal chain is saturated and runs from a minimal element to a
     maximal one, so the chains are the upward walks along the covering

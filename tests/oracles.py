@@ -44,6 +44,13 @@ edge by one Dijkstra per edge, with that edge removed; and breadth-first
 girth search from every root that expands every depth up to half the best
 length so far and tests every non-tree edge it meets.
 
+S^l as a general subset poset: its elements tagged one by one and sorted
+by ``subset_sort_key`` (``s_ell_poset``), its covers read off the general
+covering relation, and its complex listed chain by chain, each chain
+extended by every element of the poset's up-set above its top
+(``listed_complex``).  The S^l that ``build`` reads off its lemma is
+compared with these element for element and chain for chain.
+
 Posets: the up-set of each element and the covering relation by testing
 every pair and every intermediate element, the chains of the derived
 complex by extending each chain by every larger element found in a scan of
@@ -124,6 +131,7 @@ from relartin.link_builder import LinkGraph, develop_link_interedge
 from relartin.poset_complex import (
     INTEREDGE_CASE,
     TRIANGLE_UNITS,
+    SubsetPoset,
     maximal_chains,
     subset_label,
     subset_sort_key,
@@ -705,6 +713,46 @@ def dijkstra(adjacency: dict, source) -> dict:
 
 # ----------------------------------------------------------- posets
 
+def s_ell_poset(inst) -> SubsetPoset:
+    """S^l as a general subset poset: the empty set, the parts, the
+    inter-edges and the singletons of inter-edge vertices, each tagged
+    once per role and sorted by ``subset_sort_key``."""
+    tagged = [(frozenset(), "empty")]
+    tagged += [(frozenset(part), "part") for part in inst.family.parts]
+    for e in inst.inter_edges:
+        tagged.append((e.pair, "inter-edge"))
+        tagged.append((frozenset((e.u,)), "inter-edge-vertex"))
+        tagged.append((frozenset((e.v,)), "inter-edge-vertex"))
+    return SubsetPoset.from_tagged(tagged)
+
+
+def poset_covers(poset) -> list:
+    """The covering relation of a SubsetPoset read off its
+    ``upper_covers``, listed by the index of ``small``, then of ``big``."""
+    return [(small, big) for small, bigs in poset.upper_covers.items() for big in bigs]
+
+
+@dataclass(frozen=True)
+class ListedComplex:
+    """Every chain of ``poset``, each a tuple of its elements."""
+
+    poset: SubsetPoset
+    chains: tuple
+
+
+def listed_complex(poset) -> ListedComplex:
+    """Every nonempty chain of a SubsetPoset, by length and then element by
+    element in element order: the chains grow level by level, each
+    extended by the elements above its top in element order."""
+    above = poset.above
+    level = [(t,) for t in poset.elements]
+    chains = []
+    while level:
+        chains += level
+        level = [c + (u,) for c in level for u in above[c[-1]]]
+    return ListedComplex(poset, tuple(chains))
+
+
 def brute_covers(poset) -> list:
     """Pairs small < big with no element strictly between, in element order."""
     out = []
@@ -977,7 +1025,7 @@ def cover_walk_retraction_map(s_bar, s_ell, family) -> RetractionReport:
     failures = []
     vertex_map = {}
     for t in s_bar.elements:
-        if t in s_ell:
+        if t in s_ell.tags:
             vertex_map[t] = t
             continue
         # parts are disjoint, so one vertex names the only part t can lie in
@@ -988,7 +1036,7 @@ def cover_walk_retraction_map(s_bar, s_ell, family) -> RetractionReport:
             failures.append(f"no image for {sorted(t)}")
 
     # an unmapped element makes the retraction partial, so it cannot land
-    lands = not failures and all(img in s_ell for img in vertex_map.values())
+    lands = not failures and all(img in s_ell.tags for img in vertex_map.values())
     identity = all(vertex_map.get(t) == t for t in s_ell.elements)
     idempotent = all(vertex_map.get(img) == img for img in vertex_map.values())
 
@@ -1029,7 +1077,7 @@ def cover_walk_retraction_map(s_bar, s_ell, family) -> RetractionReport:
                     part = image[-1]
                     expected = (frozenset(), second, part) if second in iev else (frozenset(), part)
                     formula = image == expected
-                in_s_ell = rising and all(img in s_ell for img in image)
+                in_s_ell = rising and all(img in s_ell.tags for img in image)
                 if not (formula and in_s_ell):
                     failing.append((walk, image, expected, formula, in_s_ell))
             continue
@@ -1093,14 +1141,14 @@ def all_pairs_retraction_map(s_bar, s_ell, family) -> RetractionReport:
     failures = []
     vertex_map = {}
     for t in s_bar.elements:
-        if t in s_ell:
+        if t in s_ell.tags:
             vertex_map[t] = t
         elif t in part_of:
             vertex_map[t] = part_of[t]
         else:
             failures.append(f"no image for {sorted(t)}")
 
-    lands = not failures and all(img in s_ell for img in vertex_map.values())
+    lands = not failures and all(img in s_ell.tags for img in vertex_map.values())
     identity = all(vertex_map.get(t) == t for t in s_ell.elements)
     idempotent = all(vertex_map.get(img) == img for img in vertex_map.values())
 
@@ -1173,12 +1221,12 @@ def scan_audit_family(s_bar, inst) -> ScanAudit:
         members = sorted(t)
         for mask in range(1 << len(members)):
             sub = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
-            if sub not in s_bar:
+            if sub not in s_bar.tags:
                 cond1_witness = (sub, t)
                 break
         if cond1_witness:
             break
-    cond3_witness = next((t for t in inst.spherical if t not in s_bar), None)
+    cond3_witness = next((t for t in inst.spherical if t not in s_bar.tags), None)
     return ScanAudit(
         condition1_ok=cond1_witness is None,
         condition1_witness=cond1_witness,

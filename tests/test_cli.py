@@ -21,7 +21,13 @@ from instances import (
     random_rel_prime_instance,
     right_angled_part,
 )
-from oracles import check_gluing, check_two_dimensional, instance_to_json
+from oracles import (
+    check_gluing,
+    check_two_dimensional,
+    instance_to_json,
+    listed_complex,
+    s_ell_poset,
+)
 from test_golden import SUBCOMMANDS, invocations
 
 import relartin
@@ -289,7 +295,7 @@ def test_build_prints_the_s_ell_lemma_that_the_oracles_compute(capsys):
     for inst in insts:
         assert cli.cmd_build(inst, args) == 0
         doc = json.loads(capsys.readouterr().out)
-        cx = poset_complex.derived_complex(inst.s_ell)
+        cx = listed_complex(s_ell_poset(inst))
         dim = check_two_dimensional(cx)
         assert doc["two_dimensional"] == {"ok": dim.ok, "max_chain_length": dim.max_chain_length}
         assert doc["gluing"] == asdict(check_gluing(cx, inst)), inst.graph.edges
@@ -297,7 +303,7 @@ def test_build_prints_the_s_ell_lemma_that_the_oracles_compute(capsys):
     assert not all(defining_graph.check_rel_prime(inst).ok for inst in insts)
     # kpi1's dimension line reads the same fact, with and without inter-edges
     for inst in (insts[0], next(inst for inst in insts if not inst.inter_edges)):
-        dim = check_two_dimensional(poset_complex.derived_complex(inst.s_ell))
+        dim = check_two_dimensional(listed_complex(s_ell_poset(inst)))
         line = next(e for e in kpi1_checker.kpi1_verdict(inst).evidence if "2-dimensional" in e["check"])
         assert line["detail"] == f"max chain length {dim.max_chain_length}"
 
@@ -373,6 +379,41 @@ def test_family_listing_a_vertex_twice(capsys, tmp_path, family, message):
     path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [], "family": family}))
     code, out, err = run(capsys, "check-rel", "--input", str(path))
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # the second edge names the pair of the first, in either order
+        ([("a", "b", 4), ("b", "a", 3)], "error: parallel edge ('b', 'a')\n"),
+        ([("b", "a", 4), ("a", "b", 4)], "error: parallel edge ('a', 'b')\n"),
+        ([("a", "b", 4), ("a", "b", 4)], "error: parallel edge ('a', 'b')\n"),
+    ],
+)
+def test_parallel_edges_exit_1_in_either_order(capsys, tmp_path, edges, message):
+    path = tmp_path / "parallel.json"
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [{"u": u, "v": v, "m": m} for u, v, m in edges],
+        "family": [["a"], ["b"]],
+    }
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "check-rel", "--input", str(path)) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"u": "a", "v": "b", "m": 4, "w": 1}, "error: edge 0 has unknown keys ['w']\n"),
+        ({"u": "a", "v": "b", "x": 4}, "error: edge 0 has unknown keys ['x']\n"),
+        ({"u": "a", "v": "b"}, "error: edge 0 must have keys u, v, m\n"),
+        ({}, "error: edge 0 must have keys u, v, m\n"),
+    ],
+)
+def test_edge_entries_with_other_keys_exit_1(capsys, tmp_path, entry, message):
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [entry], "family": [["a", "b"]]}))
+    assert run(capsys, "check-rel", "--input", str(path)) == (1, "", message)
 
 
 def test_family_with_no_parts_exits_1(capsys, tmp_path):
@@ -545,17 +586,37 @@ def test_acyl_and_kpi1_list_no_ball_and_no_chains(capsys, monkeypatch):
             assert run(capsys, sub, "--input", fixture)[0] == code, (sub, fixture)
 
 
+def forbid_general_order(monkeypatch) -> None:
+    """Make reading a general subset poset's up-sets or covers raise."""
+    for attr in ("above", "upper_covers"):
+
+        def read(self, attr=attr):
+            raise AssertionError(f"SubsetPoset.{attr} was read")
+
+        monkeypatch.setattr(poset_complex.SubsetPoset, attr, property(read))
+
+
+def test_build_reads_s_ell_off_its_lemma(capsys, monkeypatch, tmp_path):
+    # build spells S^l's order from the S^l lemma in every format: it
+    # compares no subsets and lists no general up-set or cover
+    forbid_general_order(monkeypatch)
+    forbid(monkeypatch, poset_complex.SubsetPoset, "from_tagged")
+    ladder = tmp_path / "4x4.json"
+    ladder.write_text(instance_to_json(ladder_instances(7)["4x4"]))
+    for path in (JOIN, CONTROL, str(ladder)):
+        for fmt in ("json", "text", "dot"):
+            code, out, err = run(capsys, "build", "--input", path, "--format", fmt)
+            assert (code, err) == (0, ""), (path, fmt)
+            assert out
+
+
 def test_kpi1_and_classify_list_no_subset_family(capsys, monkeypatch, tmp_path):
     # on a REL' instance the family audit, the crossing check, the
     # retraction and the part flags are lemmas or read off adjacency rows,
     # so no run lists spherical subsets, builds S_bar or compares its pairs
     forbid(monkeypatch, coxeter, "enumerate_spherical_subsets")
     forbid(monkeypatch, poset_complex, "build_S_bar")
-
-    def no_up_sets(self):
-        raise AssertionError("SubsetPoset.above was read")
-
-    monkeypatch.setattr(poset_complex.SubsetPoset, "above", property(no_up_sets))
+    forbid_general_order(monkeypatch)
     paths = [JOIN]
     for seed in range(5):
         path = tmp_path / f"rel{seed}.json"
@@ -743,12 +804,13 @@ def test_cli_import_is_numpy_free():
 
 
 def _plain(doc):
-    """doc with each dataclass instance in it copied by ``asdict``."""
+    """doc with each dataclass instance in it copied by ``asdict``, and
+    each list of groups stored as runs listed."""
     if is_dataclass(doc):
         return asdict(doc)
     if isinstance(doc, dict):
         return {key: _plain(val) for key, val in doc.items()}
-    if isinstance(doc, (list, tuple)):
+    if isinstance(doc, (list, tuple, poset_complex.Runs)):
         return [_plain(val) for val in doc]
     return doc
 

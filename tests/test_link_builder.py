@@ -20,7 +20,6 @@ from relartin.link_builder import (
 
 from relartin.poset_complex import (
     TRIANGLE_UNITS,
-    derived_complex,
     dot_escape,
     subset_label,
 )
@@ -31,7 +30,7 @@ from instances import (
     single_interedge,
     touching_triple_control,
 )
-from oracles import assign_metric, per_pair_development
+from oracles import assign_metric, listed_complex, per_pair_development, s_ell_poset
 from test_girth_checker import finite_link
 
 
@@ -280,7 +279,7 @@ def test_link_lengths_are_the_metric_corner_angles():
     shapes = set()
     for inst in instances:
         empty = build_link_empty(inst)
-        for sx in assign_metric(derived_complex(inst.s_ell), inst):
+        for sx in assign_metric(listed_complex(s_ell_poset(inst)), inst):
             _, single, top = sx.chain
             (s,) = single
             shapes.add(sx.case)

@@ -46,9 +46,17 @@ from oracles import (
     brute_maximal_chains,
     dp_chain_count,
     dp_longest_chain,
+    listed_complex,
+    poset_covers,
+    s_ell_poset,
     simplex_gluing,
     sine_ratio_value,
 )
+
+
+def s_ell_complex(inst):
+    """The S^l complex listed chain by chain over the general poset."""
+    return listed_complex(s_ell_poset(inst))
 
 
 def test_s_ell_join_counts_and_tags():
@@ -61,6 +69,69 @@ def test_s_ell_join_counts_and_tags():
     assert sum("inter-edge" in tags[t] for t in poset.elements) == 16
     assert sum("inter-edge-vertex" in tags[t] for t in poset.elements) == 8
     assert "empty" in tags[frozenset()]
+
+
+def _by_index(s_ell, runs) -> list:
+    return [tuple(s_ell.elements[i] for i in group) for group in runs.indices()]
+
+
+def _assert_s_ell_matches_the_general_poset(inst) -> None:
+    # the lemma's S^l against S^l tagged, sorted and ordered as a general
+    # subset poset: elements, tags, covers and chains, order included
+    s_ell, general = inst.s_ell, s_ell_poset(inst)
+    assert s_ell.elements == general.elements
+    assert s_ell.tags == general.tags
+    assert s_ell.members == tuple(tuple(sorted(t)) for t in general.elements)
+    assert s_ell.tag_rows == tuple(tuple(sorted(general.tags[t])) for t in general.elements)
+    assert _by_index(s_ell, s_ell.covers) == poset_covers(general)
+    chains = derived_complex(s_ell).chains
+    assert _by_index(s_ell, chains) == list(listed_complex(general).chains)
+    assert len(chains) == len(listed_complex(general).chains)
+    if len(general.elements) <= 40:
+        assert _by_index(s_ell, s_ell.covers) == brute_covers(general)
+        assert _by_index(s_ell, chains) == brute_chains(general)
+
+
+def _instance(parts, edges) -> Instance:
+    graph = DefiningGraph.build([v for p in parts for v in p], edges)
+    return Instance(graph, SubgraphFamily.build(graph, parts))
+
+
+def test_s_ell_read_off_the_lemma_matches_the_general_poset():
+    for inst in lemma_instances():
+        _assert_s_ell_matches_the_general_poset(inst)
+
+
+def test_s_ell_lemma_on_crafted_shapes():
+    # a singleton part on an inter-edge ({a}) and on none ({e}); a
+    # two-vertex part whose pair sorts between inter-edges ({b1,b2} between
+    # {a,z} and {b1,c}); parts of two and three vertices with no inter-edge
+    # vertex ({x1,x2}, {p,q,r}), which cover the empty set directly
+    inst = _instance(
+        [["a"], ["z"], ["b1", "b2"], ["c"], ["d"], ["e"], ["x2", "x1"], ["r", "q", "p"]],
+        [("a", "z", 4), ("c", "d", 5), ("b1", "c", 4), ("b1", "b2", 3),
+         ("x1", "x2", 2), ("p", "q", 2), ("q", "r", 3)],
+    )
+    _assert_s_ell_matches_the_general_poset(inst)
+    s_ell = inst.s_ell
+    assert s_ell.members == (
+        (), ("a",), ("b1",), ("c",), ("d",), ("e",), ("z",),
+        ("a", "z"), ("b1", "b2"), ("b1", "c"), ("c", "d"), ("x1", "x2"), ("p", "q", "r"),
+    )
+    assert s_ell.tag_rows[1] == ("inter-edge-vertex", "part")
+    assert s_ell.tag_rows[5] == ("part",)
+    assert s_ell.tag_rows[8] == ("part",) and s_ell.tag_rows[9] == ("inter-edge",)
+    # every singleton, then the two parts that hold no inter-edge vertex
+    assert s_ell.minimal == (1, 2, 3, 4, 5, 6, 11, 12)
+    # {b1} lies below its part and its inter-edge, {a} below its inter-edge only
+    assert s_ell.up[1] == [8, 9] and s_ell.up[0] == [7] and s_ell.up[4] == []
+    for parts, edges in (
+        ([["a"], ["b"]], [("a", "b", 4)]),
+        ([["a"]], []),
+        ([["b", "c", "a"]], [("a", "b", 3)]),
+        ([["a", "d"], ["b", "c"]], [("a", "b", 4), ("c", "d", 4), ("a", "d", 2)]),
+    ):
+        _assert_s_ell_matches_the_general_poset(_instance(parts, edges))
 
 
 def test_s_bar_and_s_f_join():
@@ -81,7 +152,7 @@ def test_s_bar_and_s_f_join():
 
 def test_derived_complex_chain_counts():
     inst = affine_parts_join()
-    cx = derived_complex(inst.s_ell)
+    cx = s_ell_complex(inst)
     assert max(map(len, cx.chains)) == 3
     assert {n: len(chains_of_length(cx, n)) for n in (1, 2, 3)} == {
         1: 27,
@@ -91,12 +162,13 @@ def test_derived_complex_chain_counts():
     s_bar = build_S_bar(inst)
     assert dp_chain_count(s_bar) == s_bar_chain_count(inst) == 693
     assert len(maximal_chains(s_bar)) == retraction_map(inst) == 80
-    doc = cx.to_json_dict()
+    doc = derived_complex(inst.s_ell).to_json_dict()
     assert doc["chain_counts"] == {"1": 27, "2": 66, "3": 40}
+    assert len(doc["chains"]) == len(cx.chains) == 133
 
 
 def test_single_interedge_two_simplices():
-    cx = derived_complex(single_interedge().s_ell)
+    cx = s_ell_complex(single_interedge())
     two = chains_of_length(cx, 3)
     assert [[sorted(t) for t in c] for c in two] == [
         [[], ["a"], ["a", "b"]],
@@ -105,7 +177,7 @@ def test_single_interedge_two_simplices():
 
 
 def test_two_dimensional_check_and_negative_control():
-    verdict = check_two_dimensional(derived_complex(affine_parts_join().s_ell))
+    verdict = check_two_dimensional(s_ell_complex(affine_parts_join()))
     assert verdict.ok and verdict.max_chain_length == 3 and verdict.witness is None
 
     # a poset with a length-4 nest is rejected with the witness chain
@@ -117,7 +189,7 @@ def test_two_dimensional_check_and_negative_control():
             (frozenset("abc"), "x"),
         ]
     )
-    bad = check_two_dimensional(derived_complex(deep))
+    bad = check_two_dimensional(listed_complex(deep))
     assert not bad.ok and bad.max_chain_length == 4
     assert bad.witness == tuple(frozenset(x) for x in ("", "a", "ab", "abc"))
     assert bad.witness == dp_longest_chain(deep)
@@ -125,7 +197,7 @@ def test_two_dimensional_check_and_negative_control():
 
 def test_covers_relation():
     poset = single_interedge().s_ell
-    covers = set(poset.covers())
+    covers = {tuple(poset.elements[i] for i in c) for c in poset.covers.indices()}
     e, a, b, ab = frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")
     assert covers == {(e, a), (e, b), (a, ab), (b, ab)}
     assert poset.to_dot().startswith("digraph")
@@ -162,7 +234,7 @@ def test_canonical_sine_ratio_names_each_float_value_once():
 
 def test_assign_metric_join():
     inst = affine_parts_join()
-    simplices = assign_metric(derived_complex(inst.s_ell), inst)
+    simplices = assign_metric(s_ell_complex(inst), inst)
     assert len(simplices) == 40
     by_case = {}
     for sx in simplices:
@@ -180,7 +252,7 @@ def test_assign_metric_join():
 
 def test_assign_metric_disjoint_case():
     inst = single_interedge()
-    simplices = assign_metric(derived_complex(inst.s_ell), inst)
+    simplices = assign_metric(s_ell_complex(inst), inst)
     assert [sx.case for sx in simplices] == ["inter-edge-disjoint"] * 2
     assert all(sx.units == (2, 4, 2) for sx in simplices)
     # side [empty, T] is sin(4u)/sin(2u) = sqrt(2), the long diagonal
@@ -195,7 +267,7 @@ def test_assign_metric_rejects_unknown_shapes():
             (frozenset("abc"), "part"),
         ]
     )
-    cx = derived_complex(poset)
+    cx = listed_complex(poset)
     g = DefiningGraph.build(["a", "b", "c"], [("a", "b", 4)])
     fam = SubgraphFamily.build(g, [["a", "b", "c"]])
     with pytest.raises(GraphError):
@@ -206,7 +278,7 @@ def test_assign_metric_rejects_unknown_shapes():
 
 def test_gluing_consistent_on_join():
     inst = affine_parts_join()
-    report = check_gluing(derived_complex(inst.s_ell), inst)
+    report = check_gluing(s_ell_complex(inst), inst)
     assert report.ok
     assert report.conflicts == []
 
@@ -215,7 +287,7 @@ def test_gluing_matches_the_simplex_oracle():
     # the one pass over the 2-chains reports what collecting the edge
     # lengths of one metric simplex per 2-chain reports
     for inst in lemma_instances():
-        cx = derived_complex(inst.s_ell)
+        cx = s_ell_complex(inst)
         assert check_gluing(cx, inst) == simplex_gluing(assign_metric(cx, inst)), inst.graph.edges
 
 
@@ -246,7 +318,7 @@ def test_gluing_detects_conflicts_in_one_pass(monkeypatch):
     # with the inter-edge triangles through the same {s}
     monkeypatch.setitem(oracles._SIDES, "part", ((3, 1), (1, 1), (4, 2)))
     inst = touching_triple_control()
-    cx = derived_complex(inst.s_ell)
+    cx = s_ell_complex(inst)
     report = check_gluing(cx, inst)
     assert not report.ok
     assert [c["edge"] for c in report.conflicts] == [[[], ["a"]], [[], ["c"]]]
@@ -339,7 +411,7 @@ def test_s_bar_size_retraction_and_dimension_in_closed_form():
         report = cover_walk_retraction_map(s_bar, inst.s_ell, inst.family)
         assert report.ok and report.failures == [], inst.graph.edges
         assert retraction_map(inst) == report.total_maximal_chains, inst.graph.edges
-        longest = check_two_dimensional(derived_complex(inst.s_ell)).max_chain_length
+        longest = check_two_dimensional(s_ell_complex(inst)).max_chain_length
         assert longest == s_ell_max_chain_length(inst) == (3 if inst.inter_edges else 2), inst.graph.edges
     assert listed > len(insts) // 2
 
@@ -347,14 +419,14 @@ def test_s_bar_size_retraction_and_dimension_in_closed_form():
 def _assert_matches_oracles(poset: SubsetPoset) -> None:
     # equal lists, order included: build and kpi1 print in this order
     assert poset.above == brute_above(poset)
-    assert poset.covers() == brute_covers(poset)
-    assert derived_complex(poset).chains == tuple(brute_chains(poset))
+    assert poset_covers(poset) == brute_covers(poset)
+    assert listed_complex(poset).chains == tuple(brute_chains(poset))
     assert maximal_chains(poset) == brute_maximal_chains(poset)
     assert dp_chain_count(poset) == brute_chain_count(poset)
     chains = brute_chains(poset)
     longest = max(chains, key=len) if chains else ()
     assert dp_longest_chain(poset) == longest
-    verdict = check_two_dimensional(derived_complex(poset))
+    verdict = check_two_dimensional(listed_complex(poset))
     assert verdict.max_chain_length == len(longest)
     assert verdict.witness == (longest if len(longest) > 3 else None)
 
@@ -362,7 +434,7 @@ def _assert_matches_oracles(poset: SubsetPoset) -> None:
 def test_poset_walks_match_oracles_on_instances():
     for make in (affine_parts_join, touching_triple_control):
         inst = make()
-        for poset in (build_S_ell(inst), build_S_bar(inst), build_S_f(inst)):
+        for poset in (s_ell_poset(inst), build_S_bar(inst), build_S_f(inst)):
             _assert_matches_oracles(poset)
     for poset in with_strays(affine_parts_join()):
         _assert_matches_oracles(poset)
