@@ -69,7 +69,7 @@ class DefiningGraph:
             if key in pairs:
                 raise GraphError(f"parallel edge ({u!r}, {v!r})")
             pairs.add(key)
-            canon.append((u, v, m) if u < v else (v, u, m))
+            canon.append((*key, m))
         return cls(vertices=tuple(sorted(vs)), edges=tuple(sorted(canon)))
 
     @cached_property

@@ -162,11 +162,10 @@ def build_link_empty(inst: Instance) -> LinkGraph:
     """Finite link of the trivial coset."""
     s_ell = inst.s_ell
     family = inst.family
-    uppers = [t for t in s_ell.elements if t]
+    uppers = s_ell.members[1:]
     index = {t: i for i, t in enumerate(uppers)}
     kinds, labels, sides = [], [], []
-    for t in uppers:
-        tags = s_ell.tags[t]
+    for t, tags in zip(uppers, s_ell.tag_rows[1:]):
         if "inter-edge" in tags:
             kind = "inter-edge"
         elif "part" in tags:
@@ -185,13 +184,13 @@ def build_link_empty(inst: Instance) -> LinkGraph:
         if kinds[index[t]] != "singleton":
             continue
         (s,) = t
-        part = frozenset(family.parts[family.part_of[s]])
+        part = family.parts[family.part_of[s]]
         if part != t:
             edges.append((index[t], index[part], TRIANGLE_UNITS["part"][0]))
-    for pair, disj in inst.disjoint.items():
-        units = TRIANGLE_UNITS[INTEREDGE_CASE[disj]][0]
-        for s in pair:
-            edges.append((index[frozenset((s,))], index[pair], units))
+    for e in inst.inter_edges:
+        units = TRIANGLE_UNITS[INTEREDGE_CASE[inst.disjoint[e.pair]]][0]
+        for s in e[:2]:
+            edges.append((index[(s,)], index[e[:2]], units))
     return LinkGraph(
         case="empty",
         descriptor="link of the trivial coset",

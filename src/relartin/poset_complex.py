@@ -165,10 +165,8 @@ class Runs:
     """A list of groups of ``items``, such as the chains of a complex,
     stored as runs: each (prefix, tails) pair of ``runs`` stands for the
     groups prefix + (j,) for j in tails, in that order, each a tuple of
-    indices into ``items``.
-
-    Iterating lists each group's items.  The writers instead spell each
-    item once and each group as one concatenation of those texts.
+    indices into ``items``.  The writers spell each item once and each
+    group as one concatenation of those texts.
     """
 
     __slots__ = ("items", "runs")
@@ -184,10 +182,6 @@ class Runs:
         for prefix, tails in self.runs:
             for j in tails:
                 yield prefix + (j,)
-
-    def __iter__(self) -> Iterator[list]:
-        items = self.items
-        return ([items[k] for k in group] for group in self.indices())
 
 
 # the tag rows of S^l elements, each sorted
@@ -209,15 +203,6 @@ class SEll:
 
     def __init__(self, members: tuple, tag_rows: tuple, minimal: tuple, up: tuple):
         self.members, self.tag_rows, self.minimal, self.up = members, tag_rows, minimal, up
-
-    @cached_property
-    def elements(self) -> tuple[frozenset, ...]:
-        return tuple(map(frozenset, self.members))
-
-    @cached_property
-    def tags(self) -> dict[frozenset, frozenset]:
-        sets = {row: frozenset(row) for row in set(self.tag_rows)}
-        return {t: sets[row] for t, row in zip(self.elements, self.tag_rows)}
 
     @property
     def covers(self) -> Runs:
@@ -301,7 +286,7 @@ def build_S_bar(inst: Instance) -> SubsetPoset:
     """S^l together with every subset of every part.  No program path
     builds it; the tests check the closed forms against it."""
     s_ell = inst.s_ell
-    tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
+    tagged = [(frozenset(m), tag) for m, row in zip(s_ell.members, s_ell.tag_rows) for tag in row]
     for part in inst.family.parts:
         members = sorted(part)
         for mask in range(1 << len(members)):
@@ -320,7 +305,8 @@ class DerivedComplex:
     def to_json_dict(self) -> dict:
         counts = Counter()
         for prefix, tails in self.chains.runs:
-            counts[len(prefix) + 1] += len(tails)
+            if tails:
+                counts[len(prefix) + 1] += len(tails)
         return {
             "vertex_count": len(self.poset.members),
             "chain_counts": {str(n): counts[n] for n in range(1, max(counts, default=0) + 1)},

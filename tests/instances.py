@@ -22,6 +22,8 @@ from relartin.defining_graph import (
 )
 from relartin.poset_complex import SubsetPoset
 
+from oracles import s_ell_poset
+
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 CTILDE3_EDGES = [
@@ -163,7 +165,7 @@ def with_strays(inst) -> list[SubsetPoset]:
     """S^l plus {a1,b1,c1}, which lies inside part 0 of the join, then plus
     {a1,a2,b1}, which crosses parts and so has no image under the
     retraction."""
-    s_ell = inst.s_ell
+    s_ell = s_ell_poset(inst)
     tagged = [(t, tag) for t in s_ell.elements for tag in s_ell.tags[t]]
     out = []
     for stray in (("a1", "b1", "c1"), ("a1", "a2", "b1")):

@@ -38,6 +38,7 @@ from oracles import (
     enumerated_crossing_spherical,
     mult_word,
     rewriting_classes,
+    s_ell_poset,
     string_to_word,
     strictly_increasing,
 )
@@ -239,7 +240,7 @@ def test_criterion_08_dihedral_oracle_equivalence():
 
 def test_criterion_09_retraction():
     inst = affine_parts_join()
-    report = cover_walk_retraction_map(build_S_bar(inst), inst.s_ell, inst.family)
+    report = cover_walk_retraction_map(build_S_bar(inst), s_ell_poset(inst), inst.family)
     assert report.total_maximal_chains == retraction_map(inst) == 80
     assert report.failures == []
     assert report.lands_in_s_ell

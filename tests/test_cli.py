@@ -134,7 +134,7 @@ def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
 
     code, out, _ = run(capsys, "build", "--input", str(path), "--format", "dot")
     assert code == 0
-    s_ell = inst.s_ell
+    s_ell = s_ell_poset(inst)
     assert _dot_strings(out) == [
         poset_complex.subset_label(t) + "\n" + ",".join(sorted(s_ell.tags[t]))
         for t in s_ell.elements
@@ -810,7 +810,9 @@ def _plain(doc):
         return asdict(doc)
     if isinstance(doc, dict):
         return {key: _plain(val) for key, val in doc.items()}
-    if isinstance(doc, (list, tuple, poset_complex.Runs)):
+    if isinstance(doc, poset_complex.Runs):
+        return [[_plain(doc.items[k]) for k in group] for group in doc.indices()]
+    if isinstance(doc, (list, tuple)):
         return [_plain(val) for val in doc]
     return doc
 

@@ -1,6 +1,7 @@
 """Subset posets, order complexes, the integer-unit metric, and the
 retraction onto the small fundamental domain."""
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -62,31 +63,37 @@ def s_ell_complex(inst):
 def test_s_ell_join_counts_and_tags():
     inst = affine_parts_join()
     poset = build_S_ell(inst)
-    assert poset.elements == inst.s_ell.elements
-    assert len(poset.elements) == 27
-    tags = poset.tags
-    assert sum("part" in tags[t] for t in poset.elements) == 2
-    assert sum("inter-edge" in tags[t] for t in poset.elements) == 16
-    assert sum("inter-edge-vertex" in tags[t] for t in poset.elements) == 8
-    assert "empty" in tags[frozenset()]
+    assert poset.members == inst.s_ell.members
+    assert len(poset.members) == 27
+    rows = poset.tag_rows
+    assert sum("part" in row for row in rows) == 2
+    assert sum("inter-edge" in row for row in rows) == 16
+    assert sum("inter-edge-vertex" in row for row in rows) == 8
+    assert poset.members[0] == () and rows[0] == ("empty",)
 
 
 def _by_index(s_ell, runs) -> list:
-    return [tuple(s_ell.elements[i] for i in group) for group in runs.indices()]
+    return [tuple(frozenset(s_ell.members[i]) for i in group) for group in runs.indices()]
 
 
 def _assert_s_ell_matches_the_general_poset(inst) -> None:
     # the lemma's S^l against S^l tagged, sorted and ordered as a general
-    # subset poset: elements, tags, covers and chains, order included
+    # subset poset: elements, tags, covers, chains and chain counts, order
+    # included
     s_ell, general = inst.s_ell, s_ell_poset(inst)
-    assert s_ell.elements == general.elements
-    assert s_ell.tags == general.tags
     assert s_ell.members == tuple(tuple(sorted(t)) for t in general.elements)
     assert s_ell.tag_rows == tuple(tuple(sorted(general.tags[t])) for t in general.elements)
     assert _by_index(s_ell, s_ell.covers) == poset_covers(general)
-    chains = derived_complex(s_ell).chains
-    assert _by_index(s_ell, chains) == list(listed_complex(general).chains)
-    assert len(chains) == len(listed_complex(general).chains)
+    cx = derived_complex(s_ell)
+    chains = cx.chains
+    listed = listed_complex(general).chains
+    assert _by_index(s_ell, chains) == list(listed)
+    assert len(chains) == len(listed)
+    # the printed counts name only lengths some chain has
+    lengths = Counter(map(len, listed))
+    counts = cx.to_json_dict()["chain_counts"]
+    assert counts == {str(n): lengths[n] for n in sorted(lengths)}
+    assert len(counts) == s_ell_max_chain_length(inst)
     if len(general.elements) <= 40:
         assert _by_index(s_ell, s_ell.covers) == brute_covers(general)
         assert _by_index(s_ell, chains) == brute_chains(general)
@@ -127,6 +134,7 @@ def test_s_ell_lemma_on_crafted_shapes():
     assert s_ell.up[1] == [8, 9] and s_ell.up[0] == [7] and s_ell.up[4] == []
     for parts, edges in (
         ([["a"], ["b"]], [("a", "b", 4)]),
+        # no inter-edge, so {a} lies below nothing: no chain of three
         ([["a"]], []),
         ([["b", "c", "a"]], [("a", "b", 3)]),
         ([["a", "d"], ["b", "c"]], [("a", "b", 4), ("c", "d", 4), ("a", "d", 2)]),
@@ -138,7 +146,7 @@ def test_s_bar_and_s_f_join():
     inst = affine_parts_join()
     s_bar = build_S_bar(inst)
     assert len(s_bar.elements) == 47
-    assert set(inst.s_ell.elements) <= set(s_bar.elements)
+    assert set(map(frozenset, inst.s_ell.members)) <= set(s_bar.elements)
     s_f = build_S_f(inst)
     assert set(s_f.elements) <= set(s_bar.elements)
     assert len(s_f.elements) == 45
@@ -197,7 +205,7 @@ def test_two_dimensional_check_and_negative_control():
 
 def test_covers_relation():
     poset = single_interedge().s_ell
-    covers = {tuple(poset.elements[i] for i in c) for c in poset.covers.indices()}
+    covers = {tuple(frozenset(poset.members[i]) for i in c) for c in poset.covers.indices()}
     e, a, b, ab = frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")
     assert covers == {(e, a), (e, b), (a, ab), (b, ab)}
     assert poset.to_dot().startswith("digraph")
@@ -328,7 +336,7 @@ def test_gluing_detects_conflicts_in_one_pass(monkeypatch):
 
 def test_retraction_join():
     inst = affine_parts_join()
-    report = cover_walk_retraction_map(build_S_bar(inst), inst.s_ell, inst.family)
+    report = cover_walk_retraction_map(build_S_bar(inst), s_ell_poset(inst), inst.family)
     assert report.ok
     assert report.total_maximal_chains == retraction_map(inst) == 80
     assert report.lands_in_s_ell
@@ -347,9 +355,9 @@ def test_retraction_breaks_without_part_subsets():
     # the report records as a failure
     inst = affine_parts_join()
     inside, crossing = with_strays(inst)
-    report = cover_walk_retraction_map(inside, inst.s_ell, inst.family)
+    report = cover_walk_retraction_map(inside, s_ell_poset(inst), inst.family)
     assert report.ok  # the triple still lies inside part 0, so it retracts
-    report = cover_walk_retraction_map(crossing, inst.s_ell, inst.family)
+    report = cover_walk_retraction_map(crossing, s_ell_poset(inst), inst.family)
     assert not report.ok or report.failures
     assert any("no image" in f for f in report.failures)
 
@@ -366,17 +374,17 @@ def test_retraction_matches_all_pairs_reference():
     # On invalid input the report names one chain per failing state, where
     # the reference names every failing chain
     join = affine_parts_join()
-    cases = [(poset, join.s_ell, join) for poset in with_strays(join)]
+    cases = [(poset, s_ell_poset(join), join) for poset in with_strays(join)]
     # S^l claiming a proper part subset, or a crossing triple that leaves
     # {a1,b1} -> part 0 below it non-monotone: chains fail the formula, and
     # in the second case images stop increasing
     crossing = _plus(build_S_bar(join), ("a1", "a2", "b1"))
     for extra in ((("a1", "b1"), ("a1", "a2", "b1")), (("a1", "a2", "b1"),)):
-        cases.append((crossing, _plus(join.s_ell, *extra), join))
+        cases.append((crossing, _plus(s_ell_poset(join), *extra), join))
     for inst in [join, touching_triple_control()] + [
         random_rel_prime_instance(random.Random(seed)) for seed in range(30)
     ]:
-        cases.append((build_S_bar(inst), inst.s_ell, inst))
+        cases.append((build_S_bar(inst), s_ell_poset(inst), inst))
     valid = 0
     for s_bar, s_ell, inst in cases:
         report = cover_walk_retraction_map(s_bar, s_ell, inst.family)
@@ -408,7 +416,7 @@ def test_s_bar_size_retraction_and_dimension_in_closed_form():
         if count <= 2000:
             assert count == brute_chain_count(s_bar), inst.graph.edges
             listed += 1
-        report = cover_walk_retraction_map(s_bar, inst.s_ell, inst.family)
+        report = cover_walk_retraction_map(s_bar, s_ell_poset(inst), inst.family)
         assert report.ok and report.failures == [], inst.graph.edges
         assert retraction_map(inst) == report.total_maximal_chains, inst.graph.edges
         longest = check_two_dimensional(s_ell_complex(inst)).max_chain_length
