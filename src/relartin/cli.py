@@ -337,10 +337,8 @@ def cmd_develop(inst: Instance, args: argparse.Namespace) -> int:
         develop, target = develop_link_part, args.part
     else:
         u, v = args.edge
-        ie = next(
-            (e for e in inst.inter_edges if e.pair == frozenset((u, v))),
-            None,
-        )
+        pair = (u, v) if u < v else (v, u)
+        ie = next((e for e in inst.inter_edges_at.get(pair[0], ()) if e[:2] == pair), None)
         if ie is None:
             raise GraphError(f"{u!r},{v!r} is not an inter-edge of the family")
         label = ie.label

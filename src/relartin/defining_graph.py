@@ -127,15 +127,14 @@ class SubgraphFamily:
 
 
 class InterEdge(NamedTuple):
-    """Edge joining two distinct family parts.  ``u < v`` canonically, and
-    ``pair`` is {u, v}, the key of the edge's facts."""
+    """Edge joining two distinct family parts.  ``u < v`` canonically, so
+    ``(u, v)`` is the sorted member tuple of the edge, the key of its facts."""
 
     u: str
     v: str
     label: int
     part_u: int
     part_v: int
-    pair: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,8 @@ class Instance:
         return {v: tuple(es) for v, es in at.items()}
 
     @cached_property
-    def disjoint(self) -> dict[frozenset, bool]:
-        """For each inter-edge pair, whether it shares no vertex with any
+    def disjoint(self) -> dict[tuple[str, str], bool]:
+        """For each inter-edge ``(u, v)``, whether it shares no vertex with any
         other inter edge."""
         from . import poset_complex
 
@@ -247,7 +246,7 @@ def inter_edges(inst: Instance) -> tuple[InterEdge, ...]:
     for u, v, m in inst.graph.edges:
         pu, pv = part_of[u], part_of[v]
         if pu != pv:
-            out.append(InterEdge(u, v, m, pu, pv, frozenset((u, v))))
+            out.append(InterEdge(u, v, m, pu, pv))
     return tuple(out)
 
 
@@ -271,7 +270,7 @@ def check_rel_prime(inst: Instance) -> RelVerdict:
     is not ``inst.disjoint``, the fact the link entries read too.
     """
     disjoint = inst.disjoint
-    bad = tuple(e for e in inst.inter_edges if e.label < 4 and not disjoint[e.pair])
+    bad = tuple(e for e in inst.inter_edges if e.label < 4 and not disjoint[e.u, e.v])
     return RelVerdict(ok=not bad, violations=bad)
 
 

@@ -48,10 +48,23 @@ lies on one of shape A or B, and what it closes is one of those through
 it: two halves that leave the root by different edges and meet at a point
 8 units away.  Breadth-first order on a tree is the order of the paths'
 vertex lists, compared vertex by vertex in link order, and a point closes
-a cycle when the second half to reach it is expanded.  So the search closes
-the first two halves to the point whose second half comes first.  Each
-shape spells both halves, and the witness is checked: a simple cycle whose
-steps join a singleton to an upper containing it and add up to 16 units.
+a cycle when the second half to reach it is expanded.  Any two halves to
+one point close a cycle, so of the cycles through the first root on
+either shape, the search closes the one whose later half comes first.
+
+The cycles come in groups: two hubs joined by two or more spokes, paths
+of the same step units, any two of which close a 16-unit cycle.  Shape A
+joins P and {y} by a spoke {x}, xy of 2, 3 and 3 units for each x in P
+joined to y; shape B joins two parts by a spoke {a}, ab, {b} of 2 units a
+step for each disjoint inter-edge ab between them.  The root is the least
+vertex of the searched side on any group.  Each cycle through it is
+spelled once as a vertex tuple in cyclic order, and its two halves are
+read off by one walk each way round, up to the first vertex 8 or more
+units away.  A half from a hub runs along one spoke and starts with that
+spoke's vertex next to the hub, so at a hub only the cycles along the
+spoke with the least such vertex are spelled.  The witness is spliced as
+the search splices it and checked: a simple cycle whose steps join a
+singleton to an upper containing it and add up to 16 units.
 
 When neither shape occurs the link is a forest, kept as the ``acyclic``
 certificate, or its girth is above 2pi and its entry is PASS-lemma with no
@@ -127,6 +140,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from .defining_graph import Instance, InterEdge
 from .dihedral_garside import DihedralEngine
 from .link_builder import (
@@ -134,7 +148,6 @@ from .link_builder import (
     TWO_PI_UNITS,
     LinkGraph,
     interedge_development,
-    single_shape,
     vertex_label,
 )
 from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, subset_label, subset_sort_key
@@ -371,46 +384,42 @@ def _status(cert: CycleCertificate) -> str:
     return "PASS-complete" if cert.passes else "FAIL"
 
 
+# every {s} corner has one length, the length of every single link edge
+(_SINGLE_UNITS,) = {corners[1] for corners in TRIANGLE_UNITS.values()}
+
+
 def _single_entry(inst: Instance, s: str) -> LinkCertificate:
     """The entry of the link of the cyclic coset at s, read off its shape
-    without building it: K_(n,u), n drawn powers against u parts and
-    inter-edges, every edge of one {s}-corner length w.  With u >= 2 its
-    girth is 4 edges, 4w units, and the witness is the one the search of
-    the built link returns: rooted at the first vertex r_0 of the smaller
-    side r (the powers on a tie), it first closes r_1, q_0, r_0, q_1 through
-    the first two vertices of the other side q.  With u = 1 it is a star."""
-    shape = single_shape(inst, s)
-    powers, uppers = shape.powers, [label for _, label, _ in shape.uppers]
-    units = {w for _, _, w in shape.uppers}
-    if len(units) != 1:
-        raise AssertionError(f"the single link at {s} mixes edge lengths {sorted(units)}")
-    if len(uppers) < 2:
-        cert = CycleCertificate(
-            passes=True,
-            length_units=None,
-            edge_count=None,
-            cycle=[],
-            complete=True,
-            note="acyclic",
-        )
+    without building it: K_(n,u), the n = 2 SINGLE_POWERS + 1 drawn powers
+    of s against the u parts and inter-edges above s, every edge the {s}
+    corner.  With u >= 2 its girth is 4 edges, and the witness is the one
+    the search of the built link returns: rooted at the first vertex r_0 of
+    the smaller side r (the powers on a tie), it first closes r_1, q_0,
+    r_0, q_1 through the first two vertices of the other side q, so only
+    those four are spelled.  With u = 1 it is a star."""
+    part = inst.family.parts[inst.family.part_of[s]]
+    ies = inst.inter_edges_at[s]
+    # the uppers in link order: s's part, unless that is {s}, then its inter-edges
+    has_part = len(part) > 1
+    n, u = 2 * SINGLE_POWERS + 1, has_part + len(ies)
+    if u < 2:
+        cert = CycleCertificate(True, None, None, [], True, "acyclic")
     else:
-        r, q = (powers, uppers) if len(powers) <= len(uppers) else (uppers, powers)
-        length = 4 * units.pop()
-        cert = CycleCertificate(
-            passes=length >= TWO_PI_UNITS,
-            length_units=length,
-            edge_count=4,
-            cycle=[q[1], r[0], q[0], r[1]],
-            complete=True,
-        )
+        firsts = ([part] if has_part else []) + [e[:2] for e in ies[:2]]
+        uppers = [subset_label(t) for t in firsts[:2]]
+        powers = [f"{s}^{k}" for k in (-SINGLE_POWERS, 1 - SINGLE_POWERS)]
+        r, q = (powers, uppers) if n <= u else (uppers, powers)
+        length = 4 * _SINGLE_UNITS
+        cert = CycleCertificate(length >= TWO_PI_UNITS, length, 4, [q[1], r[0], q[0], r[1]], True)
     stats = {
-        "vertices": len(powers) + len(uppers),
-        "edges": len(powers) * len(uppers),
+        "vertices": n + u,
+        "edges": n * u,
         "requested_radius": SINGLE_POWERS,
         "achieved_radius": None,
         "truncated": False,
     }
-    return LinkCertificate("single", shape.descriptor, _status(cert), cert, [s], stats)
+    descriptor = f"link of the cyclic coset at {s}"
+    return LinkCertificate("single", descriptor, _status(cert), cert, [s], stats)
 
 
 # the fewest coset vertices a cycle of a part or disjoint inter-edge link
@@ -498,121 +507,93 @@ def _relator_entry(inst: Instance, group: list[InterEdge]) -> LinkCertificate:
     witness = None
     if 2 * m < _cosets_needed(case):
         witness = _relation_cycle(dev.engine, (1,) * m + (-1,) * m)
-    members = [subset_label(e.pair) for e in group]
+    members = [subset_label(e[:2]) for e in group]
     return _lemma_entry(case, dev.descriptor, members, 2 * m, _APPEL_SCHUPP, witness)
 
 
-def _singleton(s: str) -> frozenset:
-    return frozenset((s,))
+def _half(cycle: tuple, steps: tuple) -> tuple[tuple, bool]:
+    """The vertices after cycle[0], walked forward up to the first one 8 or
+    more units away, with steps[k] the units from cycle[k] to the next;
+    and whether that vertex is past 8 units, the midpoint inside an edge."""
+    units = k = 0
+    while units < TWO_PI_UNITS // 2:
+        units += steps[k]
+        k += 1
+    return cycle[1 : k + 1], units > TWO_PI_UNITS // 2
 
 
-def _empty_witness(inst: Instance, singleton_roots: bool) -> list[frozenset] | None:
+def _half_key(half: tuple) -> tuple:
+    return tuple(map(subset_sort_key, half))
+
+
+def _empty_witness(inst: Instance, singleton_roots: bool) -> list[tuple[str, ...]] | None:
     """The cycle that a search of the empty link, root by root, closes
     first at 16 units, or None when the link has none (module docstring).
 
-    Shape A is read off ``fans[y][q]``, the inter-edge neighbours of y in
-    part q, and shape B off ``twins``, the disjoint inter-edges between two
-    parts.  Each cycle through the first root on either shape is listed
-    with the key of its later half: the vertices after the root up to the
-    first one at least 8 units away.  Its witness is the splice: the later
-    half without its last vertex, reversed, then the root, then the earlier
-    half, also without its last vertex when the point 8 units away lies
-    inside an edge."""
-    parts = [frozenset(p) for p in inst.family.parts]
-    part_of = inst.family.part_of
-    at, disjoint, S = inst.inter_edges_at, inst.disjoint, _singleton
-    fans: dict[str, dict[int, list[str]]] = {}
+    Each group is (hub, hub, spokes, the units of a spoke's steps), every
+    spoke a tuple of vertices from the first hub to the second.  The splice
+    is the later half without its last vertex, reversed, then the root,
+    then the earlier half, also without its last vertex when the point 8
+    units away lies inside an edge."""
+    parts, at = inst.family.parts, inst.inter_edges_at
+    # one tuple per singleton, shared by every spoke through it
+    singleton = {s: (s,) for s in at}
+    groups: list[tuple[tuple, tuple, list[tuple], tuple[int, ...]]] = []
     for y, es in at.items():
-        row = fans[y] = {}
+        fan: dict[int, list[str]] = {}
         for e in es:
             x, q = (e.u, e.part_u) if e.v == y else (e.v, e.part_v)
-            row.setdefault(q, []).append(x)
-    twins: dict[tuple[int, int], list[InterEdge]] = {}
-    for e in inst.inter_edges:
-        if disjoint[e.pair]:
-            twins.setdefault(tuple(sorted((e.part_u, e.part_v))), []).append(e)
-    on: set[frozenset] = set()
-    for y, row in fans.items():
-        for q, xs in row.items():
+            fan.setdefault(q, []).append(x)
+        for q, xs in fan.items():
             if len(xs) > 1:
-                on.update((S(y), parts[q]), map(S, xs), (frozenset((x, y)) for x in xs))
-    for (p, q), es in twins.items():
-        if len(es) > 1:
-            on.update((parts[p], parts[q]), (e.pair for e in es))
-            on.update(S(v) for e in es for v in e.pair)
-    roots = [t for t in on if (len(t) == 1) == singleton_roots]
-    if not roots:
+                spokes = [(singleton[x], (x, y) if x < y else (y, x)) for x in xs]
+                groups.append((parts[q], singleton[y], spokes, (2, 3, 3)))
+    twins: dict[tuple[int, int], list[tuple]] = {}
+    for u, v, _, pu, pv in inst.inter_edges:
+        if inst.disjoint[u, v]:
+            spoke = (singleton[u], (u, v), singleton[v])
+            hubs, spoke = ((pu, pv), spoke) if pu < pv else ((pv, pu), spoke[::-1])
+            twins.setdefault(hubs, []).append(spoke)
+    for (p, q), spokes in twins.items():
+        if len(spokes) > 1:
+            groups.append((parts[p], parts[q], spokes, (2, 2, 2, 2)))
+    side = {
+        t
+        for h0, h1, spokes, _ in groups
+        for t in (h0, h1, *chain.from_iterable(spokes))
+        if (len(t) == 1) == singleton_roots
+    }
+    if not side:
         return None
-    r = min(roots, key=subset_sort_key)
-
-    def ends(e: InterEdge, p: int) -> tuple[str, str]:
-        """e's vertex in part p, then its other one."""
-        return (e.u, e.v) if e.part_u == p else (e.v, e.u)
-
-    def key(half: list[frozenset]) -> tuple:
-        return tuple(map(subset_sort_key, half))
-
-    # (key of the later half, witness) of each cycle through r
-    cycles: list[tuple[tuple, list[frozenset]]] = []
-
-    def add(halves: list[list[frozenset]], inside: bool = False) -> None:
-        """The cycle of the first two halves to one point 8 units from r,
-        ``inside`` when that point lies inside an edge."""
-        earlier, later = sorted(halves, key=key)[:2]
-        cycles.append((key(later), later[-2::-1] + [r] + earlier[: len(earlier) - inside]))
-
-    if len(r) == 1:
-        (s,) = r
-        p = part_of[s]
-        P = parts[p]
-        for e in at[s]:
-            y = e.u if e.v == s else e.v
-            if disjoint[e.pair]:
-                q = part_of[y]
-                for f in twins[min(p, q), max(p, q)]:
-                    if f is not e:
-                        c, d = ends(f, p)
-                        add([[P, S(c), f.pair, S(d)], [e.pair, S(y), parts[q], S(d)]])
-                continue
-            for t in fans[y].get(p, ()):
-                if t != s:
-                    f = frozenset((t, y))
-                    add([[P, S(t), f, S(y)], [e.pair, S(y), f]], inside=True)
-        for q, xs in fans[s].items():
-            if len(xs) > 1:
-                add([[frozenset((s, x)), S(x), parts[q]] for x in xs])
-    elif r in disjoint:
-        u, v = sorted(r)
-        pu, pv = part_of[u], part_of[v]
-        Pu, Pv = parts[pu], parts[pv]
-        if disjoint[r]:
-            for f in twins[min(pu, pv), max(pu, pv)]:
-                if f.pair != r:
-                    c, d = ends(f, pu)
-                    add([[S(u), Pu, S(c), f.pair], [S(v), Pv, S(d), f.pair]])
+    r = min(side, key=subset_sort_key)
+    best: tuple[tuple, tuple] | None = None
+    for h0, h1, spokes, units in groups:
+        if r == h0 or r == h1:
+            # the least half from a hub starts the spoke with the least
+            # vertex next to it, and the witness runs along that spoke
+            end = 0 if r == h0 else -1
+            mine = min(spokes, key=lambda sp: subset_sort_key(sp[end]))
         else:
-            for z in fans[v].get(pu, ()):
-                if z != u:
-                    f = frozenset((v, z))
-                    add([[S(u), Pu, S(z), f], [S(v), f, S(z)]], inside=True)
-            for z in fans[u].get(pv, ()):
-                if z != v:
-                    f = frozenset((u, z))
-                    add([[S(u), f, S(z)], [S(v), Pv, S(z), f]], inside=True)
-    else:
-        p = part_of[min(r)]
-        for y, row in fans.items():
-            xs = row.get(p, ())
-            if len(xs) > 1:
-                add([[S(x), frozenset((x, y)), S(y)] for x in xs])
-        for pair, es in twins.items():
-            if p in pair and len(es) > 1:
-                Q = parts[pair[0] + pair[1] - p]
-                add([[S(a), e.pair, S(b), Q] for e in es for a, b in [ends(e, p)]])
-    return min(cycles, key=lambda kc: kc[0])[1]
+            mine = next((sp for sp in spokes if r in sp), None)
+            if mine is None:
+                continue
+        steps = units + units[::-1]
+        for j in spokes:
+            if j is mine:
+                continue
+            cycle = (h0, *j, h1, *mine[::-1])
+            k = cycle.index(r)
+            c, w = cycle[k:] + cycle[:k], steps[k:] + steps[:k]
+            one, inside = _half(c, w)
+            other, _ = _half(c[:1] + c[:0:-1], w[::-1])
+            earlier, later = sorted((one, other), key=_half_key)
+            key = _half_key(later)
+            if best is None or key < best[0]:
+                best = (key, later[-2::-1] + (r,) + earlier[: len(earlier) - inside])
+    return list(best[1])
 
 
-def _empty_cycle_units(inst: Instance, cycle: list[frozenset]) -> int:
+def _empty_cycle_units(inst: Instance, cycle: list[tuple[str, ...]]) -> int:
     """The length in units of a cycle of the empty link, checked: simple,
     every step a singleton {s} of an inter-edge vertex and an upper that
     contains s, its part or an inter-edge at s."""
@@ -622,12 +603,12 @@ def _empty_cycle_units(inst: Instance, cycle: list[frozenset]) -> int:
     total = 0
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         low, top = sorted((a, b), key=len)
-        s = min(low, default=None)
+        s = low[0]
         if len(low) == 1 and s in at and s in top:
             if top in disjoint:
                 total += TRIANGLE_UNITS[INTEREDGE_CASE[disjoint[top]]][0]
                 continue
-            if top == frozenset(family.parts[family.part_of[s]]):
+            if top == family.parts[family.part_of[s]]:
                 total += TRIANGLE_UNITS["part"][0]
                 continue
         raise AssertionError(f"witness uses a non-edge ({subset_label(a)}, {subset_label(b)})")
@@ -680,11 +661,11 @@ def certify_link_condition(inst: Instance) -> CertificationReport:
     entries = [_empty_entry(inst)]
     entries += [_single_entry(inst, s) for s in sorted(inst.inter_edges_at)]
 
-    lemma = {"part": [subset_label(frozenset(p)) for p in inst.family.parts]}
+    lemma = {"part": [subset_label(p) for p in inst.family.parts]}
     classes: dict[int, list[InterEdge]] = {}
     for e in inst.inter_edges:
-        if inst.disjoint[e.pair]:
-            lemma.setdefault(INTEREDGE_CASE[True], []).append(subset_label(e.pair))
+        if inst.disjoint[e.u, e.v]:
+            lemma.setdefault(INTEREDGE_CASE[True], []).append(subset_label(e[:2]))
         else:
             classes.setdefault(e.label, []).append(e)
     for case, members in lemma.items():

@@ -192,7 +192,7 @@ def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
             "detail": {
                 "parts": [
                     {
-                        "part": subset_label(frozenset(p.vertices)),
+                        "part": subset_label(p.vertices),
                         "provenance": p.provenance,
                         "class": p.which,
                     }

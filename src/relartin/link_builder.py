@@ -188,7 +188,7 @@ def build_link_empty(inst: Instance) -> LinkGraph:
         if part != t:
             edges.append((index[t], index[part], TRIANGLE_UNITS["part"][0]))
     for e in inst.inter_edges:
-        units = TRIANGLE_UNITS[INTEREDGE_CASE[inst.disjoint[e.pair]]][0]
+        units = TRIANGLE_UNITS[INTEREDGE_CASE[inst.disjoint[e[:2]]]][0]
         for s in e[:2]:
             edges.append((index[(s,)], index[e[:2]], units))
     return LinkGraph(
@@ -206,61 +206,35 @@ def build_link_empty(inst: Instance) -> LinkGraph:
 SINGLE_POWERS = 3
 
 
-@dataclass(frozen=True)
-class SingleShape:
-    """The make-up of the link of the cyclic coset at an inter-edge vertex
-    s: complete bipartite between the drawn powers of s and the parts and
-    inter-edges above s, each edge the {s} corner of its triangle."""
-
-    descriptor: str
-    powers: list[str]  # the labels of s^k, |k| <= SINGLE_POWERS
-    uppers: list[tuple[str, str, int]]  # (kind, label, units) above s
-
-
-def single_shape(inst: Instance, s: str) -> SingleShape:
-    """The make-up of the single link at s; raises :class:`GraphError` when
-    s is not an inter-edge vertex."""
-    ies = inst.inter_edges_at.get(s)
-    if not ies:
-        raise GraphError(f"{s!r} is not an inter-edge vertex")
-    part = frozenset(inst.family.parts[inst.family.part_of[s]])
-    uppers = []
-    if part != frozenset((s,)):
-        uppers.append(("part", subset_label(part), TRIANGLE_UNITS["part"][1]))
-    uppers.extend(
-        ("inter-edge", subset_label(e.pair), TRIANGLE_UNITS[INTEREDGE_CASE[inst.disjoint[e.pair]]][1])
-        for e in ies
-    )
-    return SingleShape(
-        descriptor=f"link of the cyclic coset at {s}",
-        powers=[f"{s}^{k}" for k in range(-SINGLE_POWERS, SINGLE_POWERS + 1)],
-        uppers=uppers,
-    )
-
-
 def build_link_single(inst: Instance, s: str) -> LinkGraph:
-    """Link of the cyclic subgroup coset at inter-edge vertex s (see
-    :func:`single_shape`).
+    """Link of the cyclic subgroup coset at inter-edge vertex s: complete
+    bipartite between the drawn powers of s and the parts and inter-edges
+    above s, each edge the {s} corner of its triangle; raises
+    :class:`GraphError` when s is not an inter-edge vertex.
 
     Only powers s^k with |k| <= SINGLE_POWERS are drawn.  Extra powers
     attach by the same complete-bipartite rule, so the minimal cycle (4
     edges when both sides have two vertices, none otherwise) is already
     exact; the graph is marked complete.
     """
-    shape = single_shape(inst, s)
-    n_powers = len(shape.powers)
-    edges = [
-        (i, n_powers + j, units)
-        for i in range(n_powers)
-        for j, (_, _, units) in enumerate(shape.uppers)
+    ies = inst.inter_edges_at.get(s)
+    if not ies:
+        raise GraphError(f"{s!r} is not an inter-edge vertex")
+    part = inst.family.parts[inst.family.part_of[s]]
+    uppers = [("part", part, TRIANGLE_UNITS["part"][1])] if len(part) > 1 else []
+    uppers += [
+        ("inter-edge", e[:2], TRIANGLE_UNITS[INTEREDGE_CASE[inst.disjoint[e[:2]]]][1])
+        for e in ies
     ]
+    powers = [f"{s}^{k}" for k in range(-SINGLE_POWERS, SINGLE_POWERS + 1)]
+    n_powers = len(powers)
     return LinkGraph(
         case="single",
-        descriptor=shape.descriptor,
-        vertex_kinds=["power"] * n_powers + [kind for kind, _, _ in shape.uppers],
-        vertex_labels=shape.powers + [label for _, label, _ in shape.uppers],
-        sides=[0] * n_powers + [1] * len(shape.uppers),
-        edges=edges,
+        descriptor=f"link of the cyclic coset at {s}",
+        vertex_kinds=["power"] * n_powers + [kind for kind, _, _ in uppers],
+        vertex_labels=powers + [subset_label(t) for _, t, _ in uppers],
+        sides=[0] * n_powers + [1] * len(uppers),
+        edges=[(i, n_powers + j, w) for i in range(n_powers) for j, (_, _, w) in enumerate(uppers)],
         truncation=TruncationInfo(complete=True, requested_radius=SINGLE_POWERS),
     )
 
@@ -294,7 +268,7 @@ def part_development(inst: Instance, i: int) -> Development:
         raise UnsupportedPartError(
             f"no exact word-problem engine for part {list(part)}"
         )
-    descriptor = f"link of the part coset {subset_label(frozenset(part))}"
+    descriptor = f"link of the part coset {subset_label(part)}"
     return Development(engine, TRIANGLE_UNITS["part"][2], "part", descriptor)
 
 
@@ -303,13 +277,13 @@ def interedge_development(inst: Instance, edge: InterEdge) -> Development:
     edge the T corner of its triangle, which depends on whether the
     inter-edge shares a vertex with another.
     """
-    disjoint = inst.disjoint[edge.pair]
+    disjoint = inst.disjoint[edge.u, edge.v]
     flavor = "disjoint" if disjoint else "non-disjoint"
     return Development(
-        DihedralEngine(*sorted(edge.pair), m=edge.label),
+        DihedralEngine(edge.u, edge.v, m=edge.label),
         TRIANGLE_UNITS[INTEREDGE_CASE[disjoint]][2],
         "inter-edge",
-        f"link of the inter-edge coset {subset_label(edge.pair)} "
+        f"link of the inter-edge coset {subset_label(edge[:2])} "
         f"(m={edge.label}, {flavor})",
     )
 

@@ -86,15 +86,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, lgamma, log
 from sys import get_int_max_str_digits
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .defining_graph import GraphError, Instance
 
-def subset_sort_key(t: frozenset) -> tuple:
+def subset_sort_key(t: Collection[str]) -> tuple:
+    """S^l's order, which links keep: by size, then by sorted members."""
     return (len(t), tuple(sorted(t)))
 
 
-def subset_label(t: Iterable[str]) -> str:
+def subset_label(t: Collection[str]) -> str:
     return "{" + ",".join(sorted(t)) + "}"
 
 
@@ -358,11 +359,11 @@ TRIANGLE_UNITS: dict[str, tuple[int, int, int]] = {
 INTEREDGE_CASE = {True: "inter-edge-disjoint", False: "inter-edge-nondisjoint"}
 
 
-def disjoint_inter_edges(inst: Instance) -> dict[frozenset, bool]:
-    """For each inter-edge pair, whether it shares no vertex with any other
-    inter-edge."""
+def disjoint_inter_edges(inst: Instance) -> dict[tuple[str, str], bool]:
+    """For each inter-edge ``(u, v)``, whether it shares no vertex with any
+    other inter-edge."""
     at = inst.inter_edges_at
-    return {e.pair: len(at[e.u]) == len(at[e.v]) == 1 for e in inst.inter_edges}
+    return {(u, v): len(at[u]) == len(at[v]) == 1 for u, v, _, _, _ in inst.inter_edges}
 
 
 # ---------------------------------------------------------------------------

@@ -720,7 +720,7 @@ def s_ell_poset(inst) -> SubsetPoset:
     tagged = [(frozenset(), "empty")]
     tagged += [(frozenset(part), "part") for part in inst.family.parts]
     for e in inst.inter_edges:
-        tagged.append((e.pair, "inter-edge"))
+        tagged.append((frozenset(e[:2]), "inter-edge"))
         tagged.append((frozenset((e.u,)), "inter-edge-vertex"))
         tagged.append((frozenset((e.v,)), "inter-edge-vertex"))
     return SubsetPoset.from_tagged(tagged)
@@ -914,7 +914,7 @@ def check_gluing(cx, inst) -> GluingReport:
         if sides is None:
             top_tags = tags[t2]
             if "inter-edge" in top_tags:
-                case = INTEREDGE_CASE[disjoint[t2]]
+                case = INTEREDGE_CASE[disjoint[tuple(sorted(t2))]]
             elif "part" in top_tags:
                 case = "part"
             else:
@@ -967,7 +967,7 @@ def assign_metric(cx, inst) -> list:
             raise GraphError(f"unrecognised 2-chain shape {[sorted(t) for t in chain]}")
         top_tags = tags[t2]
         if "inter-edge" in top_tags:
-            case = INTEREDGE_CASE[disjoint[t2]]
+            case = INTEREDGE_CASE[disjoint[tuple(sorted(t2))]]
         elif "part" in top_tags:
             case = "part"
         else:
@@ -1261,11 +1261,11 @@ def independent_certification(inst) -> list:
     is PASS-within-radius."""
     entries = []
     for e in inst.inter_edges:
-        if inst.disjoint[e.pair]:
+        if inst.disjoint[e.u, e.v]:
             continue
         link = develop_link_interedge(inst, e, radius=8 * e.label, cap=4000)
         cert = shortest_embedded_cycle(link)
-        member = subset_label(e.pair)
+        member = subset_label(e[:2])
         if not cert.passes:
             status = "FAIL"
         else:
@@ -1511,7 +1511,7 @@ def all_vertex_find_witness(inst):
         candidates = sorted(
             v
             for v in graph.vertices
-            if v != e.u and v != e.v and not graph.adjacency[v].keys().isdisjoint(e.pair)
+            if v != e.u and v != e.v and not graph.adjacency[v].keys().isdisjoint(e[:2])
         )
         if candidates:
             return e, candidates[0], (e.u, e.v, candidates[0])

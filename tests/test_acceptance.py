@@ -104,7 +104,7 @@ def test_criterion_03_dihedral_cycle_bound():
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0
     join = affine_parts_join()
-    e = next(x for x in join.inter_edges if x.pair == frozenset(("a1", "a2")))
+    e = next(x for x in join.inter_edges if x[:2] == ("a1", "a2"))
     link = develop_link_interedge(join, e, radius=32, cap=4000)
     cert = shortest_embedded_cycle(link)
     # Case 3b: touching inter-edge with m=4, 1 unit per edge
@@ -189,7 +189,7 @@ def test_criterion_07_no_crossing_spherical():
     # under REL' the crossing spherical subsets are the inter-edges
     for inst in [affine_parts_join()] + RANDOM_INSTANCES:
         assert verify_no_large_crossing_spherical(inst)
-        pairs = sorted((e.pair for e in inst.inter_edges), key=subset_sort_key)
+        pairs = sorted((frozenset(e[:2]) for e in inst.inter_edges), key=subset_sort_key)
         assert enumerated_crossing_spherical(inst) == pairs
     control = touching_triple_control()
     assert not verify_no_large_crossing_spherical(control)

@@ -337,6 +337,17 @@ def test_develop_selector_errors(capsys):
     # an intra-part pair is not an inter-edge
     code, _, err = run(capsys, "develop", "--input", JOIN, "--edge", "a1", "b1")
     assert code == 1 and "not an inter-edge" in err
+    # an unknown vertex and a vertex paired with itself are no inter-edge
+    # either, and an inter-edge may be named in either order
+    for u, v in (("a1", "zz"), ("zz", "a1"), ("a1", "a1")):
+        code, out, err = run(capsys, "develop", "--input", JOIN, "--edge", u, v)
+        assert (code, out) == (1, "")
+        assert err == f"error: {u!r},{v!r} is not an inter-edge of the family\n"
+    forward, backward = (
+        run(capsys, "develop", "--input", JOIN, "--edge", u, v, "--radius", "2")
+        for u, v in (("a1", "a2"), ("a2", "a1"))
+    )
+    assert forward == backward and forward[0] == 0 and "{a1,a2}" in forward[1]
     code, _, err = run(capsys, "develop", "--input", JOIN, "--part", "9")
     assert code == 1 and "out of range" in err
     # the affine part has no exact engine
@@ -458,7 +469,8 @@ def test_dense_empty_link_without_a_2pi_cycle_is_read_off(capsys, tmp_path, monk
     # 140 two-vertex parts {a_i, b_i} and a label-4 clique on the a_i: the
     # empty link has 19,600 edges and no 16-unit cycle (no part holds two
     # inter-edge vertices, and every inter-edge meets another), so its
-    # entry is PASS-lemma, read off without building S^l or the link
+    # entry is PASS-lemma, read off without building S^l or the link; and
+    # no single link is built either
     parts = [[f"a{i:03d}", f"b{i:03d}"] for i in range(140)]
     vertices = [v for part in parts for v in part]
     edges = [{"u": a, "v": b, "m": 2} for a, b in parts]
@@ -468,6 +480,7 @@ def test_dense_empty_link_without_a_2pi_cycle_is_read_off(capsys, tmp_path, monk
     path = tmp_path / "clique.json"
     path.write_text(json.dumps({"vertices": vertices, "edges": edges, "family": parts}))
     forbid(monkeypatch, link_builder, "build_link_empty")
+    forbid(monkeypatch, link_builder, "build_link_single")
     forbid(monkeypatch, poset_complex, "build_S_ell")
     forbid(monkeypatch, girth_checker, "shortest_embedded_cycle")
     for sub in ("links", "kpi1"):
@@ -854,7 +867,7 @@ def test_json_reports_equal_json_dumps(capsys, monkeypatch, tmp_path):
         inst = random_rel_prime_instance(random.Random(seed))
         path = tmp_path / f"seed{seed}.json"
         path.write_text(instance_to_json(inst))
-        edge = min(sorted(e.pair) for e in inst.inter_edges)
+        edge = min(e[:2] for e in inst.inter_edges)
         argvs = [[sub] for sub in SUBCOMMANDS]
         argvs += [["develop", "--part", "0"], ["develop", "--edge", *edge]]
         for argv in argvs:

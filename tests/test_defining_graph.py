@@ -118,8 +118,8 @@ def test_inter_edges_join():
     assert all(e.label == 4 for e in ies)
     assert all({e.part_u, e.part_v} == {0, 1} for e in ies)
     # intra edges are not reported
-    pairs = {e.pair for e in ies}
-    assert frozenset(("a1", "b1")) not in pairs
+    pairs = {e[:2] for e in ies}
+    assert ("a1", "b1") not in pairs
 
 
 def test_instance_facts_match_their_definitions():
@@ -137,19 +137,19 @@ def test_instance_facts_match_their_definitions():
             return next(i for i, p in enumerate(parts) if x in p)
 
         expected = sorted(
-            (min(u, v), max(u, v), m, part(min(u, v)), part(max(u, v)), frozenset((u, v)))
+            (min(u, v), max(u, v), m, part(min(u, v)), part(max(u, v)))
             for u, v, m in inst.graph.edges
             if part(u) != part(v)
         )
-        got = [(e.u, e.v, e.label, e.part_u, e.part_v, e.pair) for e in inst.inter_edges]
+        got = [(e.u, e.v, e.label, e.part_u, e.part_v) for e in inst.inter_edges]
         assert got == expected
         degree: dict[str, int] = {}
         for u, v, *_ in expected:
             degree[u] = degree.get(u, 0) + 1
             degree[v] = degree.get(v, 0) + 1
-        alone = {pair: degree[u] == degree[v] == 1 for u, v, _, _, _, pair in expected}
+        alone = {(u, v): degree[u] == degree[v] == 1 for u, v, *_ in expected}
         assert inst.disjoint == alone
-        bad = [(u, v) for u, v, m, _, _, pair in expected if m < 4 and not alone[pair]]
+        bad = [(u, v) for u, v, m, *_ in expected if m < 4 and not alone[u, v]]
         assert [(e.u, e.v) for e in check_rel_prime(inst).violations] == bad
 
 
@@ -162,10 +162,7 @@ def test_rel_conditions_on_fixture_and_control():
     rel = check_rel(control)
     relp = check_rel_prime(control)
     assert not rel.ok and not relp.ok
-    assert {e.pair for e in relp.violations} == {
-        frozenset(("a", "b")),
-        frozenset(("b", "c")),
-    }
+    assert {e[:2] for e in relp.violations} == {("a", "b"), ("b", "c")}
 
 
 def test_isolated_interedge_passes_rel_prime_only():

@@ -142,7 +142,7 @@ def test_development_girth_known_values():
 
     # non-disjoint m=4 from the join: 16 edges at 1 unit, exactly 2 pi
     inst = affine_parts_join()
-    e = next(x for x in inst.inter_edges if x.pair == frozenset(("a1", "a2")))
+    e = next(x for x in inst.inter_edges if x[:2] == ("a1", "a2"))
     cert = shortest_embedded_cycle(
         develop_link_interedge(inst, e, radius=9, cap=10**5)
     )
@@ -150,7 +150,7 @@ def test_development_girth_known_values():
 
     # non-disjoint m=3 from the control: 12 units, under the threshold
     inst = touching_triple_control()
-    e = next(x for x in inst.inter_edges if x.pair == frozenset(("a", "b")))
+    e = next(x for x in inst.inter_edges if x[:2] == ("a", "b"))
     cert = shortest_embedded_cycle(
         develop_link_interedge(inst, e, radius=24, cap=4000)
     )
@@ -169,7 +169,7 @@ def test_development_girth_against_oracle():
 
 def test_development_girth_radius_monotone():
     inst = affine_parts_join()
-    e = next(x for x in inst.inter_edges if x.pair == frozenset(("b1", "c2")))
+    e = next(x for x in inst.inter_edges if x[:2] == ("b1", "c2"))
     seen = []
     for radius in (2, 4, 6, 9):
         cert = shortest_embedded_cycle(
@@ -271,7 +271,7 @@ def _fixture_developments():
         for i, part in enumerate(inst.family.parts):
             if engine_for_part(inst.graph, part) is not None:
                 yield develop_link_part(inst, i, radius=16, cap=4000)
-        classes = {(e.label, inst.disjoint[e.pair]): e for e in inst.inter_edges}
+        classes = {(e.label, inst.disjoint[e.u, e.v]): e for e in inst.inter_edges}
         for e in classes.values():
             yield develop_link_interedge(inst, e, radius=8 * e.label, cap=4000)
 
@@ -487,7 +487,7 @@ def _assert_entries_match_independent(inst: Instance) -> None:
                     want.edge_count,
                 ), member
     assert alone == {}, "a non-disjoint inter-edge is in no label class entry"
-    disjoint = [subset_label(e.pair) for e in inst.inter_edges if inst.disjoint[e.pair]]
+    disjoint = [subset_label(e[:2]) for e in inst.inter_edges if inst.disjoint[e.u, e.v]]
     expected = {"links of the part cosets": [subset_label(frozenset(p)) for p in inst.family.parts]}
     if disjoint:
         expected["links of the disjoint inter-edge cosets"] = disjoint
@@ -513,7 +513,7 @@ def test_shared_developments_match_independent_ones(monkeypatch):
     mixed = random_rel_prime_instance(random.Random(45))
     engines = [engine_for_part(mixed.graph, part) for part in mixed.family.parts]
     part_labels = {e.m for e in engines if isinstance(e, DihedralEngine)}
-    classes = {(e.label, mixed.disjoint[e.pair]) for e in mixed.inter_edges}
+    classes = {(e.label, mixed.disjoint[e.u, e.v]) for e in mixed.inter_edges}
     assert 4 in part_labels and {(4, True), (4, False)} <= classes
     for inst in (affine_parts_join(), touching_triple_control(), mixed):
         _assert_entries_match_independent(inst)
@@ -523,7 +523,7 @@ def test_shared_developments_match_independent_ones(monkeypatch):
         report = certify_link_condition(inst)
         monkeypatch.undo()
         assert built == []
-        labels = sorted({e.label for e in inst.inter_edges if not inst.disjoint[e.pair]})
+        labels = sorted({e.label for e in inst.inter_edges if not inst.disjoint[e.u, e.v]})
         relator = [e.descriptor for e in report.entries if e.stats.get("note") == RELATOR_NOTE]
         assert [int(d.split("(m=")[1].split(",")[0]) for d in relator] == labels
         assert all("non-disjoint" in d for d in relator)
@@ -535,7 +535,7 @@ def test_shared_entries_match_independent_ones_on_random_instances():
     merged = disjoint = 0
     for seed in range(10):
         inst = random_rel_prime_instance(random.Random(seed))
-        nondisjoint = [e for e in inst.inter_edges if not inst.disjoint[e.pair]]
+        nondisjoint = [e for e in inst.inter_edges if not inst.disjoint[e.u, e.v]]
         merged += len({e.label for e in nondisjoint}) < len(nondisjoint)
         disjoint += len(nondisjoint) < len(inst.inter_edges)
         _assert_entries_match_independent(inst)
@@ -559,7 +559,7 @@ def _lemma_shapes():
             for i, part in enumerate(inst.family.parts)
             if engine_for_part(inst.graph, part)
         ]
-        devs += [interedge_development(inst, e) for e in inst.inter_edges if inst.disjoint[e.pair]]
+        devs += [interedge_development(inst, e) for e in inst.inter_edges if inst.disjoint[e.u, e.v]]
         for dev in devs:
             eng = dev.engine
             shape = (eng.m,) if isinstance(eng, DihedralEngine) else ("free", len(eng.generators))
@@ -710,6 +710,37 @@ EMPTY_WITNESS_SHAPES = {
 }
 
 
+def _crafted_empty_links() -> list[Instance]:
+    """Empty links with chosen 2pi cycles: a part on a shape-A and a
+    shape-B group, each in turn holding the least vertex; fans of three
+    and four spokes into one part, their centre the least vertex or the
+    greatest, so that the root is the hub (the midpoint at a vertex) or a
+    spoke (the midpoint inside an edge); and a two-vertex part as hub.
+    Four edgeless one-vertex parts put the roots on the singleton side,
+    and three edges between one-vertex parts on the upper side."""
+    both = [["p1", "p2", "p3", "p4"], ["q1", "q2"], ["y"]]
+    shapes = [
+        (both, [("p1", "y"), ("p2", "y"), ("p3", "q1"), ("p4", "q2")]),
+        (both, [("p3", "y"), ("p4", "y"), ("p1", "q1"), ("p2", "q2")]),
+        ([["a1", "a2"], ["y"]], [("a1", "y"), ("a2", "y")]),
+        ([["a1", "a2"], ["b1", "b2"]], [("a1", "b2"), ("a2", "b1")]),
+    ]
+    for k in (3, 4):
+        spokes = [f"b{i}" for i in range(k)]
+        shapes += [([[y], spokes], [(y, b) for b in spokes]) for y in ("a", "z")]
+    ends = [(f"e{i}a", f"e{i}b") for i in range(3)]
+    pads = [([[f"o{i}"] for i in range(4)], []), ([[v] for e in ends for v in e], ends)]
+    out = []
+    for parts, pairs in shapes:
+        for more_parts, more_pairs in pads:
+            family = parts + more_parts
+            g = DefiningGraph.build(
+                [v for part in family for v in part], [(u, v, 4) for u, v in pairs + more_pairs]
+            )
+            out.append(Instance(g, SubgraphFamily.build(g, family)))
+    return out
+
+
 def test_empty_entry_matches_the_search_of_the_built_link():
     # the closed-form entry of the empty link against the built link and
     # its search floored at 2pi, field for field, on forests, links with
@@ -717,6 +748,7 @@ def test_empty_entry_matches_the_search_of_the_built_link():
     instances = [random_rel_prime_instance(random.Random(seed)) for seed in range(300)]
     instances += [random_instance(random.Random(seed)) for seed in range(100)]
     instances += [random_matching_instance(random.Random(seed)) for seed in range(300)]
+    instances += _crafted_empty_links()
     seen = set()
     for inst in instances:
         link = build_link_empty(inst)

@@ -87,7 +87,7 @@ def test_crossing_check():
         assert ok == check_rel_prime(inst).ok
         if ok:
             holds += 1
-            pairs = sorted((e.pair for e in inst.inter_edges), key=subset_sort_key)
+            pairs = sorted((frozenset(e[:2]) for e in inst.inter_edges), key=subset_sort_key)
             assert enumerated_crossing_spherical(inst) == pairs, inst.graph.edges
     assert 350 < holds < 618
 

@@ -118,7 +118,7 @@ def test_develop_interedge_units_and_default_radius():
     assert all(w == 2 for _, _, w in link.edges)
 
     join = affine_parts_join()
-    e1 = next(x for x in join.inter_edges if x.pair == frozenset(("a1", "a2")))
+    e1 = next(x for x in join.inter_edges if x[:2] == ("a1", "a2"))
     near = develop_link_interedge(join, e1, radius=2, cap=10**5)
     assert all(w == 1 for _, _, w in near.edges)
 
@@ -291,7 +291,7 @@ def test_link_lengths_are_the_metric_corner_angles():
                     continue
                 dev = develop_link_part(inst, i, radius=2)
             else:
-                (edge,) = [e for e in inst.inter_edges if e.pair == top]
+                (edge,) = [e for e in inst.inter_edges if frozenset(e[:2]) == top]
                 dev = develop_link_interedge(inst, edge, radius=2)
             assert {w for _, _, w in dev.edges} == {sx.units[2]}, sx.chain
     assert shapes == set(TRIANGLE_UNITS)
