@@ -80,25 +80,26 @@ def find_witness(
     return None
 
 
-def _confined_syllable_max(neighbours: list[list[int]], n: int) -> int:
+def _confined_syllable_max(edges: list[int], gens: int, n: int) -> int:
     """Least block count per element among words whose prefixes all stay
     among the first n elements of the ball, maximised over them.
 
-    ``neighbours`` are the ball's Cayley edges from ``ball_levels``.  The
-    levels are numbered in order, so the ball of any radius is a prefix
-    of the numbering and confinement is one comparison.  0/1 breadth-first
-    search over (element, last generator) states, packed as
-    element * generators + generator: a same-generator step extends the
-    current block for free, a generator change opens a new block at cost 1.
-    Confinement makes the value an upper bound for the true syllable
-    length, exact whenever some minimal-syllable word stays inside the set.
+    ``edges`` are the ball's Cayley edges from ``ball_levels``, 2 gens
+    slots per element.  The levels are numbered in order, so the ball of
+    any radius is a prefix of the numbering and confinement is one
+    comparison.  0/1 breadth-first search over (element, last generator)
+    states, packed as element * generators + generator: a same-generator
+    step extends the current block for free, a generator change opens a
+    new block at cost 1.  Confinement makes the value an upper bound for
+    the true syllable length, exact whenever some minimal-syllable word
+    stays inside the set.
     """
-    gens = len(neighbours[0]) // 2
+    slots = 2 * gens
     unreached = n * gens + 1  # more blocks than any confined word needs
     cost = [unreached] * (n * gens)
     dq: deque[int] = deque()
     # from the identity every first letter opens a block
-    for slot, j in enumerate(neighbours[0]):
+    for slot, j in enumerate(edges[:slots]):
         state = j * gens + (slot >> 1)
         if 0 <= j < n and cost[state] > 1:
             cost[state] = 1
@@ -107,7 +108,7 @@ def _confined_syllable_max(neighbours: list[list[int]], n: int) -> int:
         state = dq.popleft()
         i, last = divmod(state, gens)
         c = cost[state]
-        for slot, j in enumerate(neighbours[i]):
+        for slot, j in enumerate(edges[i * slots : (i + 1) * slots]):
             if not 0 <= j < n:
                 continue
             g = slot >> 1
@@ -143,9 +144,7 @@ def empirical_orbit_growth(
     if not radii or any(r < 0 for r in radii):
         raise ValueError("radii must be non-negative")
     radii = sorted(radii)
-    levels, truncated, neighbours = DihedralEngine("a", "b", m).ball_levels(
-        radii[-1], cap
-    )
+    levels, truncated, edges = DihedralEngine("a", "b", m).ball_levels(radii[-1], cap)
     completed = len(levels) - 1
     if truncated:
         raise CapExceeded(
@@ -157,7 +156,7 @@ def empirical_orbit_growth(
     rows = []
     for r in radii:
         n = sum(len(level) for level in levels[: r + 1])
-        rows.append((r, _confined_syllable_max(neighbours, n)))
+        rows.append((r, _confined_syllable_max(edges, 2, n)))
     return rows
 
 

@@ -30,7 +30,7 @@ from .defining_graph import (
 from .dihedral_garside import BALL_CAP
 from .girth_checker import certify_link_condition
 from .kpi1_checker import kpi1_verdict
-from .link_builder import develop_link_interedge, develop_link_part
+from .link_builder import Rows, develop_link_interedge, develop_link_part
 from .poset_complex import (
     Runs,
     derived_complex,
@@ -98,6 +98,8 @@ def _write_json(val, nl: str, out: list[str]) -> None:
             out.append(nl + "]")
     elif isinstance(val, Runs):
         _write_runs(val, nl, out)
+    elif isinstance(val, Rows):
+        _write_blocks(val, nl, out)
     elif is_dataclass(val):
         _write_json(_fields(val), nl, out)
     else:
@@ -110,46 +112,62 @@ def _fields(report) -> dict:
 
 
 def _write_rows(rows, nl: str, out: list[str]) -> bool:
-    """Append a list of flat dicts with one key set, each row laid out by
-    one ``%`` template; False, appending nothing, for any other list.
-
-    Each column is spelled by its types: ints by ``%d``, strings by the C
-    string encoder, bools and None from a table, lists of str by
-    ``_str_list``, any other mix of scalars through ``_json_scalar``.  The
-    scalar spellings are lazy maps read as the rows are formatted."""
+    """Append a list of flat dicts with one key set as ``_write_blocks``
+    does; False, appending nothing, for any other list."""
     first = rows[0]
     if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
         return False
-    keys = sorted(first)
-    if set(map(len, rows)) != {len(keys)}:
+    if set(map(len, rows)) != {len(first)}:
         return False
     try:
-        columns = [list(map(itemgetter(k), rows)) for k in keys]
+        block = {k: list(map(itemgetter(k), rows)) for k in first}
     except KeyError:
         return False
+    return _write_blocks(Rows(block), nl, out)
+
+
+def _write_blocks(rows: Rows, nl: str, out: list[str]) -> bool:
+    """Append the JSON of rows stored as blocks of columns, each block's
+    rows laid out by one ``%`` template; False, appending nothing, when a
+    column holds a value no row spelling covers.
+
+    A value the block's rows share is spelled into the template.  Each
+    column is spelled by its types: ints by ``%d``, strings by the C
+    string encoder, bools and None from a table, lists of str by
+    ``_str_list``, any other mix of scalars through ``_json_scalar``.  The
+    scalar spellings are lazy maps read as the rows are formatted."""
     item, entry = nl + "  ", nl + "    "
-    cells, spelled = [], []
-    for column in columns:
-        kinds = set(map(type, column))
-        if kinds == {int}:
-            cells.append("%d")
-            spelled.append(column)
-            continue
-        cells.append("%s")
-        if kinds == {str}:
-            spelled.append(map(_quote, column))
-        elif kinds <= _CONSTANT_TYPES:
-            spelled.append(map(_JSON_CONSTANTS.__getitem__, column))
-        elif kinds <= _ROW_VALUE_TYPES:
-            spelled.append(map(_json_scalar, column))
-        elif kinds <= _LIST_TYPES and _all_str(column):
-            spelled.append([_str_list(strs, entry) for strs in column])
-        else:
-            return False
-    row = "{" + ",".join(
-        f"{entry}{_quote(k).replace('%', '%%')}: {cell}" for k, cell in zip(keys, cells)
-    ) + item + "}"
-    out += ("[" + item, ("," + item).join(map(row.__mod__, zip(*spelled))), nl + "]")
+    texts = []
+    for block in rows.blocks:
+        cells, spelled = [], []
+        for key in sorted(block):
+            column = block[key]
+            if type(column) is not list:
+                cells.append(_json_scalar(column).replace("%", "%%"))
+                continue
+            kinds = set(map(type, column))
+            if kinds == {int}:
+                cells.append("%d")
+                spelled.append(column)
+                continue
+            cells.append("%s")
+            if kinds == {str}:
+                spelled.append(map(_quote, column))
+            elif kinds <= _CONSTANT_TYPES:
+                spelled.append(map(_JSON_CONSTANTS.__getitem__, column))
+            elif kinds <= _ROW_VALUE_TYPES:
+                spelled.append(map(_json_scalar, column))
+            elif kinds <= _LIST_TYPES and _all_str(column):
+                spelled.append([_str_list(strs, entry) for strs in column])
+            else:
+                return False
+        row = "{" + ",".join(
+            f"{entry}{_quote(k).replace('%', '%%')}: {cell}" for k, cell in zip(sorted(block), cells)
+        ) + item + "}"
+        text = ("," + item).join(map(row.__mod__, zip(*spelled)))
+        if text:
+            texts.append(text)
+    out += ("[" + item, ("," + item).join(texts), nl + "]") if texts else ("[]",)
     return True
 
 
@@ -213,6 +231,8 @@ def _text_lines(doc, pad: str, lines: list[str]) -> None:
                 _text_lines(val, pad + "  ", lines)
     elif isinstance(doc, Runs):
         _text_runs(doc, pad, lines)
+    elif isinstance(doc, Rows):
+        _text_blocks(doc, pad, lines)
     elif isinstance(doc, (list, tuple)):
         for val in doc:
             if type(val) in _ROW_VALUE_TYPES:
@@ -237,12 +257,31 @@ def _text_runs(groups: Runs, pad: str, lines: list[str]) -> None:
             lines.append(head + head.join(map(texts.__getitem__, tails)))
 
 
+def _text_blocks(rows: Rows, pad: str, lines: list[str]) -> None:
+    """The text of rows stored as blocks of columns, each block's rows laid
+    out by one ``%`` template, as ``_write_blocks`` does."""
+    inner = pad + "  "
+    for block in rows.blocks:
+        cells, spelled = [], []
+        for key, column in block.items():
+            if type(column) is not list:
+                cell = _scalar(column).replace("%", "%%")
+            elif set(map(type, column)) == {int}:
+                cell = "%d"
+                spelled.append(column)
+            else:
+                cell = "%s"
+                spelled.append(map(_scalar, column))
+            cells.append(f"{inner}{key.replace('%', '%%')}: {cell}\n")
+        lines.append("".join(map((pad + "-\n" + "".join(cells)).__mod__, zip(*spelled))))
+
+
 def _scalar(val) -> str:
     if val is None:
         return "null"
     if isinstance(val, bool):
         return "true" if val else "false"
-    if isinstance(val, (list, tuple, Runs, dict)):
+    if isinstance(val, (list, tuple, Runs, Rows, dict)):
         return "{}" if isinstance(val, dict) else "[]"
     return str(val)
 

@@ -53,7 +53,7 @@ multiplying again.
 """
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
 from typing import NamedTuple, Sequence
 
 Word = tuple[tuple[str, int], ...]
@@ -104,7 +104,7 @@ BALL_CAP = 10**6
 
 def _ball_levels(
     engine, radius: int, cap: int = BALL_CAP
-) -> tuple[list[list], bool, list[list[int]]]:
+) -> tuple[list[list], bool, list[int]]:
     """BFS levels of the word metric ball, through the engine's identity,
     generators and mult_gen, with the ball's Cayley edges.
 
@@ -115,10 +115,11 @@ def _ball_levels(
     dropped is never multiplied out.  levels[d] holds exactly the elements
     at distance d, each level sorted by the engine's sort key.
 
-    Elements are numbered by position in the concatenated levels, and
-    neighbours[i] lists the number of el_i g^+1 in slot 2 gi and of
-    el_i g^-1 in slot 2 gi + 1, for the generator g at position gi; a slot
-    holds -1 when that product lies outside the kept ball.
+    Elements are numbered by position in the concatenated levels, and the
+    edges are one flat list of 2 * len(generators) slots per element: for
+    the generator g at position gi, slot i * slots + 2 gi holds the number
+    of el_i g^+1 and the slot after it the number of el_i g^-1, or -1 when
+    that product lies outside the kept ball.
 
     Every Artin relator has even length, so all words for one element have
     lengths of one parity, and a generator step flips it: the products of
@@ -135,46 +136,47 @@ def _ball_levels(
     steps = [(g, sign) for g in engine.generators for sign in (1, -1)]
     slots = len(steps)
     levels: list[list] = [[engine.identity]]
-    neighbours: list[list[int]] = [[-1] * slots]
+    edges = [-1] * slots
     for _ in range(radius):
-        # the number of the last level's first element; the product for each
-        # of its slots, None where the slot is already filled; and the
-        # elements of the next level found so far
-        base = len(neighbours) - len(levels[-1])
-        room = cap - len(neighbours)  # new elements the cap still admits
-        rows = zip(levels[-1], neighbours[base:])
-        left = len(levels[-1])
+        # the last level's elements, the offset of its first slot, and the
+        # elements of the next level found so far; products holds one entry
+        # per slot from that offset on, None where the slot is filled
+        count = len(edges) // slots
+        last = iter(levels[-1])
+        start = offset = len(edges) - slots * len(levels[-1])
+        room = cap - count  # new elements the cap still admits
         products: list = []
         found: set = set()
-        while left:
+        while offset < len(edges):
             # an element adds at most `slots` new ones, so a chunk of this
             # many cannot pass the cap; near it the chunks are single elements
-            chunk = min(left, max(1, (room - len(found)) // slots))
-            left -= chunk
+            chunk = min(len(edges) - offset, max(1, (room - len(found)) // slots) * slots)
             new = [
-                mult_gen(x, g, sign) if row[slot] < 0 else None
-                for x, row in islice(rows, chunk)
-                for slot, (g, sign) in enumerate(steps)
+                mult_gen(x, g, sign) if filled < 0 else None
+                for (x, (g, sign)), filled in zip(
+                    product(islice(last, chunk // slots), steps),
+                    islice(edges, offset, offset + chunk),
+                )
             ]
+            offset += chunk
             products += new
             found.update(new)
             found.discard(None)
             if len(found) > room:
-                return levels, True, neighbours
+                return levels, True, edges
         if not found:
-            return levels, False, neighbours
+            return levels, False, edges
         level = sorted(found, key=engine.sort_key)
-        number = {w: wi for wi, w in enumerate(level, len(neighbours))}
-        neighbours.extend([-1] * slots for _ in level)
-        for k, w in enumerate(products):
+        number = {w: wi for wi, w in enumerate(level, count)}
+        edges += [-1] * (slots * len(level))
+        for off, w in enumerate(products, start):
             if w is not None:
-                xi, slot = divmod(k, slots)
-                xi += base
                 wi = number[w]
-                neighbours[xi][slot] = wi
-                neighbours[wi][slot ^ 1] = xi
+                edges[off] = wi
+                xi, slot = divmod(off, slots)
+                edges[wi * slots + (slot ^ 1)] = xi
         levels.append(level)
-    return levels, False, neighbours
+    return levels, False, edges
 
 
 class DihedralEngine:

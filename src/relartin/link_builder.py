@@ -35,8 +35,8 @@ coset vertex of g, and only the others compute a coset key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, repeat
-from operator import add, itemgetter, mul, ne
+from itertools import chain, count, repeat
+from operator import add, floordiv, itemgetter, mul, ne
 
 from .defining_graph import GraphError, Instance, InterEdge
 from .dihedral_garside import BALL_CAP, DihedralEngine, engine_for_part
@@ -60,17 +60,57 @@ class TruncationInfo:
     cap: int | None = None
 
 
+class Rows:
+    """JSON objects with one key set, stored as blocks of columns for the
+    writers of ``relartin.cli``: each block maps every key, in text order,
+    to the scalar its rows share or to a list of one value per row."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, *blocks: dict):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(len(next(v for v in b.values() if type(v) is list)) for b in self.blocks)
+
+
+class CosetEdges:
+    """A development's edges as one column: edge k = i * gens + gi joins
+    element vertex i to ``targets[k]``, its coset vertex along the gi-th
+    generator, and every edge is ``units`` long.  Iteration spells the
+    (i, j, w) tuples as they are read."""
+
+    __slots__ = ("targets", "gens", "units")
+
+    def __init__(self, targets: list[int], gens: int, units: int):
+        self.targets, self.gens, self.units = targets, gens, units
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __iter__(self):
+        return zip(self.heads(), self.targets, repeat(self.units))
+
+    def heads(self) -> list[int]:
+        """Each edge's element vertex."""
+        return list(map(floordiv, range(len(self.targets)), repeat(self.gens)))
+
+
 @dataclass
 class LinkGraph:
     """Simple weighted graph with a bipartition and development metadata,
-    checked to be simple and bipartite when it is built."""
+    checked to be simple and bipartite when it is built.
+
+    A finite link lists its edges as (i, j, w) tuples; a development keeps
+    them as ``CosetEdges``, its element vertices first and then its coset
+    vertices."""
 
     case: str
     descriptor: str
     vertex_kinds: list[str]
     vertex_labels: list[str]
     sides: list[int]
-    edges: list[tuple[int, int, int]]
+    edges: list[tuple[int, int, int]] | CosetEdges
     truncation: TruncationInfo
     boundary: set[int] = field(default_factory=set)
 
@@ -81,19 +121,28 @@ class LinkGraph:
     def vertex_count(self) -> int:
         return len(self.vertex_labels)
 
+    def edge_columns(self) -> tuple[list[int], list[int], list[int] | int]:
+        """The edges' first ends, second ends and lengths, the lengths one
+        int for a development."""
+        edges = self.edges
+        if type(edges) is CosetEdges:
+            return edges.heads(), edges.targets, edges.units
+        # columns by itemgetter: zip(*edges) would make an iterator per edge
+        us, vs, ws = (list(map(itemgetter(c), edges)) for c in range(3))
+        return us, vs, ws
+
     def check_simple_bipartite(self) -> None:
         """Raise GraphError at the first edge that is a self-loop, repeats
         an earlier edge, lies inside one side or has a length outside 1..4
         units.
 
-        The edges are first tested all at once: an edge (i, j) is coded
-        as the int i n + j for n vertices, and a repeat is a code met twice
-        or also met as j n + i; a self-loop lies inside its side.  Only a
-        graph that fails is scanned edge by edge, to name its first
+        The edge columns are first tested all at once: an edge (i, j) is
+        coded as the int i n + j for n vertices, and a repeat is a code met
+        twice or also met as j n + i; a self-loop lies inside its side.
+        Only a graph that fails is scanned edge by edge, to name its first
         fault."""
-        if self.edges:
-            # columns by itemgetter: zip(*edges) would make an iterator per edge
-            us, vs, ws = (list(map(itemgetter(c), self.edges)) for c in range(3))
+        us, vs, ws = self.edge_columns()
+        if us:
             n = self.vertex_count
             codes = set(map(add, map(mul, us, repeat(n)), vs))
             sides = self.sides.__getitem__
@@ -101,7 +150,7 @@ class LinkGraph:
                 len(codes) == len(us)
                 and codes.isdisjoint(map(add, map(mul, vs, repeat(n)), us))
                 and all(map(ne, map(sides, us), map(sides, vs)))
-                and set(ws) <= _UNIT_RANGE
+                and ({ws} if type(ws) is int else set(ws)) <= _UNIT_RANGE
             ):
                 return
         seen = set()
@@ -118,19 +167,24 @@ class LinkGraph:
                 raise GraphError(f"edge length {w} outside 1..4 units")
 
     def to_json_dict(self) -> dict:
+        labels, n = self.vertex_labels, self.vertex_count
+        dashed = self.boundary.__contains__
+        if type(self.edges) is CosetEdges:
+            e = len(self.edges) // self.edges.gens
+            vertices = Rows(
+                {"kind": "element", "label": labels[:e], "side": 0, "boundary": list(map(dashed, range(e)))},
+                {"kind": "coset", "label": labels[e:], "side": 1, "boundary": list(map(dashed, range(e, n)))},
+            )
+        else:
+            vertices = Rows(
+                {"kind": self.vertex_kinds, "label": labels, "side": self.sides, "boundary": list(map(dashed, range(n)))}
+            )
+        us, vs, ws = self.edge_columns()
         return {
             "case": self.case,
             "descriptor": self.descriptor,
-            "vertices": [
-                {"kind": kind, "label": label, "side": side, "boundary": boundary}
-                for kind, label, side, boundary in zip(
-                    self.vertex_kinds,
-                    self.vertex_labels,
-                    self.sides,
-                    map(self.boundary.__contains__, range(self.vertex_count)),
-                )
-            ],
-            "edges": [{"u": i, "v": j, "units": w} for i, j, w in self.edges],
+            "vertices": vertices,
+            "edges": Rows({"u": us, "v": vs, "units": ws}),
             "truncation": {
                 "complete": self.truncation.complete,
                 "truncated": self.truncation.truncated,
@@ -141,21 +195,33 @@ class LinkGraph:
         }
 
     def to_dot(self) -> str:
-        labels, boundary = self.vertex_labels, self.boundary
+        labels = self.vertex_labels
         # developed labels are spelled from generator names, so mostly
         # none needs escaping
         joined = "".join(labels)
         if "\\" in joined or '"' in joined:
             labels = list(map(dot_escape, labels))
-        lines = [f'graph "{dot_escape(self.descriptor)}" {{']
-        lines += [
-            f'  n{i} [label="{label}", shape={"box" if side else "ellipse"}'
-            f'{", style=dashed" if i in boundary else ""}];'
-            for i, label, side in zip(count(), labels, self.sides)
-        ]
-        lines += [f'  n{i} -- n{j} [label="{w}"];' for i, j, w in self.edges]
-        lines.append("}")
-        return "\n".join(lines)
+        us, vs, ws = self.edge_columns()
+        if type(ws) is int:
+            edges = map(f'  n%d -- n%d [label="{ws}"];'.__mod__, zip(us, vs))
+        else:
+            edges = map('  n%d -- n%d [label="%d"];'.__mod__, zip(us, vs, ws))
+        vertices = map(
+            '  n%d [label="%s", shape=%s%s];'.__mod__,
+            zip(
+                count(),
+                labels,
+                map(_SHAPES.__getitem__, self.sides),
+                map(_DASHED.__getitem__, map(self.boundary.__contains__, range(self.vertex_count))),
+            ),
+        )
+        header = f'graph "{dot_escape(self.descriptor)}" {{'
+        return "\n".join(chain((header,), vertices, edges, ("}",)))
+
+
+# a dot vertex's shape by its side, and its style by whether it is boundary
+_SHAPES = ("ellipse", "box")
+_DASHED = ("", ", style=dashed")
 
 
 def build_link_empty(inst: Instance) -> LinkGraph:
@@ -292,54 +358,58 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     """Shared ball development: element vertices on side 0, one coset vertex
     per generator-cyclic coset on side 1, every incidence one edge.
 
-    An element whose g or g^-1 neighbour in the ball has a smaller number
-    shares that neighbour's coset vertex of g, whose edge is already built;
-    only the other elements pay for ``coset_key``, which stays the exact
-    test because a coset can meet the ball in pieces that no g-step joins.
-    A shared coset vertex was created at or before that neighbour, so the
-    numbering is the one the keys alone would give.  The element labels
-    come first, so a coset vertex is labelled as it is created."""
+    The edges are one ``targets`` column: the coset vertex of element i
+    along the generator at position gi is targets[i * gens + gi], and
+    every edge is ``dev.units`` long.  An element whose g or g^-1
+    neighbour in the ball has a smaller number shares that neighbour's
+    coset vertex of g, already in the column; only the other elements pay
+    for ``coset_key``, which stays the exact test because a coset can meet
+    the ball in pieces that no g-step joins.  A shared coset vertex was
+    created at or before that neighbour, so the numbering is the one the
+    keys alone would give.  The element labels come first, so a coset
+    vertex is labelled as it is created.  ``LinkGraph`` checks the columns
+    as it is built."""
     if radius < 1:
         raise GraphError("radius must be >= 1")
     engine = dev.engine
-    levels, truncated, neighbours = engine.ball_levels(radius, cap)
+    levels, truncated, edges = engine.ball_levels(radius, cap)
     ball = [el for level in levels for el in level]
     elements = len(ball)
     outer = elements - len(levels[-1])
     # element labels, then each coset vertex's label as it is created
     labels = list(map(engine.describe, ball))
     coset_index: dict[tuple, int] = {}
-    edges: list[tuple[int, int, int]] = []
-    coset_key, generators, units = engine.coset_key, engine.generators, dev.units
+    targets: list[int] = []
+    coset_key, generators = engine.coset_key, engine.generators
     gens = len(generators)
-    # each generator's g^+1 slot in a neighbour row, its position, itself
-    steps = [(2 * gi, gi, g) for gi, g in enumerate(generators)]
-    for i, el, row in zip(range(elements), ball, neighbours):
-        for slot, gi, g in steps:
-            # a neighbour p's own edge of g is edges[p * gens + gi]
-            up, down = row[slot], row[slot + 1]
+    steps = list(enumerate(generators))
+    # (g^+1, g^-1) neighbour numbers, in target order: slots come in pairs
+    slot = iter(edges)
+    pairs = zip(slot, slot)
+    for i, el in enumerate(ball):
+        for (gi, g), (up, down) in zip(steps, pairs):
             if 0 <= up < i:
-                j = edges[up * gens + gi][1]
+                j = targets[up * gens + gi]
             elif 0 <= down < i:
-                j = edges[down * gens + gi][1]
+                j = targets[down * gens + gi]
             else:
                 key = coset_key(el, g)
                 j = coset_index.get(key)
                 if j is None:
                     j = coset_index[key] = len(labels)
                     labels.append(f"{labels[i]}.<{g}>")
-            edges.append((i, j, units))
+            targets.append(j)
     cosets = len(labels) - elements
     # the outer level's element vertices and every coset vertex they touch
     boundary = set(range(outer, elements))
-    boundary.update(j for _, j, _ in edges[outer * gens :])
+    boundary.update(targets[outer * gens :])
     return LinkGraph(
         case=dev.case,
         descriptor=dev.descriptor,
         vertex_kinds=["element"] * elements + ["coset"] * cosets,
         vertex_labels=labels,
         sides=[0] * elements + [1] * cosets,
-        edges=edges,
+        edges=CosetEdges(targets, gens, dev.units),
         truncation=TruncationInfo(
             complete=False,
             truncated=truncated,

@@ -345,26 +345,27 @@ def per_radius_orbit_growth(m: int, radii, cap: int):
 
 # ------------------------------------------------------ developments
 
-def per_pair_development(engine, radius: int, cap: int, units: int):
+def per_pair_development(engine, radius: int, cap: int):
     """A ball development with ``coset_key`` called for every (element,
-    generator) pair: (edges, normal form of every vertex, boundary,
-    truncated, achieved radius), vertices numbered as in ``_develop``."""
+    generator) pair: (the coset vertex of each pair, in ``_develop``'s
+    target order, the normal form of every vertex, boundary, truncated,
+    achieved radius), vertices numbered as in ``_develop``."""
     levels, truncated, _ = engine.ball_levels(radius, cap)
     forms = [(el, None) for level in levels for el in level]
     elements = len(forms)
     coset_index: dict = {}
-    edges = []
+    targets = []
     for i in range(elements):
         for g in engine.generators:
             key = engine.coset_key(forms[i][0], g)
             if key not in coset_index:
                 coset_index[key] = len(forms)
                 forms.append((forms[i][0], g))
-            edges.append((i, coset_index[key], units))
+            targets.append(coset_index[key])
     outer = elements - len(levels[-1])
     boundary = set(range(outer, elements))
-    boundary.update(j for i, j, _ in edges if i >= outer)
-    return edges, forms, boundary, truncated, len(levels) - 1
+    boundary.update(targets[outer * len(engine.generators) :])
+    return targets, forms, boundary, truncated, len(levels) - 1
 
 
 def expand_then_drop_ball_levels(engine, radius: int, cap: int = 10**6):
@@ -374,31 +375,31 @@ def expand_then_drop_ball_levels(engine, radius: int, cap: int = 10**6):
     steps = [(g, sign) for g in engine.generators for sign in (1, -1)]
     slots = len(steps)
     levels = [[engine.identity]]
-    neighbours = [[-1] * slots]
+    edges = [-1] * slots
     for _ in range(radius):
-        base = len(neighbours) - len(levels[-1])
+        base = len(edges) // slots - len(levels[-1])
         products = [
-            mult_gen(x, g, sign) if row[slot] < 0 else None
-            for x, row in zip(levels[-1], neighbours[base:])
+            mult_gen(x, g, sign) if edges[(base + xi) * slots + slot] < 0 else None
+            for xi, x in enumerate(levels[-1])
             for slot, (g, sign) in enumerate(steps)
         ]
         found = set(products)
         found.discard(None)
         if not found:
-            return levels, False, neighbours
-        if len(neighbours) + len(found) > cap:
-            return levels, True, neighbours
+            return levels, False, edges
+        if len(edges) // slots + len(found) > cap:
+            return levels, True, edges
         level = sorted(found, key=engine.sort_key)
-        number = {w: wi for wi, w in enumerate(level, len(neighbours))}
-        neighbours.extend([-1] * slots for _ in level)
+        number = {w: wi for wi, w in enumerate(level, len(edges) // slots)}
+        edges.extend([-1] * slots * len(level))
         for k, w in enumerate(products):
             if w is not None:
                 xi, slot = divmod(k, slots)
                 wi = number[w]
-                neighbours[xi + base][slot] = wi
-                neighbours[wi][slot ^ 1] = xi + base
+                edges[(xi + base) * slots + slot] = wi
+                edges[wi * slots + (slot ^ 1)] = xi + base
         levels.append(level)
-    return levels, False, neighbours
+    return levels, False, edges
 
 
 def all_roots_development_girth(link):

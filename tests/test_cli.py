@@ -817,14 +817,21 @@ def test_cli_import_is_numpy_free():
 
 
 def _plain(doc):
-    """doc with each dataclass instance in it copied by ``asdict``, and
-    each list of groups stored as runs listed."""
+    """doc with each dataclass instance in it copied by ``asdict``, each
+    list of groups stored as runs listed, and each block of rows stored
+    as columns listed as dicts."""
     if is_dataclass(doc):
         return asdict(doc)
     if isinstance(doc, dict):
         return {key: _plain(val) for key, val in doc.items()}
     if isinstance(doc, poset_complex.Runs):
         return [[_plain(doc.items[k]) for k in group] for group in doc.indices()]
+    if isinstance(doc, link_builder.Rows):
+        rows = []
+        for block in doc.blocks:
+            n = len(next(col for col in block.values() if type(col) is list))
+            rows += [{key: col[i] if type(col) is list else col for key, col in block.items()} for i in range(n)]
+        return rows
     if isinstance(doc, (list, tuple)):
         return [_plain(val) for val in doc]
     return doc

@@ -229,18 +229,19 @@ def test_ball_edges_are_the_products_inside_the_ball():
     truncated_balls = 0
     for eng in engines:
         for radius, cap in ((6, 10**6), (10, 150), (4, 5), (0, 10**6)):
-            levels, truncated, neighbours = eng.ball_levels(radius, cap)
+            levels, truncated, edges = eng.ball_levels(radius, cap)
             truncated_balls += truncated
             flat = [el for level in levels for el in level]
             number = {el: i for i, el in enumerate(flat)}
-            assert len(neighbours) == len(flat)
+            slots = 2 * len(eng.generators)
+            assert len(edges) == slots * len(flat)
             for i, el in enumerate(flat):
                 expected = [
                     number.get(eng.mult_gen(el, g, sign), -1)
                     for g in eng.generators
                     for sign in (1, -1)
                 ]
-                assert neighbours[i] == expected, (eng.generators, radius, cap, i)
+                assert edges[i * slots : (i + 1) * slots] == expected, (eng.generators, radius, cap, i)
     assert truncated_balls >= 2 * len(engines) - 1
 
 

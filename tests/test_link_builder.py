@@ -175,10 +175,9 @@ def test_develop_matches_a_coset_key_per_pair():
         for units in (1, 2):
             for radius, cap in ((5, 10**6), (12, 400), (3, 10)):
                 link = _develop(Development(eng, units, "part", "test"), radius, cap)
-                edges, forms, boundary, truncated, achieved = per_pair_development(
-                    eng, radius, cap, units
-                )
-                assert link.edges == edges, (eng.generators, units, radius, cap)
+                targets, forms, boundary, truncated, achieved = per_pair_development(eng, radius, cap)
+                assert link.edges.targets == targets, (eng.generators, units, radius, cap)
+                assert link.edges.units == units
                 assert link.vertex_labels == [vertex_label(eng, *form) for form in forms]
                 assert link.boundary == boundary
                 assert link.truncation.truncated == truncated
@@ -199,6 +198,27 @@ def test_develop_reuses_cosets_along_ball_edges(monkeypatch):
     elements = link.vertex_kinds.count("element")
     assert link.truncation.truncated and elements > 1000
     assert 0 < len(calls) < elements * 2
+
+
+def test_develop_check_names_a_parallel_edge_on_the_columns(monkeypatch):
+    # a coset key that ignores its generator puts both edges of element 0
+    # on one coset vertex, the first coset vertex after the ball's elements
+    eng = DihedralEngine("a", "b", 3)
+    key = DihedralEngine.coset_key
+    monkeypatch.setattr(DihedralEngine, "coset_key", lambda self, el, g: key(self, el, "a"))
+    levels, _, _ = eng.ball_levels(3, 100)
+    elements = sum(map(len, levels))
+    with pytest.raises(GraphError) as exc:
+        _develop(Development(eng, 2, "part", "test"), 3, 100)
+    assert str(exc.value) == f"parallel edge (0, {elements})"
+
+
+@pytest.mark.parametrize("units", [0, 5])
+def test_develop_check_refuses_units_outside_the_range(units):
+    for eng in (DihedralEngine("a", "b", 4), FreeEngine(["x", "y", "z"])):
+        with pytest.raises(GraphError) as exc:
+            _develop(Development(eng, units, "part", "test"), 2, 100)
+        assert str(exc.value) == f"edge length {units} outside 1..4 units"
 
 
 def test_dot_rendering_smoke():
