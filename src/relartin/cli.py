@@ -112,18 +112,17 @@ def _fields(report) -> dict:
 
 
 def _write_rows(rows, nl: str, out: list[str]) -> bool:
-    """Append a list of flat dicts with one key set as ``_write_blocks``
-    does; False, appending nothing, for any other list."""
+    """Append a list of flat dicts with one key set as one block of
+    ``_write_blocks``; False, appending nothing, for any other list."""
     first = rows[0]
     if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
         return False
-    if set(map(len, rows)) != {len(first)}:
-        return False
     try:
-        block = {k: list(map(itemgetter(k), rows)) for k in first}
+        if set(map(len, rows)) == {len(first)}:
+            return _write_blocks(Rows({k: list(map(itemgetter(k), rows)) for k in first}), nl, out)
     except KeyError:
-        return False
-    return _write_blocks(Rows(block), nl, out)
+        pass
+    return False
 
 
 def _write_blocks(rows: Rows, nl: str, out: list[str]) -> bool:
@@ -141,17 +140,14 @@ def _write_blocks(rows: Rows, nl: str, out: list[str]) -> bool:
     for block in rows.blocks:
         cells, spelled = [], []
         for key in sorted(block):
-            column = block[key]
-            if type(column) is not list:
-                cells.append(_json_scalar(column).replace("%", "%%"))
-                continue
-            kinds = set(map(type, column))
-            if kinds == {int}:
-                cells.append("%d")
+            column, cell = block[key], "%s"
+            kinds = set(map(type, column)) if type(column) is list else None
+            if kinds is None:
+                cell = _json_scalar(column).replace("%", "%%")
+            elif kinds == {int}:
+                cell = "%d"
                 spelled.append(column)
-                continue
-            cells.append("%s")
-            if kinds == {str}:
+            elif kinds == {str}:
                 spelled.append(map(_quote, column))
             elif kinds <= _CONSTANT_TYPES:
                 spelled.append(map(_JSON_CONSTANTS.__getitem__, column))
@@ -161,12 +157,9 @@ def _write_blocks(rows: Rows, nl: str, out: list[str]) -> bool:
                 spelled.append([_str_list(strs, entry) for strs in column])
             else:
                 return False
-        row = "{" + ",".join(
-            f"{entry}{_quote(k).replace('%', '%%')}: {cell}" for k, cell in zip(sorted(block), cells)
-        ) + item + "}"
-        text = ("," + item).join(map(row.__mod__, zip(*spelled)))
-        if text:
-            texts.append(text)
+            cells.append(f"{entry}{_quote(key).replace('%', '%%')}: {cell}")
+        row = "{" + ",".join(cells) + item + "}"
+        texts.append(("," + item).join(map(row.__mod__, zip(*spelled))))
     out += ("[" + item, ("," + item).join(texts), nl + "]") if texts else ("[]",)
     return True
 
@@ -260,20 +253,15 @@ def _text_runs(groups: Runs, pad: str, lines: list[str]) -> None:
 def _text_blocks(rows: Rows, pad: str, lines: list[str]) -> None:
     """The text of rows stored as blocks of columns, each block's rows laid
     out by one ``%`` template, as ``_write_blocks`` does."""
-    inner = pad + "  "
     for block in rows.blocks:
-        cells, spelled = [], []
+        cells, spelled = [pad + "-\n"], []
         for key, column in block.items():
-            if type(column) is not list:
-                cell = _scalar(column).replace("%", "%%")
-            elif set(map(type, column)) == {int}:
-                cell = "%d"
-                spelled.append(column)
-            else:
-                cell = "%s"
-                spelled.append(map(_scalar, column))
-            cells.append(f"{inner}{key.replace('%', '%%')}: {cell}\n")
-        lines.append("".join(map((pad + "-\n" + "".join(cells)).__mod__, zip(*spelled))))
+            cell = "%s" if type(column) is list else _scalar(column).replace("%", "%%")
+            if type(column) is list:
+                # "%s" spells an int or a str as _scalar does
+                spelled.append(column if set(map(type, column)) <= {int, str} else map(_scalar, column))
+            cells.append(f"{pad}  {key.replace('%', '%%')}: {cell}\n")
+        lines.append("".join(map("".join(cells).__mod__, zip(*spelled))))
 
 
 def _scalar(val) -> str:

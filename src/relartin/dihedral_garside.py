@@ -43,13 +43,14 @@ coset_key, describe): the exact dihedral engine above, and an exact
 free-group engine (reduced words) for edgeless subgraphs.
 
 ``ball_levels`` returns the word-metric ball level by level together with
-its Cayley edges as flat element numbers, filled from the products the
-enumeration computes anyway.  Every Artin relator has even length, so all
-words for one element have lengths of one parity and a generator step
-flips it: no edge stays inside a level, and each level's edges down to the
-one before are the reverses of edges found while expanding that level.
-Developments and the syllable growth table read these edges instead of
-multiplying again.
+its Cayley edges as one flat list of slots, element i's g^+1 and g^-1
+neighbours at i * slots + 2 gi and the slot after it, filled from the
+products the enumeration computes anyway.  Every Artin relator has even
+length, so all words for one element have lengths of one parity and a
+generator step flips it: no edge stays inside a level, and each level's
+edges down to the one before are the reverses of edges found while
+expanding that level.  Developments and the syllable growth table read
+these slots by offset instead of multiplying again.
 """
 from __future__ import annotations
 
@@ -167,11 +168,10 @@ def _ball_levels(
         if not found:
             return levels, False, edges
         level = sorted(found, key=engine.sort_key)
-        number = {w: wi for wi, w in enumerate(level, count)}
+        number = dict(zip(level, range(count, count + len(level))))
         edges += [-1] * (slots * len(level))
-        for off, w in enumerate(products, start):
-            if w is not None:
-                wi = number[w]
+        for off, wi in enumerate(map(number.get, products), start):
+            if wi is not None:
                 edges[off] = wi
                 xi, slot = divmod(off, slots)
                 edges[wi * slots + (slot ^ 1)] = xi

@@ -31,11 +31,15 @@ followed by ``.<g>``.
 Coset vertices follow the ball's Cayley edges from ``ball_levels``: an
 element with a lower-numbered neighbour along g joins that neighbour's
 coset vertex of g, and only the others compute a coset key.
+A development is flat columns from the ball to the writers (the slot
+list, a ``targets`` column and one edge length), checked and written as
+columns with no per-edge tuple and no per-row dict; finite links keep
+their edges as tuple lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from operator import add, floordiv, itemgetter, mul, ne
 
 from .defining_graph import GraphError, Instance, InterEdge
@@ -61,14 +65,13 @@ class TruncationInfo:
 
 
 class Rows:
-    """JSON objects with one key set, stored as blocks of columns for the
-    writers of ``relartin.cli``: each block maps every key, in text order,
-    to the scalar its rows share or to a list of one value per row."""
-
-    __slots__ = ("blocks",)
+    """JSON objects of one key set as blocks of columns, for the writers of
+    ``relartin.cli``: each block maps every key, in text order, to the
+    value its rows share or to a list of one value per row.  A block
+    without rows is left out."""
 
     def __init__(self, *blocks: dict):
-        self.blocks = blocks
+        self.blocks = [b for b in blocks if next(v for v in b.values() if type(v) is list)]
 
     def __len__(self) -> int:
         return sum(len(next(v for v in b.values() if type(v) is list)) for b in self.blocks)
@@ -80,8 +83,6 @@ class CosetEdges:
     generator, and every edge is ``units`` long.  Iteration spells the
     (i, j, w) tuples as they are read."""
 
-    __slots__ = ("targets", "gens", "units")
-
     def __init__(self, targets: list[int], gens: int, units: int):
         self.targets, self.gens, self.units = targets, gens, units
 
@@ -92,18 +93,14 @@ class CosetEdges:
         return zip(self.heads(), self.targets, repeat(self.units))
 
     def heads(self) -> list[int]:
-        """Each edge's element vertex."""
         return list(map(floordiv, range(len(self.targets)), repeat(self.gens)))
 
 
 @dataclass
 class LinkGraph:
     """Simple weighted graph with a bipartition and development metadata,
-    checked to be simple and bipartite when it is built.
-
-    A finite link lists its edges as (i, j, w) tuples; a development keeps
-    them as ``CosetEdges``, its element vertices first and then its coset
-    vertices."""
+    checked to be simple and bipartite when it is built; a development
+    keeps its edges as ``CosetEdges``, its elements numbered first."""
 
     case: str
     descriptor: str
@@ -121,15 +118,13 @@ class LinkGraph:
     def vertex_count(self) -> int:
         return len(self.vertex_labels)
 
-    def edge_columns(self) -> tuple[list[int], list[int], list[int] | int]:
-        """The edges' first ends, second ends and lengths, the lengths one
-        int for a development."""
-        edges = self.edges
-        if type(edges) is CosetEdges:
-            return edges.heads(), edges.targets, edges.units
+    def edge_columns(self) -> tuple:
+        """The edges' two ends and lengths, the lengths one int for a
+        development."""
+        if type(self.edges) is CosetEdges:
+            return self.edges.heads(), self.edges.targets, self.edges.units
         # columns by itemgetter: zip(*edges) would make an iterator per edge
-        us, vs, ws = (list(map(itemgetter(c), edges)) for c in range(3))
-        return us, vs, ws
+        return tuple(list(map(itemgetter(c), self.edges)) for c in range(3))
 
     def check_simple_bipartite(self) -> None:
         """Raise GraphError at the first edge that is a self-loop, repeats
@@ -167,18 +162,15 @@ class LinkGraph:
                 raise GraphError(f"edge length {w} outside 1..4 units")
 
     def to_json_dict(self) -> dict:
-        labels, n = self.vertex_labels, self.vertex_count
-        dashed = self.boundary.__contains__
-        if type(self.edges) is CosetEdges:
-            e = len(self.edges) // self.edges.gens
-            vertices = Rows(
-                {"kind": "element", "label": labels[:e], "side": 0, "boundary": list(map(dashed, range(e)))},
-                {"kind": "coset", "label": labels[e:], "side": 1, "boundary": list(map(dashed, range(e, n)))},
-            )
-        else:
-            vertices = Rows(
-                {"kind": self.vertex_kinds, "label": labels, "side": self.sides, "boundary": list(map(dashed, range(n)))}
-            )
+        labels, n, dashed = self.vertex_labels, self.vertex_count, self.boundary.__contains__
+        # a development's element rows, then its coset rows
+        e = len(self.edges) // self.edges.gens if type(self.edges) is CosetEdges else 0
+        vertices = Rows(
+            {"kind": "element", "label": labels[:e], "side": 0, "boundary": list(map(dashed, range(e)))},
+            {"kind": "coset", "label": labels[e:], "side": 1, "boundary": list(map(dashed, range(e, n)))},
+        ) if e else Rows(
+            {"kind": self.vertex_kinds, "label": labels, "side": self.sides, "boundary": list(map(dashed, range(n)))}
+        )
         us, vs, ws = self.edge_columns()
         return {
             "case": self.case,
@@ -195,33 +187,25 @@ class LinkGraph:
         }
 
     def to_dot(self) -> str:
-        labels = self.vertex_labels
+        labels, boundary = self.vertex_labels, self.boundary
         # developed labels are spelled from generator names, so mostly
         # none needs escaping
         joined = "".join(labels)
         if "\\" in joined or '"' in joined:
             labels = list(map(dot_escape, labels))
         us, vs, ws = self.edge_columns()
-        if type(ws) is int:
-            edges = map(f'  n%d -- n%d [label="{ws}"];'.__mod__, zip(us, vs))
-        else:
-            edges = map('  n%d -- n%d [label="%d"];'.__mod__, zip(us, vs, ws))
-        vertices = map(
-            '  n%d [label="%s", shape=%s%s];'.__mod__,
-            zip(
-                count(),
-                labels,
-                map(_SHAPES.__getitem__, self.sides),
-                map(_DASHED.__getitem__, map(self.boundary.__contains__, range(self.vertex_count))),
-            ),
-        )
-        header = f'graph "{dot_escape(self.descriptor)}" {{'
-        return "\n".join(chain((header,), vertices, edges, ("}",)))
-
-
-# a dot vertex's shape by its side, and its style by whether it is boundary
-_SHAPES = ("ellipse", "box")
-_DASHED = ("", ", style=dashed")
+        lines = [f'graph "{dot_escape(self.descriptor)}" {{']
+        lines += [
+            f'  n{i} [label="{label}", shape={"box" if side else "ellipse"}'
+            f'{", style=dashed" if i in boundary else ""}];'
+            for i, label, side in zip(count(), labels, self.sides)
+        ]
+        lines += [
+            f'  n{i} -- n{j} [label="{w}"];'
+            for i, j, w in zip(us, vs, repeat(ws) if type(ws) is int else ws)
+        ]
+        lines.append("}")
+        return "\n".join(lines)
 
 
 def build_link_empty(inst: Instance) -> LinkGraph:
@@ -358,17 +342,14 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     """Shared ball development: element vertices on side 0, one coset vertex
     per generator-cyclic coset on side 1, every incidence one edge.
 
-    The edges are one ``targets`` column: the coset vertex of element i
-    along the generator at position gi is targets[i * gens + gi], and
-    every edge is ``dev.units`` long.  An element whose g or g^-1
-    neighbour in the ball has a smaller number shares that neighbour's
-    coset vertex of g, already in the column; only the other elements pay
-    for ``coset_key``, which stays the exact test because a coset can meet
-    the ball in pieces that no g-step joins.  A shared coset vertex was
-    created at or before that neighbour, so the numbering is the one the
-    keys alone would give.  The element labels come first, so a coset
-    vertex is labelled as it is created.  ``LinkGraph`` checks the columns
-    as it is built."""
+    Element i's coset vertex along the gi-th generator is targets[i * gens
+    + gi].  An element whose g or g^-1 neighbour in the ball has a smaller
+    number shares that neighbour's coset vertex of g; only the other
+    elements pay for ``coset_key``, which stays the exact test because a
+    coset can meet the ball in pieces that no g-step joins.  A shared
+    coset vertex was created at or before that neighbour, so the
+    numbering is the one the keys alone would give.  The element labels
+    come first, so a coset vertex is labelled as it is created."""
     if radius < 1:
         raise GraphError("radius must be >= 1")
     engine = dev.engine
@@ -382,23 +363,22 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     targets: list[int] = []
     coset_key, generators = engine.coset_key, engine.generators
     gens = len(generators)
-    steps = list(enumerate(generators))
-    # (g^+1, g^-1) neighbour numbers, in target order: slots come in pairs
+    # the ball's slots pair up as (g^+1, g^-1) neighbours in target order
     slot = iter(edges)
-    pairs = zip(slot, slot)
-    for i, el in enumerate(ball):
-        for (gi, g), (up, down) in zip(steps, pairs):
-            if 0 <= up < i:
-                j = targets[up * gens + gi]
-            elif 0 <= down < i:
-                j = targets[down * gens + gi]
-            else:
-                key = coset_key(el, g)
-                j = coset_index.get(key)
-                if j is None:
-                    j = coset_index[key] = len(labels)
-                    labels.append(f"{labels[i]}.<{g}>")
-            targets.append(j)
+    for k, (up, down) in enumerate(zip(slot, slot)):
+        i, gi = divmod(k, gens)
+        if 0 <= up < i:
+            j = targets[up * gens + gi]
+        elif 0 <= down < i:
+            j = targets[down * gens + gi]
+        else:
+            g = generators[gi]
+            key = coset_key(ball[i], g)
+            j = coset_index.get(key)
+            if j is None:
+                j = coset_index[key] = len(labels)
+                labels.append(f"{labels[i]}.<{g}>")
+        targets.append(j)
     cosets = len(labels) - elements
     # the outer level's element vertices and every coset vertex they touch
     boundary = set(range(outer, elements))
