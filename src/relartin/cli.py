@@ -251,15 +251,17 @@ def _text_runs(groups: Runs, pad: str, lines: list[str]) -> None:
 
 
 def _text_blocks(rows: Rows, pad: str, lines: list[str]) -> None:
-    """The text of rows stored as blocks of columns, each block's rows laid
-    out by one ``%`` template, as ``_write_blocks`` does."""
+    """The text of rows of scalars stored as blocks of columns, each
+    block's rows laid out by one ``%`` template, as ``_write_blocks`` does."""
     for block in rows.blocks:
         cells, spelled = [pad + "-\n"], []
         for key, column in block.items():
-            cell = "%s" if type(column) is list else _scalar(column).replace("%", "%%")
             if type(column) is list:
                 # "%s" spells an int or a str as _scalar does
+                cell = "%s"
                 spelled.append(column if set(map(type, column)) <= {int, str} else map(_scalar, column))
+            else:
+                cell = _scalar(column).replace("%", "%%")
             cells.append(f"{pad}  {key.replace('%', '%%')}: {cell}\n")
         lines.append("".join(map("".join(cells).__mod__, zip(*spelled))))
 

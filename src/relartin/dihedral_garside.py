@@ -156,7 +156,7 @@ def _ball_levels(
                 mult_gen(x, g, sign) if filled < 0 else None
                 for (x, (g, sign)), filled in zip(
                     product(islice(last, chunk // slots), steps),
-                    islice(edges, offset, offset + chunk),
+                    edges[offset : offset + chunk],
                 )
             ]
             offset += chunk
