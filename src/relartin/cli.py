@@ -117,12 +117,13 @@ def _write_rows(rows, nl: str, out: list[str]) -> bool:
     first = rows[0]
     if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
         return False
+    if set(map(len, rows)) != {len(first)}:
+        return False
     try:
-        if set(map(len, rows)) == {len(first)}:
-            return _write_blocks(Rows({k: list(map(itemgetter(k), rows)) for k in first}), nl, out)
+        block = {k: list(map(itemgetter(k), rows)) for k in first}
     except KeyError:
-        pass
-    return False
+        return False
+    return _write_blocks(Rows(block), nl, out)
 
 
 def _write_blocks(rows: Rows, nl: str, out: list[str]) -> bool:
