@@ -82,10 +82,12 @@ def _write_json(val, nl: str, out: list[str]) -> None:
                 _write_json(item, inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    elif isinstance(val, (list, tuple)):
+    elif isinstance(val, (list, tuple, Rows)):
         if not val:
             out.append("[]")
         elif not _write_rows(val, nl, out):
+            if type(val) is Rows:
+                raise TypeError("a column of rows holds a value with no row spelling")
             inner = nl + "  "
             sep = "[" + inner
             for item in val:
@@ -98,8 +100,6 @@ def _write_json(val, nl: str, out: list[str]) -> None:
             out.append(nl + "]")
     elif isinstance(val, Runs):
         _write_runs(val, nl, out)
-    elif isinstance(val, Rows):
-        _write_blocks(val, nl, out)
     elif is_dataclass(val):
         _write_json(_fields(val), nl, out)
     else:
@@ -112,56 +112,50 @@ def _fields(report) -> dict:
 
 
 def _write_rows(rows, nl: str, out: list[str]) -> bool:
-    """Append a list of flat dicts with one key set as one block of
-    ``_write_blocks``; False, appending nothing, for any other list."""
-    first = rows[0]
-    if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
-        return False
-    if set(map(len, rows)) != {len(first)}:
-        return False
-    try:
-        block = {k: list(map(itemgetter(k), rows)) for k in first}
-    except KeyError:
-        return False
-    return _write_blocks(Rows(block), nl, out)
+    """Append a list of flat dicts with one key set, or non-empty ``Rows``,
+    each row laid out by one ``%`` template; False, appending nothing, for
+    any other list or a column holding a value no row spelling covers.
 
-
-def _write_blocks(rows: Rows, nl: str, out: list[str]) -> bool:
-    """Append the JSON of rows stored as blocks of columns, each block's
-    rows laid out by one ``%`` template; False, appending nothing, when a
-    column holds a value no row spelling covers.
-
-    A value the block's rows share is spelled into the template.  Each
-    column is spelled by its types: ints by ``%d``, strings by the C
+    Each column is spelled by its types: ints by ``%d``, strings by the C
     string encoder, bools and None from a table, lists of str by
     ``_str_list``, any other mix of scalars through ``_json_scalar``.  The
     scalar spellings are lazy maps read as the rows are formatted."""
+    if type(rows) is Rows:
+        columns = rows.columns
+    else:
+        first = rows[0]
+        if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
+            return False
+        if set(map(len, rows)) != {len(first)}:
+            return False
+        try:
+            columns = {k: list(map(itemgetter(k), rows)) for k in first}
+        except KeyError:
+            return False
+    keys = sorted(columns)
     item, entry = nl + "  ", nl + "    "
-    texts = []
-    for block in rows.blocks:
-        cells, spelled = [], []
-        for key in sorted(block):
-            column, cell = block[key], "%s"
-            kinds = set(map(type, column)) if type(column) is list else None
-            if kinds is None:
-                cell = _json_scalar(column).replace("%", "%%")
-            elif kinds == {int}:
-                cell = "%d"
-                spelled.append(column)
-            elif kinds == {str}:
-                spelled.append(map(_quote, column))
-            elif kinds <= _CONSTANT_TYPES:
-                spelled.append(map(_JSON_CONSTANTS.__getitem__, column))
-            elif kinds <= _ROW_VALUE_TYPES:
-                spelled.append(map(_json_scalar, column))
-            elif kinds <= _LIST_TYPES and _all_str(column):
-                spelled.append([_str_list(strs, entry) for strs in column])
-            else:
-                return False
-            cells.append(f"{entry}{_quote(key).replace('%', '%%')}: {cell}")
-        row = "{" + ",".join(cells) + item + "}"
-        texts.append(("," + item).join(map(row.__mod__, zip(*spelled))))
-    out += ("[" + item, ("," + item).join(texts), nl + "]") if texts else ("[]",)
+    cells, spelled = [], []
+    for column in map(columns.__getitem__, keys):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            cells.append("%d")
+            spelled.append(column)
+            continue
+        cells.append("%s")
+        if kinds == {str}:
+            spelled.append(map(_quote, column))
+        elif kinds <= _CONSTANT_TYPES:
+            spelled.append(map(_JSON_CONSTANTS.__getitem__, column))
+        elif kinds <= _ROW_VALUE_TYPES:
+            spelled.append(map(_json_scalar, column))
+        elif kinds <= _LIST_TYPES and _all_str(column):
+            spelled.append([_str_list(strs, entry) for strs in column])
+        else:
+            return False
+    row = "{" + ",".join(
+        f"{entry}{_quote(k).replace('%', '%%')}: {cell}" for k, cell in zip(keys, cells)
+    ) + item + "}"
+    out += ("[" + item, ("," + item).join(map(row.__mod__, zip(*spelled))), nl + "]")
     return True
 
 
@@ -226,7 +220,10 @@ def _text_lines(doc, pad: str, lines: list[str]) -> None:
     elif isinstance(doc, Runs):
         _text_runs(doc, pad, lines)
     elif isinstance(doc, Rows):
-        _text_blocks(doc, pad, lines)
+        # one % template per row; "%s" spells an int or a str as _scalar does
+        row = pad + "-\n" + "".join(f"{pad}  {key.replace('%', '%%')}: %s\n" for key in doc.columns)
+        spelled = [c if set(map(type, c)) <= {int, str} else map(_scalar, c) for c in doc.columns.values()]
+        lines.append("".join(map(row.__mod__, zip(*spelled))))
     elif isinstance(doc, (list, tuple)):
         for val in doc:
             if type(val) in _ROW_VALUE_TYPES:
@@ -249,22 +246,6 @@ def _text_runs(groups: Runs, pad: str, lines: list[str]) -> None:
         if tails:
             head = pad + "-\n" + "".join([texts[k] for k in prefix])
             lines.append(head + head.join(map(texts.__getitem__, tails)))
-
-
-def _text_blocks(rows: Rows, pad: str, lines: list[str]) -> None:
-    """The text of rows of scalars stored as blocks of columns, each
-    block's rows laid out by one ``%`` template, as ``_write_blocks`` does."""
-    for block in rows.blocks:
-        cells, spelled = [pad + "-\n"], []
-        for key, column in block.items():
-            if type(column) is list:
-                # "%s" spells an int or a str as _scalar does
-                cell = "%s"
-                spelled.append(column if set(map(type, column)) <= {int, str} else map(_scalar, column))
-            else:
-                cell = _scalar(column).replace("%", "%%")
-            cells.append(f"{pad}  {key.replace('%', '%%')}: {cell}\n")
-        lines.append("".join(map("".join(cells).__mod__, zip(*spelled))))
 
 
 def _scalar(val) -> str:

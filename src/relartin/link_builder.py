@@ -31,16 +31,12 @@ followed by ``.<g>``.
 Coset vertices follow the ball's Cayley edges from ``ball_levels``: an
 element with a lower-numbered neighbour along g joins that neighbour's
 coset vertex of g, and only the others compute a coset key.
-A development is flat columns from the ball to the writers (the slot
-list, a ``targets`` column and one edge length), checked and written as
-columns with no per-edge tuple and no per-row dict; finite links keep
-their edges as tuple lists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count, repeat
-from operator import add, floordiv, itemgetter, mul, ne
+from operator import add, itemgetter, mul, ne
 
 from .defining_graph import GraphError, Instance, InterEdge
 from .dihedral_garside import BALL_CAP, DihedralEngine, engine_for_part
@@ -65,49 +61,31 @@ class TruncationInfo:
 
 
 class Rows:
-    """JSON objects of one key set as blocks of columns, for the writers of
-    ``relartin.cli``: each block maps every key, in text order, to the
-    value its rows share or to a list of one value per row.  A block
-    without rows is left out."""
+    """JSON objects of one key set as columns, for the writers of
+    ``relartin.cli``: each key, in text order, maps to a list of one value
+    per row.  Iteration spells each row's values as a tuple in key order."""
 
-    def __init__(self, *blocks: dict):
-        self.blocks = [b for b in blocks if next(v for v in b.values() if type(v) is list)]
-
-    def __len__(self) -> int:
-        return sum(len(next(v for v in b.values() if type(v) is list)) for b in self.blocks)
-
-
-class CosetEdges:
-    """A development's edges as one column: edge k = i * gens + gi joins
-    element vertex i to ``targets[k]``, its coset vertex along the gi-th
-    generator, and every edge is ``units`` long.  Iteration spells the
-    (i, j, w) tuples as they are read."""
-
-    def __init__(self, targets: list[int], gens: int, units: int):
-        self.targets, self.gens, self.units = targets, gens, units
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.targets)
+        return len(next(iter(self.columns.values())))
 
     def __iter__(self):
-        return zip(self.heads(), self.targets, repeat(self.units))
-
-    def heads(self) -> list[int]:
-        return list(map(floordiv, range(len(self.targets)), repeat(self.gens)))
+        return zip(*self.columns.values())
 
 
 @dataclass
 class LinkGraph:
     """Simple weighted graph with a bipartition and development metadata,
-    checked to be simple and bipartite when it is built; a development
-    keeps its edges as ``CosetEdges``, its elements numbered first."""
+    checked to be simple and bipartite when it is built."""
 
     case: str
     descriptor: str
     vertex_kinds: list[str]
     vertex_labels: list[str]
     sides: list[int]
-    edges: list[tuple[int, int, int]] | CosetEdges
+    edges: list[tuple[int, int, int]] | Rows
     truncation: TruncationInfo
     boundary: set[int] = field(default_factory=set)
 
@@ -118,11 +96,10 @@ class LinkGraph:
     def vertex_count(self) -> int:
         return len(self.vertex_labels)
 
-    def edge_columns(self) -> tuple:
-        """The edges' two ends and lengths, the lengths one int for a
-        development."""
-        if type(self.edges) is CosetEdges:
-            return self.edges.heads(), self.edges.targets, self.edges.units
+    def edge_columns(self) -> tuple[list[int], list[int], list[int]]:
+        """The edges' two ends and lengths as three columns."""
+        if type(self.edges) is Rows:
+            return tuple(self.edges.columns.values())
         # columns by itemgetter: zip(*edges) would make an iterator per edge
         return tuple(list(map(itemgetter(c), self.edges)) for c in range(3))
 
@@ -145,7 +122,7 @@ class LinkGraph:
                 len(codes) == len(us)
                 and codes.isdisjoint(map(add, map(mul, vs, repeat(n)), us))
                 and all(map(ne, map(sides, us), map(sides, vs)))
-                and ({ws} if type(ws) is int else set(ws)) <= _UNIT_RANGE
+                and set(ws) <= _UNIT_RANGE
             ):
                 return
         seen = set()
@@ -162,21 +139,13 @@ class LinkGraph:
                 raise GraphError(f"edge length {w} outside 1..4 units")
 
     def to_json_dict(self) -> dict:
-        labels, n, dashed = self.vertex_labels, self.vertex_count, self.boundary.__contains__
-        # a development's element rows, then its coset rows
-        e = len(self.edges) // self.edges.gens if type(self.edges) is CosetEdges else 0
-        vertices = Rows(
-            {"kind": "element", "label": labels[:e], "side": 0, "boundary": list(map(dashed, range(e)))},
-            {"kind": "coset", "label": labels[e:], "side": 1, "boundary": list(map(dashed, range(e, n)))},
-        ) if e else Rows(
-            {"kind": self.vertex_kinds, "label": labels, "side": self.sides, "boundary": list(map(dashed, range(n)))}
-        )
-        us, vs, ws = self.edge_columns()
+        vertices = {"kind": self.vertex_kinds, "label": self.vertex_labels, "side": self.sides}
+        vertices["boundary"] = list(map(self.boundary.__contains__, range(self.vertex_count)))
         return {
             "case": self.case,
             "descriptor": self.descriptor,
-            "vertices": vertices,
-            "edges": Rows({"u": us, "v": vs, "units": ws}),
+            "vertices": Rows(vertices),
+            "edges": Rows(dict(zip(("u", "v", "units"), self.edge_columns()))),
             "truncation": {
                 "complete": self.truncation.complete,
                 "truncated": self.truncation.truncated,
@@ -193,17 +162,13 @@ class LinkGraph:
         joined = "".join(labels)
         if "\\" in joined or '"' in joined:
             labels = list(map(dot_escape, labels))
-        us, vs, ws = self.edge_columns()
         lines = [f'graph "{dot_escape(self.descriptor)}" {{']
         lines += [
             f'  n{i} [label="{label}", shape={"box" if side else "ellipse"}'
             f'{", style=dashed" if i in boundary else ""}];'
             for i, label, side in zip(count(), labels, self.sides)
         ]
-        lines += [
-            f'  n{i} -- n{j} [label="{w}"];'
-            for i, j, w in zip(us, vs, repeat(ws) if type(ws) is int else ws)
-        ]
+        lines += [f'  n{i} -- n{j} [label="{w}"];' for i, j, w in zip(*self.edge_columns())]
         lines.append("}")
         return "\n".join(lines)
 
@@ -383,13 +348,15 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     # the outer level's element vertices and every coset vertex they touch
     boundary = set(range(outer, elements))
     boundary.update(targets[outer * gens :])
+    # element i's number gens times over, one int object per element
+    heads = sorted([*range(elements)] * gens)
     return LinkGraph(
         case=dev.case,
         descriptor=dev.descriptor,
         vertex_kinds=["element"] * elements + ["coset"] * cosets,
         vertex_labels=labels,
         sides=[0] * elements + [1] * cosets,
-        edges=CosetEdges(targets, gens, dev.units),
+        edges=Rows({"u": heads, "v": targets, "units": [dev.units] * len(targets)}),
         truncation=TruncationInfo(
             complete=False,
             truncated=truncated,

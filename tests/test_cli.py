@@ -818,8 +818,8 @@ def test_cli_import_is_numpy_free():
 
 def _plain(doc):
     """doc with each dataclass instance in it copied by ``asdict``, each
-    list of groups stored as runs listed, and each block of rows stored
-    as columns listed as dicts."""
+    list of groups stored as runs listed, and each list of rows stored as
+    columns listed as dicts."""
     if is_dataclass(doc):
         return asdict(doc)
     if isinstance(doc, dict):
@@ -827,11 +827,7 @@ def _plain(doc):
     if isinstance(doc, poset_complex.Runs):
         return [[_plain(doc.items[k]) for k in group] for group in doc.indices()]
     if isinstance(doc, link_builder.Rows):
-        rows = []
-        for block in doc.blocks:
-            n = len(next(col for col in block.values() if type(col) is list))
-            rows += [{key: col[i] if type(col) is list else col for key, col in block.items()} for i in range(n)]
-        return rows
+        return [dict(zip(doc.columns, row)) for row in zip(*doc.columns.values())]
     if isinstance(doc, (list, tuple)):
         return [_plain(val) for val in doc]
     return doc
@@ -1026,6 +1022,15 @@ def test_json_writer_equals_json_dumps_on_crafted_documents(doc):
 def test_json_writer_rejects_non_str_keys(doc):
     with pytest.raises(TypeError):
         cli._json_text(doc)
+
+
+def test_json_writer_spells_rows_stored_as_columns_or_raises():
+    rows = link_builder.Rows({"u": [1, 2], "v": ["%s", "b"], "w": [True, None]})
+    _assert_dumps(cli._json_text({"r": rows}), {"r": _plain(rows)})
+    assert cli._json_text(link_builder.Rows({"u": [], "v": []})) == "[]\n"
+    # a column holding a dict has no row spelling
+    with pytest.raises(TypeError):
+        cli._json_text({"r": link_builder.Rows({"u": [1, {"v": 2}]})})
 
 
 def _text(doc) -> str:

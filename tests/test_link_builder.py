@@ -176,8 +176,8 @@ def test_develop_matches_a_coset_key_per_pair():
             for radius, cap in ((5, 10**6), (12, 400), (3, 10)):
                 link = _develop(Development(eng, units, "part", "test"), radius, cap)
                 targets, forms, boundary, truncated, achieved = per_pair_development(eng, radius, cap)
-                assert link.edges.targets == targets, (eng.generators, units, radius, cap)
-                assert link.edges.units == units
+                edges = [(k // len(eng.generators), j, units) for k, j in enumerate(targets)]
+                assert list(link.edges) == edges, (eng.generators, units, radius, cap)
                 assert link.vertex_labels == [vertex_label(eng, *form) for form in forms]
                 assert link.boundary == boundary
                 assert link.truncation.truncated == truncated
