@@ -30,7 +30,8 @@ vertex el<g> by the label of the element vertex el that first met it,
 followed by ``.<g>``.
 Coset vertices follow the ball's Cayley edges from ``ball_levels``: an
 element with a lower-numbered neighbour along g joins that neighbour's
-coset vertex of g, and only the others compute a coset key.
+coset vertex of g, and only the others compute a coset key.  The edges
+are ``Rows`` columns, ``v`` the coset targets, checked as columns.
 """
 from __future__ import annotations
 
