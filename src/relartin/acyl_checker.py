@@ -25,7 +25,7 @@ normal-form multiplication.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import coxeter
 from .defining_graph import DefiningGraph, Instance, InterEdge
@@ -162,14 +162,16 @@ def empirical_orbit_growth(
 
 @dataclass
 class AcylVerdict:
-    status: str  # acyl-hyperbolic-via-witness | acyl-hyperbolic-free-product | inapplicable
+    # acyl-hyperbolic-via-witness | acyl-hyperbolic-via-free-product |
+    # witness-checks-failed | inapplicable
+    status: str
     ok: bool
     reasons: list[str]
-    witness_edge: tuple[str, str, int] | None
-    witness_vertex: str | None
-    delta: tuple[str, str, str] | None
-    delta_checks: DeltaChecks | None
-    citations: list[str]
+    witness_edge: tuple[str, str, int] | None = None
+    witness_vertex: str | None = None
+    delta: tuple[str, str, str] | None = None
+    delta_checks: DeltaChecks | None = None
+    citations: list[str] = field(default_factory=list)
 
 
 _FREE_PRODUCT_CITATION = (
@@ -187,29 +189,11 @@ _MALNORMALITY_CITATION = (
 
 
 def _inapplicable(reason: str) -> AcylVerdict:
-    return AcylVerdict(
-        status="inapplicable",
-        ok=False,
-        reasons=[reason],
-        witness_edge=None,
-        witness_vertex=None,
-        delta=None,
-        delta_checks=None,
-        citations=[],
-    )
+    return AcylVerdict("inapplicable", False, [reason])
 
 
 def _free_product(reason: str) -> AcylVerdict:
-    return AcylVerdict(
-        status="acyl-hyperbolic-via-free-product",
-        ok=True,
-        reasons=[reason],
-        witness_edge=None,
-        witness_vertex=None,
-        delta=None,
-        delta_checks=None,
-        citations=[_FREE_PRODUCT_CITATION],
-    )
+    return AcylVerdict("acyl-hyperbolic-via-free-product", True, [reason], citations=[_FREE_PRODUCT_CITATION])
 
 
 def check_hypotheses(inst: Instance) -> AcylVerdict | None:

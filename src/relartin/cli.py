@@ -16,7 +16,6 @@ import json
 import sys
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .acyl_checker import check_acylindricity
 from .defining_graph import (
@@ -30,8 +29,9 @@ from .defining_graph import (
 from .dihedral_garside import BALL_CAP
 from .girth_checker import certify_link_condition
 from .kpi1_checker import kpi1_verdict
-from .link_builder import Rows, develop_link_interedge, develop_link_part
+from .link_builder import develop_link_interedge, develop_link_part
 from .poset_complex import (
+    Rows,
     Runs,
     derived_complex,
     s_bar_chain_count,
@@ -85,9 +85,9 @@ def _write_json(val, nl: str, out: list[str]) -> None:
     elif isinstance(val, (list, tuple, Rows)):
         if not val:
             out.append("[]")
-        elif not _write_rows(val, nl, out):
-            if type(val) is Rows:
-                raise TypeError("a column of rows holds a value with no row spelling")
+        elif type(val) is Rows:
+            _write_rows(val, nl, out)
+        else:
             inner = nl + "  "
             sep = "[" + inner
             for item in val:
@@ -111,32 +111,28 @@ def _fields(report) -> dict:
     return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
-def _write_rows(rows, nl: str, out: list[str]) -> bool:
-    """Append a list of flat dicts with one key set, or non-empty ``Rows``,
-    each row laid out by one ``%`` template; False, appending nothing, for
-    any other list or a column holding a value no row spelling covers.
+def _column_kinds(column) -> set:
+    """The value types of a column of ``Rows``: scalars, or lists of str;
+    TypeError for a column holding anything else."""
+    kinds = set(map(type, column))
+    if kinds <= _ROW_VALUE_TYPES or kinds <= _LIST_TYPES and _all_str(column):
+        return kinds
+    raise TypeError("a column of rows holds a value with no row spelling")
+
+
+def _write_rows(rows: Rows, nl: str, out: list[str]) -> None:
+    """Append non-empty ``Rows``, each row laid out by one ``%`` template.
 
     Each column is spelled by its types: ints by ``%d``, strings by the C
-    string encoder, bools and None from a table, lists of str by
-    ``_str_list``, any other mix of scalars through ``_json_scalar``.  The
-    scalar spellings are lazy maps read as the rows are formatted."""
-    if type(rows) is Rows:
-        columns = rows.columns
-    else:
-        first = rows[0]
-        if type(first) is not dict or not first or set(map(type, rows)) != {dict}:
-            return False
-        if set(map(len, rows)) != {len(first)}:
-            return False
-        try:
-            columns = {k: list(map(itemgetter(k), rows)) for k in first}
-        except KeyError:
-            return False
+    string encoder, bools and None from a table, any other mix of scalars
+    through ``_json_scalar``, lists of str by ``_str_list``.  The scalar
+    spellings are lazy maps read as the rows are formatted."""
+    columns = rows.columns
     keys = sorted(columns)
     item, entry = nl + "  ", nl + "    "
     cells, spelled = [], []
     for column in map(columns.__getitem__, keys):
-        kinds = set(map(type, column))
+        kinds = _column_kinds(column)
         if kinds == {int}:
             cells.append("%d")
             spelled.append(column)
@@ -148,15 +144,12 @@ def _write_rows(rows, nl: str, out: list[str]) -> bool:
             spelled.append(map(_JSON_CONSTANTS.__getitem__, column))
         elif kinds <= _ROW_VALUE_TYPES:
             spelled.append(map(_json_scalar, column))
-        elif kinds <= _LIST_TYPES and _all_str(column):
-            spelled.append([_str_list(strs, entry) for strs in column])
         else:
-            return False
+            spelled.append([_str_list(strs, entry) for strs in column])
     row = "{" + ",".join(
         f"{entry}{_quote(k).replace('%', '%%')}: {cell}" for k, cell in zip(keys, cells)
     ) + item + "}"
     out += ("[" + item, ("," + item).join(map(row.__mod__, zip(*spelled))), nl + "]")
-    return True
 
 
 def _write_runs(groups: Runs, nl: str, out: list[str]) -> None:
@@ -220,9 +213,21 @@ def _text_lines(doc, pad: str, lines: list[str]) -> None:
     elif isinstance(doc, Runs):
         _text_runs(doc, pad, lines)
     elif isinstance(doc, Rows):
-        # one % template per row; "%s" spells an int or a str as _scalar does
-        row = pad + "-\n" + "".join(f"{pad}  {key.replace('%', '%%')}: %s\n" for key in doc.columns)
-        spelled = [c if set(map(type, c)) <= {int, str} else map(_scalar, c) for c in doc.columns.values()]
+        # one % template per row; "%s" spells an int or a str as _scalar
+        # does, and a list of str cell as the generic path spells the list
+        row, spelled, member = pad + "-\n", [], pad + "    - "
+        for key, column in doc.columns.items():
+            kinds = _column_kinds(column)
+            key = key.replace("%", "%%")
+            if kinds <= _ROW_VALUE_TYPES:
+                row += f"{pad}  {key}: %s\n"
+                spelled.append(column if kinds <= {int, str} else map(_scalar, column))
+            else:
+                row += f"{pad}  {key}:%s"
+                spelled.append([
+                    "\n" + "".join([member + s + "\n" for s in strs]) if strs else " []\n"
+                    for strs in column
+                ])
         lines.append("".join(map(row.__mod__, zip(*spelled))))
     elif isinstance(doc, (list, tuple)):
         for val in doc:
@@ -268,12 +273,9 @@ def _load(path: str) -> Instance:
 
 
 def _rel_doc(verdict) -> dict:
-    return {
-        "ok": verdict.ok,
-        "violations": [
-            {"u": e.u, "v": e.v, "m": e.label} for e in verdict.violations
-        ],
-    }
+    edges = verdict.violations
+    columns = {"u": [e.u for e in edges], "v": [e.v for e in edges], "m": [e.label for e in edges]}
+    return {"ok": verdict.ok, "violations": Rows(columns)}
 
 
 def cmd_check_rel(inst: Instance, args: argparse.Namespace) -> int:

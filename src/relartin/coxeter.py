@@ -4,7 +4,8 @@ The quotient of the group presented by a defining graph adds s^2 = 1 for every
 generator.  Whether that quotient is finite is read off the *classification
 diagram* of the vertex subset: vertices are the generators, and a pair {u, v}
 gets a diagram edge when its label differs from 2 (a missing defining edge is
-recorded as an infinity label).  Connected diagram components are matched
+an edge of label infinity).  The diagram is read off the graph's adjacency
+rows, with no edge list built.  Connected diagram components are matched
 against the classical finite and affine catalogues:
 
   finite  A_n, B_n (n>=2), D_n (n>=4), E6 E7 E8, F4, H3 H4, I2(m) (m>=3)
@@ -71,9 +72,6 @@ from typing import Iterable, Mapping
 
 from .defining_graph import DefiningGraph, GraphError
 
-# diagram label for a missing defining edge
-INFINITY: None = None
-
 
 @dataclass(frozen=True)
 class CoxeterType:
@@ -82,23 +80,6 @@ class CoxeterType:
 
     kind: str
     components: tuple[str, ...]
-
-
-def diagram_edges(
-    graph: DefiningGraph, subset: Iterable[str]
-) -> dict[frozenset[str], int | None]:
-    """Classification-diagram edges on ``subset``: label m when m != 2,
-    INFINITY when the defining edge is absent, nothing when m == 2."""
-    verts = sorted(set(subset))
-    rows = _rows(graph, verts)
-    out: dict[frozenset[str], int | None] = {}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            # an absent edge reads INFINITY
-            m = rows[u].get(v, INFINITY)
-            if m != 2:
-                out[frozenset((u, v))] = m
-    return out
 
 
 def _rows(graph: DefiningGraph, verts: list[str]) -> dict[str, dict[str, int]]:
@@ -172,25 +153,20 @@ def _classify_path(labels: list[int]) -> str:
     return "indefinite"
 
 
-def _classify_component(verts: list[str], comp_edges: dict[frozenset[str], int]) -> str:
+def _classify_component(verts: list[str], rows: Mapping[str, Mapping[str, int]]) -> str:
     """The type of a connected diagram on a clique of the defining graph,
-    given its diagram edges, none of them infinity."""
+    its diagram edges the pairs whose label in ``rows`` is not 2."""
     n = len(verts)
     if n == 1:
         return "A1"
-    adj: dict[str, list[str]] = {v: [] for v in verts}
-    for e in comp_edges:
-        u, v = sorted(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    ne = len(comp_edges)
+    adj = {v: [w for w in verts if w != v and rows[v][w] != 2] for v in verts}
+    ne = sum(map(len, adj.values())) // 2
     if ne > n:
         return "indefinite"
+    all3 = all(rows[v][w] == 3 for v in verts for w in adj[v])
     if ne == n:
         # a single cycle through every vertex, all labels 3
-        if all(len(adj[v]) == 2 for v in verts) and all(
-            m == 3 for m in comp_edges.values()
-        ):
+        if all(len(adj[v]) == 2 for v in verts) and all3:
             return f"~A{n - 1}"
         return "indefinite"
     # tree from here on
@@ -204,26 +180,26 @@ def _classify_component(verts: list[str], comp_edges: dict[frozenset[str], int])
             nxt = [w for w in adj[cur] if w != prev]
             if not nxt:
                 break
-            labels.append(comp_edges[frozenset((cur, nxt[0]))])
+            labels.append(rows[cur][nxt[0]])
             prev, cur = cur, nxt[0]
         return _classify_path(labels)
     if len(branch) == 1:
         b = branch[0]
         if len(adj[b]) == 4:
-            if n == 5 and all(m == 3 for m in comp_edges.values()):
+            if n == 5 and all3:
                 return "~D4"
             return "indefinite"
         if len(adj[b]) > 4:
             return "indefinite"
         arms: list[list[int]] = []
         for w in sorted(adj[b]):
-            labels = [comp_edges[frozenset((b, w))]]
+            labels = [rows[b][w]]
             prev, cur = b, w
             while True:
                 nxt = [x for x in adj[cur] if x != prev]
                 if not nxt:
                     break
-                labels.append(comp_edges[frozenset((cur, nxt[0]))])
+                labels.append(rows[cur][nxt[0]])
                 prev, cur = cur, nxt[0]
             arms.append(labels)
         arms.sort(key=len)
@@ -261,7 +237,7 @@ def _classify_component(verts: list[str], comp_edges: dict[frozenset[str], int])
         if (
             len(adj[b1]) == 3
             and len(adj[b2]) == 3
-            and all(m == 3 for m in comp_edges.values())
+            and all3
             and sum(1 for w in adj[b1] if len(adj[w]) == 1) >= 2
             and sum(1 for w in adj[b2] if len(adj[w]) == 1) >= 2
         ):
@@ -283,7 +259,7 @@ def classify_type(graph: DefiningGraph, subset: Iterable[str]) -> CoxeterType:
     """The type of the full subgraph on ``subset``.  Its diagram components
     are the complement components of its label-2 edges.  A component that
     is not a clique carries an infinity label, so it is ~A1 on two vertices
-    and indefinite otherwise; only a clique's pairs are listed."""
+    and indefinite otherwise; only a clique is classified, from its rows."""
     verts = sorted(set(subset))
     rows = _rows(graph, verts)
     # diagram edges join every pair whose label is not 2, absent edges too
@@ -292,7 +268,7 @@ def classify_type(graph: DefiningGraph, subset: Iterable[str]) -> CoxeterType:
     for comp in complement_components(verts, commuting):
         inside = set(comp)
         if all(len(inside.intersection(rows[v])) == len(comp) - 1 for v in comp):
-            names.append(_classify_component(comp, diagram_edges(graph, comp)))
+            names.append(_classify_component(comp, rows))
         else:
             # an absent edge is an infinity label
             names.append("~A1" if len(comp) == 2 else "indefinite")
@@ -319,14 +295,7 @@ def _finite_components(labels: Mapping[str, Mapping[str, int]]):
         else:
             key = comp
         if key not in finite:
-            verts = sorted(comp)
-            edges = {
-                frozenset((x, y)): labels[x][y]
-                for i, x in enumerate(verts)
-                for y in verts[i + 1 :]
-                if labels[x][y] != 2
-            }
-            finite[key] = _kind([_classify_component(verts, edges)]) == "finite"
+            finite[key] = _kind([_classify_component(sorted(comp), labels)]) == "finite"
         return finite[key]
 
     return is_finite

@@ -42,12 +42,11 @@ from dataclasses import dataclass
 
 from .defining_graph import Instance, check_rel_prime, classify_known
 from .girth_checker import CertificationReport, certify_link_condition
-from .poset_complex import s_ell_max_chain_length, subset_label
+from .poset_complex import Rows, s_ell_max_chain_length, subset_label
 
 
 @dataclass
 class PartStatus:
-    index: int
     vertices: tuple[str, ...]
     provenance: str  # known-class | unknown
     which: str | None
@@ -64,8 +63,7 @@ class FamilyAudit:
         return "conditional"
 
 
-def _part_status(inst: Instance, i: int) -> PartStatus:
-    part = inst.family.parts[i]
+def _part_status(inst: Instance, part: tuple[str, ...]) -> PartStatus:
     report = classify_known(inst.graph, part)
     for which, flag in (
         ("spherical", report.spherical_type),
@@ -74,14 +72,14 @@ def _part_status(inst: Instance, i: int) -> PartStatus:
         ("FC", report.fc_type),
     ):
         if flag:
-            return PartStatus(index=i, vertices=part, provenance="known-class", which=which)
-    return PartStatus(index=i, vertices=part, provenance="unknown", which=None)
+            return PartStatus(vertices=part, provenance="known-class", which=which)
+    return PartStatus(vertices=part, provenance="unknown", which=None)
 
 
 def audit_family(inst: Instance) -> FamilyAudit:
     """Tag each part with its provenance.  Subset closure and spherical
     coverage need no scan: they are the lemmas of the module docstring."""
-    return FamilyAudit(parts=[_part_status(inst, i) for i in range(len(inst.family.parts))])
+    return FamilyAudit(parts=[_part_status(inst, part) for part in inst.family.parts])
 
 
 def verify_no_large_crossing_spherical(inst: Instance) -> bool:
@@ -93,11 +91,22 @@ def verify_no_large_crossing_spherical(inst: Instance) -> bool:
 
 
 @dataclass
+class Evidence:
+    """One line of a verdict's evidence; ``kind`` is machine, lemma or
+    citation."""
+
+    check: str
+    kind: str
+    ok: bool
+    detail: object
+
+
+@dataclass
 class Kpi1Verdict:
     applicable: bool
     holds: bool
     status: str
-    evidence: list[dict]
+    evidence: list[Evidence]
     certification: CertificationReport | None
 
 
@@ -112,16 +121,15 @@ def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
     provenance and every imported theorem is listed as a citation, never
     silently assumed.
     """
-    evidence: list[dict] = []
     rel = check_rel_prime(inst)
-    evidence.append(
-        {
-            "check": "inter-edge label condition (non-isolated >= 4)",
-            "kind": "machine",
-            "ok": rel.ok,
-            "detail": [f"{e.u}-{e.v} (m={e.label})" for e in rel.violations],
-        }
-    )
+    evidence = [
+        Evidence(
+            "inter-edge label condition (non-isolated >= 4)",
+            "machine",
+            rel.ok,
+            [f"{e.u}-{e.v} (m={e.label})" for e in rel.violations],
+        )
+    ]
     if not rel.ok:
         return Kpi1Verdict(
             applicable=False,
@@ -132,105 +140,67 @@ def kpi1_verdict(inst: Instance) -> Kpi1Verdict:
         )
 
     cert = certify_link_condition(inst)
-    evidence.append(
-        {
-            "check": "fundamental domain complex is 2-dimensional",
-            "kind": "lemma",
-            "ok": True,
-            "detail": f"max chain length {s_ell_max_chain_length(inst)}",
-        }
-    )
-
-    evidence.append(
-        {
-            "check": "2pi link condition on every vertex type",
-            "kind": "machine",
-            "ok": cert.ok,
-            "detail": {
-                "entries": len(cert.entries),
-                "failures": [e.descriptor for e in cert.failures()],
-            },
-        }
-    )
-    evidence.append(
-        {
-            "check": "no cycle through 2 or 3 coset vertices in part and "
-            "disjoint inter-edge links",
-            "kind": "citation",
-            "ok": True,
-            "detail": "van der Lek (1983 thesis): standard parabolic subgroups "
-            "A_X and A_Y intersect in A_(X cap Y)",
-        }
-    )
-    evidence.append(
-        {
-            "check": "no cycle through 4 or 6 coset vertices in non-disjoint "
-            "inter-edge links of label m >= 4, at any exponents",
-            "kind": "citation",
-            "ok": True,
-            "detail": "Appel-Schupp (Invent. Math. 1983): a relator of the "
-            "dihedral Artin group A_m has at least 2m syllables",
-        }
-    )
-
     crossing_ok = verify_no_large_crossing_spherical(inst)
-    evidence.append(
-        {
-            "check": "no crossing subset with finite quotient beyond inter-edges",
-            "kind": "lemma",
-            "ok": crossing_ok,
-            "detail": [],
-        }
-    )
-
     audit = audit_family(inst)
-    evidence.append(
+    provenance = Rows(
         {
-            "check": "family completeness (subset closure, spherical coverage)",
-            "kind": "lemma",
-            "ok": crossing_ok,
-            "detail": {
-                "parts": [
-                    {
-                        "part": subset_label(p.vertices),
-                        "provenance": p.provenance,
-                        "class": p.which,
-                    }
-                    for p in audit.parts
-                ]
-            },
+            "part": [subset_label(p.vertices) for p in audit.parts],
+            "provenance": [p.provenance for p in audit.parts],
+            "class": [p.which for p in audit.parts],
         }
     )
-
-    # the retraction lemma of relartin.poset_complex holds for every family
-    evidence.append(
-        {
-            "check": "retraction onto the small fundamental domain is well defined",
-            "kind": "lemma",
-            "ok": True,
-            "detail": [],
-        }
-    )
-
-    evidence.append(
-        {
-            "check": "asphericity transfer along complete families",
-            "kind": "citation",
-            "ok": True,
-            "detail": "Godelle-Paris: a complete family of aspherical systems "
+    evidence += [
+        Evidence(
+            "fundamental domain complex is 2-dimensional",
+            "lemma",
+            True,
+            f"max chain length {s_ell_max_chain_length(inst)}",
+        ),
+        Evidence(
+            "2pi link condition on every vertex type",
+            "machine",
+            cert.ok,
+            {"entries": len(cert.entries), "failures": [e.descriptor for e in cert.failures()]},
+        ),
+        Evidence(
+            "no cycle through 2 or 3 coset vertices in part and disjoint inter-edge links",
+            "citation",
+            True,
+            "van der Lek (1983 thesis): standard parabolic subgroups "
+            "A_X and A_Y intersect in A_(X cap Y)",
+        ),
+        Evidence(
+            "no cycle through 4 or 6 coset vertices in non-disjoint "
+            "inter-edge links of label m >= 4, at any exponents",
+            "citation",
+            True,
+            "Appel-Schupp (Invent. Math. 1983): a relator of the "
+            "dihedral Artin group A_m has at least 2m syllables",
+        ),
+        Evidence("no crossing subset with finite quotient beyond inter-edges", "lemma", crossing_ok, []),
+        Evidence(
+            "family completeness (subset closure, spherical coverage)",
+            "lemma",
+            crossing_ok,
+            {"parts": provenance},
+        ),
+        # the retraction lemma of relartin.poset_complex holds for every family
+        Evidence("retraction onto the small fundamental domain is well defined", "lemma", True, []),
+        Evidence(
+            "asphericity transfer along complete families",
+            "citation",
+            True,
+            "Godelle-Paris: a complete family of aspherical systems "
             "makes the ambient system aspherical once the coset complex is "
             "contractible",
-        }
-    )
-    evidence.append(
-        {
-            "check": "contractibility from non-positive curvature",
-            "kind": "citation",
-            "ok": True,
-            "detail": "Cartan-Hadamard: a CAT(0) complex is contractible",
-        }
-    )
-
+        ),
+        Evidence(
+            "contractibility from non-positive curvature",
+            "citation",
+            True,
+            "Cartan-Hadamard: a CAT(0) complex is contractible",
+        ),
+    ]
     if not (cert.ok and crossing_ok):
         status = "failed: a machine check did not pass"
         holds = False

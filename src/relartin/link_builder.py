@@ -30,18 +30,21 @@ vertex el<g> by the label of the element vertex el that first met it,
 followed by ``.<g>``.
 Coset vertices follow the ball's Cayley edges from ``ball_levels``: an
 element with a lower-numbered neighbour along g joins that neighbour's
-coset vertex of g, and only the others compute a coset key.  The edges
-are ``Rows`` columns, ``v`` the coset targets, checked as columns.
+coset vertex of g, and only the others compute a coset key.
+
+Every link holds its edges in one form, ``Rows`` with the columns ``u``,
+``v`` and ``units`` (a development's ``v`` is the coset targets), checked
+as columns when the link is built and handed to the writers as they are.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count, repeat
-from operator import add, itemgetter, mul, ne
+from operator import add, mul, ne
 
 from .defining_graph import GraphError, Instance, InterEdge
 from .dihedral_garside import BALL_CAP, DihedralEngine, engine_for_part
-from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, dot_escape, subset_label
+from .poset_complex import INTEREDGE_CASE, TRIANGLE_UNITS, Rows, dot_escape, subset_label
 
 TWO_PI_UNITS = 16
 # the lengths a link edge may have, in units of pi/8
@@ -61,32 +64,20 @@ class TruncationInfo:
     cap: int | None = None
 
 
-class Rows:
-    """JSON objects of one key set as columns, for the writers of
-    ``relartin.cli``: each key, in text order, maps to a list of one value
-    per row.  Iteration spells each row's values as a tuple in key order."""
-
-    def __init__(self, columns: dict[str, list]):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
-
-    def __iter__(self):
-        return zip(*self.columns.values())
-
-
 @dataclass
 class LinkGraph:
     """Simple weighted graph with a bipartition and development metadata,
-    checked to be simple and bipartite when it is built."""
+    checked to be simple and bipartite when it is built.  Its document
+    hands ``edges`` and ``truncation`` to the writers unchanged, and
+    ``TruncationInfo``'s fields are its five truncation keys, in text
+    order."""
 
     case: str
     descriptor: str
     vertex_kinds: list[str]
     vertex_labels: list[str]
     sides: list[int]
-    edges: list[tuple[int, int, int]] | Rows
+    edges: Rows  # columns u, v and units
     truncation: TruncationInfo
     boundary: set[int] = field(default_factory=set)
 
@@ -96,13 +87,6 @@ class LinkGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.vertex_labels)
-
-    def edge_columns(self) -> tuple[list[int], list[int], list[int]]:
-        """The edges' two ends and lengths as three columns."""
-        if type(self.edges) is Rows:
-            return tuple(self.edges.columns.values())
-        # columns by itemgetter: zip(*edges) would make an iterator per edge
-        return tuple(list(map(itemgetter(c), self.edges)) for c in range(3))
 
     def check_simple_bipartite(self) -> None:
         """Raise GraphError at the first edge that is a self-loop, repeats
@@ -114,7 +98,7 @@ class LinkGraph:
         twice or also met as j n + i; a self-loop lies inside its side.
         Only a graph that fails is scanned edge by edge, to name its first
         fault."""
-        us, vs, ws = self.edge_columns()
+        us, vs, ws = self.edges.columns.values()
         if us:
             n = self.vertex_count
             codes = set(map(add, map(mul, us, repeat(n)), vs))
@@ -146,14 +130,8 @@ class LinkGraph:
             "case": self.case,
             "descriptor": self.descriptor,
             "vertices": Rows(vertices),
-            "edges": Rows(dict(zip(("u", "v", "units"), self.edge_columns()))),
-            "truncation": {
-                "complete": self.truncation.complete,
-                "truncated": self.truncation.truncated,
-                "requested_radius": self.truncation.requested_radius,
-                "achieved_radius": self.truncation.achieved_radius,
-                "cap": self.truncation.cap,
-            },
+            "edges": self.edges,
+            "truncation": self.truncation,
         }
 
     def to_dot(self) -> str:
@@ -169,9 +147,14 @@ class LinkGraph:
             f'{", style=dashed" if i in boundary else ""}];'
             for i, label, side in zip(count(), labels, self.sides)
         ]
-        lines += [f'  n{i} -- n{j} [label="{w}"];' for i, j, w in zip(*self.edge_columns())]
+        lines += [f'  n{i} -- n{j} [label="{w}"];' for i, j, w in self.edges]
         lines.append("}")
         return "\n".join(lines)
+
+
+def edge_rows(edges: list[tuple[int, int, int]]) -> Rows:
+    """The edges (u, v, units) as the columns of a link's ``Rows``."""
+    return Rows({key: [e[c] for e in edges] for c, key in enumerate(("u", "v", "units"))})
 
 
 def build_link_empty(inst: Instance) -> LinkGraph:
@@ -213,7 +196,7 @@ def build_link_empty(inst: Instance) -> LinkGraph:
         vertex_kinds=kinds,
         vertex_labels=labels,
         sides=sides,
-        edges=sorted(edges),
+        edges=edge_rows(sorted(edges)),
         truncation=TruncationInfo(complete=True),
     )
 
@@ -250,7 +233,9 @@ def build_link_single(inst: Instance, s: str) -> LinkGraph:
         vertex_kinds=["power"] * n_powers + [kind for kind, _, _ in uppers],
         vertex_labels=powers + [subset_label(t) for _, t, _ in uppers],
         sides=[0] * n_powers + [1] * len(uppers),
-        edges=[(i, n_powers + j, w) for i in range(n_powers) for j, (_, _, w) in enumerate(uppers)],
+        edges=edge_rows(
+            [(i, n_powers + j, w) for i in range(n_powers) for j, (_, _, w) in enumerate(uppers)]
+        ),
         truncation=TruncationInfo(complete=True, requested_radius=SINGLE_POWERS),
     )
 

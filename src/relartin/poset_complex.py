@@ -14,11 +14,13 @@ one simplex per chain, and only the S^l complex is listed, for ``build``'s
 json and text report.  By the lemma its chains are runs that share all
 members but the last (``Runs``), which ``derived_complex`` lists level by
 level with no chain built; the writers spell each element once per list
-and each chain as one concatenation of those texts.  ``build`` reads the
-dimension and the gluing off the lemma too; the passes that check them
-chain by chain are oracles in the tests.  S_bar holds every subset of every
-part, so no program path builds it: ``build`` reads its size and its chain
-count off the closed forms below, and ``kpi1`` reads its facts off lemmas.
+and each chain as one concatenation of those texts.  A table, such as
+S^l's element rows, goes to the writers as ``Rows``, one list per column.
+``build`` reads the dimension and the gluing off the lemma too; the passes
+that check them chain by chain are oracles in the tests.  S_bar holds every
+subset of every part, so no program path builds it: ``build`` reads its
+size and its chain count off the closed forms below, and ``kpi1`` reads
+its facts off lemmas.
 
 S_bar and its retraction onto S^l are known in closed form.  Parts are
 disjoint, so S_bar holds the empty set, the non-empty subsets of each part
@@ -185,6 +187,26 @@ class Runs:
                 yield prefix + (j,)
 
 
+class Rows:
+    """JSON objects of one key set as columns, for the writers of
+    ``relartin.cli``: each key, in text order, maps to a list of one value
+    per row, every list of one length.  Iteration spells each row's values
+    as a tuple in key order."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, Sequence]):
+        if len(set(map(len, columns.values()))) != 1:
+            raise ValueError("rows need at least one column, and columns of one length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __iter__(self):
+        return zip(*self.columns.values())
+
+
 # the tag rows of S^l elements, each sorted
 _EMPTY, _VERTEX, _PART, _INTER_EDGE = ("empty",), ("inter-edge-vertex",), ("part",), ("inter-edge",)
 
@@ -214,7 +236,7 @@ class SEll:
 
     def to_json_dict(self) -> dict:
         return {
-            "elements": [{"subset": m, "tags": r} for m, r in zip(self.members, self.tag_rows)],
+            "elements": Rows({"subset": self.members, "tags": self.tag_rows}),
             "covers": self.covers,
         }
 

@@ -1392,12 +1392,19 @@ def definiteness_oracle(graph, subset, tolerance: float = 1e-9) -> OracleVerdict
 
 
 def all_pairs_classify_type(graph, subset) -> coxeter.CoxeterType:
-    """``coxeter.classify_type`` from the diagram of every pair: its
-    components are walked along its edges and each is typed from them, a
-    component with an infinity edge as ~A1 on two vertices and as
-    indefinite otherwise."""
+    """``coxeter.classify_type`` from the diagram of every pair, listed
+    here: its components are walked along its edges, a component with an
+    infinity edge is ~A1 on two vertices and indefinite otherwise, and
+    each other component is a clique that ``_classify_component`` types."""
     verts = sorted(set(subset))
-    edges = coxeter.diagram_edges(graph, verts)
+    rows = graph.adjacency
+    # every pair of label other than 2, an absent edge as None (infinity)
+    edges = {
+        frozenset((u, v)): rows[u].get(v)
+        for i, u in enumerate(verts)
+        for v in verts[i + 1 :]
+        if rows[u].get(v) != 2
+    }
     adj = {v: set() for v in verts}
     for u, v in map(tuple, edges):
         adj[u].add(v)
@@ -1413,11 +1420,10 @@ def all_pairs_classify_type(graph, subset) -> coxeter.CoxeterType:
                 comp.add(w)
                 stack.append(w)
         seen |= comp
-        inside = {e: m for e, m in edges.items() if e <= comp}
-        if coxeter.INFINITY in inside.values():
+        if any(m is None for e, m in edges.items() if e <= comp):
             names.append("~A1" if len(comp) == 2 else "indefinite")
         else:
-            names.append(coxeter._classify_component(sorted(comp), inside))
+            names.append(coxeter._classify_component(sorted(comp), rows))
     names.sort()
     return coxeter.CoxeterType(kind=coxeter._kind(names), components=tuple(names))
 

@@ -304,8 +304,8 @@ def test_build_prints_the_s_ell_lemma_that_the_oracles_compute(capsys):
     # kpi1's dimension line reads the same fact, with and without inter-edges
     for inst in (insts[0], next(inst for inst in insts if not inst.inter_edges)):
         dim = check_two_dimensional(listed_complex(s_ell_poset(inst)))
-        line = next(e for e in kpi1_checker.kpi1_verdict(inst).evidence if "2-dimensional" in e["check"])
-        assert line["detail"] == f"max chain length {dim.max_chain_length}"
+        line = next(e for e in kpi1_checker.kpi1_verdict(inst).evidence if "2-dimensional" in e.check)
+        assert line.detail == f"max chain length {dim.max_chain_length}"
 
 
 @pytest.mark.parametrize(
@@ -563,16 +563,15 @@ def test_ring_is_classified_without_listing_the_pairs_of_a_non_clique(
     capsys, monkeypatch, tmp_path
 ):
     # the whole ring's diagram is one component of 10,000 vertices with
-    # infinity labels; listing its pairs would take 50 million entries
-    real = coxeter.diagram_edges
+    # infinity labels; classifying it as a clique would read 50 million pairs
+    real = coxeter._classify_component
 
-    def clique_only(graph, subset):
-        verts = sorted(subset)
-        if not all(v in graph.adjacency[u] for i, u in enumerate(verts) for v in verts[i + 1 :]):
-            raise AssertionError(f"diagram pairs listed for a non-clique of {len(verts)}")
-        return real(graph, verts)
+    def clique_only(verts, rows):
+        if not all(v in rows[u] for i, u in enumerate(verts) for v in verts[i + 1 :]):
+            raise AssertionError(f"a non-clique of {len(verts)} classified as a clique")
+        return real(verts, rows)
 
-    monkeypatch.setattr(coxeter, "diagram_edges", clique_only)
+    monkeypatch.setattr(coxeter, "_classify_component", clique_only)
     code, doc, err = run_json(capsys, "classify", "--input", _ring(tmp_path))
     assert (code, err) == (0, "")
     assert doc["graph"]["notes"] == ["coxeter type: indefinite (indefinite)"]
@@ -819,14 +818,14 @@ def test_cli_import_is_numpy_free():
 def _plain(doc):
     """doc with each dataclass instance in it copied by ``asdict``, each
     list of groups stored as runs listed, and each list of rows stored as
-    columns listed as dicts."""
+    columns listed as dicts, also inside the copies."""
     if is_dataclass(doc):
-        return asdict(doc)
+        return _plain(asdict(doc))
     if isinstance(doc, dict):
         return {key: _plain(val) for key, val in doc.items()}
     if isinstance(doc, poset_complex.Runs):
         return [[_plain(doc.items[k]) for k in group] for group in doc.indices()]
-    if isinstance(doc, link_builder.Rows):
+    if isinstance(doc, poset_complex.Rows):
         return [dict(zip(doc.columns, row)) for row in zip(*doc.columns.values())]
     if isinstance(doc, (list, tuple)):
         return [_plain(val) for val in doc]
@@ -1025,12 +1024,12 @@ def test_json_writer_rejects_non_str_keys(doc):
 
 
 def test_json_writer_spells_rows_stored_as_columns_or_raises():
-    rows = link_builder.Rows({"u": [1, 2], "v": ["%s", "b"], "w": [True, None]})
+    rows = poset_complex.Rows({"u": [1, 2], "v": ["%s", "b"], "w": [True, None]})
     _assert_dumps(cli._json_text({"r": rows}), {"r": _plain(rows)})
-    assert cli._json_text(link_builder.Rows({"u": [], "v": []})) == "[]\n"
+    assert cli._json_text(poset_complex.Rows({"u": [], "v": []})) == "[]\n"
     # a column holding a dict has no row spelling
     with pytest.raises(TypeError):
-        cli._json_text({"r": link_builder.Rows({"u": [1, {"v": 2}]})})
+        cli._json_text({"r": poset_complex.Rows({"u": [1, {"v": 2}]})})
 
 
 def _text(doc) -> str:
@@ -1059,3 +1058,111 @@ def test_text_prints_an_empty_tuple_as_brackets():
         "notes: []\nedge:\n  - a\n  - b\n  - 4\nrows:\n  -\n  -\n    -\n"
     )
     assert _text(doc) == _text(_listed(doc))
+
+
+def test_text_writer_spells_rows_stored_as_columns_or_raises():
+    # a column of str lists prints as the list of dicts prints it
+    rows = poset_complex.Rows({"a": [["x", "y"], []], "n": [1, None]})
+    assert _text(rows) == "-\n  a:\n    - x\n    - y\n  n: 1\n-\n  a: []\n  n: null\n"
+    assert _text({"r": rows}) == _text({"r": _plain(rows)})
+    for column in ([1, {"v": 2}], [["x"], "x"], [["x", 1]], [[["x"]]]):
+        with pytest.raises(TypeError):
+            _text({"r": poset_complex.Rows({"u": column})})
+
+
+def test_rows_have_columns_of_one_length():
+    for columns in ({"u": [1, 2, 3], "v": [4]}, {"u": [], "v": [4]}, {}):
+        with pytest.raises(ValueError):
+            poset_complex.Rows(columns)
+    # so both writers print every row of every table
+    rows = poset_complex.Rows({"u": [1, 2, 3], "v": ["a", "b", "c"]})
+    assert len(rows) == 3 and list(rows) == [(1, "a"), (2, "b"), (3, "c")]
+    assert json.loads(cli._json_text(rows)) == _plain(rows) and len(_plain(rows)) == 3
+    assert _text(rows) == _text(_plain(rows)) and _text(rows).count("-\n") == 3
+
+
+def _flat_dicts(val) -> bool:
+    """True for a non-empty list of dicts whose values are all scalars or
+    lists of str: a table the JSON writer would have to recognise."""
+    return (
+        isinstance(val, (list, tuple))
+        and len(val) > 0
+        and all(type(item) is dict for item in val)
+        and all(
+            type(v) in cli._ROW_VALUE_TYPES
+            or isinstance(v, (list, tuple)) and all(type(s) is str for s in v)
+            for item in val
+            for v in item.values()
+        )
+    )
+
+
+def test_every_table_reaches_the_writers_as_rows(capsys, monkeypatch, tmp_path):
+    # every subcommand in json on both fixtures and the seed-7 ladder: no
+    # list of flat dicts reaches the JSON writer, each table is Rows
+    tables = set()
+    writer = cli._write_json
+
+    def checked(val, nl, out):
+        assert not _flat_dicts(val), f"a table as a list of dicts: {val[:2]!r}"
+        if isinstance(val, poset_complex.Rows):
+            tables.add(tuple(val.columns))
+        writer(val, nl, out)
+
+    monkeypatch.setattr(cli, "_write_json", checked)
+    paths = [JOIN, CONTROL]
+    for name, inst in ladder_instances(7).items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(instance_to_json(inst))
+    for path in map(str, paths):
+        inst = cli._load(path)
+        argvs = [[sub] for sub in SUBCOMMANDS] + [["develop", "--part", "0"]]
+        argvs += [["develop", "--edge", *e[:2]] for e in inst.inter_edges[:1]]
+        for argv in argvs:
+            cli.main([*argv, "--input", path, "--format", "json"])
+    capsys.readouterr()
+    assert tables == {
+        ("u", "v", "m"),
+        ("subset", "tags"),
+        ("part", "provenance", "class"),
+        ("kind", "label", "side", "boundary"),
+        ("u", "v", "units"),
+    }
+
+
+def _as_rows(doc):
+    """doc with each list of flat dicts of one key order, whose columns
+    each hold only scalars or only lists of str, rebuilt as ``Rows``."""
+    if isinstance(doc, dict):
+        return {key: _as_rows(val) for key, val in doc.items()}
+    if not isinstance(doc, (list, tuple)):
+        return doc
+    if _flat_dicts(doc) and doc[0] and all(list(item) == list(doc[0]) for item in doc):
+        columns = {key: [item[key] for item in doc] for key in doc[0]}
+        if all(
+            all(type(v) in cli._ROW_VALUE_TYPES for v in column)
+            or all(isinstance(v, (list, tuple)) for v in column)
+            for column in columns.values()
+        ):
+            return poset_complex.Rows(columns)
+    return [_as_rows(val) for val in doc]
+
+
+def _count_rows(doc) -> int:
+    if isinstance(doc, dict):
+        return sum(map(_count_rows, doc.values()))
+    if isinstance(doc, list):
+        return sum(map(_count_rows, doc))
+    return int(isinstance(doc, poset_complex.Rows))
+
+
+def test_crafted_tables_print_the_same_as_rows():
+    # each list of flat dicts the writers used to recognise, stored as Rows,
+    # prints the JSON and the text its list of dicts prints
+    tables = 0
+    for doc in CRAFTED:
+        rows = _as_rows(doc)
+        tables += _count_rows(rows)
+        assert cli._json_text(rows) == cli._json_text(doc), doc
+        assert _text(rows) == _text(doc), doc
+    assert tables == 11

@@ -229,9 +229,7 @@ def test_three_vertex_components_are_typed_by_their_label_multiset():
         if triple.count(2) > 1:
             continue  # no three-vertex diagram component
         g = coxgraph(3, [(0, 1, triple[0]), (0, 2, triple[1]), (1, 2, triple[2])])
-        name = coxeter._classify_component(
-            list(g.vertices), coxeter.diagram_edges(g, g.vertices)
-        )
+        name = coxeter._classify_component(list(g.vertices), g.adjacency)
         kind = coxeter._kind([name])
         assert kind == definiteness_oracle(g, g.vertices).classification, (triple, name)
         assert names.setdefault(tuple(sorted(triple)), name) == name, triple

@@ -26,6 +26,7 @@ from relartin.link_builder import (
     build_link_single,
     develop_link_interedge,
     develop_link_part,
+    edge_rows,
     interedge_development,
     part_development,
 )
@@ -84,7 +85,7 @@ def finite_link(sides, edges) -> LinkGraph:
         vertex_kinds=["x"] * len(sides),
         vertex_labels=[str(i) for i in range(len(sides))],
         sides=list(sides),
-        edges=list(edges),
+        edges=edge_rows(list(edges)),
         truncation=TruncationInfo(complete=True),
     )
 

@@ -104,13 +104,13 @@ def test_kpi1_holds_on_the_join():
     verdict = kpi1_verdict(affine_parts_join())
     assert verdict.applicable and verdict.holds
     assert verdict.status == "holds, parts affine"
-    machine = [e for e in verdict.evidence if e["kind"] == "machine"]
-    lemmas = [e for e in verdict.evidence if e["kind"] == "lemma"]
-    citations = [e for e in verdict.evidence if e["kind"] == "citation"]
-    assert len(machine) == 2 and all(e["ok"] for e in machine)
-    assert len(lemmas) == 4 and all(e["ok"] for e in lemmas)
+    machine = [e for e in verdict.evidence if e.kind == "machine"]
+    lemmas = [e for e in verdict.evidence if e.kind == "lemma"]
+    citations = [e for e in verdict.evidence if e.kind == "citation"]
+    assert len(machine) == 2 and all(e.ok for e in machine)
+    assert len(lemmas) == 4 and all(e.ok for e in lemmas)
     assert len(citations) == 4
-    cited = " ".join(e["detail"] for e in citations)
+    cited = " ".join(e.detail for e in citations)
     assert "Godelle-Paris" in cited and "Cartan-Hadamard" in cited and "van der Lek" in cited
     assert "Appel-Schupp" in cited
     assert verdict.certification is not None and verdict.certification.ok
@@ -125,7 +125,7 @@ def test_kpi1_inapplicable_on_the_control():
     assert not verdict.applicable and not verdict.holds
     assert verdict.status == "inapplicable: inter-edge label condition fails"
     assert len(verdict.evidence) == 1
-    assert sorted(verdict.evidence[0]["detail"]) == ["a-b (m=3)", "b-c (m=3)"]
+    assert sorted(verdict.evidence[0].detail) == ["a-b (m=3)", "b-c (m=3)"]
     assert verdict.certification is None
 
 
@@ -134,9 +134,10 @@ def test_kpi1_pending_parts():
     verdict = kpi1_verdict(inst)
     assert verdict.holds
     assert verdict.status == "reduction established, per-part status pending"
-    family = next(e for e in verdict.evidence if e["check"].startswith("family completeness"))
-    assert family["ok"]
-    assert [(p["provenance"], p["class"]) for p in family["detail"]["parts"]] == [
+    family = next(e for e in verdict.evidence if e.check.startswith("family completeness"))
+    assert family.ok
+    parts = family.detail["parts"].columns
+    assert list(zip(parts["provenance"], parts["class"])) == [
         ("unknown", None),
         ("known-class", "spherical"),
     ]
@@ -181,7 +182,7 @@ def test_kpi1_reports_machine_failure(monkeypatch):
     assert verdict.applicable and not verdict.holds
     assert verdict.status == "failed: a machine check did not pass"
     link_evidence = next(
-        e for e in verdict.evidence if "link condition" in e["check"]
+        e for e in verdict.evidence if "link condition" in e.check
     )
-    assert not link_evidence["ok"]
-    assert link_evidence["detail"]["failures"] == ["stub"]
+    assert not link_evidence.ok
+    assert link_evidence.detail["failures"] == ["stub"]

@@ -141,7 +141,7 @@ def test_develop_truncation_is_reported():
     assert link.truncation.achieved_radius < 9
     assert link.truncation.cap == 50
     assert link.boundary
-    assert link.to_json_dict()["truncation"]["truncated"] is True
+    assert link.to_json_dict()["truncation"] is link.truncation
     with pytest.raises(GraphError):
         develop_link_interedge(inst, e, radius=0)
 
