@@ -8,28 +8,26 @@ either alternating product of length m.  Every element is uniquely
 
 where each x_i is a proper simple (an alternating positive word of length
 1..m-1) and consecutive factors are left-weighted: the last letter of x_i
-equals the first letter of x_{i+1}.  So the last letter of x_r and the
-lengths of x_1 .. x_r fix every letter, and an element is recorded as k,
-that letter (None when r = 0) and the lengths.  Pairwise
-left-weightedness characterises the normal form, so multiplying by one
-letter needs only a local repair at the right end, with Delta powers
-migrating left through tau (the atom swap when m is odd, identity when m is
-even).  A whole power t^n is multiplied in one pass: t^n is itself a
-left-weighted chain after its Delta power (n atoms t, or for n < 0 the
-tau-twisted copies of Delta t^-1), so the only repair is the Delta-fill
-cascade where the tail meets the chain, O(|tail| + |n|) steps.
+equals the first letter of x_{i+1}.  So the first letter of x_1 and the
+lengths of x_1 .. x_r fix every letter.  Pairwise left-weightedness
+characterises the normal form, so multiplying by one letter needs only a
+local repair at the right end, with Delta powers migrating left through
+tau (the atom swap when m is odd, identity when m is even).
 
-Equality of words is equality of normal forms.  The exponent-sum
-homomorphism eps (every generator to 1) reads off normal forms as
-eps = k*m + sum of the lengths; each coset g<s> contains exactly one
-element with eps = 0, which serves as its canonical representative.
+An element is the plain tuple (k, r, first, lengths, last): Delta's power,
+the number of simples, the tail's first letter, the lengths, and the tail's
+last letter, both letters None exactly when r = 0.  Equality of words is
+equality of these tuples, and their natural order is the order a ball's
+levels are numbered in, (k, r, first letter, lengths), which is the order
+of the (first letter, length) pairs, since each later first letter follows
+from the pair before it.  ``last`` follows from the fields before it, so it
+never decides a comparison, and None is only ever compared with None.  So
+``ball_levels`` sorts a level with no key function, and every product is a
+tuple display built in C, not a named tuple or a dataclass.
 
-Elements are ``DihedralElement`` named tuples (k, last, lengths), not
-dataclasses: development puts every element into sets and dicts, and a
-tuple hashes and compares in C where a dataclass goes through its Python
-``__hash__`` and ``__eq__``.  The engine builds them with ``tuple.__new__``
-in C, not through the named tuple's own ``__new__``, which is a Python
-function: a development makes one element per product.
+``coset_key`` keys a coset g<s> by where its elements' positive s-orbits
+settle: once the tail ends with s, multiplying by s appends a simple of
+length 1 and changes nothing before it (see its docstring).
 
 ``describe`` spells Delta's power and then the tail's simples.  Many
 elements of a ball share a tail and differ only in their Delta power, so
@@ -38,9 +36,10 @@ and lengths.  The memo lives and dies with its engine, which each CLI call
 makes afresh, and holds only the tails of described elements.
 
 Two word-problem engines share one small interface used by link
-development (identity, generators, mult_gen, sort_key, ball_levels,
-coset_key, describe): the exact dihedral engine above, and an exact
-free-group engine (reduced words) for edgeless subgraphs.
+development (identity, generators, mult_gen, ball_levels, coset_key,
+describe), and the elements of each sort in ball order by their natural
+order: the exact dihedral engine above, and an exact free-group engine
+(reduced words, one length per level) for edgeless subgraphs.
 
 ``ball_levels`` returns the word-metric ball level by level together with
 its Cayley edges as one flat list of slots, element i's g^+1 and g^-1
@@ -55,7 +54,7 @@ these slots by offset instead of multiplying again.
 from __future__ import annotations
 
 from itertools import islice, product
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 Word = tuple[tuple[str, int], ...]
 
@@ -86,19 +85,6 @@ def word_to_str(word: Word) -> str:
     return " ".join(toks)
 
 
-class DihedralElement(NamedTuple):
-    """Normal form Delta^k times a left-weighted tail of proper simples,
-    kept as the tail's last letter (None for an empty tail) and the
-    lengths of its simples."""
-
-    k: int
-    last: str | None
-    lengths: tuple[int, ...]
-
-
-# builds a DihedralElement in C (see the module docstring)
-_new = tuple.__new__
-
 # the default element cap of a ball, and the largest the CLI accepts
 BALL_CAP = 10**6
 
@@ -114,7 +100,7 @@ def _ball_levels(
     while the level is found, so expansion stops with the first element
     whose products pass the cap, and the rest of a level that would be
     dropped is never multiplied out.  levels[d] holds exactly the elements
-    at distance d, each level sorted by the engine's sort key.
+    at distance d, each level in the natural order of the engine's elements.
 
     Elements are numbered by position in the concatenated levels, and the
     edges are one flat list of 2 * len(generators) slots per element: for
@@ -167,7 +153,7 @@ def _ball_levels(
                 return levels, True, edges
         if not found:
             return levels, False, edges
-        level = sorted(found, key=engine.sort_key)
+        level = sorted(found)
         number = dict(zip(level, range(count, count + len(level))))
         edges += [-1] * (slots * len(level))
         for off, wi in enumerate(map(number.get, products), start):
@@ -189,152 +175,92 @@ class DihedralEngine:
             raise ValueError("label must be >= 2")
         self.generators = (a, b)
         self.m = m
-        self.identity = DihedralElement(0, None, ())
+        self.identity = (0, 0, None, (), None)
         self._other = {a: b, b: a}
+        # the letter tau sends each generator to
+        self._tau = {a: b, b: a} if m % 2 else {a: a, b: b}
         # by last letter, then lengths: the spelled tail of each element
         # describe has met
         self._tails: dict = {None: {(): ""}, a: {}, b: {}}
 
-    def mult_power(self, el: DihedralElement, t: str, n: int) -> DihedralElement:
-        """Right-multiply by t^n in one pass over the tail.
-
-        t^n for n > 0 is the left-weighted chain of n atoms t.  For n < 0,
-        with y = Delta t^-1 the proper simple of length m-1,
-
-            t^n = Delta^n . tau^(-n-1)(y) ... tau(y) . y,
-
-        again left-weighted (tau(y) ends with the letter y starts with), and
-        Delta^n migrates left through the tail as tau^n, which flips the
-        tail's last letter when m and n are odd.  Either way the product is
-        a normal tail followed by a normal chain whose simples all have one
-        length and whose last letter is t (n > 0) or the other generator
-        (n < 0), so the only repair is at the junction.  While the last
-        simple x of the tail and the head c of the chain are not
-        left-weighted, x c is one alternating word: shorter than m it
-        becomes one simple; longer, it fills a Delta that migrates left,
-        and the rest of c is left-weighted after the new last simple; of
-        length exactly m, the Delta leaves the next chain factor to meet
-        the new last simple, and the cascade goes on.  The tail's lengths
-        are walked from the right, carrying the last letter of the part
-        still standing.  Each step consumes a tail factor, so the cost is
-        O(|tail| + |n|).
-        """
-        other = self._other
-        if t not in other:
-            raise ValueError(f"unknown generator {t!r}")
-        if n == 0:
-            return el
-        m, odd = self.m, self.m % 2 == 1
-        k, last, lengths = el
-        if n > 0:
-            # the chain's simples have length size, its head starts with hf
-            # and its last simple ends with end
-            size, hf, end = 1, t, t
-        else:
-            n = -n
-            k -= n
-            size, end = m - 1, other[t]
-            if odd:
-                hf = t if n % 2 else end
-                if n % 2 and lengths:
-                    last = other[last]
-            else:
-                hf = end
-        hl = size  # the head's length, 0 once the chain is used up
-        rest = n - 1  # chain factors after the head
-        j = len(lengths)  # length of the standing tail prefix, ending with last
-        while j and last != hf:
-            length = lengths[j - 1]
-            j -= 1
-            # the first letter of x, which the prefix before it ends with
-            first = last if length % 2 else other[last]
-            total = length + hl
-            if total < m:
-                hl = total
-                break
-            # x c fills a Delta, which migrates left through the prefix
-            k += 1
-            last = other[first] if odd else first
-            if total > m:
-                # the rest of c starts with the letter the prefix ends with
-                hl = total - m
-                break
-            if not rest:
-                hl = 0
-                break
-            rest -= 1
-            hl = size
-            if size % 2 == 0:
-                hf = other[hf]
-        if hl:
-            return _new(DihedralElement, (k, end, lengths[:j] + (hl,) + (size,) * rest))
-        return _new(DihedralElement, (k, last if j else None, lengths[:j]))
-
-    def mult_gen(self, el: DihedralElement, letter: str, sign: int) -> DihedralElement:
-        """Right-multiply by letter^sign: ``mult_power`` for n = +-1, its
-        junction repair written out.
+    def mult_gen(self, el: tuple, letter: str, sign: int) -> tuple:
+        """Right-multiply by letter^sign, repairing the right end.
 
         For t, the tail's last simple x either ends with t (or the tail is
         empty), and t is a new simple; or x t is alternating, one longer
         simple, or Delta when x has length m - 1.  That Delta migrates left,
-        and the prefix standing before x ends with x's first letter, flipped
-        by tau when m is odd: the other generator either way.
+        tau-twisting the prefix standing before x, which ends with x's
+        first letter, flipped by tau when m is odd: the other generator
+        either way.
 
         For t^-1 = Delta^-1 y, y = Delta t^-1 of length m - 1 and ending
         with the other generator: when x ends with t, x t^-1 drops that
         letter, leaving the prefix (which ends with t) when x was t alone;
         otherwise y is left-weighted after the tau-twisted tail and is
-        appended."""
+        appended, and starts with tau of the other generator when the tail
+        is empty."""
         other = self._other
         if letter not in other:
             raise ValueError(f"unknown generator {letter!r}")
-        k, last, lengths = el
+        k, r, first, lengths, last = el
         if sign == 1:
-            if not lengths or last == letter:
-                return _new(DihedralElement, (k, letter, lengths + (1,)))
+            if not r:
+                return k, 1, letter, (1,), letter
+            if last == letter:
+                return k, r + 1, first, lengths + (1,), letter
             length = lengths[-1] + 1
             if length < self.m:
-                return _new(DihedralElement, (k, letter, lengths[:-1] + (length,)))
-            head = lengths[:-1]
-            return _new(DihedralElement, (k + 1, other[letter] if head else None, head))
+                return k, r, first, lengths[:-1] + (length,), letter
+            if r == 1:
+                return k + 1, 0, None, (), None
+            return k + 1, r - 1, self._tau[first], lengths[:-1], other[letter]
         if sign == -1:
-            if not lengths or last != letter:
-                return _new(DihedralElement, (k - 1, other[letter], lengths + (self.m - 1,)))
+            if not r:
+                return k - 1, 1, self._tau[other[letter]], (self.m - 1,), other[letter]
+            if last != letter:
+                return k - 1, r + 1, self._tau[first], lengths + (self.m - 1,), other[letter]
             length = lengths[-1] - 1
             if length:
-                return _new(DihedralElement, (k, other[letter], lengths[:-1] + (length,)))
-            head = lengths[:-1]
-            return _new(DihedralElement, (k, letter if head else None, head))
+                return k, r, first, lengths[:-1] + (length,), other[letter]
+            if r == 1:
+                return k, 0, None, (), None
+            return k, r - 1, first, lengths[:-1], letter
         raise ValueError(f"sign must be +-1, got {sign}")
 
     # shared with FreeEngine, and assigned rather than inherited so that each
     # class holds its own entry for the benchmark's layer tracer to patch
     ball_levels = _ball_levels
 
-    def sort_key(self, el: DihedralElement):
-        """(k, number of simples, first letter, lengths): the order of the
-        (first letter, length) pairs, since each later first letter
-        follows from the pair before it.  A simple of length l flips the
-        letter l - 1 times from its first to its last, and each later
-        simple starts with the letter the one before it ends with."""
-        k, last, lengths = el
-        if (sum(lengths) - len(lengths)) % 2:
-            last = self._other[last]
-        return k, len(lengths), last, lengths
+    def coset_key(self, el: tuple, generator: str) -> tuple:
+        """(g, k, the prefix's lengths) for the coset el<g>, g the
+        generator: el is multiplied by g until its positive g-orbit
+        settles, and the prefix is its tail without the length-1 simples
+        the tail ends with.  The prefix is empty or ends with g, so its
+        lengths fix its letters.
 
-    def coset_key(self, el: DihedralElement, generator: str) -> tuple:
-        """The generator, then the k, last letter and lengths of the unique
-        element of el<generator> whose exponent sum is zero.
-
-        Radius independent, so two elements get one key exactly when their
-        cosets coincide.
+        While the tail is non-empty and does not end with g, each step
+        makes it end with g or consumes a simple into Delta, so at most
+        r + 1 steps are taken.  Once the tail is empty or ends with g,
+        every further g appends a simple of length 1 and changes neither k
+        nor anything before it; the length-1 simples at the end of a tail
+        all share one letter, here g, so stripping them leaves one k and
+        one prefix for the whole settled orbit.  Two elements h and h g^d
+        of one coset settle at h g^a and h g^(d+b), one a positive g-power
+        of the other, so they get one key; and equal keys mean Delta^k
+        times one prefix times powers of g, one coset.  So two elements
+        share a key exactly when their cosets coincide, whatever ball they
+        were met in.
         """
-        k, _, lengths = el  # el's exponent sum is k m + sum(lengths)
-        return (generator, *self.mult_power(el, generator, -k * self.m - sum(lengths)))
+        while el[1] and el[4] != generator:
+            el = self.mult_gen(el, generator, 1)
+        k, r, _, lengths, _ = el
+        while r and lengths[r - 1] == 1:
+            r -= 1
+        return generator, k, lengths[:r]
 
-    def describe(self, el: DihedralElement) -> str:
+    def describe(self, el: tuple) -> str:
         """Delta's power, then each simple's alternating letters."""
-        k, last, lengths = el
+        k, _, _, lengths, last = el
         words = self._tails[last].get(lengths)
         if words is None:
             words = self._spell(last, lengths)
@@ -386,9 +312,6 @@ class FreeEngine:
         return el + ((letter, sign),)
 
     ball_levels = _ball_levels
-
-    def sort_key(self, el: Word):
-        return (len(el), el)
 
     def coset_key(self, el: Word, generator: str) -> tuple:
         while el and el[-1][0] == generator:

@@ -475,13 +475,17 @@ def _lemma_entry(
 def _relation_cycle(engine: DihedralEngine, exponents: tuple[int, ...]) -> list[str]:
     """The labels of the cycle 1, 1<s_1>, h_1, h_1<s_2>, ..., h_i the
     product of the first i syllables of a trivial word with these
-    exponents, checked: the word's normal form is the identity, the
-    elements and the cosets are distinct, and h_i lies in h_(i-1)<s_i>."""
+    exponents, multiplied a letter at a time, checked: the word's normal
+    form is the identity, the elements and the cosets are distinct, and
+    h_i lies in h_(i-1)<s_i>."""
     gens = engine.generators
     letters = [gens[i % 2] for i in range(len(exponents))]
     elements = [engine.identity]
     for s, p in zip(letters, exponents):
-        elements.append(engine.mult_power(elements[-1], s, p))
+        h = elements[-1]
+        for _ in range(abs(p)):
+            h = engine.mult_gen(h, s, 1 if p > 0 else -1)
+        elements.append(h)
     if elements.pop() != engine.identity:
         raise AssertionError(f"witness word {exponents} is not trivial")
     cosets = [engine.coset_key(h, s) for h, s in zip(elements, letters)]

@@ -296,11 +296,13 @@ def _develop(dev: Development, radius: int, cap: int) -> LinkGraph:
     Element i's coset vertex along the gi-th generator is targets[i * gens
     + gi].  An element whose g or g^-1 neighbour in the ball has a smaller
     number shares that neighbour's coset vertex of g; only the other
-    elements pay for ``coset_key``, which stays the exact test because a
-    coset can meet the ball in pieces that no g-step joins.  A shared
-    coset vertex was created at or before that neighbour, so the
-    numbering is the one the keys alone would give.  The element labels
-    come first, so a coset vertex is labelled as it is created."""
+    elements pay for ``coset_key``, which stays the exact test because
+    nothing proves that a coset meets a complete ball in one g-connected
+    piece, though no development of a label 2..8 or a free rank 1..3 has
+    been seen to meet one twice.  A shared coset vertex was created at or
+    before that neighbour, so the numbering is the one the keys alone
+    would give.  The element labels come first, so a coset vertex is
+    labelled as it is created."""
     if radius < 1:
         raise GraphError("radius must be >= 1")
     engine = dev.engine

@@ -28,15 +28,19 @@ each step out and tests membership in the ball, never reading its edges.
 Developments: ``coset_key`` for every (element, generator) pair, with no
 coset vertex shared along the ball's edges; the ball with each level
 multiplied out in full before the cap is tested, and the level then
-dropped; and the development girth searched on the coset multigraph, not
-on the link itself: each element contracted to an edge between its two
-cosets through dicts keyed by vertex, the coset vertices renumbered in
-sorted order, and the search rooted at every coset vertex.
+dropped, each level sorted by its elements' (first letter, length) pairs
+rather than by their natural order; and the development girth searched on
+the coset multigraph, not on the link itself: each element contracted to
+an edge between its two cosets through dicts keyed by vertex, the coset
+vertices renumbered in sorted order, and the search rooted at every coset
+vertex.
 
 Dihedral multiplication letter by letter: a positive atom extends or
 appends the last simple (a Delta it fills migrates left), and t^-1 is
 Delta^-1 followed by m - 1 positive atoms; coset representatives multiply
-by |eps| such letters.
+by |eps| such letters.  A whole power t^n multiplied in one pass over the
+tail, as the engine once did, against which ``mult_gen`` is checked on
+whole balls.
 
 Girth: exhaustive depth-first enumeration of simple cycles anchored at
 their minimal vertex, with weight pruning; the shortest cycle through each
@@ -87,7 +91,7 @@ one label.  The syllable search: every cyclic word of each syllable count
 multiplied out in full and compared with the identity, with no table and
 no use of the automorphism exchanging the generators; and the search as it
 was first written, a table of (exponents, normal form) pairs built with
-``mult_power`` a syllable at a time and matched pair by pair.
+``mult_gen`` a letter at a time and matched pair by pair.
 
 Coxeter types: the smallest eigenvalue of the cosine matrix
 B_ij = -cos(pi / m_ij) (a missing defining edge gives -1) is positive for a
@@ -225,7 +229,7 @@ def as_pairs(ctx, el) -> tuple:
     off from the right: a simple starts with the letter it ends with when
     its length is odd, and ends with the letter the next one starts with.
     An empty tail, and only an empty tail, has no last letter."""
-    k, letter, lengths = el
+    k, _, _, lengths, letter = el
     assert (letter is None) == (not lengths), el
     pairs = []
     for length in reversed(lengths):
@@ -284,6 +288,100 @@ def atom_normal_form(ctx, word):
     for letter, sign in word:
         el = atom_mult_power(ctx, el, letter, sign)
     return el
+
+
+def pair_order_key(ctx):
+    """The sort key of a ball level read off the (first letter, length)
+    pairs, (k, number of simples, pairs), for a dihedral engine, and
+    (length, word) for a free one."""
+    if isinstance(ctx, FreeEngine):
+        return lambda w: (len(w), w)
+
+    def key(el):
+        k, pairs = as_pairs(ctx, el)
+        return k, len(pairs), pairs
+
+    return key
+
+
+def one_pass_mult_power(ctx, el, t: str, n: int):
+    """el times t^n in one pass over the tail.
+
+    t^n for n > 0 is the left-weighted chain of n atoms t.  For n < 0,
+    with y = Delta t^-1 the proper simple of length m-1,
+
+        t^n = Delta^n . tau^(-n-1)(y) ... tau(y) . y,
+
+    again left-weighted (tau(y) ends with the letter y starts with), and
+    Delta^n migrates left through the tail as tau^n, which flips the
+    tail's last letter when m and n are odd.  Either way the product is
+    a normal tail followed by a normal chain whose simples all have one
+    length and whose last letter is t (n > 0) or the other generator
+    (n < 0), so the only repair is at the junction.  While the last
+    simple x of the tail and the head c of the chain are not
+    left-weighted, x c is one alternating word: shorter than m it
+    becomes one simple; longer, it fills a Delta that migrates left,
+    and the rest of c is left-weighted after the new last simple; of
+    length exactly m, the Delta leaves the next chain factor to meet
+    the new last simple, and the cascade goes on.  The tail's lengths
+    are walked from the right, carrying the last letter of the part
+    still standing, and the first letter is read off the result.
+    """
+    if n == 0:
+        return el
+    m, odd = ctx.m, ctx.m % 2 == 1
+    k, _, _, lengths, last = el
+    if n > 0:
+        # the chain's simples have length size, its head starts with hf
+        # and its last simple ends with end
+        size, hf, end = 1, t, t
+    else:
+        n = -n
+        k -= n
+        size, end = m - 1, other_letter(ctx, t)
+        if odd:
+            hf = t if n % 2 else end
+            if n % 2 and lengths:
+                last = other_letter(ctx, last)
+        else:
+            hf = end
+    hl = size  # the head's length, 0 once the chain is used up
+    rest = n - 1  # chain factors after the head
+    j = len(lengths)  # length of the standing tail prefix, ending with last
+    while j and last != hf:
+        length = lengths[j - 1]
+        j -= 1
+        # the first letter of x, which the prefix before it ends with
+        first = last if length % 2 else other_letter(ctx, last)
+        total = length + hl
+        if total < m:
+            hl = total
+            break
+        # x c fills a Delta, which migrates left through the prefix
+        k += 1
+        last = other_letter(ctx, first) if odd else first
+        if total > m:
+            # the rest of c starts with the letter the prefix ends with
+            hl = total - m
+            break
+        if not rest:
+            hl = 0
+            break
+        rest -= 1
+        hl = size
+        if size % 2 == 0:
+            hf = other_letter(ctx, hf)
+    if hl:
+        last, lengths = end, lengths[:j] + (hl,) + (size,) * rest
+    else:
+        lengths = lengths[:j]
+    if not lengths:
+        return k, 0, None, (), None
+    # each simple flips the letter length - 1 times from its first to its last
+    first = last
+    if (sum(lengths) - len(lengths)) % 2:
+        first = other_letter(ctx, first)
+    return k, len(lengths), first, lengths, last
 
 
 def atom_coset_rep(ctx, g, generator: str):
@@ -389,7 +487,7 @@ def expand_then_drop_ball_levels(engine, radius: int, cap: int = 10**6):
             return levels, False, edges
         if len(edges) // slots + len(found) > cap:
             return levels, True, edges
-        level = sorted(found, key=engine.sort_key)
+        level = sorted(found, key=pair_order_key(engine))
         number = {w: wi for wi, w in enumerate(level, len(edges) // slots)}
         edges.extend([-1] * slots * len(level))
         for k, w in enumerate(products):
@@ -1293,7 +1391,8 @@ def brute_syllable_relations(engine, radius: int, counts=(4, 6)):
             yield exps, el
             return
         for p in window:
-            yield from words(exps + (p,), engine.mult_power(el, gens[len(exps) % 2], p), k)
+            syllable = ((gens[len(exps) % 2], p // abs(p)),) * abs(p)
+            yield from words(exps + (p,), mult_word(engine, el, syllable), k)
 
     for k in counts:
         hits = [exps for exps, el in words((), engine.identity, k) if el == engine.identity]
@@ -1309,10 +1408,10 @@ def reference_syllable_search(engine, radius: int, counts=(4, 6)):
     a-first half words).  A word of k syllables is trivial exactly when its
     first k/2 syllables equal the inverse of its last k/2, a b-first word,
     which is an a-first word's image under the exchange of the generators:
-    that fixes Delta and the lengths and flips the last letter.  So each
-    a-first half word is kept with its exponent tuple and multiplied with
-    ``mult_power``, and every one is looked up in a table keyed by normal
-    form for its image."""
+    that fixes Delta and the lengths and flips the first and last
+    letters.  So each a-first half word is kept with its exponent tuple and
+    multiplied out with ``mult_gen``, and every one is looked up in a table
+    keyed by normal form for its image."""
     window = [p for n in range(1, radius + 1) for p in (n, -n)]
     rank = {p: i for i, p in enumerate(window)}
     a, b = engine.generators
@@ -1323,7 +1422,9 @@ def reference_syllable_search(engine, radius: int, counts=(4, 6)):
         while len(level[0][0]) < k // 2:
             g = b if len(level[0][0]) % 2 else a
             level = [
-                (exps + (p,), engine.mult_power(el, g, p)) for exps, el in level for p in window
+                (exps + (p,), mult_word(engine, el, ((g, p // abs(p)),) * abs(p)))
+                for exps, el in level
+                for p in window
             ]
         table = {}
         for exps, el in level:
@@ -1331,7 +1432,8 @@ def reference_syllable_search(engine, radius: int, counts=(4, 6)):
         words += len(level)
         searched.append(k)
         for exps, el in level:
-            lefts = table.get((el.k, other[el.last], el.lengths))
+            power, r, first, lengths, last = el
+            lefts = table.get((power, r, other[first], lengths, other[last]))
             if lefts:
                 right = tuple(-p for p in reversed(exps))
                 hits += [left + right for left in lefts]

@@ -22,6 +22,9 @@ from oracles import (
     edge_scan_engine_for_part,
     expand_then_drop_ball_levels,
     mult_word,
+    one_pass_mult_power,
+    other_letter,
+    pair_order_key,
     pairs_label,
     parse_word,
     quotient_equal,
@@ -90,9 +93,9 @@ def test_normal_form_basics():
     w1, w2 = prod_pair(3)
     assert equals(ctx, w1, w2)
     delta = normal_form(ctx, w1)
-    assert delta == (1, None, ())
+    assert delta == (1, 0, None, (), None)
     two = normal_form(ctx, w1 + w1)
-    assert two == (2, None, ())
+    assert two == (2, 0, None, (), None)
     assert normal_form(ctx, []) == ctx.identity
     # tau flips the letters when m is odd: Delta a = b Delta
     assert equals(ctx, w1 + [("a", 1)], [("b", 1)] + w1)
@@ -246,19 +249,30 @@ def test_ball_edges_are_the_products_inside_the_ball():
 
 
 def test_coset_rep_is_canonical():
+    # two elements share coset_key(., g) exactly when the letter-by-letter
+    # oracle gives them one exponent-sum-zero representative of el<g>, on
+    # a complete ball and on random words; a g-power shift keeps the key
     rng = random.Random(13)
-    for m in (2, 3, 4, 5):
-        ctx = DihedralEngine("a", "b", m)
-        for _ in range(100):
-            g = normal_form(ctx, random_word(rng, 7))
-            for gen in ("a", "b"):
-                key = ctx.coset_key(g, gen)
-                # the representative's exponent sum, both generators to 1
-                k0, _, lengths = key[1:]
-                assert k0 * m + sum(lengths) == 0
-                k = rng.randint(-3, 3)
-                shifted = mult_word(ctx, g, ((gen, 1 if k >= 0 else -1),) * abs(k))
-                assert ctx.coset_key(shifted, gen) == key
+    for m in range(2, 8):
+        for gens in (("a", "b"), ("b", "a")):
+            ctx = DihedralEngine(*gens, m)
+            levels, truncated, _ = ctx.ball_levels(8)
+            assert not truncated
+            words = [normal_form(ctx, random_word(rng, 16, gens)) for _ in range(100)]
+            elements = sorted({el for level in levels for el in level}.union(words))
+            for gen in gens:
+                by_key, by_rep = {}, {}
+                for el in elements:
+                    key = ctx.coset_key(el, gen)
+                    by_key.setdefault(key, set()).add(el)
+                    by_rep.setdefault(atom_coset_rep(ctx, as_pairs(ctx, el), gen), set()).add(el)
+                    k = rng.randint(-3, 3)
+                    shifted = mult_word(ctx, el, ((gen, 1 if k >= 0 else -1),) * abs(k))
+                    assert ctx.coset_key(shifted, gen) == key, (m, gens, el, gen, k)
+                assert {frozenset(c) for c in by_key.values()} == {
+                    frozenset(c) for c in by_rep.values()
+                }, (m, gens, gen)
+                assert len(by_key) < len(elements)
 
 
 def test_mult_gen_is_mult_power_by_one_letter():
@@ -272,7 +286,7 @@ def test_mult_gen_is_mult_power_by_one_letter():
             for el in (el for level in levels for el in level):
                 for g in gens:
                     for sign in (1, -1):
-                        assert eng.mult_gen(el, g, sign) == eng.mult_power(el, g, sign), (
+                        assert eng.mult_gen(el, g, sign) == one_pass_mult_power(eng, el, g, sign), (
                             m, gens, el, g, sign,
                         )
                         products += 1
@@ -284,8 +298,8 @@ def test_mult_gen_is_mult_power_by_one_letter():
 
 
 def test_mult_power_matches_letter_by_letter_oracle():
-    # one-pass powers, single inverse letters and coset representatives
-    # against the per-atom products they replace, m = 2..8
+    # powers and single inverse letters through mult_gen, and the one-pass
+    # powers, against the per-atom products, m = 2..8
     rng = random.Random(20261018)
     for m in range(2, 9):
         ctx = DihedralEngine("a", "b", m)
@@ -297,19 +311,44 @@ def test_mult_power_matches_letter_by_letter_oracle():
             for t in ("a", "b"):
                 got = ctx.mult_gen(g, t, -1)
                 assert as_pairs(ctx, got) == atom_mult_power(ctx, pairs, t, -1)
-                key = ctx.coset_key(g, t)
-                assert key[0] == t
-                assert as_pairs(ctx, key[1:]) == atom_coset_rep(ctx, pairs, t)
             t = rng.choice("ab")
             powers = range(-12, 13) if trial < 40 else (rng.randint(-12, 12),)
             for n in powers:
-                got = ctx.mult_power(g, t, n)
+                got = mult_word(ctx, g, ((t, 1 if n > 0 else -1),) * abs(n))
                 assert as_pairs(ctx, got) == atom_mult_power(ctx, pairs, t, n), (m, word, t, n)
+                assert one_pass_mult_power(ctx, g, t, n) == got, (m, word, t, n)
+
+
+def test_normal_form_fields_match_the_atom_pairs():
+    # (k, r, first, lengths, last): r counts the simples, and first and
+    # last are the first and last letters of the tail the letter-by-letter
+    # oracle computes; every level of a ball is in pair order already
+    rng = random.Random(37)
+    for m in range(2, 9):
+        for gens in (("a", "b"), ("b", "a")):
+            ctx = DihedralEngine(*gens, m)
+            for _ in range(200):
+                word = random_word(rng, 20, gens)
+                k, r, first, lengths, last = normal_form(ctx, word)
+                atom_k, pairs = atom_normal_form(ctx, word)
+                assert (k, lengths) == (atom_k, tuple(length for _, length in pairs)), (m, word)
+                assert r == len(lengths), (m, word)
+                if pairs:
+                    f, length = pairs[-1]
+                    assert first == pairs[0][0], (m, word)
+                    assert last == (f if length % 2 else other_letter(ctx, f)), (m, word)
+                else:
+                    assert first is None and last is None, (m, word)
+            levels, _, _ = ctx.ball_levels(6 * m, 3000)
+            key = pair_order_key(ctx)
+            for level in levels:
+                assert level == sorted(level, key=key), (m, gens)
 
 
 def test_swapping_the_generators_flips_the_last_letter():
     # the automorphism a <-> b fixes Delta and each simple's length, so the
-    # syllable search reads the image of a normal form as one letter flip
+    # syllable search reads the image of a normal form as a flip of its
+    # first and last letters
     rng = random.Random(7)
     swap = {"a": "b", "b": "a"}
     for m in range(2, 9):
@@ -318,7 +357,8 @@ def test_swapping_the_generators_flips_the_last_letter():
             word = random_word(rng, 20)
             el = normal_form(ctx, word)
             image = normal_form(ctx, [(swap[g], s) for g, s in word])
-            assert image == (el.k, swap.get(el.last), el.lengths), (m, word)
+            k, r, first, lengths, last = el
+            assert image == (k, r, swap.get(first), lengths, swap.get(last)), (m, word)
 
 
 def test_delta_conjugation_flips_the_last_letter_for_odd_m():
@@ -334,13 +374,14 @@ def test_delta_conjugation_flips_the_last_letter_for_odd_m():
             el = normal_form(ctx, word)
             conjugate = normal_form(ctx, delta + word + delta_inverse)
             if m % 2:
-                assert conjugate == (el.k, swap.get(el.last), el.lengths), (m, word)
+                k, r, first, lengths, last = el
+                assert conjugate == (k, r, swap.get(first), lengths, swap.get(last)), (m, word)
             else:
                 assert conjugate == el, (m, word)
 
 
 def test_ball_order_and_labels_match_the_pair_form():
-    # develop numbers a ball's vertices by sort_key and labels them by
+    # develop numbers a ball's vertices in order and labels them by
     # describe; both must read as the (first letter, length) pairs do
     for m in range(2, 8):
         ctx = DihedralEngine("a", "b", m)
@@ -349,7 +390,7 @@ def test_ball_order_and_labels_match_the_pair_form():
         ball = [el for level in levels for el in level]
         pairs = [as_pairs(ctx, el) for el in ball]
         by_pairs = sorted(range(len(ball)), key=lambda i: (pairs[i][0], len(pairs[i][1]), pairs[i][1]))
-        assert sorted(ball, key=ctx.sort_key) == [ball[i] for i in by_pairs], m
+        assert sorted(ball) == [ball[i] for i in by_pairs], m
         assert list(map(ctx.describe, ball)) == [pairs_label(ctx, *p) for p in pairs], m
 
 
@@ -375,7 +416,7 @@ def test_describe_memo_belongs_to_its_engine():
     for m in (3, 4):
         eng = DihedralEngine("a", "b", m)
         levels, _, _ = eng.ball_levels(6)
-        balls[m] = eng, {(el.last, el.lengths) for level in levels for el in level}
+        balls[m] = eng, {(last, lengths) for level in levels for *_, lengths, last in level}
         for level in levels:
             for el in level:
                 eng.describe(el)
